@@ -42,7 +42,7 @@ from .offline_rl import (
     policy_probs,
     save_policy,
 )
-from .ope import FqeEstimate, fqe, initial_value_score, rank_policies
+from .ope import FqeEstimate, fqe, rank_policies
 from .reward_learning import (
     PreferencePair,
     RewardTrainConfig,

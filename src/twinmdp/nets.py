@@ -155,10 +155,3 @@ def grouped_max(scores: np.ndarray, group_ids: np.ndarray, n_groups: int) -> np.
     np.maximum.at(gmax, group_ids, scores)
     return gmax
 
-
-def grouped_logsumexp(scores: np.ndarray, group_ids: np.ndarray, n_groups: int) -> np.ndarray:
-    gmax = grouped_max(scores, group_ids, n_groups)
-    expd = np.exp(scores - gmax[group_ids])
-    gsum = np.zeros(n_groups)
-    np.add.at(gsum, group_ids, expd)
-    return gmax + np.log(gsum)

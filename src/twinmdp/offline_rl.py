@@ -9,12 +9,22 @@ The conservative penalty and the Bellman backup both range over the
 candidate actions recorded at each turn (or the full vocabulary, when the
 action space says so), mirroring how the deployed policy only ever scores
 the current turn's candidates.
+
+``build_transitions`` is the one place that lays steps out for learning.
+It packs a corpus once into a TransitionTable: per-step arrays, candidate
+offsets in CSR form, the candidates as one dense array (the action space
+applied there), and the taken entry of every step. CQL, BC and FQE index
+the same dense candidate rows; ``TransitionTable.gather`` selects a batch's
+candidate entries with their owning step. Keep the input matrix of every
+network call as it is (the same rows, in the same order, with the same row
+count): BLAS picks its kernel by row count and a row's low bits can change
+with the batch it sits in, so reshaping a batch changes trained artifacts.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -50,82 +60,128 @@ class CandidateSet:
 
 @dataclass
 class TransitionTable:
-    """Flat view over trajectory steps for vectorized training.
+    """Every logged step, packed once for all learners.
 
-    Candidate actions are stored flattened with offsets; entry i of a
-    transition's candidate slice corresponds to the raw step's i-th
-    candidate.
+    Step i owns the candidate entries cand_offsets[i]:cand_offsets[i + 1],
+    in the order of its recorded candidates (or 0..size-1 under
+    FullVocabulary). Index actions are stored as ``cand_ids``, feature
+    actions as the rows of ``cand_feats``; ``taken[i]`` is the entry of the
+    action step i took.
     """
 
     states: np.ndarray            # (N, S)
-    actions: list                 # per-transition action repr
-    action_pos: np.ndarray        # (N,) index of the taken action in its candidate slice
     rewards: np.ndarray           # (N,)
     terminal: np.ndarray          # (N,) bool
-    next_step: np.ndarray         # (N,) transition index of the following step, -1 at end
+    next_step: np.ndarray         # (N,) index of the following step, -1 at the end
+    episode_starts: np.ndarray    # (n_episodes,) index of each episode's first step
     cand_offsets: np.ndarray      # (N+1,)
-    cands: list                   # flattened candidate reprs
-    episode_starts: np.ndarray    # (n_episodes,) transition index of each first step
-    index_actions: bool = field(default=False)
+    taken: np.ndarray             # (N,) candidate entry of the taken action
+    cand_ids: np.ndarray | None = None    # (M,) index actions
+    cand_feats: np.ndarray | None = None  # (M, A) feature actions
 
     @property
     def n(self) -> int:
         return len(self.rewards)
 
-    def cand_slice(self, i: int):
-        return self.cands[self.cand_offsets[i] : self.cand_offsets[i + 1]]
+    @property
+    def index_actions(self) -> bool:
+        return self.cand_ids is not None
+
+    @property
+    def n_actions(self) -> int:
+        return int(self.cand_ids.max()) + 1
+
+    @property
+    def candidates(self) -> np.ndarray:
+        return self.cand_ids if self.index_actions else self.cand_feats
+
+    @property
+    def cand_step(self) -> np.ndarray:
+        """(M,) the step that owns each candidate entry."""
+        return np.repeat(np.arange(self.n), np.diff(self.cand_offsets))
+
+    @property
+    def encoding(self) -> dict:
+        """Q-network action encoding: one-hot over the ids seen, or the features."""
+        if self.index_actions:
+            return {"kind": "onehot", "size": self.n_actions}
+        return {"kind": "features", "dim": int(self.cand_feats.shape[1])}
+
+    def rows(self, encoding: dict) -> np.ndarray:
+        """(M, S + A) network rows [state | encoded candidate], one per entry."""
+        return encode_rows(self.states[self.cand_step], self.candidates, encoding)
+
+    def gather(self, steps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Candidate entries of ``steps`` in order, and the position in
+        ``steps`` each entry belongs to."""
+        starts = self.cand_offsets[steps]
+        counts = self.cand_offsets[steps + 1] - starts
+        group = np.repeat(np.arange(len(steps)), counts)
+        first = np.cumsum(counts) - counts
+        return np.arange(len(group)) + (starts - first)[group], group
 
 
-def build_transitions(trajs: list[AbstractTrajectory]) -> TransitionTable:
+def encode_rows(states: np.ndarray, actions: np.ndarray, encoding: dict) -> np.ndarray:
+    """[state | action] rows; index actions become one-hot over encoding["size"]."""
+    if encoding["kind"] == "onehot":
+        acts = np.zeros((len(actions), encoding["size"]))
+        acts[np.arange(len(actions)), actions] = 1.0
+    else:
+        acts = actions
+    return np.hstack([states, acts])
+
+
+def build_transitions(trajs: list[AbstractTrajectory],
+                      action_space=CandidateSet()) -> TransitionTable:
     if not trajs:
         raise EmptyData("no trajectories")
-    states, actions, action_pos, rewards, terminal, next_step = [], [], [], [], [], []
-    cands: list = []
-    offsets = [0]
-    starts = []
-    idx = 0
     index_actions = isinstance(trajs[0].steps[0].action, (int, np.integer))
+    full = isinstance(action_space, FullVocabulary)
+    if full and not index_actions:
+        raise MissingCandidateSets("a full vocabulary needs index actions")
+    dtype = int if index_actions else float
+    states, rewards, next_step, starts, cands, taken = [], [], [], [], [], []
     for traj in trajs:
-        starts.append(idx)
+        starts.append(len(states))
         for t, step in enumerate(traj.steps):
             if not step.candidates:
                 raise MissingCandidateSets(
                     f"trajectory {traj.trajectory_id} turn {t} has no candidates"
                 )
+            recorded = np.asarray(step.candidates, dtype=dtype)
+            pos = _find_action(recorded, np.asarray(step.action, dtype=dtype))
+            if full:
+                if not 0 <= step.action < action_space.size:
+                    raise MalformedRecord(
+                        f"action {step.action} outside the vocabulary of {action_space.size}"
+                    )
+                recorded, pos = np.arange(action_space.size), int(step.action)
+            next_step.append(-1 if t == len(traj.steps) - 1 else len(states) + 1)
             states.append(np.asarray(step.state, dtype=float))
-            actions.append(step.action)
-            pos = _find_action(step.candidates, step.action)
-            action_pos.append(pos)
             rewards.append(step.reward)
-            last = t == len(traj.steps) - 1
-            terminal.append(last)
-            next_step.append(-1 if last else idx + 1)
-            cands.extend(step.candidates)
-            offsets.append(len(cands))
-            idx += 1
+            taken.append(pos)
+            cands.append(recorded)
+    offsets = np.concatenate([[0], np.cumsum([len(c) for c in cands])])
+    flat = np.concatenate(cands)
+    next_step = np.asarray(next_step)
     return TransitionTable(
         states=np.stack(states),
-        actions=actions,
-        action_pos=np.asarray(action_pos),
         rewards=np.asarray(rewards, dtype=float),
-        terminal=np.asarray(terminal, dtype=bool),
-        next_step=np.asarray(next_step),
-        cand_offsets=np.asarray(offsets),
-        cands=cands,
+        terminal=next_step < 0,
+        next_step=next_step,
         episode_starts=np.asarray(starts),
-        index_actions=index_actions,
+        cand_offsets=offsets,
+        taken=offsets[:-1] + np.asarray(taken),
+        cand_ids=flat if index_actions else None,
+        cand_feats=None if index_actions else flat,
     )
 
 
-def _find_action(candidates, action) -> int:
-    if isinstance(action, (int, np.integer)):
-        for i, c in enumerate(candidates):
-            if int(c) == int(action):
-                return i
-    else:
-        for i, c in enumerate(candidates):
-            if np.array_equal(np.asarray(c, dtype=float), np.asarray(action, dtype=float)):
-                return i
+def _find_action(recorded: np.ndarray, action: np.ndarray) -> int:
+    if recorded.shape[1:] == action.shape:
+        hits = np.flatnonzero((recorded == action).reshape(len(recorded), -1).all(axis=1))
+        if len(hits):
+            return int(hits[0])
     raise MalformedRecord("taken action missing from its candidate set")
 
 
@@ -190,16 +246,6 @@ def encode_action(action, encoding: dict) -> np.ndarray:
     return feats
 
 
-def action_encoding_for(table: TransitionTable, action_space) -> dict:
-    if table.index_actions:
-        if isinstance(action_space, FullVocabulary):
-            size = action_space.size
-        else:
-            size = int(max(int(c) for c in table.cands)) + 1
-        return {"kind": "onehot", "size": size}
-    return {"kind": "features", "dim": int(np.asarray(table.cands[0]).shape[0])}
-
-
 # --- softmax policy ----------------------------------------------------------------
 
 @dataclass
@@ -258,14 +304,14 @@ def cql_train(trajs, cfg: TrainConfig, action_space=CandidateSet(),
     action). alpha = 0 recovers plain fitted Q-learning. Terminal steps
     bootstrap with zero. Deterministic given cfg.seed.
     """
-    table = build_transitions(list(trajs))
+    table = build_transitions(list(trajs), action_space)
     if form is None:
         form = "tabular" if table.index_actions else "network"
     if form == "tabular" and not table.index_actions:
         raise MissingCandidateSets("tabular Q needs index actions (name/nametype schemes)")
     if form == "tabular":
-        return _cql_tabular(table, cfg, action_space)
-    return _cql_network(table, cfg, action_space)
+        return _cql_tabular(table, cfg)
+    return _cql_network(table, cfg)
 
 
 def _state_ids(table: TransitionTable):
@@ -277,36 +323,18 @@ def _state_ids(table: TransitionTable):
     return index, ids
 
 
-def _tabular_candidates(table: TransitionTable, action_space, n_actions: int):
-    """(flat candidate action ids, offsets) honoring the action space."""
-    if isinstance(action_space, FullVocabulary):
-        flat = np.tile(np.arange(n_actions), table.n)
-        offsets = np.arange(table.n + 1) * n_actions
-        return flat, offsets
-    flat = np.asarray([int(c) for c in table.cands])
-    return flat, table.cand_offsets.copy()
-
-
-def _cql_tabular(table: TransitionTable, cfg: TrainConfig, action_space) -> TabularQ:
-    n_actions = (
-        action_space.size
-        if isinstance(action_space, FullVocabulary)
-        else int(max(int(c) for c in table.cands)) + 1
-    )
+def _cql_tabular(table: TransitionTable, cfg: TrainConfig) -> TabularQ:
+    n_actions = table.n_actions
     index, sid = _state_ids(table)
-    aid = np.asarray([int(a) for a in table.actions])
-    cand_flat, cand_off = _tabular_candidates(table, action_space, n_actions)
-    cand_group = np.repeat(np.arange(table.n), np.diff(cand_off))
+    aid = table.cand_ids[table.taken]
+    cand_flat, cand_group = table.cand_ids, table.cand_step
     cand_sid = sid[cand_group]
 
     has_next = ~table.terminal
     nxt = table.next_step[has_next]
-    next_cand_counts = np.diff(cand_off)[nxt]
-    next_cand_group_ids = np.repeat(np.arange(len(nxt)), next_cand_counts)
-    next_cand_flat = np.concatenate(
-        [cand_flat[cand_off[j] : cand_off[j + 1]] for j in nxt]
-    ) if len(nxt) else np.empty(0, dtype=int)
-    next_cand_sid = sid[np.repeat(nxt, next_cand_counts)] if len(nxt) else np.empty(0, dtype=int)
+    next_idx, next_cand_group_ids = table.gather(nxt)
+    next_cand_flat = cand_flat[next_idx]
+    next_cand_sid = sid[nxt[next_cand_group_ids]]
 
     n_states = len(index)
     q = np.zeros((n_states, n_actions))
@@ -344,30 +372,21 @@ def _cql_tabular(table: TransitionTable, cfg: TrainConfig, action_space) -> Tabu
     return TabularQ(state_index=index, q=q, gamma=cfg.gamma)
 
 
-def _cql_network(table: TransitionTable, cfg: TrainConfig, action_space) -> NetworkQ:
-    encoding = action_encoding_for(table, action_space)
-    state_dim = table.states.shape[1]
-    action_dim = encoding["size"] if encoding["kind"] == "onehot" else encoding["dim"]
-    net = Mlp(state_dim + action_dim, cfg.hidden_units, seed=cfg.seed)
-    target = net.copy()
+def network_setup(table: TransitionTable, cfg: TrainConfig):
+    """Candidate rows, a fresh network over them, its optimizer and the batch rng."""
+    rows = table.rows(table.encoding)
+    net = Mlp(rows.shape[1], cfg.hidden_units, seed=cfg.seed)
     optimizer = Adam(net.flat_params(), step_size=cfg.step_size)
-    rng = np.random.default_rng(cfg.seed)
+    return rows, net, optimizer, np.random.default_rng(cfg.seed)
 
-    taken_rows = np.stack(
-        [
-            np.concatenate([table.states[i], encode_action(table.actions[i], encoding)])
-            for i in range(table.n)
-        ]
-    )
-    cand_rows_by_step = [
-        np.stack(
-            [
-                np.concatenate([table.states[i], encode_action(c, encoding)])
-                for c in _space_candidates(table, i, action_space)
-            ]
-        )
-        for i in range(table.n)
-    ]
+
+def network_q(table: TransitionTable, net: Mlp, gamma: float) -> NetworkQ:
+    return NetworkQ(net=net, state_dim=table.states.shape[1],
+                    action_encoding=table.encoding, gamma=gamma)
+
+
+def _cql_network(table: TransitionTable, cfg: TrainConfig) -> NetworkQ:
+    rows, net, optimizer, rng = network_setup(table, cfg)
 
     for it in range(cfg.iterations):
         if it % max(1, cfg.target_refresh) == 0:
@@ -376,27 +395,14 @@ def _cql_network(table: TransitionTable, cfg: TrainConfig, action_space) -> Netw
         b = len(batch)
 
         targets = table.rewards[batch].copy()
-        live = [k for k, i in enumerate(batch) if not table.terminal[i]]
-        if live:
-            next_rows = np.concatenate(
-                [cand_rows_by_step[table.next_step[batch[k]]] for k in live]
-            )
-            group = np.repeat(
-                np.arange(len(live)),
-                [len(cand_rows_by_step[table.next_step[batch[k]]]) for k in live],
-            )
-            best = grouped_max(target.forward(next_rows), group, len(live))
-            for pos, k in enumerate(live):
-                targets[k] += cfg.gamma * best[pos]
+        live = np.flatnonzero(~table.terminal[batch])
+        if len(live):
+            idx, group = table.gather(table.next_step[batch[live]])
+            best = grouped_max(target.forward(rows[idx]), group, len(live))
+            targets[live] += cfg.gamma * best
 
-        batch_taken = taken_rows[batch]
-        cand_stack = np.concatenate([cand_rows_by_step[i] for i in batch])
-        cand_group = np.repeat(
-            np.arange(b), [len(cand_rows_by_step[i]) for i in batch]
-        )
-
-        stacked = np.concatenate([batch_taken, cand_stack])
-        out, acts = net.forward_cached(stacked)
+        idx, cand_group = table.gather(batch)
+        out, acts = net.forward_cached(rows[np.concatenate([table.taken[batch], idx])])
         q_taken = out[:b]
         q_cands = out[b:]
 
@@ -409,14 +415,7 @@ def _cql_network(table: TransitionTable, cfg: TrainConfig, action_space) -> Netw
         grads = net.backward(acts, dout)
         optimizer.step(grads)
 
-    return NetworkQ(net=net, state_dim=state_dim, action_encoding=encoding,
-                    gamma=cfg.gamma)
-
-
-def _space_candidates(table: TransitionTable, i: int, action_space):
-    if isinstance(action_space, FullVocabulary):
-        return list(range(action_space.size))
-    return table.cand_slice(i)
+    return network_q(table, net, cfg.gamma)
 
 
 # --- behavior cloning ---------------------------------------------------------------
@@ -429,60 +428,32 @@ def bc_train(trajs, cfg: TrainConfig, action_space=CandidateSet(),
     reproduces the empirical conditional frequencies. Network: maximizes the
     log-likelihood of taken actions by minibatch gradient ascent.
     """
-    table = build_transitions(list(trajs))
+    table = build_transitions(list(trajs), action_space)
     if form is None:
         form = "tabular" if table.index_actions else "network"
     if form == "tabular":
         if not table.index_actions:
             raise MissingCandidateSets("tabular BC needs index actions")
-        n_actions = (
-            action_space.size
-            if isinstance(action_space, FullVocabulary)
-            else int(max(int(c) for c in table.cands)) + 1
-        )
         index, sid = _state_ids(table)
-        aid = np.asarray([int(a) for a in table.actions])
-        counts = np.zeros((len(index), n_actions))
-        np.add.at(counts, (sid, aid), 1.0)
+        counts = np.zeros((len(index), table.n_actions))
+        np.add.at(counts, (sid, table.cand_ids[table.taken]), 1.0)
         with np.errstate(divide="ignore"):
             q = np.log(counts)
         return QPolicy(q=TabularQ(state_index=index, q=q, gamma=cfg.gamma),
                        temperature=cfg.temperature)
 
-    encoding = action_encoding_for(table, action_space)
-    state_dim = table.states.shape[1]
-    action_dim = encoding["size"] if encoding["kind"] == "onehot" else encoding["dim"]
-    net = Mlp(state_dim + action_dim, cfg.hidden_units, seed=cfg.seed)
-    optimizer = Adam(net.flat_params(), step_size=cfg.step_size)
-    rng = np.random.default_rng(cfg.seed)
-
-    cand_rows_by_step = [
-        np.stack(
-            [
-                np.concatenate([table.states[i], encode_action(c, encoding)])
-                for c in table.cand_slice(i)
-            ]
-        )
-        for i in range(table.n)
-    ]
-
+    rows, net, optimizer, rng = network_setup(table, cfg)
     for _ in range(cfg.iterations):
         batch = rng.choice(table.n, size=min(cfg.batch_size, table.n), replace=False)
         b = len(batch)
-        rows = np.concatenate([cand_rows_by_step[i] for i in batch])
-        group = np.repeat(np.arange(b), [len(cand_rows_by_step[i]) for i in batch])
-        out, acts = net.forward_cached(rows)
-        probs = grouped_softmax(out, group, b)
-        dout = probs / b
-        offsets = np.concatenate([[0], np.cumsum([len(cand_rows_by_step[i]) for i in batch])])
-        taken_rows_idx = offsets[:-1] + table.action_pos[batch]
-        dout[taken_rows_idx] -= 1.0 / b
+        idx, group = table.gather(batch)
+        out, acts = net.forward_cached(rows[idx])
+        dout = grouped_softmax(out, group, b) / b
+        dout[idx == table.taken[batch][group]] -= 1.0 / b
         grads = net.backward(acts, dout)
         optimizer.step(grads)
 
-    q = NetworkQ(net=net, state_dim=state_dim, action_encoding=encoding,
-                 gamma=cfg.gamma)
-    return QPolicy(q=q, temperature=cfg.temperature)
+    return QPolicy(q=network_q(table, net, cfg.gamma), temperature=cfg.temperature)
 
 
 # --- persistence ----------------------------------------------------------------------

@@ -4,8 +4,8 @@ FQE re-estimates the Q function of a frozen target policy from logged
 transitions: Q(s_t, a_t) <- r_t + gamma * sum_a' pi(a'|s_{t+1}) Q(s_{t+1}, a'),
 with terminal steps bootstrapping zero. The expectation uses the full
 softmax policy, since downstream interventions consume those probabilities.
-The initial-value score averages the policy-weighted Q over the logged
-initial states and ranks candidate policies offline.
+The initial value averages the policy-weighted Q over the logged initial
+states and ranks candidate policies offline.
 """
 
 from __future__ import annotations
@@ -15,20 +15,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoCandidates
-from .nets import Adam, Mlp
 from .offline_rl import (
     CandidateSet,
-    FullVocabulary,
     NetworkQ,
     QPolicy,
     TabularQ,
     TrainConfig,
     TransitionTable,
-    _space_candidates,
     _state_ids,
-    action_encoding_for,
     build_transitions,
-    encode_action,
+    network_q,
+    network_setup,
 )
 
 
@@ -37,10 +34,6 @@ class FqeEstimate:
     qhat: TabularQ | NetworkQ
     target_policy_id: str
     initial_value: float
-
-
-def initial_value_score(est: FqeEstimate) -> float:
-    return est.initial_value
 
 
 def fqe(
@@ -57,30 +50,17 @@ def fqe(
     The evaluation set should be disjoint from the policy's training data;
     that split is the caller's responsibility.
     """
-    table = build_transitions(list(eval_trajs))
+    table = build_transitions(list(eval_trajs), action_space)
     if table.index_actions:
-        qhat, value = _fqe_tabular(table, policy, cfg, action_space, tol, max_sweeps)
+        qhat, value = _fqe_tabular(table, policy, cfg, tol, max_sweeps)
     else:
-        qhat, value = _fqe_network(table, policy, cfg, action_space, tol)
+        qhat, value = _fqe_network(table, policy, cfg, tol)
     return FqeEstimate(qhat=qhat, target_policy_id=policy_id, initial_value=value)
 
 
-# --- candidate flattening ----------------------------------------------------------
-
-def _flat_candidates(table: TransitionTable, action_space, n_actions: int):
-    """(candidate action ids, owning transition ids), flattened."""
-    if isinstance(action_space, FullVocabulary):
-        cand = np.tile(np.arange(n_actions), table.n)
-        group = np.repeat(np.arange(table.n), n_actions)
-        return cand, group
-    cand = np.fromiter((int(c) for c in table.cands), dtype=int, count=len(table.cands))
-    group = np.repeat(np.arange(table.n), np.diff(table.cand_offsets))
-    return cand, group
-
-
-def _flat_policy_probs(table: TransitionTable, policy: QPolicy, action_space,
-                       cand: np.ndarray, group: np.ndarray) -> np.ndarray:
-    """pi(a|s) for every flattened candidate; fixed for the whole evaluation."""
+def _flat_policy_probs(table: TransitionTable, policy: QPolicy) -> np.ndarray:
+    """pi(a|s) for every candidate entry; fixed for the whole evaluation."""
+    cand, group = table.candidates, table.cand_step
     if isinstance(policy.q, TabularQ) and table.index_actions:
         pq = policy.q
         sid_pol = np.empty(table.n, dtype=int)
@@ -99,33 +79,23 @@ def _flat_policy_probs(table: TransitionTable, policy: QPolicy, action_space,
         gsum = np.zeros(table.n)
         np.add.at(gsum, group, expd)
         return expd / gsum[group]
-    # generic path: one probs call per transition
-    out = np.empty(len(cand))
-    pos = 0
-    for i in range(table.n):
-        cands_i = _space_candidates(table, i, action_space)
-        probs = policy.probs(table.states[i], cands_i)
-        out[pos : pos + len(probs)] = probs
-        pos += len(probs)
-    return out
+    # generic path: one probs call per transition, as the policy is served
+    off = table.cand_offsets
+    return np.concatenate([policy.probs(table.states[i], cand[off[i] : off[i + 1]])
+                           for i in range(table.n)])
 
 
 # --- tabular FQE -------------------------------------------------------------------
 
-def _fqe_tabular(table, policy, cfg, action_space, tol, max_sweeps):
-    n_actions = (
-        action_space.size
-        if isinstance(action_space, FullVocabulary)
-        else int(max(int(c) for c in table.cands)) + 1
-    )
+def _fqe_tabular(table, policy, cfg, tol, max_sweeps):
+    n_actions = table.n_actions
     index, sid = _state_ids(table)
-    aid = np.fromiter((int(a) for a in table.actions), dtype=int, count=table.n)
-    cell = sid * n_actions + aid
+    cell = sid * n_actions + table.cand_ids[table.taken]
     counts = np.bincount(cell, minlength=len(index) * n_actions).astype(float)
     seen = counts > 0
 
-    cand, group = _flat_candidates(table, action_space, n_actions)
-    pi_flat = _flat_policy_probs(table, policy, action_space, cand, group)
+    cand, group = table.cand_ids, table.cand_step
+    pi_flat = _flat_policy_probs(table, policy)
     sid_flat = sid[group]
 
     has_next = ~table.terminal
@@ -157,48 +127,11 @@ def _fqe_tabular(table, policy, cfg, action_space, tol, max_sweeps):
 
 # --- network FQE -------------------------------------------------------------------
 
-def _fqe_network(table, policy, cfg, action_space, tol):
-    encoding = action_encoding_for(table, action_space)
-    state_dim = table.states.shape[1]
-    action_dim = encoding["size"] if encoding["kind"] == "onehot" else encoding["dim"]
-    net = Mlp(state_dim + action_dim, cfg.hidden_units, seed=cfg.seed)
-    optimizer = Adam(net.flat_params(), step_size=cfg.step_size)
-    rng = np.random.default_rng(cfg.seed)
-
-    taken_rows = np.stack(
-        [
-            np.concatenate([table.states[i], encode_action(table.actions[i], encoding)])
-            for i in range(table.n)
-        ]
-    )
-    cand_counts = [
-        len(_space_candidates(table, i, action_space)) for i in range(table.n)
-    ]
-    cand_rows = np.concatenate(
-        [
-            np.stack(
-                [
-                    np.concatenate([table.states[i], encode_action(c, encoding)])
-                    for c in _space_candidates(table, i, action_space)
-                ]
-            )
-            for i in range(table.n)
-        ]
-    )
-    n_actions = (
-        action_space.size if isinstance(action_space, FullVocabulary)
-        else 0  # unused for feature actions
-    )
-    cand, group = (
-        _flat_candidates(table, action_space, n_actions)
-        if table.index_actions
-        else (None, np.repeat(np.arange(table.n), cand_counts))
-    )
-    if table.index_actions:
-        pi_flat = _flat_policy_probs(table, policy, action_space, cand, group)
-    else:
-        pi_flat = _flat_policy_probs(table, policy, action_space,
-                                     np.zeros(len(cand_rows), dtype=int), group)
+def _fqe_network(table, policy, cfg, tol):
+    cand_rows, net, optimizer, rng = network_setup(table, cfg)
+    taken_rows = cand_rows[table.taken]
+    group = table.cand_step
+    pi_flat = _flat_policy_probs(table, policy)
 
     has_next = ~table.terminal
     nxt = table.next_step[has_next]
@@ -226,9 +159,7 @@ def _fqe_network(table, policy, cfg, action_space, tol):
             break
         prev_value = value
 
-    qhat = NetworkQ(net=net, state_dim=state_dim, action_encoding=encoding,
-                    gamma=cfg.gamma)
-    return qhat, value
+    return network_q(table, net, cfg.gamma), value
 
 
 def rank_policies(candidates, eval_trajs, cfg: TrainConfig, k: int,

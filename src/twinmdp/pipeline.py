@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -59,6 +59,7 @@ from .simulator import (
     save_scenarios,
 )
 from .stats import (
+    NEMENYI_Q,
     TrialRecord,
     nemenyi_cd,
     paired_t_bonferroni,
@@ -78,6 +79,9 @@ STAGES = (
     "simulate",
     "evaluate",
 )
+
+# evaluate ranks the arms plus the baseline; the Nemenyi table covers up to 10 methods
+MAX_ARMS = max(NEMENYI_Q[0.05]) - 1
 
 # artifact file names, relative to the output directory
 F_TRAIN_SCENARIOS = "train_scenarios.jsonl"
@@ -208,8 +212,8 @@ def validate_config(raw: dict) -> PipelineConfig:
     scheme_kind = need("scheme.kind", str, "topology",
                        lambda v: v in ("name", "nametype", "topology"),
                        "must be name, nametype, or topology")
-    with_hubs = bool(_get(raw, "scheme.with_hubs", False))
-    with_hmm = bool(_get(raw, "scheme.with_hmm", False))
+    with_hubs = need("scheme.with_hubs", bool, False)
+    with_hmm = need("scheme.with_hmm", bool, False)
     hmm_states = need("scheme.hmm_states", int, 4, lambda v: v >= 1, "must be >= 1")
     select_from = _get(raw, "scheme.hmm_select_from")
     if select_from is not None and (
@@ -295,6 +299,8 @@ def validate_config(raw: dict) -> PipelineConfig:
             problems.append(f"rl.grid[{i}].reward_mode: must be irl, sparse, or combined")
         if not entry.get("id"):
             problems.append(f"rl.grid[{i}].id: missing")
+        elif entry["id"] in (e.get("id") for e in grid[:i]):
+            problems.append(f"rl.grid[{i}].id: duplicate {entry['id']!r}")
 
     ope_holdout = need("ope.holdout_fraction", float, 0.25,
                        lambda v: 0 < v < 1, "must be in (0, 1)")
@@ -324,6 +330,8 @@ def validate_config(raw: dict) -> PipelineConfig:
          "strategies": ["prioritize"]},
         {"id": "bc+prioritize", "policy": "bc", "strategies": ["prioritize"]},
     ]
+    if len(arm_entries) > MAX_ARMS:
+        problems.append(f"compare.arms: at most {MAX_ARMS} arms, got {len(arm_entries)}")
     policy_ids = {entry.get("id") for entry in grid}
     arms = []
     for i, entry in enumerate(arm_entries):
@@ -338,6 +346,8 @@ def validate_config(raw: dict) -> PipelineConfig:
             problems.append(f"compare.arms[{i}].policy: not in rl.grid ids")
         if not entry.get("id"):
             problems.append(f"compare.arms[{i}].id: missing")
+        elif entry["id"] in (e.get("id") for e in arm_entries[:i]):
+            problems.append(f"compare.arms[{i}].id: duplicate {entry['id']!r}")
         arms.append(ArmSpec(arm_id=str(entry.get("id")),
                             policy_id=str(entry.get("policy")),
                             strategies=strategies))
@@ -649,17 +659,8 @@ def stage_train_policy(cfg: PipelineConfig, out: Path) -> dict:
 
     for entry in cfg.rl_grid:
         pid = entry["id"]
-        train_cfg = TrainConfig(
-            alpha=cfg.rl_train.alpha,
-            gamma=cfg.rl_train.gamma,
-            iterations=cfg.rl_train.iterations,
-            step_size=cfg.rl_train.step_size,
-            batch_size=cfg.rl_train.batch_size,
-            seed=derive_seed(cfg.master_seed, "train_policy", pid),
-            hidden_units=cfg.rl_train.hidden_units,
-            target_refresh=cfg.rl_train.target_refresh,
-            temperature=cfg.rl_train.temperature,
-        )
+        train_cfg = replace(cfg.rl_train,
+                            seed=derive_seed(cfg.master_seed, "train_policy", pid))
         if entry["learner"] == "cql":
             trajs = corpus_for(entry["reward_mode"])
             qfun = cql_train(trajs, train_cfg, CandidateSet())
@@ -690,17 +691,8 @@ def stage_rank(cfg: PipelineConfig, out: Path) -> dict:
     for entry in cfg.rl_grid:
         policy, meta = load_policy(out / policy_file(entry["id"]))
         candidates.append((policy, meta))
-    fqe_cfg = TrainConfig(
-        alpha=0.0,
-        gamma=cfg.rl_train.gamma,
-        iterations=cfg.rl_train.iterations,
-        step_size=cfg.rl_train.step_size,
-        batch_size=cfg.rl_train.batch_size,
-        seed=derive_seed(cfg.master_seed, "rank", "fqe"),
-        hidden_units=cfg.rl_train.hidden_units,
-        target_refresh=cfg.rl_train.target_refresh,
-        temperature=cfg.rl_train.temperature,
-    )
+    fqe_cfg = replace(cfg.rl_train, alpha=0.0,
+                      seed=derive_seed(cfg.master_seed, "rank", "fqe"))
     ranking = rank_policies(candidates, eval_trajs, fqe_cfg, k=cfg.ope_k)
     report = {
         "eval_reward_mode": cfg.eval_reward_mode,
@@ -928,29 +920,16 @@ def robustness_sweep(cfg: PipelineConfig, out: Path,
 
     rng = np.random.default_rng(derive_seed(cfg.master_seed, "robustness_sweep"))
     order = rng.permutation(len(pool))
-    fqe_cfg = TrainConfig(
-        alpha=0.0, gamma=cfg.rl_train.gamma, iterations=cfg.rl_train.iterations,
-        step_size=cfg.rl_train.step_size, batch_size=cfg.rl_train.batch_size,
-        seed=derive_seed(cfg.master_seed, "robustness_sweep", "fqe"),
-        hidden_units=cfg.rl_train.hidden_units,
-        target_refresh=cfg.rl_train.target_refresh,
-        temperature=cfg.rl_train.temperature,
-    )
+    fqe_cfg = replace(cfg.rl_train, alpha=0.0,
+                      seed=derive_seed(cfg.master_seed, "robustness_sweep", "fqe"))
     from .ope import fqe  # local import avoids a cycle at module load
 
     values: dict[str, list[float]] = {"rl_irl": [], "bc": []}
     for count in counts:
         subset = [pool[i] for i in order[:count]]
         relabeled = [relabel(t, net, mode="irl") for t in subset]
-        train_cfg = TrainConfig(
-            alpha=cfg.rl_train.alpha, gamma=cfg.rl_train.gamma,
-            iterations=cfg.rl_train.iterations, step_size=cfg.rl_train.step_size,
-            batch_size=cfg.rl_train.batch_size,
-            seed=derive_seed(cfg.master_seed, "robustness_sweep", count),
-            hidden_units=cfg.rl_train.hidden_units,
-            target_refresh=cfg.rl_train.target_refresh,
-            temperature=cfg.rl_train.temperature,
-        )
+        train_cfg = replace(cfg.rl_train,
+                            seed=derive_seed(cfg.master_seed, "robustness_sweep", count))
         rl_policy = QPolicy(q=cql_train(relabeled, train_cfg, CandidateSet()),
                             temperature=train_cfg.temperature)
         bc_policy = bc_train(subset, train_cfg, CandidateSet())

@@ -17,6 +17,7 @@ import numpy as np
 from .abstraction import AbstractTrajectory
 from .errors import DimensionMismatch, EmptyPairSet, IoFailure, MalformedRecord
 from .nets import Adam, Mlp
+from .offline_rl import encode_rows
 from .trajectories import JudgeScores
 
 RANKING_SIGNALS = ("fpc_only", "mean_fpc_rce")
@@ -79,37 +80,57 @@ def build_pairs(
 
 
 # --- return prediction ----------------------------------------------------------
+#
+# Training encodes every trajectory once into one packed StepRows table; the
+# gradient and the pair accuracy index those rows. Keep the input matrix of
+# every network call as it is (one forward per trajectory return, one
+# forward_cached over the batch's rows in pair order): BLAS picks its kernel
+# by row count and a row's low bits can change with the batch it sits in.
 
 
 def encode_step_rows(traj: AbstractTrajectory) -> np.ndarray:
     """(T, state_dim + action_dim) rows; index actions become 1-hot over the
     vocabulary, whose size equals the state dimension for those schemes."""
-    rows = []
-    for s in traj.steps:
-        if isinstance(s.action, (int, np.integer)):
-            onehot = np.zeros(len(s.state))
-            onehot[int(s.action)] = 1.0
-            rows.append(np.concatenate([s.state, onehot]))
-        else:
-            rows.append(np.concatenate([s.state, np.asarray(s.action, dtype=float)]))
-    return np.stack(rows)
+    states = np.stack([np.asarray(s.state, dtype=float) for s in traj.steps])
+    actions = [s.action for s in traj.steps]
+    if isinstance(actions[0], (int, np.integer)):
+        return encode_rows(states, np.asarray(actions, dtype=int),
+                           {"kind": "onehot", "size": states.shape[1]})
+    return encode_rows(states, np.asarray(actions, dtype=float), {"kind": "features"})
 
 
-def reward_input_dim(traj: AbstractTrajectory) -> int:
-    return encode_step_rows(traj).shape[1]
+@dataclass(frozen=True)
+class StepRows:
+    """Reward-net rows of a trajectory list, encoded once: trajectory i owns
+    rows[offsets[i]:offsets[i + 1]]."""
+
+    rows: np.ndarray
+    offsets: np.ndarray
+
+    @classmethod
+    def pack(cls, trajs) -> "StepRows":
+        if isinstance(trajs, StepRows):
+            return trajs
+        encoded = [encode_step_rows(t) for t in trajs]
+        return cls(np.concatenate(encoded), np.cumsum([0] + [len(r) for r in encoded]))
+
+    def of(self, i: int) -> np.ndarray:
+        return self.rows[self.offsets[i] : self.offsets[i + 1]]
 
 
 def new_reward_net(input_dim: int, hidden_units: int = 256, seed: int = 0) -> Mlp:
     return Mlp(input_dim, hidden_units, seed=seed)
 
 
-def trajectory_return(net: Mlp, traj: AbstractTrajectory, discount: float = 1.0) -> float:
-    rows = encode_step_rows(traj)
-    rewards = net.forward(rows)
+def _discounted_sum(rewards: np.ndarray, discount: float) -> float:
     if discount == 1.0:
         return float(rewards.sum())
     weights = discount ** np.arange(len(rewards))
     return float(rewards @ weights)
+
+
+def trajectory_return(net: Mlp, traj: AbstractTrajectory, discount: float = 1.0) -> float:
+    return _discounted_sum(net.forward(encode_step_rows(traj)), discount)
 
 
 def trex_loss(net: Mlp, pair: PreferencePair, trajs, discount: float = 1.0) -> float:
@@ -122,38 +143,44 @@ def trex_loss(net: Mlp, pair: PreferencePair, trajs, discount: float = 1.0) -> f
 
 def trex_grad(net: Mlp, batch: list[PreferencePair], trajs,
               discount: float = 1.0) -> list[np.ndarray]:
-    """Exact gradient of the mean batch loss w.r.t. net parameters."""
+    """Exact gradient of the mean batch loss w.r.t. net parameters.
+
+    ``trajs`` is a trajectory list or its packed StepRows.
+    """
     if not batch:
         raise EmptyPairSet("gradient of an empty batch")
-    rows_list = []
+    packed = StepRows.pack(trajs)
+    returns: dict[int, float] = {}
+    idx = []
     weights = []  # d(mean loss)/d r_hat(row)
     b = len(batch)
     for pair in batch:
-        low, high = trajs[pair.lower], trajs[pair.higher]
-        g_low = trajectory_return(net, low, discount)
-        g_high = trajectory_return(net, high, discount)
-        sig = 1.0 / (1.0 + np.exp(-(g_low - g_high)))  # dloss/d(G_low - G_high)
-        for traj, coeff in ((low, sig), (high, -sig)):
-            rows = encode_step_rows(traj)
-            gammas = discount ** np.arange(len(rows))
-            rows_list.append(rows)
-            weights.append(coeff * gammas / b)
-    stacked = np.concatenate(rows_list, axis=0)
-    dout = np.concatenate(weights)
-    _, acts = net.forward_cached(stacked)
-    return net.backward(acts, dout)
+        for i in (pair.lower, pair.higher):
+            if i not in returns:
+                returns[i] = _discounted_sum(net.forward(packed.of(i)), discount)
+        sig = 1.0 / (1.0 + np.exp(-(returns[pair.lower] - returns[pair.higher])))
+        for i, coeff in ((pair.lower, sig), (pair.higher, -sig)):
+            lo, hi = packed.offsets[i], packed.offsets[i + 1]
+            idx.append(np.arange(lo, hi))
+            weights.append(coeff * discount ** np.arange(hi - lo) / b)
+    _, acts = net.forward_cached(packed.rows[np.concatenate(idx)])
+    return net.backward(acts, np.concatenate(weights))
 
 
 def pair_accuracy(net: Mlp, pairs, trajs, discount: float = 1.0) -> float:
-    """Fraction of pairs whose predicted returns agree with the preference."""
+    """Fraction of pairs whose predicted returns agree with the preference.
+
+    ``trajs`` is a trajectory list or its packed StepRows.
+    """
     if not pairs:
         raise EmptyPairSet("accuracy of an empty pair set")
+    packed = StepRows.pack(trajs)
     returns = {}
     hits = 0
     for pair in pairs:
         for idx in (pair.lower, pair.higher):
             if idx not in returns:
-                returns[idx] = trajectory_return(net, trajs[idx], discount)
+                returns[idx] = _discounted_sum(net.forward(packed.of(idx)), discount)
         hits += returns[pair.higher] > returns[pair.lower]
     return hits / len(pairs)
 
@@ -178,8 +205,8 @@ def train_reward(pairs, trajs, config: RewardTrainConfig = RewardTrainConfig()) 
     pairs = list(pairs)
     if not pairs:
         raise EmptyPairSet("cannot train a reward net without preference pairs")
-    input_dim = reward_input_dim(trajs[pairs[0].lower])
-    net = new_reward_net(input_dim, config.hidden_units, seed=config.seed)
+    trajs = StepRows.pack(trajs)
+    net = new_reward_net(trajs.rows.shape[1], config.hidden_units, seed=config.seed)
 
     rng = np.random.default_rng(config.seed)
     order = rng.permutation(len(pairs))

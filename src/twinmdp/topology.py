@@ -55,22 +55,7 @@ def shortest_distance(g: TopologyGraph, src: Entity, dst: Entity) -> int | None:
         raise UnknownEntity(f"{src} not in graph")
     if dst not in set(g.nodes):
         raise UnknownEntity(f"{dst} not in graph")
-    if src == dst:
-        return 0
-    adj: dict[Entity, list[Entity]] = {}
-    for u, v in g.edges:
-        adj.setdefault(u, []).append(v)
-    dist = {src: 0}
-    queue = deque([src])
-    while queue:
-        u = queue.popleft()
-        for v in adj.get(u, ()):
-            if v not in dist:
-                dist[v] = dist[u] + 1
-                if v == dst:
-                    return dist[v]
-                queue.append(v)
-    return None
+    return all_distances_from(g, src).get(dst)
 
 
 def all_distances_from(g: TopologyGraph, src: Entity) -> dict[Entity, int]:
@@ -114,10 +99,6 @@ class DistanceIndex:
             if row:
                 best = max(best, max(row.values()))
         return best
-
-
-def graph_diameter(g: TopologyGraph) -> int:
-    return DistanceIndex(g).diameter()
 
 
 def hubs_scores(

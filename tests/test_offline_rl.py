@@ -3,7 +3,7 @@ import pytest
 
 from oracles import softmax_mp
 from twinmdp.abstraction import AbstractStep, AbstractTrajectory
-from twinmdp.errors import EmptyData
+from twinmdp.errors import EmptyData, MalformedRecord
 from twinmdp.offline_rl import (
     CandidateSet,
     FullVocabulary,
@@ -138,6 +138,11 @@ class TestCqlTabular:
     def test_empty_data_rejected(self):
         with pytest.raises(EmptyData):
             cql_train([], TrainConfig(), FullVocabulary(2))
+
+    def test_action_outside_full_vocabulary_rejected(self):
+        trajs = [make_traj([index_step(0, 3, 0.0, 4)])]
+        with pytest.raises(MalformedRecord):
+            cql_train(trajs, TrainConfig(iterations=10), FullVocabulary(2))
 
 
 class TestCqlNetwork:

@@ -5,7 +5,7 @@ from oracles import policy_value_linear
 from twinmdp.abstraction import AbstractStep, AbstractTrajectory
 from twinmdp.errors import NoCandidates
 from twinmdp.offline_rl import QPolicy, TabularQ, TrainConfig
-from twinmdp.ope import fqe, initial_value_score, rank_policies
+from twinmdp.ope import fqe, rank_policies
 from twinmdp.trajectories import JudgeScores
 
 
@@ -87,7 +87,6 @@ class TestFqe:
         policy = tabular_policy(np.array([[1.0]]))
         est = fqe(policy, trajs, TrainConfig(gamma=0.9, seed=0))
         assert est.initial_value == pytest.approx(rewards.mean(), abs=1e-9)
-        assert initial_value_score(est) == est.initial_value
 
     def test_gamma_zero_reduces_to_one_step_lookup(self):
         rng = np.random.default_rng(1)

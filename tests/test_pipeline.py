@@ -1,18 +1,29 @@
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+from twinmdp.abstraction import load_abstract_corpus
 from twinmdp.cli import main as cli_main
-from twinmdp.errors import ConfigInvalid, MissingArtifact
+from twinmdp.errors import ConfigInvalid, MissingArtifact, MissingCandidateSets
+from twinmdp.nets import Mlp
+from twinmdp.offline_rl import FullVocabulary, NetworkQ, build_transitions
 from twinmdp.pipeline import (
+    MAX_ARMS,
     derive_seed,
     load_config,
     stage_abstract,
+    stage_collect,
     stage_reproduce,
     stage_train_reward,
     validate_config,
 )
+from twinmdp.reward_learning import encode_step_rows
 
 SMALL_CONFIG = {
     "master_seed": 11,
@@ -82,6 +93,41 @@ class TestConfigValidation:
         assert "rl.gamma" in text
         assert "ce.prune_percentile" in text
         assert "compare.arms[0].policy" in text
+
+    @pytest.mark.parametrize("flag", ["with_hubs", "with_hmm"])
+    def test_non_bool_scheme_flag_rejected(self, flag):
+        raw = json.loads(json.dumps(SMALL_CONFIG))
+        raw["scheme"][flag] = "false"
+        with pytest.raises(ConfigInvalid) as exc:
+            validate_config(raw)
+        assert f"scheme.{flag}" in str(exc.value)
+
+    def test_duplicate_grid_id_rejected(self):
+        raw = json.loads(json.dumps(SMALL_CONFIG))
+        raw["rl"]["grid"].append({"id": "bc", "learner": "cql", "reward_mode": "irl"})
+        with pytest.raises(ConfigInvalid) as exc:
+            validate_config(raw)
+        assert "rl.grid[2].id: duplicate" in str(exc.value)
+
+    def test_duplicate_arm_id_rejected(self):
+        raw = json.loads(json.dumps(SMALL_CONFIG))
+        arm = dict(raw["compare"]["arms"][0], policy="bc")
+        raw["compare"]["arms"].append(arm)
+        with pytest.raises(ConfigInvalid) as exc:
+            validate_config(raw)
+        assert "compare.arms[2].id: duplicate" in str(exc.value)
+
+    def test_more_arms_than_the_nemenyi_table_rejected(self):
+        raw = json.loads(json.dumps(SMALL_CONFIG))
+        raw["compare"]["arms"] = [
+            {"id": f"arm{i}", "policy": "rl_irl", "strategies": ["prioritize"]}
+            for i in range(MAX_ARMS + 1)
+        ]
+        with pytest.raises(ConfigInvalid) as exc:
+            validate_config(raw)
+        assert "compare.arms: at most 9 arms" in str(exc.value)
+        raw["compare"]["arms"].pop()
+        assert len(validate_config(raw).arms) == 9
 
     def test_config_file_round_trip(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -153,6 +199,25 @@ class TestDeterminism:
         for name in ("results.csv", "report.json", "abstract_corpus.jsonl"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
+    def test_reproduce_in_a_new_process_gives_identical_hashes(self, tmp_path,
+                                                              finished_run):
+        out1, _ = finished_run
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(SMALL_CONFIG))
+        out2 = tmp_path / "subprocess"
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        subprocess.run([sys.executable, "-m", "twinmdp.cli", "reproduce",
+                        "--config", str(cfg_path), "--out", str(out2)],
+                       check=True, env=env, capture_output=True)
+        manifests = sorted(p.name for p in out1.glob("*.manifest.json"))
+        assert manifests == sorted(p.name for p in out2.glob("*.manifest.json"))
+        assert len(manifests) == 8
+        for name in manifests:
+            want = json.loads((out1 / name).read_text())["outputs"]
+            assert json.loads((out2 / name).read_text())["outputs"] == want, name
+
     def test_seed_derivation_is_stable_and_labelled(self):
         assert derive_seed(7, "collect") == derive_seed(7, "collect")
         assert derive_seed(7, "collect") != derive_seed(7, "abstract")
@@ -198,6 +263,58 @@ class TestSchemeVariants:
         scheme = json.loads((out / "scheme_runtime.json").read_text())
         assert scheme["vocabulary"], "vocabulary should cover the node names"
         assert "rl_irl+prioritize" in summary["methods"]
+
+
+class TestPackedLayout:
+    """The learners' packed step table against the serving and reward encoders."""
+
+    @pytest.fixture(scope="class", params=[{"kind": "topology", "with_hubs": True},
+                                           {"kind": "nametype"}],
+                    ids=["topology_hubs", "nametype"])
+    def corpus(self, request, tmp_path_factory):
+        raw = json.loads(json.dumps(SMALL_CONFIG))
+        raw["scheme"] = request.param
+        out = tmp_path_factory.mktemp("layout")
+        cfg = validate_config(raw)
+        stage_collect(cfg, out)
+        stage_abstract(cfg, out)
+        return load_abstract_corpus(out / "abstract_corpus.jsonl")
+
+    def test_candidate_rows_equal_serving_encoding(self, corpus):
+        table = build_transitions(corpus)
+        rows = table.rows(table.encoding)
+        serving = NetworkQ(Mlp(rows.shape[1], 4), table.states.shape[1],
+                           table.encoding, gamma=0.9)
+        steps = [step for traj in corpus for step in traj.steps]
+        assert table.n == len(steps)
+        for i, step in enumerate(steps):
+            lo, hi = table.cand_offsets[i], table.cand_offsets[i + 1]
+            assert np.array_equal(rows[lo:hi], serving.encode(step.state, step.candidates))
+            assert np.array_equal(rows[table.taken[i]],
+                                  serving.encode(step.state, [step.action])[0])
+
+    def test_taken_rows_equal_reward_rows(self, corpus):
+        table = build_transitions(corpus)
+        encoding = table.encoding
+        if table.index_actions:  # reward rows one-hot over the state's vocabulary
+            encoding = {"kind": "onehot", "size": table.states.shape[1]}
+        want = np.concatenate([encode_step_rows(t) for t in corpus])
+        assert np.array_equal(table.rows(encoding)[table.taken], want)
+
+    def test_full_vocabulary_offers_every_id_at_every_step(self, corpus):
+        table = build_transitions(corpus)
+        size = table.states.shape[1]
+        if not table.index_actions:
+            with pytest.raises(MissingCandidateSets):
+                build_transitions(corpus, FullVocabulary(size))
+            return
+        full = build_transitions(corpus, FullVocabulary(size))
+        assert full.n == table.n
+        assert np.array_equal(full.cand_ids.reshape(full.n, size),
+                              np.tile(np.arange(size), (full.n, 1)))
+        actions = [step.action for traj in corpus for step in traj.steps]
+        assert full.cand_ids[full.taken].tolist() == actions
+        assert table.cand_ids[table.taken].tolist() == actions
 
 
 class TestCli:

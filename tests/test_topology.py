@@ -5,7 +5,6 @@ from oracles import floyd_warshall, hubs_eigen
 from twinmdp.errors import EmptyGraphNoEdges, MalformedRecord, UnknownEntity
 from twinmdp.topology import (
     DistanceIndex,
-    graph_diameter,
     hubs_scores,
     load_graph,
     make_graph,
@@ -100,7 +99,7 @@ class TestShortestDistance:
     def test_diameter_of_chain(self):
         nodes = nodes_named(5)
         g = make_graph(nodes, list(zip(nodes[:-1], nodes[1:])))
-        assert graph_diameter(g) == 4
+        assert DistanceIndex(g).diameter() == 4
 
 
 class TestHubsScores:
