@@ -47,10 +47,13 @@ def fqe(
 ) -> FqeEstimate:
     """Fitted Q-evaluation of ``policy`` on logged trajectories.
 
+    ``eval_trajs`` is a trajectory list or its TransitionTable, built under
+    ``action_space``; a table is only read, so one can score many policies.
     The evaluation set should be disjoint from the policy's training data;
     that split is the caller's responsibility.
     """
-    table = build_transitions(list(eval_trajs), action_space)
+    table = (eval_trajs if isinstance(eval_trajs, TransitionTable)
+             else build_transitions(list(eval_trajs), action_space))
     if table.index_actions:
         qhat, value = _fqe_tabular(table, policy, cfg, tol, max_sweeps)
     else:
@@ -174,10 +177,11 @@ def rank_policies(candidates, eval_trajs, cfg: TrainConfig, k: int,
         raise NoCandidates("no candidate policies to rank")
     if k < 1:
         raise NoCandidates("k must be >= 1")
+    table = build_transitions(list(eval_trajs), action_space)
     entries = []
     for policy, metadata in candidates:
         pid = str(metadata.get("id", ""))
-        est = fqe(policy, eval_trajs, cfg, action_space=action_space, policy_id=pid)
+        est = fqe(policy, table, cfg, policy_id=pid)
         entries.append(
             {
                 "id": pid,

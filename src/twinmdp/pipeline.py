@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import inspect
 import json
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 import yaml
@@ -28,7 +30,7 @@ from .abstraction import (
     load_abstract_corpus,
     save_abstract_corpus,
 )
-from .context import CeConfig
+from .context import STRATEGIES, CeConfig
 from .errors import ConfigInvalid, MissingArtifact, StageFailed
 from .hmm import Hmm, fit_hmm, sequence_log_likelihood
 from .offline_rl import (
@@ -36,11 +38,12 @@ from .offline_rl import (
     QPolicy,
     TrainConfig,
     bc_train,
+    build_transitions,
     cql_train,
     load_policy,
     save_policy,
 )
-from .ope import rank_policies
+from .ope import fqe, rank_policies
 from .reward_learning import (
     RewardTrainConfig,
     build_pairs,
@@ -136,6 +139,22 @@ def config_hash(cfg: "PipelineConfig") -> str:
 
 # --- configuration ---------------------------------------------------------------------
 
+REWARD_MODES = ("irl", "sparse", "combined")
+DEFAULT_GRID = [
+    {"id": "rl_irl", "learner": "cql", "reward_mode": "irl"},
+    {"id": "rl_sparse", "learner": "cql", "reward_mode": "sparse"},
+    {"id": "bc", "learner": "bc", "reward_mode": "none"},
+]
+DEFAULT_ARMS = [
+    {"id": "rl_irl+suggest", "policy": "rl_irl", "strategies": ["suggest"]},
+    {"id": "rl_irl+prune", "policy": "rl_irl", "strategies": ["prune"]},
+    {"id": "rl_irl+prioritize", "policy": "rl_irl", "strategies": ["prioritize"]},
+    {"id": "rl_sparse+prioritize", "policy": "rl_sparse", "strategies": ["prioritize"]},
+    {"id": "bc+prioritize", "policy": "bc", "strategies": ["prioritize"]},
+]
+_PAIRS = inspect.signature(build_pairs).parameters
+
+
 @dataclass
 class ArmSpec:
     arm_id: str
@@ -143,41 +162,96 @@ class ArmSpec:
     strategies: tuple[str, ...]
 
 
-@dataclass
+def _key(path: str, default=MISSING, skip: tuple[str, ...] = ()):
+    """A field read from config key ``path``. A field typed by a dataclass is a
+    section: each field of that dataclass but ``skip`` is the key
+    ``path.<name>``, with the dataclass's type and default."""
+    return field(default=default, metadata={"key": path, "skip": skip})
+
+
+@dataclass(kw_only=True)
 class PipelineConfig:
+    """The config schema: each field names its key; its type and default are the key's."""
+
     raw: dict
-    master_seed: int
-    corpus_path: str | None
-    scenarios_path: str | None
-    scheme_kind: str
-    with_hubs: bool
-    with_hmm: bool
-    hmm_states: int
-    hmm_select_from: tuple[int, ...] | None
-    sentinel: float | None
-    collect_scenarios: int
-    collect_episodes: int
-    collect_scenario_cfg: ScenarioConfig
-    collect_episode_cfg: EpisodeConfig
-    irl_signal: str
-    irl_margin: float
-    irl_max_pairs: int
-    irl_train: RewardTrainConfig
-    rl_train: TrainConfig
-    rl_grid: list[dict]
-    ope_holdout: float
-    ope_k: int
-    eval_reward_mode: str
-    combined_blend: float
-    ce_suggest_percentile: float
-    ce_prune_percentile: float
-    compare_scenarios: int
-    compare_trials: int
-    compare_scenario_cfg: ScenarioConfig
-    compare_episode_cfg: EpisodeConfig
-    arms: list[ArmSpec]
-    eval_n_boot: int
-    eval_alpha: float
+    master_seed: int = _key("master_seed", 0)
+    corpus_path: str | None = _key("paths.corpus", None)
+    scenarios_path: str | None = _key("paths.scenarios", None)
+    scheme_kind: str = _key("scheme.kind", "topology")
+    with_hubs: bool = _key("scheme.with_hubs", False)
+    with_hmm: bool = _key("scheme.with_hmm", False)
+    hmm_states: int = _key("scheme.hmm_states", 4)
+    hmm_select_from: list[int] | None = _key("scheme.hmm_select_from", None)
+    sentinel: float | None = _key("scheme.unreachable_sentinel", None)
+    collect_scenarios: int = _key("collect.n_scenarios", 24)
+    collect_episodes: int = _key("collect.episodes_per_scenario", 30)
+    collect_scenario_cfg: ScenarioConfig = _key("collect.scenario")
+    collect_episode_cfg: EpisodeConfig = _key("collect.episode")
+    irl_signal: str = _key("irl.signal", _PAIRS["signal"].default)
+    irl_margin: float = _key("irl.margin", _PAIRS["margin"].default)
+    irl_max_pairs: int = _key("irl.max_pairs", _PAIRS["max_pairs"].default)
+    irl_train: RewardTrainConfig = _key("irl", skip=("seed", "holdout_fraction"))
+    rl_train: TrainConfig = _key("rl", skip=("seed",))
+    rl_grid: list[dict] = _key("rl.grid")
+    combined_blend: float = _key("rl.combined_blend", 1.0)
+    ope_holdout: float = _key("ope.holdout_fraction", 0.25)
+    ope_k: int = _key("ope.k", 3)
+    eval_reward_mode: str = _key("ope.eval_reward_mode", "sparse")
+    ce: CeConfig = _key("ce", skip=("strategies",))
+    compare_scenarios: int = _key("compare.n_scenarios", 20)
+    compare_trials: int = _key("compare.trials", 15)
+    compare_scenario_cfg: ScenarioConfig = _key("compare.scenario")
+    compare_episode_cfg: EpisodeConfig = _key("compare.episode")
+    arms: list[ArmSpec] = _key("compare.arms")
+    eval_n_boot: int = _key("eval.n_boot", 200)
+    eval_alpha: float = _key("eval.alpha", 0.05)
+
+
+_FIELD_TYPES = get_type_hints(PipelineConfig)
+
+
+def _schema() -> dict[str, tuple]:
+    """Config key -> (type, default, PipelineConfig field, section field or None)."""
+    schema = {}
+    for f in fields(PipelineConfig):
+        key, typ = f.metadata.get("key"), _FIELD_TYPES[f.name]
+        if key and is_dataclass(typ):
+            hints = get_type_hints(typ)
+            schema.update({f"{key}.{g.name}": (hints[g.name], g.default, f.name, g.name)
+                           for g in fields(typ) if g.name not in f.metadata["skip"]})
+        elif key:
+            schema[key] = (typ, f.default, f.name, None)
+    return schema
+
+
+SCHEMA = _schema()
+# every proper prefix of a key
+_SECTIONS = {path.rsplit(".", i)[0] for path in SCHEMA for i in range(1, path.count(".") + 1)}
+
+# the allowed values, or an interval
+RANGES = {
+    "master_seed": "[0, inf)",
+    "scheme.kind": ("name", "nametype", "topology"),
+    "scheme.hmm_states": "[1, inf)", "scheme.hmm_select_from": "[1, inf)",
+    "collect.n_scenarios": "[1, inf)", "collect.episodes_per_scenario": "[1, inf)",
+    "irl.signal": ("fpc_only", "mean_fpc_rce"), "irl.margin": "[0, inf)",
+    "irl.max_pairs": "[1, inf)", "irl.hidden_units": "[1, inf)", "irl.epochs": "[1, inf)",
+    "irl.batch_size": "[1, inf)", "irl.step_size": "(0, inf)", "irl.discount": "(0, 1]",
+    "rl.alpha": "[0, inf)", "rl.gamma": "[0, 1)", "rl.iterations": "[1, inf)",
+    "rl.step_size": "(0, inf)", "rl.batch_size": "[1, inf)", "rl.hidden_units": "[1, inf)",
+    "rl.target_refresh": "[1, inf)", "rl.temperature": "(0, inf)",
+    "rl.combined_blend": "[0, inf)",
+    "ope.holdout_fraction": "(0, 1)", "ope.k": "[1, inf)", "ope.eval_reward_mode": REWARD_MODES,
+    "ce.suggest_percentile": "(0, 100]", "ce.prune_percentile": "[0, 100)",
+    "compare.n_scenarios": "[2, inf)", "compare.trials": "[3, inf)",
+    "eval.n_boot": "[1, inf)", "eval.alpha": "(0, 1)",
+    **{f"{side}.{key}": spec for side in ("collect", "compare") for key, spec in {
+        "scenario.n_nodes": "[2, inf)", "scenario.chain_length": "[2, inf)",
+        "scenario.edge_density": "[0, 1)", "scenario.evidence_noise": "[0, 1)",
+        "episode.max_turns": "[1, inf)", "episode.epsilon": "[0, 1]",
+        "episode.suggestion_uptake": "[0, 1]",
+    }.items()},
+}
 
 
 def _get(cfg: dict, path: str, default=None):
@@ -189,210 +263,132 @@ def _get(cfg: dict, path: str, default=None):
     return cur
 
 
-def validate_config(raw: dict) -> PipelineConfig:
-    """Check every field before any stage runs; all problems are reported."""
-    problems: list[str] = []
+def _typed(value, typ):
+    """``value`` as ``typ``: ints pass as floats, bools only as bools."""
+    args = get_args(typ)
+    if type(None) in args:  # X | None
+        return None if value is None else _typed(value, args[0])
+    if get_origin(typ) is list and isinstance(value, list):
+        return [_typed(v, args[0]) for v in value]
+    if typ is float and type(value) is int:
+        return float(value)
+    if type(value) is not typ:
+        raise TypeError
+    return value
 
-    def need(path, typ, default=None, pred=None, desc=""):
-        value = _get(raw, path, default)
-        if value is None:
-            problems.append(f"{path}: missing")
-            return default
-        if typ is float and isinstance(value, int):
-            value = float(value)
-        if not isinstance(value, typ):
-            problems.append(f"{path}: expected {typ.__name__}, got {type(value).__name__}")
-            return default
-        if pred is not None and not pred(value):
-            problems.append(f"{path}: {desc}")
-            return default
-        return value
 
-    master_seed = need("master_seed", int, 0, lambda v: v >= 0, "must be >= 0")
-    scheme_kind = need("scheme.kind", str, "topology",
-                       lambda v: v in ("name", "nametype", "topology"),
-                       "must be name, nametype, or topology")
-    with_hubs = need("scheme.with_hubs", bool, False)
-    with_hmm = need("scheme.with_hmm", bool, False)
-    hmm_states = need("scheme.hmm_states", int, 4, lambda v: v >= 1, "must be >= 1")
-    select_from = _get(raw, "scheme.hmm_select_from")
-    if select_from is not None and (
-        not isinstance(select_from, list) or not all(isinstance(k, int) for k in select_from)
-    ):
-        problems.append("scheme.hmm_select_from: expected a list of ints")
-        select_from = None
-    sentinel = _get(raw, "scheme.unreachable_sentinel")
-    if sentinel is not None and not isinstance(sentinel, (int, float)):
-        problems.append("scheme.unreachable_sentinel: expected a number or null")
-        sentinel = None
-    if scheme_kind != "topology" and (with_hubs or with_hmm):
-        problems.append("scheme.with_hubs/with_hmm: require scheme.kind = topology")
+def _in_range(value, spec) -> bool:
+    if isinstance(spec, tuple):
+        return value in spec
+    if isinstance(value, list):
+        return all(_in_range(v, spec) for v in value)
+    lo, hi = (float(x) for x in spec[1:-1].split(","))
+    return (lo <= value if spec[0] == "[" else lo < value) and (
+        value <= hi if spec[-1] == "]" else value < hi)
 
-    def scenario_cfg(prefix):
-        return ScenarioConfig(
-            n_nodes=need(f"{prefix}.n_nodes", int, 12, lambda v: v >= 2, "must be >= 2"),
-            edge_density=need(f"{prefix}.edge_density", float, 0.08,
-                              lambda v: 0 <= v < 1, "must be in [0, 1)"),
-            chain_length=need(f"{prefix}.chain_length", int, 4,
-                              lambda v: v >= 2, "must be >= 2"),
-            evidence_noise=need(f"{prefix}.evidence_noise", float, 0.1,
-                                lambda v: 0 <= v < 1, "must be in [0, 1)"),
-        )
 
-    def episode_cfg(prefix):
-        return EpisodeConfig(
-            max_turns=need(f"{prefix}.max_turns", int, 12, lambda v: v >= 1,
-                           "must be >= 1"),
-            epsilon=need(f"{prefix}.epsilon", float, 0.3,
-                         lambda v: 0 <= v <= 1, "must be in [0, 1]"),
-            suggestion_uptake=need(f"{prefix}.suggestion_uptake", float, 0.8,
-                                   lambda v: 0 <= v <= 1, "must be in [0, 1]"),
-        )
+def _unknown_keys(node: dict, prefix: str, problems: list[str]) -> None:
+    for key, value in node.items():
+        path = f"{prefix}{key}"
+        if path in _SECTIONS:
+            if isinstance(value, dict):
+                _unknown_keys(value, path + ".", problems)
+            else:
+                problems.append(f"{path}: expected a mapping, got {type(value).__name__}")
+        elif path not in SCHEMA:
+            problems.append(f"{path}: unknown key")
 
-    collect_scenario = scenario_cfg("collect.scenario")
-    collect_episode = episode_cfg("collect.episode")
-    collect_scenarios = need("collect.n_scenarios", int, 24, lambda v: v >= 1,
-                             "must be >= 1")
-    collect_episodes = need("collect.episodes_per_scenario", int, 30,
-                            lambda v: v >= 1, "must be >= 1")
-    if collect_scenario.n_nodes < collect_scenario.chain_length:
-        problems.append("collect.scenario.n_nodes: must be >= chain_length")
 
-    irl_signal = need("irl.signal", str, "mean_fpc_rce",
-                      lambda v: v in ("fpc_only", "mean_fpc_rce"),
-                      "must be fpc_only or mean_fpc_rce")
-    irl_margin = need("irl.margin", float, 5.0, lambda v: v >= 0, "must be >= 0")
-    irl_max_pairs = need("irl.max_pairs", int, 3000, lambda v: v >= 1, "must be >= 1")
-    irl_train = RewardTrainConfig(
-        hidden_units=need("irl.hidden_units", int, 16, lambda v: v >= 1, "must be >= 1"),
-        epochs=need("irl.epochs", int, 60, lambda v: v >= 1, "must be >= 1"),
-        step_size=need("irl.step_size", float, 1e-3, lambda v: v > 0, "must be > 0"),
-        batch_size=need("irl.batch_size", int, 32, lambda v: v >= 1, "must be >= 1"),
-        seed=derive_seed(master_seed, "train_reward"),
-        discount=need("irl.discount", float, 1.0, lambda v: 0 < v <= 1,
-                      "must be in (0, 1]"),
-    )
-
-    rl_train = TrainConfig(
-        alpha=need("rl.alpha", float, 1.0, lambda v: v >= 0, "must be >= 0"),
-        gamma=need("rl.gamma", float, 0.95, lambda v: 0 <= v < 1, "must be in [0, 1)"),
-        iterations=need("rl.iterations", int, 3000, lambda v: v >= 1, "must be >= 1"),
-        step_size=need("rl.step_size", float, 1e-3, lambda v: v > 0, "must be > 0"),
-        batch_size=need("rl.batch_size", int, 64, lambda v: v >= 1, "must be >= 1"),
-        seed=derive_seed(master_seed, "train_policy"),
-        hidden_units=need("rl.hidden_units", int, 16, lambda v: v >= 1, "must be >= 1"),
-        target_refresh=need("rl.target_refresh", int, 200, lambda v: v >= 1,
-                            "must be >= 1"),
-        temperature=need("rl.temperature", float, 1.0, lambda v: v > 0, "must be > 0"),
-    )
-    grid = _get(raw, "rl.grid") or [
-        {"id": "rl_irl", "learner": "cql", "reward_mode": "irl"},
-        {"id": "rl_sparse", "learner": "cql", "reward_mode": "sparse"},
-        {"id": "bc", "learner": "bc", "reward_mode": "none"},
-    ]
-    for i, entry in enumerate(grid):
-        if entry.get("learner") not in ("cql", "bc"):
-            problems.append(f"rl.grid[{i}].learner: must be cql or bc")
-        if entry.get("learner") == "cql" and entry.get("reward_mode") not in (
-            "irl", "sparse", "combined",
-        ):
-            problems.append(f"rl.grid[{i}].reward_mode: must be irl, sparse, or combined")
+def _entries(path: str, entries, keys: tuple[str, ...], problems: list[str]):
+    """(index, entry) of each mapping in the list at ``path``; checks keys and ids."""
+    if not isinstance(entries, list):
+        problems.append(f"{path}: expected a list, got {type(entries).__name__}")
+        return []
+    found, ids = [], set()
+    for i, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            problems.append(f"{path}[{i}]: expected a mapping, got {type(entry).__name__}")
+            continue
+        problems.extend(f"{path}[{i}].{k}: unknown key" for k in entry if k not in keys)
         if not entry.get("id"):
-            problems.append(f"rl.grid[{i}].id: missing")
-        elif entry["id"] in (e.get("id") for e in grid[:i]):
-            problems.append(f"rl.grid[{i}].id: duplicate {entry['id']!r}")
+            problems.append(f"{path}[{i}].id: missing")
+        elif entry["id"] in ids:
+            problems.append(f"{path}[{i}].id: duplicate {entry['id']!r}")
+        ids.add(entry.get("id"))
+        found.append((i, entry))
+    return found
 
-    ope_holdout = need("ope.holdout_fraction", float, 0.25,
-                       lambda v: 0 < v < 1, "must be in (0, 1)")
-    ope_k = need("ope.k", int, 3, lambda v: v >= 1, "must be >= 1")
-    eval_reward_mode = need("ope.eval_reward_mode", str, "sparse",
-                            lambda v: v in ("irl", "sparse", "combined"),
-                            "must be irl, sparse, or combined")
-    combined_blend = need("rl.combined_blend", float, 1.0, lambda v: v >= 0,
-                          "must be >= 0")
 
-    suggest_pct = need("ce.suggest_percentile", float, 95.0,
-                       lambda v: 0 < v <= 100, "must be in (0, 100]")
-    prune_pct = need("ce.prune_percentile", float, 85.0,
-                     lambda v: 0 <= v < 100, "must be in [0, 100)")
+def validate_config(raw: dict) -> PipelineConfig:
+    """Check every key before any stage runs; all problems are reported.
 
-    compare_scenario = scenario_cfg("compare.scenario")
-    compare_episode = episode_cfg("compare.episode")
-    compare_scenarios = need("compare.n_scenarios", int, 20, lambda v: v >= 2,
-                             "must be >= 2")
-    compare_trials = need("compare.trials", int, 15, lambda v: v >= 3, "must be >= 3")
+    A key the config omits takes its PipelineConfig default, or the default
+    of the library dataclass its section builds."""
+    problems: list[str] = []
+    _unknown_keys(raw, "", problems)
+    values: dict = {}
+    sections: dict[str, dict] = {}
+    for path, (typ, default, name, sub) in SCHEMA.items():
+        if get_origin(typ) is list:
+            continue  # rl.grid and compare.arms: their entries are checked below
+        value = _get(raw, path, default)
+        try:
+            value = _typed(value, typ)
+        except TypeError:
+            expected = typ.__name__ if isinstance(typ, type) else typ
+            problems.append(f"{path}: expected {expected}, got {type(value).__name__}")
+            value = default
+        spec = RANGES.get(path)
+        if spec and value is not None and not _in_range(value, spec):
+            allowed = ", ".join(spec) if isinstance(spec, tuple) else spec
+            problems.append(f"{path}: must be in {allowed}")
+            value = default
+        if sub is None:
+            values[name] = value
+        else:
+            sections.setdefault(name, {})[sub] = value
 
-    arm_entries = _get(raw, "compare.arms") or [
-        {"id": "rl_irl+suggest", "policy": "rl_irl", "strategies": ["suggest"]},
-        {"id": "rl_irl+prune", "policy": "rl_irl", "strategies": ["prune"]},
-        {"id": "rl_irl+prioritize", "policy": "rl_irl", "strategies": ["prioritize"]},
-        {"id": "rl_sparse+prioritize", "policy": "rl_sparse",
-         "strategies": ["prioritize"]},
-        {"id": "bc+prioritize", "policy": "bc", "strategies": ["prioritize"]},
-    ]
+    if values["scheme_kind"] != "topology" and (values["with_hubs"] or values["with_hmm"]):
+        problems.append("scheme.with_hubs/with_hmm: require scheme.kind = topology")
+    for side in ("collect", "compare"):
+        scenario = sections[f"{side}_scenario_cfg"]
+        if scenario["n_nodes"] < scenario["chain_length"]:
+            problems.append(f"{side}.scenario.n_nodes: must be >= chain_length")
+
+    grid = _entries("rl.grid", _get(raw, "rl.grid") or DEFAULT_GRID,
+                    ("id", "learner", "reward_mode"), problems)
+    for i, entry in grid:
+        learner = entry.get("learner")
+        modes = {"cql": REWARD_MODES, "bc": ("none",)}.get(learner)
+        if modes is None:
+            problems.append(f"rl.grid[{i}].learner: must be in cql, bc")
+        elif entry.get("reward_mode") not in modes:
+            problems.append(f"rl.grid[{i}].reward_mode: {learner} takes {', '.join(modes)}")
+
+    arm_entries = _entries("compare.arms", _get(raw, "compare.arms") or DEFAULT_ARMS,
+                           ("id", "policy", "strategies"), problems)
     if len(arm_entries) > MAX_ARMS:
         problems.append(f"compare.arms: at most {MAX_ARMS} arms, got {len(arm_entries)}")
-    policy_ids = {entry.get("id") for entry in grid}
+    policy_ids = {entry.get("id") for _, entry in grid}
     arms = []
-    for i, entry in enumerate(arm_entries):
+    for i, entry in arm_entries:
         strategies = tuple(entry.get("strategies", ()))
-        if not strategies or any(s not in ("suggest", "prune", "prioritize")
-                                 for s in strategies):
-            problems.append(
-                f"compare.arms[{i}].strategies: subset of suggest/prune/prioritize, "
-                "non-empty"
-            )
+        if not strategies or any(s not in STRATEGIES for s in strategies):
+            problems.append(f"compare.arms[{i}].strategies: a non-empty subset of "
+                            f"{', '.join(STRATEGIES)}")
         if entry.get("policy") not in policy_ids:
             problems.append(f"compare.arms[{i}].policy: not in rl.grid ids")
-        if not entry.get("id"):
-            problems.append(f"compare.arms[{i}].id: missing")
-        elif entry["id"] in (e.get("id") for e in arm_entries[:i]):
-            problems.append(f"compare.arms[{i}].id: duplicate {entry['id']!r}")
-        arms.append(ArmSpec(arm_id=str(entry.get("id")),
-                            policy_id=str(entry.get("policy")),
+        arms.append(ArmSpec(arm_id=str(entry.get("id")), policy_id=str(entry.get("policy")),
                             strategies=strategies))
-
-    n_boot = need("eval.n_boot", int, 200, lambda v: v >= 1, "must be >= 1")
-    alpha = need("eval.alpha", float, 0.05, lambda v: 0 < v < 1, "must be in (0, 1)")
 
     if problems:
         raise ConfigInvalid(problems)
-
-    return PipelineConfig(
-        raw=raw,
-        master_seed=master_seed,
-        corpus_path=_get(raw, "paths.corpus"),
-        scenarios_path=_get(raw, "paths.scenarios"),
-        scheme_kind=scheme_kind,
-        with_hubs=with_hubs,
-        with_hmm=with_hmm,
-        hmm_states=hmm_states,
-        hmm_select_from=tuple(select_from) if select_from else None,
-        sentinel=float(sentinel) if sentinel is not None else None,
-        collect_scenarios=collect_scenarios,
-        collect_episodes=collect_episodes,
-        collect_scenario_cfg=collect_scenario,
-        collect_episode_cfg=collect_episode,
-        irl_signal=irl_signal,
-        irl_margin=irl_margin,
-        irl_max_pairs=irl_max_pairs,
-        irl_train=irl_train,
-        rl_train=rl_train,
-        rl_grid=grid,
-        ope_holdout=ope_holdout,
-        ope_k=ope_k,
-        eval_reward_mode=eval_reward_mode,
-        combined_blend=combined_blend,
-        ce_suggest_percentile=suggest_pct,
-        ce_prune_percentile=prune_pct,
-        compare_scenarios=compare_scenarios,
-        compare_trials=compare_trials,
-        compare_scenario_cfg=compare_scenario,
-        compare_episode_cfg=compare_episode,
-        arms=arms,
-        eval_n_boot=n_boot,
-        eval_alpha=alpha,
-    )
+    for name, kwargs in sections.items():
+        values[name] = _FIELD_TYPES[name](**kwargs)
+    values["irl_train"] = replace(values["irl_train"],
+                                  seed=derive_seed(values["master_seed"], "train_reward"))
+    return PipelineConfig(raw=raw, rl_grid=[dict(entry) for _, entry in grid], arms=arms,
+                          **values)
 
 
 def load_config(path: str | Path) -> PipelineConfig:
@@ -604,11 +600,8 @@ def stage_train_reward(cfg: PipelineConfig, out: Path) -> dict:
 
 
 def _needed_reward_modes(cfg: PipelineConfig) -> list[str]:
-    modes = {entry["reward_mode"] for entry in cfg.rl_grid
-             if entry["learner"] == "cql"}
-    modes.add(cfg.eval_reward_mode)
-    modes.discard("none")
-    return sorted(modes)
+    modes = {entry["reward_mode"] for entry in cfg.rl_grid} | {cfg.eval_reward_mode}
+    return sorted(modes - {"none"})
 
 
 def relabel_mode(traj: AbstractTrajectory, mode: str, net, blend: float):
@@ -642,8 +635,7 @@ def stage_relabel(cfg: PipelineConfig, out: Path) -> dict:
 
 def stage_train_policy(cfg: PipelineConfig, out: Path) -> dict:
     modes = _needed_reward_modes(cfg)
-    inputs = [out / F_ABSTRACT] + [out / relabeled_file(m) for m in modes
-                                   if m != "none"]
+    inputs = [out / F_ABSTRACT] + [out / relabeled_file(m) for m in modes]
     _require(inputs, "train_policy")
     seed = derive_seed(cfg.master_seed, "train_policy")
     outputs = []
@@ -737,16 +729,8 @@ def stage_simulate(cfg: PipelineConfig, out: Path) -> dict:
                          cfg.compare_trials, seed, method_id="baseline")
     for arm in cfg.arms:
         policy, _ = load_policy(out / policy_file(arm.policy_id))
-        plan = CePlan(
-            policy=policy,
-            config=CeConfig(
-                strategies=arm.strategies,
-                suggest_percentile=cfg.ce_suggest_percentile,
-                prune_percentile=cfg.ce_prune_percentile,
-            ),
-            scheme=scheme,
-            hmm=hmm_model,
-        )
+        plan = CePlan(policy=policy, config=replace(cfg.ce, strategies=arm.strategies),
+                      scheme=scheme, hmm=hmm_model)
         all_rows.extend(
             run_batch(scenarios, plan, cfg.compare_episode_cfg,
                       cfg.compare_trials, seed, method_id=arm.arm_id)
@@ -916,13 +900,12 @@ def robustness_sweep(cfg: PipelineConfig, out: Path,
                           RuntimeError(f"only {len(pool)} successful trajectories"))
 
     eval_all = load_abstract_corpus(out / relabeled_file(cfg.eval_reward_mode))
-    eval_trajs = [t for t in eval_all if t.scenario_id in eval_ids]
+    eval_table = build_transitions([t for t in eval_all if t.scenario_id in eval_ids])
 
     rng = np.random.default_rng(derive_seed(cfg.master_seed, "robustness_sweep"))
     order = rng.permutation(len(pool))
     fqe_cfg = replace(cfg.rl_train, alpha=0.0,
                       seed=derive_seed(cfg.master_seed, "robustness_sweep", "fqe"))
-    from .ope import fqe  # local import avoids a cycle at module load
 
     values: dict[str, list[float]] = {"rl_irl": [], "bc": []}
     for count in counts:
@@ -934,10 +917,10 @@ def robustness_sweep(cfg: PipelineConfig, out: Path,
                             temperature=train_cfg.temperature)
         bc_policy = bc_train(subset, train_cfg, CandidateSet())
         values["rl_irl"].append(
-            fqe(rl_policy, eval_trajs, fqe_cfg, policy_id=f"rl_irl@{count}").initial_value
+            fqe(rl_policy, eval_table, fqe_cfg, policy_id=f"rl_irl@{count}").initial_value
         )
         values["bc"].append(
-            fqe(bc_policy, eval_trajs, fqe_cfg, policy_id=f"bc@{count}").initial_value
+            fqe(bc_policy, eval_table, fqe_cfg, policy_id=f"bc@{count}").initial_value
         )
 
     report = {

@@ -4,7 +4,7 @@ import pytest
 from oracles import policy_value_linear
 from twinmdp.abstraction import AbstractStep, AbstractTrajectory
 from twinmdp.errors import NoCandidates
-from twinmdp.offline_rl import QPolicy, TabularQ, TrainConfig
+from twinmdp.offline_rl import QPolicy, TabularQ, TrainConfig, build_transitions
 from twinmdp.ope import fqe, rank_policies
 from twinmdp.trajectories import JudgeScores
 
@@ -214,6 +214,19 @@ class TestRankPolicies:
         fwd = rank_policies([(pols[k], {"id": k}) for k in "abc"], trajs, cfg, k=3)
         rev = rank_policies([(pols[k], {"id": k}) for k in "cba"], trajs, cfg, k=3)
         assert [e["id"] for e in fwd] == [e["id"] for e in rev]
+
+    def test_shared_table_scores_like_separate_fqe_runs(self):
+        rng = np.random.default_rng(4)
+        trajs = self.two_action_world(rng, n_episodes=60)
+        pols = {"a": tabular_policy(np.array([[0.9, 0.1]])),
+                "b": tabular_policy(np.array([[0.3, 0.7]]))}
+        cfg = TrainConfig(gamma=0.9, seed=0)
+        ranked = rank_policies([(pols[k], {"id": k}) for k in "ab"], trajs, cfg, k=2)
+        table = build_transitions(trajs)
+        for entry in ranked:
+            alone = fqe(pols[entry["id"]], trajs, cfg).initial_value
+            assert entry["initial_value"] == alone
+            assert fqe(pols[entry["id"]], table, cfg).initial_value == alone
 
     def test_k_larger_than_pool(self):
         rng = np.random.default_rng(3)

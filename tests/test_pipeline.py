@@ -1,8 +1,11 @@
+import importlib.util
+import inspect
 import json
 import os
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -10,11 +13,14 @@ import pytest
 
 from twinmdp.abstraction import load_abstract_corpus
 from twinmdp.cli import main as cli_main
+from twinmdp.context import CeConfig
 from twinmdp.errors import ConfigInvalid, MissingArtifact, MissingCandidateSets
 from twinmdp.nets import Mlp
-from twinmdp.offline_rl import FullVocabulary, NetworkQ, build_transitions
+from twinmdp.offline_rl import FullVocabulary, NetworkQ, TrainConfig, build_transitions
 from twinmdp.pipeline import (
     MAX_ARMS,
+    RANGES,
+    SCHEMA,
     derive_seed,
     load_config,
     stage_abstract,
@@ -23,7 +29,10 @@ from twinmdp.pipeline import (
     stage_train_reward,
     validate_config,
 )
-from twinmdp.reward_learning import encode_step_rows
+from twinmdp.reward_learning import RewardTrainConfig, build_pairs, encode_step_rows
+from twinmdp.simulator import EpisodeConfig, ScenarioConfig
+
+ROOT = Path(__file__).resolve().parents[1]
 
 SMALL_CONFIG = {
     "master_seed": 11,
@@ -128,6 +137,52 @@ class TestConfigValidation:
         assert "compare.arms: at most 9 arms" in str(exc.value)
         raw["compare"]["arms"].pop()
         assert len(validate_config(raw).arms) == 9
+
+    def test_omitted_keys_take_the_library_defaults(self):
+        cfg = validate_config({})
+        assert replace(cfg.irl_train, seed=0) == RewardTrainConfig()
+        assert replace(cfg.rl_train, seed=0) == TrainConfig()
+        assert cfg.collect_scenario_cfg == cfg.compare_scenario_cfg == ScenarioConfig()
+        assert cfg.collect_episode_cfg == cfg.compare_episode_cfg == EpisodeConfig()
+        assert cfg.ce == CeConfig()
+        pairs = inspect.signature(build_pairs).parameters
+        assert cfg.irl_signal == pairs["signal"].default
+        assert cfg.irl_margin == pairs["margin"].default
+        assert cfg.irl_max_pairs == pairs["max_pairs"].default
+        assert set(RANGES) <= set(SCHEMA)
+
+    @pytest.mark.parametrize("edit, path", [
+        (lambda raw: raw["irl"].update(hiden_units=8), "irl.hiden_units"),
+        (lambda raw: raw.update(training={"epochs": 3}), "training"),
+        (lambda raw: raw.update(irl=5), "irl"),
+        (lambda raw: raw["rl"].update(iterations=True), "rl.iterations"),
+        (lambda raw: raw.update(master_seed=True), "master_seed"),
+        (lambda raw: raw["compare"]["scenario"].update(n_nodes=2), "compare.scenario.n_nodes"),
+        (lambda raw: raw["rl"]["grid"].append("rl_sparse"), "rl.grid[2]"),
+        (lambda raw: raw["rl"]["grid"][1].pop("reward_mode"), "rl.grid[1].reward_mode"),
+        (lambda raw: raw["compare"]["arms"][0].update(strategy=["prune"]),
+         "compare.arms[0].strategy"),
+        (lambda raw: raw["scheme"].update(with_hmm=True, hmm_select_from=[0, 2]),
+         "scheme.hmm_select_from"),
+    ], ids=["typo_key", "unknown_section", "section_not_a_mapping", "bool_for_int",
+            "bool_for_master_seed", "compare_nodes_below_chain", "grid_entry_not_a_mapping",
+            "bc_without_reward_mode", "arm_unknown_key", "hmm_select_from_zero"])
+    def test_malformed_config_rejected_with_its_path(self, edit, path):
+        raw = json.loads(json.dumps(SMALL_CONFIG))
+        edit(raw)
+        with pytest.raises(ConfigInvalid) as exc:
+            validate_config(raw)
+        assert any(p.startswith(f"{path}: ") for p in exc.value.problems), exc.value
+
+    def test_shipped_and_benchmark_configs_validate(self):
+        load_config(ROOT / "configs" / "demo.yaml")
+        spec = importlib.util.spec_from_file_location("workloads",
+                                                      ROOT / "perfbench" / "workloads.py")
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        for workload in workloads.WORKLOADS:
+            for raw in workloads.make_inputs(ROOT, workload, 7):
+                validate_config(raw)
 
     def test_config_file_round_trip(self, tmp_path):
         path = tmp_path / "cfg.json"
