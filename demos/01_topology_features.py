@@ -55,7 +55,8 @@ walk = RawTrajectory(
     steps=steps, scores=JudgeScores(fpc_accuracy=100.0, rce_identification=100.0),
 )
 
-view = abstract(walk, SchemeSpec(kind="topology", graph=graph))
+topo = SchemeSpec(kind="topology")
+view = abstract(walk, topo, topo.featurizer(graph))
 print("\n== topology-scheme abstraction ==")
 print("state features: [min dist symptom->flagged-primary, ...->flagged-cascading]")
 print("action features: [d(target,prev), d(target,symptom),")

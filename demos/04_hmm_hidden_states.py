@@ -19,7 +19,6 @@ from twinmdp import (
     run_episode,
     viterbi_decode,
 )
-from twinmdp.abstraction import TopologyFeaturizer
 
 rng_seeds = range(40)
 scn_cfg = ScenarioConfig(n_nodes=12, edge_density=0.08, chain_length=4,
@@ -31,9 +30,8 @@ trajectories = []
 for seed in rng_seeds:
     scn = generate_scenario(scn_cfg, seed=seed, scenario_id=f"s{seed}")
     res = run_episode(scn, None, ep_cfg, seed=seed)
-    featurizer = TopologyFeaturizer(scn.graph, sentinel=12.0)
     spec = SchemeSpec(kind="topology", unreachable_sentinel=12.0)
-    trajectories.append(abstract(res.trajectory, spec, featurizer=featurizer))
+    trajectories.append(abstract(res.trajectory, spec, spec.featurizer(scn.graph)))
 
 sequences = [hmm_observations(t) for t in trajectories]
 dims = sequences[0].shape[1]

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
 from typing import TypeAlias, Union
 
@@ -50,10 +51,8 @@ class SchemeSpec:
 
     kind: str
     vocabulary: tuple = ()               # names or (name, etype) pairs
-    graph: TopologyGraph | None = None   # topology only
     with_hubs: bool = False              # topology only
     with_hmm: bool = False               # topology only
-    hmm_states: int = 4
     unreachable_sentinel: float | None = None  # default: graph diameter + 1
 
     def __post_init__(self):
@@ -70,6 +69,23 @@ class SchemeSpec:
         if self.kind == "topology":
             return 5 if self.with_hubs else 4
         return len(self.vocabulary)
+
+    def featurizer(self, graph: TopologyGraph | None = None) -> Featurizer:
+        """The step featurizer of this scheme for episodes on ``graph``.
+
+        Topology features need the episode's graph, and each call builds a
+        new featurizer, so callers keep one per graph. The name schemes
+        ignore the graph and share one featurizer per spec.
+        """
+        if self.kind != "topology":
+            return self._vocabulary_featurizer
+        if graph is None:
+            raise MalformedRecord("the topology scheme needs the episode's graph")
+        return TopologyFeaturizer(graph, self.unreachable_sentinel, self.with_hubs)
+
+    @cached_property
+    def _vocabulary_featurizer(self) -> VocabularyFeaturizer:
+        return VocabularyFeaturizer(self.vocabulary, self.kind)
 
 
 def build_vocabulary(trajs, kind: str, graphs=()) -> tuple:
@@ -183,79 +199,61 @@ class TopologyFeaturizer:
         )
 
 
-def _vocab_key(e: Entity, kind: str):
-    return e.name if kind == "name" else (e.name, e.etype)
+class VocabularyFeaturizer:
+    """Assessment-coded states and vocabulary-index actions (name/nametype)."""
 
+    def __init__(self, vocabulary, kind: str):
+        self.kind = kind
+        self.index = {key: i for i, key in enumerate(vocabulary)}
 
-def _vocab_state(vocab_index: dict, kind: str, assessments, dim: int) -> np.ndarray:
-    state = np.zeros(dim)
-    for e, label in assessments.items():
-        key = _vocab_key(e, kind)
-        if key not in vocab_index:
+    def _id(self, e: Entity) -> int:
+        key = e.name if self.kind == "name" else (e.name, e.etype)
+        if key not in self.index:
             raise EntityNotInVocabulary(f"{e} not in vocabulary")
-        # identical names with different types collapse under the name
-        # scheme; keep the most severe code
-        state[vocab_index[key]] = max(state[vocab_index[key]], ASSESSMENT_CODE[label])
-    return state
+        return self.index[key]
+
+    def action_features(self, target: Entity, previous: Entity | None,
+                        symptom: Entity, assessments) -> int:
+        return self._id(target)
+
+    def state_features(self, symptom: Entity, assessments) -> np.ndarray:
+        state = np.zeros(len(self.index))
+        for e, label in assessments.items():
+            i = self._id(e)
+            # identical names with different types collapse under the name
+            # scheme; keep the most severe code
+            state[i] = max(state[i], ASSESSMENT_CODE[label])
+        return state
 
 
-def vocab_state_vector(vocabulary, kind: str, assessments) -> np.ndarray:
-    """Assessment-coded state vector over a name/nametype vocabulary."""
-    index = {key: i for i, key in enumerate(vocabulary)}
-    return _vocab_state(index, kind, assessments, len(vocabulary))
+Featurizer: TypeAlias = Union[TopologyFeaturizer, VocabularyFeaturizer]
 
 
 def abstract(raw: RawTrajectory, spec: SchemeSpec,
-             featurizer: TopologyFeaturizer | None = None) -> AbstractTrajectory:
+             featurizer: Featurizer | None = None) -> AbstractTrajectory:
     """Map a raw trajectory into its abstract (state, action, reward) view.
 
-    Rewards initialize to 0; reward learning relabels them later. Pure and
-    deterministic: identical inputs produce identical outputs.
+    ``featurizer`` is ``spec.featurizer(graph)`` for the trajectory's graph;
+    the name schemes need none. Rewards initialize to 0; reward learning
+    relabels them later. Pure and deterministic: identical inputs produce
+    identical outputs.
     """
-    if spec.kind == "topology":
-        if featurizer is None:
-            if spec.graph is None:
-                raise MalformedRecord("topology abstraction needs a graph or featurizer")
-            featurizer = TopologyFeaturizer(
-                spec.graph, spec.unreachable_sentinel, spec.with_hubs
-            )
-        steps = []
-        previous = None
-        assessments: dict[Entity, str] = {}
-        for step in raw.steps:
-            state = featurizer.state_features(raw.symptom_entity, assessments)
-            cands = [
-                featurizer.action_features(c, previous, raw.symptom_entity, assessments)
-                for c in step.candidate_entities
-            ]
-            action = cands[step.candidate_entities.index(step.chosen_entity)]
-            steps.append(AbstractStep(state=state, action=action, reward=0.0,
-                                      candidates=cands))
-            previous = step.chosen_entity
-            assessments = dict(step.assessments)
-        return AbstractTrajectory(
-            trajectory_id=raw.trajectory_id,
-            scenario_id=raw.scenario_id,
-            scheme="topology",
-            steps=steps,
-            scores=raw.scores,
-        )
-
-    vocab_index = {key: i for i, key in enumerate(spec.vocabulary)}
-    dim = len(spec.vocabulary)
+    if featurizer is None:
+        featurizer = spec.featurizer()
+    symptom = raw.symptom_entity
     steps = []
-    assessments = {}
+    previous = None
+    assessments: dict[Entity, str] = {}
     for step in raw.steps:
-        state = _vocab_state(vocab_index, spec.kind, assessments, dim)
-        cands = []
-        for c in step.candidate_entities:
-            key = _vocab_key(c, spec.kind)
-            if key not in vocab_index:
-                raise EntityNotInVocabulary(f"{c} not in vocabulary")
-            cands.append(vocab_index[key])
+        state = featurizer.state_features(symptom, assessments)
+        cands = [
+            featurizer.action_features(c, previous, symptom, assessments)
+            for c in step.candidate_entities
+        ]
         action = cands[step.candidate_entities.index(step.chosen_entity)]
         steps.append(AbstractStep(state=state, action=action, reward=0.0,
                                   candidates=cands))
+        previous = step.chosen_entity
         assessments = dict(step.assessments)
     return AbstractTrajectory(
         trajectory_id=raw.trajectory_id,

@@ -22,7 +22,6 @@ import yaml
 from .abstraction import (
     AbstractTrajectory,
     SchemeSpec,
-    TopologyFeaturizer,
     abstract,
     augment_with_hmm,
     build_vocabulary,
@@ -471,27 +470,14 @@ def stage_abstract(cfg: PipelineConfig, out: Path) -> dict:
     _require([corpus_path, scenarios_path], "abstract")
     seed = derive_seed(cfg.master_seed, "abstract")
     corpus = load_corpus(corpus_path)
-    scenarios = {s.scenario_id: s for s in load_scenarios(scenarios_path)}
+    graphs = {s.scenario_id: s.graph for s in load_scenarios(scenarios_path)}
     sentinel = resolve_sentinel(cfg)
-
     vocabulary: tuple = ()
-    if cfg.scheme_kind == "topology":
-        featurizers = {
-            sid: TopologyFeaturizer(s.graph, sentinel, cfg.with_hubs)
-            for sid, s in scenarios.items()
-        }
-        abstracted = []
-        for traj in corpus:
-            spec = SchemeSpec(kind="topology", with_hubs=cfg.with_hubs,
-                              unreachable_sentinel=sentinel)
-            abstracted.append(abstract(traj, spec,
-                                       featurizer=featurizers[traj.scenario_id]))
-    else:
-        vocabulary = build_vocabulary(
-            corpus, cfg.scheme_kind, graphs=[s.graph for s in scenarios.values()]
-        )
-        spec = SchemeSpec(kind=cfg.scheme_kind, vocabulary=vocabulary)
-        abstracted = [abstract(traj, spec) for traj in corpus]
+    if cfg.scheme_kind != "topology":
+        vocabulary = build_vocabulary(corpus, cfg.scheme_kind, graphs=graphs.values())
+    spec = SchemeSpec(kind=cfg.scheme_kind, vocabulary=vocabulary,
+                      with_hubs=cfg.with_hubs, unreachable_sentinel=sentinel)
+    abstracted = abstract_trajectories(corpus, spec, graphs)
 
     outputs = []
     hmm_model: Hmm | None = None
@@ -521,6 +507,24 @@ def stage_abstract(cfg: PipelineConfig, out: Path) -> dict:
     outputs.extend([out / F_ABSTRACT, out / F_SCHEME])
     return _write_manifest(out, "abstract", cfg, seed,
                            [corpus_path, scenarios_path], outputs)
+
+
+def abstract_trajectories(trajs, spec: SchemeSpec, graphs,
+                          hmm: Hmm | None = None) -> list[AbstractTrajectory]:
+    """Abstract raw trajectories under ``spec`` with one featurizer per scenario.
+
+    ``graphs`` maps scenario ids to their graphs; with ``hmm`` each view also
+    gets its decoded hidden state.
+    """
+    featurizers = {}
+    out = []
+    for traj in trajs:
+        sid = traj.scenario_id
+        if sid not in featurizers:
+            featurizers[sid] = spec.featurizer(graphs.get(sid))
+        view = abstract(traj, spec, featurizers[sid])
+        out.append(view if hmm is None else augment_with_hmm(view, hmm))
+    return out
 
 
 def _fit_or_select_hmm(cfg: PipelineConfig, sequences, seed: int) -> tuple[Hmm, int]:
@@ -553,7 +557,6 @@ def load_scheme_runtime(out: Path) -> tuple[SchemeSpec, Hmm | None]:
         vocabulary=vocabulary,
         with_hubs=obj["with_hubs"],
         with_hmm=obj["with_hmm"],
-        hmm_states=obj["hmm_states"],
         unreachable_sentinel=obj["sentinel"],
     )
     hmm_model = None
@@ -940,23 +943,10 @@ def _collect_extra_successes(cfg: PipelineConfig, out: Path, shortfall: int) -> 
     scenarios = load_scenarios(scenarios_path)
     train_ids, _ = split_scenarios(cfg, [s.scenario_id for s in scenarios])
     train_scns = [s for s in scenarios if s.scenario_id in train_ids]
-    sentinel = resolve_sentinel(cfg)
-    featurizers = {
-        s.scenario_id: TopologyFeaturizer(s.graph, sentinel, cfg.with_hubs)
-        for s in train_scns
-    } if cfg.scheme_kind == "topology" else {}
-    vocabulary: tuple = ()
-    if cfg.scheme_kind != "topology":
-        corpus_path, _ = _input_paths(cfg, out)
-        vocabulary = build_vocabulary(load_corpus(corpus_path), cfg.scheme_kind,
-                                      graphs=[s.graph for s in scenarios])
-
-    extra: list = []
-    hmm_model = None
-    if cfg.with_hmm:
-        _, hmm_model = load_scheme_runtime(out)
+    spec, hmm_model = load_scheme_runtime(out)
+    successes: list = []
     for round_no in range(8):
-        if len(extra) * 1 >= shortfall:
+        if len(successes) >= shortfall:
             break
         rows = run_batch(
             train_scns, None, cfg.collect_episode_cfg, trials=10,
@@ -964,22 +954,10 @@ def _collect_extra_successes(cfg: PipelineConfig, out: Path, shortfall: int) -> 
                                     "extra", round_no),
             method_id=f"sweep-extra-{round_no}",
         )
-        for row in rows:
-            traj = row["result"].trajectory
-            if traj.scores.rce_identification < 100.0:
-                continue
-            if cfg.scheme_kind == "topology":
-                spec = SchemeSpec(kind="topology", with_hubs=cfg.with_hubs,
-                                  unreachable_sentinel=sentinel)
-                abstracted = abstract(traj, spec,
-                                      featurizer=featurizers[traj.scenario_id])
-            else:
-                spec = SchemeSpec(kind=cfg.scheme_kind, vocabulary=vocabulary)
-                abstracted = abstract(traj, spec)
-            if hmm_model is not None:
-                abstracted = augment_with_hmm(abstracted, hmm_model)
-            extra.append(abstracted)
-    return extra
+        successes.extend(row["result"].trajectory for row in rows
+                         if row["result"].scores.rce_identification >= 100.0)
+    graphs = {s.scenario_id: s.graph for s in train_scns}
+    return abstract_trajectories(successes, spec, graphs, hmm_model)
 
 
 def stage_reproduce(cfg: PipelineConfig, out: Path) -> dict:

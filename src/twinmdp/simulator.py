@@ -15,14 +15,14 @@ episodes against the ground-truth chain.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
-from .abstraction import SchemeSpec, TopologyFeaturizer, vocab_state_vector
+from .abstraction import Featurizer, SchemeSpec
 from .context import CeConfig, Intervention, intervene
-from .errors import EntityNotInVocabulary, InfeasibleConfig, IoFailure
+from .errors import InfeasibleConfig, IoFailure
 from .hmm import Hmm, viterbi_decode
 from .offline_rl import QPolicy
 from .topology import TopologyGraph, graph_from_json, graph_to_json, make_graph
@@ -73,6 +73,14 @@ class CePlan:
     config: CeConfig
     scheme: SchemeSpec
     hmm: Hmm | None = None
+    _featurizers: dict = field(default_factory=dict, init=False, repr=False,
+                               compare=False)
+
+    def featurizer(self, graph: TopologyGraph) -> Featurizer:
+        """The scheme's featurizer for ``graph``, built once per graph."""
+        if graph not in self._featurizers:
+            self._featurizers[graph] = self.scheme.featurizer(graph)
+        return self._featurizers[graph]
 
 
 @dataclass
@@ -180,28 +188,20 @@ def judge(identified_root: Entity | None, assessments: dict[Entity, str],
 class _SchemeRuntime:
     """Builds the policy's state and candidate representations during a run.
 
-    Topology features always come from the scenario's own graph (the scheme
-    fixes the sentinel and the hub/hidden-state flags); vocabulary schemes
-    use the scheme's vocabulary.
+    The features come from the plan's featurizer for the scenario's graph,
+    the same one that abstracts logged episodes; the runtime adds only the
+    online hidden-state bits of ``with_hmm`` schemes.
     """
 
     def __init__(self, plan: CePlan, scn: SimScenario):
         self.plan = plan
-        self.scheme = plan.scheme
-        if self.scheme.kind == "topology":
-            self.featurizer = TopologyFeaturizer(
-                scn.graph, self.scheme.unreachable_sentinel, self.scheme.with_hubs
-            )
-            self.observations: list[np.ndarray] = []
-        else:
-            self.vocab_index = {key: i for i, key in enumerate(self.scheme.vocabulary)}
+        self.featurizer = plan.featurizer(scn.graph)
+        self.symptom = scn.symptom
+        self.observations: list[np.ndarray] = []
 
-    def state(self, scn: SimScenario, assessments) -> np.ndarray:
-        if self.scheme.kind != "topology":
-            return vocab_state_vector(self.scheme.vocabulary, self.scheme.kind,
-                                      assessments)
-        base = self.featurizer.state_features(scn.symptom, assessments)
-        if not self.scheme.with_hmm:
+    def state(self, assessments) -> np.ndarray:
+        base = self.featurizer.state_features(self.symptom, assessments)
+        if not self.plan.scheme.with_hmm:
             return base
         return np.concatenate([base, self._hidden_state_onehot()])
 
@@ -222,18 +222,12 @@ class _SchemeRuntime:
         onehot[z] = 1.0
         return onehot
 
-    def candidate_repr(self, c: Entity, previous: Entity | None,
-                       scn: SimScenario, assessments):
-        if self.scheme.kind == "topology":
-            return self.featurizer.action_features(c, previous, scn.symptom, assessments)
-        key = c.name if self.scheme.kind == "name" else (c.name, c.etype)
-        if key not in self.vocab_index:
-            raise EntityNotInVocabulary(f"{c} not in policy vocabulary")
-        return self.vocab_index[key]
+    def candidate_repr(self, c: Entity, previous: Entity | None, assessments):
+        return self.featurizer.action_features(c, previous, self.symptom, assessments)
 
     def record_turn(self, pre_state: np.ndarray, chosen_repr) -> None:
         """Log the (pre-action state, action) observation the HMM was fit on."""
-        if self.scheme.kind == "topology" and self.scheme.with_hmm:
+        if self.plan.scheme.with_hmm:
             self.observations.append(
                 np.concatenate([pre_state[:2], np.asarray(chosen_repr, dtype=float)])
             )
@@ -280,9 +274,9 @@ def run_episode(
         repr_of: dict[Entity, object] = {}
         state_vec = None
         if runtime is not None:
-            state_vec = runtime.state(scn, assessments)
+            state_vec = runtime.state(assessments)
             repr_of = {
-                c: runtime.candidate_repr(c, previous, scn, assessments)
+                c: runtime.candidate_repr(c, previous, assessments)
                 for c in candidates
             }
             selection_cfg = _selection_config(ce.config)
@@ -317,9 +311,9 @@ def run_episode(
         ]
         pruned: list[Entity] = []
         if runtime is not None and ce.config.enabled("prune") and push:
-            push_state = runtime.state(scn, assessments)
+            push_state = runtime.state(assessments)
             push_reprs = [
-                (c, runtime.candidate_repr(c, chosen, scn, assessments)) for c in push
+                (c, runtime.candidate_repr(c, chosen, assessments)) for c in push
             ]
             push_iv = intervene(ce.policy, push_state, push_reprs,
                                 _prune_only_config(ce.config))
@@ -397,15 +391,11 @@ def run_episode(
 def _selection_config(cfg: CeConfig) -> CeConfig | None:
     """Pruning acts on queue pushes, not picks; drop it at selection time."""
     kept = tuple(s for s in cfg.strategies if s != "prune")
-    if not kept:
-        return None
-    return CeConfig(strategies=kept, suggest_percentile=cfg.suggest_percentile,
-                    prune_percentile=cfg.prune_percentile)
+    return replace(cfg, strategies=kept) if kept else None
 
 
 def _prune_only_config(cfg: CeConfig) -> CeConfig:
-    return CeConfig(strategies=("prune",), suggest_percentile=cfg.suggest_percentile,
-                    prune_percentile=cfg.prune_percentile)
+    return replace(cfg, strategies=("prune",))
 
 
 def _fallback_entity(steps, assessments, scn: SimScenario) -> Entity:

@@ -32,12 +32,6 @@ class TopologyGraph:
             if u not in node_set or v not in node_set:
                 raise MalformedRecord(f"edge ({u}, {v}) references unknown node")
 
-    def successors(self, e: Entity) -> list[Entity]:
-        return sorted(v for u, v in self.edges if u == e)
-
-    def predecessors(self, e: Entity) -> list[Entity]:
-        return sorted(u for u, v in self.edges if v == e)
-
     def neighbors(self, e: Entity) -> list[Entity]:
         """Undirected neighborhood, deduplicated and sorted."""
         out = {v for u, v in self.edges if u == e}

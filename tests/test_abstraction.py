@@ -10,16 +10,18 @@ from twinmdp.abstraction import (
     hmm_observations,
     load_abstract_corpus,
     save_abstract_corpus,
-    vocab_state_vector,
 )
 from twinmdp.errors import (
     EntityNotInGraph,
     EntityNotInVocabulary,
+    MalformedRecord,
     SchemeMismatch,
 )
 from twinmdp.hmm import Hmm, viterbi_decode
 from twinmdp.topology import make_graph
 from twinmdp.trajectories import Entity, JudgeScores, RawStep, RawTrajectory
+
+TOPOLOGY = SchemeSpec(kind="topology")
 
 
 def chain_graph(n=5):
@@ -54,8 +56,8 @@ class TestNameSchemes:
     def test_assessment_codes(self):
         # 2 = primary, 1 = cascading, 0 = normal or unassessed
         a, b, c = (Entity(name=x, etype="Pod") for x in "abc")
-        state = vocab_state_vector(("a", "b", "c"), "name",
-                                   {a: "primary", b: "cascading"})
+        featurizer = SchemeSpec(kind="name", vocabulary=("a", "b", "c")).featurizer()
+        state = featurizer.state_features(a, {a: "primary", b: "cascading"})
         assert state.tolist() == [2.0, 1.0, 0.0]
 
     def test_state_reflects_previous_turn(self):
@@ -110,7 +112,7 @@ class TestTopologyScheme:
         # chain n0 -> n1 -> n2 -> n3 -> n4, diameter 4, sentinel 5
         nodes, graph = chain_graph()
         traj = chain_trajectory(nodes)
-        out = abstract(traj, SchemeSpec(kind="topology", graph=graph))
+        out = abstract(traj, TOPOLOGY, TOPOLOGY.featurizer(graph))
 
         # turn 0: nothing assessed, no previous entity
         assert out.steps[0].state.tolist() == [5.0, 5.0]
@@ -126,7 +128,7 @@ class TestTopologyScheme:
     def test_turn_zero_unlabeled_gives_sentinels_except_symptom_distance(self):
         nodes, graph = chain_graph()
         traj = chain_trajectory(nodes)
-        out = abstract(traj, SchemeSpec(kind="topology", graph=graph))
+        out = abstract(traj, TOPOLOGY, TOPOLOGY.featurizer(graph))
         feats = np.asarray(out.steps[0].action)
         assert feats[1] == 0.0  # the chosen entity IS the symptom here
         assert feats[0] == feats[2] == feats[3] == 5.0
@@ -134,8 +136,8 @@ class TestTopologyScheme:
     def test_hub_feature_appended(self):
         nodes, graph = chain_graph()
         traj = chain_trajectory(nodes)
-        out = abstract(traj, SchemeSpec(kind="topology", graph=graph,
-                                        with_hubs=True))
+        spec = SchemeSpec(kind="topology", with_hubs=True)
+        out = abstract(traj, spec, spec.featurizer(graph))
         # chain hubs: 0.5 for the four sources, 0 for the sink n4
         assert np.asarray(out.steps[0].action)[-1] == pytest.approx(0.0, abs=1e-9)
         assert np.asarray(out.steps[1].action)[-1] == pytest.approx(0.5, abs=1e-9)
@@ -143,9 +145,8 @@ class TestTopologyScheme:
     def test_determinism(self):
         nodes, graph = chain_graph()
         traj = chain_trajectory(nodes)
-        spec = SchemeSpec(kind="topology", graph=graph)
-        a = abstract(traj, spec)
-        b = abstract(traj, spec)
+        a = abstract(traj, TOPOLOGY, TOPOLOGY.featurizer(graph))
+        b = abstract(traj, TOPOLOGY, TOPOLOGY.featurizer(graph))
         for sa, sb in zip(a.steps, b.steps):
             assert np.array_equal(sa.state, sb.state)
             assert np.array_equal(np.asarray(sa.action), np.asarray(sb.action))
@@ -159,14 +160,19 @@ class TestTopologyScheme:
                              symptom_entity=nodes[4], steps=steps,
                              scores=JudgeScores(0.0, 0.0))
         with pytest.raises(EntityNotInGraph):
-            abstract(traj, SchemeSpec(kind="topology", graph=graph))
+            abstract(traj, TOPOLOGY, TOPOLOGY.featurizer(graph))
+
+    def test_featurizer_needs_the_graph(self):
+        nodes, _ = chain_graph()
+        with pytest.raises(MalformedRecord):
+            abstract(chain_trajectory(nodes), TOPOLOGY)
 
     def test_features_nonnegative_and_sentinel_exceeds_diameter(self):
         nodes, graph = chain_graph()
         traj = chain_trajectory(nodes)
         feat = TopologyFeaturizer(graph)
         assert feat.sentinel == 5.0
-        out = abstract(traj, SchemeSpec(kind="topology", graph=graph))
+        out = abstract(traj, TOPOLOGY, TOPOLOGY.featurizer(graph))
         for step in out.steps:
             assert np.all(step.state >= 0)
             assert np.all(np.asarray(step.action) >= 0)
@@ -175,8 +181,8 @@ class TestTopologyScheme:
 class TestHmmAugmentation:
     def test_single_state_appends_constant(self):
         nodes, graph = chain_graph()
-        traj = abstract(chain_trajectory(nodes),
-                        SchemeSpec(kind="topology", graph=graph))
+        traj = abstract(chain_trajectory(nodes), TOPOLOGY,
+                        TOPOLOGY.featurizer(graph))
         obs = hmm_observations(traj)
         model = Hmm(
             initial=np.array([1.0]), transition=np.array([[1.0]]),
@@ -190,8 +196,8 @@ class TestHmmAugmentation:
 
     def test_onehot_matches_decoder_output(self):
         nodes, graph = chain_graph()
-        traj = abstract(chain_trajectory(nodes),
-                        SchemeSpec(kind="topology", graph=graph))
+        traj = abstract(chain_trajectory(nodes), TOPOLOGY,
+                        TOPOLOGY.featurizer(graph))
         obs = hmm_observations(traj)
         rng = np.random.default_rng(0)
         model = Hmm(
@@ -218,7 +224,7 @@ class TestHmmAugmentation:
 
 def test_abstract_corpus_round_trip(tmp_path):
     nodes, graph = chain_graph()
-    traj = abstract(chain_trajectory(nodes), SchemeSpec(kind="topology", graph=graph))
+    traj = abstract(chain_trajectory(nodes), TOPOLOGY, TOPOLOGY.featurizer(graph))
     path = tmp_path / "abstract.jsonl"
     save_abstract_corpus([traj], path)
     loaded = load_abstract_corpus(path)

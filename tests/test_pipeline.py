@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from twinmdp import abstraction, pipeline
 from twinmdp.abstraction import load_abstract_corpus
 from twinmdp.cli import main as cli_main
 from twinmdp.context import CeConfig
@@ -23,8 +24,11 @@ from twinmdp.pipeline import (
     SCHEMA,
     derive_seed,
     load_config,
+    robustness_sweep,
+    split_scenarios,
     stage_abstract,
     stage_collect,
+    stage_relabel,
     stage_reproduce,
     stage_train_reward,
     validate_config,
@@ -72,6 +76,14 @@ SMALL_CONFIG = {
     },
     "eval": {"n_boot": 50, "alpha": 0.05},
 }
+
+
+def load_perfbench_module(name: str):
+    """Import ``perfbench/<name>.py`` by path; the benchmark is not a package."""
+    spec = importlib.util.spec_from_file_location(name, ROOT / "perfbench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def small_config():
@@ -176,10 +188,7 @@ class TestConfigValidation:
 
     def test_shipped_and_benchmark_configs_validate(self):
         load_config(ROOT / "configs" / "demo.yaml")
-        spec = importlib.util.spec_from_file_location("workloads",
-                                                      ROOT / "perfbench" / "workloads.py")
-        workloads = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(workloads)
+        workloads = load_perfbench_module("workloads")
         for workload in workloads.WORKLOADS:
             for raw in workloads.make_inputs(ROOT, workload, 7):
                 validate_config(raw)
@@ -318,6 +327,62 @@ class TestSchemeVariants:
         scheme = json.loads((out / "scheme_runtime.json").read_text())
         assert scheme["vocabulary"], "vocabulary should cover the node names"
         assert "rl_irl+prioritize" in summary["methods"]
+
+
+class TestRobustnessTopUp:
+    """The sweep's extra episodes are abstracted like the training corpus."""
+
+    @pytest.mark.parametrize("scheme", [{"kind": "nametype"},
+                                        {"kind": "topology", "with_hmm": True,
+                                         "hmm_states": 2}],
+                             ids=["nametype", "topology_hmm"])
+    def test_extra_trajectories_match_the_corpus_widths(self, scheme, tmp_path,
+                                                        monkeypatch):
+        raw = json.loads(json.dumps(SMALL_CONFIG))
+        raw["scheme"] = scheme
+        cfg = validate_config(raw)
+        for stage in (stage_collect, stage_abstract, stage_train_reward, stage_relabel):
+            stage(cfg, tmp_path)
+        corpus = load_abstract_corpus(tmp_path / "abstract_corpus.jsonl")
+        train_ids, _ = split_scenarios(cfg, [t.scenario_id for t in corpus])
+        pool = sum(t.scenario_id in train_ids and t.scores.rce_identification >= 100.0
+                   for t in corpus)
+
+        extra = []
+        collect_extra = pipeline._collect_extra_successes
+
+        def recording(*args):
+            got = collect_extra(*args)
+            extra.extend(got)
+            return got
+
+        monkeypatch.setattr(pipeline, "_collect_extra_successes", recording)
+        sweep = robustness_sweep(cfg, tmp_path, counts=(4, pool + 20))
+        assert len(extra) >= 20
+        assert all(len(v) == 2 for v in sweep["initial_values"].values())
+        state_width = corpus[0].steps[0].state.shape
+        action_width = np.asarray(corpus[0].steps[0].action).shape
+        for traj in extra:
+            assert traj.scheme == scheme["kind"]
+            for step in traj.steps:
+                assert step.state.shape == state_width
+                assert np.asarray(step.action).shape == action_width
+                assert all(np.asarray(c).shape == action_width for c in step.candidates)
+
+
+def test_benchmark_trace_targets_exist():
+    """Every function and method the benchmark tracer wraps can be installed."""
+    tracer_module = load_perfbench_module("tracer")
+    abstract_fn = abstraction.abstract
+    init = abstraction.TopologyFeaturizer.__dict__["__init__"]
+    tracer = tracer_module.Tracer()
+    try:
+        tracer_module.install(tracer)
+        assert abstraction.abstract is not abstract_fn
+    finally:
+        tracer.uninstall()
+    assert abstraction.abstract is abstract_fn
+    assert abstraction.TopologyFeaturizer.__dict__["__init__"] is init
 
 
 class TestPackedLayout:

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from oracles import set_f1
-from twinmdp.abstraction import SchemeSpec
+from twinmdp import abstraction
+from twinmdp.abstraction import SchemeSpec, abstract, build_vocabulary
 from twinmdp.context import CeConfig
 from twinmdp.errors import InfeasibleConfig
+from twinmdp.hmm import Hmm
 from twinmdp.offline_rl import QPolicy
 from twinmdp.simulator import (
     CePlan,
@@ -270,3 +272,89 @@ class TestRunBatch:
             assert a["rce_identification"] == b["rce_identification"]
             assert a["entities_explored"] == b["entities_explored"]
         assert len(rows_a) == 12
+
+
+class RecordingQ:
+    """Stub Q that logs every (state, candidates) it scores.
+
+    Prefers candidates with a small feature sum, which works for both index
+    and feature actions.
+    """
+
+    gamma = 0.9
+
+    def __init__(self):
+        self.calls = []
+
+    def values(self, state, candidates):
+        self.calls.append((np.array(state), [np.array(c) for c in candidates]))
+        return np.array([-np.asarray(c, dtype=float).sum() for c in candidates])
+
+
+def parity_scenarios():
+    cfg = ScenarioConfig(n_nodes=12, edge_density=0.08, chain_length=4,
+                         evidence_noise=0.1)
+    return [generate_scenario(cfg, seed=s, scenario_id=f"p{s}") for s in range(3)]
+
+
+def parity_hmm(n_features):
+    rng = np.random.default_rng(0)
+    return Hmm(initial=np.array([0.6, 0.4]),
+               transition=np.array([[0.7, 0.3], [0.2, 0.8]]),
+               means=rng.uniform(0.0, 5.0, (2, n_features)),
+               variances=np.ones((2, n_features)))
+
+
+class TestTrainServeParity:
+    """Re-abstracting a logged CE episode gives what the policy scored online."""
+
+    @pytest.mark.parametrize("kind", ["topology_hubs", "nametype", "topology_hmm"])
+    def test_abstract_equals_what_the_policy_scored(self, kind):
+        scns = parity_scenarios()
+        hmm = None
+        if kind == "topology_hubs":
+            scheme = SchemeSpec(kind="topology", with_hubs=True, unreachable_sentinel=12.0)
+        elif kind == "nametype":
+            scheme = SchemeSpec(kind="nametype", vocabulary=build_vocabulary(
+                [], "nametype", graphs=[scn.graph for scn in scns]))
+        else:
+            scheme = SchemeSpec(kind="topology", with_hmm=True, unreachable_sentinel=12.0)
+            hmm = parity_hmm(6)
+        cfg = EpisodeConfig(max_turns=8, epsilon=0.3)
+        steps_checked = 0
+        for scn in scns:
+            for seed in range(3):
+                q = RecordingQ()
+                plan = CePlan(policy=QPolicy(q=q, temperature=1.0),
+                              config=CeConfig(strategies=("prioritize",)),
+                              scheme=scheme, hmm=hmm)
+                res = run_episode(scn, plan, cfg, seed=seed)
+                view = abstract(res.trajectory, scheme, scheme.featurizer(scn.graph))
+                assert len(q.calls) == len(view.steps)
+                for (state, cands), step in zip(q.calls, view.steps):
+                    if hmm is None:
+                        assert np.array_equal(state, step.state)
+                    else:
+                        # the hidden-state bits are decoded differently online
+                        assert state.shape == (2 + hmm.n_states,)
+                        assert np.array_equal(state[:2], step.state)
+                    assert len(cands) == len(step.candidates)
+                    for got, want in zip(cands, step.candidates):
+                        assert np.array_equal(got, np.asarray(want))
+                    steps_checked += 1
+        assert steps_checked > 20
+
+    def test_plan_builds_one_featurizer_per_graph(self, monkeypatch):
+        builds = []
+        original = abstraction.TopologyFeaturizer.__init__
+
+        def counting(self, graph, *args, **kwargs):
+            builds.append(graph)
+            original(self, graph, *args, **kwargs)
+
+        monkeypatch.setattr(abstraction.TopologyFeaturizer, "__init__", counting)
+        scns = parity_scenarios()
+        plan = topo_plan(("prune", "prioritize"))
+        run_batch(scns, plan, EpisodeConfig(max_turns=6), trials=4, master_seed=5)
+        run_batch(scns, plan, EpisodeConfig(max_turns=6), trials=2, master_seed=6)
+        assert builds == [scn.graph for scn in scns]
