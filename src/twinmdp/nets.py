@@ -3,6 +3,10 @@
 Everything is float64 numpy: the networks here are tiny (three fully
 connected layers, ReLU hidden activations, scalar output), and explicit
 reverse-mode code keeps training bit-reproducible given a seed.
+
+A network's parameters are one vector, ``Mlp.params``: per layer the weight
+matrix (row-major), then the bias. ``weights`` and ``biases`` are views into
+it, ``backward`` returns a gradient in its layout, and ``Adam`` updates it.
 """
 
 from __future__ import annotations
@@ -16,15 +20,37 @@ class Mlp:
     """input -> hidden -> hidden -> 1 network, ReLU on hidden layers."""
 
     def __init__(self, input_dim: int, hidden_units: int, seed: int = 0):
+        self._bind(input_dim, hidden_units, None)
         rng = np.random.default_rng(seed)
+        for W in self.weights:
+            bound = np.sqrt(6.0 / sum(W.shape))  # Glorot uniform
+            W[...] = rng.uniform(-bound, bound, size=W.shape)
+
+    @classmethod
+    def _from_params(cls, input_dim: int, hidden_units: int, params: np.ndarray) -> "Mlp":
+        net = cls.__new__(cls)
+        net._bind(input_dim, hidden_units, params)
+        return net
+
+    def _bind(self, input_dim: int, hidden_units: int, params: np.ndarray | None) -> None:
+        """Lay the layers out over ``params`` (zeros when None)."""
         dims = [input_dim, hidden_units, hidden_units, 1]
-        self.layer_dims = dims
-        self.weights: list[np.ndarray] = []
-        self.biases: list[np.ndarray] = []
-        for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-            bound = np.sqrt(6.0 / (fan_in + fan_out))
-            self.weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
-            self.biases.append(np.zeros(fan_out))
+        layers = list(zip(dims[:-1], dims[1:]))
+        size = sum((fan_in + 1) * fan_out for fan_in, fan_out in layers)
+        if params is None:
+            params = np.zeros(size)
+        elif params.shape != (size,):
+            raise DimensionMismatch(f"{params.size} parameters, layers {dims} need {size}")
+        self.layer_dims, self.params = dims, params
+        self.weights, self.biases = [], []
+        self._bounds = []  # per layer: weight start, bias start, end
+        start = 0
+        for fan_in, fan_out in layers:
+            mid, end = start + fan_in * fan_out, start + (fan_in + 1) * fan_out
+            self.weights.append(params[start:mid].reshape(fan_in, fan_out))
+            self.biases.append(params[mid:end])
+            self._bounds.append((start, mid, end))
+            start = end
 
     @property
     def input_dim(self) -> int:
@@ -53,101 +79,52 @@ class Mlp:
         out = (h @ self.weights[-1] + self.biases[-1])[:, 0]
         return out, acts
 
-    def backward(self, acts: list[np.ndarray], dout: np.ndarray) -> list[np.ndarray]:
-        """Gradient of sum(dout * output) w.r.t. parameters.
-
-        Returns gradients in flat_params() order.
-        """
-        grads_w = [np.zeros_like(W) for W in self.weights]
-        grads_b = [np.zeros_like(b) for b in self.biases]
-        delta = dout[:, None]  # (N, 1)
-        grads_w[-1] = acts[-1].T @ delta
-        grads_b[-1] = delta.sum(axis=0)
-        upstream = delta @ self.weights[-1].T
-        for layer in range(len(self.weights) - 2, -1, -1):
-            upstream = upstream * (acts[layer + 1] > 0)
-            grads_w[layer] = acts[layer].T @ upstream
-            grads_b[layer] = upstream.sum(axis=0)
+    def backward(self, acts: list[np.ndarray], dout: np.ndarray) -> np.ndarray:
+        """Gradient of sum(dout * output) w.r.t. ``params``, in its layout."""
+        grad = np.empty_like(self.params)
+        upstream = dout[:, None]  # (N, 1)
+        last = len(self.weights) - 1
+        for layer in range(last, -1, -1):
+            (w_lo, b_lo, b_hi), W = self._bounds[layer], self.weights[layer]
+            if layer < last:
+                upstream = upstream * (acts[layer + 1] > 0)
+            np.matmul(acts[layer].T, upstream, out=grad[w_lo:b_lo].reshape(W.shape))
+            np.sum(upstream, axis=0, out=grad[b_lo:b_hi])
             if layer > 0:
-                upstream = upstream @ self.weights[layer].T
-        return self._flatten(grads_w, grads_b)
-
-    # --- parameter vector helpers ------------------------------------------
-
-    def _flatten(self, ws, bs) -> list[np.ndarray]:
-        flat = []
-        for W, b in zip(ws, bs):
-            flat.append(W)
-            flat.append(b)
-        return flat
-
-    def flat_params(self) -> list[np.ndarray]:
-        return self._flatten(self.weights, self.biases)
-
-    def params_vector(self) -> np.ndarray:
-        return np.concatenate([p.ravel() for p in self.flat_params()])
-
-    def set_params_vector(self, vec: np.ndarray) -> None:
-        offset = 0
-        for p in self.flat_params():
-            p[...] = vec[offset : offset + p.size].reshape(p.shape)
-            offset += p.size
-        if offset != vec.size:
-            raise DimensionMismatch("parameter vector size mismatch")
+                upstream = upstream @ W.T
+        return grad
 
     def copy(self) -> "Mlp":
-        clone = Mlp(self.input_dim, self.layer_dims[1], seed=0)
-        clone.weights = [W.copy() for W in self.weights]
-        clone.biases = [b.copy() for b in self.biases]
-        return clone
+        return Mlp._from_params(self.input_dim, self.layer_dims[1], self.params.copy())
 
     def to_json(self) -> dict:
-        return {
-            "layer_dims": list(self.layer_dims),
-            "params": self.params_vector().tolist(),
-        }
+        return {"layer_dims": list(self.layer_dims), "params": self.params.tolist()}
 
     @classmethod
     def from_json(cls, obj: dict) -> "Mlp":
         dims = obj["layer_dims"]
-        net = cls(dims[0], dims[1], seed=0)
-        net.set_params_vector(np.asarray(obj["params"], dtype=float))
-        return net
+        return cls._from_params(dims[0], dims[1], np.array(obj["params"], dtype=float))
 
 
 class Adam:
-    """Adaptive-moment optimizer over a parameter list."""
+    """Adaptive-moment optimizer over one parameter vector, updated in place."""
 
-    def __init__(self, params: list[np.ndarray], step_size: float = 1e-3,
+    def __init__(self, params: np.ndarray, step_size: float = 1e-3,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-        self.params = params
-        self.step_size = step_size
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
-        self.m = [np.zeros_like(p) for p in params]
-        self.v = [np.zeros_like(p) for p in params]
+        self.params, self.step_size = params, step_size
+        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+        self.m = np.zeros_like(params)
+        self.v = np.zeros_like(params)
         self.t = 0
 
-    def step(self, grads: list[np.ndarray]) -> None:
+    def step(self, grad: np.ndarray) -> None:
         self.t += 1
         lr = self.step_size * np.sqrt(1 - self.beta2**self.t) / (1 - self.beta1**self.t)
-        for p, g, m, v in zip(self.params, grads, self.m, self.v):
-            m *= self.beta1
-            m += (1 - self.beta1) * g
-            v *= self.beta2
-            v += (1 - self.beta2) * g * g
-            p -= lr * m / (np.sqrt(v) + self.eps)
-
-
-def grouped_softmax(scores: np.ndarray, group_ids: np.ndarray, n_groups: int) -> np.ndarray:
-    """Softmax applied independently within each group of a flat score array."""
-    gmax = np.full(n_groups, -np.inf)
-    np.maximum.at(gmax, group_ids, scores)
-    expd = np.exp(scores - gmax[group_ids])
-    gsum = np.zeros(n_groups)
-    np.add.at(gsum, group_ids, expd)
-    return expd / gsum[group_ids]
+        self.m *= self.beta1
+        self.m += (1 - self.beta1) * grad
+        self.v *= self.beta2
+        self.v += (1 - self.beta2) * grad * grad
+        self.params -= lr * self.m / (np.sqrt(self.v) + self.eps)
 
 
 def grouped_max(scores: np.ndarray, group_ids: np.ndarray, n_groups: int) -> np.ndarray:
@@ -155,3 +132,10 @@ def grouped_max(scores: np.ndarray, group_ids: np.ndarray, n_groups: int) -> np.
     np.maximum.at(gmax, group_ids, scores)
     return gmax
 
+
+def grouped_softmax(scores: np.ndarray, group_ids: np.ndarray, n_groups: int) -> np.ndarray:
+    """Softmax applied independently within each group of a flat score array."""
+    expd = np.exp(scores - grouped_max(scores, group_ids, n_groups)[group_ids])
+    gsum = np.zeros(n_groups)
+    np.add.at(gsum, group_ids, expd)
+    return expd / gsum[group_ids]

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -66,7 +67,9 @@ class TransitionTable:
     in the order of its recorded candidates (or 0..size-1 under
     FullVocabulary). Index actions are stored as ``cand_ids``, feature
     actions as the rows of ``cand_feats``; ``taken[i]`` is the entry of the
-    action step i took.
+    action step i took. What is derived from these arrays (``cand_step``,
+    ``state_ids``, ``cand_rows``) is computed once per table and is read-only,
+    so every learner and every policy scored on the table shares it.
     """
 
     states: np.ndarray            # (N, S)
@@ -95,10 +98,17 @@ class TransitionTable:
     def candidates(self) -> np.ndarray:
         return self.cand_ids if self.index_actions else self.cand_feats
 
-    @property
+    @cached_property
     def cand_step(self) -> np.ndarray:
         """(M,) the step that owns each candidate entry."""
-        return np.repeat(np.arange(self.n), np.diff(self.cand_offsets))
+        return _read_only(np.repeat(np.arange(self.n), np.diff(self.cand_offsets)))
+
+    @cached_property
+    def state_ids(self) -> tuple[dict, np.ndarray]:
+        """State vectors numbered by first appearance, and each step's number."""
+        index: dict = {}
+        ids = [index.setdefault(tuple(s), len(index)) for s in self.states.tolist()]
+        return index, _read_only(np.array(ids, dtype=int))
 
     @property
     def encoding(self) -> dict:
@@ -111,6 +121,11 @@ class TransitionTable:
         """(M, S + A) network rows [state | encoded candidate], one per entry."""
         return encode_rows(self.states[self.cand_step], self.candidates, encoding)
 
+    @cached_property
+    def cand_rows(self) -> np.ndarray:
+        """The Q-network rows, ``rows(encoding)``."""
+        return _read_only(self.rows(self.encoding))
+
     def gather(self, steps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Candidate entries of ``steps`` in order, and the position in
         ``steps`` each entry belongs to."""
@@ -119,6 +134,11 @@ class TransitionTable:
         group = np.repeat(np.arange(len(steps)), counts)
         first = np.cumsum(counts) - counts
         return np.arange(len(group)) + (starts - first)[group], group
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 def encode_rows(states: np.ndarray, actions: np.ndarray, encoding: dict) -> np.ndarray:
@@ -314,18 +334,9 @@ def cql_train(trajs, cfg: TrainConfig, action_space=CandidateSet(),
     return _cql_network(table, cfg)
 
 
-def _state_ids(table: TransitionTable):
-    index: dict = {}
-    ids = np.empty(table.n, dtype=int)
-    for i in range(table.n):
-        key = tuple(table.states[i].tolist())
-        ids[i] = index.setdefault(key, len(index))
-    return index, ids
-
-
 def _cql_tabular(table: TransitionTable, cfg: TrainConfig) -> TabularQ:
     n_actions = table.n_actions
-    index, sid = _state_ids(table)
+    index, sid = table.state_ids
     aid = table.cand_ids[table.taken]
     cand_flat, cand_group = table.cand_ids, table.cand_step
     cand_sid = sid[cand_group]
@@ -374,10 +385,9 @@ def _cql_tabular(table: TransitionTable, cfg: TrainConfig) -> TabularQ:
 
 def network_setup(table: TransitionTable, cfg: TrainConfig):
     """Candidate rows, a fresh network over them, its optimizer and the batch rng."""
-    rows = table.rows(table.encoding)
-    net = Mlp(rows.shape[1], cfg.hidden_units, seed=cfg.seed)
-    optimizer = Adam(net.flat_params(), step_size=cfg.step_size)
-    return rows, net, optimizer, np.random.default_rng(cfg.seed)
+    net = Mlp(table.cand_rows.shape[1], cfg.hidden_units, seed=cfg.seed)
+    optimizer = Adam(net.params, step_size=cfg.step_size)
+    return table.cand_rows, net, optimizer, np.random.default_rng(cfg.seed)
 
 
 def network_q(table: TransitionTable, net: Mlp, gamma: float) -> NetworkQ:
@@ -403,8 +413,7 @@ def _cql_network(table: TransitionTable, cfg: TrainConfig) -> NetworkQ:
 
         idx, cand_group = table.gather(batch)
         out, acts = net.forward_cached(rows[np.concatenate([table.taken[batch], idx])])
-        q_taken = out[:b]
-        q_cands = out[b:]
+        q_taken, q_cands = out[:b], out[b:]
 
         dout = np.zeros_like(out)
         dout[:b] = 2.0 * (q_taken - targets) / b
@@ -434,7 +443,7 @@ def bc_train(trajs, cfg: TrainConfig, action_space=CandidateSet(),
     if form == "tabular":
         if not table.index_actions:
             raise MissingCandidateSets("tabular BC needs index actions")
-        index, sid = _state_ids(table)
+        index, sid = table.state_ids
         counts = np.zeros((len(index), table.n_actions))
         np.add.at(counts, (sid, table.cand_ids[table.taken]), 1.0)
         with np.errstate(divide="ignore"):

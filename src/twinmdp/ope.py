@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoCandidates
+from .nets import grouped_max
 from .offline_rl import (
     CandidateSet,
     NetworkQ,
@@ -22,7 +23,6 @@ from .offline_rl import (
     TabularQ,
     TrainConfig,
     TransitionTable,
-    _state_ids,
     build_transitions,
     network_q,
     network_setup,
@@ -72,8 +72,7 @@ def _flat_policy_probs(table: TransitionTable, policy: QPolicy) -> np.ndarray:
             sid_pol[i] = len(pq.q) if s is None else s  # extra zero row for unseen
         padded = np.vstack([pq.q, np.zeros((1, pq.n_actions))])
         logits = padded[sid_pol[group], cand] / policy.temperature
-        gmax = np.full(table.n, -np.inf)
-        np.maximum.at(gmax, group, logits)
+        gmax = grouped_max(logits, group, table.n)
         # states where every candidate is -inf (never-taken actions) -> uniform
         degenerate = ~np.isfinite(gmax)
         safe_max = np.where(degenerate, 0.0, gmax)
@@ -92,7 +91,7 @@ def _flat_policy_probs(table: TransitionTable, policy: QPolicy) -> np.ndarray:
 
 def _fqe_tabular(table, policy, cfg, tol, max_sweeps):
     n_actions = table.n_actions
-    index, sid = _state_ids(table)
+    index, sid = table.state_ids
     cell = sid * n_actions + table.cand_ids[table.taken]
     counts = np.bincount(cell, minlength=len(index) * n_actions).astype(float)
     seen = counts > 0

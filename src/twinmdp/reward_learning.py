@@ -142,8 +142,8 @@ def trex_loss(net: Mlp, pair: PreferencePair, trajs, discount: float = 1.0) -> f
 
 
 def trex_grad(net: Mlp, batch: list[PreferencePair], trajs,
-              discount: float = 1.0) -> list[np.ndarray]:
-    """Exact gradient of the mean batch loss w.r.t. net parameters.
+              discount: float = 1.0) -> np.ndarray:
+    """Exact gradient of the mean batch loss w.r.t. ``net.params``.
 
     ``trajs`` is a trajectory list or its packed StepRows.
     """
@@ -215,8 +215,8 @@ def train_reward(pairs, trajs, config: RewardTrainConfig = RewardTrainConfig()) 
     holdout = [pairs[i] for i in order[:n_hold]]
     train = [pairs[i] for i in order[n_hold:]]
 
-    optimizer = Adam(net.flat_params(), step_size=config.step_size)
-    best_vec = net.params_vector()
+    optimizer = Adam(net.params, step_size=config.step_size)
+    best_params = net.params.copy()
     best_acc = pair_accuracy(net, holdout, trajs, config.discount) if holdout else -1.0
 
     for _ in range(config.epochs):
@@ -229,10 +229,10 @@ def train_reward(pairs, trajs, config: RewardTrainConfig = RewardTrainConfig()) 
             acc = pair_accuracy(net, holdout, trajs, config.discount)
             if acc > best_acc:
                 best_acc = acc
-                best_vec = net.params_vector()
+                best_params = net.params.copy()
 
     if holdout:
-        net.set_params_vector(best_vec)
+        net.params[:] = best_params
     return net
 
 

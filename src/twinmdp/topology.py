@@ -9,6 +9,7 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -32,11 +33,20 @@ class TopologyGraph:
             if u not in node_set or v not in node_set:
                 raise MalformedRecord(f"edge ({u}, {v}) references unknown node")
 
+    @cached_property
+    def _adjacency(self) -> tuple[dict, dict]:
+        """Per node, its successors and its sorted undirected neighbours."""
+        successors = {e: [] for e in self.nodes}
+        undirected = {e: set() for e in self.nodes}
+        for u, v in self.edges:
+            successors[u].append(v)
+            undirected[u].add(v)
+            undirected[v].add(u)
+        return successors, {e: sorted(nbrs) for e, nbrs in undirected.items()}
+
     def neighbors(self, e: Entity) -> list[Entity]:
         """Undirected neighborhood, deduplicated and sorted."""
-        out = {v for u, v in self.edges if u == e}
-        out |= {u for u, v in self.edges if v == e}
-        return sorted(out)
+        return list(self._adjacency[1].get(e, ()))
 
 
 def make_graph(nodes, edges) -> TopologyGraph:
@@ -45,25 +55,22 @@ def make_graph(nodes, edges) -> TopologyGraph:
 
 def shortest_distance(g: TopologyGraph, src: Entity, dst: Entity) -> int | None:
     """Directed shortest-path length in edges, or None if unreachable."""
-    if src not in set(g.nodes):
-        raise UnknownEntity(f"{src} not in graph")
-    if dst not in set(g.nodes):
+    dist = all_distances_from(g, src)
+    if dst not in g._adjacency[0]:
         raise UnknownEntity(f"{dst} not in graph")
-    return all_distances_from(g, src).get(dst)
+    return dist.get(dst)
 
 
 def all_distances_from(g: TopologyGraph, src: Entity) -> dict[Entity, int]:
     """BFS distances from src to every reachable node (src included, 0)."""
-    if src not in set(g.nodes):
+    successors = g._adjacency[0]
+    if src not in successors:
         raise UnknownEntity(f"{src} not in graph")
-    adj: dict[Entity, list[Entity]] = {}
-    for u, v in g.edges:
-        adj.setdefault(u, []).append(v)
     dist = {src: 0}
     queue = deque([src])
     while queue:
         u = queue.popleft()
-        for v in adj.get(u, ()):
+        for v in successors[u]:
             if v not in dist:
                 dist[v] = dist[u] + 1
                 queue.append(v)

@@ -116,20 +116,20 @@ def test_c01_preference_loss_and_gradient():
             continue  # kinked point: the loss is not differentiable there
         done += 1
         batch = [PreferencePair(0, 1, 1.0), PreferencePair(2, 3, 1.0)]
-        grads = np.concatenate([g.ravel() for g in trex_grad(net, batch, trajs)])
-        theta = net.params_vector()
+        grads = trex_grad(net, batch, trajs)
+        theta = net.params.copy()
         eps = 1e-5
         fd = np.empty_like(theta)
         for i in range(len(theta)):
             up, down = theta.copy(), theta.copy()
             up[i] += eps
             down[i] -= eps
-            net.set_params_vector(up)
+            net.params[:] = up
             hi = np.mean([trex_loss(net, p, trajs) for p in batch])
-            net.set_params_vector(down)
+            net.params[:] = down
             lo = np.mean([trex_loss(net, p, trajs) for p in batch])
             fd[i] = (hi - lo) / (2 * eps)
-        net.set_params_vector(theta)
+        net.params[:] = theta
         scale = np.maximum.reduce([np.abs(fd), np.abs(grads),
                                    np.full_like(fd, 1e-6)])
         worst_grad_err = max(worst_grad_err, float(np.max(np.abs(grads - fd) / scale)))

@@ -1,0 +1,163 @@
+import json
+
+import numpy as np
+import pytest
+
+from twinmdp import nets
+from twinmdp.errors import DimensionMismatch
+from twinmdp.nets import Adam, Mlp
+from twinmdp.reward_learning import load_reward_net, save_reward_net
+
+
+# --- per-array reference: one weight matrix and one bias array per layer ------------
+
+def reference_forward(weights, biases, x):
+    acts = [x]
+    h = x
+    for W, b in zip(weights[:-1], biases[:-1]):
+        h = np.maximum(h @ W + b, 0.0)
+        acts.append(h)
+    return (h @ weights[-1] + biases[-1])[:, 0], acts
+
+
+def reference_backward(weights, acts, dout):
+    """Gradients as [W0, b0, W1, b1, W2, b2]."""
+    grads_w = [np.zeros_like(W) for W in weights]
+    grads_b = [np.zeros(W.shape[1]) for W in weights]
+    delta = dout[:, None]
+    grads_w[-1] = acts[-1].T @ delta
+    grads_b[-1] = delta.sum(axis=0)
+    upstream = delta @ weights[-1].T
+    for layer in range(len(weights) - 2, -1, -1):
+        upstream = upstream * (acts[layer + 1] > 0)
+        grads_w[layer] = acts[layer].T @ upstream
+        grads_b[layer] = upstream.sum(axis=0)
+        if layer > 0:
+            upstream = upstream @ weights[layer].T
+    return [g for pair in zip(grads_w, grads_b) for g in pair]
+
+
+class ReferenceAdam:
+    def __init__(self, params, step_size, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.params, self.step_size = params, step_size
+        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+        self.m = [np.zeros_like(p) for p in params]
+        self.v = [np.zeros_like(p) for p in params]
+        self.t = 0
+
+    def step(self, grads):
+        self.t += 1
+        lr = self.step_size * np.sqrt(1 - self.beta2**self.t) / (1 - self.beta1**self.t)
+        for p, g, m, v in zip(self.params, grads, self.m, self.v):
+            m *= self.beta1
+            m += (1 - self.beta1) * g
+            v *= self.beta2
+            v += (1 - self.beta2) * g * g
+            p -= lr * m / (np.sqrt(v) + self.eps)
+
+
+def flat(arrays):
+    return np.concatenate([a.ravel() for a in arrays])
+
+
+def per_array(net):
+    return [a.copy() for pair in zip(net.weights, net.biases) for a in pair]
+
+
+def assert_views_of_own_params(net):
+    for a in net.weights + net.biases:
+        assert a.base is net.params
+    assert sum(a.size for a in net.weights + net.biases) == net.params.size
+
+
+# --- the one-vector layout -----------------------------------------------------------
+
+def test_backward_and_adam_equal_the_per_array_update():
+    rng = np.random.default_rng(0)
+    net = Mlp(5, 7, seed=3)
+    ref = per_array(net)
+    opt = Adam(net.params, step_size=1e-2)
+    ref_opt = ReferenceAdam(ref, step_size=1e-2)
+    for _ in range(6):
+        x = rng.normal(size=(int(rng.integers(1, 12)), 5))
+        dout = rng.normal(size=len(x))
+        out, acts = net.forward_cached(x)
+        ref_out, ref_acts = reference_forward(ref[0::2], ref[1::2], x)
+        assert np.array_equal(out, ref_out)
+        grad = net.backward(acts, dout)
+        ref_grads = reference_backward(ref[0::2], ref_acts, dout)
+        assert grad.shape == net.params.shape
+        assert np.array_equal(grad, flat(ref_grads))
+        opt.step(grad)
+        ref_opt.step(ref_grads)
+        assert np.array_equal(net.params, flat(ref))
+    assert opt.m.shape == opt.v.shape == net.params.shape
+
+
+def test_weights_and_biases_are_views_of_params():
+    net = Mlp(4, 6, seed=1)
+    assert_views_of_own_params(net)
+    net.params[:] = np.arange(net.params.size)
+    assert net.weights[0][0, 1] == 1.0
+    assert net.biases[0][0] == 4 * 6
+
+
+def test_to_json_params_are_the_layer_by_layer_concatenation():
+    net = Mlp(3, 5, seed=2)
+    w, b = net.weights, net.biases
+    want = np.concatenate([w[0].ravel(), b[0], w[1].ravel(), b[1], w[2].ravel(), b[2]])
+    assert net.to_json()["params"] == want.tolist()
+    assert net.to_json()["layer_dims"] == [3, 5, 5, 1]
+
+
+@pytest.mark.parametrize("make_clone", [
+    lambda net: net.copy(),
+    lambda net: Mlp.from_json(json.loads(json.dumps(net.to_json()))),
+])
+def test_clones_own_their_params(make_clone):
+    rng = np.random.default_rng(4)
+    net = Mlp(3, 4, seed=5)
+    clone = make_clone(net)
+    assert_views_of_own_params(clone)
+    assert clone.params is not net.params
+    assert np.array_equal(clone.params, net.params)
+    frozen = clone.params.copy()
+    x = rng.normal(size=(6, 3))
+    _, acts = net.forward_cached(x)
+    Adam(net.params, step_size=0.1).step(net.backward(acts, np.ones(6)))
+    assert not np.array_equal(net.params, frozen)
+    assert np.array_equal(clone.params, frozen)  # what a target network relies on
+
+
+def test_copy_and_from_json_draw_no_random_numbers(monkeypatch):
+    net = Mlp(3, 4, seed=5)
+    obj = net.to_json()
+
+    def no_rng(*args, **kwargs):
+        raise AssertionError("drew a random initialisation")
+
+    monkeypatch.setattr(nets.np.random, "default_rng", no_rng)
+    assert np.array_equal(net.copy().params, net.params)
+    assert np.array_equal(Mlp.from_json(obj).params, net.params)
+
+
+# --- wrong-length parameter vectors ---------------------------------------------------
+
+@pytest.mark.parametrize("resize", [lambda p: p[:-3], lambda p: p + [0.0]],
+                         ids=["truncated", "over_long"])
+def test_reward_net_with_wrong_length_params_rejected(tmp_path, resize):
+    path = tmp_path / "reward_net.json"
+    save_reward_net(Mlp(5, 4, seed=0), path)
+    obj = json.loads(path.read_text())
+    obj["params"] = resize(obj["params"])
+    path.write_text(json.dumps(obj))
+    with pytest.raises(DimensionMismatch):
+        load_reward_net(path)
+
+
+def test_grouped_softmax_sums_to_one_per_group():
+    scores = np.array([1.0, 2.0, -1.0, 5.0, 5.0])
+    groups = np.array([0, 0, 1, 2, 2])
+    probs = nets.grouped_softmax(scores, groups, 3)
+    assert np.allclose(np.bincount(groups, weights=probs), 1.0)
+    assert probs[2] == 1.0 and probs[3] == probs[4] == 0.5

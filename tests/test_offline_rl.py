@@ -177,7 +177,7 @@ class TestCqlNetwork:
         cfg = TrainConfig(iterations=200, hidden_units=8, seed=4)
         q1 = cql_train(trajs, cfg, CandidateSet())
         q2 = cql_train(trajs, cfg, CandidateSet())
-        assert np.array_equal(q1.net.params_vector(), q2.net.params_vector())
+        assert np.array_equal(q1.net.params, q2.net.params)
 
 
 class TestBehaviorCloning:

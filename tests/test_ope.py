@@ -228,6 +228,19 @@ class TestRankPolicies:
             assert entry["initial_value"] == alone
             assert fqe(pols[entry["id"]], table, cfg).initial_value == alone
 
+    def test_table_work_is_shared_and_read_only(self):
+        rng = np.random.default_rng(5)
+        table = build_transitions(self.two_action_world(rng, n_episodes=20))
+        cfg = TrainConfig(gamma=0.9, seed=0)
+        fqe(tabular_policy(np.array([[0.9, 0.1]])), table, cfg)
+        index, sid = table.state_ids
+        fqe(tabular_policy(np.array([[0.2, 0.8]])), table, cfg)
+        assert table.state_ids[0] is index and table.state_ids[1] is sid
+        assert table.cand_rows is table.cand_rows
+        for derived in (sid, table.cand_step, table.cand_rows):
+            with pytest.raises(ValueError):
+                derived[0] = 0
+
     def test_k_larger_than_pool(self):
         rng = np.random.default_rng(3)
         trajs = self.two_action_world(rng, n_episodes=50)

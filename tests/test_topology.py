@@ -48,6 +48,30 @@ class TestGraphConstruction:
         assert g2.edges == g.edges
 
 
+class TestNeighbors:
+    def test_matches_an_edge_scan_on_random_graphs(self):
+        rng = np.random.default_rng(3)
+        for _ in range(30):
+            n = int(rng.integers(2, 10))
+            nodes, _, g = random_graph(n, int(rng.integers(0, n * (n - 1) + 1)), rng)
+            for e in nodes:
+                want = sorted({v for u, v in g.edges if u == e}
+                              | {u for u, v in g.edges if v == e})
+                assert g.neighbors(e) == want
+
+    def test_unknown_entity_has_no_neighbors(self):
+        nodes = nodes_named(2)
+        g = make_graph(nodes, [(nodes[0], nodes[1])])
+        assert g.neighbors(Entity(name="zz", etype="Pod")) == []
+
+    def test_returned_list_is_the_callers(self):
+        nodes = nodes_named(3)
+        g = make_graph(nodes, [(nodes[0], nodes[1]), (nodes[2], nodes[0])])
+        g.neighbors(nodes[0]).clear()
+        assert g.neighbors(nodes[0]) == [nodes[1], nodes[2]]
+        assert shortest_distance(g, nodes[2], nodes[1]) == 2
+
+
 class TestShortestDistance:
     def test_distance_to_self_is_zero(self):
         nodes = nodes_named(3)
