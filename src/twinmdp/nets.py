@@ -57,9 +57,10 @@ class Mlp:
         return self.layer_dims[0]
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        """(N, input_dim) -> (N,) scalar outputs."""
+        """(N, input_dim) -> (N,) outputs, or a stack (B, N, input_dim) -> (B, N):
+        one BLAS call per slice, so each equals forward(slice) bit for bit."""
         x = np.asarray(x, dtype=float)
-        if x.ndim != 2 or x.shape[1] != self.input_dim:
+        if x.ndim not in (2, 3) or x.shape[-1] != self.input_dim:
             raise DimensionMismatch(
                 f"expected (*, {self.input_dim}) input, got {x.shape}"
             )
@@ -67,7 +68,7 @@ class Mlp:
         for W, b in zip(self.weights[:-1], self.biases[:-1]):
             h = np.maximum(h @ W + b, 0.0)
         out = h @ self.weights[-1] + self.biases[-1]
-        return out[:, 0]
+        return out[..., 0]
 
     def forward_cached(self, x: np.ndarray):
         """Forward pass keeping pre-activations for backprop."""

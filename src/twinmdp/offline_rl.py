@@ -142,13 +142,22 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 
 def encode_rows(states: np.ndarray, actions: np.ndarray, encoding: dict) -> np.ndarray:
-    """[state | action] rows; index actions become one-hot over encoding["size"]."""
-    if encoding["kind"] == "onehot":
-        acts = np.zeros((len(actions), encoding["size"]))
-        acts[np.arange(len(actions)), actions] = 1.0
-    else:
-        acts = actions
-    return np.hstack([states, acts])
+    """[state | action] rows; ``states`` is (M, S), or one (S,) state for every row."""
+    acts = encode_action(actions, encoding)
+    rows = np.empty((len(acts), states.shape[-1] + acts.shape[1]))
+    rows[:, : states.shape[-1]] = states
+    rows[:, states.shape[-1] :] = acts
+    return rows
+
+
+def encode_action(actions: np.ndarray, encoding: dict) -> np.ndarray:
+    """(M, A) network encodings of M actions: one-hot rows over
+    encoding["size"] for index actions, the feature rows as given otherwise."""
+    if encoding["kind"] != "onehot":
+        return actions
+    acts = np.zeros((len(actions), encoding["size"]))
+    acts[np.arange(len(actions)), actions] = 1.0
+    return acts
 
 
 def build_transitions(trajs: list[AbstractTrajectory],
@@ -244,26 +253,20 @@ class NetworkQ:
             raise DimensionMismatch(
                 f"state dim {state.shape[0]} != expected {self.state_dim}"
             )
-        rows = np.empty((len(candidates), self.net.input_dim))
-        for i, c in enumerate(candidates):
-            rows[i] = np.concatenate([state, encode_action(c, self.action_encoding)])
-        return rows
+        enc = self.action_encoding
+        onehot = enc["kind"] == "onehot"
+        try:
+            actions = np.asarray(candidates, dtype=int if onehot else float)
+        except ValueError as exc:  # candidates of unequal widths
+            raise DimensionMismatch(f"action features: {exc}") from exc
+        if not onehot and actions.shape[1:] != (enc["dim"],):
+            raise DimensionMismatch(
+                f"action features {actions.shape[1:]} != expected ({enc['dim']},)"
+            )
+        return encode_rows(state, actions, enc)
 
     def values(self, state: np.ndarray, candidates) -> np.ndarray:
         return self.net.forward(self.encode(state, candidates))
-
-
-def encode_action(action, encoding: dict) -> np.ndarray:
-    if encoding["kind"] == "onehot":
-        vec = np.zeros(encoding["size"])
-        vec[int(action)] = 1.0
-        return vec
-    feats = np.asarray(action, dtype=float)
-    if feats.shape[0] != encoding["dim"]:
-        raise DimensionMismatch(
-            f"action features ({feats.shape[0]}) != expected ({encoding['dim']})"
-        )
-    return feats
 
 
 # --- softmax policy ----------------------------------------------------------------

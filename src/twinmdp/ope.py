@@ -66,10 +66,9 @@ def _flat_policy_probs(table: TransitionTable, policy: QPolicy) -> np.ndarray:
     cand, group = table.candidates, table.cand_step
     if isinstance(policy.q, TabularQ) and table.index_actions:
         pq = policy.q
-        sid_pol = np.empty(table.n, dtype=int)
-        for i in range(table.n):
-            s = pq.state_id(table.states[i])
-            sid_pol[i] = len(pq.q) if s is None else s  # extra zero row for unseen
+        index, sid = table.state_ids  # each distinct state looked up once
+        unseen = len(pq.q)  # the extra zero row
+        sid_pol = np.array([pq.state_index.get(s, unseen) for s in index], dtype=int)[sid]
         padded = np.vstack([pq.q, np.zeros((1, pq.n_actions))])
         logits = padded[sid_pol[group], cand] / policy.temperature
         gmax = grouped_max(logits, group, table.n)

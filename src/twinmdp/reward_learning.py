@@ -62,30 +62,28 @@ def build_pairs(
     """
     if margin < 0:
         raise MalformedRecord("margin must be >= 0")
-    values = [ranking_score(s, signal) for _, s in trajs]
-    pairs = []
-    n = len(values)
-    for i in range(n):
-        for j in range(i + 1, n):
-            gap = values[j] - values[i]
-            if gap > margin:
-                pairs.append(PreferencePair(lower=i, higher=j, score_gap=gap))
-            elif -gap > margin:
-                pairs.append(PreferencePair(lower=j, higher=i, score_gap=-gap))
-    if len(pairs) > max_pairs:
+    values = np.array([ranking_score(s, signal) for _, s in trajs], dtype=float)
+    i, j = np.triu_indices(len(values), k=1)  # row-major, as a double loop
+    gap = values[j] - values[i]
+    up = gap > margin
+    keep = np.flatnonzero(up | (-gap > margin))
+    if len(keep) > max_pairs:
         rng = np.random.default_rng(seed)
-        keep = np.sort(rng.choice(len(pairs), size=max_pairs, replace=False))
-        pairs = [pairs[k] for k in keep]
-    return pairs
+        keep = keep[np.sort(rng.choice(len(keep), size=max_pairs, replace=False))]
+    lower, higher = np.where(up, i, j)[keep], np.where(up, j, i)[keep]
+    return [PreferencePair(lower=lo, higher=hi, score_gap=g) for lo, hi, g
+            in zip(lower.tolist(), higher.tolist(), np.abs(gap[keep]).tolist())]
 
 
 # --- return prediction ----------------------------------------------------------
 #
 # Training encodes every trajectory once into one packed StepRows table; the
-# gradient and the pair accuracy index those rows. Keep the input matrix of
-# every network call as it is (one forward per trajectory return, one
-# forward_cached over the batch's rows in pair order): BLAS picks its kernel
-# by row count and a row's low bits can change with the batch it sits in.
+# gradient and the pair accuracy index those rows. BLAS picks its kernel by
+# row count, so a row's low bits can change with the matrix it sits in. The
+# rule that keeps training bit-reproducible: trajectories of one length may
+# share one stacked (B, n, d) forward, which runs each slice as its own
+# (n, d) matmul, but never one concatenated 2-D matrix. The gradient keeps
+# one forward_cached over the batch's rows in pair order.
 
 
 def encode_step_rows(traj: AbstractTrajectory) -> np.ndarray:
@@ -114,23 +112,34 @@ class StepRows:
         encoded = [encode_step_rows(t) for t in trajs]
         return cls(np.concatenate(encoded), np.cumsum([0] + [len(r) for r in encoded]))
 
-    def of(self, i: int) -> np.ndarray:
-        return self.rows[self.offsets[i] : self.offsets[i + 1]]
+    def returns(self, net: Mlp, ids, discount: float = 1.0) -> np.ndarray:
+        """Predicted (discounted) return of each trajectory in ``ids``, with
+        one stacked forward per trajectory length."""
+        ids = np.asarray(ids, dtype=int)
+        starts = self.offsets[ids]
+        lengths = self.offsets[ids + 1] - starts
+        out = np.empty(len(ids))
+        for n in np.unique(lengths):
+            sel = np.flatnonzero(lengths == n)
+            steps = np.arange(n)
+            r = net.forward(self.rows[starts[sel, None] + steps])  # (B, n)
+            out[sel] = (r.sum(axis=-1) if discount == 1.0  # else one dot per trajectory
+                        else (r[:, None, :] @ (discount ** steps)[:, None])[:, 0, 0])
+        return out
+
+    def pair_returns(self, net: Mlp, pairs, discount: float) -> tuple[np.ndarray, np.ndarray]:
+        """Pair ends in pair order (lower, then higher), and their (P, 2) returns."""
+        ends = np.array([(p.lower, p.higher) for p in pairs], dtype=int).ravel()
+        ids, inverse = np.unique(ends, return_inverse=True)
+        return ends, self.returns(net, ids, discount)[inverse].reshape(-1, 2)
 
 
 def new_reward_net(input_dim: int, hidden_units: int = 256, seed: int = 0) -> Mlp:
     return Mlp(input_dim, hidden_units, seed=seed)
 
 
-def _discounted_sum(rewards: np.ndarray, discount: float) -> float:
-    if discount == 1.0:
-        return float(rewards.sum())
-    weights = discount ** np.arange(len(rewards))
-    return float(rewards @ weights)
-
-
 def trajectory_return(net: Mlp, traj: AbstractTrajectory, discount: float = 1.0) -> float:
-    return _discounted_sum(net.forward(encode_step_rows(traj)), discount)
+    return float(StepRows.pack([traj]).returns(net, [0], discount)[0])
 
 
 def trex_loss(net: Mlp, pair: PreferencePair, trajs, discount: float = 1.0) -> float:
@@ -150,21 +159,15 @@ def trex_grad(net: Mlp, batch: list[PreferencePair], trajs,
     if not batch:
         raise EmptyPairSet("gradient of an empty batch")
     packed = StepRows.pack(trajs)
-    returns: dict[int, float] = {}
-    idx = []
-    weights = []  # d(mean loss)/d r_hat(row)
-    b = len(batch)
-    for pair in batch:
-        for i in (pair.lower, pair.higher):
-            if i not in returns:
-                returns[i] = _discounted_sum(net.forward(packed.of(i)), discount)
-        sig = 1.0 / (1.0 + np.exp(-(returns[pair.lower] - returns[pair.higher])))
-        for i, coeff in ((pair.lower, sig), (pair.higher, -sig)):
-            lo, hi = packed.offsets[i], packed.offsets[i + 1]
-            idx.append(np.arange(lo, hi))
-            weights.append(coeff * discount ** np.arange(hi - lo) / b)
-    _, acts = net.forward_cached(packed.rows[np.concatenate(idx)])
-    return net.backward(acts, np.concatenate(weights))
+    ends, g = packed.pair_returns(net, batch, discount)
+    sig = 1.0 / (1.0 + np.exp(-(g[:, 0] - g[:, 1])))
+    starts = packed.offsets[ends]
+    lengths = packed.offsets[ends + 1] - starts
+    pos = np.arange(lengths.sum()) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    coeff = np.repeat(np.stack([sig, -sig], axis=1).ravel(), lengths)
+    _, acts = net.forward_cached(packed.rows[np.repeat(starts, lengths) + pos])
+    # d(mean loss)/d r_hat(row)
+    return net.backward(acts, coeff * discount ** pos / len(batch))
 
 
 def pair_accuracy(net: Mlp, pairs, trajs, discount: float = 1.0) -> float:
@@ -174,15 +177,8 @@ def pair_accuracy(net: Mlp, pairs, trajs, discount: float = 1.0) -> float:
     """
     if not pairs:
         raise EmptyPairSet("accuracy of an empty pair set")
-    packed = StepRows.pack(trajs)
-    returns = {}
-    hits = 0
-    for pair in pairs:
-        for idx in (pair.lower, pair.higher):
-            if idx not in returns:
-                returns[idx] = _discounted_sum(net.forward(packed.of(idx)), discount)
-        hits += returns[pair.higher] > returns[pair.lower]
-    return hits / len(pairs)
+    _, g = StepRows.pack(trajs).pair_returns(net, pairs, discount)
+    return int(np.count_nonzero(g[:, 1] > g[:, 0])) / len(pairs)
 
 
 @dataclass(frozen=True)

@@ -81,6 +81,26 @@ def preference_count(scores: list[float], margin: float) -> int:
     return count
 
 
+def preference_pairs_loop(scores: list[float], margin: float, max_pairs: int,
+                          seed: int) -> list[tuple[int, int, float]]:
+    """(lower, higher, gap) of every strict-margin preference, in double-loop
+    order, then the seeded uniform subsample when more than max_pairs exist."""
+    pairs = []
+    n = len(scores)
+    for i in range(n):
+        for j in range(i + 1, n):
+            gap = scores[j] - scores[i]
+            if gap > margin:
+                pairs.append((i, j, gap))
+            elif -gap > margin:
+                pairs.append((j, i, -gap))
+    if len(pairs) > max_pairs:
+        rng = np.random.default_rng(seed)
+        keep = np.sort(rng.choice(len(pairs), size=max_pairs, replace=False))
+        pairs = [pairs[k] for k in keep]
+    return pairs
+
+
 def trex_loss_mp(returns_low: float, returns_high: float) -> float:
     """Extended-precision softmax cross-entropy on a preference pair."""
     with mpmath.workdps(60):

@@ -141,6 +141,33 @@ def test_copy_and_from_json_draw_no_random_numbers(monkeypatch):
     assert np.array_equal(Mlp.from_json(obj).params, net.params)
 
 
+# --- stacked forward ------------------------------------------------------------------
+
+def stack_of_rows(rng, kind, n_stack, n, state_dim=6, n_actions=6):
+    if kind == "features":
+        return rng.normal(size=(n_stack, n, state_dim + 3))
+    rows = np.zeros((n_stack, n, state_dim + n_actions))  # counts | one-hot action
+    rows[..., :state_dim] = rng.integers(0, 3, size=(n_stack, n, state_dim))
+    actions = rng.integers(0, n_actions, size=(n_stack, n))
+    np.put_along_axis(rows, state_dim + actions[..., None], 1.0, axis=-1)
+    return rows
+
+
+@pytest.mark.parametrize("kind", ["features", "onehot"])
+@pytest.mark.parametrize("hidden", [16, 256])
+def test_stacked_forward_equals_per_slice_forward(kind, hidden):
+    rng = np.random.default_rng(hidden)
+    for n in range(1, 21):
+        x = stack_of_rows(rng, kind, 7, n)
+        net = Mlp(x.shape[-1], hidden, seed=n)
+        out = net.forward(x)
+        assert out.shape == (7, n)
+        for k in range(7):
+            assert np.array_equal(out[k], net.forward(x[k].copy()))
+    with pytest.raises(DimensionMismatch):
+        net.forward(x[None])
+
+
 # --- wrong-length parameter vectors ---------------------------------------------------
 
 @pytest.mark.parametrize("resize", [lambda p: p[:-3], lambda p: p + [0.0]],

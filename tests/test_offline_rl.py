@@ -3,10 +3,12 @@ import pytest
 
 from oracles import softmax_mp
 from twinmdp.abstraction import AbstractStep, AbstractTrajectory
-from twinmdp.errors import EmptyData, MalformedRecord
+from twinmdp.errors import DimensionMismatch, EmptyData, MalformedRecord
+from twinmdp.nets import Mlp
 from twinmdp.offline_rl import (
     CandidateSet,
     FullVocabulary,
+    NetworkQ,
     QPolicy,
     TabularQ,
     TrainConfig,
@@ -279,6 +281,22 @@ class TestPolicyProbs:
         policy = self.tabular_policy([0.0, 1.0])
         direct = policy_probs(policy, np.array([0.0]), [0, 1])
         assert np.allclose(direct, policy.probs(np.array([0.0]), [0, 1]))
+
+
+class TestNetworkQEncode:
+    def test_rows_and_width_checks(self):
+        state = np.array([1.0, 2.0, 3.0])
+        feats = NetworkQ(Mlp(5, 4), 3, {"kind": "features", "dim": 2}, gamma=0.9)
+        rows = feats.encode(state, [np.array([4.0, 5.0]), np.array([6.0, 7.0])])
+        assert np.array_equal(rows, [[1, 2, 3, 4, 5], [1, 2, 3, 6, 7]])
+        onehot = NetworkQ(Mlp(6, 4), 3, {"kind": "onehot", "size": 3}, gamma=0.9)
+        assert np.array_equal(onehot.encode(state, [2, 0]),
+                              [[1, 2, 3, 0, 0, 1], [1, 2, 3, 1, 0, 0]])
+        for bad_state, cands in [(np.zeros(2), [np.zeros(2)]),       # state width
+                                 (state, [np.zeros(3)]),              # action width
+                                 (state, [np.zeros(2), np.zeros(3)])]:  # unequal widths
+            with pytest.raises(DimensionMismatch):
+                feats.encode(bad_state, cands)
 
 
 class TestPolicyPersistence:

@@ -5,7 +5,8 @@ from oracles import policy_value_linear
 from twinmdp.abstraction import AbstractStep, AbstractTrajectory
 from twinmdp.errors import NoCandidates
 from twinmdp.offline_rl import QPolicy, TabularQ, TrainConfig, build_transitions
-from twinmdp.ope import fqe, rank_policies
+from twinmdp.nets import grouped_max
+from twinmdp.ope import _flat_policy_probs, fqe, rank_policies
 from twinmdp.trajectories import JudgeScores
 
 
@@ -76,6 +77,25 @@ def log_episodic(P_cont, R, rng, n_episodes, cap=500):
             s = int(outcome)
         trajs.append(make_traj(steps, f"e{i}"))
     return trajs
+
+
+def reference_flat_policy_probs(table, policy):
+    """pi(a|s) per candidate entry, looking every step's state up on its own."""
+    cand, group, pq = table.candidates, table.cand_step, policy.q
+    sid_pol = np.empty(table.n, dtype=int)
+    for i in range(table.n):
+        s = pq.state_id(table.states[i])
+        sid_pol[i] = len(pq.q) if s is None else s
+    padded = np.vstack([pq.q, np.zeros((1, pq.n_actions))])
+    logits = padded[sid_pol[group], cand] / policy.temperature
+    gmax = grouped_max(logits, group, table.n)
+    degenerate = ~np.isfinite(gmax)
+    safe_max = np.where(degenerate, 0.0, gmax)
+    expd = np.where(np.isfinite(logits), np.exp(logits - safe_max[group]), 0.0)
+    expd[degenerate[group]] = 1.0
+    gsum = np.zeros(table.n)
+    np.add.at(gsum, group, expd)
+    return expd / gsum[group]
 
 
 class TestFqe:
@@ -240,6 +260,16 @@ class TestRankPolicies:
         for derived in (sid, table.cand_step, table.cand_rows):
             with pytest.raises(ValueError):
                 derived[0] = 0
+
+    def test_tabular_probs_equal_the_per_step_lookup(self):
+        rng = np.random.default_rng(6)
+        table = build_transitions(log_episodes(*random_mdp(rng, 4, 3), rng, 30, 5))
+        pi = rng.dirichlet(np.ones(3), size=3)  # no row for state 3: unseen
+        pi[1, 2] = 0.0  # a -inf logit
+        policy = tabular_policy(pi, temperature=0.7)
+        assert 3.0 in table.states[:, 0]
+        assert np.array_equal(_flat_policy_probs(table, policy),
+                              reference_flat_policy_probs(table, policy))
 
     def test_k_larger_than_pool(self):
         rng = np.random.default_rng(3)

@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from oracles import preference_count, trex_loss_mp
+from oracles import preference_count, preference_pairs_loop, trex_loss_mp
+from twinmdp import reward_learning
 from twinmdp.abstraction import AbstractStep, AbstractTrajectory
 from twinmdp.errors import EmptyPairSet, MalformedRecord
 from twinmdp.reward_learning import (
     PreferencePair,
     RewardTrainConfig,
+    StepRows,
     build_pairs,
     encode_step_rows,
     new_reward_net,
@@ -65,6 +67,19 @@ class TestBuildPairs:
         pairs = build_pairs(trajs, signal="fpc_only", margin=5.0,
                             max_pairs=10**9)
         assert len(pairs) == preference_count(scores, 5.0)
+
+    @pytest.mark.parametrize("margin, max_pairs", [(5.0, 10**9), (0.0, 10**9), (5.0, 300)],
+                             ids=["all", "margin_zero_with_ties", "subsampled"])
+    def test_equals_double_loop_oracle(self, margin, max_pairs):
+        rng = np.random.default_rng(4)
+        scores = np.round(rng.uniform(0, 100, size=60), 0).tolist()  # with ties
+        trajs = [scored(feature_trajectory(rng, n_steps=1), s) for s in scores]
+        pairs = build_pairs(trajs, signal="fpc_only", margin=margin,
+                            max_pairs=max_pairs, seed=9)
+        want = preference_pairs_loop(scores, margin, max_pairs, seed=9)
+        assert [(p.lower, p.higher, p.score_gap) for p in pairs] == want
+        assert all(type(p.score_gap) is float for p in pairs)
+        assert len(pairs) == min(max_pairs, preference_count(scores, margin))
 
     def test_subsample_is_seeded_and_bounded(self):
         rng = np.random.default_rng(2)
@@ -195,6 +210,94 @@ class TestTrexGrad:
         single = trex_grad(net, batch, trajs)
         doubled = trex_grad(net, batch + batch, trajs)
         assert np.allclose(single, doubled, atol=1e-12)
+
+
+# --- per-trajectory reference: one forward per trajectory return -------------------
+#
+# The stacked returns must equal these bit for bit, so every comparison below
+# is exact (==, np.array_equal), never a tolerance.
+
+def reference_return(net, rows, discount):
+    rewards = net.forward(rows)
+    if discount == 1.0:
+        return float(rewards.sum())
+    return float(rewards @ discount ** np.arange(len(rewards)))
+
+
+def reference_returns(net, pairs, packed, discount):
+    returns = {}
+    for pair in pairs:
+        for i in (pair.lower, pair.higher):
+            if i not in returns:
+                lo, hi = packed.offsets[i], packed.offsets[i + 1]
+                returns[i] = reference_return(net, packed.rows[lo:hi], discount)
+    return returns
+
+
+def reference_trex_grad(net, batch, packed, discount=1.0):
+    returns = reference_returns(net, batch, packed, discount)
+    idx, weights = [], []
+    for pair in batch:
+        sig = 1.0 / (1.0 + np.exp(-(returns[pair.lower] - returns[pair.higher])))
+        for i, coeff in ((pair.lower, sig), (pair.higher, -sig)):
+            lo, hi = packed.offsets[i], packed.offsets[i + 1]
+            idx.append(np.arange(lo, hi))
+            weights.append(coeff * discount ** np.arange(hi - lo) / len(batch))
+    _, acts = net.forward_cached(packed.rows[np.concatenate(idx)])
+    return net.backward(acts, np.concatenate(weights))
+
+
+def reference_pair_accuracy(net, pairs, packed, discount=1.0):
+    returns = reference_returns(net, pairs, packed, discount)
+    hits = sum(returns[p.higher] > returns[p.lower] for p in pairs)
+    return hits / len(pairs)
+
+
+def mixed_length_corpus(rng, n_trajs, max_steps=20):
+    """Feature trajectories of lengths 1..max_steps, every length present."""
+    lengths = np.concatenate([np.arange(1, max_steps + 1),
+                              rng.integers(1, max_steps + 1, size=n_trajs - max_steps)])
+    trajs = [feature_trajectory(rng, n_steps=int(n), traj_id=f"t{i}")
+             for i, n in enumerate(rng.permutation(lengths))]
+    pairs = build_pairs([scored(t, float(s)) for t, s in
+                         zip(trajs, rng.uniform(0, 100, size=n_trajs))],
+                        signal="fpc_only", margin=5.0)
+    return trajs, pairs
+
+
+@pytest.mark.parametrize("discount", [1.0, 0.9])
+class TestStackedReturnsAreBitIdentical:
+    def test_returns(self, discount):
+        rng = np.random.default_rng(0)
+        trajs, _ = mixed_length_corpus(rng, 60)
+        packed = StepRows.pack(trajs)
+        for hidden in (16, 256):
+            net = new_reward_net(packed.rows.shape[1], hidden, seed=1)
+            want = [reference_return(net, encode_step_rows(t), discount) for t in trajs]
+            assert packed.returns(net, np.arange(len(trajs)), discount).tolist() == want
+            assert [trajectory_return(net, t, discount) for t in trajs] == want
+
+    def test_trex_grad_and_pair_accuracy(self, discount):
+        rng = np.random.default_rng(1)
+        trajs, pairs = mixed_length_corpus(rng, 50)
+        packed = StepRows.pack(trajs)
+        net = new_reward_net(packed.rows.shape[1], 16, seed=2)
+        for start in range(0, 320, 32):
+            batch = pairs[start:start + 32] + pairs[start:start + 3]  # repeats too
+            assert np.array_equal(trex_grad(net, batch, packed, discount),
+                                  reference_trex_grad(net, batch, packed, discount))
+        assert (pair_accuracy(net, pairs, packed, discount)
+                == reference_pair_accuracy(net, pairs, packed, discount))
+
+    def test_train_reward_params(self, discount, monkeypatch):
+        rng = np.random.default_rng(2)
+        trajs, pairs = mixed_length_corpus(rng, 40)
+        cfg = RewardTrainConfig(hidden_units=16, epochs=3, batch_size=16, seed=3,
+                                discount=discount)
+        got = train_reward(pairs, trajs, cfg).params
+        monkeypatch.setattr(reward_learning, "trex_grad", reference_trex_grad)
+        monkeypatch.setattr(reward_learning, "pair_accuracy", reference_pair_accuracy)
+        assert np.array_equal(got, train_reward(pairs, trajs, cfg).params)
 
 
 def _min_preactivation(net, rows):
