@@ -35,7 +35,7 @@ from .errors import (
 )
 from .hmm import Hmm, viterbi_decode
 from .topology import DistanceIndex, TopologyGraph, hubs_scores
-from .trajectories import Entity, JudgeScores, RawTrajectory
+from .trajectories import Entity, JudgeScores, RawTrajectory, atomic_open
 
 ASSESSMENT_CODE = {"primary": 2.0, "cascading": 1.0, "normal": 0.0}
 
@@ -165,15 +165,16 @@ class TopologyFeaturizer:
         return float(d) if d is not None else self.sentinel
 
     def _min_dist_to_label(self, src: Entity, assessments, label: str) -> float:
-        dists = []
+        row = self.dist.row(src)
+        best = None
         for e, lab in assessments.items():
-            if lab != label:
-                continue
-            self._check(e)
-            d = self.dist.distance(src, e)
-            if d is not None:
-                dists.append(d)
-        return float(min(dists)) if dists else self.sentinel
+            if lab == label:
+                if e not in self._nodes:
+                    raise EntityNotInGraph(f"{e} not in graph")
+                d = row.get(e)
+                if d is not None and (best is None or d < best):
+                    best = d
+        return self.sentinel if best is None else float(best)
 
     def action_features(self, target: Entity, previous: Entity | None,
                         symptom: Entity, assessments) -> np.ndarray:
@@ -361,7 +362,7 @@ def abstract_from_json(obj) -> AbstractTrajectory:
 
 def save_abstract_corpus(trajs, path: str | Path) -> None:
     try:
-        with Path(path).open("w") as fh:
+        with atomic_open(path) as fh:
             for traj in trajs:
                 fh.write(json.dumps(abstract_to_json(traj), sort_keys=True))
                 fh.write("\n")

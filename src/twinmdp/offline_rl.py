@@ -39,6 +39,7 @@ from .errors import (
     MissingCandidateSets,
 )
 from .nets import Adam, Mlp, grouped_max, grouped_softmax
+from .trajectories import atomic_write_text
 
 POLICY_FORMAT_VERSION = 1
 
@@ -489,7 +490,7 @@ def save_policy(policy: QPolicy, path: str | Path, metadata: dict | None = None)
         obj["action_encoding"] = q.action_encoding
         obj["net"] = q.net.to_json()
     try:
-        Path(path).write_text(json.dumps(obj, sort_keys=True) + "\n")
+        atomic_write_text(path, json.dumps(obj, sort_keys=True) + "\n")
     except OSError as exc:
         raise IoFailure(f"cannot write policy {path}: {exc}") from exc
 

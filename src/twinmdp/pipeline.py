@@ -69,7 +69,7 @@ from .stats import (
     ranks_from_scores,
     render_cd_diagram,
 )
-from .trajectories import load_corpus, save_corpus
+from .trajectories import atomic_open, atomic_write_text, load_corpus, save_corpus
 
 STAGES = (
     "collect",
@@ -415,9 +415,8 @@ def _write_manifest(out: Path, stage: str, cfg: PipelineConfig, seed: int,
         "inputs": {p.name: file_sha256(p) for p in sorted(inputs)},
         "outputs": {p.name: file_sha256(p) for p in sorted(outputs)},
     }
-    (out / f"{stage}.manifest.json").write_text(
-        json.dumps(manifest, sort_keys=True, indent=2) + "\n"
-    )
+    atomic_write_text(out / f"{stage}.manifest.json",
+                      json.dumps(manifest, sort_keys=True, indent=2) + "\n")
     return manifest
 
 
@@ -486,7 +485,7 @@ def stage_abstract(cfg: PipelineConfig, out: Path) -> dict:
         sequences = [hmm_observations(t) for t in abstracted]
         hmm_model, chosen_states = _fit_or_select_hmm(cfg, sequences, seed)
         abstracted = [augment_with_hmm(t, hmm_model) for t in abstracted]
-        (out / F_HMM).write_text(json.dumps({
+        atomic_write_text(out / F_HMM, json.dumps({
             "n_states": chosen_states,
             "initial": hmm_model.initial.tolist(),
             "transition": hmm_model.transition.tolist(),
@@ -496,7 +495,7 @@ def stage_abstract(cfg: PipelineConfig, out: Path) -> dict:
         outputs.append(out / F_HMM)
 
     save_abstract_corpus(abstracted, out / F_ABSTRACT)
-    (out / F_SCHEME).write_text(json.dumps({
+    atomic_write_text(out / F_SCHEME, json.dumps({
         "kind": cfg.scheme_kind,
         "with_hubs": cfg.with_hubs,
         "with_hmm": cfg.with_hmm,
@@ -695,8 +694,8 @@ def stage_rank(cfg: PipelineConfig, out: Path) -> dict:
         "k": cfg.ope_k,
         "ranking": ranking,
     }
-    (out / F_RANKING).write_text(json.dumps(report, sort_keys=True, indent=2) + "\n")
-    with (out / F_RANKING_CSV).open("w", newline="") as fh:
+    atomic_write_text(out / F_RANKING, json.dumps(report, sort_keys=True, indent=2) + "\n")
+    with atomic_open(out / F_RANKING_CSV, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["rank", "id", "scheme", "reward_mode", "learner",
                          "initial_value"])
@@ -741,7 +740,7 @@ def stage_simulate(cfg: PipelineConfig, out: Path) -> dict:
 
     trajectories = [row["result"].trajectory for row in all_rows]
     save_corpus(trajectories, out / F_COMPARE_CORPUS)
-    with (out / F_RESULTS).open("w", newline="") as fh:
+    with atomic_open(out / F_RESULTS, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["scenario_id", "method_id", "trial", "rce_identification",
                          "fpc_accuracy", "turns_used", "entities_explored"])
@@ -824,7 +823,7 @@ def stage_evaluate(cfg: PipelineConfig, out: Path) -> dict:
     score_matrix = np.stack([per_scenario_recall[m] for m in methods])
     ranks = ranks_from_scores(score_matrix, higher_better=True)
     nemenyi = nemenyi_cd(ranks, methods, alpha=0.05 if cfg.eval_alpha <= 0.05 else 0.10)
-    (out / F_CD).write_text(render_cd_diagram(nemenyi) + "\n")
+    atomic_write_text(out / F_CD, render_cd_diagram(nemenyi) + "\n")
 
     report = {
         "alpha": cfg.eval_alpha,
@@ -855,9 +854,9 @@ def stage_evaluate(cfg: PipelineConfig, out: Path) -> dict:
                 }
             )
         report["methods"][m] = entry
-    (out / F_REPORT).write_text(json.dumps(report, sort_keys=True, indent=2) + "\n")
+    atomic_write_text(out / F_REPORT, json.dumps(report, sort_keys=True, indent=2) + "\n")
 
-    with (out / F_SUMMARY_CSV).open("w", newline="") as fh:
+    with atomic_open(out / F_SUMMARY_CSV, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([
             "method", "pass3_recall_mean", "pass3_recall_std", "pass3_f1_mean",
@@ -931,9 +930,8 @@ def robustness_sweep(cfg: PipelineConfig, out: Path,
         "initial_values": values,
         "range": {m: float(max(v) - min(v)) for m, v in values.items()},
     }
-    (out / "robustness.json").write_text(
-        json.dumps(report, sort_keys=True, indent=2) + "\n"
-    )
+    atomic_write_text(out / "robustness.json",
+                      json.dumps(report, sort_keys=True, indent=2) + "\n")
     return report
 
 
@@ -995,5 +993,5 @@ def stage_reproduce(cfg: PipelineConfig, out: Path) -> dict:
             name: manifest["outputs"] for name, manifest in manifests.items()
         },
     }
-    (out / F_SUMMARY).write_text(json.dumps(summary, sort_keys=True, indent=2) + "\n")
+    atomic_write_text(out / F_SUMMARY, json.dumps(summary, sort_keys=True, indent=2) + "\n")
     return summary

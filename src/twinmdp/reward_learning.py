@@ -18,7 +18,7 @@ from .abstraction import AbstractTrajectory
 from .errors import DimensionMismatch, EmptyPairSet, IoFailure, MalformedRecord
 from .nets import Adam, Mlp
 from .offline_rl import encode_rows
-from .trajectories import JudgeScores
+from .trajectories import JudgeScores, atomic_write_text
 
 RANKING_SIGNALS = ("fpc_only", "mean_fpc_rce")
 
@@ -291,7 +291,7 @@ def relabel(
 def save_reward_net(net: Mlp, path: str | Path) -> None:
     obj = {"format_version": FORMAT_VERSION, **net.to_json()}
     try:
-        Path(path).write_text(json.dumps(obj, sort_keys=True) + "\n")
+        atomic_write_text(path, json.dumps(obj, sort_keys=True) + "\n")
     except OSError as exc:
         raise IoFailure(f"cannot write reward net {path}: {exc}") from exc
 

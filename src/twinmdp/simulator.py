@@ -26,7 +26,7 @@ from .errors import InfeasibleConfig, IoFailure
 from .hmm import Hmm, viterbi_decode
 from .offline_rl import QPolicy
 from .topology import TopologyGraph, graph_from_json, graph_to_json, make_graph
-from .trajectories import Entity, JudgeScores, RawStep, RawTrajectory
+from .trajectories import Entity, JudgeScores, RawStep, RawTrajectory, atomic_open
 
 NODE_TYPES = ("Pod", "Service", "Deployment", "Node", "ConfigMap")
 
@@ -251,6 +251,11 @@ def run_episode(
     """
     rng = np.random.default_rng(seed)
     runtime = _SchemeRuntime(ce, scn) if ce is not None else None
+    selection_cfg = prune_cfg = None
+    if ce is not None:  # pruning acts on queue pushes, not picks
+        kept = tuple(s for s in ce.config.strategies if s != "prune")
+        selection_cfg = replace(ce.config, strategies=kept) if kept else None
+        prune_cfg = replace(ce.config, strategies=("prune",))
 
     chain_set = set(scn.chain)
     explored: set[Entity] = set()
@@ -279,7 +284,6 @@ def run_episode(
                 c: runtime.candidate_repr(c, previous, assessments)
                 for c in candidates
             }
-            selection_cfg = _selection_config(ce.config)
             if selection_cfg is not None:
                 selection_iv = intervene(
                     ce.policy, state_vec, [(c, repr_of[c]) for c in candidates],
@@ -315,8 +319,7 @@ def run_episode(
             push_reprs = [
                 (c, runtime.candidate_repr(c, chosen, assessments)) for c in push
             ]
-            push_iv = intervene(ce.policy, push_state, push_reprs,
-                                _prune_only_config(ce.config))
+            push_iv = intervene(ce.policy, push_state, push_reprs, prune_cfg)
             pruned = [e for e in push if e not in push_iv.retained]
             push = [e for e in push if e in push_iv.retained]
         queue.extend(push)
@@ -386,16 +389,6 @@ def run_episode(
         scores=scores,
         audit=audit,
     )
-
-
-def _selection_config(cfg: CeConfig) -> CeConfig | None:
-    """Pruning acts on queue pushes, not picks; drop it at selection time."""
-    kept = tuple(s for s in cfg.strategies if s != "prune")
-    return replace(cfg, strategies=kept) if kept else None
-
-
-def _prune_only_config(cfg: CeConfig) -> CeConfig:
-    return replace(cfg, strategies=("prune",))
 
 
 def _fallback_entity(steps, assessments, scn: SimScenario) -> Entity:
@@ -511,7 +504,7 @@ def scenario_from_json(obj) -> SimScenario:
 
 def save_scenarios(scenarios, path: str | Path) -> None:
     try:
-        with Path(path).open("w") as fh:
+        with atomic_open(path) as fh:
             for scn in scenarios:
                 fh.write(json.dumps(scenario_to_json(scn), sort_keys=True))
                 fh.write("\n")

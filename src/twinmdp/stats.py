@@ -52,31 +52,29 @@ def pass_at_3_bootstrap(trials_by_scenario: dict[str, list[TrialRecord]],
     Each replicate samples 3 trials with replacement per scenario; a scenario
     counts the max over its sample. Means and standard deviations are over
     the replicates. Deterministic given seed.
+
+    All draws come from one ``rng.integers`` call of shape (n_boot, scenarios,
+    3), the stream of one ``integers(n, size=3)`` call per replicate and sorted
+    scenario. Each replicate sums its scenario maxima in that order with
+    ``np.cumsum``, never ``.sum``, whose pairwise summation moves low bits, so
+    the result equals that loop's bit for bit (``tests/oracles.py``).
     """
     if not trials_by_scenario:
         raise TooFewTrials("no scenarios")
     scenarios = sorted(trials_by_scenario)
-    success = []
-    f1 = []
-    for scn in scenarios:
-        trials = trials_by_scenario[scn]
-        if len(trials) < 3:
-            raise TooFewTrials(f"scenario {scn} has {len(trials)} trials; need >= 3")
-        success.append(np.asarray([t.success for t in trials], dtype=float))
-        f1.append(np.asarray([t.f1 for t in trials], dtype=float))
+    counts = np.asarray([len(trials_by_scenario[scn]) for scn in scenarios])
+    for scn, n in zip(scenarios, counts):
+        if n < 3:
+            raise TooFewTrials(f"scenario {scn} has {n} trials; need >= 3")
+    trials = [t for scn in scenarios for t in trials_by_scenario[scn]]
+    success = np.asarray([t.success for t in trials], dtype=float)
+    f1 = np.asarray([t.f1 for t in trials], dtype=float)
 
     rng = np.random.default_rng(seed)
-    recall_reps = np.empty(n_boot)
-    f1_reps = np.empty(n_boot)
-    for b in range(n_boot):
-        rec_acc = 0.0
-        f1_acc = 0.0
-        for s, f in zip(success, f1):
-            idx = rng.integers(len(s), size=3)
-            rec_acc += s[idx].max()
-            f1_acc += f[idx].max()
-        recall_reps[b] = rec_acc / len(scenarios)
-        f1_reps[b] = f1_acc / len(scenarios)
+    idx = rng.integers(counts[:, None], size=(n_boot, len(scenarios), 3))
+    idx += (np.cumsum(counts) - counts)[:, None]  # offsets into the flat arrays
+    recall_reps = np.cumsum(success[idx].max(axis=2), axis=1)[:, -1] / len(scenarios)
+    f1_reps = np.cumsum(f1[idx].max(axis=2), axis=1)[:, -1] / len(scenarios)
     return PassAt3Result(
         recall_mean=float(recall_reps.mean()),
         recall_std=float(recall_reps.std()),

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import EmptyGraphNoEdges, IoFailure, MalformedRecord, UnknownEntity
-from .trajectories import Entity, entity_from_json, entity_to_json
+from .trajectories import Entity, atomic_write_text, entity_from_json, entity_to_json
 
 
 @dataclass(frozen=True)
@@ -84,11 +84,15 @@ class DistanceIndex:
         self.graph = g
         self._table = {u: all_distances_from(g, u) for u in g.nodes}
 
-    def distance(self, src: Entity, dst: Entity) -> int | None:
+    def row(self, src: Entity) -> dict[Entity, int]:
+        """Distances from src to every node it reaches (src included, 0)."""
         try:
-            row = self._table[src]
+            return self._table[src]
         except KeyError:
             raise UnknownEntity(f"{src} not in graph") from None
+
+    def distance(self, src: Entity, dst: Entity) -> int | None:
+        row = self.row(src)
         if dst not in self._table:
             raise UnknownEntity(f"{dst} not in graph")
         return row.get(dst)
@@ -137,7 +141,7 @@ def hubs_scores(
 
 def save_graph(g: TopologyGraph, path: str | Path) -> None:
     try:
-        Path(path).write_text(json.dumps(graph_to_json(g), sort_keys=True) + "\n")
+        atomic_write_text(path, json.dumps(graph_to_json(g), sort_keys=True) + "\n")
     except OSError as exc:
         raise IoFailure(f"cannot write graph {path}: {exc}") from exc
 

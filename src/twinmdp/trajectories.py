@@ -8,7 +8,9 @@ error carrying the offending line number.
 from __future__ import annotations
 
 import json
+import os
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -27,12 +29,22 @@ LABELS = ("primary", "cascading", "normal")
 class Entity:
     """A typed node of the system under diagnosis, e.g. ("frontend", "Pod")."""
 
+    __slots__ = ("name", "etype", "_hash")  # no per-instance dict: corpora hold many
     name: str
     etype: str
 
     def __post_init__(self):
         if not self.name or not self.etype:
             raise MalformedRecord("entity name and etype must be non-empty strings")
+        # the generated hash's value, computed once: sets and dicts keep their order
+        object.__setattr__(self, "_hash", hash((self.name, self.etype)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        # rebuild rather than carry the hash: string hashes differ between processes
+        return (Entity, (self.name, self.etype))
 
 
 @dataclass(frozen=True)
@@ -228,6 +240,28 @@ def trajectory_from_json(obj) -> RawTrajectory:
 
 # --- corpus I/O ---------------------------------------------------------------
 
+@contextmanager
+def atomic_open(path: str | Path, newline: str | None = None):
+    """Open ``path`` for writing through a temp file in its directory.
+
+    ``os.replace`` puts it in place once the block completes, so no reader sees
+    a partial file; if the block raises, the previous file stays as it was.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with tmp.open("w", newline=newline) as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+def atomic_write_text(path: str | Path, text: str) -> None:
+    with atomic_open(path) as fh:
+        fh.write(text)
+
+
 def load_corpus(path: str | Path) -> list[RawTrajectory]:
     """Load and validate a line-delimited trajectory corpus.
 
@@ -266,9 +300,8 @@ def load_corpus(path: str | Path) -> list[RawTrajectory]:
 
 def save_corpus(trajs, path: str | Path) -> None:
     """Write trajectories as line-delimited JSON; load_corpus inverts it."""
-    path = Path(path)
     try:
-        with path.open("w") as fh:
+        with atomic_open(path) as fh:
             for traj in trajs:
                 fh.write(json.dumps(trajectory_to_json(traj), sort_keys=True))
                 fh.write("\n")

@@ -169,3 +169,45 @@ def set_f1(predicted: set, truth: set) -> float:
     if prec + rec == 0:
         return 0.0
     return 2 * prec * rec / (prec + rec)
+
+
+def pass_at_3_bootstrap_loop(trials_by_scenario, n_boot: int, seed: int):
+    """The per-replicate, per-scenario bootstrap loop: three indices drawn
+    with one ``integers(n, size=3)`` call per scenario, maxima accumulated in
+    sorted-scenario order. Returns (recall_mean, recall_std, f1_mean, f1_std)."""
+    scenarios = sorted(trials_by_scenario)
+    success = [np.asarray([t.success for t in trials_by_scenario[s]], dtype=float)
+               for s in scenarios]
+    f1 = [np.asarray([t.f1 for t in trials_by_scenario[s]], dtype=float)
+          for s in scenarios]
+    rng = np.random.default_rng(seed)
+    recall_reps = np.empty(n_boot)
+    f1_reps = np.empty(n_boot)
+    for b in range(n_boot):
+        rec_acc = 0.0
+        f1_acc = 0.0
+        for s, f in zip(success, f1):
+            idx = rng.integers(len(s), size=3)
+            rec_acc += s[idx].max()
+            f1_acc += f[idx].max()
+        recall_reps[b] = rec_acc / len(scenarios)
+        f1_reps[b] = f1_acc / len(scenarios)
+    return (float(recall_reps.mean()), float(recall_reps.std()),
+            float(f1_reps.mean()), float(f1_reps.std()))
+
+
+def min_dist_to_label_loop(dist: np.ndarray, index: dict, src, assessments,
+                           label: str, sentinel: float):
+    """Smallest directed distance from src to an entity with this label, from
+    a dense distance matrix (inf when unreachable); the sentinel when none is
+    reachable. None when a matching entity is missing from ``index``."""
+    dists = []
+    for e, lab in assessments.items():
+        if lab != label:
+            continue
+        if e not in index:
+            return None
+        d = dist[index[src], index[e]]
+        if np.isfinite(d):
+            dists.append(d)
+    return float(min(dists)) if dists else sentinel

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from oracles import floyd_warshall, min_dist_to_label_loop
 from twinmdp.abstraction import (
     SchemeSpec,
     TopologyFeaturizer,
@@ -161,6 +162,36 @@ class TestTopologyScheme:
                              scores=JudgeScores(0.0, 0.0))
         with pytest.raises(EntityNotInGraph):
             abstract(traj, TOPOLOGY, TOPOLOGY.featurizer(graph))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_min_dist_to_label_equals_the_dense_loop(self, seed):
+        # sparse random digraphs leave many targets unreachable; a stranger
+        # outside the graph is rejected only when its label is the one asked
+        rng = np.random.default_rng(seed)
+        n = 9
+        nodes = [Entity(name=f"n{i}", etype="Pod") for i in range(n)]
+        pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+        edges_idx = [pairs[k] for k in rng.choice(len(pairs), size=10, replace=False)]
+        graph = make_graph(nodes, [(nodes[i], nodes[j]) for i, j in edges_idx])
+        dist = floyd_warshall(n, edges_idx)
+        index = {e: i for i, e in enumerate(nodes)}
+        feat = TopologyFeaturizer(graph, sentinel=11.0)
+        stranger = Entity(name="zz", etype="Pod")
+        labels = ("primary", "cascading", "normal")
+        for trial in range(30):
+            picked = rng.permutation(n)[: int(rng.integers(0, n + 1))]
+            assessments = {nodes[i]: labels[int(rng.integers(3))] for i in picked}
+            if trial % 3 == 0:
+                assessments[stranger] = labels[int(rng.integers(3))]
+            for src in nodes:
+                for label in labels[:2]:
+                    want = min_dist_to_label_loop(dist, index, src, assessments,
+                                                  label, feat.sentinel)
+                    if want is None:
+                        with pytest.raises(EntityNotInGraph):
+                            feat._min_dist_to_label(src, assessments, label)
+                    else:
+                        assert feat._min_dist_to_label(src, assessments, label) == want
 
     def test_featurizer_needs_the_graph(self):
         nodes, _ = chain_graph()

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.stats import studentized_range
 
-from oracles import t_sf_mp
+from oracles import pass_at_3_bootstrap_loop, t_sf_mp
 from twinmdp.errors import BadRanks, LengthMismatch, TooFewTrials, UnsupportedK
 from twinmdp.stats import (
     NEMENYI_Q,
@@ -59,6 +59,32 @@ class TestPassAt3:
         r_base = pass_at_3_bootstrap({"a": trials(base)}, n_boot=300, seed=9)
         r_better = pass_at_3_bootstrap({"a": trials(better)}, n_boot=300, seed=9)
         assert r_better.recall_mean >= r_base.recall_mean
+
+
+    @pytest.mark.parametrize("n_scenarios,n_boot", [(1, 1), (1, 200), (30, 1), (30, 200)])
+    @pytest.mark.parametrize("seed", [0, 7, 2**62 + 11])
+    def test_equals_the_loop_oracle(self, n_scenarios, n_boot, seed):
+        # unequal trial counts (3 to 20) and F1 values with full mantissas, so
+        # any change in draw order or summation order shows in the low bits
+        rng = np.random.default_rng(seed % 1000 + n_scenarios)
+        table = {}
+        for s in range(n_scenarios):
+            n = int(rng.integers(3, 21))
+            table[f"scn-{s:02d}"] = trials(rng.integers(0, 2, n).tolist(),
+                                           rng.random(n).tolist())
+        res = pass_at_3_bootstrap(table, n_boot=n_boot, seed=seed)
+        expected = pass_at_3_bootstrap_loop(table, n_boot=n_boot, seed=seed)
+        assert (res.recall_mean, res.recall_std, res.f1_mean, res.f1_std) == expected
+
+    def test_scenarios_are_drawn_in_sorted_order(self):
+        # insertion order must not matter: the draws follow sorted scenario ids
+        table = {"b": trials([0, 1, 1, 0], [0.1, 0.7, 0.3, 0.9]),
+                 "a": trials([1, 0, 0], [0.2, 0.4, 0.8])}
+        reordered = dict(reversed(list(table.items())))
+        res = pass_at_3_bootstrap(table, n_boot=200, seed=4)
+        assert res == pass_at_3_bootstrap(reordered, n_boot=200, seed=4)
+        assert (res.recall_mean, res.recall_std, res.f1_mean, res.f1_std) == \
+            pass_at_3_bootstrap_loop(table, n_boot=200, seed=4)
 
 
 class TestPairedT:

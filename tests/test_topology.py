@@ -108,6 +108,20 @@ class TestShortestDistance:
                     want = None if np.isinf(oracle[i, j]) else int(oracle[i, j])
                     assert got == want
 
+    def test_rows_match_floyd_warshall(self):
+        rng = np.random.default_rng(3)
+        for _ in range(20):
+            n = int(rng.integers(2, 10))
+            nodes, edges_idx, g = random_graph(n, int(rng.integers(0, 2 * n)), rng)
+            oracle = floyd_warshall(n, edges_idx)
+            index = DistanceIndex(g)
+            for i in range(n):
+                want = {nodes[j]: int(oracle[i, j]) for j in range(n)
+                        if np.isfinite(oracle[i, j])}
+                assert index.row(nodes[i]) == want
+        with pytest.raises(UnknownEntity):
+            index.row(Entity(name="zz", etype="Pod"))
+
     def test_triangle_inequality_on_reachable_triples(self):
         rng = np.random.default_rng(7)
         nodes, _, g = random_graph(8, 14, rng)

@@ -1,3 +1,9 @@
+import copy
+import os
+import pickle
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -12,6 +18,8 @@ from twinmdp.trajectories import (
     JudgeScores,
     RawStep,
     RawTrajectory,
+    atomic_open,
+    atomic_write_text,
     load_corpus,
     save_corpus,
 )
@@ -47,6 +55,37 @@ def make_trajectory(traj_id="t0", n_steps=3, fpc=50.0, rce=100.0):
         scores=JudgeScores(fpc_accuracy=fpc, rce_identification=rce),
         final_root_cause=a,
     )
+
+
+class TestEntity:
+    def test_hash_is_the_field_tuple_hash(self):
+        for e in (entity("a"), entity("frontend", "Service"), entity("a", "Node")):
+            assert hash(e) == hash((e.name, e.etype))
+
+    def test_equality_and_ordering_follow_the_fields(self):
+        a, a2, b, a_node = entity("a"), entity("a"), entity("b"), entity("a", "Node")
+        assert a == a2 and a != b and a != a_node and a != ("a", "Pod")
+        assert sorted([b, a, a_node]) == [a_node, a, b]
+        assert (a < b) == (("a", "Pod") < ("b", "Pod"))
+        assert repr(a) == "Entity(name='a', etype='Pod')"
+
+    def test_copies_and_pickles_are_equal(self):
+        e = entity("frontend", "Service")
+        for other in (copy.copy(e), copy.deepcopy(e), pickle.loads(pickle.dumps(e))):
+            assert other == e and hash(other) == hash(e)
+            assert {other: 1}[e] == 1
+
+    def test_unpickled_hash_is_recomputed_in_this_process(self):
+        # a pickle written under another string-hash seed must not carry its hash
+        script = ("import pickle, sys; from twinmdp.trajectories import Entity; "
+                  "sys.stdout.buffer.write(pickle.dumps(Entity('frontend', 'Service')))")
+        env = dict(os.environ, PYTHONHASHSEED="12345",
+                   PYTHONPATH=os.pathsep.join(sys.path))
+        data = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, check=True).stdout
+        e = pickle.loads(data)
+        assert hash(e) == hash(("frontend", "Service"))
+        assert e in {entity("frontend", "Service")}
 
 
 class TestValidation:
@@ -186,3 +225,33 @@ class TestCorpusIo:
         path = tmp_path / "big.jsonl"
         save_corpus(trajs, path)
         assert len(path.read_text().splitlines()) == 819
+
+
+class TestAtomicWrite:
+    def test_replaces_the_file_with_plain_write_permissions(self, tmp_path):
+        path = tmp_path / "a.txt"
+        atomic_write_text(path, "old\n")
+        atomic_write_text(path, "new\n")
+        (tmp_path / "plain.txt").write_text("x")
+        assert path.read_text() == "new\n"
+        assert path.stat().st_mode == (tmp_path / "plain.txt").stat().st_mode
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.txt", "plain.txt"]
+
+    def test_a_write_that_raises_keeps_the_previous_file(self, tmp_path):
+        path = tmp_path / "a.csv"
+        atomic_write_text(path, "old\n")
+        with pytest.raises(RuntimeError):
+            with atomic_open(path, newline="") as fh:
+                fh.write("partial")
+                raise RuntimeError("crash mid-write")
+        assert path.read_text() == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["a.csv"]
+
+    def test_a_corpus_save_that_fails_midway_keeps_the_previous_corpus(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        save_corpus([make_trajectory("t0")], path)
+        before = path.read_bytes()
+        with pytest.raises(AttributeError):
+            save_corpus([make_trajectory("t1"), object()], path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["corpus.jsonl"]
