@@ -32,10 +32,11 @@ from .errors import (
     IoFailure,
     MalformedRecord,
     SchemeMismatch,
+    UnknownEntity,
 )
 from .hmm import Hmm, viterbi_decode
 from .topology import DistanceIndex, TopologyGraph, hubs_scores
-from .trajectories import Entity, JudgeScores, RawTrajectory, atomic_open
+from .trajectories import Entity, JudgeScores, RawTrajectory, atomic_open, reading
 
 ASSESSMENT_CODE = {"primary": 2.0, "cascading": 1.0, "normal": 0.0}
 
@@ -158,14 +159,13 @@ class TopologyFeaturizer:
         if e not in self._nodes:
             raise EntityNotInGraph(f"{e} not in graph")
 
-    def _dist_or_sentinel(self, src: Entity, dst: Entity | None) -> float:
-        if dst is None:
-            return self.sentinel
-        d = self.dist.distance(src, dst)
+    def _dist_or_sentinel(self, row: dict, dst: Entity | None) -> float:
+        if dst is not None and dst not in self._nodes:
+            raise UnknownEntity(f"{dst} not in graph")
+        d = row.get(dst)
         return float(d) if d is not None else self.sentinel
 
-    def _min_dist_to_label(self, src: Entity, assessments, label: str) -> float:
-        row = self.dist.row(src)
+    def _min_dist_to_label(self, row: dict, assessments, label: str) -> float:
         best = None
         for e, lab in assessments.items():
             if lab == label:
@@ -179,11 +179,12 @@ class TopologyFeaturizer:
     def action_features(self, target: Entity, previous: Entity | None,
                         symptom: Entity, assessments) -> np.ndarray:
         self._check(target)
+        row = self.dist.row(target)  # serves all four distance features
         feats = [
-            self._dist_or_sentinel(target, previous),
-            self._dist_or_sentinel(target, symptom),
-            self._min_dist_to_label(target, assessments, "primary"),
-            self._min_dist_to_label(target, assessments, "cascading"),
+            self._dist_or_sentinel(row, previous),
+            self._dist_or_sentinel(row, symptom),
+            self._min_dist_to_label(row, assessments, "primary"),
+            self._min_dist_to_label(row, assessments, "cascading"),
         ]
         if self.hubs is not None:
             feats.append(self.hubs[target])
@@ -191,13 +192,9 @@ class TopologyFeaturizer:
 
     def state_features(self, symptom: Entity, assessments) -> np.ndarray:
         self._check(symptom)
-        return np.array(
-            [
-                self._min_dist_to_label(symptom, assessments, "primary"),
-                self._min_dist_to_label(symptom, assessments, "cascading"),
-            ],
-            dtype=float,
-        )
+        row = self.dist.row(symptom)
+        return np.array([self._min_dist_to_label(row, assessments, "primary"),
+                         self._min_dist_to_label(row, assessments, "cascading")])
 
 
 class VocabularyFeaturizer:
@@ -371,12 +368,6 @@ def save_abstract_corpus(trajs, path: str | Path) -> None:
 
 
 def load_abstract_corpus(path: str | Path) -> list[AbstractTrajectory]:
-    try:
-        lines = Path(path).read_text().splitlines()
-    except OSError as exc:
-        raise IoFailure(f"cannot read abstract corpus {path}: {exc}") from exc
-    out = []
-    for line in lines:
-        if line.strip():
-            out.append(abstract_from_json(json.loads(line)))
-    return out
+    with reading(path, "abstract corpus"):
+        return [abstract_from_json(json.loads(line))
+                for line in Path(path).read_text().splitlines() if line.strip()]

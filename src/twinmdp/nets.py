@@ -7,6 +7,10 @@ reverse-mode code keeps training bit-reproducible given a seed.
 A network's parameters are one vector, ``Mlp.params``: per layer the weight
 matrix (row-major), then the bias. ``weights`` and ``biases`` are views into
 it, ``backward`` returns a gradient in its layout, and ``Adam`` updates it.
+
+The stack-axis rule: ``params`` may be a (P, n) stack of P networks. A pass
+runs all P as 3-D ``matmul``s (transposes ``swapaxes(-1, -2)``, bias gradients
+``sum(axis=-2)``), whose slices equal each member's own 2-D calls bit for bit.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ class Mlp:
             W[...] = rng.uniform(-bound, bound, size=W.shape)
 
     @classmethod
-    def _from_params(cls, input_dim: int, hidden_units: int, params: np.ndarray) -> "Mlp":
+    def from_params(cls, input_dim: int, hidden_units: int, params: np.ndarray) -> "Mlp":
         net = cls.__new__(cls)
         net._bind(input_dim, hidden_units, params)
         return net
@@ -39,16 +43,16 @@ class Mlp:
         size = sum((fan_in + 1) * fan_out for fan_in, fan_out in layers)
         if params is None:
             params = np.zeros(size)
-        elif params.shape != (size,):
-            raise DimensionMismatch(f"{params.size} parameters, layers {dims} need {size}")
+        elif params.ndim not in (1, 2) or params.shape[-1] != size:
+            raise DimensionMismatch(f"{params.shape} parameters, layers {dims} need {size}")
         self.layer_dims, self.params = dims, params
         self.weights, self.biases = [], []
         self._bounds = []  # per layer: weight start, bias start, end
-        start = 0
+        lead, start = params.shape[:-1], 0
         for fan_in, fan_out in layers:
             mid, end = start + fan_in * fan_out, start + (fan_in + 1) * fan_out
-            self.weights.append(params[start:mid].reshape(fan_in, fan_out))
-            self.biases.append(params[mid:end])
+            self.weights.append(params[..., start:mid].reshape(*lead, fan_in, fan_out))
+            self.biases.append(params[..., mid:end].reshape(*lead, *[1] * len(lead), fan_out))
             self._bounds.append((start, mid, end))
             start = end
 
@@ -57,46 +61,42 @@ class Mlp:
         return self.layer_dims[0]
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        """(N, input_dim) -> (N,) outputs, or a stack (B, N, input_dim) -> (B, N):
-        one BLAS call per slice, so each equals forward(slice) bit for bit."""
+        """(N, input_dim) -> (N,), or (B, N, input_dim) -> (B, N) with each slice
+        equal to forward(slice) bit for bit; (P, N) for a stack of P networks."""
         x = np.asarray(x, dtype=float)
         if x.ndim not in (2, 3) or x.shape[-1] != self.input_dim:
-            raise DimensionMismatch(
-                f"expected (*, {self.input_dim}) input, got {x.shape}"
-            )
-        h = x
-        for W, b in zip(self.weights[:-1], self.biases[:-1]):
-            h = np.maximum(h @ W + b, 0.0)
-        out = h @ self.weights[-1] + self.biases[-1]
-        return out[..., 0]
+            raise DimensionMismatch(f"expected (*, {self.input_dim}) input, got {x.shape}")
+        return self._layers(x, [])
 
     def forward_cached(self, x: np.ndarray):
-        """Forward pass keeping pre-activations for backprop."""
+        """Forward pass keeping each layer's input for backprop."""
         acts = [np.asarray(x, dtype=float)]
-        h = acts[0]
+        return self._layers(acts[0], acts), acts
+
+    def _layers(self, h: np.ndarray, acts: list) -> np.ndarray:
         for W, b in zip(self.weights[:-1], self.biases[:-1]):
             h = np.maximum(h @ W + b, 0.0)
             acts.append(h)
-        out = (h @ self.weights[-1] + self.biases[-1])[:, 0]
-        return out, acts
+        return (h @ self.weights[-1] + self.biases[-1])[..., 0]
 
     def backward(self, acts: list[np.ndarray], dout: np.ndarray) -> np.ndarray:
         """Gradient of sum(dout * output) w.r.t. ``params``, in its layout."""
         grad = np.empty_like(self.params)
-        upstream = dout[:, None]  # (N, 1)
+        upstream = dout[..., None]  # (N, 1), or (P, N, 1) for a stack
         last = len(self.weights) - 1
         for layer in range(last, -1, -1):
             (w_lo, b_lo, b_hi), W = self._bounds[layer], self.weights[layer]
             if layer < last:
                 upstream = upstream * (acts[layer + 1] > 0)
-            np.matmul(acts[layer].T, upstream, out=grad[w_lo:b_lo].reshape(W.shape))
-            np.sum(upstream, axis=0, out=grad[b_lo:b_hi])
+            np.matmul(acts[layer].swapaxes(-1, -2), upstream,
+                      out=grad[..., w_lo:b_lo].reshape(W.shape))
+            upstream.sum(axis=-2, out=grad[..., b_lo:b_hi])
             if layer > 0:
-                upstream = upstream @ W.T
+                upstream = upstream @ W.swapaxes(-1, -2)
         return grad
 
     def copy(self) -> "Mlp":
-        return Mlp._from_params(self.input_dim, self.layer_dims[1], self.params.copy())
+        return Mlp.from_params(self.input_dim, self.layer_dims[1], self.params.copy())
 
     def to_json(self) -> dict:
         return {"layer_dims": list(self.layer_dims), "params": self.params.tolist()}
@@ -104,7 +104,7 @@ class Mlp:
     @classmethod
     def from_json(cls, obj: dict) -> "Mlp":
         dims = obj["layer_dims"]
-        return cls._from_params(dims[0], dims[1], np.array(obj["params"], dtype=float))
+        return cls.from_params(dims[0], dims[1], np.array(obj["params"], dtype=float))
 
 
 class Adam:

@@ -14,8 +14,9 @@ the current turn's candidates.
 It packs a corpus once into a TransitionTable: per-step arrays, candidate
 offsets in CSR form, the candidates as one dense array (the action space
 applied there), and the taken entry of every step. CQL, BC and FQE index
-the same dense candidate rows; ``TransitionTable.gather`` selects a batch's
-candidate entries with their owning step. Keep the input matrix of every
+the same dense candidate rows, and their networks train in one loop,
+``minibatch_train``; ``TransitionTable.gather`` selects a batch's candidate
+entries with their owning step. Keep the input matrix of every
 network call as it is (the same rows, in the same order, with the same row
 count): BLAS picks its kernel by row count and a row's low bits can change
 with the batch it sits in, so reshaping a batch changes trained artifacts.
@@ -39,7 +40,7 @@ from .errors import (
     MissingCandidateSets,
 )
 from .nets import Adam, Mlp, grouped_max, grouped_softmax
-from .trajectories import atomic_write_text
+from .trajectories import atomic_write_text, reading
 
 POLICY_FORMAT_VERSION = 1
 
@@ -250,9 +251,9 @@ class NetworkQ:
 
     def encode(self, state: np.ndarray, candidates) -> np.ndarray:
         state = np.asarray(state, dtype=float)
-        if state.shape[0] != self.state_dim:
+        if state.shape[-1] != self.state_dim:
             raise DimensionMismatch(
-                f"state dim {state.shape[0]} != expected {self.state_dim}"
+                f"state dim {state.shape[-1]} != expected {self.state_dim}"
             )
         enc = self.action_encoding
         onehot = enc["kind"] == "onehot"
@@ -319,6 +320,13 @@ class TrainConfig:
 
 # --- conservative Q-learning -----------------------------------------------------------
 
+def _is_tabular(table: TransitionTable, form: str | None, learner: str) -> bool:
+    if form == "tabular" and not table.index_actions:
+        raise MissingCandidateSets(
+            f"tabular {learner} needs index actions (name/nametype schemes)")
+    return form == "tabular" or (form is None and table.index_actions)
+
+
 def cql_train(trajs, cfg: TrainConfig, action_space=CandidateSet(),
               form: str | None = None):
     """Fit a Q function by conservative Q-learning.
@@ -329,11 +337,7 @@ def cql_train(trajs, cfg: TrainConfig, action_space=CandidateSet(),
     bootstrap with zero. Deterministic given cfg.seed.
     """
     table = build_transitions(list(trajs), action_space)
-    if form is None:
-        form = "tabular" if table.index_actions else "network"
-    if form == "tabular" and not table.index_actions:
-        raise MissingCandidateSets("tabular Q needs index actions (name/nametype schemes)")
-    if form == "tabular":
+    if _is_tabular(table, form, "Q"):
         return _cql_tabular(table, cfg)
     return _cql_network(table, cfg)
 
@@ -387,48 +391,63 @@ def _cql_tabular(table: TransitionTable, cfg: TrainConfig) -> TabularQ:
     return TabularQ(state_index=index, q=q, gamma=cfg.gamma)
 
 
-def network_setup(table: TransitionTable, cfg: TrainConfig):
-    """Candidate rows, a fresh network over them, its optimizer and the batch rng."""
-    net = Mlp(table.cand_rows.shape[1], cfg.hidden_units, seed=cfg.seed)
-    optimizer = Adam(net.params, step_size=cfg.step_size)
-    return table.cand_rows, net, optimizer, np.random.default_rng(cfg.seed)
-
-
 def network_q(table: TransitionTable, net: Mlp, gamma: float) -> NetworkQ:
     return NetworkQ(net=net, state_dim=table.states.shape[1],
                     action_encoding=table.encoding, gamma=gamma)
 
 
-def _cql_network(table: TransitionTable, cfg: TrainConfig) -> NetworkQ:
-    rows, net, optimizer, rng = network_setup(table, cfg)
-
-    for it in range(cfg.iterations):
-        if it % max(1, cfg.target_refresh) == 0:
+def minibatch_train(table: TransitionTable, cfg: TrainConfig, learner, stack: int = 0,
+                    steps: int | None = None, refresh=None) -> Mlp:
+    """The one minibatch loop of network CQL, BC and FQE: ``steps`` (default
+    cfg.iterations) Adam steps on a cfg.seed network (``stack`` equal ones, if
+    given), each on a batch drawn by a cfg.seed rng. The generator
+    ``learner(batch, target)`` yields the input rows, is sent their outputs
+    and yields dout. Before step 0 and every target_refresh steps the target
+    becomes a copy of the network and ``refresh(target, step)`` runs; it may
+    return a mask of the stack's members to keep training, and none ends it."""
+    net = Mlp(table.cand_rows.shape[1], cfg.hidden_units, seed=cfg.seed)
+    if stack:
+        net = Mlp.from_params(net.input_dim, cfg.hidden_units, np.tile(net.params, (stack, 1)))
+    optimizer = Adam(net.params, step_size=cfg.step_size)
+    rng = np.random.default_rng(cfg.seed)
+    for step in range(cfg.iterations if steps is None else steps):
+        if step % max(1, cfg.target_refresh) == 0:
             target = net.copy()
+            keep = None if refresh is None else refresh(target, step)
+            if keep is not None and not keep.all():
+                if not keep.any():
+                    break
+                net = Mlp.from_params(net.input_dim, cfg.hidden_units, net.params[keep])
+                optimizer.params, optimizer.m, optimizer.v = (
+                    net.params, optimizer.m[keep], optimizer.v[keep])
         batch = rng.choice(table.n, size=min(cfg.batch_size, table.n), replace=False)
-        b = len(batch)
+        loss = learner(batch, target)
+        out, acts = net.forward_cached(next(loss))
+        optimizer.step(net.backward(acts, loss.send(out)))
+    return net
 
+
+def _cql_network(table: TransitionTable, cfg: TrainConfig) -> NetworkQ:
+    rows = table.cand_rows
+
+    def learner(batch, target):
+        b = len(batch)
         targets = table.rewards[batch].copy()
         live = np.flatnonzero(~table.terminal[batch])
         if len(live):
             idx, group = table.gather(table.next_step[batch[live]])
             best = grouped_max(target.forward(rows[idx]), group, len(live))
             targets[live] += cfg.gamma * best
-
         idx, cand_group = table.gather(batch)
-        out, acts = net.forward_cached(rows[np.concatenate([table.taken[batch], idx])])
-        q_taken, q_cands = out[:b], out[b:]
-
+        out = yield rows[np.concatenate([table.taken[batch], idx])]
         dout = np.zeros_like(out)
-        dout[:b] = 2.0 * (q_taken - targets) / b
+        dout[:b] = 2.0 * (out[:b] - targets) / b
         if cfg.alpha > 0:
-            probs = grouped_softmax(q_cands, cand_group, b)
-            dout[b:] += cfg.alpha * probs / b
+            dout[b:] += cfg.alpha * grouped_softmax(out[b:], cand_group, b) / b
             dout[:b] += -cfg.alpha / b
-        grads = net.backward(acts, dout)
-        optimizer.step(grads)
+        yield dout
 
-    return network_q(table, net, cfg.gamma)
+    return network_q(table, minibatch_train(table, cfg, learner), cfg.gamma)
 
 
 # --- behavior cloning ---------------------------------------------------------------
@@ -442,11 +461,7 @@ def bc_train(trajs, cfg: TrainConfig, action_space=CandidateSet(),
     log-likelihood of taken actions by minibatch gradient ascent.
     """
     table = build_transitions(list(trajs), action_space)
-    if form is None:
-        form = "tabular" if table.index_actions else "network"
-    if form == "tabular":
-        if not table.index_actions:
-            raise MissingCandidateSets("tabular BC needs index actions")
+    if _is_tabular(table, form, "BC"):
         index, sid = table.state_ids
         counts = np.zeros((len(index), table.n_actions))
         np.add.at(counts, (sid, table.cand_ids[table.taken]), 1.0)
@@ -455,17 +470,15 @@ def bc_train(trajs, cfg: TrainConfig, action_space=CandidateSet(),
         return QPolicy(q=TabularQ(state_index=index, q=q, gamma=cfg.gamma),
                        temperature=cfg.temperature)
 
-    rows, net, optimizer, rng = network_setup(table, cfg)
-    for _ in range(cfg.iterations):
-        batch = rng.choice(table.n, size=min(cfg.batch_size, table.n), replace=False)
+    def learner(batch, target):
         b = len(batch)
         idx, group = table.gather(batch)
-        out, acts = net.forward_cached(rows[idx])
+        out = yield table.cand_rows[idx]
         dout = grouped_softmax(out, group, b) / b
         dout[idx == table.taken[batch][group]] -= 1.0 / b
-        grads = net.backward(acts, dout)
-        optimizer.step(grads)
+        yield dout
 
+    net = minibatch_train(table, cfg, learner)
     return QPolicy(q=network_q(table, net, cfg.gamma), temperature=cfg.temperature)
 
 
@@ -496,21 +509,20 @@ def save_policy(policy: QPolicy, path: str | Path, metadata: dict | None = None)
 
 
 def load_policy(path: str | Path) -> tuple[QPolicy, dict]:
-    try:
+    with reading(path, "policy"):
         obj = json.loads(Path(path).read_text())
-    except OSError as exc:
-        raise IoFailure(f"cannot read policy {path}: {exc}") from exc
-    if obj.get("format_version") != POLICY_FORMAT_VERSION:
-        raise MalformedRecord(f"unsupported policy format {obj.get('format_version')}")
-    if obj["form"] == "tabular":
-        index = {tuple(s): i for i, s in enumerate(obj["states"])}
-        q = TabularQ(state_index=index, q=np.asarray(obj["q"], dtype=float),
-                     gamma=obj["gamma"])
-    else:
-        q = NetworkQ(
-            net=Mlp.from_json(obj["net"]),
-            state_dim=obj["state_dim"],
-            action_encoding=obj["action_encoding"],
-            gamma=obj["gamma"],
-        )
-    return QPolicy(q=q, temperature=obj["temperature"]), obj.get("metadata", {})
+        if obj.get("format_version") != POLICY_FORMAT_VERSION:
+            raise MalformedRecord(
+                f"unsupported policy format {obj.get('format_version')} in {path}")
+        if obj["form"] == "tabular":
+            index = {tuple(s): i for i, s in enumerate(obj["states"])}
+            q = TabularQ(state_index=index, q=np.asarray(obj["q"], dtype=float),
+                         gamma=obj["gamma"])
+        else:
+            q = NetworkQ(
+                net=Mlp.from_json(obj["net"]),
+                state_dim=obj["state_dim"],
+                action_encoding=obj["action_encoding"],
+                gamma=obj["gamma"],
+            )
+        return QPolicy(q=q, temperature=obj["temperature"]), obj.get("metadata", {})

@@ -6,6 +6,8 @@ with terminal steps bootstrapping zero. The expectation uses the full
 softmax policy, since downstream interventions consume those probabilities.
 The initial value averages the policy-weighted Q over the logged initial
 states and ranks candidate policies offline.
+Network FQE fits all candidates in lockstep, as one stack of networks on
+the shared minibatch trainer; each equals its own one-policy fit bit for bit.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoCandidates
-from .nets import grouped_max
+from .nets import Mlp, grouped_max
 from .offline_rl import (
     CandidateSet,
     NetworkQ,
@@ -24,8 +26,8 @@ from .offline_rl import (
     TrainConfig,
     TransitionTable,
     build_transitions,
+    minibatch_train,
     network_q,
-    network_setup,
 )
 
 
@@ -36,15 +38,8 @@ class FqeEstimate:
     initial_value: float
 
 
-def fqe(
-    policy: QPolicy,
-    eval_trajs,
-    cfg: TrainConfig,
-    action_space=CandidateSet(),
-    policy_id: str = "",
-    tol: float = 1e-5,
-    max_sweeps: int = 500,
-) -> FqeEstimate:
+def fqe(policy: QPolicy, eval_trajs, cfg: TrainConfig, action_space=CandidateSet(),
+        policy_id: str = "", tol: float = 1e-5, max_sweeps: int = 500) -> FqeEstimate:
     """Fitted Q-evaluation of ``policy`` on logged trajectories.
 
     ``eval_trajs`` is a trajectory list or its TransitionTable, built under
@@ -52,17 +47,26 @@ def fqe(
     The evaluation set should be disjoint from the policy's training data;
     that split is the caller's responsibility.
     """
+    return fqe_many([policy], eval_trajs, cfg, action_space, [policy_id], tol,
+                    max_sweeps)[0]
+
+
+def fqe_many(policies, eval_trajs, cfg: TrainConfig, action_space=CandidateSet(),
+             policy_ids=None, tol: float = 1e-5, max_sweeps: int = 500) -> list[FqeEstimate]:
+    """``fqe`` of every policy on one table, each estimate equal to its own call."""
     table = (eval_trajs if isinstance(eval_trajs, TransitionTable)
              else build_transitions(list(eval_trajs), action_space))
     if table.index_actions:
-        qhat, value = _fqe_tabular(table, policy, cfg, tol, max_sweeps)
+        fits = [_fqe_tabular(table, policy, cfg, tol, max_sweeps) for policy in policies]
     else:
-        qhat, value = _fqe_network(table, policy, cfg, tol)
-    return FqeEstimate(qhat=qhat, target_policy_id=policy_id, initial_value=value)
+        fits = _fqe_network(table, policies, cfg, tol)
+    return [FqeEstimate(qhat=qhat, target_policy_id=pid, initial_value=value)
+            for (qhat, value), pid in zip(fits, policy_ids or [""] * len(policies))]
 
 
 def _flat_policy_probs(table: TransitionTable, policy: QPolicy) -> np.ndarray:
-    """pi(a|s) for every candidate entry; fixed for the whole evaluation."""
+    """pi(a|s) for every candidate entry, equal to the per-step policy_probs;
+    fixed for the whole evaluation."""
     cand, group = table.candidates, table.cand_step
     if isinstance(policy.q, TabularQ) and table.index_actions:
         pq = policy.q
@@ -80,10 +84,22 @@ def _flat_policy_probs(table: TransitionTable, policy: QPolicy) -> np.ndarray:
         gsum = np.zeros(table.n)
         np.add.at(gsum, group, expd)
         return expd / gsum[group]
-    # generic path: one probs call per transition, as the policy is served
-    off = table.cand_offsets
-    return np.concatenate([policy.probs(table.states[i], cand[off[i] : off[i + 1]])
-                           for i in range(table.n)])
+    # a network: one (B, k, d) forward per candidate count k, whose slices are
+    # the steps' own forwards, then a row-wise softmax
+    q, off = policy.q, table.cand_offsets
+    rows = q.encode(table.states[group], cand)
+    counts = np.diff(off)
+    probs = np.empty(len(rows))
+    for k in np.unique(counts):
+        entries = off[:-1][counts == k, None] + np.arange(k)
+        logits = q.net.forward(rows[entries]) / policy.temperature
+        peak = logits.max(axis=1, keepdims=True)
+        with np.errstate(invalid="ignore"):
+            expd = np.exp(logits - peak)
+            expd /= expd.sum(axis=1, keepdims=True)
+        expd[~np.isfinite(peak[:, 0])] = 1.0 / k  # untrained region: uniform
+        probs[entries] = expd
+    return probs
 
 
 # --- tabular FQE -------------------------------------------------------------------
@@ -128,39 +144,38 @@ def _fqe_tabular(table, policy, cfg, tol, max_sweeps):
 
 # --- network FQE -------------------------------------------------------------------
 
-def _fqe_network(table, policy, cfg, tol):
-    cand_rows, net, optimizer, rng = network_setup(table, cfg)
-    taken_rows = cand_rows[table.taken]
-    group = table.cand_step
-    pi_flat = _flat_policy_probs(table, policy)
+def _fqe_network(table, policies, cfg, tol):
+    """Lockstep FQE of P policies on one (P, n) stack. A member leaves the stack
+    at the first round its value moves by < tol, and its fit is its net then."""
+    rows, group, n_pol = table.cand_rows, table.cand_step, len(policies)
+    pi = [_flat_policy_probs(table, policy) for policy in policies]
+    has_next, every = ~table.terminal, max(1, cfg.target_refresh)
+    steps = max(1, cfg.iterations // every) * every
+    active, prev, fits, targets = list(range(n_pol)), [np.inf] * n_pol, [None] * n_pol, None
 
-    has_next = ~table.terminal
-    nxt = table.next_step[has_next]
+    def refresh(target, step):
+        nonlocal targets
+        members = [Mlp.from_params(target.input_dim, cfg.hidden_units, w)
+                   for w in target.params]
+        expect = np.reshape([np.bincount(group, pi[p] * net.forward(rows), table.n)
+                             for p, net in zip(active, members)], (len(active), table.n))
+        keep = np.ones(len(active), dtype=bool)
+        for j, p in enumerate(active if step else ()):
+            value = float(np.mean(expect[j][table.episode_starts]))
+            if abs(value - prev[p]) < tol or step == steps:
+                fits[p], keep[j] = (network_q(table, members[j], cfg.gamma), value), False
+            prev[p] = value
+        active[:] = [p for p, kept in zip(active, keep) if kept]
+        targets = np.tile(table.rewards, (len(active), 1))
+        targets[:, has_next] += cfg.gamma * expect[keep][:, table.next_step[has_next]]
+        return keep
 
-    target = net.copy()
-    prev_value = np.inf
-    value = 0.0
-    rounds = max(1, cfg.iterations // max(1, cfg.target_refresh))
-    for _ in range(rounds):
-        cand_q = target.forward(cand_rows)
-        expectation = np.bincount(group, weights=pi_flat * cand_q, minlength=table.n)
-        targets = table.rewards.copy()
-        targets[has_next] = table.rewards[has_next] + cfg.gamma * expectation[nxt]
-        for _ in range(max(1, cfg.target_refresh)):
-            batch = rng.choice(table.n, size=min(cfg.batch_size, table.n),
-                               replace=False)
-            out, acts = net.forward_cached(taken_rows[batch])
-            dout = 2.0 * (out - targets[batch]) / len(batch)
-            optimizer.step(net.backward(acts, dout))
-        target = net.copy()
-        cand_q = net.forward(cand_rows)
-        expectation = np.bincount(group, weights=pi_flat * cand_q, minlength=table.n)
-        value = float(np.mean(expectation[table.episode_starts]))
-        if abs(value - prev_value) < tol:
-            break
-        prev_value = value
+    def learner(batch, target):
+        out = yield rows[table.taken[batch]]
+        yield 2.0 * (out - targets[:, batch]) / len(batch)
 
-    return network_q(table, net, cfg.gamma), value
+    refresh(minibatch_train(table, cfg, learner, n_pol, steps, refresh), steps)
+    return fits
 
 
 def rank_policies(candidates, eval_trajs, cfg: TrainConfig, k: int,
@@ -175,18 +190,9 @@ def rank_policies(candidates, eval_trajs, cfg: TrainConfig, k: int,
         raise NoCandidates("no candidate policies to rank")
     if k < 1:
         raise NoCandidates("k must be >= 1")
-    table = build_transitions(list(eval_trajs), action_space)
-    entries = []
-    for policy, metadata in candidates:
-        pid = str(metadata.get("id", ""))
-        est = fqe(policy, table, cfg, policy_id=pid)
-        entries.append(
-            {
-                "id": pid,
-                "initial_value": est.initial_value,
-                "metadata": dict(metadata),
-            }
-        )
+    estimates = fqe_many([policy for policy, _ in candidates], eval_trajs, cfg, action_space)
+    entries = [{"id": str(meta.get("id", "")), "initial_value": est.initial_value,
+                "metadata": dict(meta)} for est, (_, meta) in zip(estimates, candidates)]
     entries.sort(key=lambda e: (-e["initial_value"], e["id"]))
     for rank, entry in enumerate(entries, start=1):
         entry["rank"] = rank

@@ -42,7 +42,7 @@ from .offline_rl import (
     load_policy,
     save_policy,
 )
-from .ope import fqe, rank_policies
+from .ope import fqe_many, rank_policies
 from .reward_learning import (
     RewardTrainConfig,
     build_pairs,
@@ -681,10 +681,7 @@ def stage_rank(cfg: PipelineConfig, out: Path) -> dict:
     trajs = load_abstract_corpus(eval_path)
     _, eval_ids = split_scenarios(cfg, [t.scenario_id for t in trajs])
     eval_trajs = [t for t in trajs if t.scenario_id in eval_ids]
-    candidates = []
-    for entry in cfg.rl_grid:
-        policy, meta = load_policy(out / policy_file(entry["id"]))
-        candidates.append((policy, meta))
+    candidates = [load_policy(out / policy_file(entry["id"])) for entry in cfg.rl_grid]
     fqe_cfg = replace(cfg.rl_train, alpha=0.0,
                       seed=derive_seed(cfg.master_seed, "rank", "fqe"))
     ranking = rank_policies(candidates, eval_trajs, fqe_cfg, k=cfg.ope_k)
@@ -882,9 +879,9 @@ def robustness_sweep(cfg: PipelineConfig, out: Path,
     """Initial-value stability across successful-trajectory budgets.
 
     For each count, trains the reward-relabeled Q-learner and a behavior
-    cloner on that many successful trajectories from the training split and
-    scores both by FQE on the held-out split. Collects extra episodes on the
-    training scenarios when the corpus does not hold enough successes.
+    cloner on that many successful trajectories from the training split,
+    then scores them all in one FQE call on the held-out split. Collects extra
+    episodes on the training scenarios when the corpus lacks successes.
     """
     _require([out / F_ABSTRACT, out / F_REWARD,
               out / relabeled_file(cfg.eval_reward_mode)], "robustness_sweep")
@@ -909,21 +906,17 @@ def robustness_sweep(cfg: PipelineConfig, out: Path,
     fqe_cfg = replace(cfg.rl_train, alpha=0.0,
                       seed=derive_seed(cfg.master_seed, "robustness_sweep", "fqe"))
 
-    values: dict[str, list[float]] = {"rl_irl": [], "bc": []}
+    policies = []
     for count in counts:
         subset = [pool[i] for i in order[:count]]
         relabeled = [relabel(t, net, mode="irl") for t in subset]
         train_cfg = replace(cfg.rl_train,
                             seed=derive_seed(cfg.master_seed, "robustness_sweep", count))
-        rl_policy = QPolicy(q=cql_train(relabeled, train_cfg, CandidateSet()),
-                            temperature=train_cfg.temperature)
-        bc_policy = bc_train(subset, train_cfg, CandidateSet())
-        values["rl_irl"].append(
-            fqe(rl_policy, eval_table, fqe_cfg, policy_id=f"rl_irl@{count}").initial_value
-        )
-        values["bc"].append(
-            fqe(bc_policy, eval_table, fqe_cfg, policy_id=f"bc@{count}").initial_value
-        )
+        policies += [QPolicy(q=cql_train(relabeled, train_cfg, CandidateSet()),
+                             temperature=train_cfg.temperature),
+                     bc_train(subset, train_cfg, CandidateSet())]
+    scores = [est.initial_value for est in fqe_many(policies, eval_table, fqe_cfg)]
+    values = {"rl_irl": scores[0::2], "bc": scores[1::2]}
 
     report = {
         "counts": list(counts),

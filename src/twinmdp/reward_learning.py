@@ -18,7 +18,7 @@ from .abstraction import AbstractTrajectory
 from .errors import DimensionMismatch, EmptyPairSet, IoFailure, MalformedRecord
 from .nets import Adam, Mlp
 from .offline_rl import encode_rows
-from .trajectories import JudgeScores, atomic_write_text
+from .trajectories import JudgeScores, atomic_write_text, reading
 
 RANKING_SIGNALS = ("fpc_only", "mean_fpc_rce")
 
@@ -297,10 +297,9 @@ def save_reward_net(net: Mlp, path: str | Path) -> None:
 
 
 def load_reward_net(path: str | Path) -> Mlp:
-    try:
+    with reading(path, "reward net"):
         obj = json.loads(Path(path).read_text())
-    except OSError as exc:
-        raise IoFailure(f"cannot read reward net {path}: {exc}") from exc
-    if obj.get("format_version") != FORMAT_VERSION:
-        raise MalformedRecord(f"unsupported reward net format {obj.get('format_version')}")
-    return Mlp.from_json(obj)
+        if obj.get("format_version") != FORMAT_VERSION:
+            raise MalformedRecord(
+                f"unsupported reward net format {obj.get('format_version')} in {path}")
+        return Mlp.from_json(obj)

@@ -26,7 +26,7 @@ from .errors import InfeasibleConfig, IoFailure
 from .hmm import Hmm, viterbi_decode
 from .offline_rl import QPolicy
 from .topology import TopologyGraph, graph_from_json, graph_to_json, make_graph
-from .trajectories import Entity, JudgeScores, RawStep, RawTrajectory, atomic_open
+from .trajectories import Entity, JudgeScores, RawStep, RawTrajectory, atomic_open, reading
 
 NODE_TYPES = ("Pod", "Service", "Deployment", "Node", "ConfigMap")
 
@@ -513,8 +513,6 @@ def save_scenarios(scenarios, path: str | Path) -> None:
 
 
 def load_scenarios(path: str | Path) -> list[SimScenario]:
-    try:
-        lines = Path(path).read_text().splitlines()
-    except OSError as exc:
-        raise IoFailure(f"cannot read scenarios {path}: {exc}") from exc
-    return [scenario_from_json(json.loads(line)) for line in lines if line.strip()]
+    with reading(path, "scenarios"):
+        return [scenario_from_json(json.loads(line))
+                for line in Path(path).read_text().splitlines() if line.strip()]

@@ -15,7 +15,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import EmptyGraphNoEdges, IoFailure, MalformedRecord, UnknownEntity
-from .trajectories import Entity, atomic_write_text, entity_from_json, entity_to_json
+from .trajectories import (Entity, atomic_write_text, entity_from_json, entity_to_json,
+                           reading)
 
 
 @dataclass(frozen=True)
@@ -91,12 +92,6 @@ class DistanceIndex:
         except KeyError:
             raise UnknownEntity(f"{src} not in graph") from None
 
-    def distance(self, src: Entity, dst: Entity) -> int | None:
-        row = self.row(src)
-        if dst not in self._table:
-            raise UnknownEntity(f"{dst} not in graph")
-        return row.get(dst)
-
     def diameter(self) -> int:
         """Largest finite directed distance; 0 for an edgeless graph."""
         best = 0
@@ -147,13 +142,8 @@ def save_graph(g: TopologyGraph, path: str | Path) -> None:
 
 
 def load_graph(path: str | Path) -> TopologyGraph:
-    try:
-        obj = json.loads(Path(path).read_text())
-    except OSError as exc:
-        raise IoFailure(f"cannot read graph {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise MalformedRecord(f"invalid graph file: {exc}") from exc
-    return graph_from_json(obj)
+    with reading(path, "graph"):
+        return graph_from_json(json.loads(Path(path).read_text()))
 
 
 def graph_to_json(g: TopologyGraph) -> dict:

@@ -262,6 +262,19 @@ def atomic_write_text(path: str | Path, text: str) -> None:
         fh.write(text)
 
 
+@contextmanager
+def reading(path: str | Path, what: str):
+    """Reads of the ``what`` at ``path``: an OSError becomes IoFailure, and
+    invalid JSON or a missing or mistyped field becomes MalformedRecord; both
+    name the file."""
+    try:
+        yield
+    except OSError as exc:
+        raise IoFailure(f"cannot read {what} {path}: {exc}") from exc
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise MalformedRecord(f"malformed {what} {path}: {type(exc).__name__}: {exc}") from exc
+
+
 def load_corpus(path: str | Path) -> list[RawTrajectory]:
     """Load and validate a line-delimited trajectory corpus.
 
@@ -272,10 +285,8 @@ def load_corpus(path: str | Path) -> list[RawTrajectory]:
     path = Path(path)
     trajectories: list[RawTrajectory] = []
     seen_ids: set[str] = set()
-    try:
+    with reading(path, "corpus"):
         lines = path.read_text().splitlines()
-    except OSError as exc:
-        raise IoFailure(f"cannot read corpus {path}: {exc}") from exc
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue

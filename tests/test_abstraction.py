@@ -17,6 +17,7 @@ from twinmdp.errors import (
     EntityNotInVocabulary,
     MalformedRecord,
     SchemeMismatch,
+    UnknownEntity,
 )
 from twinmdp.hmm import Hmm, viterbi_decode
 from twinmdp.topology import make_graph
@@ -152,6 +153,26 @@ class TestTopologyScheme:
             assert np.array_equal(sa.state, sb.state)
             assert np.array_equal(np.asarray(sa.action), np.asarray(sb.action))
 
+    @pytest.mark.parametrize("where", ["previous", "symptom", "assessed", "target"])
+    def test_action_features_reject_entities_outside_the_graph(self, where):
+        # one distance row per candidate still raises what each lookup raised:
+        # UnknownEntity for the previous action or the symptom, and
+        # EntityNotInGraph for an assessed entity or the target
+        nodes, graph = chain_graph()
+        feat = TopologyFeaturizer(graph)
+        stranger = Entity(name="zz", etype="Pod")
+        args = {"target": nodes[1], "previous": nodes[2], "symptom": nodes[4],
+                "assessments": {nodes[3]: "cascading", nodes[0]: "primary"}}
+        want = feat.action_features(**args)
+        assert want.tolist() == [1.0, 3.0, feat.sentinel, 2.0]  # n0 is upstream
+        if where == "assessed":
+            args["assessments"] = {**args["assessments"], stranger: "cascading"}
+        else:
+            args[where] = stranger
+        error = UnknownEntity if where in ("previous", "symptom") else EntityNotInGraph
+        with pytest.raises(error):
+            feat.action_features(**args)
+
     def test_entity_outside_graph_rejected(self):
         nodes, graph = chain_graph()
         stranger = Entity(name="zz", etype="Pod")
@@ -187,11 +208,12 @@ class TestTopologyScheme:
                 for label in labels[:2]:
                     want = min_dist_to_label_loop(dist, index, src, assessments,
                                                   label, feat.sentinel)
+                    row = feat.dist.row(src)
                     if want is None:
                         with pytest.raises(EntityNotInGraph):
-                            feat._min_dist_to_label(src, assessments, label)
+                            feat._min_dist_to_label(row, assessments, label)
                     else:
-                        assert feat._min_dist_to_label(src, assessments, label) == want
+                        assert feat._min_dist_to_label(row, assessments, label) == want
 
     def test_featurizer_needs_the_graph(self):
         nodes, _ = chain_graph()
@@ -269,3 +291,18 @@ def test_abstract_corpus_round_trip(tmp_path):
         assert sa.reward == sb.reward
         for ca, cb in zip(sa.candidates, sb.candidates):
             assert np.array_equal(np.asarray(ca), np.asarray(cb))
+
+
+@pytest.mark.parametrize("damage", ["truncated", "missing_field"])
+def test_damaged_abstract_corpus_raises_malformed_record_naming_it(tmp_path, damage):
+    nodes, graph = chain_graph()
+    traj = abstract(chain_trajectory(nodes), TOPOLOGY, TOPOLOGY.featurizer(graph))
+    path = tmp_path / "abstract_corpus.jsonl"
+    save_abstract_corpus([traj, traj], path)
+    text = path.read_text()
+    if damage == "truncated":
+        path.write_text(text[: len(text) * 3 // 4])
+    else:
+        path.write_text(text.replace('"steps"', '"stpes"', 1))
+    with pytest.raises(MalformedRecord, match="abstract_corpus.jsonl"):
+        load_abstract_corpus(path)

@@ -153,19 +153,74 @@ def stack_of_rows(rng, kind, n_stack, n, state_dim=6, n_actions=6):
     return rows
 
 
+def stack_of_networks(input_dim, hidden, seeds):
+    """One (P, n) stack of the networks Mlp(input_dim, hidden, seed) and its members."""
+    members = [Mlp(input_dim, hidden, seed=s) for s in seeds]
+    stack = Mlp.from_params(input_dim, hidden, np.stack([m.params for m in members]))
+    return stack, members
+
+
 @pytest.mark.parametrize("kind", ["features", "onehot"])
-@pytest.mark.parametrize("hidden", [16, 256])
+@pytest.mark.parametrize("hidden", [8, 16, 256])
 def test_stacked_forward_equals_per_slice_forward(kind, hidden):
     rng = np.random.default_rng(hidden)
-    for n in range(1, 21):
+    for n in [*range(1, 21), 64, 129]:
         x = stack_of_rows(rng, kind, 7, n)
         net = Mlp(x.shape[-1], hidden, seed=n)
         out = net.forward(x)
         assert out.shape == (7, n)
         for k in range(7):
             assert np.array_equal(out[k], net.forward(x[k].copy()))
+        # a stack of networks: on one shared input, and on one input each
+        stack, members = stack_of_networks(x.shape[-1], hidden, [n, n + 1, n + 2])
+        shared, each = stack.forward(x[0]), stack.forward(x[:3])
+        assert shared.shape == each.shape == (3, n)
+        for k, member in enumerate(members):
+            assert np.array_equal(shared[k], member.forward(x[0]))
+            assert np.array_equal(each[k], member.forward(x[k].copy()))
     with pytest.raises(DimensionMismatch):
         net.forward(x[None])
+
+
+@pytest.mark.parametrize("hidden", [8, 16, 256])
+@pytest.mark.parametrize("shared_input", [True, False], ids=["shared", "per_member"])
+def test_stacked_backward_and_adam_equal_the_per_network_update(hidden, shared_input):
+    """forward_cached, backward and Adam.step on a (P, n) stack equal the P
+    networks' own calls bit for bit: input widths 3-39, 1-129 rows."""
+    rng = np.random.default_rng(hidden + shared_input)
+    for input_dim in (3, 4, 9, 17, 39):
+        stack, members = stack_of_networks(input_dim, hidden, [input_dim, 5, 6])
+        opt = Adam(stack.params, step_size=1e-2)
+        member_opts = [Adam(m.params, step_size=1e-2) for m in members]
+        for n in (1, 2, 7, 8, 9, 33, 64, 129):
+            x = rng.normal(size=(n, input_dim) if shared_input else (3, n, input_dim))
+            dout = rng.normal(size=(3, n))
+            out, acts = stack.forward_cached(x)
+            grad = stack.backward(acts, dout)
+            assert out.shape == dout.shape and grad.shape == stack.params.shape
+            for k, (member, member_opt) in enumerate(zip(members, member_opts)):
+                x_k = x if shared_input else x[k].copy()
+                out_k, acts_k = member.forward_cached(x_k)
+                assert np.array_equal(out[k], out_k)
+                grad_k = member.backward(acts_k, dout[k].copy())
+                assert np.array_equal(grad[k], grad_k)
+                member_opt.step(grad_k)
+            opt.step(grad)
+            for k, member in enumerate(members):
+                assert np.array_equal(stack.params[k], member.params)
+    assert opt.m.shape == opt.v.shape == stack.params.shape
+
+
+def test_stack_layout_and_views():
+    stack, members = stack_of_networks(4, 6, [1, 2])
+    for a in stack.weights + stack.biases:
+        assert a.base is stack.params
+    assert stack.weights[0].shape == (2, 4, 6) and stack.biases[0].shape == (2, 1, 6)
+    assert stack.copy().params.shape == (2, stack.params.shape[1])
+    with pytest.raises(DimensionMismatch):
+        Mlp.from_params(4, 6, stack.params[:, :-1])
+    with pytest.raises(DimensionMismatch):
+        Mlp.from_params(4, 6, stack.params[None])
 
 
 # --- wrong-length parameter vectors ---------------------------------------------------

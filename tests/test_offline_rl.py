@@ -1,10 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 
 from oracles import softmax_mp
 from twinmdp.abstraction import AbstractStep, AbstractTrajectory
 from twinmdp.errors import DimensionMismatch, EmptyData, MalformedRecord
-from twinmdp.nets import Mlp
+from twinmdp.nets import Adam, Mlp, grouped_max, grouped_softmax
 from twinmdp.offline_rl import (
     CandidateSet,
     FullVocabulary,
@@ -13,6 +15,7 @@ from twinmdp.offline_rl import (
     TabularQ,
     TrainConfig,
     bc_train,
+    build_transitions,
     cql_train,
     load_policy,
     policy_probs,
@@ -182,6 +185,80 @@ class TestCqlNetwork:
         assert np.array_equal(q1.net.params, q2.net.params)
 
 
+# --- the per-learner loops the one minibatch trainer replaced -------------------------
+
+def reference_cql_network(table, cfg):
+    rows = table.cand_rows
+    net = Mlp(rows.shape[1], cfg.hidden_units, seed=cfg.seed)
+    optimizer = Adam(net.params, step_size=cfg.step_size)
+    rng = np.random.default_rng(cfg.seed)
+    for it in range(cfg.iterations):
+        if it % max(1, cfg.target_refresh) == 0:
+            target = net.copy()
+        batch = rng.choice(table.n, size=min(cfg.batch_size, table.n), replace=False)
+        b = len(batch)
+        targets = table.rewards[batch].copy()
+        live = np.flatnonzero(~table.terminal[batch])
+        if len(live):
+            idx, group = table.gather(table.next_step[batch[live]])
+            best = grouped_max(target.forward(rows[idx]), group, len(live))
+            targets[live] += cfg.gamma * best
+        idx, cand_group = table.gather(batch)
+        out, acts = net.forward_cached(rows[np.concatenate([table.taken[batch], idx])])
+        dout = np.zeros_like(out)
+        dout[:b] = 2.0 * (out[:b] - targets) / b
+        if cfg.alpha > 0:
+            dout[b:] += cfg.alpha * grouped_softmax(out[b:], cand_group, b) / b
+            dout[:b] += -cfg.alpha / b
+        optimizer.step(net.backward(acts, dout))
+    return net
+
+
+def reference_bc_network(table, cfg):
+    rows = table.cand_rows
+    net = Mlp(rows.shape[1], cfg.hidden_units, seed=cfg.seed)
+    optimizer = Adam(net.params, step_size=cfg.step_size)
+    rng = np.random.default_rng(cfg.seed)
+    for _ in range(cfg.iterations):
+        batch = rng.choice(table.n, size=min(cfg.batch_size, table.n), replace=False)
+        b = len(batch)
+        idx, group = table.gather(batch)
+        out, acts = net.forward_cached(rows[idx])
+        dout = grouped_softmax(out, group, b) / b
+        dout[idx == table.taken[batch][group]] -= 1.0 / b
+        optimizer.step(net.backward(acts, dout))
+    return net
+
+
+def feature_corpus(rng, n_episodes=12, state_dim=3, action_dim=2):
+    """Multi-step feature-action episodes with 1-5 candidates per turn."""
+    trajs = []
+    for i in range(n_episodes):
+        steps = []
+        for _ in range(int(rng.integers(1, 6))):
+            cands = [rng.normal(size=action_dim) for _ in range(int(rng.integers(1, 6)))]
+            steps.append(AbstractStep(state=rng.normal(size=state_dim),
+                                      action=cands[int(rng.integers(len(cands)))],
+                                      reward=float(rng.normal()), candidates=cands))
+        trajs.append(make_traj(steps, f"t{i}", scheme="topology"))
+    return trajs
+
+
+@pytest.mark.parametrize("iterations,refresh", [(60, 20), (50, 20), (7, 20), (30, 1)],
+                         ids=["whole_rounds", "partial_last_round", "one_partial_round",
+                              "refresh_every_step"])
+@pytest.mark.parametrize("alpha", [0.0, 1.0])
+def test_network_cql_and_bc_equal_their_own_loops(iterations, refresh, alpha):
+    trajs = feature_corpus(np.random.default_rng(iterations))
+    table = build_transitions(trajs)
+    cfg = TrainConfig(alpha=alpha, gamma=0.7, iterations=iterations, batch_size=8,
+                      hidden_units=8, target_refresh=refresh, step_size=1e-2, seed=5)
+    got = cql_train(trajs, cfg)
+    assert np.array_equal(got.net.params, reference_cql_network(table, cfg).params)
+    policy = bc_train(trajs, cfg)
+    assert np.array_equal(policy.q.net.params, reference_bc_network(table, cfg).params)
+
+
 class TestBehaviorCloning:
     def test_deterministic_behavior_cloned(self):
         trajs = [make_traj([index_step(0, 1, 0.0, 3)], f"t{i}") for i in range(20)]
@@ -326,3 +403,20 @@ class TestPolicyPersistence:
         cands = [rng.normal(size=2), rng.normal(size=2)]
         assert np.allclose(loaded.probs(state, cands), policy.probs(state, cands))
         assert loaded.temperature == 0.7
+
+    @pytest.mark.parametrize("damage", ["truncated", "no_form", "not_an_object"])
+    def test_damaged_file_raises_malformed_record_naming_it(self, tmp_path, damage):
+        trajs = [make_traj([index_step(0, 1, 1.0, 2)], "a")]
+        path = tmp_path / "policy_bc.json"
+        save_policy(bc_train(trajs, TrainConfig(seed=0), FullVocabulary(2)), path)
+        text = path.read_text()
+        if damage == "truncated":
+            path.write_text(text[: len(text) // 2])
+        elif damage == "no_form":
+            obj = json.loads(text)
+            del obj["form"]
+            path.write_text(json.dumps(obj))
+        else:
+            path.write_text("[1, 2]")
+        with pytest.raises(MalformedRecord, match="policy_bc.json"):
+            load_policy(path)

@@ -2,11 +2,19 @@ import numpy as np
 import pytest
 
 from oracles import policy_value_linear
+from test_offline_rl import feature_corpus
 from twinmdp.abstraction import AbstractStep, AbstractTrajectory
 from twinmdp.errors import NoCandidates
-from twinmdp.offline_rl import QPolicy, TabularQ, TrainConfig, build_transitions
-from twinmdp.nets import grouped_max
-from twinmdp.ope import _flat_policy_probs, fqe, rank_policies
+from twinmdp.offline_rl import (
+    NetworkQ,
+    QPolicy,
+    TabularQ,
+    TrainConfig,
+    build_transitions,
+    policy_probs,
+)
+from twinmdp.nets import Adam, Mlp, grouped_max
+from twinmdp.ope import _flat_policy_probs, fqe, fqe_many, rank_policies
 from twinmdp.trajectories import JudgeScores
 
 
@@ -186,6 +194,75 @@ class TestFqe:
         assert up > base
 
 
+def per_step_policy_probs(table, policy):
+    """pi(a|s) per candidate entry from one policy_probs call per step."""
+    off = table.cand_offsets
+    return np.concatenate([policy_probs(policy, table.states[i],
+                                        table.candidates[off[i] : off[i + 1]])
+                           for i in range(table.n)])
+
+
+def reference_fqe_network(table, policy, cfg, tol):
+    """The one-policy network FQE loop that lockstep FQE replaced: its fitted
+    network, initial value and the number of rounds it ran."""
+    rows, group = table.cand_rows, table.cand_step
+    net = Mlp(rows.shape[1], cfg.hidden_units, seed=cfg.seed)
+    optimizer = Adam(net.params, step_size=cfg.step_size)
+    rng = np.random.default_rng(cfg.seed)
+    pi = per_step_policy_probs(table, policy)
+    has_next = ~table.terminal
+    nxt = table.next_step[has_next]
+    target, prev_value = net.copy(), np.inf
+    rounds = max(1, cfg.iterations // max(1, cfg.target_refresh))
+    for done in range(1, rounds + 1):
+        expectation = np.bincount(group, weights=pi * target.forward(rows), minlength=table.n)
+        targets = table.rewards.copy()
+        targets[has_next] = table.rewards[has_next] + cfg.gamma * expectation[nxt]
+        for _ in range(max(1, cfg.target_refresh)):
+            batch = rng.choice(table.n, size=min(cfg.batch_size, table.n), replace=False)
+            out, acts = net.forward_cached(rows[table.taken][batch])
+            optimizer.step(net.backward(acts, 2.0 * (out - targets[batch]) / len(batch)))
+        target = net.copy()
+        expectation = np.bincount(group, weights=pi * net.forward(rows), minlength=table.n)
+        value = float(np.mean(expectation[table.episode_starts]))
+        if abs(value - prev_value) < tol:
+            break
+        prev_value = value
+    return net, value, done
+
+
+def network_policy(seed, temperature, state_dim=3, action_dim=2, hidden=8):
+    q = NetworkQ(net=Mlp(state_dim + action_dim, hidden, seed=seed), state_dim=state_dim,
+                 action_encoding={"kind": "features", "dim": action_dim}, gamma=0.7)
+    return QPolicy(q=q, temperature=temperature)
+
+
+class TestLockstepNetworkFqe:
+    CFG = TrainConfig(alpha=0.0, gamma=0.7, iterations=600, batch_size=16, hidden_units=8,
+                      target_refresh=20, step_size=1e-2, seed=3)
+
+    @pytest.mark.parametrize("tol,distinct_stops", [(1e-5, False), (0.013, True)],
+                             ids=["no_early_stop", "stops_at_different_rounds"])
+    def test_stack_equals_one_policy_fits(self, tol, distinct_stops):
+        trajs = feature_corpus(np.random.default_rng(0), n_episodes=30)
+        table = build_transitions(trajs)
+        policies = [network_policy(1, 1.0), network_policy(2, 0.3), network_policy(3, 3.0)]
+        want = [reference_fqe_network(table, p, self.CFG, tol) for p in policies]
+        stops = [rounds for _, _, rounds in want]
+        assert len(set(stops)) == (3 if distinct_stops else 1)
+        stacked = fqe_many(policies, table, self.CFG, tol=tol)
+        for policy, est, (net, value, _) in zip(policies, stacked, want):
+            alone = fqe(policy, trajs, self.CFG, tol=tol)
+            assert est.initial_value == alone.initial_value == value
+            assert np.array_equal(est.qhat.net.params, net.params)
+            assert np.array_equal(alone.qhat.net.params, net.params)
+        if tol == 1e-5:
+            ranked = rank_policies([(p, {"id": f"p{i}"}) for i, p in enumerate(policies)],
+                                   trajs, self.CFG, k=3)
+            for entry in ranked:
+                assert entry["initial_value"] == want[int(entry["id"][1])][1]
+
+
 class TestRankPolicies:
     def two_action_world(self, rng, n_episodes=200):
         # single state, action 0 pays 1, action 1 pays 0
@@ -270,6 +347,29 @@ class TestRankPolicies:
         assert 3.0 in table.states[:, 0]
         assert np.array_equal(_flat_policy_probs(table, policy),
                               reference_flat_policy_probs(table, policy))
+
+    def test_network_probs_equal_the_per_step_policy_probs(self):
+        rng = np.random.default_rng(8)
+        table = build_transitions(feature_corpus(rng, n_episodes=40))
+        assert len(np.unique(np.diff(table.cand_offsets))) == 5  # 1 to 5 candidates
+        for policy in (network_policy(4, 0.7), network_policy(5, 1.0, hidden=256)):
+            assert np.array_equal(_flat_policy_probs(table, policy),
+                                  per_step_policy_probs(table, policy))
+        # untrained region: a non-finite output falls back to uniform
+        degenerate = network_policy(6, 1.0)
+        degenerate.q.net.biases[-1][...] = np.inf
+        probs = _flat_policy_probs(table, degenerate)
+        assert np.array_equal(probs, per_step_policy_probs(table, degenerate))
+        assert np.array_equal(probs, 1.0 / np.diff(table.cand_offsets)[table.cand_step])
+
+    def test_onehot_network_probs_equal_the_per_step_policy_probs(self):
+        rng = np.random.default_rng(9)
+        table = build_transitions(log_episodes(*random_mdp(rng, 4, 3), rng, 30, 5))
+        q = NetworkQ(net=Mlp(4, 8, seed=1), state_dim=1,
+                     action_encoding={"kind": "onehot", "size": 3}, gamma=0.9)
+        policy = QPolicy(q=q, temperature=0.5)
+        assert np.array_equal(_flat_policy_probs(table, policy),
+                              per_step_policy_probs(table, policy))
 
     def test_k_larger_than_pool(self):
         rng = np.random.default_rng(3)

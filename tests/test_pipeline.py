@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from test_ope import reference_fqe_network
 from twinmdp import abstraction, pipeline
 from twinmdp.abstraction import load_abstract_corpus
 from twinmdp.cli import main as cli_main
@@ -18,6 +19,7 @@ from twinmdp.context import CeConfig
 from twinmdp.errors import ConfigInvalid, MissingArtifact, MissingCandidateSets
 from twinmdp.nets import Mlp
 from twinmdp.offline_rl import FullVocabulary, NetworkQ, TrainConfig, build_transitions
+from twinmdp.ope import FqeEstimate
 from twinmdp.pipeline import (
     MAX_ARMS,
     RANGES,
@@ -246,6 +248,44 @@ class TestStages:
         (clone / "reward_net.json").unlink()
         stage_train_reward(small_config(), clone)
         assert (clone / "reward_net.json").read_bytes() == want
+
+    def test_robustness_sweep_equals_one_policy_fqe_loops(self, finished_run, tmp_path,
+                                                          monkeypatch):
+        # the sweep scores its 8 policies in one lockstep FQE call; the file
+        # is byte for byte the one that one FQE loop per policy writes
+        out, _ = finished_run
+        lockstep, one_by_one = tmp_path / "lockstep", tmp_path / "one_by_one"
+        shutil.copytree(out, lockstep)
+        shutil.copytree(out, one_by_one)
+        counts = (10, 20, 40, 80)
+        robustness_sweep(small_config(), lockstep, counts=counts)
+
+        def per_policy(policies, table, cfg, tol=1e-5, **_):
+            return [FqeEstimate(qhat=None, target_policy_id="",
+                                initial_value=reference_fqe_network(table, p, cfg, tol)[1])
+                    for p in policies]
+
+        monkeypatch.setattr(pipeline, "fqe_many", per_policy)
+        robustness_sweep(small_config(), one_by_one, counts=counts)
+        want = (one_by_one / "robustness.json").read_bytes()
+        assert (lockstep / "robustness.json").read_bytes() == want
+        assert len(json.loads(want)["initial_values"]["bc"]) == len(counts)
+
+    @pytest.mark.parametrize("stage,damaged", [("rank", "policy_bc.json"),
+                                               ("relabel", "reward_net.json"),
+                                               ("train_reward", "abstract_corpus.jsonl")])
+    def test_a_truncated_artifact_is_reported_not_raised(self, finished_run, tmp_path,
+                                                         capsys, stage, damaged):
+        out, _ = finished_run
+        clone = tmp_path / "clone"
+        shutil.copytree(out, clone)
+        text = (clone / damaged).read_text()
+        (clone / damaged).write_text(text[: len(text) // 2])
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(SMALL_CONFIG))
+        assert cli_main([stage, "--config", str(cfg_path), "--out", str(clone)]) == 1
+        err = capsys.readouterr().err
+        assert damaged in err and "Traceback" not in err
 
     def test_results_table_has_all_arms(self, finished_run):
         out, _ = finished_run

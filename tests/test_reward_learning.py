@@ -414,3 +414,12 @@ def test_reward_net_round_trip(tmp_path):
     loaded = load_reward_net(path)
     x = np.random.default_rng(0).normal(size=(4, 5))
     assert np.array_equal(net.forward(x), loaded.forward(x))
+
+
+def test_truncated_reward_net_raises_malformed_record_naming_it(tmp_path):
+    path = tmp_path / "reward_net.json"
+    save_reward_net(new_reward_net(5, 16, seed=3), path)
+    text = path.read_text()
+    path.write_text(text[: len(text) // 2])
+    with pytest.raises(MalformedRecord, match="reward_net.json"):
+        load_reward_net(path)

@@ -5,7 +5,7 @@ from oracles import set_f1
 from twinmdp import abstraction
 from twinmdp.abstraction import SchemeSpec, abstract, build_vocabulary
 from twinmdp.context import CeConfig
-from twinmdp.errors import InfeasibleConfig
+from twinmdp.errors import InfeasibleConfig, MalformedRecord
 from twinmdp.hmm import Hmm
 from twinmdp.offline_rl import QPolicy
 from twinmdp.simulator import (
@@ -115,6 +115,14 @@ class TestGenerateScenario:
         assert [scenario_to_json(s) for s in loaded] == [
             scenario_to_json(s) for s in scns
         ]
+
+    def test_truncated_file_raises_malformed_record_naming_it(self, tmp_path):
+        path = tmp_path / "scenarios.jsonl"
+        save_scenarios([generate_scenario(ScenarioConfig(), seed=s) for s in range(2)], path)
+        text = path.read_text()
+        path.write_text(text[: len(text) * 3 // 4])
+        with pytest.raises(MalformedRecord, match="scenarios.jsonl"):
+            load_scenarios(path)
 
 
 class TestRunEpisode:

@@ -47,6 +47,15 @@ class TestGraphConstruction:
         assert set(g2.nodes) == set(g.nodes)
         assert g2.edges == g.edges
 
+    def test_truncated_file_raises_malformed_record_naming_it(self, tmp_path):
+        nodes = nodes_named(4)
+        path = tmp_path / "graph.json"
+        save_graph(make_graph(nodes, [(nodes[0], nodes[1])]), path)
+        text = path.read_text()
+        path.write_text(text[: len(text) // 2])
+        with pytest.raises(MalformedRecord, match="graph.json"):
+            load_graph(path)
+
 
 class TestNeighbors:
     def test_matches_an_edge_scan_on_random_graphs(self):
@@ -129,8 +138,8 @@ class TestShortestDistance:
         for a in nodes:
             for b in nodes:
                 for c in nodes:
-                    ab, bc, ac = (index.distance(a, b), index.distance(b, c),
-                                  index.distance(a, c))
+                    ab, bc, ac = (index.row(a).get(b), index.row(b).get(c),
+                                  index.row(a).get(c))
                     if ab is not None and bc is not None:
                         assert ac is not None and ac <= ab + bc
 
