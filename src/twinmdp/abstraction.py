@@ -17,7 +17,6 @@ cumulative assessments recorded at turn t-1 (empty at t = 0).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
@@ -29,14 +28,13 @@ from .errors import (
     DimensionMismatch,
     EntityNotInGraph,
     EntityNotInVocabulary,
-    IoFailure,
     MalformedRecord,
     SchemeMismatch,
     UnknownEntity,
 )
 from .hmm import Hmm, viterbi_decode
 from .topology import DistanceIndex, TopologyGraph, hubs_scores
-from .trajectories import Entity, JudgeScores, RawTrajectory, atomic_open, reading
+from .trajectories import Entity, JudgeScores, RawTrajectory, read_jsonl, write_jsonl
 
 ASSESSMENT_CODE = {"primary": 2.0, "cascading": 1.0, "normal": 0.0}
 
@@ -358,16 +356,8 @@ def abstract_from_json(obj) -> AbstractTrajectory:
 
 
 def save_abstract_corpus(trajs, path: str | Path) -> None:
-    try:
-        with atomic_open(path) as fh:
-            for traj in trajs:
-                fh.write(json.dumps(abstract_to_json(traj), sort_keys=True))
-                fh.write("\n")
-    except OSError as exc:
-        raise IoFailure(f"cannot write abstract corpus {path}: {exc}") from exc
+    write_jsonl(path, map(abstract_to_json, trajs), "abstract corpus")
 
 
 def load_abstract_corpus(path: str | Path) -> list[AbstractTrajectory]:
-    with reading(path, "abstract corpus"):
-        return [abstract_from_json(json.loads(line))
-                for line in Path(path).read_text().splitlines() if line.strip()]
+    return read_jsonl(path, "abstract corpus", abstract_from_json)

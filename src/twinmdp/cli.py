@@ -13,19 +13,7 @@ import sys
 from pathlib import Path
 
 from .errors import ConfigInvalid, MissingArtifact, StageFailed, TwinMdpError
-from .pipeline import (
-    load_config,
-    stage_abstract,
-    stage_collect,
-    stage_evaluate,
-    stage_rank,
-    stage_relabel,
-    stage_reproduce,
-    stage_simulate,
-    stage_train_policy,
-    stage_train_reward,
-    validate_config,
-)
+from .pipeline import STAGES, load_config, stage_reproduce, validate_config
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -33,17 +21,7 @@ EXIT_CONFIG = 2
 EXIT_MISSING = 3
 EXIT_STAGE = 4
 
-_COMMANDS = {
-    "collect": stage_collect,
-    "abstract": stage_abstract,
-    "train_reward": stage_train_reward,
-    "relabel": stage_relabel,
-    "train_policy": stage_train_policy,
-    "rank": stage_rank,
-    "simulate": stage_simulate,
-    "evaluate": stage_evaluate,
-    "reproduce": stage_reproduce,
-}
+_COMMANDS = {**STAGES, "reproduce": stage_reproduce}
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -24,7 +24,6 @@ with the batch it sits in, so reshaping a batch changes trained artifacts.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -35,12 +34,11 @@ from .abstraction import AbstractTrajectory
 from .errors import (
     DimensionMismatch,
     EmptyData,
-    IoFailure,
     MalformedRecord,
     MissingCandidateSets,
 )
 from .nets import Adam, Mlp, grouped_max, grouped_softmax
-from .trajectories import atomic_write_text, reading
+from .trajectories import read_json, write_json
 
 POLICY_FORMAT_VERSION = 1
 
@@ -502,27 +500,23 @@ def save_policy(policy: QPolicy, path: str | Path, metadata: dict | None = None)
         obj["state_dim"] = q.state_dim
         obj["action_encoding"] = q.action_encoding
         obj["net"] = q.net.to_json()
-    try:
-        atomic_write_text(path, json.dumps(obj, sort_keys=True) + "\n")
-    except OSError as exc:
-        raise IoFailure(f"cannot write policy {path}: {exc}") from exc
+    write_json(path, obj, "policy")
+
+
+def _policy_from_json(obj) -> tuple[QPolicy, dict]:
+    if obj["form"] == "tabular":
+        index = {tuple(s): i for i, s in enumerate(obj["states"])}
+        q = TabularQ(state_index=index, q=np.asarray(obj["q"], dtype=float),
+                     gamma=obj["gamma"])
+    else:
+        q = NetworkQ(
+            net=Mlp.from_json(obj["net"]),
+            state_dim=obj["state_dim"],
+            action_encoding=obj["action_encoding"],
+            gamma=obj["gamma"],
+        )
+    return QPolicy(q=q, temperature=obj["temperature"]), obj.get("metadata", {})
 
 
 def load_policy(path: str | Path) -> tuple[QPolicy, dict]:
-    with reading(path, "policy"):
-        obj = json.loads(Path(path).read_text())
-        if obj.get("format_version") != POLICY_FORMAT_VERSION:
-            raise MalformedRecord(
-                f"unsupported policy format {obj.get('format_version')} in {path}")
-        if obj["form"] == "tabular":
-            index = {tuple(s): i for i, s in enumerate(obj["states"])}
-            q = TabularQ(state_index=index, q=np.asarray(obj["q"], dtype=float),
-                         gamma=obj["gamma"])
-        else:
-            q = NetworkQ(
-                net=Mlp.from_json(obj["net"]),
-                state_dim=obj["state_dim"],
-                action_encoding=obj["action_encoding"],
-                gamma=obj["gamma"],
-            )
-        return QPolicy(q=q, temperature=obj["temperature"]), obj.get("metadata", {})
+    return read_json(path, "policy", _policy_from_json, version=POLICY_FORMAT_VERSION)

@@ -69,18 +69,8 @@ from .stats import (
     ranks_from_scores,
     render_cd_diagram,
 )
-from .trajectories import atomic_open, atomic_write_text, load_corpus, save_corpus
-
-STAGES = (
-    "collect",
-    "abstract",
-    "train_reward",
-    "relabel",
-    "train_policy",
-    "rank",
-    "simulate",
-    "evaluate",
-)
+from .trajectories import (atomic_open, atomic_write_text, load_corpus, read_json, reading,
+                           save_corpus, write_json)
 
 # evaluate ranks the arms plus the baseline; the Nemenyi table covers up to 10 methods
 MAX_ARMS = max(NEMENYI_Q[0.05]) - 1
@@ -232,7 +222,7 @@ RANGES = {
     "master_seed": "[0, inf)",
     "scheme.kind": ("name", "nametype", "topology"),
     "scheme.hmm_states": "[1, inf)", "scheme.hmm_select_from": "[1, inf)",
-    "collect.n_scenarios": "[1, inf)", "collect.episodes_per_scenario": "[1, inf)",
+    "collect.n_scenarios": "[2, inf)", "collect.episodes_per_scenario": "[1, inf)",
     "irl.signal": ("fpc_only", "mean_fpc_rce"), "irl.margin": "[0, inf)",
     "irl.max_pairs": "[1, inf)", "irl.hidden_units": "[1, inf)", "irl.epochs": "[1, inf)",
     "irl.batch_size": "[1, inf)", "irl.step_size": "(0, inf)", "irl.discount": "(0, 1]",
@@ -394,11 +384,11 @@ def load_config(path: str | Path) -> PipelineConfig:
     path = Path(path)
     if not path.exists():
         raise ConfigInvalid([f"config file {path} does not exist"])
-    text = path.read_text()
-    if path.suffix in (".yaml", ".yml"):
-        raw = yaml.safe_load(text)
-    else:
-        raw = json.loads(text)
+    try:
+        text = path.read_text()
+        raw = yaml.safe_load(text) if path.suffix in (".yaml", ".yml") else json.loads(text)
+    except (OSError, yaml.YAMLError, ValueError) as exc:
+        raise ConfigInvalid([f"config file {path}: {type(exc).__name__}: {exc}"]) from exc
     if not isinstance(raw, dict):
         raise ConfigInvalid(["config root must be a mapping"])
     return validate_config(raw)
@@ -415,8 +405,7 @@ def _write_manifest(out: Path, stage: str, cfg: PipelineConfig, seed: int,
         "inputs": {p.name: file_sha256(p) for p in sorted(inputs)},
         "outputs": {p.name: file_sha256(p) for p in sorted(outputs)},
     }
-    atomic_write_text(out / f"{stage}.manifest.json",
-                      json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+    write_json(out / f"{stage}.manifest.json", manifest, "manifest", indent=2)
     return manifest
 
 
@@ -485,24 +474,24 @@ def stage_abstract(cfg: PipelineConfig, out: Path) -> dict:
         sequences = [hmm_observations(t) for t in abstracted]
         hmm_model, chosen_states = _fit_or_select_hmm(cfg, sequences, seed)
         abstracted = [augment_with_hmm(t, hmm_model) for t in abstracted]
-        atomic_write_text(out / F_HMM, json.dumps({
+        write_json(out / F_HMM, {
             "n_states": chosen_states,
             "initial": hmm_model.initial.tolist(),
             "transition": hmm_model.transition.tolist(),
             "means": hmm_model.means.tolist(),
             "variances": hmm_model.variances.tolist(),
-        }, sort_keys=True) + "\n")
+        }, "hmm model")
         outputs.append(out / F_HMM)
 
     save_abstract_corpus(abstracted, out / F_ABSTRACT)
-    atomic_write_text(out / F_SCHEME, json.dumps({
+    write_json(out / F_SCHEME, {
         "kind": cfg.scheme_kind,
         "with_hubs": cfg.with_hubs,
         "with_hmm": cfg.with_hmm,
         "hmm_states": chosen_states,
         "sentinel": sentinel,
         "vocabulary": [list(v) if isinstance(v, tuple) else v for v in vocabulary],
-    }, sort_keys=True) + "\n")
+    }, "scheme runtime")
     outputs.extend([out / F_ABSTRACT, out / F_SCHEME])
     return _write_manifest(out, "abstract", cfg, seed,
                            [corpus_path, scenarios_path], outputs)
@@ -547,26 +536,18 @@ def _fit_or_select_hmm(cfg: PipelineConfig, sequences, seed: int) -> tuple[Hmm, 
 
 def load_scheme_runtime(out: Path) -> tuple[SchemeSpec, Hmm | None]:
     """The scheme spec (and HMM, if any) as used at intervention time."""
-    obj = json.loads((out / F_SCHEME).read_text())
-    vocabulary = tuple(
-        tuple(v) if isinstance(v, list) else v for v in obj["vocabulary"]
-    )
-    spec = SchemeSpec(
+    spec = read_json(out / F_SCHEME, "scheme runtime", lambda obj: SchemeSpec(
         kind=obj["kind"],
-        vocabulary=vocabulary,
+        vocabulary=tuple(tuple(v) if isinstance(v, list) else v for v in obj["vocabulary"]),
         with_hubs=obj["with_hubs"],
         with_hmm=obj["with_hmm"],
         unreachable_sentinel=obj["sentinel"],
-    )
+    ))
     hmm_model = None
-    if obj["with_hmm"]:
-        hobj = json.loads((out / F_HMM).read_text())
-        hmm_model = Hmm(
-            initial=np.asarray(hobj["initial"], dtype=float),
-            transition=np.asarray(hobj["transition"], dtype=float),
-            means=np.asarray(hobj["means"], dtype=float),
-            variances=np.asarray(hobj["variances"], dtype=float),
-        )
+    if spec.with_hmm:
+        hmm_model = read_json(out / F_HMM, "hmm model", lambda obj: Hmm(**{
+            key: np.asarray(obj[key], dtype=float)
+            for key in ("initial", "transition", "means", "variances")}))
     return spec, hmm_model
 
 
@@ -691,7 +672,7 @@ def stage_rank(cfg: PipelineConfig, out: Path) -> dict:
         "k": cfg.ope_k,
         "ranking": ranking,
     }
-    atomic_write_text(out / F_RANKING, json.dumps(report, sort_keys=True, indent=2) + "\n")
+    write_json(out / F_RANKING, report, "ranking", indent=2)
     with atomic_open(out / F_RANKING_CSV, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["rank", "id", "scheme", "reward_mode", "learner",
@@ -755,7 +736,7 @@ def stage_simulate(cfg: PipelineConfig, out: Path) -> dict:
 
 def read_results(path: Path) -> list[dict]:
     rows = []
-    with path.open() as fh:
+    with reading(path, "results"), path.open() as fh:
         for record in csv.DictReader(fh):
             rows.append(
                 {
@@ -851,7 +832,7 @@ def stage_evaluate(cfg: PipelineConfig, out: Path) -> dict:
                 }
             )
         report["methods"][m] = entry
-    atomic_write_text(out / F_REPORT, json.dumps(report, sort_keys=True, indent=2) + "\n")
+    write_json(out / F_REPORT, report, "report", indent=2)
 
     with atomic_open(out / F_SUMMARY_CSV, newline="") as fh:
         writer = csv.writer(fh)
@@ -923,8 +904,7 @@ def robustness_sweep(cfg: PipelineConfig, out: Path,
         "initial_values": values,
         "range": {m: float(max(v) - min(v)) for m, v in values.items()},
     }
-    atomic_write_text(out / "robustness.json",
-                      json.dumps(report, sort_keys=True, indent=2) + "\n")
+    write_json(out / "robustness.json", report, "robustness report", indent=2)
     return report
 
 
@@ -951,24 +931,27 @@ def _collect_extra_successes(cfg: PipelineConfig, out: Path, shortfall: int) -> 
     return abstract_trajectories(successes, spec, graphs, hmm_model)
 
 
+# the stages in run order
+STAGES = {
+    "collect": stage_collect,
+    "abstract": stage_abstract,
+    "train_reward": stage_train_reward,
+    "relabel": stage_relabel,
+    "train_policy": stage_train_policy,
+    "rank": stage_rank,
+    "simulate": stage_simulate,
+    "evaluate": stage_evaluate,
+}
+
+
 def stage_reproduce(cfg: PipelineConfig, out: Path) -> dict:
-    """Run every stage in order and write an overall summary."""
+    """Run every stage in order, ``collect`` only when the corpus or the
+    scenarios are missing, and write an overall summary."""
     out.mkdir(parents=True, exist_ok=True)
-    corpus_path, scenarios_path = _input_paths(cfg, out)
-    stages = []
-    if not (corpus_path.exists() and scenarios_path.exists()):
-        stages.append(("collect", stage_collect))
-    stages.extend([
-        ("abstract", stage_abstract),
-        ("train_reward", stage_train_reward),
-        ("relabel", stage_relabel),
-        ("train_policy", stage_train_policy),
-        ("rank", stage_rank),
-        ("simulate", stage_simulate),
-        ("evaluate", stage_evaluate),
-    ])
     manifests = {}
-    for name, fn in stages:
+    for name, fn in STAGES.items():
+        if name == "collect" and all(p.exists() for p in _input_paths(cfg, out)):
+            continue
         try:
             manifests[name] = fn(cfg, out)
         except Exception as exc:
@@ -976,7 +959,7 @@ def stage_reproduce(cfg: PipelineConfig, out: Path) -> dict:
                 raise
             raise StageFailed(name, exc) from exc
 
-    report = json.loads((out / F_REPORT).read_text())
+    report = read_json(out / F_REPORT, "report")
     summary = {
         "config_hash": config_hash(cfg),
         "master_seed": cfg.master_seed,
@@ -986,5 +969,5 @@ def stage_reproduce(cfg: PipelineConfig, out: Path) -> dict:
             name: manifest["outputs"] for name, manifest in manifests.items()
         },
     }
-    atomic_write_text(out / F_SUMMARY, json.dumps(summary, sort_keys=True, indent=2) + "\n")
+    write_json(out / F_SUMMARY, summary, "summary", indent=2)
     return summary

@@ -8,17 +8,16 @@ network then relabels per-turn rewards for offline policy induction.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from .abstraction import AbstractTrajectory
-from .errors import DimensionMismatch, EmptyPairSet, IoFailure, MalformedRecord
+from .errors import DimensionMismatch, EmptyPairSet, MalformedRecord
 from .nets import Adam, Mlp
 from .offline_rl import encode_rows
-from .trajectories import JudgeScores, atomic_write_text, reading
+from .trajectories import JudgeScores, read_json, write_json
 
 RANKING_SIGNALS = ("fpc_only", "mean_fpc_rce")
 
@@ -289,17 +288,8 @@ def relabel(
 # --- persistence ------------------------------------------------------------------
 
 def save_reward_net(net: Mlp, path: str | Path) -> None:
-    obj = {"format_version": FORMAT_VERSION, **net.to_json()}
-    try:
-        atomic_write_text(path, json.dumps(obj, sort_keys=True) + "\n")
-    except OSError as exc:
-        raise IoFailure(f"cannot write reward net {path}: {exc}") from exc
+    write_json(path, {"format_version": FORMAT_VERSION, **net.to_json()}, "reward net")
 
 
 def load_reward_net(path: str | Path) -> Mlp:
-    with reading(path, "reward net"):
-        obj = json.loads(Path(path).read_text())
-        if obj.get("format_version") != FORMAT_VERSION:
-            raise MalformedRecord(
-                f"unsupported reward net format {obj.get('format_version')} in {path}")
-        return Mlp.from_json(obj)
+    return read_json(path, "reward net", Mlp.from_json, version=FORMAT_VERSION)

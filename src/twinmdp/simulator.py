@@ -14,7 +14,6 @@ episodes against the ground-truth chain.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -22,11 +21,13 @@ import numpy as np
 
 from .abstraction import Featurizer, SchemeSpec
 from .context import CeConfig, Intervention, intervene
-from .errors import InfeasibleConfig, IoFailure
+from .errors import InfeasibleConfig
 from .hmm import Hmm, viterbi_decode
 from .offline_rl import QPolicy
-from .topology import TopologyGraph, graph_from_json, graph_to_json, make_graph
-from .trajectories import Entity, JudgeScores, RawStep, RawTrajectory, atomic_open, reading
+from .topology import (TopologyGraph, all_distances_from, graph_from_json, graph_to_json,
+                       make_graph)
+from .trajectories import (Entity, JudgeScores, RawStep, RawTrajectory, read_jsonl,
+                           write_jsonl)
 
 NODE_TYPES = ("Pod", "Service", "Deployment", "Node", "ConfigMap")
 
@@ -119,27 +120,14 @@ def generate_scenario(cfg: ScenarioConfig, seed: int,
             if rng.random() < cfg.edge_density:
                 edges.add(pair)
 
-    # stitch stray components onto the chain's component
-    adjacency: dict[Entity, set[Entity]] = {n: set() for n in nodes}
-    for u, v in edges:
-        adjacency[u].add(v)
-        adjacency[v].add(u)
+    # stitch stray components onto the chain's component, in node order
+    undirected = make_graph(nodes, edges | {(v, u) for u, v in edges})
     seen: set[Entity] = set()
     components: list[list[Entity]] = []
     for n in nodes:
-        if n in seen:
-            continue
-        comp = []
-        stack = [n]
-        seen.add(n)
-        while stack:
-            cur = stack.pop()
-            comp.append(cur)
-            for nb in sorted(adjacency[cur]):
-                if nb not in seen:
-                    seen.add(nb)
-                    stack.append(nb)
-        components.append(sorted(comp))
+        if n not in seen:
+            components.append(sorted(all_distances_from(undirected, n)))
+            seen.update(components[-1])
     main_idx = next(i for i, c in enumerate(components) if chain[0] in c)
     main = components[main_idx]
     for i, comp in enumerate(components):
@@ -503,16 +491,8 @@ def scenario_from_json(obj) -> SimScenario:
 
 
 def save_scenarios(scenarios, path: str | Path) -> None:
-    try:
-        with atomic_open(path) as fh:
-            for scn in scenarios:
-                fh.write(json.dumps(scenario_to_json(scn), sort_keys=True))
-                fh.write("\n")
-    except OSError as exc:
-        raise IoFailure(f"cannot write scenarios {path}: {exc}") from exc
+    write_jsonl(path, map(scenario_to_json, scenarios), "scenarios")
 
 
 def load_scenarios(path: str | Path) -> list[SimScenario]:
-    with reading(path, "scenarios"):
-        return [scenario_from_json(json.loads(line))
-                for line in Path(path).read_text().splitlines() if line.strip()]
+    return read_jsonl(path, "scenarios", scenario_from_json)

@@ -6,7 +6,6 @@ queries are deterministic; the graph is immutable after construction.
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
@@ -14,9 +13,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import EmptyGraphNoEdges, IoFailure, MalformedRecord, UnknownEntity
-from .trajectories import (Entity, atomic_write_text, entity_from_json, entity_to_json,
-                           reading)
+from .errors import EmptyGraphNoEdges, MalformedRecord, UnknownEntity
+from .trajectories import Entity, entity_from_json, entity_to_json, read_json, write_json
 
 
 @dataclass(frozen=True)
@@ -135,15 +133,11 @@ def hubs_scores(
 # --- file format --------------------------------------------------------------
 
 def save_graph(g: TopologyGraph, path: str | Path) -> None:
-    try:
-        atomic_write_text(path, json.dumps(graph_to_json(g), sort_keys=True) + "\n")
-    except OSError as exc:
-        raise IoFailure(f"cannot write graph {path}: {exc}") from exc
+    write_json(path, graph_to_json(g), "graph")
 
 
 def load_graph(path: str | Path) -> TopologyGraph:
-    with reading(path, "graph"):
-        return graph_from_json(json.loads(Path(path).read_text()))
+    return read_json(path, "graph", graph_from_json)
 
 
 def graph_to_json(g: TopologyGraph) -> dict:

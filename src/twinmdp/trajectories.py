@@ -1,8 +1,9 @@
-"""Trajectory data model and corpus serialization.
+"""Trajectory data model, and the file format of every pipeline artifact.
 
 A corpus is a line-delimited JSON file, one diagnosis episode per line.
 Every record is validated on load; the first violation raises a typed
-error carrying the offending line number.
+error carrying the offending line number. Every other artifact is read and
+written by the JSON helpers at the end of this module.
 """
 
 from __future__ import annotations
@@ -238,14 +239,15 @@ def trajectory_from_json(obj) -> RawTrajectory:
         raise MalformedRecord(str(exc)) from exc
 
 
-# --- corpus I/O ---------------------------------------------------------------
+# --- artifact I/O: sorted-key JSON, one document per file or one per line ------
 
 @contextmanager
-def atomic_open(path: str | Path, newline: str | None = None):
-    """Open ``path`` for writing through a temp file in its directory.
+def atomic_open(path: str | Path, what: str = "file", newline: str | None = None):
+    """Open the ``what`` at ``path`` for writing through a temp file in its directory.
 
     ``os.replace`` puts it in place once the block completes, so no reader sees
-    a partial file; if the block raises, the previous file stays as it was.
+    a partial file; if the block raises, the previous file stays as it was. An
+    OSError becomes IoFailure.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
@@ -253,13 +255,28 @@ def atomic_open(path: str | Path, newline: str | None = None):
         with tmp.open("w", newline=newline) as fh:
             yield fh
         os.replace(tmp, path)
+    except OSError as exc:
+        raise IoFailure(f"cannot write {what} {path}: {exc}") from exc
     finally:
         tmp.unlink(missing_ok=True)
 
 
-def atomic_write_text(path: str | Path, text: str) -> None:
-    with atomic_open(path) as fh:
+def atomic_write_text(path: str | Path, text: str, what: str = "file") -> None:
+    with atomic_open(path, what) as fh:
         fh.write(text)
+
+
+def write_json(path: str | Path, obj, what: str, indent: int | None = None) -> None:
+    """Write ``obj`` as one sorted-key JSON document; read_json inverts it."""
+    atomic_write_text(path, json.dumps(obj, sort_keys=True, indent=indent) + "\n", what)
+
+
+def write_jsonl(path: str | Path, objs, what: str) -> None:
+    """Write each of ``objs`` as one sorted-key JSON line; read_jsonl inverts it."""
+    with atomic_open(path, what) as fh:
+        for obj in objs:
+            fh.write(json.dumps(obj, sort_keys=True))
+            fh.write("\n")
 
 
 @contextmanager
@@ -273,6 +290,24 @@ def reading(path: str | Path, what: str):
         raise IoFailure(f"cannot read {what} {path}: {exc}") from exc
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise MalformedRecord(f"malformed {what} {path}: {type(exc).__name__}: {exc}") from exc
+
+
+def read_json(path: str | Path, what: str, decode=lambda obj: obj, version=None):
+    """``decode`` of the JSON document at ``path``. With ``version``, its
+    ``format_version`` field must equal it."""
+    with reading(path, what):
+        obj = json.loads(Path(path).read_text())
+        if version is not None and obj.get("format_version") != version:
+            raise MalformedRecord(
+                f"unsupported {what} format {obj.get('format_version')} in {path}")
+        return decode(obj)
+
+
+def read_jsonl(path: str | Path, what: str, decode) -> list:
+    """``decode`` of each non-blank line of the JSON-lines file at ``path``."""
+    with reading(path, what):
+        return [decode(json.loads(line))
+                for line in Path(path).read_text().splitlines() if line.strip()]
 
 
 def load_corpus(path: str | Path) -> list[RawTrajectory]:
@@ -311,10 +346,4 @@ def load_corpus(path: str | Path) -> list[RawTrajectory]:
 
 def save_corpus(trajs, path: str | Path) -> None:
     """Write trajectories as line-delimited JSON; load_corpus inverts it."""
-    try:
-        with atomic_open(path) as fh:
-            for traj in trajs:
-                fh.write(json.dumps(trajectory_to_json(traj), sort_keys=True))
-                fh.write("\n")
-    except OSError as exc:
-        raise IoFailure(f"cannot write corpus {path}: {exc}") from exc
+    write_jsonl(path, map(trajectory_to_json, trajs), "corpus")

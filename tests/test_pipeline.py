@@ -178,9 +178,11 @@ class TestConfigValidation:
          "compare.arms[0].strategy"),
         (lambda raw: raw["scheme"].update(with_hmm=True, hmm_select_from=[0, 2]),
          "scheme.hmm_select_from"),
+        (lambda raw: raw["collect"].update(n_scenarios=1), "collect.n_scenarios"),
     ], ids=["typo_key", "unknown_section", "section_not_a_mapping", "bool_for_int",
             "bool_for_master_seed", "compare_nodes_below_chain", "grid_entry_not_a_mapping",
-            "bc_without_reward_mode", "arm_unknown_key", "hmm_select_from_zero"])
+            "bc_without_reward_mode", "arm_unknown_key", "hmm_select_from_zero",
+            "one_collect_scenario"])
     def test_malformed_config_rejected_with_its_path(self, edit, path):
         raw = json.loads(json.dumps(SMALL_CONFIG))
         edit(raw)
@@ -273,7 +275,8 @@ class TestStages:
 
     @pytest.mark.parametrize("stage,damaged", [("rank", "policy_bc.json"),
                                                ("relabel", "reward_net.json"),
-                                               ("train_reward", "abstract_corpus.jsonl")])
+                                               ("train_reward", "abstract_corpus.jsonl"),
+                                               ("simulate", "scheme_runtime.json")])
     def test_a_truncated_artifact_is_reported_not_raised(self, finished_run, tmp_path,
                                                          capsys, stage, damaged):
         out, _ = finished_run
@@ -497,6 +500,16 @@ class TestCli:
         code = cli_main(["abstract", "--config", str(cfg_path),
                          "--out", str(tmp_path / "o")])
         assert code == 2
+
+    @pytest.mark.parametrize("name, text", [("bad.yaml", "irl: [1, 2\n"),
+                                            ("bad.json", '{"irl": ')], ids=["yaml", "json"])
+    def test_a_config_with_a_syntax_error_exit_code(self, tmp_path, capsys, name, text):
+        cfg_path = tmp_path / name
+        cfg_path.write_text(text)
+        code = cli_main(["evaluate", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert name in err and "Traceback" not in err
 
     def test_missing_artifact_exit_code(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"

@@ -7,8 +7,10 @@ import sys
 import numpy as np
 import pytest
 
+from twinmdp.abstraction import AbstractStep, AbstractTrajectory, save_abstract_corpus
 from twinmdp.errors import (
     ChosenEntityNotInCandidates,
+    IoFailure,
     MalformedRecord,
     NonMonotoneTurnIndex,
     ScoreOutOfRange,
@@ -21,8 +23,15 @@ from twinmdp.trajectories import (
     atomic_open,
     atomic_write_text,
     load_corpus,
+    read_json,
     save_corpus,
+    write_json,
 )
+from twinmdp.nets import Mlp
+from twinmdp.offline_rl import QPolicy, TabularQ, save_policy
+from twinmdp.reward_learning import save_reward_net
+from twinmdp.simulator import SimScenario, save_scenarios
+from twinmdp.topology import make_graph, save_graph
 
 
 def entity(name, etype="Pod"):
@@ -255,3 +264,57 @@ class TestAtomicWrite:
             save_corpus([make_trajectory("t1"), object()], path)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["corpus.jsonl"]
+
+
+class TestArtifactFormat:
+    def test_each_writer_produces_the_pinned_bytes(self, tmp_path):
+        a, b = Entity("a", "Pod"), Entity("b", "Service")
+        graph = make_graph([a, b], [(a, b)])
+        nodes = ('"nodes": [{"etype": "Pod", "name": "a"}, '
+                 '{"etype": "Service", "name": "b"}]')
+        save_graph(graph, tmp_path / "graph.json")
+        save_scenarios([SimScenario("s0", graph, a, (a, b), b, 0.25, 3)],
+                       tmp_path / "scenarios.jsonl")
+        save_reward_net(Mlp.from_params(1, 1, np.array([0.5, -1.0, 2.0, 0.25, 1.5, 0.0])),
+                        tmp_path / "reward_net.json")
+        save_policy(QPolicy(TabularQ({(1.0, 0.0): 0}, np.array([[0.5, -1.5]]), 0.9), 0.1),
+                    tmp_path / "policy.json", metadata={"id": "p"})
+        step = AbstractStep(np.array([1.0, 0.0]), 1, 0.5, [0, 1])
+        save_abstract_corpus([AbstractTrajectory("t0", "s0", "nametype", [step],
+                                                 JudgeScores(50.0, 100.0))],
+                             tmp_path / "abstract.jsonl")
+        write_json(tmp_path / "x.manifest.json",
+                   {"stage": "x", "outputs": {"b.json": "00"}, "seed": 1}, "manifest", indent=2)
+        expected = {
+            "graph.json": '{"edges": [[0, 1]], ' + nodes + '}\n',
+            "scenarios.jsonl": (
+                '{"chain": [{"etype": "Pod", "name": "a"}, {"etype": "Service", "name": "b"}], '
+                '"evidence_noise": 0.25, "graph": {"edges": [[0, 1]], ' + nodes + '}, '
+                '"root_cause": {"etype": "Pod", "name": "a"}, "scenario_id": "s0", "seed": 3, '
+                '"symptom": {"etype": "Service", "name": "b"}}\n'),
+            "reward_net.json": ('{"format_version": 1, "layer_dims": [1, 1, 1, 1], '
+                                '"params": [0.5, -1.0, 2.0, 0.25, 1.5, 0.0]}\n'),
+            "policy.json": ('{"form": "tabular", "format_version": 1, "gamma": 0.9, '
+                            '"metadata": {"id": "p"}, "q": [[0.5, -1.5]], '
+                            '"states": [[1.0, 0.0]], "temperature": 0.1}\n'),
+            "abstract.jsonl": (
+                '{"scenario_id": "s0", "scheme": "nametype", "scores": {"fpc_accuracy": 50.0, '
+                '"rce_identification": 100.0}, "steps": [{"action": {"index": 1}, '
+                '"candidates": [{"index": 0}, {"index": 1}], "reward": 0.5, '
+                '"state": [1.0, 0.0]}], "trajectory_id": "t0"}\n'),
+            "x.manifest.json": ('{\n  "outputs": {\n    "b.json": "00"\n  },\n'
+                                '  "seed": 1,\n  "stage": "x"\n}\n'),
+        }
+        assert {p.name: p.read_text() for p in tmp_path.iterdir()} == expected
+
+    def test_a_failed_write_names_the_file(self, tmp_path):
+        path = tmp_path / "missing" / "report.json"
+        with pytest.raises(IoFailure, match="cannot write report .*report.json"):
+            write_json(path, {}, "report")
+
+    def test_a_wrong_format_version_is_rejected(self, tmp_path):
+        path = tmp_path / "policy.json"
+        write_json(path, {"format_version": 2}, "policy")
+        with pytest.raises(MalformedRecord, match="unsupported policy format 2"):
+            read_json(path, "policy", version=1)
+        assert read_json(path, "policy", version=2) == {"format_version": 2}
