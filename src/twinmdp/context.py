@@ -10,6 +10,10 @@ Three strategies, individually switchable:
 
 Percentiles use the nearest-rank convention over the current candidate set
 with inclusive comparison, which is exact on small candidate lists.
+
+``intervene`` is a pure function of its inputs: the same input bytes make
+the same BLAS call and give the same bits. The simulator relies on this
+when ``simulator.CePlan`` memoises it, once per distinct input and plan.
 """
 
 from __future__ import annotations

@@ -8,6 +8,7 @@ log-likelihood is exact and non-decreasing.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.cluster.vq import kmeans2
@@ -31,6 +32,16 @@ class Hmm:
     @property
     def n_features(self) -> int:
         return self.means.shape[1]
+
+    @cached_property
+    def log_initial(self) -> np.ndarray:
+        with np.errstate(divide="ignore"):
+            return np.log(self.initial)
+
+    @cached_property
+    def log_transition(self) -> np.ndarray:
+        with np.errstate(divide="ignore"):
+            return np.log(self.transition)
 
     def __post_init__(self):
         if abs(self.initial.sum() - 1.0) > 1e-9:
@@ -167,6 +178,22 @@ def fit_hmm(
                variances=variances), ll_trace
 
 
+def log_emission(hmm: Hmm, observation: np.ndarray) -> np.ndarray:
+    """(K,) log density of one observation under each state; bit for bit the
+    row that a whole-sequence evaluation gives it."""
+    return _log_emissions(hmm.means, hmm.variances, observation[None, :])[0]
+
+
+def viterbi_step(delta: np.ndarray, log_trans: np.ndarray,
+                 log_emis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One Viterbi recursion step (Rabiner 1989): the log-score vector of
+    the longer prefix and each state's best predecessor. Ties resolve toward
+    the lower state index."""
+    cand = delta[:, None] + log_trans                 # (from, to)
+    back = np.argmax(cand, axis=0)                    # argmax picks lowest on ties
+    return cand[back, np.arange(len(delta))] + log_emis, back
+
+
 def viterbi_decode(hmm: Hmm, sequence: np.ndarray) -> list[int]:
     """Most likely state path; ties resolve toward the lower state index."""
     seq = np.asarray(sequence, dtype=float)
@@ -174,19 +201,13 @@ def viterbi_decode(hmm: Hmm, sequence: np.ndarray) -> list[int]:
         raise DimensionMismatch("sequence dimension does not match emissions")
     T, K = seq.shape[0], hmm.n_states
     log_emis = _log_emissions(hmm.means, hmm.variances, seq)
-    with np.errstate(divide="ignore"):
-        log_init = np.log(hmm.initial)
-        log_trans = np.log(hmm.transition)
 
-    delta = np.zeros((T, K))
     back = np.zeros((T, K), dtype=int)
-    delta[0] = log_init + log_emis[0]
+    delta = hmm.log_initial + log_emis[0]
     for t in range(1, T):
-        cand = delta[t - 1][:, None] + log_trans        # (from, to)
-        back[t] = np.argmax(cand, axis=0)               # argmax picks lowest on ties
-        delta[t] = cand[back[t], np.arange(K)] + log_emis[t]
+        delta, back[t] = viterbi_step(delta, hmm.log_transition, log_emis[t])
 
-    path = [int(np.argmax(delta[-1]))]
+    path = [int(np.argmax(delta))]
     for t in range(T - 1, 0, -1):
         path.append(int(back[t, path[-1]]))
     path.reverse()

@@ -12,6 +12,7 @@ import csv
 import hashlib
 import inspect
 import json
+from collections import Counter
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
@@ -30,7 +31,7 @@ from .abstraction import (
     save_abstract_corpus,
 )
 from .context import STRATEGIES, CeConfig
-from .errors import ConfigInvalid, MissingArtifact, StageFailed
+from .errors import ConfigInvalid, MalformedRecord, MissingArtifact, StageFailed
 from .hmm import Hmm, fit_hmm, sequence_log_likelihood
 from .offline_rl import (
     CandidateSet,
@@ -688,6 +689,10 @@ def stage_rank(cfg: PipelineConfig, out: Path) -> dict:
                            [out / F_RANKING, out / F_RANKING_CSV])
 
 
+def _compare_scenario_ids(cfg: PipelineConfig) -> list[str]:
+    return [f"test-{i:03d}" for i in range(cfg.compare_scenarios)]
+
+
 def stage_simulate(cfg: PipelineConfig, out: Path) -> dict:
     inputs = [out / F_SCHEME] + [
         out / policy_file(arm.policy_id) for arm in cfg.arms
@@ -699,17 +704,19 @@ def stage_simulate(cfg: PipelineConfig, out: Path) -> dict:
         generate_scenario(
             cfg.compare_scenario_cfg,
             derive_seed(cfg.master_seed, "simulate", "scenario", i),
-            scenario_id=f"test-{i:03d}",
+            scenario_id=sid,
         )
-        for i in range(cfg.compare_scenarios)
+        for i, sid in enumerate(_compare_scenario_ids(cfg))
     ]
     save_scenarios(scenarios, out / F_TEST_SCENARIOS)
 
     all_rows = run_batch(scenarios, None, cfg.compare_episode_cfg,
                          cfg.compare_trials, seed, method_id="baseline")
+    policies = {pid: load_policy(out / policy_file(pid))[0]
+                for pid in {arm.policy_id for arm in cfg.arms}}
     for arm in cfg.arms:
-        policy, _ = load_policy(out / policy_file(arm.policy_id))
-        plan = CePlan(policy=policy, config=replace(cfg.ce, strategies=arm.strategies),
+        plan = CePlan(policy=policies[arm.policy_id],
+                      config=replace(cfg.ce, strategies=arm.strategies),
                       scheme=scheme, hmm=hmm_model)
         all_rows.extend(
             run_batch(scenarios, plan, cfg.compare_episode_cfg,
@@ -752,10 +759,27 @@ def read_results(path: Path) -> list[dict]:
     return rows
 
 
+def _check_results(cfg: PipelineConfig, rows: list[dict], path: Path) -> None:
+    """Every method (the baseline and each arm) has exactly one row per
+    (test scenario, trial) that ``cfg`` implies; a truncated or padded table
+    raises MalformedRecord naming ``path``."""
+    want = {(m, s, t) for m in ["baseline", *(arm.arm_id for arm in cfg.arms)]
+            for s in _compare_scenario_ids(cfg) for t in range(cfg.compare_trials)}
+    got = Counter((r["method_id"], r["scenario_id"], r["trial"]) for r in rows)
+    missing = len(want - got.keys())
+    unexpected = len(got.keys() - want)
+    repeated = sum(n - 1 for n in got.values())
+    if missing or unexpected or repeated:
+        raise MalformedRecord(
+            f"results {path} do not match the config: of {len(want)} (method, scenario, "
+            f"trial) rows, {missing} missing, {repeated} repeated, {unexpected} unexpected")
+
+
 def stage_evaluate(cfg: PipelineConfig, out: Path) -> dict:
     _require([out / F_RESULTS], "evaluate")
     seed = derive_seed(cfg.master_seed, "evaluate")
     rows = read_results(out / F_RESULTS)
+    _check_results(cfg, rows, out / F_RESULTS)
 
     methods = sorted({r["method_id"] for r in rows})
     scenarios = sorted({r["scenario_id"] for r in rows})

@@ -22,7 +22,7 @@ import numpy as np
 from .abstraction import Featurizer, SchemeSpec
 from .context import CeConfig, Intervention, intervene
 from .errors import InfeasibleConfig
-from .hmm import Hmm, viterbi_decode
+from .hmm import Hmm, log_emission, viterbi_step
 from .offline_rl import QPolicy
 from .topology import (TopologyGraph, all_distances_from, graph_from_json, graph_to_json,
                        make_graph)
@@ -68,20 +68,53 @@ class EpisodeConfig:
 
 @dataclass
 class CePlan:
-    """Everything needed to intervene during an episode."""
+    """Everything needed to intervene during an episode.
+
+    A plan memoises its featurizers (one per graph) and its interventions
+    (one per distinct input). An intervention's key is its exact input: the
+    strategy config, the state's bytes, the candidate entities and the bytes
+    of their representations. The same input bytes make the same BLAS call
+    and so give the same bits, so a hit returns exactly what recomputing
+    would. Both memos live and die with the plan; nothing carries over from
+    one plan to the next.
+    """
 
     policy: QPolicy
     config: CeConfig
     scheme: SchemeSpec
     hmm: Hmm | None = None
+    # pruning acts on queue pushes, the other strategies on picks
+    selection_config: CeConfig | None = field(default=None, init=False, repr=False,
+                                              compare=False)
+    prune_config: CeConfig | None = field(default=None, init=False, repr=False,
+                                          compare=False)
     _featurizers: dict = field(default_factory=dict, init=False, repr=False,
                                compare=False)
+    _interventions: dict = field(default_factory=dict, init=False, repr=False,
+                                 compare=False)
+
+    def __post_init__(self):
+        kept = tuple(s for s in self.config.strategies if s != "prune")
+        self.selection_config = replace(self.config, strategies=kept) if kept else None
+        self.prune_config = (replace(self.config, strategies=("prune",))
+                             if self.config.enabled("prune") else None)
 
     def featurizer(self, graph: TopologyGraph) -> Featurizer:
         """The scheme's featurizer for ``graph``, built once per graph."""
         if graph not in self._featurizers:
             self._featurizers[graph] = self.scheme.featurizer(graph)
         return self._featurizers[graph]
+
+    def intervene(self, state: np.ndarray, candidates, cfg: CeConfig) -> Intervention:
+        """``context.intervene`` of the plan's policy, computed once per
+        distinct input; callers must not mutate the returned intervention."""
+        key = (cfg, state.tobytes(), tuple(e for e, _ in candidates),
+               tuple(r.tobytes() if isinstance(r, np.ndarray) else r
+                     for _, r in candidates))
+        hit = self._interventions.get(key)
+        if hit is None:
+            hit = self._interventions[key] = intervene(self.policy, state, candidates, cfg)
+        return hit
 
 
 @dataclass
@@ -178,47 +211,53 @@ class _SchemeRuntime:
 
     The features come from the plan's featurizer for the scenario's graph,
     the same one that abstracts logged episodes; the runtime adds only the
-    online hidden-state bits of ``with_hmm`` schemes.
+    online hidden-state bits of ``with_hmm`` schemes. For those it carries
+    the Viterbi log-score vector of the observed prefix forward by one
+    ``viterbi_step`` per turn, which gives the bits that decoding the whole
+    prefix again would.
     """
 
     def __init__(self, plan: CePlan, scn: SimScenario):
         self.plan = plan
         self.featurizer = plan.featurizer(scn.graph)
         self.symptom = scn.symptom
-        self.observations: list[np.ndarray] = []
+        self.delta: np.ndarray | None = None  # Viterbi log-scores of the prefix
+        self.hidden: np.ndarray | None = None
+        if plan.scheme.with_hmm:
+            self.hidden = self._onehot(int(np.argmax(plan.hmm.initial)))
+
+    def _onehot(self, z: int) -> np.ndarray:
+        onehot = np.zeros(self.plan.hmm.n_states)
+        onehot[z] = 1.0
+        return onehot
 
     def state(self, assessments) -> np.ndarray:
         base = self.featurizer.state_features(self.symptom, assessments)
-        if not self.plan.scheme.with_hmm:
+        if self.hidden is None:
             return base
-        return np.concatenate([base, self._hidden_state_onehot()])
-
-    def _hidden_state_onehot(self) -> np.ndarray:
-        """Online stand-in for the decoded hidden state.
-
-        Training-time augmentation decodes complete sequences; mid-episode we
-        decode the observed prefix and step the most likely transition.
-        """
-        hmm = self.plan.hmm
-        onehot = np.zeros(hmm.n_states)
-        if not self.observations:
-            z = int(np.argmax(hmm.initial))
-        else:
-            prefix = np.stack(self.observations)
-            z_prev = viterbi_decode(hmm, prefix)[-1]
-            z = int(np.argmax(hmm.transition[z_prev]))
-        onehot[z] = 1.0
-        return onehot
+        return np.concatenate([base, self.hidden])
 
     def candidate_repr(self, c: Entity, previous: Entity | None, assessments):
         return self.featurizer.action_features(c, previous, self.symptom, assessments)
 
     def record_turn(self, pre_state: np.ndarray, chosen_repr) -> None:
-        """Log the (pre-action state, action) observation the HMM was fit on."""
-        if self.plan.scheme.with_hmm:
-            self.observations.append(
-                np.concatenate([pre_state[:2], np.asarray(chosen_repr, dtype=float)])
-            )
+        """Take in the (pre-action state, action) observation the HMM was fit on.
+
+        Online stand-in for the decoded hidden state: training-time
+        augmentation decodes complete sequences; mid-episode the last state
+        of the prefix's Viterbi path steps the most likely transition.
+        """
+        if self.hidden is None:
+            return
+        hmm = self.plan.hmm
+        obs = np.concatenate([pre_state[:2], np.asarray(chosen_repr, dtype=float)])
+        log_emis = log_emission(hmm, obs)
+        if self.delta is None:
+            self.delta = hmm.log_initial + log_emis
+        else:
+            self.delta, _ = viterbi_step(self.delta, hmm.log_transition, log_emis)
+        z_prev = int(np.argmax(self.delta))
+        self.hidden = self._onehot(int(np.argmax(hmm.transition[z_prev])))
 
 
 # --- episode loop ---------------------------------------------------------------------
@@ -239,11 +278,6 @@ def run_episode(
     """
     rng = np.random.default_rng(seed)
     runtime = _SchemeRuntime(ce, scn) if ce is not None else None
-    selection_cfg = prune_cfg = None
-    if ce is not None:  # pruning acts on queue pushes, not picks
-        kept = tuple(s for s in ce.config.strategies if s != "prune")
-        selection_cfg = replace(ce.config, strategies=kept) if kept else None
-        prune_cfg = replace(ce.config, strategies=("prune",))
 
     chain_set = set(scn.chain)
     explored: set[Entity] = set()
@@ -272,11 +306,9 @@ def run_episode(
                 c: runtime.candidate_repr(c, previous, assessments)
                 for c in candidates
             }
-            if selection_cfg is not None:
-                selection_iv = intervene(
-                    ce.policy, state_vec, [(c, repr_of[c]) for c in candidates],
-                    selection_cfg,
-                )
+            if ce.selection_config is not None:
+                selection_iv = ce.intervene(
+                    state_vec, [(c, repr_of[c]) for c in candidates], ce.selection_config)
 
         chosen = _select(candidates, assessments, scn, rng, cfg, ce, selection_iv)
 
@@ -302,12 +334,12 @@ def run_episode(
             if n not in explored and n not in queued
         ]
         pruned: list[Entity] = []
-        if runtime is not None and ce.config.enabled("prune") and push:
+        if runtime is not None and ce.prune_config is not None and push:
             push_state = runtime.state(assessments)
             push_reprs = [
                 (c, runtime.candidate_repr(c, chosen, assessments)) for c in push
             ]
-            push_iv = intervene(ce.policy, push_state, push_reprs, prune_cfg)
+            push_iv = ce.intervene(push_state, push_reprs, ce.prune_config)
             pruned = [e for e in push if e not in push_iv.retained]
             push = [e for e in push if e in push_iv.retained]
         queue.extend(push)

@@ -69,6 +69,35 @@ def viterbi_bruteforce(initial, transition, means, variances, seq) -> list[int]:
     return list(best_path)
 
 
+def prefix_decode_hidden_states(initial, transition, means, variances, observations):
+    """The hidden state a serving-time runtime offers after each observed
+    prefix, by decoding the whole prefix again every turn: argmax of the
+    initial distribution before any observation, then the most likely
+    transition out of the last state of the prefix's Viterbi path. Returns
+    len(observations) + 1 states. Plain numpy recursion, first max on ties.
+    """
+    observations = np.asarray(observations, dtype=float)
+    with np.errstate(divide="ignore"):
+        log_init = np.log(initial)
+        log_trans = np.log(transition)
+    K = len(initial)
+    states = [int(np.argmax(initial))]
+    for T in range(1, len(observations) + 1):
+        seq = observations[:T]
+        diff = seq[:, None, :] - means[None, :, :]
+        log_norm = -0.5 * np.sum(np.log(2.0 * np.pi * variances), axis=1)
+        quad = -0.5 * np.sum(diff * diff / variances[None, :, :], axis=2)
+        log_emis = quad + log_norm[None, :]
+        delta = np.zeros((T, K))
+        delta[0] = log_init + log_emis[0]
+        for t in range(1, T):
+            cand = delta[t - 1][:, None] + log_trans
+            best = np.argmax(cand, axis=0)
+            delta[t] = cand[best, np.arange(K)] + log_emis[t]
+        states.append(int(np.argmax(transition[int(np.argmax(delta[-1]))])))
+    return states
+
+
 def preference_count(scores: list[float], margin: float) -> int:
     """O(n^2) double loop counting strict-margin preferences."""
     count = 0

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import viterbi_bruteforce
 from twinmdp.errors import DegenerateData, DimensionMismatch
-from twinmdp.hmm import Hmm, fit_hmm, sequence_log_likelihood, viterbi_decode
+from twinmdp.hmm import (Hmm, fit_hmm, log_emission, sequence_log_likelihood,
+                         viterbi_decode, viterbi_step)
 
 
 def random_hmm(k, d, rng):
@@ -130,6 +133,46 @@ class TestViterbi:
         model = random_hmm(2, 3, np.random.default_rng(0))
         with pytest.raises(DimensionMismatch):
             viterbi_decode(model, np.zeros((4, 2)))
+
+
+def _distribution(weights) -> np.ndarray:
+    w = np.asarray(weights, dtype=float)
+    return w / w.sum() if w.sum() > 0 else np.full(len(w), 1.0 / len(w))
+
+
+@st.composite
+def hmms_and_sequences(draw):
+    """Small HMMs with exact ties: integer weights (zeros give -inf logs),
+    possibly one shared transition row, and means and variances drawn from
+    few values so that states can emit identically."""
+    k = draw(st.integers(1, 5))
+    d = draw(st.integers(1, 7))
+    t = draw(st.integers(1, 15))
+    weight = st.sampled_from([0, 0, 1, 1, 2, 3])
+    initial = _distribution(draw(st.lists(weight, min_size=k, max_size=k)))
+    rows = draw(st.integers(1, k))  # rows beyond these repeat the first
+    drawn = [_distribution(draw(st.lists(weight, min_size=k, max_size=k)))
+             for _ in range(rows)]
+    transition = np.stack(drawn + [drawn[0]] * (k - rows))
+    value = st.sampled_from([-1.0, 0.0, 0.5, 2.0])
+    means = np.array(draw(st.lists(value, min_size=k * d, max_size=k * d))).reshape(k, d)
+    variances = np.array(draw(st.lists(st.sampled_from([0.5, 1.0]), min_size=k * d,
+                                       max_size=k * d))).reshape(k, d)
+    obs = np.array(draw(st.lists(st.floats(-3.0, 3.0), min_size=t * d,
+                                 max_size=t * d))).reshape(t, d)
+    hmm = Hmm(initial=initial, transition=transition, means=means, variances=variances)
+    return hmm, obs
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(hmms_and_sequences())
+def test_carried_viterbi_state_matches_decoding_every_prefix(case):
+    hmm, obs = case
+    delta = hmm.log_initial + log_emission(hmm, obs[0])
+    for t in range(len(obs)):
+        if t:
+            delta, _ = viterbi_step(delta, hmm.log_transition, log_emission(hmm, obs[t]))
+        assert int(np.argmax(delta)) == viterbi_decode(hmm, obs[: t + 1])[-1]
 
 
 def test_sequence_log_likelihood_matches_trace():

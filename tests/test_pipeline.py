@@ -99,6 +99,17 @@ def finished_run(tmp_path_factory):
     return out, summary
 
 
+@pytest.fixture(scope="module")
+def enriched_run(tmp_path_factory):
+    """``SMALL_CONFIG`` with hub features and a two-state HMM, reproduced."""
+    raw = json.loads(json.dumps(SMALL_CONFIG))
+    raw["scheme"] = {"kind": "topology", "with_hubs": True, "with_hmm": True,
+                     "hmm_states": 2}
+    out = tmp_path_factory.mktemp("enriched")
+    summary = stage_reproduce(validate_config(raw), out)
+    return raw, out, summary
+
+
 class TestConfigValidation:
     def test_valid_config_loads(self):
         cfg = small_config()
@@ -290,11 +301,48 @@ class TestStages:
         err = capsys.readouterr().err
         assert damaged in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("damage", ["truncated", "duplicated"])
+    def test_an_incomplete_results_table_is_reported(self, finished_run, tmp_path, capsys,
+                                                     damage):
+        out, _ = finished_run
+        clone = tmp_path / "clone"
+        shutil.copytree(out, clone)
+        header, *rows = (clone / "results.csv").read_text().splitlines(keepends=True)
+        assert len(rows) == 3 * 4 * 3  # baseline and two arms, 4 scenarios, 3 trials
+        kept = rows[: len(rows) // 2] if damage == "truncated" else rows + rows[-1:]
+        (clone / "results.csv").write_text(header + "".join(kept))
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(SMALL_CONFIG))
+        assert cli_main(["evaluate", "--config", str(cfg_path), "--out", str(clone)]) == 1
+        err = capsys.readouterr().err
+        assert "results.csv" in err and "Traceback" not in err
+        assert (clone / "report.json").read_bytes() == (out / "report.json").read_bytes()
+
     def test_results_table_has_all_arms(self, finished_run):
         out, _ = finished_run
         text = (out / "results.csv").read_text()
         for method in ("baseline", "rl_irl+prioritize", "bc+prioritize"):
             assert method in text
+
+
+def assert_a_new_process_reproduces(raw: dict, out1: Path, tmp_path: Path) -> None:
+    """``twinmdp reproduce`` of ``raw`` in a fresh interpreter writes the
+    output hashes of the run in ``out1``."""
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(raw))
+    out2 = tmp_path / "subprocess"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    subprocess.run([sys.executable, "-m", "twinmdp.cli", "reproduce",
+                    "--config", str(cfg_path), "--out", str(out2)],
+                   check=True, env=env, capture_output=True)
+    manifests = sorted(p.name for p in out1.glob("*.manifest.json"))
+    assert manifests == sorted(p.name for p in out2.glob("*.manifest.json"))
+    assert len(manifests) == 8
+    for name in manifests:
+        want = json.loads((out1 / name).read_text())["outputs"]
+        assert json.loads((out2 / name).read_text())["outputs"] == want, name
 
 
 class TestDeterminism:
@@ -309,21 +357,13 @@ class TestDeterminism:
     def test_reproduce_in_a_new_process_gives_identical_hashes(self, tmp_path,
                                                               finished_run):
         out1, _ = finished_run
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(SMALL_CONFIG))
-        out2 = tmp_path / "subprocess"
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        subprocess.run([sys.executable, "-m", "twinmdp.cli", "reproduce",
-                        "--config", str(cfg_path), "--out", str(out2)],
-                       check=True, env=env, capture_output=True)
-        manifests = sorted(p.name for p in out1.glob("*.manifest.json"))
-        assert manifests == sorted(p.name for p in out2.glob("*.manifest.json"))
-        assert len(manifests) == 8
-        for name in manifests:
-            want = json.loads((out1 / name).read_text())["outputs"]
-            assert json.loads((out2 / name).read_text())["outputs"] == want, name
+        assert_a_new_process_reproduces(SMALL_CONFIG, out1, tmp_path)
+
+    def test_hubs_and_hmm_reproduce_in_a_new_process_gives_identical_hashes(
+            self, tmp_path, enriched_run):
+        # the plain topology run above never reaches the serving-time HMM path
+        raw, out1, _ = enriched_run
+        assert_a_new_process_reproduces(raw, out1, tmp_path)
 
     def test_seed_derivation_is_stable_and_labelled(self):
         assert derive_seed(7, "collect") == derive_seed(7, "collect")
@@ -332,13 +372,8 @@ class TestDeterminism:
 
 
 class TestSchemeVariants:
-    def test_hub_and_hidden_state_features_flow_through(self, tmp_path):
-        raw = json.loads(json.dumps(SMALL_CONFIG))
-        raw["scheme"] = {"kind": "topology", "with_hubs": True, "with_hmm": True,
-                         "hmm_states": 2}
-        cfg = validate_config(raw)
-        out = tmp_path / "enriched"
-        summary = stage_reproduce(cfg, out)
+    def test_hub_and_hidden_state_features_flow_through(self, enriched_run):
+        _, out, summary = enriched_run
         assert (out / "hmm_model.json").exists()
         scheme = json.loads((out / "scheme_runtime.json").read_text())
         assert scheme["with_hubs"] and scheme["with_hmm"]

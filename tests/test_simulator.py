@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from oracles import set_f1
+from oracles import prefix_decode_hidden_states, set_f1
 from twinmdp import abstraction
-from twinmdp.abstraction import SchemeSpec, abstract, build_vocabulary
-from twinmdp.context import CeConfig
+from twinmdp.abstraction import SchemeSpec, abstract, build_vocabulary, hmm_observations
+from twinmdp.context import CeConfig, intervene
 from twinmdp.errors import InfeasibleConfig, MalformedRecord
 from twinmdp.hmm import Hmm
 from twinmdp.offline_rl import QPolicy
@@ -366,3 +366,100 @@ class TestTrainServeParity:
         run_batch(scns, plan, EpisodeConfig(max_turns=6), trials=4, master_seed=5)
         run_batch(scns, plan, EpisodeConfig(max_turns=6), trials=2, master_seed=6)
         assert builds == [scn.graph for scn in scns]
+
+
+def parity_plan(kind, scns, config, q):
+    """A plan of one of the parity test's three schemes around the stub ``q``."""
+    hmm = None
+    if kind == "topology_hubs":
+        scheme = SchemeSpec(kind="topology", with_hubs=True, unreachable_sentinel=12.0)
+    elif kind == "nametype":
+        scheme = SchemeSpec(kind="nametype", vocabulary=build_vocabulary(
+            [], "nametype", graphs=[scn.graph for scn in scns]))
+    else:
+        scheme = SchemeSpec(kind="topology", with_hmm=True, unreachable_sentinel=12.0)
+        hmm = parity_hmm(6)
+    return CePlan(policy=QPolicy(q=q, temperature=1.0), config=config, scheme=scheme,
+                  hmm=hmm)
+
+
+def input_key(state, candidates, cfg):
+    return (cfg, np.asarray(state).tobytes(), tuple(e for e, _ in candidates),
+            tuple(np.asarray(r).tobytes() for _, r in candidates))
+
+
+class TestInterventionMemo:
+    """A plan scores each distinct (config, state, candidates) input once."""
+
+    @pytest.mark.parametrize("kind", ["topology_hubs", "nametype", "topology_hmm"])
+    def test_every_hit_equals_a_fresh_intervention(self, kind, monkeypatch):
+        scns = parity_scenarios()
+        q = RecordingQ()
+        plan = parity_plan(kind, scns, CeConfig(), q)
+        calls = []
+        memoised = CePlan.intervene
+
+        def recording(self, state, candidates, cfg):
+            iv = memoised(self, state, candidates, cfg)
+            calls.append((state, candidates, cfg, iv))
+            return iv
+
+        monkeypatch.setattr(CePlan, "intervene", recording)
+        cfg = EpisodeConfig(max_turns=8, epsilon=0.3)
+        run_batch(scns, plan, cfg, trials=6, master_seed=3)
+        scored = len(q.calls)
+
+        distinct = set()
+        for state, candidates, ce_cfg, iv in calls:
+            fresh = intervene(plan.policy, state, candidates, ce_cfg)
+            assert list(iv.probs) == list(fresh.probs)
+            assert (np.array(list(iv.probs.values())).tobytes()
+                    == np.array(list(fresh.probs.values())).tobytes())
+            assert iv.suggestions == fresh.suggestions
+            assert iv.retained == fresh.retained
+            assert iv.ordering == fresh.ordering
+            distinct.add(input_key(state, candidates, ce_cfg))
+        assert len(calls) > len(distinct), "the batch should repeat some inputs"
+        assert len(plan._interventions) == len(distinct) == scored
+
+        fresh_q = RecordingQ()
+        fresh_plan = parity_plan(kind, scns, CeConfig(), fresh_q)
+        assert fresh_plan._interventions == {}
+        run_batch(scns, fresh_plan, cfg, trials=6, master_seed=3)
+        assert len(fresh_q.calls) == scored
+
+    def test_with_hmm_batch_scores_the_prefix_decode_states(self):
+        scns = parity_scenarios()
+        q = RecordingQ()
+        # wide emissions leave the prior and the earlier turns a say, and no
+        # state's likeliest successor is itself, so a skipped step would show
+        rng = np.random.default_rng(1)
+        hmm = Hmm(initial=np.array([0.2, 0.5, 0.3]),
+                  transition=np.array([[0.1, 0.6, 0.3], [0.2, 0.2, 0.6], [0.5, 0.3, 0.2]]),
+                  means=rng.uniform(0.0, 5.0, (3, 6)), variances=np.full((3, 6), 100.0))
+        plan = CePlan(policy=QPolicy(q=q, temperature=1.0),
+                      config=CeConfig(strategies=("prioritize",)),
+                      scheme=SchemeSpec(kind="topology", with_hmm=True,
+                                        unreachable_sentinel=12.0), hmm=hmm)
+        rows = run_batch(scns, plan, EpisodeConfig(max_turns=8, epsilon=0.3), trials=5,
+                         master_seed=9)
+        want, seen = [], set()
+        for row in rows:
+            traj = row["result"].trajectory
+            scn = next(s for s in scns if s.scenario_id == traj.scenario_id)
+            view = abstract(traj, plan.scheme, plan.scheme.featurizer(scn.graph))
+            hidden = prefix_decode_hidden_states(hmm.initial, hmm.transition, hmm.means,
+                                                 hmm.variances, hmm_observations(view))
+            for t, (raw, step) in enumerate(zip(traj.steps, view.steps)):
+                state = np.concatenate([step.state, np.eye(hmm.n_states)[hidden[t]]])
+                key = input_key(state, list(zip(raw.candidate_entities, step.candidates)),
+                                None)
+                if key not in seen:  # the memo scores a repeated input once
+                    seen.add(key)
+                    want.append((state, step.candidates))
+        assert len(q.calls) == len(want) > 20
+        assert len({int(np.argmax(state[2:])) for state, _ in want}) >= 2
+        for (state, cands), (want_state, want_cands) in zip(q.calls, want):
+            assert state.tobytes() == want_state.tobytes()
+            assert [c.tobytes() for c in cands] == [np.asarray(c).tobytes()
+                                                   for c in want_cands]
