@@ -56,7 +56,7 @@ walk = RawTrajectory(
 )
 
 topo = SchemeSpec(kind="topology")
-view = abstract(walk, topo, topo.featurizer(graph))
+view = abstract(walk, topo, graph)
 print("\n== topology-scheme abstraction ==")
 print("state features: [min dist symptom->flagged-primary, ...->flagged-cascading]")
 print("action features: [d(target,prev), d(target,symptom),")

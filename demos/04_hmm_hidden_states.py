@@ -31,7 +31,7 @@ for seed in rng_seeds:
     scn = generate_scenario(scn_cfg, seed=seed, scenario_id=f"s{seed}")
     res = run_episode(scn, None, ep_cfg, seed=seed)
     spec = SchemeSpec(kind="topology", unreachable_sentinel=12.0)
-    trajectories.append(abstract(res.trajectory, spec, spec.featurizer(scn.graph)))
+    trajectories.append(abstract(res.trajectory, spec, scn.graph))
 
 sequences = [hmm_observations(t) for t in trajectories]
 dims = sequences[0].shape[1]

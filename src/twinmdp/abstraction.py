@@ -62,29 +62,27 @@ class SchemeSpec:
         if self.kind != "topology" and len(set(self.vocabulary)) != len(self.vocabulary):
             raise MalformedRecord("vocabulary entries must be unique")
 
-    @property
-    def action_dim(self) -> int:
-        """Width of the action representation fed to networks."""
-        if self.kind == "topology":
-            return 5 if self.with_hubs else 4
-        return len(self.vocabulary)
-
     def featurizer(self, graph: TopologyGraph | None = None) -> Featurizer:
         """The step featurizer of this scheme for episodes on ``graph``.
 
-        Topology features need the episode's graph, and each call builds a
-        new featurizer, so callers keep one per graph. The name schemes
-        ignore the graph and share one featurizer per spec.
+        Built once per graph and kept as long as the spec, so every episode
+        on a graph, logged or live, reads the same featurizer. Topology
+        features need the episode's graph; the name schemes ignore it and
+        share one featurizer.
         """
         if self.kind != "topology":
-            return self._vocabulary_featurizer
-        if graph is None:
+            graph = None
+        elif graph is None:
             raise MalformedRecord("the topology scheme needs the episode's graph")
-        return TopologyFeaturizer(graph, self.unreachable_sentinel, self.with_hubs)
+        if graph not in self._featurizers:
+            self._featurizers[graph] = (
+                VocabularyFeaturizer(self.vocabulary, self.kind) if graph is None
+                else TopologyFeaturizer(graph, self.unreachable_sentinel, self.with_hubs))
+        return self._featurizers[graph]
 
     @cached_property
-    def _vocabulary_featurizer(self) -> VocabularyFeaturizer:
-        return VocabularyFeaturizer(self.vocabulary, self.kind)
+    def _featurizers(self) -> dict:
+        return {}
 
 
 def build_vocabulary(trajs, kind: str, graphs=()) -> tuple:
@@ -125,10 +123,6 @@ class AbstractTrajectory:
     scheme: str
     steps: list[AbstractStep]
     scores: JudgeScores
-
-    @property
-    def state_dim(self) -> int:
-        return int(self.steps[0].state.shape[0])
 
 
 class TopologyFeaturizer:
@@ -226,16 +220,15 @@ Featurizer: TypeAlias = Union[TopologyFeaturizer, VocabularyFeaturizer]
 
 
 def abstract(raw: RawTrajectory, spec: SchemeSpec,
-             featurizer: Featurizer | None = None) -> AbstractTrajectory:
+             graph: TopologyGraph | None = None) -> AbstractTrajectory:
     """Map a raw trajectory into its abstract (state, action, reward) view.
 
-    ``featurizer`` is ``spec.featurizer(graph)`` for the trajectory's graph;
-    the name schemes need none. Rewards initialize to 0; reward learning
-    relabels them later. Pure and deterministic: identical inputs produce
-    identical outputs.
+    ``graph`` is the trajectory's graph; the name schemes need none. The
+    features come from ``spec.featurizer(graph)``. Rewards initialize to 0;
+    reward learning relabels them later. Pure and deterministic: identical
+    inputs produce identical outputs.
     """
-    if featurizer is None:
-        featurizer = spec.featurizer()
+    featurizer = spec.featurizer(graph)
     symptom = raw.symptom_entity
     steps = []
     previous = None

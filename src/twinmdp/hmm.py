@@ -43,6 +43,11 @@ class Hmm:
         with np.errstate(divide="ignore"):
             return np.log(self.transition)
 
+    @cached_property
+    def log_norm(self) -> np.ndarray:
+        """(K,) log normaliser of each state's diagonal Gaussian."""
+        return -0.5 * np.sum(np.log(2.0 * np.pi * self.variances), axis=1)
+
     def __post_init__(self):
         if abs(self.initial.sum() - 1.0) > 1e-9:
             raise DimensionMismatch("initial distribution does not sum to 1")
@@ -181,7 +186,8 @@ def fit_hmm(
 def log_emission(hmm: Hmm, observation: np.ndarray) -> np.ndarray:
     """(K,) log density of one observation under each state; bit for bit the
     row that a whole-sequence evaluation gives it."""
-    return _log_emissions(hmm.means, hmm.variances, observation[None, :])[0]
+    diff = observation - hmm.means
+    return -0.5 * np.sum(diff * diff / hmm.variances, axis=1) + hmm.log_norm
 
 
 def viterbi_step(delta: np.ndarray, log_trans: np.ndarray,

@@ -21,6 +21,7 @@ import numpy as np
 import yaml
 
 from .abstraction import (
+    SCHEME_KINDS,
     AbstractTrajectory,
     SchemeSpec,
     abstract,
@@ -45,6 +46,8 @@ from .offline_rl import (
 )
 from .ope import fqe_many, rank_policies
 from .reward_learning import (
+    RANKING_SIGNALS,
+    RELABEL_MODES,
     RewardTrainConfig,
     build_pairs,
     load_reward_net,
@@ -129,7 +132,6 @@ def config_hash(cfg: "PipelineConfig") -> str:
 
 # --- configuration ---------------------------------------------------------------------
 
-REWARD_MODES = ("irl", "sparse", "combined")
 DEFAULT_GRID = [
     {"id": "rl_irl", "learner": "cql", "reward_mode": "irl"},
     {"id": "rl_sparse", "learner": "cql", "reward_mode": "sparse"},
@@ -221,17 +223,17 @@ _SECTIONS = {path.rsplit(".", i)[0] for path in SCHEMA for i in range(1, path.co
 # the allowed values, or an interval
 RANGES = {
     "master_seed": "[0, inf)",
-    "scheme.kind": ("name", "nametype", "topology"),
+    "scheme.kind": SCHEME_KINDS,
     "scheme.hmm_states": "[1, inf)", "scheme.hmm_select_from": "[1, inf)",
     "collect.n_scenarios": "[2, inf)", "collect.episodes_per_scenario": "[1, inf)",
-    "irl.signal": ("fpc_only", "mean_fpc_rce"), "irl.margin": "[0, inf)",
+    "irl.signal": RANKING_SIGNALS, "irl.margin": "[0, inf)",
     "irl.max_pairs": "[1, inf)", "irl.hidden_units": "[1, inf)", "irl.epochs": "[1, inf)",
     "irl.batch_size": "[1, inf)", "irl.step_size": "(0, inf)", "irl.discount": "(0, 1]",
     "rl.alpha": "[0, inf)", "rl.gamma": "[0, 1)", "rl.iterations": "[1, inf)",
     "rl.step_size": "(0, inf)", "rl.batch_size": "[1, inf)", "rl.hidden_units": "[1, inf)",
     "rl.target_refresh": "[1, inf)", "rl.temperature": "(0, inf)",
-    "rl.combined_blend": "[0, inf)",
-    "ope.holdout_fraction": "(0, 1)", "ope.k": "[1, inf)", "ope.eval_reward_mode": REWARD_MODES,
+    "rl.combined_blend": "[0, inf)", "ope.holdout_fraction": "(0, 1)",
+    "ope.k": "[1, inf)", "ope.eval_reward_mode": RELABEL_MODES,
     "ce.suggest_percentile": "(0, 100]", "ce.prune_percentile": "[0, 100)",
     "compare.n_scenarios": "[2, inf)", "compare.trials": "[3, inf)",
     "eval.n_boot": "[1, inf)", "eval.alpha": "(0, 1)",
@@ -349,7 +351,7 @@ def validate_config(raw: dict) -> PipelineConfig:
                     ("id", "learner", "reward_mode"), problems)
     for i, entry in grid:
         learner = entry.get("learner")
-        modes = {"cql": REWARD_MODES, "bc": ("none",)}.get(learner)
+        modes = {"cql": RELABEL_MODES, "bc": ("none",)}.get(learner)
         if modes is None:
             problems.append(f"rl.grid[{i}].learner: must be in cql, bc")
         elif entry.get("reward_mode") not in modes:
@@ -500,20 +502,13 @@ def stage_abstract(cfg: PipelineConfig, out: Path) -> dict:
 
 def abstract_trajectories(trajs, spec: SchemeSpec, graphs,
                           hmm: Hmm | None = None) -> list[AbstractTrajectory]:
-    """Abstract raw trajectories under ``spec`` with one featurizer per scenario.
+    """Abstract raw trajectories under ``spec``.
 
     ``graphs`` maps scenario ids to their graphs; with ``hmm`` each view also
     gets its decoded hidden state.
     """
-    featurizers = {}
-    out = []
-    for traj in trajs:
-        sid = traj.scenario_id
-        if sid not in featurizers:
-            featurizers[sid] = spec.featurizer(graphs.get(sid))
-        view = abstract(traj, spec, featurizers[sid])
-        out.append(view if hmm is None else augment_with_hmm(view, hmm))
-    return out
+    views = [abstract(traj, spec, graphs.get(traj.scenario_id)) for traj in trajs]
+    return views if hmm is None else [augment_with_hmm(v, hmm) for v in views]
 
 
 def _fit_or_select_hmm(cfg: PipelineConfig, sequences, seed: int) -> tuple[Hmm, int]:
@@ -564,12 +559,18 @@ def split_scenarios(cfg: PipelineConfig, scenario_ids) -> tuple[set[str], set[st
     return train_ids, eval_ids
 
 
+def read_split(cfg: PipelineConfig, path: Path) -> tuple[list, list]:
+    """The abstract corpus at ``path`` as its (train, eval) trajectories, in file order."""
+    trajs = load_abstract_corpus(path)
+    _, eval_ids = split_scenarios(cfg, [t.scenario_id for t in trajs])
+    return ([t for t in trajs if t.scenario_id not in eval_ids],
+            [t for t in trajs if t.scenario_id in eval_ids])
+
+
 def stage_train_reward(cfg: PipelineConfig, out: Path) -> dict:
     _require([out / F_ABSTRACT], "train_reward")
     seed = derive_seed(cfg.master_seed, "train_reward")
-    trajs = load_abstract_corpus(out / F_ABSTRACT)
-    train_ids, _ = split_scenarios(cfg, [t.scenario_id for t in trajs])
-    train_trajs = [t for t in trajs if t.scenario_id in train_ids]
+    train_trajs, _ = read_split(cfg, out / F_ABSTRACT)
     pairs = build_pairs(
         [(t, t.scores) for t in train_trajs],
         signal=cfg.irl_signal,
@@ -623,26 +624,19 @@ def stage_train_policy(cfg: PipelineConfig, out: Path) -> dict:
     _require(inputs, "train_policy")
     seed = derive_seed(cfg.master_seed, "train_policy")
     outputs = []
-    corpora: dict[str, list[AbstractTrajectory]] = {}
-
-    def corpus_for(mode: str) -> list[AbstractTrajectory]:
-        if mode not in corpora:
-            path = out / F_ABSTRACT if mode == "none" else out / relabeled_file(mode)
-            trajs = load_abstract_corpus(path)
-            train_ids, _ = split_scenarios(cfg, [t.scenario_id for t in trajs])
-            corpora[mode] = [t for t in trajs if t.scenario_id in train_ids]
-        return corpora[mode]
-
+    # bc entries take reward mode "none": the unrelabeled corpus
+    corpora = {mode: read_split(cfg, out / (F_ABSTRACT if mode == "none"
+                                            else relabeled_file(mode)))[0]
+               for mode in {entry["reward_mode"] for entry in cfg.rl_grid}}
     for entry in cfg.rl_grid:
         pid = entry["id"]
         train_cfg = replace(cfg.rl_train,
                             seed=derive_seed(cfg.master_seed, "train_policy", pid))
+        trajs = corpora[entry["reward_mode"]]
         if entry["learner"] == "cql":
-            trajs = corpus_for(entry["reward_mode"])
             qfun = cql_train(trajs, train_cfg, CandidateSet())
             policy = QPolicy(q=qfun, temperature=train_cfg.temperature)
         else:
-            trajs = corpus_for("none")
             policy = bc_train(trajs, train_cfg, CandidateSet())
         meta = {
             "id": pid,
@@ -660,16 +654,14 @@ def stage_rank(cfg: PipelineConfig, out: Path) -> dict:
     inputs = [eval_path] + [out / policy_file(e["id"]) for e in cfg.rl_grid]
     _require(inputs, "rank")
     seed = derive_seed(cfg.master_seed, "rank")
-    trajs = load_abstract_corpus(eval_path)
-    _, eval_ids = split_scenarios(cfg, [t.scenario_id for t in trajs])
-    eval_trajs = [t for t in trajs if t.scenario_id in eval_ids]
+    _, eval_trajs = read_split(cfg, eval_path)
     candidates = [load_policy(out / policy_file(entry["id"])) for entry in cfg.rl_grid]
     fqe_cfg = replace(cfg.rl_train, alpha=0.0,
                       seed=derive_seed(cfg.master_seed, "rank", "fqe"))
     ranking = rank_policies(candidates, eval_trajs, fqe_cfg, k=cfg.ope_k)
     report = {
         "eval_reward_mode": cfg.eval_reward_mode,
-        "eval_scenarios": sorted(eval_ids),
+        "eval_scenarios": sorted({t.scenario_id for t in eval_trajs}),
         "k": cfg.ope_k,
         "ranking": ranking,
     }
@@ -891,10 +883,8 @@ def robustness_sweep(cfg: PipelineConfig, out: Path,
     _require([out / F_ABSTRACT, out / F_REWARD,
               out / relabeled_file(cfg.eval_reward_mode)], "robustness_sweep")
     net = load_reward_net(out / F_REWARD)
-    trajs = load_abstract_corpus(out / F_ABSTRACT)
-    train_ids, eval_ids = split_scenarios(cfg, [t.scenario_id for t in trajs])
-    pool = [t for t in trajs if t.scenario_id in train_ids
-            and t.scores.rce_identification >= 100.0]
+    train, _ = read_split(cfg, out / F_ABSTRACT)
+    pool = [t for t in train if t.scores.rce_identification >= 100.0]
 
     needed = max(counts)
     if len(pool) < needed:
@@ -903,8 +893,8 @@ def robustness_sweep(cfg: PipelineConfig, out: Path,
         raise StageFailed("robustness_sweep",
                           RuntimeError(f"only {len(pool)} successful trajectories"))
 
-    eval_all = load_abstract_corpus(out / relabeled_file(cfg.eval_reward_mode))
-    eval_table = build_transitions([t for t in eval_all if t.scenario_id in eval_ids])
+    _, held_out = read_split(cfg, out / relabeled_file(cfg.eval_reward_mode))
+    eval_table = build_transitions(held_out)
 
     rng = np.random.default_rng(derive_seed(cfg.master_seed, "robustness_sweep"))
     order = rng.permutation(len(pool))

@@ -19,9 +19,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .abstraction import Featurizer, SchemeSpec
+from .abstraction import SchemeSpec
 from .context import CeConfig, Intervention, intervene
-from .errors import InfeasibleConfig
+from .errors import InfeasibleConfig, MalformedRecord
 from .hmm import Hmm, log_emission, viterbi_step
 from .offline_rl import QPolicy
 from .topology import (TopologyGraph, all_distances_from, graph_from_json, graph_to_json,
@@ -70,13 +70,15 @@ class EpisodeConfig:
 class CePlan:
     """Everything needed to intervene during an episode.
 
-    A plan memoises its featurizers (one per graph) and its interventions
-    (one per distinct input). An intervention's key is its exact input: the
-    strategy config, the state's bytes, the candidate entities and the bytes
-    of their representations. The same input bytes make the same BLAS call
-    and so give the same bits, so a hit returns exactly what recomputing
-    would. Both memos live and die with the plan; nothing carries over from
-    one plan to the next.
+    ``hmm`` is given exactly when the scheme is ``with_hmm``. The features
+    come from ``scheme.featurizer``, so plans that share a scheme share its
+    featurizers. A plan memoises its interventions (one per distinct
+    input). An intervention's key is its exact input: the strategy config,
+    the state's bytes, the candidate entities and the bytes of their
+    representations. The same input bytes make the same BLAS call and so
+    give the same bits, so a hit returns exactly what recomputing would. The
+    memo lives and dies with the plan; nothing carries over from one plan to
+    the next.
     """
 
     policy: QPolicy
@@ -88,22 +90,16 @@ class CePlan:
                                               compare=False)
     prune_config: CeConfig | None = field(default=None, init=False, repr=False,
                                           compare=False)
-    _featurizers: dict = field(default_factory=dict, init=False, repr=False,
-                               compare=False)
     _interventions: dict = field(default_factory=dict, init=False, repr=False,
                                  compare=False)
 
     def __post_init__(self):
+        if self.scheme.with_hmm != (self.hmm is not None):
+            raise MalformedRecord("a plan takes an HMM exactly when its scheme is with_hmm")
         kept = tuple(s for s in self.config.strategies if s != "prune")
         self.selection_config = replace(self.config, strategies=kept) if kept else None
         self.prune_config = (replace(self.config, strategies=("prune",))
                              if self.config.enabled("prune") else None)
-
-    def featurizer(self, graph: TopologyGraph) -> Featurizer:
-        """The scheme's featurizer for ``graph``, built once per graph."""
-        if graph not in self._featurizers:
-            self._featurizers[graph] = self.scheme.featurizer(graph)
-        return self._featurizers[graph]
 
     def intervene(self, state: np.ndarray, candidates, cfg: CeConfig) -> Intervention:
         """``context.intervene`` of the plan's policy, computed once per
@@ -209,7 +205,7 @@ def judge(identified_root: Entity | None, assessments: dict[Entity, str],
 class _SchemeRuntime:
     """Builds the policy's state and candidate representations during a run.
 
-    The features come from the plan's featurizer for the scenario's graph,
+    The features come from the scheme's featurizer for the scenario's graph,
     the same one that abstracts logged episodes; the runtime adds only the
     online hidden-state bits of ``with_hmm`` schemes. For those it carries
     the Viterbi log-score vector of the observed prefix forward by one
@@ -219,7 +215,7 @@ class _SchemeRuntime:
 
     def __init__(self, plan: CePlan, scn: SimScenario):
         self.plan = plan
-        self.featurizer = plan.featurizer(scn.graph)
+        self.featurizer = plan.scheme.featurizer(scn.graph)
         self.symptom = scn.symptom
         self.delta: np.ndarray | None = None  # Viterbi log-scores of the prefix
         self.hidden: np.ndarray | None = None

@@ -114,7 +114,7 @@ class TestTopologyScheme:
         # chain n0 -> n1 -> n2 -> n3 -> n4, diameter 4, sentinel 5
         nodes, graph = chain_graph()
         traj = chain_trajectory(nodes)
-        out = abstract(traj, TOPOLOGY, TOPOLOGY.featurizer(graph))
+        out = abstract(traj, TOPOLOGY, graph)
 
         # turn 0: nothing assessed, no previous entity
         assert out.steps[0].state.tolist() == [5.0, 5.0]
@@ -130,7 +130,7 @@ class TestTopologyScheme:
     def test_turn_zero_unlabeled_gives_sentinels_except_symptom_distance(self):
         nodes, graph = chain_graph()
         traj = chain_trajectory(nodes)
-        out = abstract(traj, TOPOLOGY, TOPOLOGY.featurizer(graph))
+        out = abstract(traj, TOPOLOGY, graph)
         feats = np.asarray(out.steps[0].action)
         assert feats[1] == 0.0  # the chosen entity IS the symptom here
         assert feats[0] == feats[2] == feats[3] == 5.0
@@ -139,7 +139,7 @@ class TestTopologyScheme:
         nodes, graph = chain_graph()
         traj = chain_trajectory(nodes)
         spec = SchemeSpec(kind="topology", with_hubs=True)
-        out = abstract(traj, spec, spec.featurizer(graph))
+        out = abstract(traj, spec, graph)
         # chain hubs: 0.5 for the four sources, 0 for the sink n4
         assert np.asarray(out.steps[0].action)[-1] == pytest.approx(0.0, abs=1e-9)
         assert np.asarray(out.steps[1].action)[-1] == pytest.approx(0.5, abs=1e-9)
@@ -147,8 +147,8 @@ class TestTopologyScheme:
     def test_determinism(self):
         nodes, graph = chain_graph()
         traj = chain_trajectory(nodes)
-        a = abstract(traj, TOPOLOGY, TOPOLOGY.featurizer(graph))
-        b = abstract(traj, TOPOLOGY, TOPOLOGY.featurizer(graph))
+        a = abstract(traj, TOPOLOGY, graph)
+        b = abstract(traj, TOPOLOGY, graph)
         for sa, sb in zip(a.steps, b.steps):
             assert np.array_equal(sa.state, sb.state)
             assert np.array_equal(np.asarray(sa.action), np.asarray(sb.action))
@@ -182,7 +182,7 @@ class TestTopologyScheme:
                              symptom_entity=nodes[4], steps=steps,
                              scores=JudgeScores(0.0, 0.0))
         with pytest.raises(EntityNotInGraph):
-            abstract(traj, TOPOLOGY, TOPOLOGY.featurizer(graph))
+            abstract(traj, TOPOLOGY, graph)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_min_dist_to_label_equals_the_dense_loop(self, seed):
@@ -225,7 +225,7 @@ class TestTopologyScheme:
         traj = chain_trajectory(nodes)
         feat = TopologyFeaturizer(graph)
         assert feat.sentinel == 5.0
-        out = abstract(traj, TOPOLOGY, TOPOLOGY.featurizer(graph))
+        out = abstract(traj, TOPOLOGY, graph)
         for step in out.steps:
             assert np.all(step.state >= 0)
             assert np.all(np.asarray(step.action) >= 0)
@@ -234,8 +234,7 @@ class TestTopologyScheme:
 class TestHmmAugmentation:
     def test_single_state_appends_constant(self):
         nodes, graph = chain_graph()
-        traj = abstract(chain_trajectory(nodes), TOPOLOGY,
-                        TOPOLOGY.featurizer(graph))
+        traj = abstract(chain_trajectory(nodes), TOPOLOGY, graph)
         obs = hmm_observations(traj)
         model = Hmm(
             initial=np.array([1.0]), transition=np.array([[1.0]]),
@@ -249,8 +248,7 @@ class TestHmmAugmentation:
 
     def test_onehot_matches_decoder_output(self):
         nodes, graph = chain_graph()
-        traj = abstract(chain_trajectory(nodes), TOPOLOGY,
-                        TOPOLOGY.featurizer(graph))
+        traj = abstract(chain_trajectory(nodes), TOPOLOGY, graph)
         obs = hmm_observations(traj)
         rng = np.random.default_rng(0)
         model = Hmm(
@@ -277,7 +275,7 @@ class TestHmmAugmentation:
 
 def test_abstract_corpus_round_trip(tmp_path):
     nodes, graph = chain_graph()
-    traj = abstract(chain_trajectory(nodes), TOPOLOGY, TOPOLOGY.featurizer(graph))
+    traj = abstract(chain_trajectory(nodes), TOPOLOGY, graph)
     path = tmp_path / "abstract.jsonl"
     save_abstract_corpus([traj], path)
     loaded = load_abstract_corpus(path)
@@ -296,7 +294,7 @@ def test_abstract_corpus_round_trip(tmp_path):
 @pytest.mark.parametrize("damage", ["truncated", "missing_field"])
 def test_damaged_abstract_corpus_raises_malformed_record_naming_it(tmp_path, damage):
     nodes, graph = chain_graph()
-    traj = abstract(chain_trajectory(nodes), TOPOLOGY, TOPOLOGY.featurizer(graph))
+    traj = abstract(chain_trajectory(nodes), TOPOLOGY, graph)
     path = tmp_path / "abstract_corpus.jsonl"
     save_abstract_corpus([traj, traj], path)
     text = path.read_text()

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from oracles import viterbi_bruteforce
 from twinmdp.errors import DegenerateData, DimensionMismatch
-from twinmdp.hmm import (Hmm, fit_hmm, log_emission, sequence_log_likelihood,
+from twinmdp.hmm import (Hmm, _log_emissions, fit_hmm, log_emission, sequence_log_likelihood,
                          viterbi_decode, viterbi_step)
 
 
@@ -173,6 +173,8 @@ def test_carried_viterbi_state_matches_decoding_every_prefix(case):
         if t:
             delta, _ = viterbi_step(delta, hmm.log_transition, log_emission(hmm, obs[t]))
         assert int(np.argmax(delta)) == viterbi_decode(hmm, obs[: t + 1])[-1]
+    rows = _log_emissions(hmm.means, hmm.variances, obs)
+    assert all(log_emission(hmm, o).tobytes() == row.tobytes() for o, row in zip(obs, rows))
 
 
 def test_sequence_log_likelihood_matches_trace():

@@ -32,11 +32,12 @@ from twinmdp.pipeline import (
     stage_collect,
     stage_relabel,
     stage_reproduce,
+    stage_simulate,
     stage_train_reward,
     validate_config,
 )
 from twinmdp.reward_learning import RewardTrainConfig, build_pairs, encode_step_rows
-from twinmdp.simulator import EpisodeConfig, ScenarioConfig
+from twinmdp.simulator import EpisodeConfig, ScenarioConfig, load_scenarios
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -283,6 +284,26 @@ class TestStages:
         want = (one_by_one / "robustness.json").read_bytes()
         assert (lockstep / "robustness.json").read_bytes() == want
         assert len(json.loads(want)["initial_values"]["bc"]) == len(counts)
+
+    def test_each_scenario_graph_gets_one_featurizer(self, finished_run, tmp_path,
+                                                     monkeypatch):
+        out, _ = finished_run
+        clone = tmp_path / "clone"
+        shutil.copytree(out, clone)
+        builds = []
+        original = abstraction.TopologyFeaturizer.__init__
+
+        def counting(self, graph, *args, **kwargs):
+            builds.append(graph)
+            original(self, graph, *args, **kwargs)
+
+        monkeypatch.setattr(abstraction.TopologyFeaturizer, "__init__", counting)
+        for stage, scenarios in ((stage_abstract, "train_scenarios.jsonl"),
+                                 (stage_simulate, "test_scenarios.jsonl")):
+            builds.clear()
+            stage(small_config(), clone)
+            graphs = {scn.graph for scn in load_scenarios(clone / scenarios)}
+            assert len(builds) == len(graphs) and set(builds) == graphs, stage.__name__
 
     @pytest.mark.parametrize("stage,damaged", [("rank", "policy_bc.json"),
                                                ("relabel", "reward_net.json"),

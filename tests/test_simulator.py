@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -337,7 +339,7 @@ class TestTrainServeParity:
                               config=CeConfig(strategies=("prioritize",)),
                               scheme=scheme, hmm=hmm)
                 res = run_episode(scn, plan, cfg, seed=seed)
-                view = abstract(res.trajectory, scheme, scheme.featurizer(scn.graph))
+                view = abstract(res.trajectory, scheme, scn.graph)
                 assert len(q.calls) == len(view.steps)
                 for (state, cands), step in zip(q.calls, view.steps):
                     if hmm is None:
@@ -353,19 +355,43 @@ class TestTrainServeParity:
         assert steps_checked > 20
 
     def test_plan_builds_one_featurizer_per_graph(self, monkeypatch):
-        builds = []
-        original = abstraction.TopologyFeaturizer.__init__
-
-        def counting(self, graph, *args, **kwargs):
-            builds.append(graph)
-            original(self, graph, *args, **kwargs)
-
-        monkeypatch.setattr(abstraction.TopologyFeaturizer, "__init__", counting)
+        builds = count_featurizer_builds(monkeypatch)
         scns = parity_scenarios()
         plan = topo_plan(("prune", "prioritize"))
         run_batch(scns, plan, EpisodeConfig(max_turns=6), trials=4, master_seed=5)
         run_batch(scns, plan, EpisodeConfig(max_turns=6), trials=2, master_seed=6)
         assert builds == [scn.graph for scn in scns]
+
+    def test_plans_sharing_a_scheme_build_one_featurizer_per_graph(self, monkeypatch):
+        builds = count_featurizer_builds(monkeypatch)
+        scns = parity_scenarios()
+        plan = topo_plan(("prune", "prioritize"))
+        second = replace(plan, config=CeConfig(strategies=("suggest",)))
+        assert second.scheme is plan.scheme
+        run_batch(scns, plan, EpisodeConfig(max_turns=6), trials=4, master_seed=5)
+        run_batch(scns, second, EpisodeConfig(max_turns=6), trials=2, master_seed=6)
+        assert builds == [scn.graph for scn in scns]
+
+    @pytest.mark.parametrize("with_hmm", [True, False])
+    def test_plan_rejects_a_scheme_and_hmm_that_disagree(self, with_hmm):
+        # a with_hmm scheme needs the HMM; any other scheme takes none
+        with pytest.raises(MalformedRecord):
+            CePlan(policy=QPolicy(q=RecordingQ(), temperature=1.0), config=CeConfig(),
+                   scheme=SchemeSpec(kind="topology", with_hmm=with_hmm),
+                   hmm=None if with_hmm else parity_hmm(6))
+
+
+def count_featurizer_builds(monkeypatch):
+    """The graphs of every ``TopologyFeaturizer`` built from here on, in order."""
+    builds = []
+    original = abstraction.TopologyFeaturizer.__init__
+
+    def counting(self, graph, *args, **kwargs):
+        builds.append(graph)
+        original(self, graph, *args, **kwargs)
+
+    monkeypatch.setattr(abstraction.TopologyFeaturizer, "__init__", counting)
+    return builds
 
 
 def parity_plan(kind, scns, config, q):
@@ -447,7 +473,7 @@ class TestInterventionMemo:
         for row in rows:
             traj = row["result"].trajectory
             scn = next(s for s in scns if s.scenario_id == traj.scenario_id)
-            view = abstract(traj, plan.scheme, plan.scheme.featurizer(scn.graph))
+            view = abstract(traj, plan.scheme, scn.graph)
             hidden = prefix_decode_hidden_states(hmm.initial, hmm.transition, hmm.means,
                                                  hmm.variances, hmm_observations(view))
             for t, (raw, step) in enumerate(zip(traj.steps, view.steps)):
