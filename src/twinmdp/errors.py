@@ -1,8 +1,10 @@
-"""Exception types raised across the library.
+"""Exception types raised across the library, and the value-range check.
 
 Each subsystem raises a dedicated class so callers can distinguish bad
 input data from bad configuration without parsing messages.
 """
+
+from dataclasses import field, fields
 
 
 class TwinMdpError(Exception):
@@ -144,3 +146,31 @@ class StageFailed(TwinMdpError):
         self.stage = stage
         self.cause = cause
         super().__init__(f"stage '{stage}' failed: {cause}")
+
+
+# --- value ranges -------------------------------------------------------------
+
+def in_range(value, spec) -> bool:
+    """Whether ``value`` (each value, for a list) lies in ``spec``: a tuple of
+    the allowed values, or an interval such as "[0, 1)" or "(0, inf)"."""
+    if isinstance(spec, tuple):
+        return value in spec
+    if isinstance(value, list):
+        return all(in_range(v, spec) for v in value)
+    lo, hi = (float(x) for x in spec[1:-1].split(","))
+    return (lo <= value if spec[0] == "[" else lo < value) and (
+        value <= hi if spec[-1] == "]" else value < hi)
+
+
+def ranged(default, spec: str):
+    """A dataclass field whose values must lie in the interval ``spec``."""
+    return field(default=default, metadata={"range": spec})
+
+
+def check_ranges(obj) -> None:
+    """Raise MalformedRecord for the first field of dataclass ``obj`` that lies
+    outside its ``ranged`` interval."""
+    for f in fields(obj):
+        spec = f.metadata.get("range")
+        if spec and not in_range(getattr(obj, f.name), spec):
+            raise MalformedRecord(f"{f.name} must be in {spec}")

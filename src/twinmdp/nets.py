@@ -11,6 +11,15 @@ it, ``backward`` returns a gradient in its layout, and ``Adam`` updates it.
 The stack-axis rule: ``params`` may be a (P, n) stack of P networks. A pass
 runs all P as 3-D ``matmul``s (transposes ``swapaxes(-1, -2)``, bias gradients
 ``sum(axis=-2)``), whose slices equal each member's own 2-D calls bit for bit.
+
+The batch rule: BLAS picks its kernel by shape, so an output's low bits can
+depend on the matrix its row sits in. A hidden layer's rows keep their bits
+in any call of at least 2 rows when the layer is a multiple of 4 units wide
+(``shares_hidden_rows``; at widths of 1-3 mod 8 and 16 or more inputs they
+do not on OpenBLAS's Haswell kernels). So ``hidden`` may run once over a set
+of distinct rows and its activations be gathered. The output layer (one
+unit: a gemv) and any 1-row call (a gemv) depend on their batch: keep those
+calls' matrices as they are.
 """
 
 from __future__ import annotations
@@ -66,18 +75,30 @@ class Mlp:
         x = np.asarray(x, dtype=float)
         if x.ndim not in (2, 3) or x.shape[-1] != self.input_dim:
             raise DimensionMismatch(f"expected (*, {self.input_dim}) input, got {x.shape}")
-        return self._layers(x, [])
+        return self.head(self.hidden(x)[-1])
 
     def forward_cached(self, x: np.ndarray):
         """Forward pass keeping each layer's input for backprop."""
         acts = [np.asarray(x, dtype=float)]
-        return self._layers(acts[0], acts), acts
+        acts += self.hidden(acts[0])
+        return self.head(acts[-1]), acts
 
-    def _layers(self, h: np.ndarray, acts: list) -> np.ndarray:
+    def hidden(self, x: np.ndarray) -> list[np.ndarray]:
+        """Each hidden layer's ReLU activations of the rows ``x``."""
+        acts = []
         for W, b in zip(self.weights[:-1], self.biases[:-1]):
-            h = np.maximum(h @ W + b, 0.0)
-            acts.append(h)
+            x = np.maximum(x @ W + b, 0.0)
+            acts.append(x)
+        return acts
+
+    def head(self, h: np.ndarray) -> np.ndarray:
+        """The output layer on the last hidden layer's activations ``h``."""
         return (h @ self.weights[-1] + self.biases[-1])[..., 0]
+
+    def shares_hidden_rows(self, n_rows: int) -> bool:
+        """The batch rule: whether each row of a 2-D ``hidden`` call over
+        ``n_rows`` rows has the bits it has in any other call of at least 2 rows."""
+        return n_rows >= 2 and self.layer_dims[1] % 4 == 0
 
     def backward(self, acts: list[np.ndarray], dout: np.ndarray) -> np.ndarray:
         """Gradient of sum(dout * output) w.r.t. ``params``, in its layout."""

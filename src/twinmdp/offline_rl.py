@@ -16,10 +16,13 @@ offsets in CSR form, the candidates as one dense array (the action space
 applied there), and the taken entry of every step. CQL, BC and FQE index
 the same dense candidate rows, and their networks train in one loop,
 ``minibatch_train``; ``TransitionTable.gather`` selects a batch's candidate
-entries with their owning step. Keep the input matrix of every
-network call as it is (the same rows, in the same order, with the same row
-count): BLAS picks its kernel by row count and a row's low bits can change
-with the batch it sits in, so reshaping a batch changes trained artifacts.
+entries with their owning step. BLAS picks its kernel by shape and a row's
+low bits can change with the batch it sits in, so reshaping a batch changes
+trained artifacts. Hidden activations may be shared where the batch rule of
+``nets`` holds: network CQL runs its target's hidden layers once per refresh
+over every candidate row and gathers them for each batch. Keep every other
+network call's input matrix as it is (the same rows, in the same order, with
+the same row count): the output layer's, and any 1-row call's.
 """
 
 from __future__ import annotations
@@ -36,6 +39,8 @@ from .errors import (
     EmptyData,
     MalformedRecord,
     MissingCandidateSets,
+    check_ranges,
+    ranged,
 )
 from .nets import Adam, Mlp, grouped_max, grouped_softmax
 from .trajectories import read_json, write_json
@@ -299,21 +304,18 @@ def policy_probs(policy: QPolicy, state: np.ndarray, candidates) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    alpha: float = 1.0
-    gamma: float = 0.99
-    iterations: int = 2000
-    step_size: float = 1e-3
-    batch_size: int = 64
-    seed: int = 0
-    hidden_units: int = 256
-    target_refresh: int = 200
-    temperature: float = 1.0
+    alpha: float = ranged(1.0, "[0, inf)")
+    gamma: float = ranged(0.99, "[0, 1)")
+    iterations: int = ranged(2000, "[1, inf)")
+    step_size: float = ranged(1e-3, "(0, inf)")
+    batch_size: int = ranged(64, "[1, inf)")
+    seed: int = ranged(0, "[0, inf)")
+    hidden_units: int = ranged(256, "[1, inf)")
+    target_refresh: int = ranged(200, "[1, inf)")
+    temperature: float = ranged(1.0, "(0, inf)")
 
     def __post_init__(self):
-        if not 0.0 <= self.gamma < 1.0:
-            raise MalformedRecord("gamma must be in [0, 1)")
-        if self.alpha < 0:
-            raise MalformedRecord("alpha must be >= 0")
+        check_ranges(self)
 
 
 # --- conservative Q-learning -----------------------------------------------------------
@@ -359,7 +361,7 @@ def _cql_tabular(table: TransitionTable, cfg: TrainConfig) -> TabularQ:
     counts = np.bincount(cell, minlength=n_states * n_actions).astype(float)
     seen = counts > 0
 
-    rounds = max(1, cfg.iterations // max(1, cfg.target_refresh))
+    rounds = max(1, cfg.iterations // cfg.target_refresh)
     for _ in range(rounds):
         targets = table.rewards.copy()
         if len(nxt):
@@ -372,7 +374,7 @@ def _cql_tabular(table: TransitionTable, cfg: TrainConfig) -> TabularQ:
             q_flat[seen] = sums[seen] / counts[seen]
             q = q_flat.reshape(n_states, n_actions)
         else:
-            for _ in range(max(1, cfg.target_refresh)):
+            for _ in range(cfg.target_refresh):
                 grad = np.zeros_like(q).reshape(-1)
                 resid = q.reshape(-1)[cell] - targets
                 np.add.at(grad, cell, 2.0 * resid / table.n)
@@ -399,19 +401,19 @@ def minibatch_train(table: TransitionTable, cfg: TrainConfig, learner, stack: in
     """The one minibatch loop of network CQL, BC and FQE: ``steps`` (default
     cfg.iterations) Adam steps on a cfg.seed network (``stack`` equal ones, if
     given), each on a batch drawn by a cfg.seed rng. The generator
-    ``learner(batch, target)`` yields the input rows, is sent their outputs
-    and yields dout. Before step 0 and every target_refresh steps the target
-    becomes a copy of the network and ``refresh(target, step)`` runs; it may
-    return a mask of the stack's members to keep training, and none ends it."""
+    ``learner(batch)`` yields the input rows, is sent their outputs and yields
+    dout. Before step 0 and every target_refresh steps ``refresh(net, step)``
+    runs on the live network (a learner that bootstraps copies its target
+    there); it may return a mask of the stack's members to keep training, and
+    none ends it."""
     net = Mlp(table.cand_rows.shape[1], cfg.hidden_units, seed=cfg.seed)
     if stack:
         net = Mlp.from_params(net.input_dim, cfg.hidden_units, np.tile(net.params, (stack, 1)))
     optimizer = Adam(net.params, step_size=cfg.step_size)
     rng = np.random.default_rng(cfg.seed)
     for step in range(cfg.iterations if steps is None else steps):
-        if step % max(1, cfg.target_refresh) == 0:
-            target = net.copy()
-            keep = None if refresh is None else refresh(target, step)
+        if refresh is not None and step % cfg.target_refresh == 0:
+            keep = refresh(net, step)
             if keep is not None and not keep.all():
                 if not keep.any():
                     break
@@ -419,7 +421,7 @@ def minibatch_train(table: TransitionTable, cfg: TrainConfig, learner, stack: in
                 optimizer.params, optimizer.m, optimizer.v = (
                     net.params, optimizer.m[keep], optimizer.v[keep])
         batch = rng.choice(table.n, size=min(cfg.batch_size, table.n), replace=False)
-        loss = learner(batch, target)
+        loss = learner(batch)
         out, acts = net.forward_cached(next(loss))
         optimizer.step(net.backward(acts, loss.send(out)))
     return net
@@ -427,15 +429,25 @@ def minibatch_train(table: TransitionTable, cfg: TrainConfig, learner, stack: in
 
 def _cql_network(table: TransitionTable, cfg: TrainConfig) -> NetworkQ:
     rows = table.cand_rows
+    target = hidden = None
 
-    def learner(batch, target):
+    def refresh(net, step):
+        """A fixed copy of the network, and its last hidden layer on every row."""
+        nonlocal target, hidden
+        target = net.copy()
+        hidden = target.hidden(rows)[-1] if target.shares_hidden_rows(len(rows)) else None
+
+    def learner(batch):
         b = len(batch)
         targets = table.rewards[batch].copy()
         live = np.flatnonzero(~table.terminal[batch])
         if len(live):
             idx, group = table.gather(table.next_step[batch[live]])
-            best = grouped_max(target.forward(rows[idx]), group, len(live))
-            targets[live] += cfg.gamma * best
+            if hidden is not None and target.shares_hidden_rows(len(idx)):
+                q_next = target.head(hidden[idx])
+            else:
+                q_next = target.forward(rows[idx])
+            targets[live] += cfg.gamma * grouped_max(q_next, group, len(live))
         idx, cand_group = table.gather(batch)
         out = yield rows[np.concatenate([table.taken[batch], idx])]
         dout = np.zeros_like(out)
@@ -445,7 +457,7 @@ def _cql_network(table: TransitionTable, cfg: TrainConfig) -> NetworkQ:
             dout[:b] += -cfg.alpha / b
         yield dout
 
-    return network_q(table, minibatch_train(table, cfg, learner), cfg.gamma)
+    return network_q(table, minibatch_train(table, cfg, learner, refresh=refresh), cfg.gamma)
 
 
 # --- behavior cloning ---------------------------------------------------------------
@@ -468,7 +480,7 @@ def bc_train(trajs, cfg: TrainConfig, action_space=CandidateSet(),
         return QPolicy(q=TabularQ(state_index=index, q=q, gamma=cfg.gamma),
                        temperature=cfg.temperature)
 
-    def learner(batch, target):
+    def learner(batch):
         b = len(batch)
         idx, group = table.gather(batch)
         out = yield table.cand_rows[idx]

@@ -149,16 +149,16 @@ def _fqe_network(table, policies, cfg, tol):
     at the first round its value moves by < tol, and its fit is its net then."""
     rows, group, n_pol = table.cand_rows, table.cand_step, len(policies)
     pi = [_flat_policy_probs(table, policy) for policy in policies]
-    has_next, every = ~table.terminal, max(1, cfg.target_refresh)
+    has_next, every = ~table.terminal, cfg.target_refresh
     steps = max(1, cfg.iterations // every) * every
     active, prev, fits, targets = list(range(n_pol)), [np.inf] * n_pol, [None] * n_pol, None
 
-    def refresh(target, step):
+    def refresh(net, step):
         nonlocal targets
-        members = [Mlp.from_params(target.input_dim, cfg.hidden_units, w)
-                   for w in target.params]
-        expect = np.reshape([np.bincount(group, pi[p] * net.forward(rows), table.n)
-                             for p, net in zip(active, members)], (len(active), table.n))
+        members = [Mlp.from_params(net.input_dim, cfg.hidden_units, w)
+                   for w in net.params.copy()]
+        expect = np.reshape([np.bincount(group, pi[p] * member.forward(rows), table.n)
+                             for p, member in zip(active, members)], (len(active), table.n))
         keep = np.ones(len(active), dtype=bool)
         for j, p in enumerate(active if step else ()):
             value = float(np.mean(expect[j][table.episode_starts]))
@@ -170,7 +170,7 @@ def _fqe_network(table, policies, cfg, tol):
         targets[:, has_next] += cfg.gamma * expect[keep][:, table.next_step[has_next]]
         return keep
 
-    def learner(batch, target):
+    def learner(batch):
         out = yield rows[table.taken[batch]]
         yield 2.0 * (out - targets[:, batch]) / len(batch)
 

@@ -32,7 +32,7 @@ from .abstraction import (
     save_abstract_corpus,
 )
 from .context import STRATEGIES, CeConfig
-from .errors import ConfigInvalid, MalformedRecord, MissingArtifact, StageFailed
+from .errors import ConfigInvalid, MalformedRecord, MissingArtifact, StageFailed, in_range
 from .hmm import Hmm, fit_hmm, sequence_log_likelihood
 from .offline_rl import (
     CandidateSet,
@@ -202,36 +202,36 @@ class PipelineConfig:
 _FIELD_TYPES = get_type_hints(PipelineConfig)
 
 
-def _schema() -> dict[str, tuple]:
-    """Config key -> (type, default, PipelineConfig field, section field or None)."""
-    schema = {}
+def _schema() -> tuple[dict[str, tuple], dict[str, str]]:
+    """Config key -> (type, default, PipelineConfig field, section field or None),
+    and the interval of each section key whose field is ``ranged``."""
+    schema, ranges = {}, {}
     for f in fields(PipelineConfig):
         key, typ = f.metadata.get("key"), _FIELD_TYPES[f.name]
         if key and is_dataclass(typ):
             hints = get_type_hints(typ)
-            schema.update({f"{key}.{g.name}": (hints[g.name], g.default, f.name, g.name)
-                           for g in fields(typ) if g.name not in f.metadata["skip"]})
+            for g in fields(typ):
+                if g.name not in f.metadata["skip"]:
+                    schema[f"{key}.{g.name}"] = (hints[g.name], g.default, f.name, g.name)
+                    if "range" in g.metadata:
+                        ranges[f"{key}.{g.name}"] = g.metadata["range"]
         elif key:
             schema[key] = (typ, f.default, f.name, None)
-    return schema
+    return schema, ranges
 
 
-SCHEMA = _schema()
+SCHEMA, _FIELD_RANGES = _schema()
 # every proper prefix of a key
 _SECTIONS = {path.rsplit(".", i)[0] for path in SCHEMA for i in range(1, path.count(".") + 1)}
 
-# the allowed values, or an interval
+# the allowed values, or an interval (the irl.* and rl.* training keys: their fields')
 RANGES = {
+    **_FIELD_RANGES,
     "master_seed": "[0, inf)",
     "scheme.kind": SCHEME_KINDS,
     "scheme.hmm_states": "[1, inf)", "scheme.hmm_select_from": "[1, inf)",
     "collect.n_scenarios": "[2, inf)", "collect.episodes_per_scenario": "[1, inf)",
-    "irl.signal": RANKING_SIGNALS, "irl.margin": "[0, inf)",
-    "irl.max_pairs": "[1, inf)", "irl.hidden_units": "[1, inf)", "irl.epochs": "[1, inf)",
-    "irl.batch_size": "[1, inf)", "irl.step_size": "(0, inf)", "irl.discount": "(0, 1]",
-    "rl.alpha": "[0, inf)", "rl.gamma": "[0, 1)", "rl.iterations": "[1, inf)",
-    "rl.step_size": "(0, inf)", "rl.batch_size": "[1, inf)", "rl.hidden_units": "[1, inf)",
-    "rl.target_refresh": "[1, inf)", "rl.temperature": "(0, inf)",
+    "irl.signal": RANKING_SIGNALS, "irl.margin": "[0, inf)", "irl.max_pairs": "[1, inf)",
     "rl.combined_blend": "[0, inf)", "ope.holdout_fraction": "(0, 1)",
     "ope.k": "[1, inf)", "ope.eval_reward_mode": RELABEL_MODES,
     "ce.suggest_percentile": "(0, 100]", "ce.prune_percentile": "[0, 100)",
@@ -267,16 +267,6 @@ def _typed(value, typ):
     if type(value) is not typ:
         raise TypeError
     return value
-
-
-def _in_range(value, spec) -> bool:
-    if isinstance(spec, tuple):
-        return value in spec
-    if isinstance(value, list):
-        return all(_in_range(v, spec) for v in value)
-    lo, hi = (float(x) for x in spec[1:-1].split(","))
-    return (lo <= value if spec[0] == "[" else lo < value) and (
-        value <= hi if spec[-1] == "]" else value < hi)
 
 
 def _unknown_keys(node: dict, prefix: str, problems: list[str]) -> None:
@@ -331,7 +321,7 @@ def validate_config(raw: dict) -> PipelineConfig:
             problems.append(f"{path}: expected {expected}, got {type(value).__name__}")
             value = default
         spec = RANGES.get(path)
-        if spec and value is not None and not _in_range(value, spec):
+        if spec and value is not None and not in_range(value, spec):
             allowed = ", ".join(spec) if isinstance(spec, tuple) else spec
             problems.append(f"{path}: must be in {allowed}")
             value = default

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .abstraction import AbstractTrajectory
-from .errors import DimensionMismatch, EmptyPairSet, MalformedRecord
+from .errors import DimensionMismatch, EmptyPairSet, MalformedRecord, check_ranges, ranged
 from .nets import Adam, Mlp
 from .offline_rl import encode_rows
 from .trajectories import JudgeScores, read_json, write_json
@@ -78,11 +78,16 @@ def build_pairs(
 #
 # Training encodes every trajectory once into one packed StepRows table; the
 # gradient and the pair accuracy index those rows. BLAS picks its kernel by
-# row count, so a row's low bits can change with the matrix it sits in. The
-# rule that keeps training bit-reproducible: trajectories of one length may
-# share one stacked (B, n, d) forward, which runs each slice as its own
-# (n, d) matmul, but never one concatenated 2-D matrix. The gradient keeps
-# one forward_cached over the batch's rows in pair order.
+# shape, so a row's low bits can change with the matrix it sits in. The rules
+# that keep training bit-reproducible (see ``nets``):
+# - hidden activations of a row may be shared (``Mlp.shares_hidden_rows``):
+#   the hidden layers run once, as one 2-D call, over the distinct rows of a
+#   batch's trajectories, and the rest is gathered from that pass;
+# - the output layer keeps its matrices: one stacked (B, n, hidden) call per
+#   trajectory length, whose slices are each trajectory's own call;
+# - a 1-row call keeps its own path: length-1 trajectories, and every
+#   trajectory when the rule does not hold, take the stacked (B, n, d)
+#   forward through all layers.
 
 
 def encode_step_rows(traj: AbstractTrajectory) -> np.ndarray:
@@ -112,25 +117,39 @@ class StepRows:
         return cls(np.concatenate(encoded), np.cumsum([0] + [len(r) for r in encoded]))
 
     def returns(self, net: Mlp, ids, discount: float = 1.0) -> np.ndarray:
-        """Predicted (discounted) return of each trajectory in ``ids``, with
-        one stacked forward per trajectory length."""
+        """Predicted (discounted) return of each trajectory in ``ids``."""
+        return self.returns_and_hidden(net, ids, discount)[0]
+
+    def returns_and_hidden(self, net: Mlp, ids, discount: float = 1.0):
+        """The returns of ``ids``, and the hidden activations of their rows,
+        trajectory by trajectory in ``ids`` order (None where the batch rule
+        does not hold)."""
         ids = np.asarray(ids, dtype=int)
         starts = self.offsets[ids]
         lengths = self.offsets[ids + 1] - starts
+        first = np.cumsum(lengths) - lengths  # each trajectory's first row in the pass
+        hidden = None
+        if net.shares_hidden_rows(int(lengths.sum())):
+            at = np.arange(lengths.sum()) + np.repeat(starts - first, lengths)
+            hidden = net.hidden(self.rows[at])
         out = np.empty(len(ids))
         for n in np.unique(lengths):
             sel = np.flatnonzero(lengths == n)
             steps = np.arange(n)
-            r = net.forward(self.rows[starts[sel, None] + steps])  # (B, n)
+            if hidden is not None and n > 1:
+                r = net.head(hidden[-1][first[sel, None] + steps])  # (B, n)
+            else:
+                r = net.forward(self.rows[starts[sel, None] + steps])
             out[sel] = (r.sum(axis=-1) if discount == 1.0  # else one dot per trajectory
                         else (r[:, None, :] @ (discount ** steps)[:, None])[:, 0, 0])
-        return out
+        return out, hidden
 
-    def pair_returns(self, net: Mlp, pairs, discount: float) -> tuple[np.ndarray, np.ndarray]:
-        """Pair ends in pair order (lower, then higher), and their (P, 2) returns."""
-        ends = np.array([(p.lower, p.higher) for p in pairs], dtype=int).ravel()
-        ids, inverse = np.unique(ends, return_inverse=True)
-        return ends, self.returns(net, ids, discount)[inverse].reshape(-1, 2)
+
+def _pair_ends(pairs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pair ends in pair order (lower, then higher), the distinct ends, and
+    each pair end's index among them."""
+    ends = np.array([(p.lower, p.higher) for p in pairs], dtype=int).ravel()
+    return ends, *np.unique(ends, return_inverse=True)
 
 
 def new_reward_net(input_dim: int, hidden_units: int = 256, seed: int = 0) -> Mlp:
@@ -158,13 +177,20 @@ def trex_grad(net: Mlp, batch: list[PreferencePair], trajs,
     if not batch:
         raise EmptyPairSet("gradient of an empty batch")
     packed = StepRows.pack(trajs)
-    ends, g = packed.pair_returns(net, batch, discount)
+    ends, ids, inverse = _pair_ends(batch)
+    returns, hidden = packed.returns_and_hidden(net, ids, discount)
+    g = returns[inverse].reshape(-1, 2)
     sig = 1.0 / (1.0 + np.exp(-(g[:, 0] - g[:, 1])))
-    starts = packed.offsets[ends]
-    lengths = packed.offsets[ends + 1] - starts
+    distinct = packed.offsets[ids + 1] - packed.offsets[ids]
+    lengths = distinct[inverse]
     pos = np.arange(lengths.sum()) - np.repeat(np.cumsum(lengths) - lengths, lengths)
     coeff = np.repeat(np.stack([sig, -sig], axis=1).ravel(), lengths)
-    _, acts = net.forward_cached(packed.rows[np.repeat(starts, lengths) + pos])
+    rows = packed.rows[np.repeat(packed.offsets[ends], lengths) + pos]
+    if hidden is None:
+        _, acts = net.forward_cached(rows)
+    else:  # the pair-order rows' activations, gathered from the distinct pass
+        at = np.repeat((np.cumsum(distinct) - distinct)[inverse], lengths) + pos
+        acts = [rows, *(h[at] for h in hidden)]
     # d(mean loss)/d r_hat(row)
     return net.backward(acts, coeff * discount ** pos / len(batch))
 
@@ -176,19 +202,23 @@ def pair_accuracy(net: Mlp, pairs, trajs, discount: float = 1.0) -> float:
     """
     if not pairs:
         raise EmptyPairSet("accuracy of an empty pair set")
-    _, g = StepRows.pack(trajs).pair_returns(net, pairs, discount)
+    _, ids, inverse = _pair_ends(pairs)
+    g = StepRows.pack(trajs).returns(net, ids, discount)[inverse].reshape(-1, 2)
     return int(np.count_nonzero(g[:, 1] > g[:, 0])) / len(pairs)
 
 
 @dataclass(frozen=True)
 class RewardTrainConfig:
-    hidden_units: int = 256
-    epochs: int = 100
-    step_size: float = 1e-3
-    batch_size: int = 32
-    seed: int = 0
-    discount: float = 1.0
-    holdout_fraction: float = 0.1
+    hidden_units: int = ranged(256, "[1, inf)")
+    epochs: int = ranged(100, "[1, inf)")
+    step_size: float = ranged(1e-3, "(0, inf)")
+    batch_size: int = ranged(32, "[1, inf)")
+    seed: int = ranged(0, "[0, inf)")
+    discount: float = ranged(1.0, "(0, 1]")
+    holdout_fraction: float = ranged(0.1, "[0, 1)")
+
+    def __post_init__(self):
+        check_ranges(self)
 
 
 def train_reward(pairs, trajs, config: RewardTrainConfig = RewardTrainConfig()) -> Mlp:

@@ -259,6 +259,25 @@ def test_network_cql_and_bc_equal_their_own_loops(iterations, refresh, alpha):
     assert np.array_equal(policy.q.net.params, reference_bc_network(table, cfg).params)
 
 
+@pytest.mark.parametrize("hidden,batch_size,dims", [(8, 1, (3, 2)), (2, 8, (10, 8))],
+                         ids=["single_row_gathers", "hidden_2_wide_rows"])
+@pytest.mark.parametrize("alpha", [0.0, 1.0])
+def test_network_cql_keeps_its_target_calls_where_hidden_rows_may_not_be_shared(
+        hidden, batch_size, dims, alpha):
+    """Batches of one step gather single next-step candidate rows (a 1-row
+    call), and at hidden 2 on 18-wide rows a hidden row's bits depend on its
+    batch: there the target keeps its own forward, bit for bit."""
+    trajs = feature_corpus(np.random.default_rng(3), n_episodes=16, state_dim=dims[0],
+                           action_dim=dims[1])
+    table = build_transitions(trajs)
+    live = table.next_step[~table.terminal]
+    assert (np.diff(table.cand_offsets)[live] == 1).any()
+    cfg = TrainConfig(alpha=alpha, gamma=0.7, iterations=200, batch_size=batch_size,
+                      hidden_units=hidden, target_refresh=20, step_size=1e-2, seed=5)
+    got = cql_train(trajs, cfg)
+    assert np.array_equal(got.net.params, reference_cql_network(table, cfg).params)
+
+
 class TestBehaviorCloning:
     def test_deterministic_behavior_cloned(self):
         trajs = [make_traj([index_step(0, 1, 0.0, 3)], f"t{i}") for i in range(20)]

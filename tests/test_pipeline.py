@@ -5,7 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +16,7 @@ from twinmdp import abstraction, pipeline
 from twinmdp.abstraction import load_abstract_corpus
 from twinmdp.cli import main as cli_main
 from twinmdp.context import CeConfig
-from twinmdp.errors import ConfigInvalid, MissingArtifact, MissingCandidateSets
+from twinmdp.errors import ConfigInvalid, MalformedRecord, MissingArtifact, MissingCandidateSets
 from twinmdp.nets import Mlp
 from twinmdp.offline_rl import FullVocabulary, NetworkQ, TrainConfig, build_transitions
 from twinmdp.ope import FqeEstimate
@@ -201,6 +201,27 @@ class TestConfigValidation:
         with pytest.raises(ConfigInvalid) as exc:
             validate_config(raw)
         assert any(p.startswith(f"{path}: ") for p in exc.value.problems), exc.value
+
+    @pytest.mark.parametrize("cls, key, field_name, bad", [
+        (TrainConfig, "rl", "batch_size", 0), (TrainConfig, "rl", "hidden_units", 0),
+        (TrainConfig, "rl", "step_size", -1.0), (TrainConfig, "rl", "iterations", -5),
+        (TrainConfig, "rl", "gamma", 1.0), (TrainConfig, "rl", "target_refresh", 0),
+        (RewardTrainConfig, "irl", "discount", 0.0), (RewardTrainConfig, "irl", "batch_size", 0),
+        (RewardTrainConfig, "irl", "holdout_fraction", 1.5),
+    ])
+    def test_library_train_configs_fail_early_like_config_files(self, cls, key, field_name,
+                                                                bad):
+        spec = {f.name: f.metadata["range"] for f in fields(cls)}[field_name]
+        with pytest.raises(MalformedRecord, match=rf"^{field_name} must be in "):
+            cls(**{field_name: bad})
+        path = f"{key}.{field_name}"
+        if path in SCHEMA:  # a config-file key: the same interval, the same message
+            assert RANGES[path] == spec
+            raw = json.loads(json.dumps(SMALL_CONFIG))
+            raw[key][field_name] = bad
+            with pytest.raises(ConfigInvalid) as exc:
+                validate_config(raw)
+            assert f"{path}: must be in {spec}" in exc.value.problems
 
     def test_shipped_and_benchmark_configs_validate(self):
         load_config(ROOT / "configs" / "demo.yaml")

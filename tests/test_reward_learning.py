@@ -253,11 +253,11 @@ def reference_pair_accuracy(net, pairs, packed, discount=1.0):
     return hits / len(pairs)
 
 
-def mixed_length_corpus(rng, n_trajs, max_steps=20):
+def mixed_length_corpus(rng, n_trajs, max_steps=20, **dims):
     """Feature trajectories of lengths 1..max_steps, every length present."""
     lengths = np.concatenate([np.arange(1, max_steps + 1),
                               rng.integers(1, max_steps + 1, size=n_trajs - max_steps)])
-    trajs = [feature_trajectory(rng, n_steps=int(n), traj_id=f"t{i}")
+    trajs = [feature_trajectory(rng, n_steps=int(n), traj_id=f"t{i}", **dims)
              for i, n in enumerate(rng.permutation(lengths))]
     pairs = build_pairs([scored(t, float(s)) for t, s in
                          zip(trajs, rng.uniform(0, 100, size=n_trajs))],
@@ -298,6 +298,29 @@ class TestStackedReturnsAreBitIdentical:
         monkeypatch.setattr(reward_learning, "trex_grad", reference_trex_grad)
         monkeypatch.setattr(reward_learning, "pair_accuracy", reference_pair_accuracy)
         assert np.array_equal(got, train_reward(pairs, trajs, cfg).params)
+
+
+@pytest.mark.parametrize("hidden", [1, 2, 256])
+def test_batch_rule_fallbacks_equal_the_per_trajectory_forward(hidden):
+    """Returns, gradients and pair accuracy keep the per-trajectory forward's
+    bits where hidden rows may not be shared: at hidden 1 and 2 (18-wide rows,
+    where a hidden row's bits depend on its batch), and for length-1
+    trajectories (a 1-row call) at every width."""
+    rng = np.random.default_rng(hidden)
+    trajs, pairs = mixed_length_corpus(rng, 40, max_steps=6, state_dim=10, action_dim=8)
+    packed = StepRows.pack(trajs)
+    net = new_reward_net(packed.rows.shape[1], hidden, seed=3)
+    assert net.shares_hidden_rows(2) == (hidden == 256)
+    for discount in (1.0, 0.9):
+        want = [reference_return(net, encode_step_rows(t), discount) for t in trajs]
+        assert packed.returns(net, np.arange(len(trajs)), discount).tolist() == want
+        assert [trajectory_return(net, t, discount) for t in trajs] == want
+        for start in range(0, 192, 16):
+            batch = pairs[start:start + 16]
+            assert np.array_equal(trex_grad(net, batch, packed, discount),
+                                  reference_trex_grad(net, batch, packed, discount))
+        assert (pair_accuracy(net, pairs, packed, discount)
+                == reference_pair_accuracy(net, pairs, packed, discount))
 
 
 def _min_preactivation(net, rows):
