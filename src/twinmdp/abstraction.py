@@ -33,7 +33,7 @@ from .errors import (
     UnknownEntity,
 )
 from .hmm import Hmm, viterbi_decode
-from .topology import DistanceIndex, TopologyGraph, hubs_scores
+from .topology import TopologyGraph, all_distances_from, hubs_scores
 from .trajectories import Entity, JudgeScores, RawTrajectory, read_jsonl, write_jsonl
 
 ASSESSMENT_CODE = {"primary": 2.0, "cascading": 1.0, "normal": 0.0}
@@ -126,67 +126,79 @@ class AbstractTrajectory:
 
 
 class TopologyFeaturizer:
-    """Shared distance/hub feature computation for one graph.
+    """Distance and hub features of one turn on one graph.
 
     Used both when abstracting logged trajectories and when scoring live
     candidates during an episode, so the two paths cannot drift apart.
+
+    ``rows`` holds, per node, a plain list of its directed distances to every
+    node in graph order, with the sentinel where a node is unreachable, plus
+    one trailing sentinel column that stands for "no entity": no previous
+    action, or a label nothing carries. Every feature is a ``min`` over
+    columns of one row, and a turn's label columns are gathered once for all
+    of its candidates.
     """
 
     def __init__(self, graph: TopologyGraph, sentinel: float | None = None,
                  with_hubs: bool = False):
-        self.graph = graph
-        self._nodes = set(graph.nodes)
-        self.dist = DistanceIndex(graph)
-        self.sentinel = float(sentinel) if sentinel is not None else float(
-            self.dist.diameter() + 1
-        )
-        if self.sentinel <= self.dist.diameter():
+        self._column = {e: i for i, e in enumerate(graph.nodes)}
+        dists = [all_distances_from(graph, e) for e in graph.nodes]
+        diameter = max((max(d.values()) for d in dists), default=0)
+        self.sentinel = float(sentinel) if sentinel is not None else float(diameter + 1)
+        if self.sentinel <= diameter:
             raise MalformedRecord(
                 f"unreachable sentinel {self.sentinel} must exceed graph diameter "
-                f"{self.dist.diameter()}"
+                f"{diameter}"
             )
+        self.rows = {
+            e: [float(d[v]) if v in d else self.sentinel for v in graph.nodes]
+            + [self.sentinel]
+            for e, d in zip(graph.nodes, dists)
+        }
         self.hubs = hubs_scores(graph) if with_hubs else None
 
-    def _check(self, e: Entity) -> None:
-        if e not in self._nodes:
-            raise EntityNotInGraph(f"{e} not in graph")
+    def _row(self, e: Entity) -> list[float]:
+        try:
+            return self.rows[e]
+        except KeyError:
+            raise EntityNotInGraph(f"{e} not in graph") from None
 
-    def _dist_or_sentinel(self, row: dict, dst: Entity | None) -> float:
-        if dst is not None and dst not in self._nodes:
-            raise UnknownEntity(f"{dst} not in graph")
-        d = row.get(dst)
-        return float(d) if d is not None else self.sentinel
-
-    def _min_dist_to_label(self, row: dict, assessments, label: str) -> float:
-        best = None
-        for e, lab in assessments.items():
-            if lab == label:
-                if e not in self._nodes:
+    def _label_columns(self, assessments) -> tuple[list[int], list[int]]:
+        """The columns of the primary and of the cascading entities, each
+        ending in the "no entity" column."""
+        cols = {"primary": [], "cascading": []}
+        for e, label in assessments.items():
+            if label in cols:
+                if e not in self._column:
                     raise EntityNotInGraph(f"{e} not in graph")
-                d = row.get(e)
-                if d is not None and (best is None or d < best):
-                    best = d
-        return self.sentinel if best is None else float(best)
+                cols[label].append(self._column[e])
+        none = len(self._column)
+        return cols["primary"] + [none], cols["cascading"] + [none]
 
-    def action_features(self, target: Entity, previous: Entity | None,
-                        symptom: Entity, assessments) -> np.ndarray:
-        self._check(target)
-        row = self.dist.row(target)  # serves all four distance features
-        feats = [
-            self._dist_or_sentinel(row, previous),
-            self._dist_or_sentinel(row, symptom),
-            self._min_dist_to_label(row, assessments, "primary"),
-            self._min_dist_to_label(row, assessments, "cascading"),
-        ]
-        if self.hubs is not None:
-            feats.append(self.hubs[target])
+    def action_features(self, targets, previous: Entity | None, symptom: Entity,
+                        assessments) -> np.ndarray:
+        """One row per target: its distance to the previous action, to the
+        symptom, to the nearest primary and cascading entity, then its hub
+        score when the scheme has hubs."""
+        for e in (previous, symptom):
+            if e is not None and e not in self._column:
+                raise UnknownEntity(f"{e} not in graph")
+        prev = len(self._column) if previous is None else self._column[previous]
+        sym = self._column[symptom]
+        primary, cascading = self._label_columns(assessments)
+        feats = []
+        for t in targets:
+            row = self._row(t)
+            feats.append([row[prev], row[sym], min([row[j] for j in primary]),
+                          min([row[j] for j in cascading])])
+            if self.hubs is not None:
+                feats[-1].append(self.hubs[t])
         return np.array(feats, dtype=float)
 
     def state_features(self, symptom: Entity, assessments) -> np.ndarray:
-        self._check(symptom)
-        row = self.dist.row(symptom)
-        return np.array([self._min_dist_to_label(row, assessments, "primary"),
-                         self._min_dist_to_label(row, assessments, "cascading")])
+        row = self._row(symptom)
+        primary, cascading = self._label_columns(assessments)
+        return np.array([min([row[j] for j in primary]), min([row[j] for j in cascading])])
 
 
 class VocabularyFeaturizer:
@@ -202,9 +214,9 @@ class VocabularyFeaturizer:
             raise EntityNotInVocabulary(f"{e} not in vocabulary")
         return self.index[key]
 
-    def action_features(self, target: Entity, previous: Entity | None,
-                        symptom: Entity, assessments) -> int:
-        return self._id(target)
+    def action_features(self, targets, previous: Entity | None, symptom: Entity,
+                        assessments) -> list[int]:
+        return [self._id(t) for t in targets]
 
     def state_features(self, symptom: Entity, assessments) -> np.ndarray:
         state = np.zeros(len(self.index))
@@ -235,10 +247,8 @@ def abstract(raw: RawTrajectory, spec: SchemeSpec,
     assessments: dict[Entity, str] = {}
     for step in raw.steps:
         state = featurizer.state_features(symptom, assessments)
-        cands = [
-            featurizer.action_features(c, previous, symptom, assessments)
-            for c in step.candidate_entities
-        ]
+        cands = list(featurizer.action_features(step.candidate_entities, previous,
+                                                symptom, assessments))
         action = cands[step.candidate_entities.index(step.chosen_entity)]
         steps.append(AbstractStep(state=state, action=action, reward=0.0,
                                   candidates=cands))

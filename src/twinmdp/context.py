@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyCandidates, MalformedRecord
+from .errors import EmptyCandidates, MalformedRecord, check_ranges, ranged
 from .offline_rl import QPolicy, policy_probs
 from .trajectories import Entity
 
@@ -38,8 +38,8 @@ SUGGESTION_TEMPLATE = (
 @dataclass(frozen=True)
 class CeConfig:
     strategies: tuple[str, ...] = ("suggest", "prune", "prioritize")
-    suggest_percentile: float = 95.0
-    prune_percentile: float = 85.0
+    suggest_percentile: float = ranged(95.0, "(0, 100]")
+    prune_percentile: float = ranged(85.0, "[0, 100)")
 
     def __post_init__(self):
         if not self.strategies:
@@ -47,10 +47,7 @@ class CeConfig:
         for s in self.strategies:
             if s not in STRATEGIES:
                 raise MalformedRecord(f"unknown strategy {s!r}")
-        if not 0.0 < self.suggest_percentile <= 100.0:
-            raise MalformedRecord("suggest_percentile must be in (0, 100]")
-        if not 0.0 <= self.prune_percentile < 100.0:
-            raise MalformedRecord("prune_percentile must be in [0, 100)")
+        check_ranges(self)
 
     def enabled(self, strategy: str) -> bool:
         return strategy in self.strategies

@@ -224,7 +224,7 @@ SCHEMA, _FIELD_RANGES = _schema()
 # every proper prefix of a key
 _SECTIONS = {path.rsplit(".", i)[0] for path in SCHEMA for i in range(1, path.count(".") + 1)}
 
-# the allowed values, or an interval (the irl.* and rl.* training keys: their fields')
+# the allowed values, or an interval (a section key's interval is its field's)
 RANGES = {
     **_FIELD_RANGES,
     "master_seed": "[0, inf)",
@@ -234,15 +234,8 @@ RANGES = {
     "irl.signal": RANKING_SIGNALS, "irl.margin": "[0, inf)", "irl.max_pairs": "[1, inf)",
     "rl.combined_blend": "[0, inf)", "ope.holdout_fraction": "(0, 1)",
     "ope.k": "[1, inf)", "ope.eval_reward_mode": RELABEL_MODES,
-    "ce.suggest_percentile": "(0, 100]", "ce.prune_percentile": "[0, 100)",
     "compare.n_scenarios": "[2, inf)", "compare.trials": "[3, inf)",
     "eval.n_boot": "[1, inf)", "eval.alpha": "(0, 1)",
-    **{f"{side}.{key}": spec for side in ("collect", "compare") for key, spec in {
-        "scenario.n_nodes": "[2, inf)", "scenario.chain_length": "[2, inf)",
-        "scenario.edge_density": "[0, 1)", "scenario.evidence_noise": "[0, 1)",
-        "episode.max_turns": "[1, inf)", "episode.epsilon": "[0, 1]",
-        "episode.suggestion_uptake": "[0, 1]",
-    }.items()},
 }
 
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from .abstraction import SchemeSpec
 from .context import CeConfig, Intervention, intervene
-from .errors import InfeasibleConfig, MalformedRecord
+from .errors import InfeasibleConfig, MalformedRecord, ranged
 from .hmm import Hmm, log_emission, viterbi_step
 from .offline_rl import QPolicy
 from .topology import (TopologyGraph, all_distances_from, graph_from_json, graph_to_json,
@@ -51,19 +51,23 @@ class SimScenario:
                 raise InfeasibleConfig(f"chain edge ({u}, {v}) missing from graph")
 
 
+# The intervals are those a config file must meet; the constructors do not
+# check them, so ``generate_scenario`` reports infeasible shapes itself.
 @dataclass(frozen=True)
 class ScenarioConfig:
-    n_nodes: int = 12
-    edge_density: float = 0.08
-    chain_length: int = 4
-    evidence_noise: float = 0.1
+    n_nodes: int = ranged(12, "[2, inf)")
+    edge_density: float = ranged(0.08, "[0, 1)")
+    chain_length: int = ranged(4, "[2, inf)")
+    evidence_noise: float = ranged(0.1, "[0, 1)")
 
 
 @dataclass(frozen=True)
 class EpisodeConfig:
-    max_turns: int = 12
-    epsilon: float = 0.3            # chance the agent ignores ordering entirely
-    suggestion_uptake: float = 0.8  # chance a prompt suggestion beats the heuristic
+    max_turns: int = ranged(12, "[1, inf)")
+    # chance the agent ignores ordering entirely
+    epsilon: float = ranged(0.3, "[0, 1]")
+    # chance a prompt suggestion beats the heuristic
+    suggestion_uptake: float = ranged(0.8, "[0, 1]")
 
 
 @dataclass
@@ -203,10 +207,11 @@ def judge(identified_root: Entity | None, assessments: dict[Entity, str],
 # --- runtime feature assembly --------------------------------------------------------
 
 class _SchemeRuntime:
-    """Builds the policy's state and candidate representations during a run.
+    """Builds the policy's state during a run.
 
     The features come from the scheme's featurizer for the scenario's graph,
-    the same one that abstracts logged episodes; the runtime adds only the
+    the same one that abstracts logged episodes; each turn's candidates take
+    one ``action_features`` call on it. The runtime adds only the
     online hidden-state bits of ``with_hmm`` schemes. For those it carries
     the Viterbi log-score vector of the observed prefix forward by one
     ``viterbi_step`` per turn, which gives the bits that decoding the whole
@@ -232,9 +237,6 @@ class _SchemeRuntime:
         if self.hidden is None:
             return base
         return np.concatenate([base, self.hidden])
-
-    def candidate_repr(self, c: Entity, previous: Entity | None, assessments):
-        return self.featurizer.action_features(c, previous, self.symptom, assessments)
 
     def record_turn(self, pre_state: np.ndarray, chosen_repr) -> None:
         """Take in the (pre-action state, action) observation the HMM was fit on.
@@ -294,17 +296,14 @@ def run_episode(
 
         candidates = list(queue)
         selection_iv: Intervention | None = None
-        repr_of: dict[Entity, object] = {}
-        state_vec = None
+        state_vec = reprs = None
         if runtime is not None:
             state_vec = runtime.state(assessments)
-            repr_of = {
-                c: runtime.candidate_repr(c, previous, assessments)
-                for c in candidates
-            }
+            reprs = runtime.featurizer.action_features(candidates, previous, scn.symptom,
+                                                       assessments)
             if ce.selection_config is not None:
                 selection_iv = ce.intervene(
-                    state_vec, [(c, repr_of[c]) for c in candidates], ce.selection_config)
+                    state_vec, list(zip(candidates, reprs)), ce.selection_config)
 
         chosen = _select(candidates, assessments, scn, rng, cfg, ce, selection_iv)
 
@@ -320,7 +319,7 @@ def run_episode(
         assessments[chosen] = label
 
         if runtime is not None:
-            runtime.record_turn(state_vec, repr_of[chosen])
+            runtime.record_turn(state_vec, reprs[candidates.index(chosen)])
 
         queue = [c for c in queue if c != chosen]
 
@@ -332,10 +331,10 @@ def run_episode(
         pruned: list[Entity] = []
         if runtime is not None and ce.prune_config is not None and push:
             push_state = runtime.state(assessments)
-            push_reprs = [
-                (c, runtime.candidate_repr(c, chosen, assessments)) for c in push
-            ]
-            push_iv = ce.intervene(push_state, push_reprs, ce.prune_config)
+            push_reprs = runtime.featurizer.action_features(push, chosen, scn.symptom,
+                                                            assessments)
+            push_iv = ce.intervene(push_state, list(zip(push, push_reprs)),
+                                   ce.prune_config)
             pruned = [e for e in push if e not in push_iv.retained]
             push = [e for e in push if e in push_iv.retained]
         queue.extend(push)

@@ -76,29 +76,6 @@ def all_distances_from(g: TopologyGraph, src: Entity) -> dict[Entity, int]:
     return dist
 
 
-class DistanceIndex:
-    """All-pairs directed distances, precomputed once per graph."""
-
-    def __init__(self, g: TopologyGraph):
-        self.graph = g
-        self._table = {u: all_distances_from(g, u) for u in g.nodes}
-
-    def row(self, src: Entity) -> dict[Entity, int]:
-        """Distances from src to every node it reaches (src included, 0)."""
-        try:
-            return self._table[src]
-        except KeyError:
-            raise UnknownEntity(f"{src} not in graph") from None
-
-    def diameter(self) -> int:
-        """Largest finite directed distance; 0 for an edgeless graph."""
-        best = 0
-        for row in self._table.values():
-            if row:
-                best = max(best, max(row.values()))
-        return best
-
-
 def hubs_scores(
     g: TopologyGraph, max_iter: int = 100, tol: float = 1e-10
 ) -> dict[Entity, float]:

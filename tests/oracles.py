@@ -57,12 +57,14 @@ def viterbi_bruteforce(initial, transition, means, variances, seq) -> list[int]:
             -0.5 * np.sum(np.log(2 * np.pi * variances[k]) + diff * diff / variances[k])
         )
 
+    # each (t, k) emission once; the path loop adds them in the same order
+    table = [[emis(t, k) for k in range(K)] for t in range(T)]
     best_path = None
     best_score = -np.inf
     for path in itertools.product(range(K), repeat=T):
-        score = log_init[path[0]] + emis(0, path[0])
+        score = log_init[path[0]] + table[0][path[0]]
         for t in range(1, T):
-            score += log_trans[path[t - 1], path[t]] + emis(t, path[t])
+            score += log_trans[path[t - 1], path[t]] + table[t][path[t]]
         if score > best_score:
             best_score = score
             best_path = path

@@ -153,20 +153,29 @@ class TestTopologyScheme:
             assert np.array_equal(sa.state, sb.state)
             assert np.array_equal(np.asarray(sa.action), np.asarray(sb.action))
 
-    @pytest.mark.parametrize("where", ["previous", "symptom", "assessed", "target"])
+    @pytest.mark.parametrize("where", ["previous", "symptom", "assessed", "target",
+                                       "middle_target"])
     def test_action_features_reject_entities_outside_the_graph(self, where):
-        # one distance row per candidate still raises what each lookup raised:
-        # UnknownEntity for the previous action or the symptom, and
-        # EntityNotInGraph for an assessed entity or the target
+        # one call per turn still raises what each per-candidate lookup
+        # raised: UnknownEntity for the previous action or the symptom, and
+        # EntityNotInGraph for an assessed entity or any of the targets
         nodes, graph = chain_graph()
         feat = TopologyFeaturizer(graph)
         stranger = Entity(name="zz", etype="Pod")
-        args = {"target": nodes[1], "previous": nodes[2], "symptom": nodes[4],
+        args = {"targets": [nodes[1], nodes[3], nodes[0]], "previous": nodes[2],
+                "symptom": nodes[4],
                 "assessments": {nodes[3]: "cascading", nodes[0]: "primary"}}
         want = feat.action_features(**args)
-        assert want.tolist() == [1.0, 3.0, feat.sentinel, 2.0]  # n0 is upstream
+        s = feat.sentinel
+        assert want.tolist() == [[1.0, 3.0, s, 2.0],  # n0 is upstream
+                                 [s, 1.0, s, 0.0],
+                                 [2.0, 4.0, 0.0, 3.0]]
         if where == "assessed":
             args["assessments"] = {**args["assessments"], stranger: "cascading"}
+        elif where == "target":
+            args["targets"] = [stranger]
+        elif where == "middle_target":
+            args["targets"] = [nodes[1], stranger, nodes[0]]
         else:
             args[where] = stranger
         error = UnknownEntity if where in ("previous", "symptom") else EntityNotInGraph
@@ -204,16 +213,20 @@ class TestTopologyScheme:
             assessments = {nodes[i]: labels[int(rng.integers(3))] for i in picked}
             if trial % 3 == 0:
                 assessments[stranger] = labels[int(rng.integers(3))]
-            for src in nodes:
-                for label in labels[:2]:
-                    want = min_dist_to_label_loop(dist, index, src, assessments,
-                                                  label, feat.sentinel)
-                    row = feat.dist.row(src)
-                    if want is None:
-                        with pytest.raises(EntityNotInGraph):
-                            feat._min_dist_to_label(row, assessments, label)
-                    else:
-                        assert feat._min_dist_to_label(row, assessments, label) == want
+            # state column k and action column 2 + k are the distance to label k
+            want = [[min_dist_to_label_loop(dist, index, src, assessments, label,
+                                            feat.sentinel) for label in labels[:2]]
+                    for src in nodes]
+            if any(None in per_src for per_src in want):
+                with pytest.raises(EntityNotInGraph):
+                    feat.state_features(nodes[0], assessments)
+                with pytest.raises(EntityNotInGraph):
+                    feat.action_features(nodes, None, nodes[0], assessments)
+                continue
+            for src, per_src in zip(nodes, want):
+                assert feat.state_features(src, assessments).tolist() == per_src
+            actions = feat.action_features(nodes, None, nodes[0], assessments)
+            assert actions[:, 2:].tolist() == want
 
     def test_featurizer_needs_the_graph(self):
         nodes, _ = chain_graph()

@@ -208,10 +208,11 @@ class TestConfigValidation:
         (TrainConfig, "rl", "gamma", 1.0), (TrainConfig, "rl", "target_refresh", 0),
         (RewardTrainConfig, "irl", "discount", 0.0), (RewardTrainConfig, "irl", "batch_size", 0),
         (RewardTrainConfig, "irl", "holdout_fraction", 1.5),
+        (CeConfig, "ce", "suggest_percentile", 0.0), (CeConfig, "ce", "prune_percentile", 100.0),
     ])
     def test_library_train_configs_fail_early_like_config_files(self, cls, key, field_name,
                                                                 bad):
-        spec = {f.name: f.metadata["range"] for f in fields(cls)}[field_name]
+        spec = {f.name: f.metadata.get("range") for f in fields(cls)}[field_name]
         with pytest.raises(MalformedRecord, match=rf"^{field_name} must be in "):
             cls(**{field_name: bad})
         path = f"{key}.{field_name}"

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from oracles import floyd_warshall, hubs_eigen
-from twinmdp.errors import EmptyGraphNoEdges, MalformedRecord, UnknownEntity
+from twinmdp.abstraction import TopologyFeaturizer
+from twinmdp.errors import EmptyGraphNoEdges, EntityNotInGraph, MalformedRecord, UnknownEntity
 from twinmdp.topology import (
-    DistanceIndex,
     hubs_scores,
     load_graph,
     make_graph,
@@ -118,35 +118,38 @@ class TestShortestDistance:
                     assert got == want
 
     def test_rows_match_floyd_warshall(self):
+        # a featurizer row is the node's distances in node order, the sentinel
+        # (by default the diameter + 1) where unreachable, then one sentinel
+        # column for "no entity"
         rng = np.random.default_rng(3)
         for _ in range(20):
             n = int(rng.integers(2, 10))
             nodes, edges_idx, g = random_graph(n, int(rng.integers(0, 2 * n)), rng)
             oracle = floyd_warshall(n, edges_idx)
-            index = DistanceIndex(g)
+            feat = TopologyFeaturizer(g)
+            assert feat.sentinel == oracle[np.isfinite(oracle)].max() + 1
             for i in range(n):
-                want = {nodes[j]: int(oracle[i, j]) for j in range(n)
-                        if np.isfinite(oracle[i, j])}
-                assert index.row(nodes[i]) == want
-        with pytest.raises(UnknownEntity):
-            index.row(Entity(name="zz", etype="Pod"))
+                want = [float(d) if np.isfinite(d) else feat.sentinel for d in oracle[i]]
+                assert feat.rows[nodes[i]] == want + [feat.sentinel]
+        with pytest.raises(EntityNotInGraph):
+            feat.state_features(Entity(name="zz", etype="Pod"), {})
 
     def test_triangle_inequality_on_reachable_triples(self):
         rng = np.random.default_rng(7)
         nodes, _, g = random_graph(8, 14, rng)
-        index = DistanceIndex(g)
+        feat = TopologyFeaturizer(g)
+        dist = {a: dict(zip(nodes, feat.rows[a])) for a in nodes}
         for a in nodes:
             for b in nodes:
                 for c in nodes:
-                    ab, bc, ac = (index.row(a).get(b), index.row(b).get(c),
-                                  index.row(a).get(c))
-                    if ab is not None and bc is not None:
-                        assert ac is not None and ac <= ab + bc
+                    ab, bc, ac = dist[a][b], dist[b][c], dist[a][c]
+                    if ab < feat.sentinel and bc < feat.sentinel:
+                        assert ac < feat.sentinel and ac <= ab + bc
 
     def test_diameter_of_chain(self):
         nodes = nodes_named(5)
         g = make_graph(nodes, list(zip(nodes[:-1], nodes[1:])))
-        assert DistanceIndex(g).diameter() == 4
+        assert TopologyFeaturizer(g).sentinel == 4 + 1
 
 
 class TestHubsScores:
