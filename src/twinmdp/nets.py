@@ -11,15 +11,6 @@ it, ``backward`` returns a gradient in its layout, and ``Adam`` updates it.
 The stack-axis rule: ``params`` may be a (P, n) stack of P networks. A pass
 runs all P as 3-D ``matmul``s (transposes ``swapaxes(-1, -2)``, bias gradients
 ``sum(axis=-2)``), whose slices equal each member's own 2-D calls bit for bit.
-
-The batch rule: BLAS picks its kernel by shape, so an output's low bits can
-depend on the matrix its row sits in. A hidden layer's rows keep their bits
-in any call of at least 2 rows when the layer is a multiple of 4 units wide
-(``shares_hidden_rows``; at widths of 1-3 mod 8 and 16 or more inputs they
-do not on OpenBLAS's Haswell kernels). So ``hidden`` may run once over a set
-of distinct rows and its activations be gathered. The output layer (one
-unit: a gemv) and any 1-row call (a gemv) depend on their batch: keep those
-calls' matrices as they are.
 """
 
 from __future__ import annotations
@@ -94,11 +85,6 @@ class Mlp:
     def head(self, h: np.ndarray) -> np.ndarray:
         """The output layer on the last hidden layer's activations ``h``."""
         return (h @ self.weights[-1] + self.biases[-1])[..., 0]
-
-    def shares_hidden_rows(self, n_rows: int) -> bool:
-        """The batch rule: whether each row of a 2-D ``hidden`` call over
-        ``n_rows`` rows has the bits it has in any other call of at least 2 rows."""
-        return n_rows >= 2 and self.layer_dims[1] % 4 == 0
 
     def backward(self, acts: list[np.ndarray], dout: np.ndarray) -> np.ndarray:
         """Gradient of sum(dout * output) w.r.t. ``params``, in its layout."""

@@ -1,9 +1,9 @@
 """Offline policy induction: conservative Q-learning and behavior cloning.
 
-Two Q-function forms exist. The tabular form hashes exact state vectors and
-is meant for the small discrete name/nametype schemes; the network form
-scores (state, action-representation) rows with a small MLP and is required
-for the topology scheme, whose actions are feature vectors.
+Two Q-function forms exist, chosen by the action kind. Index actions (the
+small discrete name/nametype schemes) get the tabular form, which hashes
+exact state vectors; feature actions (the topology scheme) get the network
+form, which scores (state, action-representation) rows with a small MLP.
 
 The conservative penalty and the Bellman backup both range over the
 candidate actions recorded at each turn (or the full vocabulary, when the
@@ -16,13 +16,8 @@ offsets in CSR form, the candidates as one dense array (the action space
 applied there), and the taken entry of every step. CQL, BC and FQE index
 the same dense candidate rows, and their networks train in one loop,
 ``minibatch_train``; ``TransitionTable.gather`` selects a batch's candidate
-entries with their owning step. BLAS picks its kernel by shape and a row's
-low bits can change with the batch it sits in, so reshaping a batch changes
-trained artifacts. Hidden activations may be shared where the batch rule of
-``nets`` holds: network CQL runs its target's hidden layers once per refresh
-over every candidate row and gathers them for each batch. Keep every other
-network call's input matrix as it is (the same rows, in the same order, with
-the same row count): the output layer's, and any 1-row call's.
+entries with their owning step. Network CQL runs its target's hidden layers
+once per refresh over every candidate row and gathers them for each batch.
 """
 
 from __future__ import annotations
@@ -320,15 +315,7 @@ class TrainConfig:
 
 # --- conservative Q-learning -----------------------------------------------------------
 
-def _is_tabular(table: TransitionTable, form: str | None, learner: str) -> bool:
-    if form == "tabular" and not table.index_actions:
-        raise MissingCandidateSets(
-            f"tabular {learner} needs index actions (name/nametype schemes)")
-    return form == "tabular" or (form is None and table.index_actions)
-
-
-def cql_train(trajs, cfg: TrainConfig, action_space=CandidateSet(),
-              form: str | None = None):
+def cql_train(trajs, cfg: TrainConfig, action_space=CandidateSet()):
     """Fit a Q function by conservative Q-learning.
 
     Minimizes the squared Bellman residual against a periodically refreshed
@@ -337,7 +324,7 @@ def cql_train(trajs, cfg: TrainConfig, action_space=CandidateSet(),
     bootstrap with zero. Deterministic given cfg.seed.
     """
     table = build_transitions(list(trajs), action_space)
-    if _is_tabular(table, form, "Q"):
+    if table.index_actions:
         return _cql_tabular(table, cfg)
     return _cql_network(table, cfg)
 
@@ -435,7 +422,7 @@ def _cql_network(table: TransitionTable, cfg: TrainConfig) -> NetworkQ:
         """A fixed copy of the network, and its last hidden layer on every row."""
         nonlocal target, hidden
         target = net.copy()
-        hidden = target.hidden(rows)[-1] if target.shares_hidden_rows(len(rows)) else None
+        hidden = target.hidden(rows)[-1]
 
     def learner(batch):
         b = len(batch)
@@ -443,11 +430,8 @@ def _cql_network(table: TransitionTable, cfg: TrainConfig) -> NetworkQ:
         live = np.flatnonzero(~table.terminal[batch])
         if len(live):
             idx, group = table.gather(table.next_step[batch[live]])
-            if hidden is not None and target.shares_hidden_rows(len(idx)):
-                q_next = target.head(hidden[idx])
-            else:
-                q_next = target.forward(rows[idx])
-            targets[live] += cfg.gamma * grouped_max(q_next, group, len(live))
+            best = grouped_max(target.head(hidden[idx]), group, len(live))
+            targets[live] += cfg.gamma * best
         idx, cand_group = table.gather(batch)
         out = yield rows[np.concatenate([table.taken[batch], idx])]
         dout = np.zeros_like(out)
@@ -462,8 +446,7 @@ def _cql_network(table: TransitionTable, cfg: TrainConfig) -> NetworkQ:
 
 # --- behavior cloning ---------------------------------------------------------------
 
-def bc_train(trajs, cfg: TrainConfig, action_space=CandidateSet(),
-             form: str | None = None) -> QPolicy:
+def bc_train(trajs, cfg: TrainConfig, action_space=CandidateSet()) -> QPolicy:
     """Clone the logged behavior under the softmax-over-candidates model.
 
     Tabular: logits are log visit counts, so the softmax over candidates
@@ -471,7 +454,7 @@ def bc_train(trajs, cfg: TrainConfig, action_space=CandidateSet(),
     log-likelihood of taken actions by minibatch gradient ascent.
     """
     table = build_transitions(list(trajs), action_space)
-    if _is_tabular(table, form, "BC"):
+    if table.index_actions:
         index, sid = table.state_ids
         counts = np.zeros((len(index), table.n_actions))
         np.add.at(counts, (sid, table.cand_ids[table.taken]), 1.0)

@@ -669,7 +669,7 @@ def _compare_scenario_ids(cfg: PipelineConfig) -> list[str]:
 
 
 def stage_simulate(cfg: PipelineConfig, out: Path) -> dict:
-    inputs = [out / F_SCHEME] + [
+    inputs = [out / F_SCHEME] + ([out / F_HMM] if cfg.with_hmm else []) + [
         out / policy_file(arm.policy_id) for arm in cfg.arms
     ]
     _require(inputs, "simulate")

@@ -77,17 +77,9 @@ def build_pairs(
 # --- return prediction ----------------------------------------------------------
 #
 # Training encodes every trajectory once into one packed StepRows table; the
-# gradient and the pair accuracy index those rows. BLAS picks its kernel by
-# shape, so a row's low bits can change with the matrix it sits in. The rules
-# that keep training bit-reproducible (see ``nets``):
-# - hidden activations of a row may be shared (``Mlp.shares_hidden_rows``):
-#   the hidden layers run once, as one 2-D call, over the distinct rows of a
-#   batch's trajectories, and the rest is gathered from that pass;
-# - the output layer keeps its matrices: one stacked (B, n, hidden) call per
-#   trajectory length, whose slices are each trajectory's own call;
-# - a 1-row call keeps its own path: length-1 trajectories, and every
-#   trajectory when the rule does not hold, take the stacked (B, n, d)
-#   forward through all layers.
+# returns, the gradient and the pair accuracy send each distinct trajectory of
+# a batch through the network once, as one 2-D call, and sum its rows per
+# trajectory.
 
 
 def encode_step_rows(traj: AbstractTrajectory) -> np.ndarray:
@@ -116,40 +108,27 @@ class StepRows:
         encoded = [encode_step_rows(t) for t in trajs]
         return cls(np.concatenate(encoded), np.cumsum([0] + [len(r) for r in encoded]))
 
-    def returns(self, net: Mlp, ids, discount: float = 1.0) -> np.ndarray:
-        """Predicted (discounted) return of each trajectory in ``ids``."""
-        return self.returns_and_hidden(net, ids, discount)[0]
-
-    def returns_and_hidden(self, net: Mlp, ids, discount: float = 1.0):
-        """The returns of ``ids``, and the hidden activations of their rows,
-        trajectory by trajectory in ``ids`` order (None where the batch rule
-        does not hold)."""
+    def select(self, ids) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The rows of trajectories ``ids``, back to back in ``ids`` order, each
+        row's step index, and each trajectory's length."""
         ids = np.asarray(ids, dtype=int)
         starts = self.offsets[ids]
         lengths = self.offsets[ids + 1] - starts
-        first = np.cumsum(lengths) - lengths  # each trajectory's first row in the pass
-        hidden = None
-        if net.shares_hidden_rows(int(lengths.sum())):
-            at = np.arange(lengths.sum()) + np.repeat(starts - first, lengths)
-            hidden = net.hidden(self.rows[at])
-        out = np.empty(len(ids))
-        for n in np.unique(lengths):
-            sel = np.flatnonzero(lengths == n)
-            steps = np.arange(n)
-            if hidden is not None and n > 1:
-                r = net.head(hidden[-1][first[sel, None] + steps])  # (B, n)
-            else:
-                r = net.forward(self.rows[starts[sel, None] + steps])
-            out[sel] = (r.sum(axis=-1) if discount == 1.0  # else one dot per trajectory
-                        else (r[:, None, :] @ (discount ** steps)[:, None])[:, 0, 0])
-        return out, hidden
+        pos = np.arange(lengths.sum()) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+        return self.rows[np.repeat(starts, lengths) + pos], pos, lengths
+
+    def returns(self, net: Mlp, ids, discount: float = 1.0) -> np.ndarray:
+        """Predicted (discounted) return of each trajectory in ``ids``."""
+        rows, pos, lengths = self.select(ids)
+        return np.add.reduceat(net.forward(rows) * discount ** pos,
+                               np.cumsum(lengths) - lengths)
 
 
-def _pair_ends(pairs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Pair ends in pair order (lower, then higher), the distinct ends, and
-    each pair end's index among them."""
+def _pair_ends(pairs) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct pair ends, and each pair end's index among them, in pair
+    order (lower, then higher)."""
     ends = np.array([(p.lower, p.higher) for p in pairs], dtype=int).ravel()
-    return ends, *np.unique(ends, return_inverse=True)
+    return np.unique(ends, return_inverse=True)
 
 
 def new_reward_net(input_dim: int, hidden_units: int = 256, seed: int = 0) -> Mlp:
@@ -176,23 +155,15 @@ def trex_grad(net: Mlp, batch: list[PreferencePair], trajs,
     """
     if not batch:
         raise EmptyPairSet("gradient of an empty batch")
-    packed = StepRows.pack(trajs)
-    ends, ids, inverse = _pair_ends(batch)
-    returns, hidden = packed.returns_and_hidden(net, ids, discount)
-    g = returns[inverse].reshape(-1, 2)
+    ids, inverse = _pair_ends(batch)
+    rows, pos, lengths = StepRows.pack(trajs).select(ids)
+    weight = discount ** pos
+    out, acts = net.forward_cached(rows)
+    g = np.add.reduceat(out * weight, np.cumsum(lengths) - lengths)[inverse].reshape(-1, 2)
     sig = 1.0 / (1.0 + np.exp(-(g[:, 0] - g[:, 1])))
-    distinct = packed.offsets[ids + 1] - packed.offsets[ids]
-    lengths = distinct[inverse]
-    pos = np.arange(lengths.sum()) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-    coeff = np.repeat(np.stack([sig, -sig], axis=1).ravel(), lengths)
-    rows = packed.rows[np.repeat(packed.offsets[ends], lengths) + pos]
-    if hidden is None:
-        _, acts = net.forward_cached(rows)
-    else:  # the pair-order rows' activations, gathered from the distinct pass
-        at = np.repeat((np.cumsum(distinct) - distinct)[inverse], lengths) + pos
-        acts = [rows, *(h[at] for h in hidden)]
-    # d(mean loss)/d r_hat(row)
-    return net.backward(acts, coeff * discount ** pos / len(batch))
+    # d(mean loss)/d G of each distinct trajectory, then of each of its rows
+    coeff = np.bincount(inverse, np.stack([sig, -sig], 1).ravel(), len(ids))
+    return net.backward(acts, np.repeat(coeff, lengths) * weight / len(batch))
 
 
 def pair_accuracy(net: Mlp, pairs, trajs, discount: float = 1.0) -> float:
@@ -202,7 +173,7 @@ def pair_accuracy(net: Mlp, pairs, trajs, discount: float = 1.0) -> float:
     """
     if not pairs:
         raise EmptyPairSet("accuracy of an empty pair set")
-    _, ids, inverse = _pair_ends(pairs)
+    ids, inverse = _pair_ends(pairs)
     g = StepRows.pack(trajs).returns(net, ids, discount)[inverse].reshape(-1, 2)
     return int(np.count_nonzero(g[:, 1] > g[:, 0])) / len(pairs)
 

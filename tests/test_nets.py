@@ -243,47 +243,3 @@ def test_grouped_softmax_sums_to_one_per_group():
     probs = nets.grouped_softmax(scores, groups, 3)
     assert np.allclose(np.bincount(groups, weights=probs), 1.0)
     assert probs[2] == 1.0 and probs[3] == probs[4] == 0.5
-
-
-# --- the batch rule: which rows may be computed once and gathered ---------------------
-
-SUB_BATCH_ROWS = 39
-
-
-@pytest.mark.parametrize("hidden", [4, 8, 12, 16, 256])
-def test_blas_rule_hidden_rows_keep_their_bits_in_any_sub_batch_of_two_or_more_rows(hidden):
-    """The BLAS property ``Mlp.shares_hidden_rows`` stands on: at a hidden width
-    it accepts, every row of a hidden layer over N >= 2 rows has the bits of the
-    same row in any other call of >= 2 rows. If this fails on another BLAS,
-    ``shares_hidden_rows`` must refuse this width there."""
-    rng = np.random.default_rng(hidden)
-    for input_dim in (*range(1, SUB_BATCH_ROWS + 1), 64, 256):
-        net = Mlp(input_dim, hidden, seed=input_dim)
-        assert net.shares_hidden_rows(2)
-        x = rng.normal(size=(SUB_BATCH_ROWS, input_dim))
-        whole = net.hidden(x)
-        for lo in range(SUB_BATCH_ROWS - 1):
-            for hi in range(lo + 2, SUB_BATCH_ROWS + 1):
-                for h_sub, h_whole in zip(net.hidden(x[lo:hi]), whole):
-                    assert np.array_equal(h_sub, h_whole[lo:hi]), (input_dim, lo, hi)
-
-
-@pytest.mark.parametrize("hidden", [8, 16])
-def test_blas_rule_hidden_rows_of_a_large_pass_keep_their_bits(hidden):
-    """A hidden pass over thousands of rows (network CQL's target cache) gives
-    each row the bits of a small batch's call."""
-    rng = np.random.default_rng(hidden)
-    net = Mlp(19, hidden, seed=1)
-    x = rng.normal(size=(5000, 19))
-    whole = net.hidden(x)[-1]
-    for lo in range(0, 4700, 331):
-        for n in (2, 3, 5, 64, 240):
-            assert np.array_equal(net.hidden(x[lo:lo + n])[-1], whole[lo:lo + n]), (lo, n)
-
-
-def test_shares_hidden_rows_refuses_one_row_and_other_widths():
-    """A 1-row call is a gemv, and at hidden widths of 1-3 mod 8 a row's bits
-    depend on its batch on some BLAS kernels: those keep their own calls."""
-    assert not Mlp(5, 16, seed=0).shares_hidden_rows(1)
-    for hidden in (1, 2, 3, 6, 9, 10, 11, 18):
-        assert not Mlp(5, hidden, seed=0).shares_hidden_rows(64)

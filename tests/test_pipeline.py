@@ -427,6 +427,19 @@ class TestSchemeVariants:
         assert len(step["action"]["features"]) == 5
         assert "baseline" in summary["methods"]
 
+    def test_simulate_declares_the_hmm_model(self, enriched_run, tmp_path, capsys):
+        raw, out, _ = enriched_run
+        manifest = json.loads((out / "simulate.manifest.json").read_text())
+        assert "hmm_model.json" in manifest["inputs"]
+        clone = tmp_path / "clone"
+        shutil.copytree(out, clone)
+        (clone / "hmm_model.json").unlink()
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(raw))
+        code = cli_main(["simulate", "--config", str(cfg_path), "--out", str(clone)])
+        assert code == 3
+        assert "hmm_model.json" in capsys.readouterr().err
+
     def test_hmm_state_count_selected_by_validation_likelihood(self, tmp_path):
         raw = json.loads(json.dumps(SMALL_CONFIG))
         raw["scheme"] = {"kind": "topology", "with_hmm": True, "hmm_states": 2,
