@@ -3,7 +3,8 @@
 One source tree gives, per workload and arm, the mean pass@3 recall over the
 seeds, the mean gain over the baseline with its 95% t-interval, the seeds
 where the gain is above 0 and where the paired Bonferroni test calls it
-significant, and the seeds where criteria C08 and C09 hold. Two trees (a
+significant, and the seeds where criteria C08 and C09 hold (as defined in
+``tests/criteria.py``, which the acceptance test also uses). Two trees (a
 parent, then a change) add each arm's paired per-seed change in gain, with
 its interval, and the seeds whose ``report.json`` bytes match.
 
@@ -12,8 +13,8 @@ its interval, and the seeds whose ``report.json`` bytes match.
         --seeds 1-10 --out SWEEP.json PARENT_TREE CHANGE_TREE
 
 Each run is ``python -m twinmdp.cli reproduce`` in a fresh process, with the
-tree's ``src`` on ``PYTHONPATH``, and at most ``--jobs`` (default: the CPU
-count) run at a time. The configs are ``perfbench.workloads.make_config`` of
+tree's ``src`` on ``PYTHONPATH``, and at most as many run at a time as the
+host has CPUs. The configs are ``perfbench.workloads.make_config`` of
 each tree's ``configs/demo.yaml``. A run that fails is recorded with its exit
 code and is left out of the means.
 """
@@ -36,19 +37,19 @@ import numpy as np
 from scipy import stats
 
 ROOT = Path(__file__).resolve().parents[1]
-BASELINE = "baseline"
-C08_ARM, C08_RIVAL, C08_SECONDS = "rl_irl+prioritize", "bc+prioritize", 600.0
-C09_ARM = "rl_irl+prune"
 KEPT = ("pass3_recall_mean", "significant", "p_adjusted", "avg_rank",
         "mean_entities_explored")
 
 
-def load_make_config():
-    spec = importlib.util.spec_from_file_location(
-        "workloads", ROOT / "perfbench" / "workloads.py")
+def load_module(name: str, path: Path):
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.make_config
+    return module
+
+
+criteria = load_module("criteria", ROOT / "tests" / "criteria.py")
+BASELINE = criteria.BASELINE
 
 
 def source_sha256(tree: Path) -> str:
@@ -97,18 +98,6 @@ def gain(run: dict, arm: str) -> float:
     return methods[arm]["pass3_recall_mean"] - methods[BASELINE]["pass3_recall_mean"]
 
 
-def c08_holds(run: dict) -> bool:
-    arm, rival = run["methods"][C08_ARM], run["methods"][C08_RIVAL]
-    return bool(gain(run, C08_ARM) > 0 and arm["significant"] and arm["p_adjusted"] < 0.05
-                and arm["avg_rank"] <= rival["avg_rank"] and run["elapsed_s"] < C08_SECONDS)
-
-
-def c09_holds(run: dict) -> bool:
-    methods = run["methods"]
-    return (methods[C09_ARM]["mean_entities_explored"]
-            <= methods[BASELINE]["mean_entities_explored"])
-
-
 def summarize(runs: list[dict]) -> dict:
     """Per arm: mean recall, mean gain with its interval, and the seeds that
     gain, are significant either way, and meet C08 and C09."""
@@ -120,8 +109,9 @@ def summarize(runs: list[dict]) -> dict:
         "baseline_mean_recall": interval(
             [r["methods"][BASELINE]["pass3_recall_mean"] for r in ok])["mean"],
         "arms": {},
-        "c08_seeds": [r["seed"] for r in ok if c08_holds(r)],
-        "c09_seeds": [r["seed"] for r in ok if c09_holds(r)],
+        "c08_seeds": [r["seed"] for r in ok
+                      if all(criteria.c08_checks(r["methods"], r["elapsed_s"]).values())],
+        "c09_seeds": [r["seed"] for r in ok if criteria.c09_holds(r["methods"])],
     }
     for arm in arms:
         signif = [r for r in ok if r["methods"][arm]["significant"]]
@@ -169,8 +159,8 @@ def parse_seeds(text: str) -> list[int]:
     return [int(s) for s in text.split(",")]
 
 
-def sweep(trees: dict[str, Path], workloads, seeds, jobs: int, workdir: Path) -> dict:
-    make_config = load_make_config()
+def sweep(trees: dict[str, Path], workloads, seeds, workdir: Path) -> dict:
+    make_config = load_module("workloads", ROOT / "perfbench" / "workloads.py").make_config
     jobs_list = [(label, tree, wl, seed) for wl in workloads
                  for label, tree in trees.items() for seed in seeds]
 
@@ -178,7 +168,7 @@ def sweep(trees: dict[str, Path], workloads, seeds, jobs: int, workdir: Path) ->
         label, tree, wl, seed = job
         return run_one(tree, make_config(tree, wl, seed), workdir / label / f"{wl}-{seed}")
 
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
+    with ThreadPoolExecutor(max_workers=os.cpu_count() or 1) as pool:
         results = list(pool.map(run, jobs_list))
     record = {"seeds": list(seeds), "workloads": {}}
     for wl in workloads:
@@ -200,7 +190,6 @@ def main(argv: list[str] | None = None) -> int:
                         help="one source tree, or a parent tree then a change tree")
     parser.add_argument("--workloads", nargs="+", default=["demo"])
     parser.add_argument("--seeds", type=parse_seeds, default=list(range(1, 11)))
-    parser.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
     parser.add_argument("--workdir", type=Path, default=None,
                         help="keep each run's artifacts here (default: a temporary directory)")
     parser.add_argument("--out", type=Path, required=True)
@@ -211,7 +200,7 @@ def main(argv: list[str] | None = None) -> int:
     trees = {label: tree.resolve() for label, tree in zip(labels, args.trees)}
     with tempfile.TemporaryDirectory() as tmp:
         workdir = args.workdir.resolve() if args.workdir else Path(tmp)
-        record = sweep(trees, args.workloads, args.seeds, args.jobs, workdir)
+        record = sweep(trees, args.workloads, args.seeds, workdir)
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     failed = sum(len(t["summary"]["seeds_failed"])
                  for entry in record["workloads"].values() for t in entry["trees"].values())

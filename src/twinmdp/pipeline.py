@@ -863,8 +863,8 @@ def robustness_sweep(cfg: PipelineConfig, out: Path,
     then scores them all in one FQE call on the held-out split. Collects extra
     episodes on the training scenarios when the corpus lacks successes.
     """
-    _require([out / F_ABSTRACT, out / F_REWARD,
-              out / relabeled_file(cfg.eval_reward_mode)], "robustness_sweep")
+    _require([out / F_ABSTRACT, out / F_REWARD, out / relabeled_file(cfg.eval_reward_mode),
+              out / F_SCHEME] + ([out / F_HMM] if cfg.with_hmm else []), "robustness_sweep")
     net = load_reward_net(out / F_REWARD)
     train, _ = read_split(cfg, out / F_ABSTRACT)
     pool = [t for t in train if t.scores.rce_identification >= 100.0]

@@ -108,20 +108,26 @@ class StepRows:
         encoded = [encode_step_rows(t) for t in trajs]
         return cls(np.concatenate(encoded), np.cumsum([0] + [len(r) for r in encoded]))
 
-    def select(self, ids) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def select(self, ids, discount: float = 1.0) -> tuple[np.ndarray, ...]:
         """The rows of trajectories ``ids``, back to back in ``ids`` order, each
-        row's step index, and each trajectory's length."""
+        row's discount weight, each trajectory's length, and where its rows
+        start among the selected ones."""
         ids = np.asarray(ids, dtype=int)
         starts = self.offsets[ids]
         lengths = self.offsets[ids + 1] - starts
-        pos = np.arange(lengths.sum()) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-        return self.rows[np.repeat(starts, lengths) + pos], pos, lengths
+        heads = np.cumsum(lengths) - lengths
+        pos = np.arange(lengths.sum()) - np.repeat(heads, lengths)
+        return self.rows[np.repeat(starts, lengths) + pos], discount ** pos, lengths, heads
 
     def returns(self, net: Mlp, ids, discount: float = 1.0) -> np.ndarray:
         """Predicted (discounted) return of each trajectory in ``ids``."""
-        rows, pos, lengths = self.select(ids)
-        return np.add.reduceat(net.forward(rows) * discount ** pos,
-                               np.cumsum(lengths) - lengths)
+        rows, weight, _, heads = self.select(ids, discount)
+        return _segment_returns(net.forward(rows), weight, heads)
+
+
+def _segment_returns(out: np.ndarray, weight: np.ndarray, heads: np.ndarray) -> np.ndarray:
+    """Each trajectory's weighted sum of per-row rewards, in ``select``'s layout."""
+    return np.add.reduceat(out * weight, heads)
 
 
 def _pair_ends(pairs) -> tuple[np.ndarray, np.ndarray]:
@@ -156,10 +162,9 @@ def trex_grad(net: Mlp, batch: list[PreferencePair], trajs,
     if not batch:
         raise EmptyPairSet("gradient of an empty batch")
     ids, inverse = _pair_ends(batch)
-    rows, pos, lengths = StepRows.pack(trajs).select(ids)
-    weight = discount ** pos
+    rows, weight, lengths, heads = StepRows.pack(trajs).select(ids, discount)
     out, acts = net.forward_cached(rows)
-    g = np.add.reduceat(out * weight, np.cumsum(lengths) - lengths)[inverse].reshape(-1, 2)
+    g = _segment_returns(out, weight, heads)[inverse].reshape(-1, 2)
     sig = 1.0 / (1.0 + np.exp(-(g[:, 0] - g[:, 1])))
     # d(mean loss)/d G of each distinct trajectory, then of each of its rows
     coeff = np.bincount(inverse, np.stack([sig, -sig], 1).ravel(), len(ids))

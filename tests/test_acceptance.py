@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from criteria import c08_checks, c09_holds
 from oracles import (
     floyd_warshall,
     hubs_eigen,
@@ -390,19 +391,16 @@ def test_c08_closed_loop_improvement(demo_run):
     arm = methods["rl_irl+prioritize"]
     base = methods["baseline"]
     bc = methods["bc+prioritize"]
-    improved = arm["pass3_recall_mean"] > base["pass3_recall_mean"]
-    significant = arm["significant"] and arm["p_adjusted"] < 0.05
-    rank_ok = arm["avg_rank"] <= bc["avg_rank"]
-    ok = improved and significant and rank_ok and elapsed < 600
-    report(8, ok,
+    checks = c08_checks(methods, elapsed)
+    report(8, all(checks.values()),
            f"recall {arm['pass3_recall_mean']:.3f} vs baseline "
            f"{base['pass3_recall_mean']:.3f}, adjusted p {arm['p_adjusted']:.2e} "
            f"(<0.05), rank {arm['avg_rank']:.2f} <= BC {bc['avg_rank']:.2f}, "
            f"end-to-end {elapsed:.0f}s (<600s)")
-    assert improved
-    assert significant
-    assert rank_ok
-    assert elapsed < 600
+    assert checks["improved"]
+    assert checks["significant"]
+    assert checks["rank_ok"]
+    assert checks["in_time"]
 
 
 def test_c09_pruning_cost(demo_run):
@@ -410,10 +408,10 @@ def test_c09_pruning_cost(demo_run):
     methods = summary["methods"]
     prune = methods["rl_irl+prune"]["mean_entities_explored"]
     base = methods["baseline"]["mean_entities_explored"]
-    ok = prune <= base
+    ok = c09_holds(methods)
     report(9, ok, f"pruned arm explored {prune:.2f} entities on average vs "
                   f"baseline {base:.2f} (paired seeds)")
-    assert prune <= base
+    assert ok
 
 
 def test_c10_robustness_sweep_soft(demo_run):

@@ -440,6 +440,17 @@ class TestSchemeVariants:
         assert code == 3
         assert "hmm_model.json" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("missing", ["scheme_runtime.json", "hmm_model.json"])
+    def test_robustness_sweep_declares_the_scheme_runtime(self, enriched_run, tmp_path,
+                                                          missing):
+        """The sweep may collect extra episodes, which read the scheme runtime."""
+        raw, out, _ = enriched_run
+        clone = tmp_path / "clone"
+        shutil.copytree(out, clone)
+        (clone / missing).unlink()
+        with pytest.raises(MissingArtifact, match=missing):
+            robustness_sweep(validate_config(raw), clone, counts=(4,))
+
     def test_hmm_state_count_selected_by_validation_likelihood(self, tmp_path):
         raw = json.loads(json.dumps(SMALL_CONFIG))
         raw["scheme"] = {"kind": "topology", "with_hmm": True, "hmm_states": 2,
