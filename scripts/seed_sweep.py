@@ -4,9 +4,12 @@ One source tree gives, per workload and arm, the mean pass@3 recall over the
 seeds, the mean gain over the baseline with its 95% t-interval, the seeds
 where the gain is above 0 and where the paired Bonferroni test calls it
 significant, and the seeds where criteria C08 and C09 hold (as defined in
-``tests/criteria.py``, which the acceptance test also uses). Two trees (a
-parent, then a change) add each arm's paired per-seed change in gain, with
-its interval, and the seeds whose ``report.json`` bytes match.
+``tests/criteria.py``, which the acceptance test also uses). It also gives,
+per seed and as means, how well the offline order in ``ranking.json``
+predicts each policy's closed-loop recall under ``prioritize``: Spearman rho,
+Kendall tau and regret@1. Two trees (a parent, then a change) add each arm's
+paired per-seed change in gain, with its interval, and the seeds whose
+``report.json`` bytes match.
 
     python scripts/seed_sweep.py --workloads demo --out sweep.json TREE
     python scripts/seed_sweep.py --workloads demo closed_loop tabular \\
@@ -30,6 +33,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -77,8 +81,10 @@ def run_one(tree: Path, config: dict, out: Path) -> dict:
         return {**record, "ok": False, "error": proc.stderr.strip()[-500:]}
     data = report.read_bytes()
     methods = json.loads(data)["methods"]
+    ranking = json.loads((out / "artifacts" / "ranking.json").read_text())["ranking"]
     return {**record, "ok": True, "report_sha256": hashlib.sha256(data).hexdigest(),
-            "methods": {m: {k: v[k] for k in KEPT if k in v} for m, v in methods.items()}}
+            "methods": {m: {k: v[k] for k in KEPT if k in v} for m, v in methods.items()},
+            "ranking": [e["id"] for e in sorted(ranking, key=lambda e: e["rank"])]}
 
 
 def interval(values) -> dict:
@@ -98,6 +104,27 @@ def gain(run: dict, arm: str) -> float:
     return methods[arm]["pass3_recall_mean"] - methods[BASELINE]["pass3_recall_mean"]
 
 
+def ranking_fidelity(ranking: list[str], methods: dict) -> dict:
+    """How well the offline order (best first) predicts each policy's
+    closed-loop recall under ``prioritize``, in the metrics of Fu et al. 2021:
+    Spearman rho and Kendall tau (None when the recalls are all equal) and
+    regret@1, the recall lost by deploying the offline top pick instead of the
+    closed-loop best. Policies without a ``prioritize`` arm are left out."""
+    pids = [pid for pid in ranking if f"{pid}+prioritize" in methods]
+    if len(pids) < 2:
+        return {"policies": pids, "spearman": None, "kendall": None, "regret_at_1": None}
+    recall = np.array([methods[f"{pid}+prioritize"]["pass3_recall_mean"] for pid in pids])
+    offline = -np.arange(len(pids), dtype=float)  # the top pick scores highest
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", stats.ConstantInputWarning)
+        rho = stats.spearmanr(offline, recall).statistic
+        tau = stats.kendalltau(offline, recall).statistic
+    return {"policies": pids,
+            "spearman": None if np.isnan(rho) else float(rho),
+            "kendall": None if np.isnan(tau) else float(tau),
+            "regret_at_1": float(recall.max() - recall[0])}
+
+
 def summarize(runs: list[dict]) -> dict:
     """Per arm: mean recall, mean gain with its interval, and the seeds that
     gain, are significant either way, and meet C08 and C09."""
@@ -112,6 +139,14 @@ def summarize(runs: list[dict]) -> dict:
         "c08_seeds": [r["seed"] for r in ok
                       if all(criteria.c08_checks(r["methods"], r["elapsed_s"]).values())],
         "c09_seeds": [r["seed"] for r in ok if criteria.c09_holds(r["methods"])],
+    }
+    per_seed = [{"seed": r["seed"], **ranking_fidelity(r["ranking"], r["methods"])}
+                for r in ok]
+    summary["ranking_fidelity"] = {
+        "per_seed": per_seed,
+        **{f"{key}_mean": interval([f[key] for f in per_seed if f[key] is not None])["mean"]
+           for key in ("spearman", "kendall", "regret_at_1")},
+        "seeds_top_pick_best": [f["seed"] for f in per_seed if f["regret_at_1"] == 0.0],
     }
     for arm in arms:
         signif = [r for r in ok if r["methods"][arm]["significant"]]

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.cluster.vq import kmeans2
 
 from .errors import DegenerateData, DimensionMismatch
 
@@ -144,6 +143,9 @@ def fit_hmm(
     if K == 1:
         means = pooled.mean(axis=0, keepdims=True)
     else:
+        # imported here: scipy.cluster pulls in scipy.spatial, slow to import
+        from scipy.cluster.vq import kmeans2
+
         means, _ = kmeans2(pooled, K, minit="++", seed=np.random.default_rng(seed))
     variances = np.tile(pooled_var, (K, 1))
     initial = np.full(K, 1.0 / K)

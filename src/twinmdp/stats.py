@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as sps
+from scipy.special import stdtr
 
 from .errors import BadRanks, LengthMismatch, TooFewTrials, UnsupportedK
 
@@ -122,14 +122,28 @@ def paired_t_bonferroni(baseline: np.ndarray, methods: dict[str, np.ndarray],
             t_stat = np.inf if diffs.mean() > 0 else -np.inf
             p_raw = 0.0
         else:
-            t_stat, p_raw = sps.ttest_rel(values, baseline)
-            t_stat, p_raw = float(t_stat), float(p_raw)
+            t_stat, p_raw = _ttest_rel(diffs)
         p_adj = min(1.0, m * p_raw)
         out[name] = PairedTestResult(
             t_stat=t_stat, p_raw=p_raw, p_adjusted=p_adj,
             significant=bool(p_adj < alpha),
         )
     return out
+
+
+def _ttest_rel(diffs: np.ndarray) -> tuple[float, float]:
+    """Two-sided t statistic and p-value of mean(diffs) = 0.
+
+    The operations and their order are those of ``scipy.stats.ttest_1samp``
+    (scipy 1.17.1), so the result equals ``ttest_rel`` bit for bit without
+    importing ``scipy.stats``. ``np.var(ddof=1)`` is not a substitute: it
+    divides the sum of squares by n - 1, where scipy multiplies their mean
+    by n / (n - 1), and the last bits differ.
+    """
+    n = np.float64(len(diffs))
+    var = np.mean((diffs - diffs.mean(keepdims=True)) ** 2) * (n / (n - 1))
+    t = diffs.mean() / np.sqrt(var / n)
+    return float(t), float(2 * stdtr(n - 1, -abs(t)))
 
 
 # --- Nemenyi critical difference ---------------------------------------------------
@@ -145,14 +159,31 @@ class NemenyiResult:
 def ranks_from_scores(scores: np.ndarray, higher_better: bool = True) -> np.ndarray:
     """Per-scenario ranks (1 = best) with mid-rank ties.
 
-    ``scores`` is (methods, scenarios); the result has the same shape.
+    ``scores`` is (methods, scenarios); the result has the same shape. A
+    scenario column holding NaN or an infinity has no ranking and raises
+    ``BadRanks``.
     """
     scores = np.asarray(scores, dtype=float)
     ranked = np.empty_like(scores)
     for col in range(scores.shape[1]):
         vals = -scores[:, col] if higher_better else scores[:, col]
-        ranked[:, col] = sps.rankdata(vals, method="average")
+        if not np.isfinite(vals).all():
+            raise BadRanks(f"scenario column {col} holds non-finite scores: {scores[:, col]}")
+        ranked[:, col] = _midranks(vals)
     return ranked
+
+
+def _midranks(vals: np.ndarray) -> np.ndarray:
+    """Ranks 1..n of ``vals`` from the smallest, each run of equal values
+    sharing the mean of its positions (``rankdata(method="average")``).
+    Mid-ranks are integers or halves, so they are exact."""
+    order = np.argsort(vals, kind="stable")
+    ordered = vals[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    ends = np.r_[starts[1:], len(vals)]
+    ranks = np.empty(len(vals))
+    ranks[order] = np.repeat((starts + 1 + ends) / 2, ends - starts)
+    return ranks
 
 
 def nemenyi_cd(rank_matrix: np.ndarray, method_ids, alpha: float = 0.05) -> NemenyiResult:

@@ -368,24 +368,39 @@ class TestStages:
             assert method in text
 
 
+def run_fresh_interpreter(args: list[str]) -> subprocess.CompletedProcess:
+    """``python *args`` in a new process with this checkout's ``src`` first on
+    ``PYTHONPATH``."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], check=True, env=env,
+                          capture_output=True, text=True)
+
+
 def assert_a_new_process_reproduces(raw: dict, out1: Path, tmp_path: Path) -> None:
     """``twinmdp reproduce`` of ``raw`` in a fresh interpreter writes the
     output hashes of the run in ``out1``."""
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(raw))
     out2 = tmp_path / "subprocess"
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    subprocess.run([sys.executable, "-m", "twinmdp.cli", "reproduce",
-                    "--config", str(cfg_path), "--out", str(out2)],
-                   check=True, env=env, capture_output=True)
+    run_fresh_interpreter(["-m", "twinmdp.cli", "reproduce",
+                           "--config", str(cfg_path), "--out", str(out2)])
     manifests = sorted(p.name for p in out1.glob("*.manifest.json"))
     assert manifests == sorted(p.name for p in out2.glob("*.manifest.json"))
     assert len(manifests) == 8
     for name in manifests:
         want = json.loads((out1 / name).read_text())["outputs"]
         assert json.loads((out2 / name).read_text())["outputs"] == want, name
+
+
+def test_import_loads_neither_scipy_stats_nor_scipy_cluster():
+    # each CLI stage is a new process that pays for ``import twinmdp``;
+    # scipy.stats and scipy.cluster would more than double that cost
+    proc = run_fresh_interpreter(["-c", "import sys, twinmdp; print(sorted(m for m in "
+                                  "sys.modules if m.startswith(('scipy.stats', "
+                                  "'scipy.cluster'))))"])
+    assert proc.stdout.strip() == "[]"
 
 
 class TestDeterminism:

@@ -15,14 +15,15 @@ ARM, RIVAL, PRUNE = "rl_irl+prioritize", "bc+prioritize", "rl_irl+prune"
 
 
 def run(seed, gain, *, significant=True, p_adjusted=0.01, rank=2.0, rival_rank=3.0,
-        explored=5.0, sha="a", elapsed=10.0):
+        explored=5.0, sha="a", elapsed=10.0, ranking=("rl_irl", "rl_sparse", "bc")):
     """A successful run whose baseline recalls 0.5 and explores 6 entities;
-    ``gain`` is the prioritize arm's, the other arms gain nothing."""
+    ``gain`` is the prioritize arm's, the other arms gain nothing. ``ranking``
+    is the offline order, best first; ``rl_sparse`` has no arm."""
     def method(recall, **extra):
         return {"pass3_recall_mean": recall, "significant": False, "p_adjusted": 1.0,
                 "avg_rank": 3.5, "mean_entities_explored": 6.0, **extra}
     return {"seed": seed, "ok": True, "returncode": 0, "elapsed_s": elapsed,
-            "report_sha256": sha, "methods": {
+            "report_sha256": sha, "ranking": list(ranking), "methods": {
                 "baseline": method(0.5),
                 ARM: method(0.5 + gain, significant=significant, p_adjusted=p_adjusted,
                             avg_rank=rank),
@@ -80,6 +81,34 @@ def test_paired_change_over_the_seeds_both_trees_ran():
     assert delta["max_abs_change"] == pytest.approx(0.05)
     assert delta["seeds_recall_identical"] == [1]
     assert out["arms"][RIVAL]["seeds_recall_identical"] == [1, 2]
+
+
+def test_ranking_fidelity_per_seed_and_its_means():
+    # offline order rl_irl, bc; closed-loop recall rl_irl 0.5 + gain, bc 0.5
+    runs = [run(1, 0.2), run(2, -0.1), run(3, 0.0, ranking=("bc", "rl_irl"))]
+    fidelity = seed_sweep.summarize(runs)["ranking_fidelity"]
+    one, two, three = fidelity["per_seed"]
+    assert one == {"seed": 1, "policies": ["rl_irl", "bc"], "spearman": pytest.approx(1.0),
+                   "kendall": pytest.approx(1.0), "regret_at_1": 0.0}
+    assert (two["spearman"], two["kendall"]) == pytest.approx((-1.0, -1.0))
+    assert two["regret_at_1"] == pytest.approx(0.1)  # bc recalls 0.5, rl_irl 0.4
+    # equal recalls: no correlation, and the top pick loses nothing
+    assert three == {"seed": 3, "policies": ["bc", "rl_irl"], "spearman": None,
+                     "kendall": None, "regret_at_1": 0.0}
+    assert fidelity["spearman_mean"] == pytest.approx(0.0)
+    assert fidelity["kendall_mean"] == pytest.approx(0.0)
+    assert fidelity["regret_at_1_mean"] == pytest.approx(0.1 / 3)
+    assert fidelity["seeds_top_pick_best"] == [1, 3]
+
+
+def test_ranking_fidelity_of_three_policies():
+    methods = {f"{pid}+prioritize": {"pass3_recall_mean": r}
+               for pid, r in (("a", 0.7), ("b", 0.6), ("c", 0.5))}
+    out = seed_sweep.ranking_fidelity(["b", "a", "c"], methods)
+    assert out["spearman"] == pytest.approx(0.5)  # rank differences 1, 1, 0
+    assert out["kendall"] == pytest.approx(1 / 3)  # 2 concordant pairs, 1 discordant
+    assert out["regret_at_1"] == pytest.approx(0.1)
+    assert seed_sweep.ranking_fidelity(["a", "z"], methods)["spearman"] is None
 
 
 def test_one_value_has_no_interval():

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from scipy.stats import studentized_range
+from scipy.stats import rankdata, studentized_range, ttest_rel
 
 from oracles import pass_at_3_bootstrap_loop, t_sf_mp
 from twinmdp.errors import BadRanks, LengthMismatch, TooFewTrials, UnsupportedK
@@ -13,6 +13,7 @@ from twinmdp.stats import (
     ranks_from_scores,
     render_cd_diagram,
 )
+from twinmdp.stats import _midranks, _ttest_rel
 
 
 def trials(successes, f1s=None):
@@ -126,6 +127,43 @@ class TestPairedT:
             assert res.p_adjusted == pytest.approx(min(1.0, 4 * res.p_raw))
             assert res.p_adjusted >= res.p_raw
 
+    @pytest.mark.filterwarnings("ignore:Precision loss:RuntimeWarning")
+    def test_replica_matches_scipy_ttest_rel(self):
+        # Tolerance fixed before the sweep: rtol 1e-12. The replica copies
+        # scipy's operation order and is exact against scipy 1.17.1; a later
+        # scipy may reorder its own arithmetic by an ulp or two.
+        rng = np.random.default_rng(18)
+        compared = 0
+        for case in range(2400):
+            n = int(rng.integers(2, 60))
+            kind = case % 4
+            if kind == 0:  # uniform values
+                a, b = rng.random(n), rng.random(n)
+            elif kind == 1:  # fifteenths, like recall over 15 trials
+                a, b = rng.integers(0, 16, n) / 15, rng.integers(0, 16, n) / 15
+            elif kind == 2:  # near-ties: a constant shift plus tiny noise
+                b = rng.random(n)
+                a = b + 0.3 + rng.normal(0.0, 1e-9, n)
+            else:  # large magnitudes
+                a, b = rng.uniform(-1e3, 1e3, n), rng.uniform(-1e3, 1e3, n)
+            diffs = a - b
+            if np.ptp(diffs) == 0.0:  # paired_t_bonferroni never sends these
+                continue
+            want = ttest_rel(a, b)
+            t_stat, p_raw = _ttest_rel(diffs)
+            np.testing.assert_allclose(t_stat, want.statistic, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(p_raw, want.pvalue, rtol=1e-12, atol=0)
+            compared += 1
+        assert compared >= 2000
+
+    def test_nan_differences_give_nan(self):
+        base = np.array([0.1, 0.2, 0.3, 0.4])
+        method = np.array([0.2, np.nan, 0.5, 0.4])
+        assert np.isnan(ttest_rel(method, base).pvalue)  # scipy's own answer
+        res = paired_t_bonferroni(base, {"m": method})["m"]
+        assert np.isnan(res.t_stat) and np.isnan(res.p_raw)
+        assert not res.significant
+
     def test_length_mismatch_rejected(self):
         with pytest.raises(LengthMismatch):
             paired_t_bonferroni(np.array([1.0, 2.0]), {"m": np.array([1.0])})
@@ -183,6 +221,28 @@ class TestNemenyi:
         assert ranks[:, 0].tolist() == [1.5, 1.5, 3.0]
         assert ranks[:, 1].tolist() == [3.0, 1.5, 1.5]
         assert np.allclose(ranks.sum(axis=0), 6.0)
+
+    @pytest.mark.parametrize("vals", [
+        [0.5] * 7,  # all tied
+        [0.3, -1.0, 2.5, 0.0, 7.0],  # no ties
+        [-0.0, 0.0, 1.0],  # signed zeros are equal
+    ])
+    def test_midranks_equal_rankdata_on_edge_columns(self, vals):
+        vals = np.asarray(vals)
+        assert _midranks(vals).tolist() == rankdata(vals, method="average").tolist()
+
+    def test_midranks_equal_rankdata_on_tied_columns(self):
+        rng = np.random.default_rng(18)
+        for _ in range(2000):
+            k = int(rng.integers(2, 11))
+            vals = rng.integers(0, k, k) / 15  # few distinct values: many ties
+            assert _midranks(vals).tolist() == rankdata(vals, method="average").tolist()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_scores_name_their_column(self, bad):
+        scores = np.array([[0.9, 0.5, 0.2], [0.4, bad, 0.3]])
+        with pytest.raises(BadRanks, match="scenario column 1"):
+            ranks_from_scores(scores)
 
     def test_render_lists_all_methods(self):
         ranks = np.vstack([np.ones(5), np.full(5, 2.0), np.full(5, 3.0)])
