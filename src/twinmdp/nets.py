@@ -11,6 +11,9 @@ it, ``backward`` returns a gradient in its layout, and ``Adam`` updates it.
 The stack-axis rule: ``params`` may be a (P, n) stack of P networks. A pass
 runs all P as 3-D ``matmul``s (transposes ``swapaxes(-1, -2)``, bias gradients
 ``sum(axis=-2)``), whose slices equal each member's own 2-D calls bit for bit.
+
+A pass makes no spare temporaries: a hidden layer adds its bias and applies
+the ReLU in place, and ``backward`` masks its upstream gradient in place.
 """
 
 from __future__ import annotations
@@ -66,25 +69,16 @@ class Mlp:
         x = np.asarray(x, dtype=float)
         if x.ndim not in (2, 3) or x.shape[-1] != self.input_dim:
             raise DimensionMismatch(f"expected (*, {self.input_dim}) input, got {x.shape}")
-        return self.head(self.hidden(x)[-1])
+        for W, b in zip(self.weights[:-1], self.biases[:-1]):
+            x = _relu_layer(x, W, b)
+        return (x @ self.weights[-1] + self.biases[-1])[..., 0]
 
     def forward_cached(self, x: np.ndarray):
         """Forward pass keeping each layer's input for backprop."""
         acts = [np.asarray(x, dtype=float)]
-        acts += self.hidden(acts[0])
-        return self.head(acts[-1]), acts
-
-    def hidden(self, x: np.ndarray) -> list[np.ndarray]:
-        """Each hidden layer's ReLU activations of the rows ``x``."""
-        acts = []
         for W, b in zip(self.weights[:-1], self.biases[:-1]):
-            x = np.maximum(x @ W + b, 0.0)
-            acts.append(x)
-        return acts
-
-    def head(self, h: np.ndarray) -> np.ndarray:
-        """The output layer on the last hidden layer's activations ``h``."""
-        return (h @ self.weights[-1] + self.biases[-1])[..., 0]
+            acts.append(_relu_layer(acts[-1], W, b))
+        return (acts[-1] @ self.weights[-1] + self.biases[-1])[..., 0], acts
 
     def backward(self, acts: list[np.ndarray], dout: np.ndarray) -> np.ndarray:
         """Gradient of sum(dout * output) w.r.t. ``params``, in its layout."""
@@ -94,11 +88,13 @@ class Mlp:
         for layer in range(last, -1, -1):
             (w_lo, b_lo, b_hi), W = self._bounds[layer], self.weights[layer]
             if layer < last:
-                upstream = upstream * (acts[layer + 1] > 0)
+                upstream *= acts[layer + 1] > 0
             np.matmul(acts[layer].swapaxes(-1, -2), upstream,
                       out=grad[..., w_lo:b_lo].reshape(W.shape))
             upstream.sum(axis=-2, out=grad[..., b_lo:b_hi])
-            if layer > 0:
+            if layer == last:  # one output unit: the outer product is exact
+                upstream = upstream * W.swapaxes(-1, -2)
+            elif layer > 0:
                 upstream = upstream @ W.swapaxes(-1, -2)
         return grad
 
@@ -144,6 +140,11 @@ def grouped_max(scores: np.ndarray, group_ids: np.ndarray, n_groups: int) -> np.
 def grouped_softmax(scores: np.ndarray, group_ids: np.ndarray, n_groups: int) -> np.ndarray:
     """Softmax applied independently within each group of a flat score array."""
     expd = np.exp(scores - grouped_max(scores, group_ids, n_groups)[group_ids])
-    gsum = np.zeros(n_groups)
-    np.add.at(gsum, group_ids, expd)
-    return expd / gsum[group_ids]
+    return expd / np.bincount(group_ids, expd, n_groups)[group_ids]
+
+
+def _relu_layer(x: np.ndarray, W: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """max(x @ W + b, 0), the bias and the ReLU applied in place."""
+    h = x @ W
+    h += b
+    return np.maximum(h, 0.0, out=h)

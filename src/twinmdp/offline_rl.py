@@ -16,8 +16,9 @@ offsets in CSR form, the candidates as one dense array (the action space
 applied there), and the taken entry of every step. CQL, BC and FQE index
 the same dense candidate rows, and their networks train in one loop,
 ``minibatch_train``; ``TransitionTable.gather`` selects a batch's candidate
-entries with their owning step. Network CQL runs its target's hidden layers
-once per refresh over every candidate row and gathers them for each batch.
+entries with their owning step, and ``TransitionTable.backup`` is the one
+Bellman backup. Network CQL builds every step's target once per target
+refresh, and each step forwards a batch's candidate rows once.
 """
 
 from __future__ import annotations
@@ -125,6 +126,14 @@ class TransitionTable:
     def cand_rows(self) -> np.ndarray:
         """The Q-network rows, ``rows(encoding)``."""
         return _read_only(self.rows(self.encoding))
+
+    def backup(self, next_values: np.ndarray, gamma: float) -> np.ndarray:
+        """Bellman targets: r + gamma * next_values[..., next_step], and r at
+        terminal steps; ``next_values`` is (n,) or a (P, n) stack."""
+        live = ~self.terminal
+        targets = np.tile(self.rewards, (*next_values.shape[:-1], 1))
+        targets[..., live] += gamma * next_values[..., self.next_step[live]]
+        return targets
 
     def gather(self, steps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Candidate entries of ``steps`` in order, and the position in
@@ -318,8 +327,8 @@ class TrainConfig:
 def cql_train(trajs, cfg: TrainConfig, action_space=CandidateSet()):
     """Fit a Q function by conservative Q-learning.
 
-    Minimizes the squared Bellman residual against a periodically refreshed
-    target copy plus alpha * (logsumexp over candidate Q - Q of the taken
+    Minimizes the squared Bellman residual against targets rebuilt every
+    target_refresh steps from the Q function of that moment, plus alpha * (logsumexp over candidate Q - Q of the taken
     action). alpha = 0 recovers plain fitted Q-learning. Terminal steps
     bootstrap with zero. Deterministic given cfg.seed.
     """
@@ -336,12 +345,6 @@ def _cql_tabular(table: TransitionTable, cfg: TrainConfig) -> TabularQ:
     cand_flat, cand_group = table.cand_ids, table.cand_step
     cand_sid = sid[cand_group]
 
-    has_next = ~table.terminal
-    nxt = table.next_step[has_next]
-    next_idx, next_cand_group_ids = table.gather(nxt)
-    next_cand_flat = cand_flat[next_idx]
-    next_cand_sid = sid[nxt[next_cand_group_ids]]
-
     n_states = len(index)
     q = np.zeros((n_states, n_actions))
     cell = sid * n_actions + aid
@@ -350,11 +353,8 @@ def _cql_tabular(table: TransitionTable, cfg: TrainConfig) -> TabularQ:
 
     rounds = max(1, cfg.iterations // cfg.target_refresh)
     for _ in range(rounds):
-        targets = table.rewards.copy()
-        if len(nxt):
-            next_vals = q[next_cand_sid, next_cand_flat]
-            best = grouped_max(next_vals, next_cand_group_ids, len(nxt))
-            targets[has_next] = table.rewards[has_next] + cfg.gamma * best
+        best = grouped_max(q[cand_sid, cand_flat], cand_group, table.n)
+        targets = table.backup(best, cfg.gamma)
         if cfg.alpha == 0.0:
             sums = np.bincount(cell, weights=targets, minlength=n_states * n_actions)
             q_flat = q.reshape(-1)
@@ -390,7 +390,7 @@ def minibatch_train(table: TransitionTable, cfg: TrainConfig, learner, stack: in
     given), each on a batch drawn by a cfg.seed rng. The generator
     ``learner(batch)`` yields the input rows, is sent their outputs and yields
     dout. Before step 0 and every target_refresh steps ``refresh(net, step)``
-    runs on the live network (a learner that bootstraps copies its target
+    runs on the live network (a learner that bootstraps builds its targets
     there); it may return a mask of the stack's members to keep training, and
     none ends it."""
     net = Mlp(table.cand_rows.shape[1], cfg.hidden_units, seed=cfg.seed)
@@ -415,30 +415,24 @@ def minibatch_train(table: TransitionTable, cfg: TrainConfig, learner, stack: in
 
 
 def _cql_network(table: TransitionTable, cfg: TrainConfig) -> NetworkQ:
-    rows = table.cand_rows
-    target = hidden = None
+    rows, boot = table.cand_rows, None
 
     def refresh(net, step):
-        """A fixed copy of the network, and its last hidden layer on every row."""
-        nonlocal target, hidden
-        target = net.copy()
-        hidden = target.hidden(rows)[-1]
+        """Every step's Bellman target under the network as it is now."""
+        nonlocal boot
+        best = grouped_max(net.forward(rows), table.cand_step, table.n)
+        boot = table.backup(best, cfg.gamma)
 
     def learner(batch):
         b = len(batch)
-        targets = table.rewards[batch].copy()
-        live = np.flatnonzero(~table.terminal[batch])
-        if len(live):
-            idx, group = table.gather(table.next_step[batch[live]])
-            best = grouped_max(target.head(hidden[idx]), group, len(live))
-            targets[live] += cfg.gamma * best
-        idx, cand_group = table.gather(batch)
-        out = yield rows[np.concatenate([table.taken[batch], idx])]
-        dout = np.zeros_like(out)
-        dout[:b] = 2.0 * (out[:b] - targets) / b
+        idx, group = table.gather(batch)
+        out = yield rows[idx]
+        taken = np.flatnonzero(idx == table.taken[batch][group])
         if cfg.alpha > 0:
-            dout[b:] += cfg.alpha * grouped_softmax(out[b:], cand_group, b) / b
-            dout[:b] += -cfg.alpha / b
+            dout = cfg.alpha * grouped_softmax(out, group, b) / b
+        else:
+            dout = np.zeros_like(out)
+        dout[taken] += 2.0 * (out[taken] - boot[batch]) / b - cfg.alpha / b
         yield dout
 
     return network_q(table, minibatch_train(table, cfg, learner, refresh=refresh), cfg.gamma)

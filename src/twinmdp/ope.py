@@ -115,17 +115,12 @@ def _fqe_tabular(table, policy, cfg, tol, max_sweeps):
     pi_flat = _flat_policy_probs(table, policy)
     sid_flat = sid[group]
 
-    has_next = ~table.terminal
-    nxt = table.next_step[has_next]
-    rewards = table.rewards
-
     q = np.zeros((len(index), n_actions))
     for _ in range(max_sweeps):
         expectation = np.bincount(
             group, weights=pi_flat * q[sid_flat, cand], minlength=table.n
         )
-        targets = rewards.copy()
-        targets[has_next] = rewards[has_next] + cfg.gamma * expectation[nxt]
+        targets = table.backup(expectation, cfg.gamma)
         sums = np.bincount(cell, weights=targets, minlength=q.size)
         new_flat = q.reshape(-1).copy()
         new_flat[seen] = sums[seen] / counts[seen]
@@ -149,8 +144,7 @@ def _fqe_network(table, policies, cfg, tol):
     at the first round its value moves by < tol, and its fit is its net then."""
     rows, group, n_pol = table.cand_rows, table.cand_step, len(policies)
     pi = [_flat_policy_probs(table, policy) for policy in policies]
-    has_next, every = ~table.terminal, cfg.target_refresh
-    steps = max(1, cfg.iterations // every) * every
+    steps = max(1, cfg.iterations // cfg.target_refresh) * cfg.target_refresh
     active, prev, fits, targets = list(range(n_pol)), [np.inf] * n_pol, [None] * n_pol, None
 
     def refresh(net, step):
@@ -166,8 +160,7 @@ def _fqe_network(table, policies, cfg, tol):
                 fits[p], keep[j] = (network_q(table, members[j], cfg.gamma), value), False
             prev[p] = value
         active[:] = [p for p, kept in zip(active, keep) if kept]
-        targets = np.tile(table.rewards, (len(active), 1))
-        targets[:, has_next] += cfg.gamma * expect[keep][:, table.next_step[has_next]]
+        targets = table.backup(expect[keep], cfg.gamma)
         return keep
 
     def learner(batch):

@@ -101,6 +101,7 @@ def paired_t_bonferroni(baseline: np.ndarray, methods: dict[str, np.ndarray],
     (capped at 1). Degenerate difference vectors use explicit conventions:
     all-zero differences give p = 1; a nonzero constant difference has no
     variance, so p is reported as 0 (< 1e-12) and counts as significant.
+    A NaN difference gives NaN p-values, which never count as significant.
     """
     baseline = np.asarray(baseline, dtype=float)
     if baseline.ndim != 1 or len(baseline) < 2:
@@ -123,7 +124,7 @@ def paired_t_bonferroni(baseline: np.ndarray, methods: dict[str, np.ndarray],
             p_raw = 0.0
         else:
             t_stat, p_raw = _ttest_rel(diffs)
-        p_adj = min(1.0, m * p_raw)
+        p_adj = float(np.minimum(1.0, m * p_raw))  # NaN stays NaN
         out[name] = PairedTestResult(
             t_stat=t_stat, p_raw=p_raw, p_adjusted=p_adj,
             significant=bool(p_adj < alpha),

@@ -242,3 +242,38 @@ def min_dist_to_label_loop(dist: np.ndarray, index: dict, src, assessments,
         if np.isfinite(d):
             dists.append(d)
     return float(min(dists)) if dists else sentinel
+
+
+def mlp_forward_out_of_place(weights, biases, x):
+    """An MLP's output and each layer's input, every layer a fresh array:
+    max(x @ W + b, 0) on the hidden layers, then the output layer. Works on
+    2-D rows, (B, N, d) stacks of rows and stacked (P, ...) weights."""
+    acts = [x]
+    for W, b in zip(weights[:-1], biases[:-1]):
+        acts.append(np.maximum(acts[-1] @ W + b, 0.0))
+    return (acts[-1] @ weights[-1] + biases[-1])[..., 0], acts
+
+
+def mlp_backward_out_of_place(weights, acts, dout):
+    """Gradient of sum(dout * output) as [W0, b0, W1, b1, W2, b2], every
+    product a fresh array: the mask is multiplied in and the gradient goes
+    back through each layer, the output layer included, by a matmul."""
+    grads = []
+    upstream = dout[..., None]
+    for layer in range(len(weights) - 1, -1, -1):
+        if layer < len(weights) - 1:
+            upstream = upstream * (acts[layer + 1] > 0)
+        grads[:0] = [acts[layer].swapaxes(-1, -2) @ upstream, upstream.sum(axis=-2)]
+        if layer > 0:
+            upstream = upstream @ weights[layer].swapaxes(-1, -2)
+    return grads
+
+
+def grouped_softmax_add_at(scores, group_ids, n_groups):
+    """Softmax within each group, the group sums accumulated by np.add.at."""
+    gmax = np.full(n_groups, -np.inf)
+    np.maximum.at(gmax, group_ids, scores)
+    expd = np.exp(scores - gmax[group_ids])
+    gsum = np.zeros(n_groups)
+    np.add.at(gsum, group_ids, expd)
+    return expd / gsum[group_ids]

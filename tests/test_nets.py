@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from oracles import grouped_softmax_add_at, mlp_backward_out_of_place, mlp_forward_out_of_place
 from twinmdp import nets
 from twinmdp.errors import DimensionMismatch
 from twinmdp.nets import Adam, Mlp
@@ -10,32 +11,6 @@ from twinmdp.reward_learning import load_reward_net, save_reward_net
 
 
 # --- per-array reference: one weight matrix and one bias array per layer ------------
-
-def reference_forward(weights, biases, x):
-    acts = [x]
-    h = x
-    for W, b in zip(weights[:-1], biases[:-1]):
-        h = np.maximum(h @ W + b, 0.0)
-        acts.append(h)
-    return (h @ weights[-1] + biases[-1])[:, 0], acts
-
-
-def reference_backward(weights, acts, dout):
-    """Gradients as [W0, b0, W1, b1, W2, b2]."""
-    grads_w = [np.zeros_like(W) for W in weights]
-    grads_b = [np.zeros(W.shape[1]) for W in weights]
-    delta = dout[:, None]
-    grads_w[-1] = acts[-1].T @ delta
-    grads_b[-1] = delta.sum(axis=0)
-    upstream = delta @ weights[-1].T
-    for layer in range(len(weights) - 2, -1, -1):
-        upstream = upstream * (acts[layer + 1] > 0)
-        grads_w[layer] = acts[layer].T @ upstream
-        grads_b[layer] = upstream.sum(axis=0)
-        if layer > 0:
-            upstream = upstream @ weights[layer].T
-    return [g for pair in zip(grads_w, grads_b) for g in pair]
-
 
 class ReferenceAdam:
     def __init__(self, params, step_size, beta1=0.9, beta2=0.999, eps=1e-8):
@@ -82,10 +57,10 @@ def test_backward_and_adam_equal_the_per_array_update():
         x = rng.normal(size=(int(rng.integers(1, 12)), 5))
         dout = rng.normal(size=len(x))
         out, acts = net.forward_cached(x)
-        ref_out, ref_acts = reference_forward(ref[0::2], ref[1::2], x)
+        ref_out, ref_acts = mlp_forward_out_of_place(ref[0::2], ref[1::2], x)
         assert np.array_equal(out, ref_out)
         grad = net.backward(acts, dout)
-        ref_grads = reference_backward(ref[0::2], ref_acts, dout)
+        ref_grads = mlp_backward_out_of_place(ref[0::2], ref_acts, dout)
         assert grad.shape == net.params.shape
         assert np.array_equal(grad, flat(ref_grads))
         opt.step(grad)
@@ -221,6 +196,49 @@ def test_stack_layout_and_views():
         Mlp.from_params(4, 6, stack.params[:, :-1])
     with pytest.raises(DimensionMismatch):
         Mlp.from_params(4, 6, stack.params[None])
+
+
+# --- in-place pass ---------------------------------------------------------------------
+
+@pytest.mark.parametrize("hidden", [1, 2, 16, 256])
+def test_in_place_pass_equals_the_out_of_place_formulas(hidden):
+    """The in-place bias, ReLU and mask and the broadcast product through the
+    output layer give the out-of-place formulas' bits: one network on 2-D rows
+    and on a (B, N, d) stack of rows, and a (P, n) stack of networks."""
+    rng = np.random.default_rng(hidden)
+    for input_dim in (1, 6, 17):
+        net = Mlp(input_dim, hidden, seed=input_dim)
+        stack, _ = stack_of_networks(input_dim, hidden, [1, 2, 3])
+        for n in (1, 2, 7, 64, 290):
+            for model, x in ((net, rng.normal(size=(n, input_dim))),
+                             (net, rng.normal(size=(3, n, input_dim))),
+                             (stack, rng.normal(size=(n, input_dim))),
+                             (stack, rng.normal(size=(3, n, input_dim)))):
+                out, acts = model.forward_cached(x)
+                want, want_acts = mlp_forward_out_of_place(model.weights, model.biases, x)
+                assert np.array_equal(out, want) and np.array_equal(model.forward(x), want)
+                for a, w in zip(acts, want_acts):
+                    assert np.array_equal(a, w)
+                if model is stack or x.ndim == 2:  # what backward takes
+                    dout = rng.normal(size=out.shape)
+                    dout[..., ::5] = 0.0
+                    sent = dout.copy()
+                    grad = model.backward(acts, dout)
+                    want = mlp_backward_out_of_place(model.weights, want_acts, dout)
+                    lead = model.params.shape[:-1]
+                    assert np.array_equal(grad, np.concatenate(
+                        [g.reshape(*lead, -1) for g in want], axis=-1))
+                    assert np.array_equal(dout, sent)  # the caller's dout is not touched
+
+
+def test_grouped_softmax_equals_the_add_at_sums():
+    rng = np.random.default_rng(0)
+    for n_groups in (1, 5, 290):
+        groups = np.sort(np.concatenate([np.arange(n_groups),
+                                         rng.integers(0, n_groups, size=3 * n_groups)]))
+        scores = rng.normal(scale=30.0, size=len(groups))
+        assert np.array_equal(nets.grouped_softmax(scores, groups, n_groups),
+                              grouped_softmax_add_at(scores, groups, n_groups))
 
 
 # --- wrong-length parameter vectors ---------------------------------------------------

@@ -244,6 +244,25 @@ def feature_corpus(rng, n_episodes=12, state_dim=3, action_dim=2):
     return trajs
 
 
+def test_backup_equals_a_per_step_loop():
+    trajs = feature_corpus(np.random.default_rng(8), n_episodes=10)
+    table = build_transitions(trajs)
+    values = np.random.default_rng(9).normal(size=(3, table.n))
+    stacked = table.backup(values, 0.9)
+    assert stacked.shape == (3, table.n)
+    for p in range(3):
+        want, i = [], 0
+        for traj in trajs:
+            for t, step in enumerate(traj.steps):
+                last = t == len(traj.steps) - 1
+                want.append(step.reward if last else step.reward + 0.9 * values[p, i + 1])
+                i += 1
+        assert np.array_equal(table.backup(values[p], 0.9), want)
+        assert np.array_equal(stacked[p], want)
+    assert table.terminal.sum() == 10 and table.n > 10
+    assert not np.shares_memory(table.backup(values[0], 0.9), table.rewards)
+
+
 @pytest.mark.parametrize("iterations,refresh", [(60, 20), (50, 20), (7, 20), (30, 1)],
                          ids=["whole_rounds", "partial_last_round", "one_partial_round",
                               "refresh_every_step"])
@@ -254,7 +273,9 @@ def test_network_cql_and_bc_equal_their_own_loops(iterations, refresh, alpha):
     cfg = TrainConfig(alpha=alpha, gamma=0.7, iterations=iterations, batch_size=8,
                       hidden_units=8, target_refresh=refresh, step_size=1e-2, seed=5)
     got = cql_train(trajs, cfg)
-    # the cached target's hidden rows may differ from its own forward in low bits
+    # the targets come from one forward over every candidate row, and each
+    # batch's rows are forwarded once: the row counts of the matmuls differ
+    # from the loop's, which may move low bits
     np.testing.assert_allclose(got.net.params, reference_cql_network(table, cfg).params,
                                rtol=0, atol=1e-12)
     policy = bc_train(trajs, cfg)
@@ -266,9 +287,10 @@ def test_network_cql_and_bc_equal_their_own_loops(iterations, refresh, alpha):
 @pytest.mark.parametrize("alpha", [0.0, 1.0])
 def test_network_cql_target_cache_matches_the_target_forward(hidden, batch_size, dims,
                                                              alpha):
-    """The target's hidden layers run once per refresh over every candidate
-    row; gathering them gives what the target's own forward gives, up to
-    summation order, for single next-step candidate rows and narrow layers."""
+    """The Bellman targets are built once per refresh from a forward over
+    every candidate row; reading them gives what the target's own forward of
+    the next step's candidates gives, up to summation order, for single
+    next-step candidate rows and narrow layers."""
     trajs = feature_corpus(np.random.default_rng(3), n_episodes=16, state_dim=dims[0],
                            action_dim=dims[1])
     table = build_transitions(trajs)

@@ -164,6 +164,11 @@ class TestPairedT:
         assert np.isnan(res.t_stat) and np.isnan(res.p_raw)
         assert not res.significant
 
+    def test_nan_p_raw_is_not_adjusted_to_one(self):
+        res = paired_t_bonferroni([.1, .2, .3, .4], {"m": [.2, np.nan, .5, .4]})["m"]
+        assert np.isnan(res.p_raw) and np.isnan(res.p_adjusted)
+        assert res.significant is False
+
     def test_length_mismatch_rejected(self):
         with pytest.raises(LengthMismatch):
             paired_t_bonferroni(np.array([1.0, 2.0]), {"m": np.array([1.0])})
