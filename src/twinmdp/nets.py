@@ -14,6 +14,13 @@ runs all P as 3-D ``matmul``s (transposes ``swapaxes(-1, -2)``, bias gradients
 
 A pass makes no spare temporaries: a hidden layer adds its bias and applies
 the ReLU in place, and ``backward`` masks its upstream gradient in place.
+
+The distinct-row rule: training tables store each network row once
+(``distinct_rows``) and address their entries by row id. A pass forwards
+the distinct rows a batch's ids name (``present_rows``), hands each entry its
+row's output, and backprops each row's summed entry gradients
+(``row_sums``). As sum(dout * output) is linear in dout, this is the
+gradient of the full-row pass up to the order of the sums.
 """
 
 from __future__ import annotations
@@ -129,6 +136,35 @@ class Adam:
         self.v *= self.beta2
         self.v += (1 - self.beta2) * grad * grad
         self.params -= lr * self.m / (np.sqrt(self.v) + self.eps)
+
+
+def distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of a 2-D array in byte order, compared by their bytes
+    (so a -0.0 row and a 0.0 row stay apart), and each row's index among
+    them: ``distinct[row_id]`` equals ``rows`` bit for bit."""
+    rows = np.ascontiguousarray(rows)
+    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1])))[:, 0]
+    _, first, row_id = np.unique(keys, return_index=True, return_inverse=True)
+    return rows[first], row_id
+
+
+def present_rows(ids: np.ndarray, n_rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of ``ids`` (row ids below n_rows), ascending, and
+    each id's position among them; O(n_rows), no sort."""
+    mark = np.zeros(n_rows, dtype=bool)
+    mark[ids] = True
+    present = np.flatnonzero(mark)
+    position = np.empty(n_rows, dtype=np.intp)
+    position[present] = np.arange(len(present))
+    return present, position[ids]
+
+
+def row_sums(values: np.ndarray, inverse: np.ndarray, n_rows: int) -> np.ndarray:
+    """Per-entry ``values`` summed per row (``np.bincount`` over ``inverse``);
+    row by row for a (P, m) stack."""
+    if values.ndim == 1:
+        return np.bincount(inverse, values, n_rows)
+    return np.stack([np.bincount(inverse, v, n_rows) for v in values])
 
 
 def grouped_max(scores: np.ndarray, group_ids: np.ndarray, n_groups: int) -> np.ndarray:

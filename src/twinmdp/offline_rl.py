@@ -13,12 +13,15 @@ the current turn's candidates.
 ``build_transitions`` is the one place that lays steps out for learning.
 It packs a corpus once into a TransitionTable: per-step arrays, candidate
 offsets in CSR form, the candidates as one dense array (the action space
-applied there), and the taken entry of every step. CQL, BC and FQE index
-the same dense candidate rows, and their networks train in one loop,
-``minibatch_train``; ``TransitionTable.gather`` selects a batch's candidate
-entries with their owning step, and ``TransitionTable.backup`` is the one
-Bellman backup. Network CQL builds every step's target once per target
-refresh, and each step forwards a batch's candidate rows once.
+applied there), and the taken entry of every step. CQL, BC and FQE share
+the table's network rows, stored once per distinct (state, action) row with
+a row id per candidate entry, and their networks train in one loop,
+``minibatch_train``, which forwards and backprops each distinct row of a
+batch once (``nets``' distinct-row rule). ``TransitionTable.gather``
+selects a batch's candidate entries with their owning step, and
+``TransitionTable.backup`` is the one Bellman backup. Network CQL builds
+every step's target once per target refresh, from one forward over the
+distinct rows.
 """
 
 from __future__ import annotations
@@ -38,7 +41,15 @@ from .errors import (
     check_ranges,
     ranged,
 )
-from .nets import Adam, Mlp, grouped_max, grouped_softmax
+from .nets import (
+    Adam,
+    Mlp,
+    distinct_rows,
+    grouped_max,
+    grouped_softmax,
+    present_rows,
+    row_sums,
+)
 from .trajectories import read_json, write_json
 
 POLICY_FORMAT_VERSION = 1
@@ -69,8 +80,9 @@ class TransitionTable:
     FullVocabulary). Index actions are stored as ``cand_ids``, feature
     actions as the rows of ``cand_feats``; ``taken[i]`` is the entry of the
     action step i took. What is derived from these arrays (``cand_step``,
-    ``state_ids``, ``cand_rows``) is computed once per table and is read-only,
-    so every learner and every policy scored on the table shares it.
+    ``state_ids``, ``cand_cell``, ``cand_rows`` and ``row_id``) is computed
+    once per table and is read-only, so every learner and every policy scored
+    on the table shares it.
     """
 
     states: np.ndarray            # (N, S)
@@ -111,6 +123,12 @@ class TransitionTable:
         ids = [index.setdefault(tuple(s), len(index)) for s in self.states.tolist()]
         return index, _read_only(np.array(ids, dtype=int))
 
+    @cached_property
+    def cand_cell(self) -> np.ndarray:
+        """(M,) each index-action entry's cell in a flat (states, n_actions)
+        Q table: state number * n_actions + action id."""
+        return _read_only(self.state_ids[1][self.cand_step] * self.n_actions + self.cand_ids)
+
     @property
     def encoding(self) -> dict:
         """Q-network action encoding: one-hot over the ids seen, or the features."""
@@ -123,9 +141,20 @@ class TransitionTable:
         return encode_rows(self.states[self.cand_step], self.candidates, encoding)
 
     @cached_property
+    def _distinct(self) -> tuple[np.ndarray, np.ndarray]:
+        rows, row_id = distinct_rows(self.rows(self.encoding))
+        return _read_only(rows), _read_only(row_id)
+
+    @property
     def cand_rows(self) -> np.ndarray:
-        """The Q-network rows, ``rows(encoding)``."""
-        return _read_only(self.rows(self.encoding))
+        """The distinct Q-network rows of ``rows(encoding)``, each stored once."""
+        return self._distinct[0]
+
+    @property
+    def row_id(self) -> np.ndarray:
+        """(M,) each entry's row in ``cand_rows``: cand_rows[row_id] is
+        ``rows(encoding)`` bit for bit."""
+        return self._distinct[1]
 
     def backup(self, next_values: np.ndarray, gamma: float) -> np.ndarray:
         """Bellman targets: r + gamma * next_values[..., next_step], and r at
@@ -339,43 +368,30 @@ def cql_train(trajs, cfg: TrainConfig, action_space=CandidateSet()):
 
 
 def _cql_tabular(table: TransitionTable, cfg: TrainConfig) -> TabularQ:
-    n_actions = table.n_actions
-    index, sid = table.state_ids
-    aid = table.cand_ids[table.taken]
-    cand_flat, cand_group = table.cand_ids, table.cand_step
-    cand_sid = sid[cand_group]
-
-    n_states = len(index)
-    q = np.zeros((n_states, n_actions))
-    cell = sid * n_actions + aid
-    counts = np.bincount(cell, minlength=n_states * n_actions).astype(float)
+    """Q is kept flat, a cell per (state, action); ``cand_cell`` reads it."""
+    index = table.state_ids[0]
+    cand_cell, group = table.cand_cell, table.cand_step
+    cell = cand_cell[table.taken]
+    q = np.zeros(len(index) * table.n_actions)
+    counts = np.bincount(cell, minlength=q.size).astype(float)
     seen = counts > 0
 
     rounds = max(1, cfg.iterations // cfg.target_refresh)
     for _ in range(rounds):
-        best = grouped_max(q[cand_sid, cand_flat], cand_group, table.n)
-        targets = table.backup(best, cfg.gamma)
+        targets = table.backup(grouped_max(q[cand_cell], group, table.n), cfg.gamma)
         if cfg.alpha == 0.0:
-            sums = np.bincount(cell, weights=targets, minlength=n_states * n_actions)
-            q_flat = q.reshape(-1)
-            q_flat[seen] = sums[seen] / counts[seen]
-            q = q_flat.reshape(n_states, n_actions)
+            sums = np.bincount(cell, weights=targets, minlength=q.size)
+            q[seen] = sums[seen] / counts[seen]
         else:
             for _ in range(cfg.target_refresh):
-                grad = np.zeros_like(q).reshape(-1)
-                resid = q.reshape(-1)[cell] - targets
-                np.add.at(grad, cell, 2.0 * resid / table.n)
-                probs = grouped_softmax(
-                    q[cand_sid, cand_flat], cand_group, table.n
-                )
-                np.add.at(
-                    grad,
-                    cand_sid * n_actions + cand_flat,
-                    cfg.alpha * probs / table.n,
-                )
+                grad = np.zeros_like(q)
+                np.add.at(grad, cell, 2.0 * (q[cell] - targets) / table.n)
+                probs = grouped_softmax(q[cand_cell], group, table.n)
+                np.add.at(grad, cand_cell, cfg.alpha * probs / table.n)
                 np.add.at(grad, cell, -cfg.alpha / table.n)
-                q = q - cfg.step_size * grad.reshape(q.shape)
-    return TabularQ(state_index=index, q=q, gamma=cfg.gamma)
+                q = q - cfg.step_size * grad
+    return TabularQ(state_index=index, q=q.reshape(len(index), table.n_actions),
+                    gamma=cfg.gamma)
 
 
 def network_q(table: TransitionTable, net: Mlp, gamma: float) -> NetworkQ:
@@ -388,12 +404,14 @@ def minibatch_train(table: TransitionTable, cfg: TrainConfig, learner, stack: in
     """The one minibatch loop of network CQL, BC and FQE: ``steps`` (default
     cfg.iterations) Adam steps on a cfg.seed network (``stack`` equal ones, if
     given), each on a batch drawn by a cfg.seed rng. The generator
-    ``learner(batch)`` yields the input rows, is sent their outputs and yields
-    dout. Before step 0 and every target_refresh steps ``refresh(net, step)``
-    runs on the live network (a learner that bootstraps builds its targets
-    there); it may return a mask of the stack's members to keep training, and
-    none ends it."""
-    net = Mlp(table.cand_rows.shape[1], cfg.hidden_units, seed=cfg.seed)
+    ``learner(batch)`` yields its entries' row ids (into ``table.cand_rows``),
+    is sent each entry's output and yields each entry's dout; the step
+    forwards and backprops each distinct row once. Before step 0 and every
+    target_refresh steps ``refresh(net, step)`` runs on the live network (a
+    learner that bootstraps builds its targets there); it may return a mask
+    of the stack's members to keep training, and none ends it."""
+    rows = table.cand_rows
+    net = Mlp(rows.shape[1], cfg.hidden_units, seed=cfg.seed)
     if stack:
         net = Mlp.from_params(net.input_dim, cfg.hidden_units, np.tile(net.params, (stack, 1)))
     optimizer = Adam(net.params, step_size=cfg.step_size)
@@ -409,24 +427,26 @@ def minibatch_train(table: TransitionTable, cfg: TrainConfig, learner, stack: in
                     net.params, optimizer.m[keep], optimizer.v[keep])
         batch = rng.choice(table.n, size=min(cfg.batch_size, table.n), replace=False)
         loss = learner(batch)
-        out, acts = net.forward_cached(next(loss))
-        optimizer.step(net.backward(acts, loss.send(out)))
+        present, inverse = present_rows(next(loss), len(rows))
+        out, acts = net.forward_cached(rows[present])
+        dout = loss.send(out[..., inverse])
+        optimizer.step(net.backward(acts, row_sums(dout, inverse, len(present))))
     return net
 
 
 def _cql_network(table: TransitionTable, cfg: TrainConfig) -> NetworkQ:
-    rows, boot = table.cand_rows, None
+    boot = None
 
     def refresh(net, step):
         """Every step's Bellman target under the network as it is now."""
         nonlocal boot
-        best = grouped_max(net.forward(rows), table.cand_step, table.n)
-        boot = table.backup(best, cfg.gamma)
+        out = net.forward(table.cand_rows)[table.row_id]
+        boot = table.backup(grouped_max(out, table.cand_step, table.n), cfg.gamma)
 
     def learner(batch):
         b = len(batch)
         idx, group = table.gather(batch)
-        out = yield rows[idx]
+        out = yield table.row_id[idx]
         taken = np.flatnonzero(idx == table.taken[batch][group])
         if cfg.alpha > 0:
             dout = cfg.alpha * grouped_softmax(out, group, b) / b
@@ -460,7 +480,7 @@ def bc_train(trajs, cfg: TrainConfig, action_space=CandidateSet()) -> QPolicy:
     def learner(batch):
         b = len(batch)
         idx, group = table.gather(batch)
-        out = yield table.cand_rows[idx]
+        out = yield table.row_id[idx]
         dout = grouped_softmax(out, group, b) / b
         dout[idx == table.taken[batch][group]] -= 1.0 / b
         yield dout

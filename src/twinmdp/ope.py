@@ -8,6 +8,7 @@ The initial value averages the policy-weighted Q over the logged initial
 states and ranks candidate policies offline.
 Network FQE fits all candidates in lockstep, as one stack of networks on
 the shared minibatch trainer; each equals its own one-policy fit bit for bit.
+A refresh forwards the table's distinct rows once, through the whole stack.
 """
 
 from __future__ import annotations
@@ -105,36 +106,30 @@ def _flat_policy_probs(table: TransitionTable, policy: QPolicy) -> np.ndarray:
 # --- tabular FQE -------------------------------------------------------------------
 
 def _fqe_tabular(table, policy, cfg, tol, max_sweeps):
-    n_actions = table.n_actions
-    index, sid = table.state_ids
-    cell = sid * n_actions + table.cand_ids[table.taken]
-    counts = np.bincount(cell, minlength=len(index) * n_actions).astype(float)
+    """Q is kept flat, a cell per (state, action); ``cand_cell`` reads it."""
+    index = table.state_ids[0]
+    cand_cell, group = table.cand_cell, table.cand_step
+    cell = cand_cell[table.taken]
+    pi_flat = _flat_policy_probs(table, policy)
+    q = np.zeros(len(index) * table.n_actions)
+    counts = np.bincount(cell, minlength=q.size).astype(float)
     seen = counts > 0
 
-    cand, group = table.cand_ids, table.cand_step
-    pi_flat = _flat_policy_probs(table, policy)
-    sid_flat = sid[group]
-
-    q = np.zeros((len(index), n_actions))
     for _ in range(max_sweeps):
-        expectation = np.bincount(
-            group, weights=pi_flat * q[sid_flat, cand], minlength=table.n
-        )
-        targets = table.backup(expectation, cfg.gamma)
-        sums = np.bincount(cell, weights=targets, minlength=q.size)
-        new_flat = q.reshape(-1).copy()
-        new_flat[seen] = sums[seen] / counts[seen]
-        new_q = new_flat.reshape(q.shape)
+        expectation = np.bincount(group, weights=pi_flat * q[cand_cell], minlength=table.n)
+        sums = np.bincount(cell, weights=table.backup(expectation, cfg.gamma),
+                           minlength=q.size)
+        new_q = q.copy()
+        new_q[seen] = sums[seen] / counts[seen]
         delta = float(np.max(np.abs(new_q - q)))
         q = new_q
         if delta < tol:
             break
 
-    expectation = np.bincount(
-        group, weights=pi_flat * q[sid_flat, cand], minlength=table.n
-    )
+    expectation = np.bincount(group, weights=pi_flat * q[cand_cell], minlength=table.n)
     value = float(np.mean(expectation[table.episode_starts]))
-    return TabularQ(state_index=index, q=q, gamma=cfg.gamma), value
+    return TabularQ(state_index=index, q=q.reshape(len(index), table.n_actions),
+                    gamma=cfg.gamma), value
 
 
 # --- network FQE -------------------------------------------------------------------
@@ -142,7 +137,7 @@ def _fqe_tabular(table, policy, cfg, tol, max_sweeps):
 def _fqe_network(table, policies, cfg, tol):
     """Lockstep FQE of P policies on one (P, n) stack. A member leaves the stack
     at the first round its value moves by < tol, and its fit is its net then."""
-    rows, group, n_pol = table.cand_rows, table.cand_step, len(policies)
+    group, n_pol = table.cand_step, len(policies)
     pi = [_flat_policy_probs(table, policy) for policy in policies]
     steps = max(1, cfg.iterations // cfg.target_refresh) * cfg.target_refresh
     active, prev, fits, targets = list(range(n_pol)), [np.inf] * n_pol, [None] * n_pol, None
@@ -151,8 +146,9 @@ def _fqe_network(table, policies, cfg, tol):
         nonlocal targets
         members = [Mlp.from_params(net.input_dim, cfg.hidden_units, w)
                    for w in net.params.copy()]
-        expect = np.reshape([np.bincount(group, pi[p] * member.forward(rows), table.n)
-                             for p, member in zip(active, members)], (len(active), table.n))
+        out = net.forward(table.cand_rows)[:, table.row_id]  # one stacked forward
+        expect = np.reshape([np.bincount(group, pi[p] * q_p, table.n)
+                             for p, q_p in zip(active, out)], (len(active), table.n))
         keep = np.ones(len(active), dtype=bool)
         for j, p in enumerate(active if step else ()):
             value = float(np.mean(expect[j][table.episode_starts]))
@@ -164,7 +160,7 @@ def _fqe_network(table, policies, cfg, tol):
         return keep
 
     def learner(batch):
-        out = yield rows[table.taken[batch]]
+        out = yield table.row_id[table.taken[batch]]
         yield 2.0 * (out - targets[:, batch]) / len(batch)
 
     refresh(minibatch_train(table, cfg, learner, n_pol, steps, refresh), steps)

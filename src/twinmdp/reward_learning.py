@@ -15,7 +15,7 @@ import numpy as np
 
 from .abstraction import AbstractTrajectory
 from .errors import DimensionMismatch, EmptyPairSet, MalformedRecord, check_ranges, ranged
-from .nets import Adam, Mlp
+from .nets import Adam, Mlp, distinct_rows, present_rows, row_sums
 from .offline_rl import encode_rows
 from .trajectories import JudgeScores, read_json, write_json
 
@@ -76,10 +76,12 @@ def build_pairs(
 
 # --- return prediction ----------------------------------------------------------
 #
-# Training encodes every trajectory once into one packed StepRows table; the
-# returns, the gradient and the pair accuracy send each distinct trajectory of
-# a batch through the network once, as one 2-D call, and sum its rows per
-# trajectory.
+# Training encodes every trajectory once into one packed StepRows table, whose
+# network rows are stored once per distinct (state, action) row. The returns,
+# the gradient and the pair accuracy lay out a batch's distinct trajectories
+# by row id, forward each distinct row they name once, as one 2-D call, and
+# sum the rows per trajectory; the gradient backprops each row's summed
+# coefficients (``nets``' distinct-row rule).
 
 
 def encode_step_rows(traj: AbstractTrajectory) -> np.ndarray:
@@ -95,10 +97,12 @@ def encode_step_rows(traj: AbstractTrajectory) -> np.ndarray:
 
 @dataclass(frozen=True)
 class StepRows:
-    """Reward-net rows of a trajectory list, encoded once: trajectory i owns
-    rows[offsets[i]:offsets[i + 1]]."""
+    """Reward-net rows of a trajectory list, encoded once and stored once per
+    distinct row: step j is rows[row_id[j]], and trajectory i owns steps
+    offsets[i]:offsets[i + 1]."""
 
     rows: np.ndarray
+    row_id: np.ndarray
     offsets: np.ndarray
 
     @classmethod
@@ -106,23 +110,27 @@ class StepRows:
         if isinstance(trajs, StepRows):
             return trajs
         encoded = [encode_step_rows(t) for t in trajs]
-        return cls(np.concatenate(encoded), np.cumsum([0] + [len(r) for r in encoded]))
+        rows, row_id = distinct_rows(np.concatenate(encoded))
+        return cls(rows, row_id, np.cumsum([0] + [len(r) for r in encoded]))
 
     def select(self, ids, discount: float = 1.0) -> tuple[np.ndarray, ...]:
-        """The rows of trajectories ``ids``, back to back in ``ids`` order, each
-        row's discount weight, each trajectory's length, and where its rows
-        start among the selected ones."""
+        """The steps of trajectories ``ids``, back to back in ``ids`` order: the
+        distinct rows they name, each step's position among those rows and its
+        discount weight, each trajectory's length, and where its steps start
+        among the selected ones."""
         ids = np.asarray(ids, dtype=int)
         starts = self.offsets[ids]
         lengths = self.offsets[ids + 1] - starts
         heads = np.cumsum(lengths) - lengths
         pos = np.arange(lengths.sum()) - np.repeat(heads, lengths)
-        return self.rows[np.repeat(starts, lengths) + pos], discount ** pos, lengths, heads
+        present, inverse = present_rows(self.row_id[np.repeat(starts, lengths) + pos],
+                                        len(self.rows))
+        return self.rows[present], inverse, discount ** pos, lengths, heads
 
     def returns(self, net: Mlp, ids, discount: float = 1.0) -> np.ndarray:
         """Predicted (discounted) return of each trajectory in ``ids``."""
-        rows, weight, _, heads = self.select(ids, discount)
-        return _segment_returns(net.forward(rows), weight, heads)
+        rows, inverse, weight, _, heads = self.select(ids, discount)
+        return _segment_returns(net.forward(rows)[inverse], weight, heads)
 
 
 def _segment_returns(out: np.ndarray, weight: np.ndarray, heads: np.ndarray) -> np.ndarray:
@@ -130,11 +138,18 @@ def _segment_returns(out: np.ndarray, weight: np.ndarray, heads: np.ndarray) -> 
     return np.add.reduceat(out * weight, heads)
 
 
+def _end_rows(pairs) -> np.ndarray:
+    """(n, 2) int array of each pair's (lower, higher) trajectory; an array
+    of such rows is taken as it is."""
+    if isinstance(pairs, np.ndarray):
+        return pairs
+    return np.array([(p.lower, p.higher) for p in pairs], dtype=int).reshape(-1, 2)
+
+
 def _pair_ends(pairs) -> tuple[np.ndarray, np.ndarray]:
     """The distinct pair ends, and each pair end's index among them, in pair
     order (lower, then higher)."""
-    ends = np.array([(p.lower, p.higher) for p in pairs], dtype=int).ravel()
-    return np.unique(ends, return_inverse=True)
+    return np.unique(_end_rows(pairs).ravel(), return_inverse=True)
 
 
 def new_reward_net(input_dim: int, hidden_units: int = 256, seed: int = 0) -> Mlp:
@@ -153,30 +168,33 @@ def trex_loss(net: Mlp, pair: PreferencePair, trajs, discount: float = 1.0) -> f
     return float(np.logaddexp(0.0, g_low - g_high))
 
 
-def trex_grad(net: Mlp, batch: list[PreferencePair], trajs,
-              discount: float = 1.0) -> np.ndarray:
+def trex_grad(net: Mlp, batch, trajs, discount: float = 1.0) -> np.ndarray:
     """Exact gradient of the mean batch loss w.r.t. ``net.params``.
 
-    ``trajs`` is a trajectory list or its packed StepRows.
+    ``batch`` is a list of PreferencePair or an (n, 2) array of their (lower,
+    higher) rows; ``trajs`` is a trajectory list or its packed StepRows.
     """
-    if not batch:
+    if len(batch) == 0:
         raise EmptyPairSet("gradient of an empty batch")
     ids, inverse = _pair_ends(batch)
-    rows, weight, lengths, heads = StepRows.pack(trajs).select(ids, discount)
+    rows, row_of, weight, lengths, heads = StepRows.pack(trajs).select(ids, discount)
     out, acts = net.forward_cached(rows)
-    g = _segment_returns(out, weight, heads)[inverse].reshape(-1, 2)
+    g = _segment_returns(out[row_of], weight, heads)[inverse].reshape(-1, 2)
     sig = 1.0 / (1.0 + np.exp(-(g[:, 0] - g[:, 1])))
-    # d(mean loss)/d G of each distinct trajectory, then of each of its rows
+    # d(mean loss)/d G of each distinct trajectory, of each of its steps, then
+    # of each distinct row
     coeff = np.bincount(inverse, np.stack([sig, -sig], 1).ravel(), len(ids))
-    return net.backward(acts, np.repeat(coeff, lengths) * weight / len(batch))
+    return net.backward(acts, row_sums(np.repeat(coeff, lengths) * weight / len(batch),
+                                       row_of, len(rows)))
 
 
 def pair_accuracy(net: Mlp, pairs, trajs, discount: float = 1.0) -> float:
     """Fraction of pairs whose predicted returns agree with the preference.
 
-    ``trajs`` is a trajectory list or its packed StepRows.
+    ``pairs`` is a list of PreferencePair or an (n, 2) array of their (lower,
+    higher) rows; ``trajs`` is a trajectory list or its packed StepRows.
     """
-    if not pairs:
+    if len(pairs) == 0:
         raise EmptyPairSet("accuracy of an empty pair set")
     ids, inverse = _pair_ends(pairs)
     g = StepRows.pack(trajs).returns(net, ids, discount)[inverse].reshape(-1, 2)
@@ -213,26 +231,26 @@ def train_reward(pairs, trajs, config: RewardTrainConfig = RewardTrainConfig()) 
     order = rng.permutation(len(pairs))
     n_hold = int(round(config.holdout_fraction * len(pairs)))
     n_hold = min(n_hold, len(pairs) - 1)
-    holdout = [pairs[i] for i in order[:n_hold]]
-    train = [pairs[i] for i in order[n_hold:]]
+    ends = _end_rows(pairs)
+    holdout, train = ends[order[:n_hold]], ends[order[n_hold:]]
 
     optimizer = Adam(net.params, step_size=config.step_size)
     best_params = net.params.copy()
-    best_acc = pair_accuracy(net, holdout, trajs, config.discount) if holdout else -1.0
+    best_acc = pair_accuracy(net, holdout, trajs, config.discount) if n_hold else -1.0
 
     for _ in range(config.epochs):
         perm = rng.permutation(len(train))
         for start in range(0, len(train), config.batch_size):
-            batch = [train[i] for i in perm[start : start + config.batch_size]]
+            batch = train[perm[start : start + config.batch_size]]
             grads = trex_grad(net, batch, trajs, config.discount)
             optimizer.step(grads)
-        if holdout:
+        if n_hold:
             acc = pair_accuracy(net, holdout, trajs, config.discount)
             if acc > best_acc:
                 best_acc = acc
                 best_params = net.params.copy()
 
-    if holdout:
+    if n_hold:
         net.params[:] = best_params
     return net
 

@@ -78,11 +78,11 @@ class CePlan:
     come from ``scheme.featurizer``, so plans that share a scheme share its
     featurizers. A plan memoises its interventions (one per distinct
     input). An intervention's key is its exact input: the strategy config,
-    the state's bytes, the candidate entities and the bytes of their
-    representations. The same input bytes make the same BLAS call and so
-    give the same bits, so a hit returns exactly what recomputing would. The
-    memo lives and dies with the plan; nothing carries over from one plan to
-    the next.
+    the state's bytes, the candidate entities and their representations (the
+    bytes of the turn's feature matrix, or the vocabulary ids). The same
+    input bytes make the same BLAS call and so give the same bits, so a hit
+    returns exactly what recomputing would. The memo lives and dies with the
+    plan; nothing carries over from one plan to the next.
     """
 
     policy: QPolicy
@@ -108,9 +108,10 @@ class CePlan:
     def intervene(self, state: np.ndarray, candidates, cfg: CeConfig) -> Intervention:
         """``context.intervene`` of the plan's policy, computed once per
         distinct input; callers must not mutate the returned intervention."""
-        key = (cfg, state.tobytes(), tuple(e for e, _ in candidates),
-               tuple(r.tobytes() if isinstance(r, np.ndarray) else r
-                     for _, r in candidates))
+        reprs = tuple(r for _, r in candidates)
+        if reprs and isinstance(reprs[0], np.ndarray):  # rows of the turn's feature matrix
+            reprs = b"".join(map(np.ndarray.tobytes, reprs))  # that matrix's bytes
+        key = (cfg, state.tobytes(), tuple(e for e, _ in candidates), reprs)
         hit = self._interventions.get(key)
         if hit is None:
             hit = self._interventions[key] = intervene(self.policy, state, candidates, cfg)

@@ -241,6 +241,78 @@ def test_grouped_softmax_equals_the_add_at_sums():
                               grouped_softmax_add_at(scores, groups, n_groups))
 
 
+# --- distinct rows -----------------------------------------------------------------------
+
+def assert_close(got, want):
+    """Equal up to summation order: within 1e-12 of the largest magnitude."""
+    want = np.asarray(want, dtype=float)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+
+class TestDistinctRows:
+    def check(self, rows):
+        distinct, row_id = nets.distinct_rows(rows)
+        assert distinct[row_id].tobytes() == np.ascontiguousarray(rows).tobytes()
+        return distinct, row_id
+
+    def test_signed_zeros_stay_apart(self):
+        rows = np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, 1.0], [-0.0, 1.0]])
+        distinct, row_id = self.check(rows)
+        assert len(distinct) == 2
+        assert row_id[0] == row_id[2] != row_id[1] == row_id[3]
+
+    def test_all_equal_rows_give_one_row(self):
+        distinct, row_id = self.check(np.tile([1.5, -2.0, 0.25], (50, 1)))
+        assert distinct.shape == (1, 3) and not row_id.any()
+
+    def test_no_repeated_row_keeps_every_row(self):
+        rows = np.random.default_rng(0).normal(size=(40, 4))
+        distinct, row_id = self.check(rows)
+        assert len(distinct) == 40 and sorted(row_id) == list(range(40))
+
+    def test_rows_that_share_a_column_prefix_are_distinct(self):
+        rows = np.array([[1.0, 2.0, 3.0], [1.0, 2.0, 4.0], [1.0, 2.0, 3.0]])[:, ::-1]
+        distinct, row_id = self.check(rows)  # a non-contiguous view
+        assert len(distinct) == 2 and row_id[0] == row_id[2] != row_id[1]
+
+    def test_present_rows_equal_np_unique(self):
+        rng = np.random.default_rng(1)
+        for n_rows, size in ((1, 5), (12, 3), (12, 300), (361, 243)):
+            ids = rng.integers(0, n_rows, size=size)
+            present, inverse = nets.present_rows(ids, n_rows)
+            want, want_inverse = np.unique(ids, return_inverse=True)
+            assert np.array_equal(present, want)
+            assert np.array_equal(inverse, want_inverse)
+
+    def test_row_sums_of_a_stack_are_each_rows_sums(self):
+        rng = np.random.default_rng(2)
+        inverse = rng.integers(0, 7, size=40)
+        values = rng.normal(size=(3, 40))
+        sums = nets.row_sums(values, inverse, 7)
+        assert sums.shape == (3, 7)
+        for p in range(3):
+            assert np.array_equal(sums[p], nets.row_sums(values[p], inverse, 7))
+            assert np.array_equal(sums[p], np.bincount(inverse, values[p], 7))
+
+    @pytest.mark.parametrize("hidden", [1, 16, 256])
+    def test_distinct_row_pass_equals_the_full_row_pass(self, hidden):
+        """Forwarding the distinct rows once and backpropagating each row's
+        summed entry gradients gives the full-row pass up to summation order,
+        for one network and for a (P, n) stack, on a heavily repeated table."""
+        rng = np.random.default_rng(hidden)
+        table = rng.normal(size=(12, 6))
+        entries = rng.integers(0, 12, size=300)
+        for model in (Mlp(6, hidden, seed=3), stack_of_networks(6, hidden, [4, 5, 6])[0]):
+            rows = table[entries]
+            present, inverse = nets.present_rows(entries, len(table))
+            out, acts = model.forward_cached(table[present])
+            want_out, want_acts = model.forward_cached(rows)
+            assert_close(out[..., inverse], want_out)
+            dout = rng.normal(size=want_out.shape)
+            assert_close(model.backward(acts, nets.row_sums(dout, inverse, len(present))),
+                         model.backward(want_acts, dout))
+
+
 # --- wrong-length parameter vectors ---------------------------------------------------
 
 @pytest.mark.parametrize("resize", [lambda p: p[:-3], lambda p: p + [0.0]],

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import softmax_mp
+from test_nets import assert_close
 from twinmdp.abstraction import AbstractStep, AbstractTrajectory
 from twinmdp.errors import DimensionMismatch, EmptyData, MalformedRecord
 from twinmdp.nets import Adam, Mlp, grouped_max, grouped_softmax
@@ -188,7 +189,7 @@ class TestCqlNetwork:
 # --- the per-learner loops the one minibatch trainer replaced -------------------------
 
 def reference_cql_network(table, cfg):
-    rows = table.cand_rows
+    rows = table.rows(table.encoding)  # one row per entry, repeats included
     net = Mlp(rows.shape[1], cfg.hidden_units, seed=cfg.seed)
     optimizer = Adam(net.params, step_size=cfg.step_size)
     rng = np.random.default_rng(cfg.seed)
@@ -215,7 +216,7 @@ def reference_cql_network(table, cfg):
 
 
 def reference_bc_network(table, cfg):
-    rows = table.cand_rows
+    rows = table.rows(table.encoding)  # one row per entry, repeats included
     net = Mlp(rows.shape[1], cfg.hidden_units, seed=cfg.seed)
     optimizer = Adam(net.params, step_size=cfg.step_size)
     rng = np.random.default_rng(cfg.seed)
@@ -242,6 +243,50 @@ def feature_corpus(rng, n_episodes=12, state_dim=3, action_dim=2):
                                       reward=float(rng.normal()), candidates=cands))
         trajs.append(make_traj(steps, f"t{i}", scheme="topology"))
     return trajs
+
+
+def duplicated_corpus(rng, n_episodes=40, state_dim=3, action_dim=2):
+    """Feature episodes over 3 states and 4 actions: at most 12 distinct rows
+    behind every candidate entry."""
+    states = rng.normal(size=(3, state_dim))
+    actions = rng.normal(size=(4, action_dim))
+    trajs = []
+    for i in range(n_episodes):
+        steps = []
+        for _ in range(int(rng.integers(1, 6))):
+            cands = list(actions[rng.choice(4, size=int(rng.integers(1, 5)), replace=False)])
+            steps.append(AbstractStep(state=states[rng.integers(3)],
+                                      action=cands[int(rng.integers(len(cands)))],
+                                      reward=float(rng.normal()), candidates=cands))
+        trajs.append(make_traj(steps, f"t{i}", scheme="topology"))
+    return trajs
+
+
+def test_table_stores_each_distinct_row_once():
+    table = build_transitions(duplicated_corpus(np.random.default_rng(0)))
+    full = table.rows(table.encoding)
+    assert len(table.cand_rows) <= 12 < len(full)
+    assert table.cand_rows[table.row_id].tobytes() == full.tobytes()
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.0])
+def test_distinct_row_gradients_equal_the_full_row_loops(alpha, frozen_gradients):
+    """On a table whose every entry repeats one of 12 rows, each step's CQL and
+    BC gradient equals the full-row loop's up to summation order."""
+    trajs = duplicated_corpus(np.random.default_rng(1))
+    table = build_transitions(trajs)
+    cfg = TrainConfig(alpha=alpha, gamma=0.7, iterations=40, batch_size=16,
+                      hidden_units=8, target_refresh=10, step_size=1e-2, seed=5)
+    for fit, reference in ((cql_train, reference_cql_network),
+                           (bc_train, reference_bc_network)):
+        fit(trajs, cfg)
+        got = frozen_gradients[:]
+        frozen_gradients.clear()
+        reference(table, cfg)
+        assert len(got) == len(frozen_gradients) == cfg.iterations
+        for g, want in zip(got, frozen_gradients):
+            assert_close(g, want)
+        frozen_gradients.clear()
 
 
 def test_backup_equals_a_per_step_loop():
@@ -273,13 +318,19 @@ def test_network_cql_and_bc_equal_their_own_loops(iterations, refresh, alpha):
     cfg = TrainConfig(alpha=alpha, gamma=0.7, iterations=iterations, batch_size=8,
                       hidden_units=8, target_refresh=refresh, step_size=1e-2, seed=5)
     got = cql_train(trajs, cfg)
-    # the targets come from one forward over every candidate row, and each
-    # batch's rows are forwarded once: the row counts of the matmuls differ
-    # from the loop's, which may move low bits
+    # the targets come from one forward over the distinct candidate rows, and
+    # each step forwards a batch's distinct rows once and sums their entries'
+    # gradients: the row counts and the summation order differ from the loop's,
+    # which moves low bits
     np.testing.assert_allclose(got.net.params, reference_cql_network(table, cfg).params,
                                rtol=0, atol=1e-12)
+    # BC's output bias has an exactly zero gradient (a softmax over candidates
+    # ignores a common shift), so its gradient is rounding noise (~1e-17) that
+    # Adam turns into steps of up to step_size * noise / eps (~1e-11 here);
+    # 1e-9 bounds that drift over these runs' 60 steps or fewer
     policy = bc_train(trajs, cfg)
-    assert np.array_equal(policy.q.net.params, reference_bc_network(table, cfg).params)
+    np.testing.assert_allclose(policy.q.net.params, reference_bc_network(table, cfg).params,
+                               rtol=0, atol=1e-9)
 
 
 @pytest.mark.parametrize("hidden,batch_size,dims", [(8, 1, (3, 2)), (2, 8, (10, 8))],

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from oracles import policy_value_linear
-from test_offline_rl import feature_corpus
+from test_nets import assert_close
+from test_offline_rl import duplicated_corpus, feature_corpus
 from twinmdp.abstraction import AbstractStep, AbstractTrajectory
 from twinmdp.errors import NoCandidates
 from twinmdp.offline_rl import (
@@ -205,7 +206,7 @@ def per_step_policy_probs(table, policy):
 def reference_fqe_network(table, policy, cfg, tol):
     """The one-policy network FQE loop that lockstep FQE replaced: its fitted
     network, initial value and the number of rounds it ran."""
-    rows, group = table.cand_rows, table.cand_step
+    rows, group = table.rows(table.encoding), table.cand_step  # a row per entry
     net = Mlp(rows.shape[1], cfg.hidden_units, seed=cfg.seed)
     optimizer = Adam(net.params, step_size=cfg.step_size)
     rng = np.random.default_rng(cfg.seed)
@@ -253,14 +254,49 @@ class TestLockstepNetworkFqe:
         stacked = fqe_many(policies, table, self.CFG, tol=tol)
         for policy, est, (net, value, _) in zip(policies, stacked, want):
             alone = fqe(policy, trajs, self.CFG, tol=tol)
-            assert est.initial_value == alone.initial_value == value
-            assert np.array_equal(est.qhat.net.params, net.params)
-            assert np.array_equal(alone.qhat.net.params, net.params)
+            assert est.initial_value == alone.initial_value
+            assert np.array_equal(est.qhat.net.params, alone.qhat.net.params)
+            # the reference forwards every entry's row, the fit each distinct
+            # row once: equal up to summation order
+            assert est.initial_value == pytest.approx(value, rel=0, abs=1e-12)
+            np.testing.assert_allclose(est.qhat.net.params, net.params, rtol=0, atol=1e-12)
         if tol == 1e-5:
             ranked = rank_policies([(p, {"id": f"p{i}"}) for i, p in enumerate(policies)],
                                    trajs, self.CFG, k=3)
             for entry in ranked:
-                assert entry["initial_value"] == want[int(entry["id"][1])][1]
+                i = int(entry["id"][1])
+                assert entry["initial_value"] == stacked[i].initial_value
+                assert entry["initial_value"] == pytest.approx(want[i][1], rel=0, abs=1e-12)
+
+
+class TestDistinctRowFqe:
+    CFG = TrainConfig(alpha=0.0, gamma=0.7, iterations=200, batch_size=16, hidden_units=8,
+                      target_refresh=10, step_size=1e-2, seed=3)
+
+    def test_stack_gradients_equal_the_full_row_loops(self, frozen_gradients):
+        """On a table whose every entry repeats one of 12 rows, each member's
+        gradient in the (P, n) stack equals its own full-row loop's up to
+        summation order, step by step (the frozen network stops every fit
+        after two rounds)."""
+        table = build_transitions(duplicated_corpus(np.random.default_rng(2)))
+        policies = [network_policy(1, 1.0), network_policy(2, 0.3), network_policy(3, 3.0)]
+        fqe_many(policies, table, self.CFG)
+        stacked = frozen_gradients[:]
+        assert len(stacked) == 2 * self.CFG.target_refresh
+        for p, policy in enumerate(policies):
+            frozen_gradients.clear()
+            reference_fqe_network(table, policy, self.CFG, 1e-5)
+            assert len(frozen_gradients) == len(stacked)
+            for g, want in zip(stacked, frozen_gradients):
+                assert_close(g[p], want)
+
+    def test_stack_equals_one_policy_fits(self):
+        table = build_transitions(duplicated_corpus(np.random.default_rng(3)))
+        policies = [network_policy(4, 1.0), network_policy(5, 0.5), network_policy(6, 2.0)]
+        for policy, est in zip(policies, fqe_many(policies, table, self.CFG, tol=1e-3)):
+            alone = fqe(policy, table, self.CFG, tol=1e-3)
+            assert est.initial_value == alone.initial_value
+            assert np.array_equal(est.qhat.net.params, alone.qhat.net.params)
 
 
 class TestRankPolicies:

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from oracles import preference_count, preference_pairs_loop, trex_loss_mp
+from test_nets import assert_close
+from test_offline_rl import duplicated_corpus
 from twinmdp import reward_learning
 from twinmdp.abstraction import AbstractStep, AbstractTrajectory
 from twinmdp.errors import EmptyPairSet, MalformedRecord
@@ -214,8 +216,17 @@ class TestTrexGrad:
 
 # --- per-trajectory reference: one forward per trajectory return -------------------
 #
-# The stacked returns must equal these bit for bit, so every comparison below
-# is exact (==, np.array_equal), never a tolerance.
+# The references forward every step's own row, repeated rows included, while
+# the packed table forwards each distinct row once; the comparisons below are
+# exact for the pair accuracy and up to summation order (``assert_close``)
+# for the returns and gradients.
+
+def pair_tuples(pairs):
+    """(lower, higher) of each pair, from PreferencePairs or an (n, 2) array."""
+    if isinstance(pairs, np.ndarray):
+        return [tuple(row) for row in pairs.tolist()]
+    return [(p.lower, p.higher) for p in pairs]
+
 
 def reference_return(net, rows, discount):
     rewards = net.forward(rows)
@@ -226,30 +237,30 @@ def reference_return(net, rows, discount):
 
 def reference_returns(net, pairs, packed, discount):
     returns = {}
-    for pair in pairs:
-        for i in (pair.lower, pair.higher):
+    for pair in pair_tuples(pairs):
+        for i in pair:
             if i not in returns:
                 lo, hi = packed.offsets[i], packed.offsets[i + 1]
-                returns[i] = reference_return(net, packed.rows[lo:hi], discount)
+                returns[i] = reference_return(net, packed.rows[packed.row_id[lo:hi]], discount)
     return returns
 
 
 def reference_trex_grad(net, batch, packed, discount=1.0):
     returns = reference_returns(net, batch, packed, discount)
     idx, weights = [], []
-    for pair in batch:
-        sig = 1.0 / (1.0 + np.exp(-(returns[pair.lower] - returns[pair.higher])))
-        for i, coeff in ((pair.lower, sig), (pair.higher, -sig)):
+    for lower, higher in pair_tuples(batch):
+        sig = 1.0 / (1.0 + np.exp(-(returns[lower] - returns[higher])))
+        for i, coeff in ((lower, sig), (higher, -sig)):
             lo, hi = packed.offsets[i], packed.offsets[i + 1]
             idx.append(np.arange(lo, hi))
             weights.append(coeff * discount ** np.arange(hi - lo) / len(batch))
-    _, acts = net.forward_cached(packed.rows[np.concatenate(idx)])
+    _, acts = net.forward_cached(packed.rows[packed.row_id[np.concatenate(idx)]])
     return net.backward(acts, np.concatenate(weights))
 
 
 def reference_pair_accuracy(net, pairs, packed, discount=1.0):
     returns = reference_returns(net, pairs, packed, discount)
-    hits = sum(returns[p.higher] > returns[p.lower] for p in pairs)
+    hits = sum(returns[higher] > returns[lower] for lower, higher in pair_tuples(pairs))
     return hits / len(pairs)
 
 
@@ -263,12 +274,6 @@ def mixed_length_corpus(rng, n_trajs, max_steps=20, **dims):
                          zip(trajs, rng.uniform(0, 100, size=n_trajs))],
                         signal="fpc_only", margin=5.0)
     return trajs, pairs
-
-
-def assert_close(got, want):
-    """Equal up to summation order: within 1e-12 of the largest magnitude."""
-    want = np.asarray(want, dtype=float)
-    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
 
 
 @pytest.mark.parametrize("discount", [1.0, 0.9])
@@ -309,6 +314,44 @@ class TestStackedReturnsMatchPerTrajectory:
         monkeypatch.setattr(reward_learning, "trex_grad", reference_trex_grad)
         monkeypatch.setattr(reward_learning, "pair_accuracy", reference_pair_accuracy)
         assert_close(got, train_reward(pairs, trajs, cfg).params)
+
+
+class TestDistinctRowTrex:
+    """Trajectories whose every step repeats one of 12 rows: the packed table
+    stores each row once, and the returns, the gradient and the pair accuracy
+    equal the per-step references (the gradient up to summation order)."""
+
+    def corpus(self, seed):
+        rng = np.random.default_rng(seed)
+        trajs = duplicated_corpus(rng, n_episodes=60)
+        pairs = build_pairs([scored(t, float(s)) for t, s in
+                             zip(trajs, rng.uniform(0, 100, size=len(trajs)))],
+                            signal="fpc_only", margin=5.0)
+        return trajs, pairs
+
+    def test_packed_rows_are_distinct_and_rebuild_every_step(self):
+        trajs, _ = self.corpus(0)
+        packed = StepRows.pack(trajs)
+        full = np.concatenate([encode_step_rows(t) for t in trajs])
+        assert len(packed.rows) <= 12 < len(full)
+        assert packed.rows[packed.row_id].tobytes() == full.tobytes()
+
+    @pytest.mark.parametrize("discount", [1.0, 0.9])
+    def test_trex_grad_and_pair_accuracy(self, discount):
+        trajs, pairs = self.corpus(1)
+        packed = StepRows.pack(trajs)
+        net = new_reward_net(packed.rows.shape[1], 16, seed=2)
+        ends = np.array([(p.lower, p.higher) for p in pairs])
+        for start in range(0, 320, 32):
+            batch = pairs[start:start + 32] + pairs[start:start + 3]  # repeats too
+            want = reference_trex_grad(net, batch, packed, discount)
+            assert_close(trex_grad(net, batch, packed, discount), want)
+            batch_ends = np.concatenate([ends[start:start + 32], ends[start:start + 3]])
+            assert np.array_equal(trex_grad(net, batch_ends, packed, discount),
+                                  trex_grad(net, batch, packed, discount))
+        want = reference_pair_accuracy(net, pairs, packed, discount)
+        assert pair_accuracy(net, pairs, packed, discount) == want
+        assert pair_accuracy(net, ends, packed, discount) == want
 
 
 def _min_preactivation(net, rows):
