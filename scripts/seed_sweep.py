@@ -8,8 +8,9 @@ significant, and the seeds where criteria C08 and C09 hold (as defined in
 per seed and as means, how well the offline order in ``ranking.json``
 predicts each policy's closed-loop recall under ``prioritize``: Spearman rho,
 Kendall tau and regret@1. Two trees (a parent, then a change) add each arm's
-paired per-seed change in gain, with its interval, and the seeds whose
-``report.json`` bytes match.
+paired per-seed change in gain, with its interval, the seeds whose
+``report.json`` bytes match, and each artifact whose bytes differ between the
+trees, with the seeds where they do.
 
     python scripts/seed_sweep.py --workloads demo --out sweep.json TREE
     python scripts/seed_sweep.py --workloads demo closed_loop tabular \\
@@ -82,7 +83,10 @@ def run_one(tree: Path, config: dict, out: Path) -> dict:
     data = report.read_bytes()
     methods = json.loads(data)["methods"]
     ranking = json.loads((out / "artifacts" / "ranking.json").read_text())["ranking"]
+    files = sorted(p for p in (out / "artifacts").iterdir() if p.is_file())
     return {**record, "ok": True, "report_sha256": hashlib.sha256(data).hexdigest(),
+            "artifacts_sha256": {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                                 for p in files},
             "methods": {m: {k: v[k] for k in KEPT if k in v} for m, v in methods.items()},
             "ranking": [e["id"] for e in sorted(ranking, key=lambda e: e["rank"])]}
 
@@ -161,9 +165,22 @@ def summarize(runs: list[dict]) -> dict:
     return summary
 
 
+def changed_artifacts(both: list[tuple[dict, dict]]) -> dict:
+    """Each artifact whose bytes differ between the trees (or that one tree
+    lacks), with the seeds where they do."""
+    changed: dict = {}
+    for p, c in both:
+        before, after = p["artifacts_sha256"], c["artifacts_sha256"]
+        for name in sorted(before.keys() | after.keys()):
+            if before.get(name) != after.get(name):
+                changed.setdefault(name, []).append(c["seed"])
+    return dict(sorted(changed.items()))
+
+
 def paired(parent: list[dict], change: list[dict]) -> dict:
     """Each arm's per-seed change in gain (change minus parent) over the seeds
-    both trees ran, and the seeds whose report bytes or arm recall match."""
+    both trees ran, the seeds whose report bytes or arm recall match, and the
+    artifacts that changed."""
     before = {r["seed"]: r for r in parent if r["ok"]}
     both = [(before[r["seed"]], r) for r in change if r["ok"] and r["seed"] in before]
     arms = sorted({m for p, c in both for m in p["methods"]} - {BASELINE})
@@ -171,6 +188,7 @@ def paired(parent: list[dict], change: list[dict]) -> dict:
         "seeds": [c["seed"] for _, c in both],
         "seeds_report_identical": [c["seed"] for p, c in both
                                    if p["report_sha256"] == c["report_sha256"]],
+        "artifacts_changed": changed_artifacts(both),
         "arms": {},
     }
     for arm in arms:

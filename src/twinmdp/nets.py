@@ -8,10 +8,6 @@ A network's parameters are one vector, ``Mlp.params``: per layer the weight
 matrix (row-major), then the bias. ``weights`` and ``biases`` are views into
 it, ``backward`` returns a gradient in its layout, and ``Adam`` updates it.
 
-The stack-axis rule: ``params`` may be a (P, n) stack of P networks. A pass
-runs all P as 3-D ``matmul``s (transposes ``swapaxes(-1, -2)``, bias gradients
-``sum(axis=-2)``), whose slices equal each member's own 2-D calls bit for bit.
-
 A pass makes no spare temporaries: a hidden layer adds its bias and applies
 the ReLU in place, and ``backward`` masks its upstream gradient in place.
 
@@ -53,16 +49,16 @@ class Mlp:
         size = sum((fan_in + 1) * fan_out for fan_in, fan_out in layers)
         if params is None:
             params = np.zeros(size)
-        elif params.ndim not in (1, 2) or params.shape[-1] != size:
+        elif params.shape != (size,):
             raise DimensionMismatch(f"{params.shape} parameters, layers {dims} need {size}")
         self.layer_dims, self.params = dims, params
         self.weights, self.biases = [], []
         self._bounds = []  # per layer: weight start, bias start, end
-        lead, start = params.shape[:-1], 0
+        start = 0
         for fan_in, fan_out in layers:
             mid, end = start + fan_in * fan_out, start + (fan_in + 1) * fan_out
-            self.weights.append(params[..., start:mid].reshape(*lead, fan_in, fan_out))
-            self.biases.append(params[..., mid:end].reshape(*lead, *[1] * len(lead), fan_out))
+            self.weights.append(params[start:mid].reshape(fan_in, fan_out))
+            self.biases.append(params[mid:end])
             self._bounds.append((start, mid, end))
             start = end
 
@@ -72,7 +68,7 @@ class Mlp:
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """(N, input_dim) -> (N,), or (B, N, input_dim) -> (B, N) with each slice
-        equal to forward(slice) bit for bit; (P, N) for a stack of P networks."""
+        equal to forward(slice) bit for bit."""
         x = np.asarray(x, dtype=float)
         if x.ndim not in (2, 3) or x.shape[-1] != self.input_dim:
             raise DimensionMismatch(f"expected (*, {self.input_dim}) input, got {x.shape}")
@@ -90,19 +86,18 @@ class Mlp:
     def backward(self, acts: list[np.ndarray], dout: np.ndarray) -> np.ndarray:
         """Gradient of sum(dout * output) w.r.t. ``params``, in its layout."""
         grad = np.empty_like(self.params)
-        upstream = dout[..., None]  # (N, 1), or (P, N, 1) for a stack
+        upstream = dout[:, None]  # (N, 1)
         last = len(self.weights) - 1
         for layer in range(last, -1, -1):
             (w_lo, b_lo, b_hi), W = self._bounds[layer], self.weights[layer]
             if layer < last:
                 upstream *= acts[layer + 1] > 0
-            np.matmul(acts[layer].swapaxes(-1, -2), upstream,
-                      out=grad[..., w_lo:b_lo].reshape(W.shape))
-            upstream.sum(axis=-2, out=grad[..., b_lo:b_hi])
+            np.matmul(acts[layer].T, upstream, out=grad[w_lo:b_lo].reshape(W.shape))
+            upstream.sum(axis=0, out=grad[b_lo:b_hi])
             if layer == last:  # one output unit: the outer product is exact
-                upstream = upstream * W.swapaxes(-1, -2)
+                upstream = upstream * W.T
             elif layer > 0:
-                upstream = upstream @ W.swapaxes(-1, -2)
+                upstream = upstream @ W.T
         return grad
 
     def copy(self) -> "Mlp":
@@ -160,11 +155,8 @@ def present_rows(ids: np.ndarray, n_rows: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def row_sums(values: np.ndarray, inverse: np.ndarray, n_rows: int) -> np.ndarray:
-    """Per-entry ``values`` summed per row (``np.bincount`` over ``inverse``);
-    row by row for a (P, m) stack."""
-    if values.ndim == 1:
-        return np.bincount(inverse, values, n_rows)
-    return np.stack([np.bincount(inverse, v, n_rows) for v in values])
+    """Per-entry ``values`` summed per row (``np.bincount`` over ``inverse``)."""
+    return np.bincount(inverse, values, n_rows)
 
 
 def grouped_max(scores: np.ndarray, group_ids: np.ndarray, n_groups: int) -> np.ndarray:

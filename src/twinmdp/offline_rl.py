@@ -13,15 +13,15 @@ the current turn's candidates.
 ``build_transitions`` is the one place that lays steps out for learning.
 It packs a corpus once into a TransitionTable: per-step arrays, candidate
 offsets in CSR form, the candidates as one dense array (the action space
-applied there), and the taken entry of every step. CQL, BC and FQE share
-the table's network rows, stored once per distinct (state, action) row with
-a row id per candidate entry, and their networks train in one loop,
-``minibatch_train``, which forwards and backprops each distinct row of a
-batch once (``nets``' distinct-row rule). ``TransitionTable.gather``
-selects a batch's candidate entries with their owning step, and
-``TransitionTable.backup`` is the one Bellman backup. Network CQL builds
-every step's target once per target refresh, from one forward over the
-distinct rows.
+applied there), and the taken entry of every step. The table stores its
+network rows once per distinct (state, action) row, with a row id per
+candidate entry; FQE keeps one Q cell per such row. Network CQL and BC
+train in one loop, ``minibatch_train``, which forwards and backprops each
+distinct row of a batch once (``nets``' distinct-row rule).
+``TransitionTable.gather`` selects a batch's candidate entries with their
+owning step, and ``TransitionTable.backup`` is the one Bellman backup, for
+CQL and FQE alike. Network CQL builds every step's target once per target
+refresh, from one forward over the distinct rows.
 """
 
 from __future__ import annotations
@@ -157,11 +157,11 @@ class TransitionTable:
         return self._distinct[1]
 
     def backup(self, next_values: np.ndarray, gamma: float) -> np.ndarray:
-        """Bellman targets: r + gamma * next_values[..., next_step], and r at
-        terminal steps; ``next_values`` is (n,) or a (P, n) stack."""
+        """Bellman targets, a new (n,) array: r + gamma * next_values[next_step],
+        and r at terminal steps."""
         live = ~self.terminal
-        targets = np.tile(self.rewards, (*next_values.shape[:-1], 1))
-        targets[..., live] += gamma * next_values[..., self.next_step[live]]
+        targets = self.rewards.copy()
+        targets[live] += gamma * next_values[self.next_step[live]]
         return targets
 
     def gather(self, steps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -399,37 +399,26 @@ def network_q(table: TransitionTable, net: Mlp, gamma: float) -> NetworkQ:
                     action_encoding=table.encoding, gamma=gamma)
 
 
-def minibatch_train(table: TransitionTable, cfg: TrainConfig, learner, stack: int = 0,
-                    steps: int | None = None, refresh=None) -> Mlp:
-    """The one minibatch loop of network CQL, BC and FQE: ``steps`` (default
-    cfg.iterations) Adam steps on a cfg.seed network (``stack`` equal ones, if
-    given), each on a batch drawn by a cfg.seed rng. The generator
-    ``learner(batch)`` yields its entries' row ids (into ``table.cand_rows``),
-    is sent each entry's output and yields each entry's dout; the step
-    forwards and backprops each distinct row once. Before step 0 and every
-    target_refresh steps ``refresh(net, step)`` runs on the live network (a
-    learner that bootstraps builds its targets there); it may return a mask
-    of the stack's members to keep training, and none ends it."""
+def minibatch_train(table: TransitionTable, cfg: TrainConfig, learner, refresh=None) -> Mlp:
+    """The one minibatch loop of network CQL and BC: cfg.iterations Adam steps
+    on a cfg.seed network, each on a batch drawn by a cfg.seed rng. The
+    generator ``learner(batch)`` yields its entries' row ids (into
+    ``table.cand_rows``), is sent each entry's output and yields each entry's
+    dout; the step forwards and backprops each distinct row once. Before step
+    0 and every target_refresh steps ``refresh(net)`` runs on the live network
+    (a learner that bootstraps builds its targets there)."""
     rows = table.cand_rows
     net = Mlp(rows.shape[1], cfg.hidden_units, seed=cfg.seed)
-    if stack:
-        net = Mlp.from_params(net.input_dim, cfg.hidden_units, np.tile(net.params, (stack, 1)))
     optimizer = Adam(net.params, step_size=cfg.step_size)
     rng = np.random.default_rng(cfg.seed)
-    for step in range(cfg.iterations if steps is None else steps):
+    for step in range(cfg.iterations):
         if refresh is not None and step % cfg.target_refresh == 0:
-            keep = refresh(net, step)
-            if keep is not None and not keep.all():
-                if not keep.any():
-                    break
-                net = Mlp.from_params(net.input_dim, cfg.hidden_units, net.params[keep])
-                optimizer.params, optimizer.m, optimizer.v = (
-                    net.params, optimizer.m[keep], optimizer.v[keep])
+            refresh(net)
         batch = rng.choice(table.n, size=min(cfg.batch_size, table.n), replace=False)
         loss = learner(batch)
         present, inverse = present_rows(next(loss), len(rows))
         out, acts = net.forward_cached(rows[present])
-        dout = loss.send(out[..., inverse])
+        dout = loss.send(out[inverse])
         optimizer.step(net.backward(acts, row_sums(dout, inverse, len(present))))
     return net
 
@@ -437,7 +426,7 @@ def minibatch_train(table: TransitionTable, cfg: TrainConfig, learner, stack: in
 def _cql_network(table: TransitionTable, cfg: TrainConfig) -> NetworkQ:
     boot = None
 
-    def refresh(net, step):
+    def refresh(net):
         """Every step's Bellman target under the network as it is now."""
         nonlocal boot
         out = net.forward(table.cand_rows)[table.row_id]

@@ -6,9 +6,12 @@ with terminal steps bootstrapping zero. The expectation uses the full
 softmax policy, since downstream interventions consume those probabilities.
 The initial value averages the policy-weighted Q over the logged initial
 states and ranks candidate policies offline.
-Network FQE fits all candidates in lockstep, as one stack of networks on
-the shared minibatch trainer; each equals its own one-policy fit bit for bit.
-A refresh forwards the table's distinct rows once, through the whole stack.
+
+The DT-MDP is finite, so Q keeps one cell per distinct (state, action) row
+of the table (``TransitionTable.row_id``), for index and feature actions
+alike. Each sweep sets every taken cell to the mean Bellman backup of the
+steps that take it, which is exact policy evaluation on the empirical MDP
+(model-based OPE). A cell that no logged step takes stays at 0.
 """
 
 from __future__ import annotations
@@ -18,23 +21,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoCandidates
-from .nets import Mlp, grouped_max
+from .nets import grouped_max
 from .offline_rl import (
     CandidateSet,
-    NetworkQ,
     QPolicy,
     TabularQ,
     TrainConfig,
     TransitionTable,
     build_transitions,
-    minibatch_train,
-    network_q,
 )
 
 
 @dataclass
 class FqeEstimate:
-    qhat: TabularQ | NetworkQ
     target_policy_id: str
     initial_value: float
 
@@ -46,7 +45,9 @@ def fqe(policy: QPolicy, eval_trajs, cfg: TrainConfig, action_space=CandidateSet
     ``eval_trajs`` is a trajectory list or its TransitionTable, built under
     ``action_space``; a table is only read, so one can score many policies.
     The evaluation set should be disjoint from the policy's training data;
-    that split is the caller's responsibility.
+    that split is the caller's responsibility. Of ``cfg`` only the discount,
+    ``cfg.gamma``, is read. The sweep stops once no cell moves by ``tol`` or
+    after ``max_sweeps``.
     """
     return fqe_many([policy], eval_trajs, cfg, action_space, [policy_id], tol,
                     max_sweeps)[0]
@@ -57,12 +58,33 @@ def fqe_many(policies, eval_trajs, cfg: TrainConfig, action_space=CandidateSet()
     """``fqe`` of every policy on one table, each estimate equal to its own call."""
     table = (eval_trajs if isinstance(eval_trajs, TransitionTable)
              else build_transitions(list(eval_trajs), action_space))
-    if table.index_actions:
-        fits = [_fqe_tabular(table, policy, cfg, tol, max_sweeps) for policy in policies]
-    else:
-        fits = _fqe_network(table, policies, cfg, tol)
-    return [FqeEstimate(qhat=qhat, target_policy_id=pid, initial_value=value)
-            for (qhat, value), pid in zip(fits, policy_ids or [""] * len(policies))]
+    return [FqeEstimate(target_policy_id=pid,
+                        initial_value=_fqe_rows(table, policy, cfg, tol, max_sweeps))
+            for policy, pid in zip(policies, policy_ids or [""] * len(policies))]
+
+
+def _fqe_rows(table, policy, cfg, tol, max_sweeps) -> float:
+    """The initial value of ``policy`` under a Q cell per distinct row."""
+    row_id, group = table.row_id, table.cand_step
+    cell = row_id[table.taken]
+    pi_flat = _flat_policy_probs(table, policy)
+    q = np.zeros(len(table.cand_rows))
+    counts = np.bincount(cell, minlength=q.size).astype(float)
+    seen = counts > 0
+
+    for _ in range(max_sweeps):
+        expectation = np.bincount(group, weights=pi_flat * q[row_id], minlength=table.n)
+        sums = np.bincount(cell, weights=table.backup(expectation, cfg.gamma),
+                           minlength=q.size)
+        new_q = q.copy()
+        new_q[seen] = sums[seen] / counts[seen]
+        delta = float(np.max(np.abs(new_q - q)))
+        q = new_q
+        if delta < tol:
+            break
+
+    expectation = np.bincount(group, weights=pi_flat * q[row_id], minlength=table.n)
+    return float(np.mean(expectation[table.episode_starts]))
 
 
 def _flat_policy_probs(table: TransitionTable, policy: QPolicy) -> np.ndarray:
@@ -86,7 +108,10 @@ def _flat_policy_probs(table: TransitionTable, policy: QPolicy) -> np.ndarray:
         np.add.at(gsum, group, expd)
         return expd / gsum[group]
     # a network: one (B, k, d) forward per candidate count k, whose slices are
-    # the steps' own forwards, then a row-wise softmax
+    # the steps' own forwards, then a row-wise softmax. Forwarding the distinct
+    # rows once would not do: BLAS picks its kernel by call shape, so a row's
+    # output in one (U, d) call can differ in its last bits from its output in
+    # its step's own (k, d) call
     q, off = policy.q, table.cand_offsets
     rows = q.encode(table.states[group], cand)
     counts = np.diff(off)
@@ -101,70 +126,6 @@ def _flat_policy_probs(table: TransitionTable, policy: QPolicy) -> np.ndarray:
         expd[~np.isfinite(peak[:, 0])] = 1.0 / k  # untrained region: uniform
         probs[entries] = expd
     return probs
-
-
-# --- tabular FQE -------------------------------------------------------------------
-
-def _fqe_tabular(table, policy, cfg, tol, max_sweeps):
-    """Q is kept flat, a cell per (state, action); ``cand_cell`` reads it."""
-    index = table.state_ids[0]
-    cand_cell, group = table.cand_cell, table.cand_step
-    cell = cand_cell[table.taken]
-    pi_flat = _flat_policy_probs(table, policy)
-    q = np.zeros(len(index) * table.n_actions)
-    counts = np.bincount(cell, minlength=q.size).astype(float)
-    seen = counts > 0
-
-    for _ in range(max_sweeps):
-        expectation = np.bincount(group, weights=pi_flat * q[cand_cell], minlength=table.n)
-        sums = np.bincount(cell, weights=table.backup(expectation, cfg.gamma),
-                           minlength=q.size)
-        new_q = q.copy()
-        new_q[seen] = sums[seen] / counts[seen]
-        delta = float(np.max(np.abs(new_q - q)))
-        q = new_q
-        if delta < tol:
-            break
-
-    expectation = np.bincount(group, weights=pi_flat * q[cand_cell], minlength=table.n)
-    value = float(np.mean(expectation[table.episode_starts]))
-    return TabularQ(state_index=index, q=q.reshape(len(index), table.n_actions),
-                    gamma=cfg.gamma), value
-
-
-# --- network FQE -------------------------------------------------------------------
-
-def _fqe_network(table, policies, cfg, tol):
-    """Lockstep FQE of P policies on one (P, n) stack. A member leaves the stack
-    at the first round its value moves by < tol, and its fit is its net then."""
-    group, n_pol = table.cand_step, len(policies)
-    pi = [_flat_policy_probs(table, policy) for policy in policies]
-    steps = max(1, cfg.iterations // cfg.target_refresh) * cfg.target_refresh
-    active, prev, fits, targets = list(range(n_pol)), [np.inf] * n_pol, [None] * n_pol, None
-
-    def refresh(net, step):
-        nonlocal targets
-        members = [Mlp.from_params(net.input_dim, cfg.hidden_units, w)
-                   for w in net.params.copy()]
-        out = net.forward(table.cand_rows)[:, table.row_id]  # one stacked forward
-        expect = np.reshape([np.bincount(group, pi[p] * q_p, table.n)
-                             for p, q_p in zip(active, out)], (len(active), table.n))
-        keep = np.ones(len(active), dtype=bool)
-        for j, p in enumerate(active if step else ()):
-            value = float(np.mean(expect[j][table.episode_starts]))
-            if abs(value - prev[p]) < tol or step == steps:
-                fits[p], keep[j] = (network_q(table, members[j], cfg.gamma), value), False
-            prev[p] = value
-        active[:] = [p for p, kept in zip(active, keep) if kept]
-        targets = table.backup(expect[keep], cfg.gamma)
-        return keep
-
-    def learner(batch):
-        out = yield table.row_id[table.taken[batch]]
-        yield 2.0 * (out - targets[:, batch]) / len(batch)
-
-    refresh(minibatch_train(table, cfg, learner, n_pol, steps, refresh), steps)
-    return fits
 
 
 def rank_policies(candidates, eval_trajs, cfg: TrainConfig, k: int,

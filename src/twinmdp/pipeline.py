@@ -639,9 +639,7 @@ def stage_rank(cfg: PipelineConfig, out: Path) -> dict:
     seed = derive_seed(cfg.master_seed, "rank")
     _, eval_trajs = read_split(cfg, eval_path)
     candidates = [load_policy(out / policy_file(entry["id"])) for entry in cfg.rl_grid]
-    fqe_cfg = replace(cfg.rl_train, alpha=0.0,
-                      seed=derive_seed(cfg.master_seed, "rank", "fqe"))
-    ranking = rank_policies(candidates, eval_trajs, fqe_cfg, k=cfg.ope_k)
+    ranking = rank_policies(candidates, eval_trajs, cfg.rl_train, k=cfg.ope_k)
     report = {
         "eval_reward_mode": cfg.eval_reward_mode,
         "eval_scenarios": sorted({t.scenario_id for t in eval_trajs}),
@@ -881,8 +879,6 @@ def robustness_sweep(cfg: PipelineConfig, out: Path,
 
     rng = np.random.default_rng(derive_seed(cfg.master_seed, "robustness_sweep"))
     order = rng.permutation(len(pool))
-    fqe_cfg = replace(cfg.rl_train, alpha=0.0,
-                      seed=derive_seed(cfg.master_seed, "robustness_sweep", "fqe"))
 
     policies = []
     for count in counts:
@@ -893,7 +889,7 @@ def robustness_sweep(cfg: PipelineConfig, out: Path,
         policies += [QPolicy(q=cql_train(relabeled, train_cfg, CandidateSet()),
                              temperature=train_cfg.temperature),
                      bc_train(subset, train_cfg, CandidateSet())]
-    scores = [est.initial_value for est in fqe_many(policies, eval_table, fqe_cfg)]
+    scores = [est.initial_value for est in fqe_many(policies, eval_table, cfg.rl_train)]
     values = {"rl_irl": scores[0::2], "bc": scores[1::2]}
 
     report = {

@@ -247,7 +247,7 @@ def min_dist_to_label_loop(dist: np.ndarray, index: dict, src, assessments,
 def mlp_forward_out_of_place(weights, biases, x):
     """An MLP's output and each layer's input, every layer a fresh array:
     max(x @ W + b, 0) on the hidden layers, then the output layer. Works on
-    2-D rows, (B, N, d) stacks of rows and stacked (P, ...) weights."""
+    2-D rows and (B, N, d) stacks of rows."""
     acts = [x]
     for W, b in zip(weights[:-1], biases[:-1]):
         acts.append(np.maximum(acts[-1] @ W + b, 0.0))

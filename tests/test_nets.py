@@ -75,6 +75,8 @@ def test_weights_and_biases_are_views_of_params():
     net.params[:] = np.arange(net.params.size)
     assert net.weights[0][0, 1] == 1.0
     assert net.biases[0][0] == 4 * 6
+    with pytest.raises(DimensionMismatch):  # one network per parameter vector
+        Mlp.from_params(4, 6, np.tile(net.params, (2, 1)))
 
 
 def test_to_json_params_are_the_layer_by_layer_concatenation():
@@ -116,7 +118,7 @@ def test_copy_and_from_json_draw_no_random_numbers(monkeypatch):
     assert np.array_equal(Mlp.from_json(obj).params, net.params)
 
 
-# --- stacked forward ------------------------------------------------------------------
+# --- a stack of rows ------------------------------------------------------------------
 
 def stack_of_rows(rng, kind, n_stack, n, state_dim=6, n_actions=6):
     if kind == "features":
@@ -126,13 +128,6 @@ def stack_of_rows(rng, kind, n_stack, n, state_dim=6, n_actions=6):
     actions = rng.integers(0, n_actions, size=(n_stack, n))
     np.put_along_axis(rows, state_dim + actions[..., None], 1.0, axis=-1)
     return rows
-
-
-def stack_of_networks(input_dim, hidden, seeds):
-    """One (P, n) stack of the networks Mlp(input_dim, hidden, seed) and its members."""
-    members = [Mlp(input_dim, hidden, seed=s) for s in seeds]
-    stack = Mlp.from_params(input_dim, hidden, np.stack([m.params for m in members]))
-    return stack, members
 
 
 @pytest.mark.parametrize("kind", ["features", "onehot"])
@@ -146,56 +141,8 @@ def test_stacked_forward_equals_per_slice_forward(kind, hidden):
         assert out.shape == (7, n)
         for k in range(7):
             assert np.array_equal(out[k], net.forward(x[k].copy()))
-        # a stack of networks: on one shared input, and on one input each
-        stack, members = stack_of_networks(x.shape[-1], hidden, [n, n + 1, n + 2])
-        shared, each = stack.forward(x[0]), stack.forward(x[:3])
-        assert shared.shape == each.shape == (3, n)
-        for k, member in enumerate(members):
-            assert np.array_equal(shared[k], member.forward(x[0]))
-            assert np.array_equal(each[k], member.forward(x[k].copy()))
     with pytest.raises(DimensionMismatch):
         net.forward(x[None])
-
-
-@pytest.mark.parametrize("hidden", [8, 16, 256])
-@pytest.mark.parametrize("shared_input", [True, False], ids=["shared", "per_member"])
-def test_stacked_backward_and_adam_equal_the_per_network_update(hidden, shared_input):
-    """forward_cached, backward and Adam.step on a (P, n) stack equal the P
-    networks' own calls bit for bit: input widths 3-39, 1-129 rows."""
-    rng = np.random.default_rng(hidden + shared_input)
-    for input_dim in (3, 4, 9, 17, 39):
-        stack, members = stack_of_networks(input_dim, hidden, [input_dim, 5, 6])
-        opt = Adam(stack.params, step_size=1e-2)
-        member_opts = [Adam(m.params, step_size=1e-2) for m in members]
-        for n in (1, 2, 7, 8, 9, 33, 64, 129):
-            x = rng.normal(size=(n, input_dim) if shared_input else (3, n, input_dim))
-            dout = rng.normal(size=(3, n))
-            out, acts = stack.forward_cached(x)
-            grad = stack.backward(acts, dout)
-            assert out.shape == dout.shape and grad.shape == stack.params.shape
-            for k, (member, member_opt) in enumerate(zip(members, member_opts)):
-                x_k = x if shared_input else x[k].copy()
-                out_k, acts_k = member.forward_cached(x_k)
-                assert np.array_equal(out[k], out_k)
-                grad_k = member.backward(acts_k, dout[k].copy())
-                assert np.array_equal(grad[k], grad_k)
-                member_opt.step(grad_k)
-            opt.step(grad)
-            for k, member in enumerate(members):
-                assert np.array_equal(stack.params[k], member.params)
-    assert opt.m.shape == opt.v.shape == stack.params.shape
-
-
-def test_stack_layout_and_views():
-    stack, members = stack_of_networks(4, 6, [1, 2])
-    for a in stack.weights + stack.biases:
-        assert a.base is stack.params
-    assert stack.weights[0].shape == (2, 4, 6) and stack.biases[0].shape == (2, 1, 6)
-    assert stack.copy().params.shape == (2, stack.params.shape[1])
-    with pytest.raises(DimensionMismatch):
-        Mlp.from_params(4, 6, stack.params[:, :-1])
-    with pytest.raises(DimensionMismatch):
-        Mlp.from_params(4, 6, stack.params[None])
 
 
 # --- in-place pass ---------------------------------------------------------------------
@@ -203,31 +150,25 @@ def test_stack_layout_and_views():
 @pytest.mark.parametrize("hidden", [1, 2, 16, 256])
 def test_in_place_pass_equals_the_out_of_place_formulas(hidden):
     """The in-place bias, ReLU and mask and the broadcast product through the
-    output layer give the out-of-place formulas' bits: one network on 2-D rows
-    and on a (B, N, d) stack of rows, and a (P, n) stack of networks."""
+    output layer give the out-of-place formulas' bits: on 2-D rows and on a
+    (B, N, d) stack of rows."""
     rng = np.random.default_rng(hidden)
     for input_dim in (1, 6, 17):
         net = Mlp(input_dim, hidden, seed=input_dim)
-        stack, _ = stack_of_networks(input_dim, hidden, [1, 2, 3])
         for n in (1, 2, 7, 64, 290):
-            for model, x in ((net, rng.normal(size=(n, input_dim))),
-                             (net, rng.normal(size=(3, n, input_dim))),
-                             (stack, rng.normal(size=(n, input_dim))),
-                             (stack, rng.normal(size=(3, n, input_dim)))):
-                out, acts = model.forward_cached(x)
-                want, want_acts = mlp_forward_out_of_place(model.weights, model.biases, x)
-                assert np.array_equal(out, want) and np.array_equal(model.forward(x), want)
+            for x in (rng.normal(size=(n, input_dim)), rng.normal(size=(3, n, input_dim))):
+                out, acts = net.forward_cached(x)
+                want, want_acts = mlp_forward_out_of_place(net.weights, net.biases, x)
+                assert np.array_equal(out, want) and np.array_equal(net.forward(x), want)
                 for a, w in zip(acts, want_acts):
                     assert np.array_equal(a, w)
-                if model is stack or x.ndim == 2:  # what backward takes
+                if x.ndim == 2:  # what backward takes
                     dout = rng.normal(size=out.shape)
-                    dout[..., ::5] = 0.0
+                    dout[::5] = 0.0
                     sent = dout.copy()
-                    grad = model.backward(acts, dout)
-                    want = mlp_backward_out_of_place(model.weights, want_acts, dout)
-                    lead = model.params.shape[:-1]
-                    assert np.array_equal(grad, np.concatenate(
-                        [g.reshape(*lead, -1) for g in want], axis=-1))
+                    grad = net.backward(acts, dout)
+                    want = mlp_backward_out_of_place(net.weights, want_acts, dout)
+                    assert np.array_equal(grad, flat(want))
                     assert np.array_equal(dout, sent)  # the caller's dout is not touched
 
 
@@ -284,33 +225,22 @@ class TestDistinctRows:
             assert np.array_equal(present, want)
             assert np.array_equal(inverse, want_inverse)
 
-    def test_row_sums_of_a_stack_are_each_rows_sums(self):
-        rng = np.random.default_rng(2)
-        inverse = rng.integers(0, 7, size=40)
-        values = rng.normal(size=(3, 40))
-        sums = nets.row_sums(values, inverse, 7)
-        assert sums.shape == (3, 7)
-        for p in range(3):
-            assert np.array_equal(sums[p], nets.row_sums(values[p], inverse, 7))
-            assert np.array_equal(sums[p], np.bincount(inverse, values[p], 7))
-
     @pytest.mark.parametrize("hidden", [1, 16, 256])
     def test_distinct_row_pass_equals_the_full_row_pass(self, hidden):
         """Forwarding the distinct rows once and backpropagating each row's
         summed entry gradients gives the full-row pass up to summation order,
-        for one network and for a (P, n) stack, on a heavily repeated table."""
+        on a heavily repeated table."""
         rng = np.random.default_rng(hidden)
         table = rng.normal(size=(12, 6))
         entries = rng.integers(0, 12, size=300)
-        for model in (Mlp(6, hidden, seed=3), stack_of_networks(6, hidden, [4, 5, 6])[0]):
-            rows = table[entries]
-            present, inverse = nets.present_rows(entries, len(table))
-            out, acts = model.forward_cached(table[present])
-            want_out, want_acts = model.forward_cached(rows)
-            assert_close(out[..., inverse], want_out)
-            dout = rng.normal(size=want_out.shape)
-            assert_close(model.backward(acts, nets.row_sums(dout, inverse, len(present))),
-                         model.backward(want_acts, dout))
+        model = Mlp(6, hidden, seed=3)
+        present, inverse = nets.present_rows(entries, len(table))
+        out, acts = model.forward_cached(table[present])
+        want_out, want_acts = model.forward_cached(table[entries])
+        assert_close(out[inverse], want_out)
+        dout = rng.normal(size=want_out.shape)
+        assert_close(model.backward(acts, nets.row_sums(dout, inverse, len(present))),
+                     model.backward(want_acts, dout))
 
 
 # --- wrong-length parameter vectors ---------------------------------------------------

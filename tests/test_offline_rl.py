@@ -292,20 +292,16 @@ def test_distinct_row_gradients_equal_the_full_row_loops(alpha, frozen_gradients
 def test_backup_equals_a_per_step_loop():
     trajs = feature_corpus(np.random.default_rng(8), n_episodes=10)
     table = build_transitions(trajs)
-    values = np.random.default_rng(9).normal(size=(3, table.n))
-    stacked = table.backup(values, 0.9)
-    assert stacked.shape == (3, table.n)
-    for p in range(3):
-        want, i = [], 0
-        for traj in trajs:
-            for t, step in enumerate(traj.steps):
-                last = t == len(traj.steps) - 1
-                want.append(step.reward if last else step.reward + 0.9 * values[p, i + 1])
-                i += 1
-        assert np.array_equal(table.backup(values[p], 0.9), want)
-        assert np.array_equal(stacked[p], want)
+    values = np.random.default_rng(9).normal(size=table.n)
+    want, i = [], 0
+    for traj in trajs:
+        for t, step in enumerate(traj.steps):
+            last = t == len(traj.steps) - 1
+            want.append(step.reward if last else step.reward + 0.9 * values[i + 1])
+            i += 1
+    assert np.array_equal(table.backup(values, 0.9), want)
     assert table.terminal.sum() == 10 and table.n > 10
-    assert not np.shares_memory(table.backup(values[0], 0.9), table.rewards)
+    assert not np.shares_memory(table.backup(values, 0.9), table.rewards)
 
 
 @pytest.mark.parametrize("iterations,refresh", [(60, 20), (50, 20), (7, 20), (30, 1)],

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import policy_value_linear
-from test_nets import assert_close
 from test_offline_rl import duplicated_corpus, feature_corpus
 from twinmdp.abstraction import AbstractStep, AbstractTrajectory
 from twinmdp.errors import NoCandidates
@@ -14,7 +15,7 @@ from twinmdp.offline_rl import (
     build_transitions,
     policy_probs,
 )
-from twinmdp.nets import Adam, Mlp, grouped_max
+from twinmdp.nets import Mlp, grouped_max
 from twinmdp.ope import _flat_policy_probs, fqe, fqe_many, rank_policies
 from twinmdp.trajectories import JudgeScores
 
@@ -203,100 +204,110 @@ def per_step_policy_probs(table, policy):
                            for i in range(table.n)])
 
 
-def reference_fqe_network(table, policy, cfg, tol):
-    """The one-policy network FQE loop that lockstep FQE replaced: its fitted
-    network, initial value and the number of rounds it ran."""
-    rows, group = table.rows(table.encoding), table.cand_step  # a row per entry
-    net = Mlp(rows.shape[1], cfg.hidden_units, seed=cfg.seed)
-    optimizer = Adam(net.params, step_size=cfg.step_size)
-    rng = np.random.default_rng(cfg.seed)
-    pi = per_step_policy_probs(table, policy)
-    has_next = ~table.terminal
-    nxt = table.next_step[has_next]
-    target, prev_value = net.copy(), np.inf
-    rounds = max(1, cfg.iterations // max(1, cfg.target_refresh))
-    for done in range(1, rounds + 1):
-        expectation = np.bincount(group, weights=pi * target.forward(rows), minlength=table.n)
-        targets = table.rewards.copy()
-        targets[has_next] = table.rewards[has_next] + cfg.gamma * expectation[nxt]
-        for _ in range(max(1, cfg.target_refresh)):
-            batch = rng.choice(table.n, size=min(cfg.batch_size, table.n), replace=False)
-            out, acts = net.forward_cached(rows[table.taken][batch])
-            optimizer.step(net.backward(acts, 2.0 * (out - targets[batch]) / len(batch)))
-        target = net.copy()
-        expectation = np.bincount(group, weights=pi * net.forward(rows), minlength=table.n)
-        value = float(np.mean(expectation[table.episode_starts]))
-        if abs(value - prev_value) < tol:
-            break
-        prev_value = value
-    return net, value, done
-
-
 def network_policy(seed, temperature, state_dim=3, action_dim=2, hidden=8):
     q = NetworkQ(net=Mlp(state_dim + action_dim, hidden, seed=seed), state_dim=state_dim,
                  action_encoding={"kind": "features", "dim": action_dim}, gamma=0.7)
     return QPolicy(q=q, temperature=temperature)
 
 
-class TestLockstepNetworkFqe:
-    CFG = TrainConfig(alpha=0.0, gamma=0.7, iterations=600, batch_size=16, hidden_units=8,
-                      target_refresh=20, step_size=1e-2, seed=3)
+def empirical_mdp_initial_value(trajs, policy, gamma):
+    """The initial value of ``policy`` on the empirical MDP over the corpus's
+    distinct (state, action) rows, from one linear solve of Q = r + gamma P Q.
+    A row's r is the mean reward of the steps that take it, and P[row] is the
+    mean over those steps of the policy's probabilities of the next step's
+    candidate rows (none after an episode's last step). A row that no step
+    takes has Q = 0."""
+    def key(state, action):
+        return np.asarray(state, float).tobytes(), np.asarray(action, float).tobytes()
 
-    @pytest.mark.parametrize("tol,distinct_stops", [(1e-5, False), (0.013, True)],
-                             ids=["no_early_stop", "stops_at_different_rounds"])
-    def test_stack_equals_one_policy_fits(self, tol, distinct_stops):
-        trajs = feature_corpus(np.random.default_rng(0), n_episodes=30)
-        table = build_transitions(trajs)
-        policies = [network_policy(1, 1.0), network_policy(2, 0.3), network_policy(3, 3.0)]
-        want = [reference_fqe_network(table, p, self.CFG, tol) for p in policies]
-        stops = [rounds for _, _, rounds in want]
-        assert len(set(stops)) == (3 if distinct_stops else 1)
-        stacked = fqe_many(policies, table, self.CFG, tol=tol)
-        for policy, est, (net, value, _) in zip(policies, stacked, want):
-            alone = fqe(policy, trajs, self.CFG, tol=tol)
-            assert est.initial_value == alone.initial_value
-            assert np.array_equal(est.qhat.net.params, alone.qhat.net.params)
-            # the reference forwards every entry's row, the fit each distinct
-            # row once: equal up to summation order
-            assert est.initial_value == pytest.approx(value, rel=0, abs=1e-12)
-            np.testing.assert_allclose(est.qhat.net.params, net.params, rtol=0, atol=1e-12)
-        if tol == 1e-5:
-            ranked = rank_policies([(p, {"id": f"p{i}"}) for i, p in enumerate(policies)],
-                                   trajs, self.CFG, k=3)
-            for entry in ranked:
-                i = int(entry["id"][1])
-                assert entry["initial_value"] == stacked[i].initial_value
-                assert entry["initial_value"] == pytest.approx(want[i][1], rel=0, abs=1e-12)
+    cells = {}
+    for traj in trajs:
+        for step in traj.steps:
+            for c in step.candidates:
+                cells.setdefault(key(step.state, c), len(cells))
+    reward, count = np.zeros(len(cells)), np.zeros(len(cells))
+    P = np.zeros((len(cells), len(cells)))
+    for traj in trajs:
+        for step, nxt in zip(traj.steps, traj.steps[1:] + [None]):
+            u = cells[key(step.state, step.action)]
+            reward[u] += step.reward
+            count[u] += 1
+            if nxt is not None:
+                probs = policy_probs(policy, nxt.state, nxt.candidates)
+                for c, prob in zip(nxt.candidates, probs):
+                    P[u, cells[key(nxt.state, c)]] += prob
+    taken = count > 0
+    reward[taken] /= count[taken]
+    P[taken] /= count[taken, None]
+    q = np.linalg.solve(np.eye(len(cells)) - gamma * P, reward)
+    return np.mean([policy_probs(policy, t.steps[0].state, t.steps[0].candidates)
+                    @ [q[cells[key(t.steps[0].state, c)]] for c in t.steps[0].candidates]
+                    for t in trajs])
 
 
-class TestDistinctRowFqe:
-    CFG = TrainConfig(alpha=0.0, gamma=0.7, iterations=200, batch_size=16, hidden_units=8,
-                      target_refresh=10, step_size=1e-2, seed=3)
+class TestRowCellFqe:
+    def test_feature_actions_match_the_linear_system_oracle(self):
+        """On feature actions and a network policy, the row-cell sweep is exact
+        policy evaluation on the empirical MDP of the table's distinct rows,
+        some of which no step takes."""
+        for seed in range(3):
+            trajs = duplicated_corpus(np.random.default_rng(seed), n_episodes=8)
+            table = build_transitions(trajs)
+            taken = np.unique(table.row_id[table.taken])
+            assert len(taken) < len(table.cand_rows) <= 12 < len(table.row_id)
+            policies = [network_policy(seed, 1.0), network_policy(seed + 3, 0.3)]
+            estimates = fqe_many(policies, table, TrainConfig(gamma=0.7), tol=1e-13,
+                                 max_sweeps=5000)
+            for policy, est in zip(policies, estimates):
+                want = empirical_mdp_initial_value(trajs, policy, 0.7)
+                assert est.initial_value == pytest.approx(want, rel=0, abs=1e-9)
 
-    def test_stack_gradients_equal_the_full_row_loops(self, frozen_gradients):
-        """On a table whose every entry repeats one of 12 rows, each member's
-        gradient in the (P, n) stack equals its own full-row loop's up to
-        summation order, step by step (the frozen network stops every fit
-        after two rounds)."""
-        table = build_transitions(duplicated_corpus(np.random.default_rng(2)))
-        policies = [network_policy(1, 1.0), network_policy(2, 0.3), network_policy(3, 3.0)]
-        fqe_many(policies, table, self.CFG)
-        stacked = frozen_gradients[:]
-        assert len(stacked) == 2 * self.CFG.target_refresh
-        for p, policy in enumerate(policies):
-            frozen_gradients.clear()
-            reference_fqe_network(table, policy, self.CFG, 1e-5)
-            assert len(frozen_gradients) == len(stacked)
-            for g, want in zip(stacked, frozen_gradients):
-                assert_close(g[p], want)
+    def test_index_actions_keep_the_state_action_cells(self):
+        """On index actions, the distinct rows are the (state, action) pairs,
+        so the row-cell sweep matches the same oracle."""
+        rng = np.random.default_rng(7)
+        P, R = random_mdp(rng, 3, 2)
+        trajs = log_episodes(P, R, rng, 40, 6)
+        policy = tabular_policy(rng.dirichlet(np.ones(2), size=3), temperature=0.8)
+        est = fqe(policy, trajs, TrainConfig(gamma=0.9), tol=1e-13, max_sweeps=5000)
+        want = empirical_mdp_initial_value(trajs, policy, 0.9)
+        assert est.initial_value == pytest.approx(want, rel=0, abs=1e-9)
 
-    def test_stack_equals_one_policy_fits(self):
-        table = build_transitions(duplicated_corpus(np.random.default_rng(3)))
-        policies = [network_policy(4, 1.0), network_policy(5, 0.5), network_policy(6, 2.0)]
-        for policy, est in zip(policies, fqe_many(policies, table, self.CFG, tol=1e-3)):
-            alone = fqe(policy, table, self.CFG, tol=1e-3)
-            assert est.initial_value == alone.initial_value
-            assert np.array_equal(est.qhat.net.params, alone.qhat.net.params)
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), gamma=st.floats(0.0, 0.99),
+           r_max=st.floats(1e-3, 1e3), index_actions=st.booleans())
+    def test_initial_values_lie_in_the_reward_bound(self, seed, gamma, r_max,
+                                                    index_actions):
+        """Rewards in [0, r_max] keep every sweep's Q, and so every initial
+        value, in [0, r_max / (1 - gamma)]; the 1e-12 slack is float rounding
+        of the means."""
+        rng = np.random.default_rng(seed)
+        n_states, n_actions = int(rng.integers(1, 4)), int(rng.integers(1, 5))
+        states, feats = rng.normal(size=(n_states, 3)), rng.normal(size=(n_actions, 2))
+        trajs = []
+        for i in range(int(rng.integers(1, 8))):
+            steps = []
+            for _ in range(int(rng.integers(1, 7))):
+                s = int(rng.integers(n_states))
+                ids = sorted(rng.choice(n_actions, size=int(rng.integers(1, n_actions + 1)),
+                                        replace=False).tolist())
+                a = ids[int(rng.integers(len(ids)))]
+                reward = float(rng.choice([0.0, r_max, rng.uniform(0.0, r_max)]))
+                if index_actions:
+                    steps.append(AbstractStep(state=np.array([float(s)]), action=a,
+                                              reward=reward, candidates=ids))
+                else:
+                    steps.append(AbstractStep(state=states[s], action=feats[a], reward=reward,
+                                              candidates=[feats[j] for j in ids]))
+            trajs.append(make_traj(steps, f"e{i}"))
+        if index_actions:
+            policies = [tabular_policy(rng.dirichlet(np.ones(n_actions), size=n_states), t)
+                        for t in (0.2, 1.0)]
+        else:
+            policies = [network_policy(seed % 1000, t) for t in (0.2, 1.0, 5.0)]
+        bound = r_max / (1.0 - gamma)
+        for est in fqe_many(policies, trajs, TrainConfig(gamma=gamma)):
+            assert 0.0 <= est.initial_value <= bound * (1 + 1e-12)
 
 
 class TestRankPolicies:

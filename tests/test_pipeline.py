@@ -11,7 +11,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from test_ope import reference_fqe_network
 from twinmdp import abstraction, pipeline
 from twinmdp.abstraction import load_abstract_corpus
 from twinmdp.cli import main as cli_main
@@ -19,7 +18,7 @@ from twinmdp.context import CeConfig
 from twinmdp.errors import ConfigInvalid, MalformedRecord, MissingArtifact, MissingCandidateSets
 from twinmdp.nets import Mlp
 from twinmdp.offline_rl import FullVocabulary, NetworkQ, TrainConfig, build_transitions
-from twinmdp.ope import FqeEstimate, fqe
+from twinmdp.ope import fqe
 from twinmdp.pipeline import (
     MAX_ARMS,
     RANGES,
@@ -287,36 +286,23 @@ class TestStages:
 
     def test_robustness_sweep_equals_one_policy_fqe_loops(self, finished_run, tmp_path,
                                                           monkeypatch):
-        # the sweep scores its 8 policies in one lockstep FQE call; the file
-        # is byte for byte the one that one FQE fit per policy writes, and its
-        # values are those of the full-row FQE loop up to summation order
+        # the sweep scores its 8 policies in one FQE call; the file is byte
+        # for byte the one that one FQE fit per policy writes
         out, _ = finished_run
-        lockstep, one_by_one, loop = (tmp_path / "lockstep", tmp_path / "one_by_one",
-                                      tmp_path / "loop")
-        for copy in (lockstep, one_by_one, loop):
+        together, one_by_one = tmp_path / "together", tmp_path / "one_by_one"
+        for copy in (together, one_by_one):
             shutil.copytree(out, copy)
         counts = (10, 20, 40, 80)
-        robustness_sweep(small_config(), lockstep, counts=counts)
+        robustness_sweep(small_config(), together, counts=counts)
 
         def per_policy(policies, table, cfg, tol=1e-5, **_):
             return [fqe(p, table, cfg, tol=tol) for p in policies]
 
-        def per_policy_loop(policies, table, cfg, tol=1e-5, **_):
-            return [FqeEstimate(qhat=None, target_policy_id="",
-                                initial_value=reference_fqe_network(table, p, cfg, tol)[1])
-                    for p in policies]
-
         monkeypatch.setattr(pipeline, "fqe_many", per_policy)
         robustness_sweep(small_config(), one_by_one, counts=counts)
         want = (one_by_one / "robustness.json").read_bytes()
-        assert (lockstep / "robustness.json").read_bytes() == want
+        assert (together / "robustness.json").read_bytes() == want
         assert len(json.loads(want)["initial_values"]["bc"]) == len(counts)
-        monkeypatch.setattr(pipeline, "fqe_many", per_policy_loop)
-        robustness_sweep(small_config(), loop, counts=counts)
-        got = json.loads(want)["initial_values"]
-        for method, values in json.loads((loop / "robustness.json").read_text())[
-                "initial_values"].items():
-            np.testing.assert_allclose(got[method], values, rtol=0, atol=1e-12)
 
     def test_each_scenario_graph_gets_one_featurizer(self, finished_run, tmp_path,
                                                      monkeypatch):

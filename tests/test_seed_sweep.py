@@ -15,7 +15,8 @@ ARM, RIVAL, PRUNE = "rl_irl+prioritize", "bc+prioritize", "rl_irl+prune"
 
 
 def run(seed, gain, *, significant=True, p_adjusted=0.01, rank=2.0, rival_rank=3.0,
-        explored=5.0, sha="a", elapsed=10.0, ranking=("rl_irl", "rl_sparse", "bc")):
+        explored=5.0, sha="a", elapsed=10.0, ranking=("rl_irl", "rl_sparse", "bc"),
+        artifacts=None):
     """A successful run whose baseline recalls 0.5 and explores 6 entities;
     ``gain`` is the prioritize arm's, the other arms gain nothing. ``ranking``
     is the offline order, best first; ``rl_sparse`` has no arm."""
@@ -23,7 +24,8 @@ def run(seed, gain, *, significant=True, p_adjusted=0.01, rank=2.0, rival_rank=3
         return {"pass3_recall_mean": recall, "significant": False, "p_adjusted": 1.0,
                 "avg_rank": 3.5, "mean_entities_explored": 6.0, **extra}
     return {"seed": seed, "ok": True, "returncode": 0, "elapsed_s": elapsed,
-            "report_sha256": sha, "ranking": list(ranking), "methods": {
+            "report_sha256": sha, "ranking": list(ranking),
+            "artifacts_sha256": artifacts or {"report.json": sha}, "methods": {
                 "baseline": method(0.5),
                 ARM: method(0.5 + gain, significant=significant, p_adjusted=p_adjusted,
                             avg_rank=rank),
@@ -81,6 +83,19 @@ def test_paired_change_over_the_seeds_both_trees_ran():
     assert delta["max_abs_change"] == pytest.approx(0.05)
     assert delta["seeds_recall_identical"] == [1]
     assert out["arms"][RIVAL]["seeds_recall_identical"] == [1, 2]
+    assert out["artifacts_changed"] == {"report.json": [2]}
+
+
+def test_changed_artifacts_name_each_file_and_its_seeds():
+    parent = [run(s, 0.2, artifacts={"ranking.json": "r", "report.json": "a"})
+              for s in (1, 2, 3)]
+    change = [run(1, 0.2, artifacts={"ranking.json": "r2", "report.json": "a"}),
+              run(2, 0.2, artifacts={"ranking.json": "r", "report.json": "a"}),
+              run(3, 0.2, artifacts={"ranking.json": "r2", "report.json": "a",
+                                     "extra.json": "x"})]
+    out = seed_sweep.paired(parent, change)
+    assert out["artifacts_changed"] == {"extra.json": [3], "ranking.json": [1, 3]}
+    assert out["seeds_report_identical"] == [1, 2, 3]
 
 
 def test_ranking_fidelity_per_seed_and_its_means():
