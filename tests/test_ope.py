@@ -210,6 +210,85 @@ def network_policy(seed, temperature, state_dim=3, action_dim=2, hidden=8):
     return QPolicy(q=q, temperature=temperature)
 
 
+def reference_fqe_rows(table, policy, gamma, tol, max_sweeps):
+    """The row-cell sweep as a per-step loop over one row per entry: its
+    initial value and the number of sweeps it ran. A cell is a distinct row's
+    bytes; each sweep sets every taken cell to the mean Bellman target of the
+    steps that take it and stops once no cell moves by ``tol``."""
+    off, full = table.cand_offsets, table.rows(table.encoding)
+    pi = per_step_policy_probs(table, policy)
+    cells = {}
+    entry_cell = [cells.setdefault(row.tobytes(), len(cells)) for row in full]
+
+    def step_value(q, i):
+        return sum(pi[e] * q[entry_cell[e]] for e in range(off[i], off[i + 1]))
+
+    q = [0.0] * len(cells)
+    for sweeps in range(1, max_sweeps + 1):
+        sums, counts = [0.0] * len(cells), [0] * len(cells)
+        for i in range(table.n):
+            u = entry_cell[table.taken[i]]
+            target = table.rewards[i]
+            if not table.terminal[i]:
+                target += gamma * step_value(q, table.next_step[i])
+            sums[u] += target
+            counts[u] += 1
+        new_q = [s / c if c else 0.0 for s, c in zip(sums, counts)]
+        delta = max(abs(a - b) for a, b in zip(new_q, q))
+        q = new_q
+        if delta < tol:
+            break
+    return float(np.mean([step_value(q, i) for i in table.episode_starts])), sweeps
+
+
+class TestLockstepNetworkFqe:
+    """One fqe_many call on several network policies: each estimate equals
+    its own fqe call and the per-step reference sweep, whether the policies'
+    sweeps all run to max_sweeps or stop at different counts."""
+    CFG = TrainConfig(gamma=0.9)
+
+    @pytest.mark.parametrize("tol,distinct_stops", [(0.0, False), (1e-3, True)],
+                             ids=["no_early_stop", "stops_at_different_rounds"])
+    def test_stack_equals_one_policy_fits(self, tol, distinct_stops):
+        trajs = duplicated_corpus(np.random.default_rng(1))
+        table = build_transitions(trajs)
+        policies = [network_policy(1, 0.05), network_policy(2, 1.0), network_policy(3, 20.0)]
+        want = [reference_fqe_rows(table, p, self.CFG.gamma, tol, 60) for p in policies]
+        stops = [sweeps for _, sweeps in want]
+        assert len(set(stops)) == (3 if distinct_stops else 1)
+        assert distinct_stops or stops[0] == 60
+        estimates = fqe_many(policies, table, self.CFG, tol=tol, max_sweeps=60)
+        for policy, est, (value, _) in zip(policies, estimates, want):
+            alone = fqe(policy, trajs, self.CFG, tol=tol, max_sweeps=60)
+            assert est.initial_value == alone.initial_value
+            # the reference sums entry by entry, the sweep by np.bincount
+            assert est.initial_value == pytest.approx(value, rel=0, abs=1e-12)
+        ranked = rank_policies([(p, {"id": f"p{i}"}) for i, p in enumerate(policies)],
+                               trajs, self.CFG, k=3)
+        default = fqe_many(policies, table, self.CFG)
+        for entry in ranked:
+            i = int(entry["id"][1])
+            assert entry["initial_value"] == default[i].initial_value
+            assert entry["initial_value"] == pytest.approx(
+                reference_fqe_rows(table, policies[i], self.CFG.gamma, 1e-5, 500)[0],
+                rel=0, abs=1e-12)
+
+
+class TestDistinctRowFqe:
+    def test_stack_equals_one_policy_fits(self):
+        """On a table whose every entry repeats one of 12 rows, each of one
+        fqe_many call's estimates equals its own fqe call."""
+        table = build_transitions(duplicated_corpus(np.random.default_rng(3)))
+        assert len(table.cand_rows) <= 12 < len(table.row_id)
+        policies = [network_policy(4, 1.0), network_policy(5, 0.5), network_policy(6, 2.0)]
+        cfg = TrainConfig(gamma=0.7)
+        for policy, est in zip(policies, fqe_many(policies, table, cfg, tol=1e-3)):
+            alone = fqe(policy, table, cfg, tol=1e-3)
+            assert est.initial_value == alone.initial_value
+            assert est.initial_value == pytest.approx(
+                reference_fqe_rows(table, policy, cfg.gamma, 1e-3, 500)[0], rel=0, abs=1e-12)
+
+
 def empirical_mdp_initial_value(trajs, policy, gamma):
     """The initial value of ``policy`` on the empirical MDP over the corpus's
     distinct (state, action) rows, from one linear solve of Q = r + gamma P Q.
