@@ -18,10 +18,15 @@ network rows once per distinct (state, action) row, with a row id per
 candidate entry; FQE keeps one Q cell per such row. Network CQL and BC
 train in one loop, ``minibatch_train``, which forwards and backprops each
 distinct row of a batch once (``nets``' distinct-row rule).
-``TransitionTable.gather`` selects a batch's candidate entries with their
-owning step, and ``TransitionTable.backup`` is the one Bellman backup, for
-CQL and FQE alike. Network CQL builds every step's target once per target
-refresh, from one forward over the distinct rows.
+``TransitionTable.backup`` is the one Bellman backup, for CQL and FQE alike.
+
+The loop plans its batches ahead, up to PLAN_BATCHES at a time within a
+target-refresh block: it draws them, and ``TransitionTable.plan`` lays them
+all out at once with vectorized index arithmetic (each batch's candidate entries, their distinct
+rows, each step's first and taken entry, and its Bellman target). A learner
+is then a plain function of one planned ``Batch`` and its entries' outputs,
+returning their gradient. Network CQL builds every step's target once per
+target refresh, from one forward over the distinct rows.
 """
 
 from __future__ import annotations
@@ -44,10 +49,11 @@ from .errors import (
 from .nets import (
     Adam,
     Mlp,
+    PLAN_BATCHES,
     distinct_rows,
     grouped_max,
     grouped_softmax,
-    present_rows,
+    plan_rows,
     row_sums,
 )
 from .trajectories import read_json, write_json
@@ -173,6 +179,58 @@ class TransitionTable:
         first = np.cumsum(counts) - counts
         return np.arange(len(group)) + (starts - first)[group], group
 
+    def plan(self, batches: np.ndarray, targets: np.ndarray | None = None) -> list["Batch"]:
+        """Each row of the (K, b) step array ``batches`` as one planned Batch,
+        laid out for all K at once; ``targets`` are per-step Bellman targets."""
+        n_batches, size = batches.shape
+        steps = batches.ravel()
+        idx, group = self.gather(steps)
+        owner = group // size
+        present, row_bounds, entry_row = plan_rows(self.row_id[idx], owner, n_batches,
+                                                   len(self.cand_rows))
+        counts = self.cand_offsets[steps + 1] - self.cand_offsets[steps]
+        first = np.cumsum(counts) - counts
+        entry_bounds = np.append(first[::size], len(idx))
+        base = np.repeat(entry_bounds[:-1], size)  # each step's batch's first entry
+        starts = first - base
+        taken = starts + self.taken[steps] - self.cand_offsets[steps]
+        group -= owner * size
+        target = [None] * n_batches if targets is None else targets[batches]
+        return [Batch(present=present[row_bounds[k]:row_bounds[k + 1]],
+                      entry_row=entry_row[e0:e1], group=group[e0:e1],
+                      starts=starts[k * size:(k + 1) * size],
+                      taken=taken[k * size:(k + 1) * size], target=target[k])
+                for k, (e0, e1) in enumerate(zip(entry_bounds[:-1], entry_bounds[1:]))]
+
+
+@dataclass(frozen=True)
+class Batch:
+    """One minibatch step of a TransitionTable, laid out ahead of its pass.
+
+    The batch's candidate entries run step by step; ``present`` are the ids of
+    the distinct rows they name, ascending, and ``entry_row`` is each entry's
+    position among them. ``group`` is each entry's step, ``starts``
+    and ``taken`` each step's first and taken entry, and ``target`` each
+    step's Bellman target (None for a learner that does not bootstrap).
+    """
+
+    present: np.ndarray
+    entry_row: np.ndarray
+    group: np.ndarray
+    starts: np.ndarray
+    taken: np.ndarray
+    target: np.ndarray | None
+
+    @property
+    def size(self) -> int:
+        return len(self.starts)
+
+    def softmax(self, out: np.ndarray) -> np.ndarray:
+        """Each step's softmax over its entries' outputs (``grouped_softmax``,
+        with the group max as one reduceat over the steps' entry runs)."""
+        expd = np.exp(out - np.maximum.reduceat(out, self.starts)[self.group])
+        return expd / np.bincount(self.group, expd, self.size)[self.group]
+
 
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
@@ -207,7 +265,7 @@ def build_transitions(trajs: list[AbstractTrajectory],
     if full and not index_actions:
         raise MissingCandidateSets("a full vocabulary needs index actions")
     dtype = int if index_actions else float
-    states, rewards, next_step, starts, cands, taken = [], [], [], [], [], []
+    states, rewards, next_step, starts, cands, actions = [], [], [], [], [], []
     for traj in trajs:
         starts.append(len(states))
         for t, step in enumerate(traj.steps):
@@ -216,20 +274,25 @@ def build_transitions(trajs: list[AbstractTrajectory],
                     f"trajectory {traj.trajectory_id} turn {t} has no candidates"
                 )
             recorded = np.asarray(step.candidates, dtype=dtype)
-            pos = _find_action(recorded, np.asarray(step.action, dtype=dtype))
-            if full:
-                if not 0 <= step.action < action_space.size:
-                    raise MalformedRecord(
-                        f"action {step.action} outside the vocabulary of {action_space.size}"
-                    )
-                recorded, pos = np.arange(action_space.size), int(step.action)
+            action = np.asarray(step.action, dtype=dtype)
+            if recorded.shape[1:] != action.shape:
+                raise MalformedRecord("taken action missing from its candidate set")
             next_step.append(-1 if t == len(traj.steps) - 1 else len(states) + 1)
             states.append(np.asarray(step.state, dtype=float))
             rewards.append(step.reward)
-            taken.append(pos)
+            actions.append(action)
             cands.append(recorded)
     offsets = np.concatenate([[0], np.cumsum([len(c) for c in cands])])
     flat = np.concatenate(cands)
+    actions = np.stack(actions)
+    taken = _first_matches(flat, offsets, actions)
+    if full:
+        outside = (actions < 0) | (actions >= action_space.size)
+        if outside.any():
+            raise MalformedRecord(f"action {actions[outside][0]} outside the vocabulary "
+                                  f"of {action_space.size}")
+        offsets = np.arange(len(actions) + 1) * action_space.size
+        flat, taken = np.tile(np.arange(action_space.size), len(actions)), actions
     next_step = np.asarray(next_step)
     return TransitionTable(
         states=np.stack(states),
@@ -238,18 +301,23 @@ def build_transitions(trajs: list[AbstractTrajectory],
         next_step=next_step,
         episode_starts=np.asarray(starts),
         cand_offsets=offsets,
-        taken=offsets[:-1] + np.asarray(taken),
+        taken=offsets[:-1] + taken,
         cand_ids=flat if index_actions else None,
         cand_feats=None if index_actions else flat,
     )
 
 
-def _find_action(recorded: np.ndarray, action: np.ndarray) -> int:
-    if recorded.shape[1:] == action.shape:
-        hits = np.flatnonzero((recorded == action).reshape(len(recorded), -1).all(axis=1))
-        if len(hits):
-            return int(hits[0])
-    raise MalformedRecord("taken action missing from its candidate set")
+def _first_matches(flat: np.ndarray, offsets: np.ndarray, actions: np.ndarray) -> np.ndarray:
+    """Each step's first recorded candidate equal to its action, as a position
+    in the step's candidates, for every step in one pass."""
+    step = np.repeat(np.arange(len(actions)), np.diff(offsets))
+    hits = np.flatnonzero((flat == actions[step]).reshape(len(flat), -1).all(axis=1))
+    first = np.ones(len(hits), dtype=bool)
+    first[1:] = step[hits[1:]] != step[hits[:-1]]
+    hits = hits[first]
+    if len(hits) < len(actions):
+        raise MalformedRecord("taken action missing from its candidate set")
+    return hits - offsets[:-1]
 
 
 # --- Q functions -------------------------------------------------------------------
@@ -399,52 +467,53 @@ def network_q(table: TransitionTable, net: Mlp, gamma: float) -> NetworkQ:
                     action_encoding=table.encoding, gamma=gamma)
 
 
-def minibatch_train(table: TransitionTable, cfg: TrainConfig, learner, refresh=None) -> Mlp:
+def minibatch_train(table: TransitionTable, cfg: TrainConfig, learner, targets=None) -> Mlp:
     """The one minibatch loop of network CQL and BC: cfg.iterations Adam steps
-    on a cfg.seed network, each on a batch drawn by a cfg.seed rng. The
-    generator ``learner(batch)`` yields its entries' row ids (into
-    ``table.cand_rows``), is sent each entry's output and yields each entry's
-    dout; the step forwards and backprops each distinct row once. Before step
-    0 and every target_refresh steps ``refresh(net)`` runs on the live network
-    (a learner that bootstraps builds its targets there)."""
-    rows = table.cand_rows
-    net = Mlp(rows.shape[1], cfg.hidden_units, seed=cfg.seed)
+    on a cfg.seed network, each on a batch drawn by a cfg.seed rng.
+
+    The steps run in blocks of cfg.target_refresh. At the start of a block
+    ``targets(net)``, when given, returns every step's Bellman target under
+    the live network. The block's batches are drawn and planned up to
+    PLAN_BATCHES at a time (``TransitionTable.plan``). Each step forwards its
+    batch's distinct rows once, ``learner(batch, out)`` turns its entries'
+    outputs into their gradient, and each row's summed entry gradients are
+    backpropagated.
+    """
+    net = Mlp(table.cand_rows.shape[1], cfg.hidden_units, seed=cfg.seed)
     optimizer = Adam(net.params, step_size=cfg.step_size)
     rng = np.random.default_rng(cfg.seed)
-    for step in range(cfg.iterations):
-        if refresh is not None and step % cfg.target_refresh == 0:
-            refresh(net)
-        batch = rng.choice(table.n, size=min(cfg.batch_size, table.n), replace=False)
-        loss = learner(batch)
-        present, inverse = present_rows(next(loss), len(rows))
-        out, acts = net.forward_cached(rows[present])
-        dout = loss.send(out[inverse])
-        optimizer.step(net.backward(acts, row_sums(dout, inverse, len(present))))
+    size = min(cfg.batch_size, table.n)
+    for block in range(0, cfg.iterations, cfg.target_refresh):
+        boot = None if targets is None else targets(net)
+        block_end = min(block + cfg.target_refresh, cfg.iterations)
+        for start in range(block, block_end, PLAN_BATCHES):
+            batches = np.stack([rng.choice(table.n, size=size, replace=False) for _ in
+                                range(min(PLAN_BATCHES, block_end - start))])
+            for batch in table.plan(batches, boot):
+                out, acts = net.forward_cached(table.cand_rows[batch.present])
+                dout = learner(batch, out[batch.entry_row])
+                optimizer.step(net.backward(acts, row_sums(dout, batch.entry_row,
+                                                           len(batch.present))))
     return net
 
 
 def _cql_network(table: TransitionTable, cfg: TrainConfig) -> NetworkQ:
-    boot = None
-
-    def refresh(net):
+    def targets(net):
         """Every step's Bellman target under the network as it is now."""
-        nonlocal boot
         out = net.forward(table.cand_rows)[table.row_id]
-        boot = table.backup(grouped_max(out, table.cand_step, table.n), cfg.gamma)
+        return table.backup(grouped_max(out, table.cand_step, table.n), cfg.gamma)
 
-    def learner(batch):
-        b = len(batch)
-        idx, group = table.gather(batch)
-        out = yield table.row_id[idx]
-        taken = np.flatnonzero(idx == table.taken[batch][group])
+    def learner(batch, out):
+        b = batch.size
         if cfg.alpha > 0:
-            dout = cfg.alpha * grouped_softmax(out, group, b) / b
+            dout = cfg.alpha * batch.softmax(out) / b
         else:
             dout = np.zeros_like(out)
-        dout[taken] += 2.0 * (out[taken] - boot[batch]) / b - cfg.alpha / b
-        yield dout
+        taken = batch.taken
+        dout[taken] += 2.0 * (out[taken] - batch.target) / b - cfg.alpha / b
+        return dout
 
-    return network_q(table, minibatch_train(table, cfg, learner, refresh=refresh), cfg.gamma)
+    return network_q(table, minibatch_train(table, cfg, learner, targets), cfg.gamma)
 
 
 # --- behavior cloning ---------------------------------------------------------------
@@ -466,13 +535,10 @@ def bc_train(trajs, cfg: TrainConfig, action_space=CandidateSet()) -> QPolicy:
         return QPolicy(q=TabularQ(state_index=index, q=q, gamma=cfg.gamma),
                        temperature=cfg.temperature)
 
-    def learner(batch):
-        b = len(batch)
-        idx, group = table.gather(batch)
-        out = yield table.row_id[idx]
-        dout = grouped_softmax(out, group, b) / b
-        dout[idx == table.taken[batch][group]] -= 1.0 / b
-        yield dout
+    def learner(batch, out):
+        dout = batch.softmax(out) / batch.size
+        dout[batch.taken] -= 1.0 / batch.size
+        return dout
 
     net = minibatch_train(table, cfg, learner)
     return QPolicy(q=network_q(table, net, cfg.gamma), temperature=cfg.temperature)

@@ -46,8 +46,11 @@ def fqe(policy: QPolicy, eval_trajs, cfg: TrainConfig, action_space=CandidateSet
     ``action_space``; a table is only read, so one can score many policies.
     The evaluation set should be disjoint from the policy's training data;
     that split is the caller's responsibility. Of ``cfg`` only the discount,
-    ``cfg.gamma``, is read. The sweep stops once no cell moves by ``tol`` or
-    after ``max_sweeps``.
+    ``cfg.gamma``, is read. The sweep stops after ``max_sweeps``, or once the
+    largest cell change delta of a sweep has delta * gamma <= tol * (1 - gamma).
+    The sweep is a gamma-contraction in the largest cell error, so every cell,
+    and with them the initial value, is then within ``tol`` of the fixed
+    point; at gamma = 0 the first sweep is exact.
     """
     return fqe_many([policy], eval_trajs, cfg, action_space, [policy_id], tol,
                     max_sweeps)[0]
@@ -80,7 +83,7 @@ def _fqe_rows(table, policy, cfg, tol, max_sweeps) -> float:
         new_q[seen] = sums[seen] / counts[seen]
         delta = float(np.max(np.abs(new_q - q)))
         q = new_q
-        if delta < tol:
+        if delta * cfg.gamma <= tol * (1.0 - cfg.gamma):
             break
 
     expectation = np.bincount(group, weights=pi_flat * q[row_id], minlength=table.n)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .abstraction import AbstractTrajectory
 from .errors import DimensionMismatch, EmptyPairSet, MalformedRecord, check_ranges, ranged
-from .nets import Adam, Mlp, distinct_rows, present_rows, row_sums
+from .nets import PLAN_BATCHES, Adam, Mlp, distinct_rows, plan_rows, row_sums
 from .offline_rl import encode_rows
 from .trajectories import JudgeScores, read_json, write_json
 
@@ -79,9 +79,11 @@ def build_pairs(
 # Training encodes every trajectory once into one packed StepRows table, whose
 # network rows are stored once per distinct (state, action) row. The returns,
 # the gradient and the pair accuracy lay out a batch's distinct trajectories
-# by row id, forward each distinct row they name once, as one 2-D call, and
-# sum the rows per trajectory; the gradient backprops each row's summed
-# coefficients (``nets``' distinct-row rule).
+# by row id (``StepRows.plan``), forward each distinct row they name once, as
+# one 2-D call, and sum the rows per trajectory; the gradient backprops each
+# row's summed coefficients (``nets``' distinct-row rule). ``train_reward``
+# draws an epoch's permutation, then plans its batches PLAN_BATCHES at a time,
+# so each ``trex_grad`` call runs only the math that depends on the network.
 
 
 def encode_step_rows(traj: AbstractTrajectory) -> np.ndarray:
@@ -113,29 +115,66 @@ class StepRows:
         rows, row_id = distinct_rows(np.concatenate(encoded))
         return cls(rows, row_id, np.cumsum([0] + [len(r) for r in encoded]))
 
-    def select(self, ids, discount: float = 1.0) -> tuple[np.ndarray, ...]:
-        """The steps of trajectories ``ids``, back to back in ``ids`` order: the
-        distinct rows they name, each step's position among those rows and its
-        discount weight, each trajectory's length, and where its steps start
-        among the selected ones."""
-        ids = np.asarray(ids, dtype=int)
+    def plan(self, ends: np.ndarray, size: int, discount: float = 1.0) -> list["TrexBatch"]:
+        """Batches of trajectory ids laid out at once: ``ends`` cut into runs of
+        ``size``, the last one shorter when it must (for pairs, each pair's
+        lower then higher trajectory)."""
+        bounds = np.append(np.arange(0, len(ends), size), len(ends))
+        n_batches, n_trajs = len(bounds) - 1, len(self.offsets) - 1
+        owner = np.repeat(np.arange(n_batches), np.diff(bounds))
+        keys, inverse = np.unique(owner * n_trajs + ends, return_inverse=True)
+        id_batch, ids = np.divmod(keys, n_trajs)
+        id_bounds = np.searchsorted(id_batch, np.arange(n_batches + 1))
         starts = self.offsets[ids]
         lengths = self.offsets[ids + 1] - starts
         heads = np.cumsum(lengths) - lengths
         pos = np.arange(lengths.sum()) - np.repeat(heads, lengths)
-        present, inverse = present_rows(self.row_id[np.repeat(starts, lengths) + pos],
-                                        len(self.rows))
-        return self.rows[present], inverse, discount ** pos, lengths, heads
+        present, row_bounds, row_of = plan_rows(
+            self.row_id[np.repeat(starts, lengths) + pos], np.repeat(id_batch, lengths),
+            n_batches, len(self.rows))
+        weight = discount ** pos
+        step_bounds = np.append(heads, len(pos))[id_bounds]
+        heads -= step_bounds[id_batch]
+        inverse -= id_bounds[owner]
+        return [TrexBatch(rows=self.rows[present[row_bounds[j]:row_bounds[j + 1]]],
+                          row_of=row_of[step_bounds[j]:step_bounds[j + 1]],
+                          weight=weight[step_bounds[j]:step_bounds[j + 1]],
+                          lengths=lengths[id_bounds[j]:id_bounds[j + 1]],
+                          heads=heads[id_bounds[j]:id_bounds[j + 1]],
+                          ends=inverse[bounds[j]:bounds[j + 1]])
+                for j in range(n_batches)]
 
     def returns(self, net: Mlp, ids, discount: float = 1.0) -> np.ndarray:
         """Predicted (discounted) return of each trajectory in ``ids``."""
-        rows, inverse, weight, _, heads = self.select(ids, discount)
-        return _segment_returns(net.forward(rows)[inverse], weight, heads)
+        ids = np.asarray(ids, dtype=int)
+        if not len(ids):
+            return np.zeros(0)
+        batch = self.plan(ids, len(ids), discount)[0]
+        return batch.returns(net.forward(batch.rows))[batch.ends]
 
 
-def _segment_returns(out: np.ndarray, weight: np.ndarray, heads: np.ndarray) -> np.ndarray:
-    """Each trajectory's weighted sum of per-row rewards, in ``select``'s layout."""
-    return np.add.reduceat(out * weight, heads)
+@dataclass(frozen=True)
+class TrexBatch:
+    """The distinct trajectories of a batch, laid out ahead of its pass: the
+    distinct reward-net rows their steps name, each step's position among
+    those rows and its discount weight, each trajectory's length and where
+    its steps start, and each batch entry's trajectory among the distinct
+    ones (for pairs: lower, higher, pair by pair)."""
+
+    rows: np.ndarray
+    row_of: np.ndarray
+    weight: np.ndarray
+    lengths: np.ndarray
+    heads: np.ndarray
+    ends: np.ndarray
+
+    def __len__(self) -> int:
+        """The number of pairs."""
+        return len(self.ends) // 2
+
+    def returns(self, out: np.ndarray) -> np.ndarray:
+        """Each distinct trajectory's weighted sum of its rows' outputs ``out``."""
+        return np.add.reduceat(out[self.row_of] * self.weight, self.heads)
 
 
 def _end_rows(pairs) -> np.ndarray:
@@ -144,12 +183,6 @@ def _end_rows(pairs) -> np.ndarray:
     if isinstance(pairs, np.ndarray):
         return pairs
     return np.array([(p.lower, p.higher) for p in pairs], dtype=int).reshape(-1, 2)
-
-
-def _pair_ends(pairs) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct pair ends, and each pair end's index among them, in pair
-    order (lower, then higher)."""
-    return np.unique(_end_rows(pairs).ravel(), return_inverse=True)
 
 
 def new_reward_net(input_dim: int, hidden_units: int = 256, seed: int = 0) -> Mlp:
@@ -168,24 +201,26 @@ def trex_loss(net: Mlp, pair: PreferencePair, trajs, discount: float = 1.0) -> f
     return float(np.logaddexp(0.0, g_low - g_high))
 
 
-def trex_grad(net: Mlp, batch, trajs, discount: float = 1.0) -> np.ndarray:
+def trex_grad(net: Mlp, batch, trajs=None, discount: float = 1.0) -> np.ndarray:
     """Exact gradient of the mean batch loss w.r.t. ``net.params``.
 
-    ``batch`` is a list of PreferencePair or an (n, 2) array of their (lower,
-    higher) rows; ``trajs`` is a trajectory list or its packed StepRows.
+    ``batch`` is a planned TrexBatch of pairs, or a list of PreferencePair
+    or an (n, 2) array of their (lower, higher) rows, which is planned here
+    on ``trajs`` (a trajectory list or its packed StepRows) and ``discount``.
     """
     if len(batch) == 0:
         raise EmptyPairSet("gradient of an empty batch")
-    ids, inverse = _pair_ends(batch)
-    rows, row_of, weight, lengths, heads = StepRows.pack(trajs).select(ids, discount)
-    out, acts = net.forward_cached(rows)
-    g = _segment_returns(out[row_of], weight, heads)[inverse].reshape(-1, 2)
+    if not isinstance(batch, TrexBatch):
+        ends = _end_rows(batch).ravel()
+        batch = StepRows.pack(trajs).plan(ends, len(ends), discount)[0]
+    out, acts = net.forward_cached(batch.rows)
+    g = batch.returns(out)[batch.ends].reshape(-1, 2)
     sig = 1.0 / (1.0 + np.exp(-(g[:, 0] - g[:, 1])))
     # d(mean loss)/d G of each distinct trajectory, of each of its steps, then
     # of each distinct row
-    coeff = np.bincount(inverse, np.stack([sig, -sig], 1).ravel(), len(ids))
-    return net.backward(acts, row_sums(np.repeat(coeff, lengths) * weight / len(batch),
-                                       row_of, len(rows)))
+    coeff = np.bincount(batch.ends, (sig[:, None] * (1.0, -1.0)).ravel(), len(batch.lengths))
+    return net.backward(acts, row_sums(np.repeat(coeff, batch.lengths) * batch.weight
+                                       / len(batch), batch.row_of, len(batch.rows)))
 
 
 def pair_accuracy(net: Mlp, pairs, trajs, discount: float = 1.0) -> float:
@@ -196,8 +231,8 @@ def pair_accuracy(net: Mlp, pairs, trajs, discount: float = 1.0) -> float:
     """
     if len(pairs) == 0:
         raise EmptyPairSet("accuracy of an empty pair set")
-    ids, inverse = _pair_ends(pairs)
-    g = StepRows.pack(trajs).returns(net, ids, discount)[inverse].reshape(-1, 2)
+    ends = _end_rows(pairs).ravel()
+    g = StepRows.pack(trajs).returns(net, ends, discount).reshape(-1, 2)
     return int(np.count_nonzero(g[:, 1] > g[:, 0])) / len(pairs)
 
 
@@ -238,12 +273,12 @@ def train_reward(pairs, trajs, config: RewardTrainConfig = RewardTrainConfig()) 
     best_params = net.params.copy()
     best_acc = pair_accuracy(net, holdout, trajs, config.discount) if n_hold else -1.0
 
+    size, per_plan = 2 * config.batch_size, 2 * config.batch_size * PLAN_BATCHES
     for _ in range(config.epochs):
-        perm = rng.permutation(len(train))
-        for start in range(0, len(train), config.batch_size):
-            batch = train[perm[start : start + config.batch_size]]
-            grads = trex_grad(net, batch, trajs, config.discount)
-            optimizer.step(grads)
+        ends = train[rng.permutation(len(train))].ravel()  # lower, higher, pair by pair
+        for start in range(0, len(ends), per_plan):
+            for batch in trajs.plan(ends[start:start + per_plan], size, config.discount):
+                optimizer.step(trex_grad(net, batch))
         if n_hold:
             acc = pair_accuracy(net, holdout, trajs, config.discount)
             if acc > best_acc:

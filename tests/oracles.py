@@ -2,7 +2,10 @@
 
 Everything here is deliberately naive (dense matrices, exhaustive
 enumeration, quadratic loops, high-precision arithmetic) and never shares
-code with the implementations under test.
+code with the implementations under test. The training-loop references at
+the end drive the package's own network and optimizer, but do every step's
+index bookkeeping inside the step, as the loops did before they planned
+their batches ahead.
 """
 
 from __future__ import annotations
@@ -11,6 +14,8 @@ import itertools
 
 import mpmath
 import numpy as np
+
+from twinmdp.nets import Adam, Mlp
 
 
 def floyd_warshall(n: int, edges: list[tuple[int, int]]) -> np.ndarray:
@@ -277,3 +282,135 @@ def grouped_softmax_add_at(scores, group_ids, n_groups):
     gsum = np.zeros(n_groups)
     np.add.at(gsum, group_ids, expd)
     return expd / gsum[group_ids]
+
+
+# --- the per-step training loops that the planned loops replaced -----------------------
+
+def _entries(offsets, steps):
+    """Candidate entries of ``steps`` in order, and each entry's position in ``steps``."""
+    idx = np.concatenate([np.arange(offsets[s], offsets[s + 1]) for s in steps])
+    return idx, np.repeat(np.arange(len(steps)), offsets[steps + 1] - offsets[steps])
+
+
+def minibatch_train_per_step(table, cfg, learner, refresh=None):
+    """Network CQL's and BC's minibatch loop with each step's bookkeeping in the
+    step: the generator ``learner(batch)`` yields its entries' row ids, is sent
+    each entry's output and yields each entry's dout. ``refresh(net)`` runs
+    before step 0 and every target_refresh steps."""
+    rows = table.cand_rows
+    net = Mlp(rows.shape[1], cfg.hidden_units, seed=cfg.seed)
+    optimizer = Adam(net.params, step_size=cfg.step_size)
+    rng = np.random.default_rng(cfg.seed)
+    for step in range(cfg.iterations):
+        if refresh is not None and step % cfg.target_refresh == 0:
+            refresh(net)
+        batch = rng.choice(table.n, size=min(cfg.batch_size, table.n), replace=False)
+        loss = learner(batch)
+        present, inverse = np.unique(next(loss), return_inverse=True)
+        out, acts = net.forward_cached(rows[present])
+        dout = loss.send(out[inverse])
+        optimizer.step(net.backward(acts, np.bincount(inverse, dout, len(present))))
+    return net
+
+
+def cql_network_per_step(table, cfg):
+    """Network CQL's parameters from ``minibatch_train_per_step``."""
+    boot = None
+
+    def refresh(net):
+        nonlocal boot
+        out = net.forward(table.cand_rows)[table.row_id]
+        best = np.full(table.n, -np.inf)
+        np.maximum.at(best, table.cand_step, out)
+        live = ~table.terminal
+        boot = table.rewards.copy()
+        boot[live] += cfg.gamma * best[table.next_step[live]]
+
+    def learner(batch):
+        b = len(batch)
+        idx, group = _entries(table.cand_offsets, batch)
+        out = yield table.row_id[idx]
+        taken = np.flatnonzero(idx == table.taken[batch][group])
+        if cfg.alpha > 0:
+            dout = cfg.alpha * grouped_softmax_add_at(out, group, b) / b
+        else:
+            dout = np.zeros_like(out)
+        dout[taken] += 2.0 * (out[taken] - boot[batch]) / b - cfg.alpha / b
+        yield dout
+
+    return minibatch_train_per_step(table, cfg, learner, refresh).params
+
+
+def bc_network_per_step(table, cfg):
+    """Network BC's parameters from ``minibatch_train_per_step``."""
+    def learner(batch):
+        b = len(batch)
+        idx, group = _entries(table.cand_offsets, batch)
+        out = yield table.row_id[idx]
+        dout = grouped_softmax_add_at(out, group, b) / b
+        dout[idx == table.taken[batch][group]] -= 1.0 / b
+        yield dout
+
+    return minibatch_train_per_step(table, cfg, learner).params
+
+
+def _trajectory_layout(packed, ends, discount):
+    """The distinct trajectories of pair rows ``ends`` and the layout of their steps."""
+    ids, inverse = np.unique(ends.ravel(), return_inverse=True)
+    starts = packed.offsets[ids]
+    lengths = packed.offsets[ids + 1] - starts
+    heads = np.cumsum(lengths) - lengths
+    pos = np.arange(lengths.sum()) - np.repeat(heads, lengths)
+    present, row_of = np.unique(packed.row_id[np.repeat(starts, lengths) + pos],
+                                return_inverse=True)
+    return inverse, lengths, heads, present, row_of, discount ** pos
+
+
+def trex_grad_per_batch(net, ends, packed, discount=1.0):
+    """The T-REX gradient of one batch of (lower, higher) rows ``ends`` on a
+    packed StepRows, laid out inside the call."""
+    inverse, lengths, heads, present, row_of, weight = _trajectory_layout(packed, ends,
+                                                                          discount)
+    out, acts = net.forward_cached(packed.rows[present])
+    g = np.add.reduceat(out[row_of] * weight, heads)[inverse].reshape(-1, 2)
+    sig = 1.0 / (1.0 + np.exp(-(g[:, 0] - g[:, 1])))
+    coeff = np.bincount(inverse, np.stack([sig, -sig], 1).ravel(), len(lengths))
+    return net.backward(acts, np.bincount(row_of, np.repeat(coeff, lengths) * weight
+                                          / len(ends), len(present)))
+
+
+def pair_accuracy_per_batch(net, ends, packed, discount=1.0):
+    """Share of (lower, higher) rows whose predicted returns agree, laid out
+    inside the call."""
+    inverse, _, heads, present, row_of, weight = _trajectory_layout(packed, ends, discount)
+    out = net.forward(packed.rows[present])
+    g = np.add.reduceat(out[row_of] * weight, heads)[inverse].reshape(-1, 2)
+    return int(np.count_nonzero(g[:, 1] > g[:, 0])) / len(ends)
+
+
+def train_reward_per_batch(pairs, packed, config, grad=trex_grad_per_batch,
+                           accuracy=pair_accuracy_per_batch):
+    """``train_reward``'s loop with one ``grad(net, ends, packed, discount)``
+    call per batch of (lower, higher) rows, drawn batch by batch, and
+    ``accuracy`` for the held-out snapshot."""
+    ends = np.array([(p.lower, p.higher) for p in pairs], dtype=int).reshape(-1, 2)
+    net = Mlp(packed.rows.shape[1], config.hidden_units, seed=config.seed)
+    rng = np.random.default_rng(config.seed)
+    order = rng.permutation(len(ends))
+    n_hold = min(int(round(config.holdout_fraction * len(ends))), len(ends) - 1)
+    holdout, train = ends[order[:n_hold]], ends[order[n_hold:]]
+    optimizer = Adam(net.params, step_size=config.step_size)
+    best_params = net.params.copy()
+    best_acc = accuracy(net, holdout, packed, config.discount) if n_hold else -1.0
+    for _ in range(config.epochs):
+        perm = rng.permutation(len(train))
+        for start in range(0, len(train), config.batch_size):
+            batch = train[perm[start : start + config.batch_size]]
+            optimizer.step(grad(net, batch, packed, config.discount))
+        if n_hold:
+            acc = accuracy(net, holdout, packed, config.discount)
+            if acc > best_acc:
+                best_acc, best_params = acc, net.params.copy()
+    if n_hold:
+        net.params[:] = best_params
+    return net

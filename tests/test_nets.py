@@ -225,6 +225,22 @@ class TestDistinctRows:
             assert np.array_equal(present, want)
             assert np.array_equal(inverse, want_inverse)
 
+    def test_plan_rows_equal_np_unique_per_batch(self):
+        """Planning K batches at once gives each batch its own np.unique: its
+        distinct ids ascending, back to back, and each id's position among
+        them, also for empty batches and batches that share every id."""
+        rng = np.random.default_rng(2)
+        for n_rows, sizes in ((1, [5, 0, 2]), (12, [3, 40, 1, 0]), (361, [243] * 6)):
+            batches = [rng.integers(0, n_rows, size=k) for k in sizes]
+            owner = np.repeat(np.arange(len(sizes)), sizes)
+            present, bounds, inverse = nets.plan_rows(np.concatenate(batches), owner,
+                                                      len(sizes), n_rows)
+            assert bounds[0] == 0 and bounds[-1] == len(present)
+            for k, ids in enumerate(batches):
+                want, want_inverse = np.unique(ids, return_inverse=True)
+                assert np.array_equal(present[bounds[k]:bounds[k + 1]], want)
+                assert np.array_equal(inverse[owner == k], want_inverse)
+
     @pytest.mark.parametrize("hidden", [1, 16, 256])
     def test_distinct_row_pass_equals_the_full_row_pass(self, hidden):
         """Forwarding the distinct rows once and backpropagating each row's

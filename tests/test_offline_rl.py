@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from oracles import softmax_mp
+from oracles import bc_network_per_step, cql_network_per_step, softmax_mp
 from test_nets import assert_close
 from twinmdp.abstraction import AbstractStep, AbstractTrajectory
 from twinmdp.errors import DimensionMismatch, EmptyData, MalformedRecord
@@ -348,6 +348,91 @@ def test_network_cql_target_cache_matches_the_target_forward(hidden, batch_size,
     got = cql_train(trajs, cfg)
     np.testing.assert_allclose(got.net.params, reference_cql_network(table, cfg).params,
                                rtol=0, atol=1e-12)
+
+
+# --- the planned loop against the per-step loop it replaced -----------------------------
+
+@pytest.mark.parametrize("corpus,iterations,refresh,batch_size", [
+    ("feature", 60, 20, 8), ("feature", 50, 20, 8), ("feature", 7, 20, 8),
+    ("feature", 30, 1, 8), ("feature", 130, 120, 8), ("duplicated", 45, 10, 16),
+    ("feature", 25, 10, 500)],
+    ids=["whole_blocks", "partial_last_block", "one_partial_block", "block_per_step",
+         "plans_within_a_block", "repeated_rows", "batch_covers_the_table"])
+@pytest.mark.parametrize("fit", ["cql_alpha_0", "cql_alpha_1", "bc"])
+def test_planned_loop_equals_the_per_step_loop(corpus, iterations, refresh, batch_size,
+                                               fit):
+    """Planning each target-refresh block's batches ahead runs the same
+    operations on the same arrays as the per-step loop, so the parameters are
+    equal bit for bit, with or without a partial last block, when a block takes
+    several plans (130 steps, refresh 120: plans of 50, 50, 20 and 10), and
+    when a batch is the whole table."""
+    make = feature_corpus if corpus == "feature" else duplicated_corpus
+    trajs = make(np.random.default_rng(iterations))
+    table = build_transitions(trajs)
+    assert (batch_size >= table.n) == (corpus == "feature" and batch_size == 500)
+    cfg = TrainConfig(alpha=1.0 if fit == "cql_alpha_1" else 0.0, gamma=0.7,
+                      iterations=iterations, batch_size=batch_size, hidden_units=8,
+                      target_refresh=refresh, step_size=1e-2, seed=5)
+    if fit == "bc":
+        got, want = bc_train(trajs, cfg).q.net.params, bc_network_per_step(table, cfg)
+    else:
+        got, want = cql_train(trajs, cfg).net.params, cql_network_per_step(table, cfg)
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("fit", [cql_train, bc_train], ids=["cql", "bc"])
+def test_one_adam_step_and_one_pass_per_iteration(fit, monkeypatch):
+    """The benchmark's layer counts stay truthful: the planned loop makes one
+    Adam step, one cached forward and one backward per iteration."""
+    calls = {"step": 0, "forward_cached": 0, "backward": 0}
+
+    def counting(cls, name):
+        original = getattr(cls, name)
+
+        def wrapper(self, *args):
+            calls[name] += 1
+            return original(self, *args)
+        monkeypatch.setattr(cls, name, wrapper)
+
+    counting(Adam, "step")
+    counting(Mlp, "forward_cached")
+    counting(Mlp, "backward")
+    cfg = TrainConfig(iterations=47, target_refresh=10, batch_size=8, hidden_units=8, seed=1)
+    fit(feature_corpus(np.random.default_rng(4)), cfg)
+    assert calls == {"step": 47, "forward_cached": 47, "backward": 47}
+
+
+def test_taken_entry_is_the_first_match_of_each_step():
+    """The one-pass search finds what a per-step scan finds: each step's first
+    recorded candidate equal to its action, also when the action repeats."""
+    rng = np.random.default_rng(6)
+    trajs = feature_corpus(rng, n_episodes=15)
+    for traj in trajs[::2]:
+        for step in traj.steps:
+            step.candidates.insert(int(rng.integers(len(step.candidates) + 1)), step.action)
+    want = []
+    for traj in trajs:
+        for step in traj.steps:
+            want.append(next(j for j, c in enumerate(step.candidates)
+                             if np.array_equal(c, step.action)))
+    table = build_transitions(trajs)
+    assert (table.taken - table.cand_offsets[:-1]).tolist() == want
+    index = [make_traj([index_step(0, 1, 0.0, 3), AbstractStep(
+        state=np.array([1.0]), action=2, reward=0.0, candidates=[2, 0, 2])])]
+    assert build_transitions(index).taken.tolist() == [1, 3]
+
+
+@pytest.mark.parametrize("kind", ["features", "index"])
+def test_taken_action_missing_from_its_candidates_rejected(kind):
+    if kind == "features":
+        a, b = np.array([1.0, 0.0]), np.array([0.0, 1.0])
+        steps = [AbstractStep(state=np.zeros(2), action=a, reward=0.0, candidates=[a, b]),
+                 AbstractStep(state=np.zeros(2), action=a, reward=0.0, candidates=[b])]
+    else:
+        steps = [index_step(0, 1, 0.0, 3), AbstractStep(
+            state=np.array([0.0]), action=2, reward=0.0, candidates=[0, 1])]
+    with pytest.raises(MalformedRecord, match="missing from its candidate set"):
+        build_transitions([make_traj(steps)])
 
 
 class TestBehaviorCloning:

@@ -214,7 +214,8 @@ def reference_fqe_rows(table, policy, gamma, tol, max_sweeps):
     """The row-cell sweep as a per-step loop over one row per entry: its
     initial value and the number of sweeps it ran. A cell is a distinct row's
     bytes; each sweep sets every taken cell to the mean Bellman target of the
-    steps that take it and stops once no cell moves by ``tol``."""
+    steps that take it and stops once the largest cell change delta has
+    delta * gamma <= tol * (1 - gamma)."""
     off, full = table.cand_offsets, table.rows(table.encoding)
     pi = per_step_policy_probs(table, policy)
     cells = {}
@@ -236,7 +237,7 @@ def reference_fqe_rows(table, policy, gamma, tol, max_sweeps):
         new_q = [s / c if c else 0.0 for s, c in zip(sums, counts)]
         delta = max(abs(a - b) for a, b in zip(new_q, q))
         q = new_q
-        if delta < tol:
+        if delta * gamma <= tol * (1 - gamma):
             break
     return float(np.mean([step_value(q, i) for i in table.episode_starts])), sweeps
 
@@ -387,6 +388,41 @@ class TestRowCellFqe:
         bound = r_max / (1.0 - gamma)
         for est in fqe_many(policies, trajs, TrainConfig(gamma=gamma)):
             assert 0.0 <= est.initial_value <= bound * (1 + 1e-12)
+
+
+def long_episode_corpus(rng, n_episodes, length):
+    """Feature episodes of ``length`` steps over 3 states and 4 actions, with
+    rewards in [0, 1]: long chains make the sweep converge at a rate near gamma."""
+    states, actions = rng.normal(size=(3, 3)), rng.normal(size=(4, 2))
+    trajs = []
+    for i in range(n_episodes):
+        steps = []
+        for _ in range(length):
+            cands = list(actions[rng.choice(4, size=int(rng.integers(1, 5)), replace=False)])
+            steps.append(AbstractStep(state=states[rng.integers(3)],
+                                      action=cands[int(rng.integers(len(cands)))],
+                                      reward=float(rng.uniform()), candidates=cands))
+        trajs.append(make_traj(steps, f"t{i}"))
+    return trajs
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), gamma=st.floats(0.0, 0.95),
+       tol=st.sampled_from([1e-2, 1e-3, 1e-5]))
+def test_the_stop_rule_leaves_the_initial_value_within_tol(seed, gamma, tol):
+    """The sweep stops once delta * gamma <= tol * (1 - gamma), which puts
+    every cell, and so the initial value, within tol of the fixed point: here
+    the value at tol 1e-14. (Stopping at delta < tol left up to 15 tol on
+    such corpora.)"""
+    rng = np.random.default_rng(seed)
+    table = build_transitions(long_episode_corpus(rng, int(rng.integers(2, 6)),
+                                                  int(rng.integers(10, 40))))
+    policies = [network_policy(seed % 1000, t) for t in (0.3, 3.0)]
+    cfg = TrainConfig(gamma=gamma)
+    rough = fqe_many(policies, table, cfg, tol=tol)
+    exact = fqe_many(policies, table, cfg, tol=1e-14, max_sweeps=5000)
+    for a, b in zip(rough, exact):
+        assert abs(a.initial_value - b.initial_value) <= tol
 
 
 class TestRankPolicies:

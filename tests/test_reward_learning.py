@@ -3,12 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from oracles import preference_count, preference_pairs_loop, trex_loss_mp
+from oracles import (
+    preference_count,
+    preference_pairs_loop,
+    train_reward_per_batch,
+    trex_loss_mp,
+)
 from test_nets import assert_close
 from test_offline_rl import duplicated_corpus
 from twinmdp import reward_learning
 from twinmdp.abstraction import AbstractStep, AbstractTrajectory
 from twinmdp.errors import EmptyPairSet, MalformedRecord
+from twinmdp.nets import PLAN_BATCHES
 from twinmdp.reward_learning import (
     PreferencePair,
     RewardTrainConfig,
@@ -290,6 +296,7 @@ class TestStackedReturnsMatchPerTrajectory:
         net = new_reward_net(packed.rows.shape[1], hidden, seed=1)
         want = [reference_return(net, encode_step_rows(t), discount) for t in trajs]
         assert_close(packed.returns(net, np.arange(len(trajs)), discount), want)
+        assert packed.returns(net, [], discount).shape == (0,)
         assert_close([trajectory_return(net, t, discount) for t in trajs], want)
 
     @pytest.mark.parametrize("hidden", [1, 2, 16, 256])
@@ -305,15 +312,62 @@ class TestStackedReturnsMatchPerTrajectory:
         assert (pair_accuracy(net, pairs, packed, discount)
                 == reference_pair_accuracy(net, pairs, packed, discount))
 
-    def test_train_reward_params(self, discount, monkeypatch):
+    def test_train_reward_params(self, discount):
+        """train_reward against its loop driven by the per-trajectory
+        references on pair arrays, batch by batch."""
         rng = np.random.default_rng(2)
         trajs, pairs = mixed_length_corpus(rng, 40)
         cfg = RewardTrainConfig(hidden_units=16, epochs=3, batch_size=16, seed=3,
                                 discount=discount)
         got = train_reward(pairs, trajs, cfg).params
-        monkeypatch.setattr(reward_learning, "trex_grad", reference_trex_grad)
-        monkeypatch.setattr(reward_learning, "pair_accuracy", reference_pair_accuracy)
-        assert_close(got, train_reward(pairs, trajs, cfg).params)
+        want = train_reward_per_batch(pairs, StepRows.pack(trajs), cfg, reference_trex_grad,
+                                      reference_pair_accuracy)
+        assert_close(got, want.params)
+
+
+@pytest.mark.parametrize("discount", [1.0, 0.9])
+@pytest.mark.parametrize("holdout", [0.0, 0.2])
+@pytest.mark.parametrize("corpus,batch_size", [("mixed", 7), ("mixed", 1000),
+                                                ("repeated", 32)],
+                         ids=["short_last_batch", "one_batch_per_epoch", "repeated_rows"])
+def test_planned_epochs_equal_the_per_batch_loop(corpus, batch_size, holdout, discount):
+    """Planning an epoch's batches PLAN_BATCHES at a time runs the same
+    operations on the same arrays as laying each batch out in its own
+    trex_grad call, so the parameters are equal bit for bit; at batch size 7
+    an epoch takes 82 or 102 batches, so it takes two or three plans."""
+    rng = np.random.default_rng(4)
+    if corpus == "mixed":
+        trajs, pairs = mixed_length_corpus(rng, 40)
+    else:
+        trajs, pairs = TestDistinctRowTrex().corpus(5)
+    cfg = RewardTrainConfig(hidden_units=16, epochs=3, batch_size=batch_size, seed=3,
+                            discount=discount, holdout_fraction=holdout)
+    n_train = len(pairs) - min(int(round(holdout * len(pairs))), len(pairs) - 1)
+    assert n_train % batch_size != 0 and (n_train < batch_size) == (batch_size == 1000)
+    assert batch_size != 7 or n_train > PLAN_BATCHES * batch_size
+    got = train_reward(pairs, trajs, cfg).params
+    assert np.array_equal(got, train_reward_per_batch(pairs, StepRows.pack(trajs), cfg).params)
+
+
+@pytest.mark.parametrize("holdout", [0.0, 0.1])
+def test_one_trex_grad_call_per_batch(holdout, monkeypatch):
+    """The benchmark's layer counts stay truthful: train_reward calls the
+    module's trex_grad once per batch, ceil(n_train / batch_size) per epoch."""
+    calls = []
+    original = reward_learning.trex_grad
+
+    def counting(*args, **kwargs):
+        calls.append(len(args[1]))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(reward_learning, "trex_grad", counting)
+    trajs, pairs = mixed_length_corpus(np.random.default_rng(6), 30)
+    cfg = RewardTrainConfig(hidden_units=4, epochs=4, batch_size=24, seed=1,
+                            holdout_fraction=holdout)
+    train_reward(pairs, trajs, cfg)
+    n_train = len(pairs) - int(round(holdout * len(pairs)))
+    assert len(calls) == math.ceil(n_train / 24) * 4
+    assert sum(calls) == n_train * 4
 
 
 class TestDistinctRowTrex:
