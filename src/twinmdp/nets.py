@@ -19,8 +19,7 @@ sum(dout * output) is linear in dout, this is the gradient of the full-row
 pass up to the order of the sums. The training loops plan their batches
 ahead: ``plan_rows`` finds every batch's distinct rows, and each entry's
 position among them, for up to PLAN_BATCHES batches at once, so a step runs
-only the math that depends on the network. ``present_rows`` is its
-one-batch case.
+only the math that depends on the network.
 """
 
 from __future__ import annotations
@@ -169,13 +168,6 @@ def plan_rows(ids: np.ndarray, batch, n_batches: int,
     position = np.empty((n_batches, n_rows), dtype=np.intp)
     position[owner, present] = np.arange(len(present)) - bounds[owner]
     return present, bounds, position[batch, ids]
-
-
-def present_rows(ids: np.ndarray, n_rows: int) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct values of ``ids`` (row ids below n_rows), ascending, and
-    each id's position among them: ``plan_rows`` of one batch."""
-    present, _, inverse = plan_rows(ids, 0, 1, n_rows)
-    return present, inverse
 
 
 def row_sums(values: np.ndarray, inverse: np.ndarray, n_rows: int) -> np.ndarray:

@@ -195,7 +195,6 @@ class PipelineConfig:
     compare_scenario_cfg: ScenarioConfig = _key("compare.scenario")
     compare_episode_cfg: EpisodeConfig = _key("compare.episode")
     arms: list[ArmSpec] = _key("compare.arms")
-    eval_n_boot: int = _key("eval.n_boot", 200)
     eval_alpha: float = _key("eval.alpha", 0.05)
 
 
@@ -235,7 +234,7 @@ RANGES = {
     "rl.combined_blend": "[0, inf)", "ope.holdout_fraction": "(0, 1)",
     "ope.k": "[1, inf)", "ope.eval_reward_mode": RELABEL_MODES,
     "compare.n_scenarios": "[2, inf)", "compare.trials": "[3, inf)",
-    "eval.n_boot": "[1, inf)", "eval.alpha": "(0, 1)",
+    "eval.alpha": "(0, 1)",
 }
 
 
@@ -769,25 +768,8 @@ def stage_evaluate(cfg: PipelineConfig, out: Path) -> dict:
         explored[r["method_id"]].append(r["entities_explored"])
         turns[r["method_id"]].append(r["turns_used"])
 
-    aggregate = {}
-    per_scenario_recall = {}
-    per_scenario_f1 = {}
-    for m in methods:
-        aggregate[m] = pass_at_3_bootstrap(
-            trials[m], n_boot=cfg.eval_n_boot,
-            seed=derive_seed(cfg.master_seed, "evaluate", m),
-        )
-        recalls = []
-        f1s = []
-        for s in scenarios:
-            cell = pass_at_3_bootstrap(
-                {s: trials[m][s]}, n_boot=cfg.eval_n_boot,
-                seed=derive_seed(cfg.master_seed, "evaluate", m, s),
-            )
-            recalls.append(cell.recall_mean)
-            f1s.append(cell.f1_mean)
-        per_scenario_recall[m] = np.asarray(recalls)
-        per_scenario_f1[m] = np.asarray(f1s)
+    aggregate = {m: pass_at_3_bootstrap(trials[m]) for m in methods}
+    per_scenario_recall = {m: np.asarray(aggregate[m].scenario_recalls) for m in methods}
 
     tests = paired_t_bonferroni(
         per_scenario_recall["baseline"],

@@ -1,8 +1,10 @@
 """Statistical evaluation of episode batches.
 
-Three tools: a bootstrap estimator of best-of-three recall and F1 over
-repeated trials, Bonferroni-corrected paired t-tests against a baseline,
-and Nemenyi critical-difference analysis of average ranks (Demsar 2006).
+Three tools: best-of-three recall and F1 over repeated trials, in closed
+form (the bootstrap's limit as its replicates grow, Efron & Tibshirani 1993,
+so nothing is drawn and equal success counts tie exactly), Bonferroni-
+corrected paired t-tests against a baseline, and Nemenyi critical-difference
+analysis of average ranks (Demsar 2006).
 """
 
 from __future__ import annotations
@@ -43,44 +45,48 @@ class PassAt3Result:
     recall_std: float
     f1_mean: float
     f1_std: float
+    scenario_recalls: tuple[float, ...]  # per scenario, in sorted-scenario order
 
 
-def pass_at_3_bootstrap(trials_by_scenario: dict[str, list[TrialRecord]],
-                        n_boot: int = 200, seed: int = 0) -> PassAt3Result:
-    """Bootstrap best-of-three success and F1 across scenarios.
+def pass_at_3_bootstrap(trials_by_scenario: dict[str, list[TrialRecord]]) -> PassAt3Result:
+    """Exact best-of-three success and F1 across scenarios.
 
-    Each replicate samples 3 trials with replacement per scenario; a scenario
-    counts the max over its sample. Means and standard deviations are over
-    the replicates. Deterministic given seed.
-
-    All draws come from one ``rng.integers`` call of shape (n_boot, scenarios,
-    3), the stream of one ``integers(n, size=3)`` call per replicate and sorted
-    scenario. Each replicate sums its scenario maxima in that order with
-    ``np.cumsum``, never ``.sum``, whose pairwise summation moves low bits, so
-    the result equals that loop's bit for bit (``tests/oracles.py``).
+    Per scenario, the best of three trials drawn with replacement: with the n
+    values sorted ascending and F(i) = (i/n)^3 the chance that the best draw
+    is among the i lowest, the mean is v(n) - sum F(i) (v(i+1) - v(i)) and the
+    variance sum (F(i) - F(i-1)) (v(i) - mean)^2. For 0/1 successes the mean
+    is 1 - (1 - c/n)^3; equal values give that value and variance 0 exactly.
+    The means are the means over scenarios; the std is sqrt(sum of the
+    variances) / scenarios, the exact std of a mean of independent
+    per-scenario maxima.
     """
     if not trials_by_scenario:
         raise TooFewTrials("no scenarios")
     scenarios = sorted(trials_by_scenario)
-    counts = np.asarray([len(trials_by_scenario[scn]) for scn in scenarios])
-    for scn, n in zip(scenarios, counts):
-        if n < 3:
+    for scn in scenarios:
+        if (n := len(trials_by_scenario[scn])) < 3:
             raise TooFewTrials(f"scenario {scn} has {n} trials; need >= 3")
-    trials = [t for scn in scenarios for t in trials_by_scenario[scn]]
-    success = np.asarray([t.success for t in trials], dtype=float)
-    f1 = np.asarray([t.f1 for t in trials], dtype=float)
-
-    rng = np.random.default_rng(seed)
-    idx = rng.integers(counts[:, None], size=(n_boot, len(scenarios), 3))
-    idx += (np.cumsum(counts) - counts)[:, None]  # offsets into the flat arrays
-    recall_reps = np.cumsum(success[idx].max(axis=2), axis=1)[:, -1] / len(scenarios)
-    f1_reps = np.cumsum(f1[idx].max(axis=2), axis=1)[:, -1] / len(scenarios)
+    recall = np.asarray([_best_of_three([t.success for t in trials_by_scenario[scn]])
+                         for scn in scenarios])
+    f1 = np.asarray([_best_of_three([t.f1 for t in trials_by_scenario[scn]])
+                     for scn in scenarios])
     return PassAt3Result(
-        recall_mean=float(recall_reps.mean()),
-        recall_std=float(recall_reps.std()),
-        f1_mean=float(f1_reps.mean()),
-        f1_std=float(f1_reps.std()),
+        recall_mean=float(recall[:, 0].mean()),
+        recall_std=float(np.sqrt(recall[:, 1].sum()) / len(scenarios)),
+        f1_mean=float(f1[:, 0].mean()),
+        f1_std=float(np.sqrt(f1[:, 1].sum()) / len(scenarios)),
+        scenario_recalls=tuple(map(float, recall[:, 0])),
     )
+
+
+def _best_of_three(values) -> tuple[float, float]:
+    """Mean and variance of the max of three draws with replacement from
+    ``values``. The weights F(i) - F(i-1) are non-negative, so the variance
+    is too."""
+    v = np.sort(np.asarray(values, dtype=float))
+    cdf = (np.arange(len(v) + 1) / len(v)) ** 3
+    mean = v[-1] - np.dot(cdf[1:-1], np.diff(v))
+    return mean, np.dot(np.diff(cdf), (v - mean) ** 2)
 
 
 # --- paired t-tests --------------------------------------------------------------

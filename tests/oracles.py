@@ -207,29 +207,25 @@ def set_f1(predicted: set, truth: set) -> float:
     return 2 * prec * rec / (prec + rec)
 
 
-def pass_at_3_bootstrap_loop(trials_by_scenario, n_boot: int, seed: int):
-    """The per-replicate, per-scenario bootstrap loop: three indices drawn
-    with one ``integers(n, size=3)`` call per scenario, maxima accumulated in
-    sorted-scenario order. Returns (recall_mean, recall_std, f1_mean, f1_std)."""
+def pass_at_3_enumerated(trials_by_scenario):
+    """Best-of-three over every ordered triple of trial indices: per scenario
+    the mean and variance of the max over all n^3 draws with replacement,
+    then the mean over scenarios and sqrt(sum of variances) / scenarios.
+    Returns (recall_mean, recall_std, f1_mean, f1_std, scenario recalls in
+    sorted-scenario order)."""
     scenarios = sorted(trials_by_scenario)
-    success = [np.asarray([t.success for t in trials_by_scenario[s]], dtype=float)
-               for s in scenarios]
-    f1 = [np.asarray([t.f1 for t in trials_by_scenario[s]], dtype=float)
-          for s in scenarios]
-    rng = np.random.default_rng(seed)
-    recall_reps = np.empty(n_boot)
-    f1_reps = np.empty(n_boot)
-    for b in range(n_boot):
-        rec_acc = 0.0
-        f1_acc = 0.0
-        for s, f in zip(success, f1):
-            idx = rng.integers(len(s), size=3)
-            rec_acc += s[idx].max()
-            f1_acc += f[idx].max()
-        recall_reps[b] = rec_acc / len(scenarios)
-        f1_reps[b] = f1_acc / len(scenarios)
-    return (float(recall_reps.mean()), float(recall_reps.std()),
-            float(f1_reps.mean()), float(f1_reps.std()))
+    recall_cells, f1_cells = [], []
+    for s in scenarios:
+        trials = trials_by_scenario[s]
+        triples = list(itertools.product(range(len(trials)), repeat=3))
+        best = np.asarray([max(trials[i].success for i in t) for t in triples], dtype=float)
+        best_f1 = np.asarray([max(trials[i].f1 for i in t) for t in triples])
+        recall_cells.append((best.mean(), best.var()))
+        f1_cells.append((best_f1.mean(), best_f1.var()))
+    recall = np.asarray(recall_cells)
+    f1 = np.asarray(f1_cells)
+    return (recall[:, 0].mean(), np.sqrt(recall[:, 1].sum()) / len(scenarios),
+            f1[:, 0].mean(), np.sqrt(f1[:, 1].sum()) / len(scenarios), recall[:, 0])
 
 
 def min_dist_to_label_loop(dist: np.ndarray, index: dict, src, assessments,

@@ -351,9 +351,7 @@ def test_c07_statistics_suite():
     rng = np.random.default_rng(77)
     outcomes = (rng.random(10000) < 0.4).astype(int)
     res = pass_at_3_bootstrap(
-        {"only": [TrialRecord(success=int(s), f1=float(s)) for s in outcomes]},
-        n_boot=2000, seed=7,
-    )
+        {"only": [TrialRecord(success=int(s), f1=float(s)) for s in outcomes]})
     boot_err = abs(res.recall_mean - (1 - 0.6**3))
 
     worst_p = 0.0

@@ -216,21 +216,13 @@ class TestDistinctRows:
         distinct, row_id = self.check(rows)  # a non-contiguous view
         assert len(distinct) == 2 and row_id[0] == row_id[2] != row_id[1]
 
-    def test_present_rows_equal_np_unique(self):
-        rng = np.random.default_rng(1)
-        for n_rows, size in ((1, 5), (12, 3), (12, 300), (361, 243)):
-            ids = rng.integers(0, n_rows, size=size)
-            present, inverse = nets.present_rows(ids, n_rows)
-            want, want_inverse = np.unique(ids, return_inverse=True)
-            assert np.array_equal(present, want)
-            assert np.array_equal(inverse, want_inverse)
-
     def test_plan_rows_equal_np_unique_per_batch(self):
         """Planning K batches at once gives each batch its own np.unique: its
         distinct ids ascending, back to back, and each id's position among
-        them, also for empty batches and batches that share every id."""
+        them, also for one batch, empty batches and batches that share every id."""
         rng = np.random.default_rng(2)
-        for n_rows, sizes in ((1, [5, 0, 2]), (12, [3, 40, 1, 0]), (361, [243] * 6)):
+        for n_rows, sizes in ((1, [5]), (12, [3]), (12, [300]), (361, [243]), (1, [5, 0, 2]),
+                              (12, [3, 40, 1, 0]), (361, [243] * 6)):
             batches = [rng.integers(0, n_rows, size=k) for k in sizes]
             owner = np.repeat(np.arange(len(sizes)), sizes)
             present, bounds, inverse = nets.plan_rows(np.concatenate(batches), owner,
@@ -250,7 +242,7 @@ class TestDistinctRows:
         table = rng.normal(size=(12, 6))
         entries = rng.integers(0, 12, size=300)
         model = Mlp(6, hidden, seed=3)
-        present, inverse = nets.present_rows(entries, len(table))
+        present, _, inverse = nets.plan_rows(entries, 0, 1, len(table))
         out, acts = model.forward_cached(table[present])
         want_out, want_acts = model.forward_cached(table[entries])
         assert_close(out[inverse], want_out)

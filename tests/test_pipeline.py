@@ -76,7 +76,7 @@ SMALL_CONFIG = {
             {"id": "bc+prioritize", "policy": "bc", "strategies": ["prioritize"]},
         ],
     },
-    "eval": {"n_boot": 50, "alpha": 0.05},
+    "eval": {"alpha": 0.05},
 }
 
 
@@ -190,10 +190,11 @@ class TestConfigValidation:
         (lambda raw: raw["scheme"].update(with_hmm=True, hmm_select_from=[0, 2]),
          "scheme.hmm_select_from"),
         (lambda raw: raw["collect"].update(n_scenarios=1), "collect.n_scenarios"),
+        (lambda raw: raw["eval"].update(n_boot=200), "eval.n_boot"),
     ], ids=["typo_key", "unknown_section", "section_not_a_mapping", "bool_for_int",
             "bool_for_master_seed", "compare_nodes_below_chain", "grid_entry_not_a_mapping",
             "bc_without_reward_mode", "arm_unknown_key", "hmm_select_from_zero",
-            "one_collect_scenario"])
+            "one_collect_scenario", "retired_eval_n_boot"])
     def test_malformed_config_rejected_with_its_path(self, edit, path):
         raw = json.loads(json.dumps(SMALL_CONFIG))
         edit(raw)

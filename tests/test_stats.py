@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import rankdata, studentized_range, ttest_rel
 
-from oracles import pass_at_3_bootstrap_loop, t_sf_mp
+from oracles import pass_at_3_enumerated, t_sf_mp
 from twinmdp.errors import BadRanks, LengthMismatch, TooFewTrials, UnsupportedK
 from twinmdp.stats import (
     NEMENYI_Q,
@@ -21,71 +23,91 @@ def trials(successes, f1s=None):
     return [TrialRecord(success=s, f1=f) for s, f in zip(successes, f1s)]
 
 
+def random_table(rng, n_scenarios, low=3, high=12):
+    """Scenarios of ``low`` to ``high`` trials with 0/1 successes and F1 values
+    with full mantissas."""
+    table = {}
+    for s in range(n_scenarios):
+        n = int(rng.integers(low, high + 1))
+        table[f"scn-{s:02d}"] = trials(rng.integers(0, 2, n).tolist(), rng.random(n).tolist())
+    return table
+
+
 class TestPassAt3:
     def test_all_successful_gives_one(self):
-        table = {"a": trials([1] * 5), "b": trials([1] * 5)}
-        res = pass_at_3_bootstrap(table, n_boot=50, seed=0)
-        assert res.recall_mean == 1.0
-        assert res.recall_std == 0.0
+        table = {"a": trials([1] * 5), "b": trials([1] * 7)}
+        res = pass_at_3_bootstrap(table)
+        assert res.recall_mean == 1.0 and res.recall_std == 0.0
+        assert res.scenario_recalls == (1.0, 1.0)
 
     def test_constant_f1_has_zero_spread(self):
-        table = {"a": trials([0, 1, 0, 1], f1s=[0.5] * 4)}
-        res = pass_at_3_bootstrap(table, n_boot=100, seed=0)
-        assert res.f1_mean == 0.5
+        table = {"a": trials([0, 1, 0, 1], f1s=[0.3] * 4), "b": trials([0] * 3, f1s=[0.3] * 3)}
+        res = pass_at_3_bootstrap(table)
+        assert res.f1_mean == 0.3
         assert res.f1_std == 0.0
 
-    def test_bernoulli_closed_form(self):
-        # single scenario, i.i.d. success probability 0.4:
-        # E[best-of-3] = 1 - (1 - 0.4)^3 = 0.784
-        rng = np.random.default_rng(0)
-        outcomes = (rng.random(10000) < 0.4).astype(int).tolist()
-        res = pass_at_3_bootstrap({"only": trials(outcomes)}, n_boot=2000, seed=1)
-        assert abs(res.recall_mean - 0.784) < 0.02
+    @pytest.mark.parametrize("n,c", [(3, 0), (3, 1), (5, 2), (7, 6), (15, 9), (10000, 4013)])
+    def test_success_closed_form(self, n, c):
+        # E[best of 3 draws with replacement] = 1 - (1 - c/n)^3, in any order
+        outcomes = np.random.default_rng(n).permutation([1] * c + [0] * (n - c)).tolist()
+        res = pass_at_3_bootstrap({"only": trials(outcomes)})
+        assert res.recall_mean == pytest.approx(1 - (1 - c / n) ** 3, rel=1e-14, abs=1e-15)
+        assert res.recall_std == pytest.approx(np.sqrt(res.recall_mean * (1 - res.recall_mean)),
+                                               rel=1e-12, abs=1e-15)
 
     def test_requires_three_trials(self):
         with pytest.raises(TooFewTrials):
-            pass_at_3_bootstrap({"a": trials([1, 0])}, n_boot=10, seed=0)
+            pass_at_3_bootstrap({"a": trials([1, 1, 0]), "b": trials([1, 0])})
         with pytest.raises(TooFewTrials):
-            pass_at_3_bootstrap({}, n_boot=10, seed=0)
-
-    def test_deterministic_given_seed(self):
-        table = {"a": trials([0, 1, 0, 0, 1]), "b": trials([1, 0, 0, 1, 1])}
-        r1 = pass_at_3_bootstrap(table, n_boot=100, seed=5)
-        r2 = pass_at_3_bootstrap(table, n_boot=100, seed=5)
-        assert r1 == r2
+            pass_at_3_bootstrap({})
 
     def test_monotone_in_single_trial_improvement(self):
         base = [0, 0, 1, 0, 0]
         better = [0, 1, 1, 0, 0]
-        r_base = pass_at_3_bootstrap({"a": trials(base)}, n_boot=300, seed=9)
-        r_better = pass_at_3_bootstrap({"a": trials(better)}, n_boot=300, seed=9)
-        assert r_better.recall_mean >= r_base.recall_mean
+        r_base = pass_at_3_bootstrap({"a": trials(base)})
+        r_better = pass_at_3_bootstrap({"a": trials(better)})
+        assert r_better.recall_mean > r_base.recall_mean
 
+    @pytest.mark.parametrize("n_scenarios", [1, 2, 30])
+    @pytest.mark.parametrize("seed", [0, 7, 11])
+    def test_equals_the_enumeration_oracle(self, n_scenarios, seed):
+        # unequal trial counts (3 to 12), F1 values with full mantissas
+        table = random_table(np.random.default_rng(seed * 100 + n_scenarios), n_scenarios)
+        res = pass_at_3_bootstrap(table)
+        *want, want_scenarios = pass_at_3_enumerated(table)
+        np.testing.assert_allclose(
+            [res.recall_mean, res.recall_std, res.f1_mean, res.f1_std], want, rtol=1e-12)
+        np.testing.assert_allclose(res.scenario_recalls, want_scenarios, rtol=1e-12)
 
-    @pytest.mark.parametrize("n_scenarios,n_boot", [(1, 1), (1, 200), (30, 1), (30, 200)])
-    @pytest.mark.parametrize("seed", [0, 7, 2**62 + 11])
-    def test_equals_the_loop_oracle(self, n_scenarios, n_boot, seed):
-        # unequal trial counts (3 to 20) and F1 values with full mantissas, so
-        # any change in draw order or summation order shows in the low bits
-        rng = np.random.default_rng(seed % 1000 + n_scenarios)
-        table = {}
-        for s in range(n_scenarios):
-            n = int(rng.integers(3, 21))
-            table[f"scn-{s:02d}"] = trials(rng.integers(0, 2, n).tolist(),
-                                           rng.random(n).tolist())
-        res = pass_at_3_bootstrap(table, n_boot=n_boot, seed=seed)
-        expected = pass_at_3_bootstrap_loop(table, n_boot=n_boot, seed=seed)
-        assert (res.recall_mean, res.recall_std, res.f1_mean, res.f1_std) == expected
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), n_scenarios=st.integers(1, 8),
+           scale=st.sampled_from([1.0, 1e-300, 1 - 2**-52]))
+    def test_every_mean_lies_in_the_unit_interval(self, seed, n_scenarios, scale):
+        rng = np.random.default_rng(seed)
+        table = {s: [TrialRecord(t.success, t.f1 * scale) for t in ts]
+                 for s, ts in random_table(rng, n_scenarios, high=40).items()}
+        res = pass_at_3_bootstrap(table)
+        for mean in (res.recall_mean, res.f1_mean, *res.scenario_recalls):
+            assert 0.0 <= mean <= 1.0
+        assert np.isfinite([res.recall_std, res.f1_std]).all()
+        assert res.recall_std >= 0.0 and res.f1_std >= 0.0
 
-    def test_scenarios_are_drawn_in_sorted_order(self):
-        # insertion order must not matter: the draws follow sorted scenario ids
+    def test_insertion_order_does_not_matter(self):
         table = {"b": trials([0, 1, 1, 0], [0.1, 0.7, 0.3, 0.9]),
                  "a": trials([1, 0, 0], [0.2, 0.4, 0.8])}
-        reordered = dict(reversed(list(table.items())))
-        res = pass_at_3_bootstrap(table, n_boot=200, seed=4)
-        assert res == pass_at_3_bootstrap(reordered, n_boot=200, seed=4)
-        assert (res.recall_mean, res.recall_std, res.f1_mean, res.f1_std) == \
-            pass_at_3_bootstrap_loop(table, n_boot=200, seed=4)
+        reordered = {s: list(reversed(ts)) for s, ts in reversed(list(table.items()))}
+        res = pass_at_3_bootstrap(table)
+        assert res == pass_at_3_bootstrap(reordered)
+        assert res.scenario_recalls[0] == pass_at_3_bootstrap({"a": table["a"]}).recall_mean
+
+    def test_equal_success_counts_tie_in_the_ranks(self):
+        # two successes in five trials, in different orders, tie exactly and
+        # share the mid-rank
+        methods = {"x": {"s": trials([1, 0, 1, 0, 0])}, "y": {"s": trials([0, 0, 1, 1, 0])},
+                   "z": {"s": trials([1, 0, 0, 0, 0])}}
+        scores = np.asarray([pass_at_3_bootstrap(t).scenario_recalls for t in methods.values()])
+        assert scores[0, 0] == scores[1, 0] > scores[2, 0]
+        assert ranks_from_scores(scores)[:, 0].tolist() == [1.5, 1.5, 3.0]
 
 
 class TestPairedT:
