@@ -169,9 +169,10 @@ class TopologyFeaturizer:
         cols = {"primary": [], "cascading": []}
         for e, label in assessments.items():
             if label in cols:
-                if e not in self._column:
+                col = self._column.get(e)
+                if col is None:
                     raise EntityNotInGraph(f"{e} not in graph")
-                cols[label].append(self._column[e])
+                cols[label].append(col)
         none = len(self._column)
         return cols["primary"] + [none], cols["cascading"] + [none]
 

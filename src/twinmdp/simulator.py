@@ -15,6 +15,7 @@ episodes against the ground-truth chain.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -128,6 +129,15 @@ class EpisodeResult:
     audit: list[dict] = field(default_factory=list)
 
 
+@cache
+def _node_entities(n_nodes: int) -> tuple[Entity, ...]:
+    """The nodes of an ``n_nodes`` scenario. Scenarios of one size share
+    these objects, so the entities of a plan's memoised interventions are
+    the episode's own and their lookups never reach ``Entity.__eq__``."""
+    return tuple(Entity(name=f"svc-{i:02d}", etype=NODE_TYPES[i % len(NODE_TYPES)])
+                 for i in range(n_nodes))
+
+
 def generate_scenario(cfg: ScenarioConfig, seed: int,
                       scenario_id: str | None = None) -> SimScenario:
     """Seeded scenario: weakly connected digraph with an embedded chain."""
@@ -136,10 +146,7 @@ def generate_scenario(cfg: ScenarioConfig, seed: int,
     if cfg.n_nodes < cfg.chain_length:
         raise InfeasibleConfig("n_nodes must be >= chain_length")
     rng = np.random.default_rng(seed)
-    nodes = [
-        Entity(name=f"svc-{i:02d}", etype=NODE_TYPES[i % len(NODE_TYPES)])
-        for i in range(cfg.n_nodes)
-    ]
+    nodes = list(_node_entities(cfg.n_nodes))
     chain_idx = rng.choice(cfg.n_nodes, size=cfg.chain_length, replace=False)
     chain = tuple(nodes[i] for i in chain_idx)
     edges = {(u, v) for u, v in zip(chain[:-1], chain[1:])}
@@ -306,7 +313,9 @@ def run_episode(
                 selection_iv = ce.intervene(
                     state_vec, list(zip(candidates, reprs)), ce.selection_config)
 
-        chosen = _select(candidates, assessments, scn, rng, cfg, ce, selection_iv)
+        pos = _position(candidates,
+                        _select(candidates, assessments, scn, rng, cfg, ce, selection_iv))
+        chosen = candidates[pos]  # the queue's own object
 
         # collect noisy evidence and update the cumulative assessment
         explored.add(chosen)
@@ -320,9 +329,9 @@ def run_episode(
         assessments[chosen] = label
 
         if runtime is not None:
-            runtime.record_turn(state_vec, reprs[candidates.index(chosen)])
+            runtime.record_turn(state_vec, reprs[pos])
 
-        queue = [c for c in queue if c != chosen]
+        queue = candidates[:pos] + candidates[pos + 1:]  # the queue holds no repeats
 
         # push unexplored neighbors, optionally pruned by the policy
         push = [
@@ -336,8 +345,9 @@ def run_episode(
                                                             assessments)
             push_iv = ce.intervene(push_state, list(zip(push, push_reprs)),
                                    ce.prune_config)
-            pruned = [e for e in push if e not in push_iv.retained]
-            push = [e for e in push if e in push_iv.retained]
+            retained = set(push_iv.retained)
+            pruned = [e for e in push if e not in retained]
+            push = [e for e in push if e in retained]
         queue.extend(push)
         queued.update(push)
 
@@ -405,6 +415,15 @@ def run_episode(
         scores=scores,
         audit=audit,
     )
+
+
+def _position(candidates: list[Entity], chosen: Entity) -> int:
+    """Where ``chosen`` stands among ``candidates``: found by identity when it
+    is one of their objects, which costs no ``Entity.__eq__`` call."""
+    for i, c in enumerate(candidates):
+        if c is chosen:
+            return i
+    return candidates.index(chosen)
 
 
 def _fallback_entity(steps, assessments, scn: SimScenario) -> Entity:

@@ -9,14 +9,18 @@ written by the JSON helpers at the end of this module.
 from __future__ import annotations
 
 import json
+import math
 import os
 import warnings
+from collections import namedtuple
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from operator import itemgetter
 from pathlib import Path
 
 from .errors import (
     ChosenEntityNotInCandidates,
+    CorpusError,
     IoFailure,
     MalformedRecord,
     NonMonotoneTurnIndex,
@@ -26,26 +30,32 @@ from .errors import (
 LABELS = ("primary", "cascading", "normal")
 
 
-@dataclass(frozen=True, order=True)
-class Entity:
-    """A typed node of the system under diagnosis, e.g. ("frontend", "Pod")."""
+class Entity(namedtuple("Entity", ["name", "etype"])):
+    """A typed node of the system under diagnosis, e.g. ("frontend", "Pod").
 
-    __slots__ = ("name", "etype", "_hash")  # no per-instance dict: corpora hold many
-    name: str
-    etype: str
+    A tuple, so hashing and ordering run in C: ``hash(e)`` is
+    ``hash((name, etype))`` and entities sort by (name, etype). Equality is
+    strict: an entity equals only an entity, never the plain tuple of its
+    fields. Equality is the one Python-level method, and set and dict
+    lookups skip it for the identical object, so the hot paths hold one
+    object per entity (a graph's nodes, ``load_corpus``'s interned entities).
+    """
 
-    def __post_init__(self):
-        if not self.name or not self.etype:
+    __slots__ = ()  # no per-instance dict: corpora hold many
+
+    def __new__(cls, name: str, etype: str):
+        if not (isinstance(name, str) and name and isinstance(etype, str) and etype):
             raise MalformedRecord("entity name and etype must be non-empty strings")
-        # the generated hash's value, computed once: sets and dicts keep their order
-        object.__setattr__(self, "_hash", hash((self.name, self.etype)))
+        return tuple.__new__(cls, (name, etype))
 
-    def __hash__(self):
-        return self._hash
+    def __eq__(self, other):
+        return self is other or (isinstance(other, Entity) and tuple.__eq__(self, other))
 
-    def __reduce__(self):
-        # rebuild rather than carry the hash: string hashes differ between processes
-        return (Entity, (self.name, self.etype))
+    def __ne__(self, other):
+        return self is not other and not (isinstance(other, Entity)
+                                          and tuple.__eq__(self, other))
+
+    __hash__ = tuple.__hash__
 
 
 @dataclass(frozen=True)
@@ -87,7 +97,8 @@ class RawStep:
     def __post_init__(self):
         if self.turn_index < 0:
             raise MalformedRecord(f"turn_index {self.turn_index} is negative")
-        if self.chosen_entity not in self.candidate_entities:
+        # a set lookup: a tuple scan calls Entity.__eq__ on each candidate it passes
+        if self.chosen_entity not in set(self.candidate_entities):
             raise ChosenEntityNotInCandidates(
                 f"turn {self.turn_index}: chosen {self.chosen_entity} not among candidates"
             )
@@ -158,21 +169,28 @@ def entity_from_json(obj) -> Entity:
         raise MalformedRecord(f"entity missing field {exc}") from exc
 
 
-def _step_to_json(s: RawStep) -> dict:
-    # assessments serialize as a sorted pair list: JSON keys must be strings
-    return {
-        "turn_index": s.turn_index,
-        "chosen_entity": entity_to_json(s.chosen_entity),
-        "candidate_entities": [entity_to_json(e) for e in s.candidate_entities],
-        "assessments": [
-            [entity_to_json(e), label]
-            for e, label in sorted(s.assessments.items(), key=lambda kv: kv[0])
-        ],
-        "intermediate_reward": s.intermediate_reward,
-    }
+def _interning_entity_decoder():
+    """``entity_from_json`` that validates each distinct entity object once
+    and returns one ``Entity`` for all of its mentions, so lookups of the
+    decoded entities stay on identity."""
+    seen: dict[tuple[str, str], Entity] = {}
+
+    def decode(obj) -> Entity:
+        if type(obj) is dict and len(obj) == 2:
+            try:  # a hit has exactly the fields of an entity validated before
+                hit = seen.get((obj["name"], obj["etype"]))
+            except (KeyError, TypeError):
+                hit = None
+            if hit is not None:
+                return hit
+        e = entity_from_json(obj)
+        seen[tuple(e)] = e
+        return e
+
+    return decode
 
 
-def _step_from_json(obj) -> RawStep:
+def _step_from_json(obj, entity) -> RawStep:
     if not isinstance(obj, dict):
         raise MalformedRecord("step must be an object")
     _check_keys(obj, _STEP_KEYS, "step")
@@ -181,13 +199,11 @@ def _step_from_json(obj) -> RawStep:
         for pair in obj.get("assessments", []):
             if not (isinstance(pair, list) and len(pair) == 2):
                 raise MalformedRecord("assessment entries must be [entity, label] pairs")
-            assessments[entity_from_json(pair[0])] = pair[1]
+            assessments[entity(pair[0])] = pair[1]
         return RawStep(
             turn_index=obj["turn_index"],
-            chosen_entity=entity_from_json(obj["chosen_entity"]),
-            candidate_entities=tuple(
-                entity_from_json(e) for e in obj["candidate_entities"]
-            ),
+            chosen_entity=entity(obj["chosen_entity"]),
+            candidate_entities=tuple(entity(e) for e in obj["candidate_entities"]),
             assessments=assessments,
             intermediate_reward=obj.get("intermediate_reward"),
         )
@@ -195,23 +211,9 @@ def _step_from_json(obj) -> RawStep:
         raise MalformedRecord(f"step missing field {exc}") from exc
 
 
-def trajectory_to_json(traj: RawTrajectory) -> dict:
-    return {
-        "trajectory_id": traj.trajectory_id,
-        "scenario_id": traj.scenario_id,
-        "symptom_entity": entity_to_json(traj.symptom_entity),
-        "steps": [_step_to_json(s) for s in traj.steps],
-        "scores": {
-            "fpc_accuracy": traj.scores.fpc_accuracy,
-            "rce_identification": traj.scores.rce_identification,
-        },
-        "final_root_cause": (
-            entity_to_json(traj.final_root_cause) if traj.final_root_cause else None
-        ),
-    }
-
-
-def trajectory_from_json(obj) -> RawTrajectory:
+def trajectory_from_json(obj, entity) -> RawTrajectory:
+    """The trajectory of a corpus record; ``entity`` decodes each entity
+    object (``entity_from_json``, or ``load_corpus``'s interning decoder)."""
     if not isinstance(obj, dict):
         raise MalformedRecord("trajectory must be an object")
     _check_keys(obj, _TRAJ_KEYS, "trajectory")
@@ -228,15 +230,81 @@ def trajectory_from_json(obj) -> RawTrajectory:
         return RawTrajectory(
             trajectory_id=obj["trajectory_id"],
             scenario_id=obj["scenario_id"],
-            symptom_entity=entity_from_json(obj["symptom_entity"]),
-            steps=tuple(_step_from_json(s) for s in obj["steps"]),
+            symptom_entity=entity(obj["symptom_entity"]),
+            steps=tuple(_step_from_json(s, entity) for s in obj["steps"]),
             scores=scores,
-            final_root_cause=entity_from_json(final) if final is not None else None,
+            final_root_cause=entity(final) if final is not None else None,
         )
     except KeyError as exc:
         raise MalformedRecord(f"trajectory missing field {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise MalformedRecord(str(exc)) from exc
+
+
+_dumps = json.JSONEncoder(sort_keys=True).encode  # json.dumps(obj, sort_keys=True)
+_dumps_str = json.encoder.encode_basestring_ascii  # the same, for a str
+
+
+def _json(x) -> str:
+    """``json.dumps(x, sort_keys=True)``, with a str, int, finite float or
+    None encoded inline."""
+    t = type(x)
+    if t is str:
+        return _dumps_str(x)
+    if t is float and math.isfinite(x):
+        return float.__repr__(x)
+    if t is int:
+        return int.__repr__(x)
+    if x is None:
+        return "null"
+    return _dumps(x)
+
+
+class _CorpusEncoder:
+    """The corpus line of a trajectory, as text: ``json.dumps(record,
+    sort_keys=True)`` of the record that ``load_corpus`` decodes, byte for
+    byte. Assessments are written as a pair list sorted by entity (JSON keys
+    must be strings). Each entity's JSON object and each [entity, label]
+    pair's JSON array is encoded once per encoder."""
+
+    def __init__(self):
+        self.entities: dict[Entity, str] = {}
+        self.pairs: dict[tuple[Entity, str], str] = {}
+
+    def entity(self, e: Entity) -> str:
+        text = self.entities.get(e)
+        if text is None:
+            text = self.entities[e] = (
+                f'{{"etype": {_json(e.etype)}, "name": {_json(e.name)}}}')
+        return text
+
+    def pair(self, item: tuple[Entity, str]) -> str:
+        text = self.pairs.get(item)
+        if text is None:
+            text = self.pairs[item] = f"[{self.entity(item[0])}, {_json(item[1])}]"
+        return text
+
+    def step(self, s: RawStep) -> str:
+        assessed = sorted(s.assessments.items(), key=itemgetter(0))
+        return "".join((
+            '{"assessments": [', ", ".join(map(self.pair, assessed)),
+            '], "candidate_entities": [', ", ".join(map(self.entity, s.candidate_entities)),
+            '], "chosen_entity": ', self.entity(s.chosen_entity),
+            ', "intermediate_reward": ', _json(s.intermediate_reward),
+            ', "turn_index": ', _json(s.turn_index), "}",
+        ))
+
+    def line(self, t: RawTrajectory) -> str:
+        final = t.final_root_cause
+        return "".join((
+            '{"final_root_cause": ', self.entity(final) if final else "null",
+            ', "scenario_id": ', _json(t.scenario_id),
+            ', "scores": {"fpc_accuracy": ', _json(t.scores.fpc_accuracy),
+            ', "rce_identification": ', _json(t.scores.rce_identification),
+            '}, "steps": [', ", ".join(map(self.step, t.steps)),
+            '], "symptom_entity": ', self.entity(t.symptom_entity),
+            ', "trajectory_id": ', _json(t.trajectory_id), "}\n",
+        ))
 
 
 # --- artifact I/O: sorted-key JSON, one document per file or one per line ------
@@ -280,16 +348,22 @@ def write_jsonl(path: str | Path, objs, what: str) -> None:
 
 
 @contextmanager
-def reading(path: str | Path, what: str):
+def reading(path: str | Path, what: str, line: int | None = None):
     """Reads of the ``what`` at ``path``: an OSError becomes IoFailure, and
     invalid JSON or a missing or mistyped field becomes MalformedRecord; both
-    name the file."""
+    name the file. With ``line``, a MalformedRecord or other CorpusError
+    also carries that 1-based line of the file."""
     try:
         yield
     except OSError as exc:
         raise IoFailure(f"cannot read {what} {path}: {exc}") from exc
+    except CorpusError as exc:
+        if line is None or exc.line is not None:
+            raise
+        raise type(exc)(str(exc), line=line) from exc
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise MalformedRecord(f"malformed {what} {path}: {type(exc).__name__}: {exc}") from exc
+        raise MalformedRecord(f"malformed {what} {path}: {type(exc).__name__}: {exc}",
+                              line=line) from exc
 
 
 def read_json(path: str | Path, what: str, decode=lambda obj: obj, version=None):
@@ -304,10 +378,16 @@ def read_json(path: str | Path, what: str, decode=lambda obj: obj, version=None)
 
 
 def read_jsonl(path: str | Path, what: str, decode) -> list:
-    """``decode`` of each non-blank line of the JSON-lines file at ``path``."""
+    """``decode`` of each non-blank line of the JSON-lines file at ``path``;
+    the error of a malformed line names its 1-based line."""
     with reading(path, what):
-        return [decode(json.loads(line))
-                for line in Path(path).read_text().splitlines() if line.strip()]
+        lines = Path(path).read_text().splitlines()
+    decoded = []
+    for lineno, line in enumerate(lines, start=1):
+        if line.strip():
+            with reading(path, what, lineno):
+                decoded.append(decode(json.loads(line)))
+    return decoded
 
 
 def load_corpus(path: str | Path) -> list[RawTrajectory]:
@@ -322,6 +402,7 @@ def load_corpus(path: str | Path) -> list[RawTrajectory]:
     seen_ids: set[str] = set()
     with reading(path, "corpus"):
         lines = path.read_text().splitlines()
+    entity = _interning_entity_decoder()
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
@@ -330,7 +411,7 @@ def load_corpus(path: str | Path) -> list[RawTrajectory]:
         except json.JSONDecodeError as exc:
             raise MalformedRecord(f"invalid JSON: {exc}", line=lineno) from exc
         try:
-            traj = trajectory_from_json(obj)
+            traj = trajectory_from_json(obj, entity)
         except (MalformedRecord, ScoreOutOfRange,
                 ChosenEntityNotInCandidates, NonMonotoneTurnIndex) as exc:
             raise type(exc)(str(exc), line=lineno) from exc
@@ -346,4 +427,7 @@ def load_corpus(path: str | Path) -> list[RawTrajectory]:
 
 def save_corpus(trajs, path: str | Path) -> None:
     """Write trajectories as line-delimited JSON; load_corpus inverts it."""
-    write_jsonl(path, map(trajectory_to_json, trajs), "corpus")
+    encode = _CorpusEncoder().line
+    with atomic_open(path, "corpus") as fh:
+        for traj in trajs:
+            fh.write(encode(traj))

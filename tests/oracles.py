@@ -11,11 +11,45 @@ their batches ahead.
 from __future__ import annotations
 
 import itertools
+import json
 
 import mpmath
 import numpy as np
 
 from twinmdp.nets import Adam, Mlp
+
+
+def corpus_line_via_dicts(traj) -> str:
+    """A raw corpus line as the writer built it before it wrote text: one dict
+    per record, step and entity mention, then ``json.dumps(sort_keys=True)``."""
+    def entity(e):
+        return {"name": e.name, "etype": e.etype}
+
+    def step(s):
+        return {
+            "turn_index": s.turn_index,
+            "chosen_entity": entity(s.chosen_entity),
+            "candidate_entities": [entity(e) for e in s.candidate_entities],
+            "assessments": [
+                [entity(e), label]
+                for e, label in sorted(s.assessments.items(), key=lambda kv: kv[0])
+            ],
+            "intermediate_reward": s.intermediate_reward,
+        }
+
+    return json.dumps({
+        "trajectory_id": traj.trajectory_id,
+        "scenario_id": traj.scenario_id,
+        "symptom_entity": entity(traj.symptom_entity),
+        "steps": [step(s) for s in traj.steps],
+        "scores": {
+            "fpc_accuracy": traj.scores.fpc_accuracy,
+            "rce_identification": traj.scores.rce_identification,
+        },
+        "final_root_cause": (
+            entity(traj.final_root_cause) if traj.final_root_cause else None
+        ),
+    }, sort_keys=True)
 
 
 def floyd_warshall(n: int, edges: list[tuple[int, int]]) -> np.ndarray:

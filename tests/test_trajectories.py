@@ -6,8 +6,12 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import corpus_line_via_dicts
 
-from twinmdp.abstraction import AbstractStep, AbstractTrajectory, save_abstract_corpus
+from twinmdp.abstraction import (AbstractStep, AbstractTrajectory, load_abstract_corpus,
+                                 save_abstract_corpus)
 from twinmdp.errors import (
     ChosenEntityNotInCandidates,
     IoFailure,
@@ -16,6 +20,7 @@ from twinmdp.errors import (
     ScoreOutOfRange,
 )
 from twinmdp.trajectories import (
+    LABELS,
     Entity,
     JudgeScores,
     RawStep,
@@ -30,7 +35,8 @@ from twinmdp.trajectories import (
 from twinmdp.nets import Mlp
 from twinmdp.offline_rl import QPolicy, TabularQ, save_policy
 from twinmdp.reward_learning import save_reward_net
-from twinmdp.simulator import SimScenario, save_scenarios
+from twinmdp.simulator import (ScenarioConfig, SimScenario, generate_scenario,
+                               load_scenarios, save_scenarios)
 from twinmdp.topology import make_graph, save_graph
 
 
@@ -95,6 +101,23 @@ class TestEntity:
         e = pickle.loads(data)
         assert hash(e) == hash(("frontend", "Service"))
         assert e in {entity("frontend", "Service")}
+
+    @pytest.mark.parametrize("name, etype", [(5, "Pod"), ("a", 5), ("", "Pod"),
+                                             ("a", None), (b"a", "Pod")])
+    def test_name_and_etype_must_be_non_empty_strings(self, name, etype):
+        with pytest.raises(MalformedRecord, match="non-empty strings"):
+            Entity(name=name, etype=etype)
+
+    @pytest.mark.parametrize("entity_first", [True, False])
+    def test_an_entity_and_its_plain_tuple_are_different_keys(self, entity_first):
+        e, plain = entity("a"), ("a", "Pod")
+        keys = [e, plain] if entity_first else [plain, e]
+        table = {k: i for i, k in enumerate(keys)}
+        members = set(keys)
+        assert len(table) == 2 and len(members) == 2
+        assert table[e] == keys.index(e) and table[plain] == keys.index(plain)
+        assert {type(k) for k in table} == {Entity, tuple}
+        assert e != plain and plain != e and not (e == plain) and not (plain == e)
 
 
 class TestValidation:
@@ -190,6 +213,24 @@ class TestCorpusIo:
         with pytest.raises(NonMonotoneTurnIndex) as exc:
             load_corpus(path)
         assert "line 2" in str(exc.value)
+
+    def test_a_non_string_name_is_rejected_with_its_line(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        save_corpus([make_trajectory("a"), make_trajectory("b")], path)
+        lines = path.read_text().splitlines()
+        lines[1] = lines[1].replace('"name": "b"', '"name": 5', 1)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(MalformedRecord, match="non-empty strings") as exc:
+            load_corpus(path)
+        assert exc.value.line == 2
+
+    def test_loaded_mentions_of_an_entity_are_one_object(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        save_corpus([make_trajectory("a"), make_trajectory("b")], path)
+        first, second = load_corpus(path)
+        a = first.final_root_cause
+        assert second.final_root_cause is a
+        assert all(s.candidate_entities[0] is a for t in (first, second) for s in t.steps)
 
     def test_unknown_fields_rejected(self, tmp_path):
         trajs = [make_trajectory("a")]
@@ -318,3 +359,128 @@ class TestArtifactFormat:
         with pytest.raises(MalformedRecord, match="unsupported policy format 2"):
             read_json(path, "policy", version=1)
         assert read_json(path, "policy", version=2) == {"format_version": 2}
+
+
+# names and ids with non-ASCII, quote, backslash and control characters
+TEXT = st.one_of(st.sampled_from(['a', 'svc-01', 'é', '日本', '"', '\\', 'a"b\\c', '\n',
+                                  ' ', '\U0001f600', 'Pod']),
+                 st.text(min_size=1, max_size=5))
+REWARDS = st.one_of(st.none(), st.just(-0.0), st.just(float("nan")),
+                    st.floats(allow_nan=True, allow_infinity=True))
+
+
+@st.composite
+def raw_trajectories(draw, index=0):
+    """A trajectory whose mentions of one entity are distinct equal objects
+    (two "graphs"), with assessments inserted in drawn (unsorted) order."""
+    fields = draw(st.lists(st.tuples(TEXT, TEXT), min_size=1, max_size=5, unique=True))
+    graphs = [[Entity(n, t) for n, t in fields] for _ in range(2)]
+    node = st.integers(0, len(fields) - 1)
+    graph = st.integers(0, 1)
+    steps = []
+    for t in range(draw(st.integers(1, 4))):
+        g = graphs[draw(graph)]
+        candidates = [g[i] for i in draw(st.lists(node, min_size=1, max_size=4))]
+        assessments = {}
+        for i, label in draw(st.lists(st.tuples(node, st.sampled_from(LABELS)), max_size=6)):
+            assessments[graphs[draw(graph)][i]] = label
+        steps.append(RawStep(turn_index=t, chosen_entity=draw(st.sampled_from(candidates)),
+                             candidate_entities=tuple(candidates), assessments=assessments,
+                             intermediate_reward=draw(REWARDS)))
+    return RawTrajectory(
+        trajectory_id=f"t{index}-{draw(TEXT)}",
+        scenario_id=draw(TEXT),
+        symptom_entity=graphs[draw(graph)][draw(node)],
+        steps=tuple(steps),
+        scores=JudgeScores(draw(st.floats(0.0, 100.0)),
+                           draw(st.sampled_from([0.0, 100.0, 0, 100]))),
+        final_root_cause=draw(st.one_of(st.none(), st.sampled_from(graphs[1]))),
+    )
+
+
+@st.composite
+def raw_corpora(draw):
+    return [draw(raw_trajectories(i)) for i in range(draw(st.integers(0, 3)))]
+
+
+def has_nan(traj) -> bool:
+    return any(s.intermediate_reward != s.intermediate_reward for s in traj.steps)
+
+
+class TestCorpusWriter:
+    @settings(max_examples=150, deadline=None)
+    @given(trajs=raw_corpora())
+    def test_each_line_is_the_sorted_key_json_of_the_record(self, trajs, tmp_path_factory):
+        path = tmp_path_factory.mktemp("corpus") / "corpus.jsonl"
+        save_corpus(trajs, path)
+        expected = "".join(corpus_line_via_dicts(t) + "\n" for t in trajs)
+        assert path.read_bytes() == expected.encode("ascii")
+
+    @settings(max_examples=100, deadline=None)
+    @given(trajs=raw_corpora())
+    def test_load_inverts_save(self, trajs, tmp_path_factory):
+        p1 = tmp_path_factory.mktemp("corpus") / "corpus.jsonl"
+        p2, p3 = p1.with_name("again.jsonl"), p1.with_name("third.jsonl")
+        save_corpus(trajs, p1)
+        loaded = load_corpus(p1)
+        assert [t for t in loaded if not has_nan(t)] == [t for t in trajs if not has_nan(t)]
+        assert [[s.intermediate_reward != s.intermediate_reward for s in t.steps]
+                for t in loaded] == [[s.intermediate_reward != s.intermediate_reward
+                                      for s in t.steps] for t in trajs]
+        # loading makes the scores floats; from there on a save is a fixed point
+        save_corpus(loaded, p2)
+        save_corpus(load_corpus(p2), p3)
+        assert p3.read_bytes() == p2.read_bytes()
+
+    def test_scalars_of_other_types_keep_the_json_encoding(self, tmp_path):
+        a = entity("a")
+        steps = (RawStep(0, a, (a,), {a: "primary"}, np.float64(0.25)),
+                 RawStep(True, a, (a,), {}, float("-inf")))  # True == 1 passes
+        traj = RawTrajectory("t", "s", a, steps, JudgeScores(np.float64(12.5), 100), a)
+        save_corpus([traj], tmp_path / "corpus.jsonl")
+        line = (tmp_path / "corpus.jsonl").read_text()
+        assert line == corpus_line_via_dicts(traj) + "\n"
+        assert '"turn_index": true' in line and "-Infinity" in line
+
+
+class TestJsonLinesErrors:
+    """A malformed line of a JSON-lines artifact is reported by its 1-based
+    line in the file, as load_corpus reports a corpus line."""
+
+    def test_an_abstract_corpus_cut_inside_a_line_names_that_line(self, tmp_path):
+        step = AbstractStep(np.array([1.0, 0.0]), np.array([0.5, 2.0]), 0.5,
+                            [np.array([0.5, 2.0])])
+        trajs = [AbstractTrajectory(f"t{i}", "s0", "topology", [step] * 3,
+                                    JudgeScores(50.0, 100.0)) for i in range(8)]
+        path = tmp_path / "abstract.jsonl"
+        save_abstract_corpus(trajs, path)
+        text = path.read_text()
+        cut = sum(len(line) + 1 for line in text.splitlines()[:5]) + 98
+        path.write_text(text[:cut])
+        with pytest.raises(MalformedRecord, match="^line 6: malformed abstract corpus") as exc:
+            load_abstract_corpus(path)
+        assert exc.value.line == 6
+
+    def test_a_scenarios_file_names_the_bad_line(self, tmp_path):
+        scenarios = [generate_scenario(ScenarioConfig(n_nodes=6), seed, f"s{seed}")
+                     for seed in range(3)]
+        path = tmp_path / "scenarios.jsonl"
+        save_scenarios(scenarios, path)
+        lines = path.read_text().splitlines()
+        assert [s.scenario_id for s in load_scenarios(path)] == ["s0", "s1", "s2"]
+        # invalid JSON, then a missing field, on line 4 after a blank line 3
+        for broken in (lines[2][:40], lines[2].replace('"seed"', '"sed"')):
+            path.write_text("\n".join(lines[:2] + ["", broken]) + "\n")
+            with pytest.raises(MalformedRecord, match="^line 4: malformed scenarios") as exc:
+                load_scenarios(path)
+            assert exc.value.line == 4
+
+    def test_a_bad_entity_in_a_scenarios_file_names_its_line(self, tmp_path):
+        path = tmp_path / "scenarios.jsonl"
+        save_scenarios([generate_scenario(ScenarioConfig(n_nodes=6), 0, "s0")] * 2, path)
+        lines = path.read_text().splitlines()
+        lines[1] = lines[1].replace('"name": "svc-00"', '"name": 0')
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(MalformedRecord, match="non-empty strings") as exc:
+            load_scenarios(path)
+        assert exc.value.line == 2
