@@ -34,7 +34,8 @@ from .errors import (
 )
 from .hmm import Hmm, viterbi_decode
 from .topology import TopologyGraph, all_distances_from, hubs_scores
-from .trajectories import Entity, JudgeScores, RawTrajectory, read_jsonl, write_jsonl
+from .trajectories import (Entity, JudgeScores, RawTrajectory, _dumps, _json, atomic_open,
+                           read_jsonl)
 
 ASSESSMENT_CODE = {"primary": 2.0, "cascading": 1.0, "normal": 0.0}
 
@@ -304,37 +305,56 @@ def augment_with_hmm(traj: AbstractTrajectory, hmm: Hmm) -> AbstractTrajectory:
 
 # --- serialization --------------------------------------------------------------
 
-def _action_to_json(action) -> dict:
-    if isinstance(action, (int, np.integer)):
-        return {"index": int(action)}
-    return {"features": np.asarray(action, dtype=float).tolist()}
-
-
 def _action_from_json(obj):
     if "index" in obj:
         return int(obj["index"])
     return np.asarray(obj["features"], dtype=float)
 
 
-def abstract_to_json(traj: AbstractTrajectory) -> dict:
-    return {
-        "trajectory_id": traj.trajectory_id,
-        "scenario_id": traj.scenario_id,
-        "scheme": traj.scheme,
-        "scores": {
-            "fpc_accuracy": traj.scores.fpc_accuracy,
-            "rce_identification": traj.scores.rce_identification,
-        },
-        "steps": [
-            {
-                "state": s.state.tolist(),
-                "action": _action_to_json(s.action),
-                "reward": s.reward,
-                "candidates": [_action_to_json(c) for c in s.candidates],
-            }
-            for s in traj.steps
-        ],
-    }
+class _AbstractEncoder:
+    """The abstract-corpus line of a trajectory, as text: ``json.dumps(record,
+    sort_keys=True)`` of the record that ``load_abstract_corpus`` decodes,
+    byte for byte. An index action is ``{"index": i}``; a feature action is
+    ``{"features": [...]}`` of its float64 values. Each distinct state and
+    feature row is encoded once per encoder, keyed by its array's bytes (so
+    -0.0 and 0.0 stay apart)."""
+
+    def __init__(self):
+        self.states: dict[tuple, str] = {}
+        self.features: dict[tuple, str] = {}
+
+    def state(self, state: np.ndarray) -> str:
+        key = (state.dtype.str, state.shape, state.tobytes())
+        text = self.states.get(key)
+        if text is None:
+            text = self.states[key] = _dumps(state.tolist())
+        return text
+
+    def action(self, action) -> str:
+        if isinstance(action, (int, np.integer)):
+            return f'{{"index": {int(action)}}}'
+        row = np.asarray(action, dtype=float)
+        key = (row.shape, row.tobytes())
+        text = self.features.get(key)
+        if text is None:
+            text = self.features[key] = f'{{"features": {_dumps(row.tolist())}}}'
+        return text
+
+    def step(self, s: AbstractStep) -> str:
+        return "".join((
+            '{"action": ', self.action(s.action),
+            ', "candidates": [', ", ".join(map(self.action, s.candidates)),
+            '], "reward": ', _json(s.reward), ', "state": ', self.state(s.state), "}",
+        ))
+
+    def line(self, t: AbstractTrajectory) -> str:
+        return "".join((
+            '{"scenario_id": ', _json(t.scenario_id), ', "scheme": ', _json(t.scheme),
+            ', "scores": {"fpc_accuracy": ', _json(t.scores.fpc_accuracy),
+            ', "rce_identification": ', _json(t.scores.rce_identification),
+            '}, "steps": [', ", ".join(map(self.step, t.steps)),
+            '], "trajectory_id": ', _json(t.trajectory_id), "}\n",
+        ))
 
 
 def abstract_from_json(obj) -> AbstractTrajectory:
@@ -360,7 +380,12 @@ def abstract_from_json(obj) -> AbstractTrajectory:
 
 
 def save_abstract_corpus(trajs, path: str | Path) -> None:
-    write_jsonl(path, map(abstract_to_json, trajs), "abstract corpus")
+    """Write abstract trajectories as line-delimited JSON; load_abstract_corpus
+    inverts it."""
+    encode = _AbstractEncoder().line
+    with atomic_open(path, "abstract corpus") as fh:
+        for traj in trajs:
+            fh.write(encode(traj))
 
 
 def load_abstract_corpus(path: str | Path) -> list[AbstractTrajectory]:

@@ -14,6 +14,7 @@ import inspect
 import json
 from collections import Counter
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
+from itertools import zip_longest
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
@@ -22,6 +23,7 @@ import yaml
 
 from .abstraction import (
     SCHEME_KINDS,
+    AbstractStep,
     AbstractTrajectory,
     SchemeSpec,
     abstract,
@@ -73,8 +75,8 @@ from .stats import (
     ranks_from_scores,
     render_cd_diagram,
 )
-from .trajectories import (atomic_open, atomic_write_text, load_corpus, read_json, reading,
-                           save_corpus, write_json)
+from .trajectories import (atomic_open, atomic_write_text, interning_entity_decoder,
+                           load_corpus, read_json, reading, save_corpus, write_json, write_jsonl)
 
 # evaluate ranks the arms plus the baseline; the Nemenyi table covers up to 10 methods
 MAX_ARMS = max(NEMENYI_Q[0.05]) - 1
@@ -97,8 +99,8 @@ F_CD = "cd_diagram.txt"
 F_SUMMARY = "summary.json"
 
 
-def relabeled_file(mode: str) -> str:
-    return f"relabeled_{mode}.jsonl"
+def rewards_file(mode: str) -> str:
+    return f"rewards_{mode}.jsonl"
 
 
 def policy_file(policy_id: str) -> str:
@@ -442,8 +444,11 @@ def stage_abstract(cfg: PipelineConfig, out: Path) -> dict:
     corpus_path, scenarios_path = _input_paths(cfg, out)
     _require([corpus_path, scenarios_path], "abstract")
     seed = derive_seed(cfg.master_seed, "abstract")
-    corpus = load_corpus(corpus_path)
-    graphs = {s.scenario_id: s.graph for s in load_scenarios(scenarios_path)}
+    # one decoder: the corpus's entities are the graphs' node objects, so the
+    # featurizers' lookups stop at identity
+    entity = interning_entity_decoder()
+    corpus = load_corpus(corpus_path, entity)
+    graphs = {s.scenario_id: s.graph for s in load_scenarios(scenarios_path, entity)}
     sentinel = resolve_sentinel(cfg)
     vocabulary: tuple = ()
     if cfg.scheme_kind != "topology":
@@ -541,18 +546,66 @@ def split_scenarios(cfg: PipelineConfig, scenario_ids) -> tuple[set[str], set[st
     return train_ids, eval_ids
 
 
-def read_split(cfg: PipelineConfig, path: Path) -> tuple[list, list]:
-    """The abstract corpus at ``path`` as its (train, eval) trajectories, in file order."""
-    trajs = load_abstract_corpus(path)
+def read_split(cfg: PipelineConfig, out: Path, train=(),
+               held_out=()) -> tuple[dict[str, list], dict[str, list]]:
+    """The abstract corpus as each ``train`` mode's training-split trajectories
+    and each ``held_out`` mode's eval-split trajectories, in file order.
+
+    The corpus is parsed once. Mode "none" keeps its zero rewards; any other
+    mode takes the rewards of its reward file, and the modes share each
+    step's state, action and candidates.
+    """
+    trajs = load_abstract_corpus(out / F_ABSTRACT)
     _, eval_ids = split_scenarios(cfg, [t.scenario_id for t in trajs])
-    return ([t for t in trajs if t.scenario_id not in eval_ids],
-            [t for t in trajs if t.scenario_id in eval_ids])
+    split = ({}, {})
+    for part, modes, held in ((split[0], train, False), (split[1], held_out, True)):
+        kept = [i for i, t in enumerate(trajs) if (t.scenario_id in eval_ids) == held]
+        for mode in modes:
+            if mode == "none":
+                part[mode] = [trajs[i] for i in kept]
+            else:
+                rewards = read_rewards(out / rewards_file(mode), trajs)
+                part[mode] = [_with_rewards(trajs[i], rewards[i]) for i in kept]
+    return split
+
+
+def _with_rewards(traj: AbstractTrajectory, rewards: list[float]) -> AbstractTrajectory:
+    """``traj`` with ``rewards`` as its step rewards; the steps share the rest."""
+    return replace(traj, steps=[AbstractStep(s.state, s.action, r, s.candidates)
+                                for s, r in zip(traj.steps, rewards)])
+
+
+def read_rewards(path: Path, trajs) -> list[list[float]]:
+    """Each trajectory's rewards from the reward file at ``path``, whose line
+    i holds trajectory i's id and one reward per step. A file that does not
+    match ``trajs`` line for line raises MalformedRecord naming it and the
+    1-based line."""
+    with reading(path, "rewards"):
+        lines = path.read_text().splitlines()
+    rewards = []
+    for lineno, (line, traj) in enumerate(zip_longest(lines, trajs), start=1):
+        with reading(path, "rewards", lineno):
+            if traj is None:
+                raise MalformedRecord(f"rewards {path}: more lines than the abstract "
+                                      f"corpus's {len(trajs)} trajectories")
+            if line is None:
+                raise MalformedRecord(f"rewards {path}: no line for trajectory "
+                                      f"{traj.trajectory_id!r} of the abstract corpus")
+            obj = json.loads(line)
+            if obj["trajectory_id"] != traj.trajectory_id:
+                raise MalformedRecord(f"rewards {path}: trajectory {obj['trajectory_id']!r} "
+                                      f"where the abstract corpus has {traj.trajectory_id!r}")
+            rewards.append(list(map(float, obj["rewards"])))
+            if len(rewards[-1]) != len(traj.steps):
+                raise MalformedRecord(f"rewards {path}: {len(rewards[-1])} rewards for the "
+                                      f"{len(traj.steps)} steps of {traj.trajectory_id!r}")
+    return rewards
 
 
 def stage_train_reward(cfg: PipelineConfig, out: Path) -> dict:
     _require([out / F_ABSTRACT], "train_reward")
     seed = derive_seed(cfg.master_seed, "train_reward")
-    train_trajs, _ = read_split(cfg, out / F_ABSTRACT)
+    train_trajs = read_split(cfg, out, train=["none"])[0]["none"]
     pairs = build_pairs(
         [(t, t.scores) for t in train_trajs],
         signal=cfg.irl_signal,
@@ -594,22 +647,21 @@ def stage_relabel(cfg: PipelineConfig, out: Path) -> dict:
         net = load_reward_net(out / F_REWARD)
     outputs = []
     for mode in modes:
-        relabeled = [relabel_mode(t, mode, net, cfg.combined_blend) for t in trajs]
-        save_abstract_corpus(relabeled, out / relabeled_file(mode))
-        outputs.append(out / relabeled_file(mode))
+        write_jsonl(out / rewards_file(mode), (
+            {"rewards": [s.reward for s in relabel_mode(t, mode, net, cfg.combined_blend).steps],
+             "trajectory_id": t.trajectory_id} for t in trajs), "rewards")
+        outputs.append(out / rewards_file(mode))
     return _write_manifest(out, "relabel", cfg, seed, inputs, outputs)
 
 
 def stage_train_policy(cfg: PipelineConfig, out: Path) -> dict:
     modes = _needed_reward_modes(cfg)
-    inputs = [out / F_ABSTRACT] + [out / relabeled_file(m) for m in modes]
+    inputs = [out / F_ABSTRACT] + [out / rewards_file(m) for m in modes]
     _require(inputs, "train_policy")
     seed = derive_seed(cfg.master_seed, "train_policy")
     outputs = []
-    # bc entries take reward mode "none": the unrelabeled corpus
-    corpora = {mode: read_split(cfg, out / (F_ABSTRACT if mode == "none"
-                                            else relabeled_file(mode)))[0]
-               for mode in {entry["reward_mode"] for entry in cfg.rl_grid}}
+    # bc entries take reward mode "none": the corpus's own zero rewards
+    corpora, _ = read_split(cfg, out, train=sorted({e["reward_mode"] for e in cfg.rl_grid}))
     for entry in cfg.rl_grid:
         pid = entry["id"]
         train_cfg = replace(cfg.rl_train,
@@ -632,11 +684,12 @@ def stage_train_policy(cfg: PipelineConfig, out: Path) -> dict:
 
 
 def stage_rank(cfg: PipelineConfig, out: Path) -> dict:
-    eval_path = out / relabeled_file(cfg.eval_reward_mode)
-    inputs = [eval_path] + [out / policy_file(e["id"]) for e in cfg.rl_grid]
+    mode = cfg.eval_reward_mode
+    inputs = [out / F_ABSTRACT, out / rewards_file(mode)] + [
+        out / policy_file(e["id"]) for e in cfg.rl_grid]
     _require(inputs, "rank")
     seed = derive_seed(cfg.master_seed, "rank")
-    _, eval_trajs = read_split(cfg, eval_path)
+    eval_trajs = read_split(cfg, out, held_out=[mode])[1][mode]
     candidates = [load_policy(out / policy_file(entry["id"])) for entry in cfg.rl_grid]
     ranking = rank_policies(candidates, eval_trajs, cfg.rl_train, k=cfg.ope_k)
     report = {
@@ -843,11 +896,12 @@ def robustness_sweep(cfg: PipelineConfig, out: Path,
     then scores them all in one FQE call on the held-out split. Collects extra
     episodes on the training scenarios when the corpus lacks successes.
     """
-    _require([out / F_ABSTRACT, out / F_REWARD, out / relabeled_file(cfg.eval_reward_mode),
+    mode = cfg.eval_reward_mode
+    _require([out / F_ABSTRACT, out / F_REWARD, out / rewards_file(mode),
               out / F_SCHEME] + ([out / F_HMM] if cfg.with_hmm else []), "robustness_sweep")
     net = load_reward_net(out / F_REWARD)
-    train, _ = read_split(cfg, out / F_ABSTRACT)
-    pool = [t for t in train if t.scores.rce_identification >= 100.0]
+    train, held_out = read_split(cfg, out, train=["none"], held_out=[mode])
+    pool = [t for t in train["none"] if t.scores.rce_identification >= 100.0]
 
     needed = max(counts)
     if len(pool) < needed:
@@ -856,8 +910,7 @@ def robustness_sweep(cfg: PipelineConfig, out: Path,
         raise StageFailed("robustness_sweep",
                           RuntimeError(f"only {len(pool)} successful trajectories"))
 
-    _, held_out = read_split(cfg, out / relabeled_file(cfg.eval_reward_mode))
-    eval_table = build_transitions(held_out)
+    eval_table = build_transitions(held_out[mode])
 
     rng = np.random.default_rng(derive_seed(cfg.master_seed, "robustness_sweep"))
     order = rng.permutation(len(pool))

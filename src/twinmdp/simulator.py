@@ -27,8 +27,8 @@ from .hmm import Hmm, log_emission, viterbi_step
 from .offline_rl import QPolicy
 from .topology import (TopologyGraph, all_distances_from, graph_from_json, graph_to_json,
                        make_graph)
-from .trajectories import (Entity, JudgeScores, RawStep, RawTrajectory, read_jsonl,
-                           write_jsonl)
+from .trajectories import (Entity, JudgeScores, RawStep, RawTrajectory, entity_from_json,
+                           read_jsonl, write_jsonl)
 
 NODE_TYPES = ("Pod", "Service", "Deployment", "Node", "ConfigMap")
 
@@ -519,8 +519,9 @@ def scenario_to_json(scn: SimScenario) -> dict:
     }
 
 
-def scenario_from_json(obj) -> SimScenario:
-    graph = graph_from_json(obj["graph"])
+def scenario_from_json(obj, entity=entity_from_json) -> SimScenario:
+    """The scenario of a record; ``entity`` decodes each graph node."""
+    graph = graph_from_json(obj["graph"], entity)
     by_key = {(e.name, e.etype): e for e in graph.nodes}
 
     def ent(o):
@@ -541,5 +542,8 @@ def save_scenarios(scenarios, path: str | Path) -> None:
     write_jsonl(path, map(scenario_to_json, scenarios), "scenarios")
 
 
-def load_scenarios(path: str | Path) -> list[SimScenario]:
-    return read_jsonl(path, "scenarios", scenario_from_json)
+def load_scenarios(path: str | Path, entity=entity_from_json) -> list[SimScenario]:
+    """The scenarios at ``path``; ``entity`` decodes each graph node (an
+    ``interning_entity_decoder`` shared with ``load_corpus`` makes the
+    corpus's entities the graphs' node objects)."""
+    return read_jsonl(path, "scenarios", lambda obj: scenario_from_json(obj, entity))

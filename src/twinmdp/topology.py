@@ -126,7 +126,7 @@ def graph_to_json(g: TopologyGraph) -> dict:
     }
 
 
-def graph_from_json(obj) -> TopologyGraph:
-    nodes = [entity_from_json(e) for e in obj["nodes"]]
+def graph_from_json(obj, entity=entity_from_json) -> TopologyGraph:
+    nodes = [entity(e) for e in obj["nodes"]]
     edges = [(nodes[i], nodes[j]) for i, j in obj["edges"]]
     return make_graph(nodes, edges)

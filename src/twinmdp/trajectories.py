@@ -169,10 +169,11 @@ def entity_from_json(obj) -> Entity:
         raise MalformedRecord(f"entity missing field {exc}") from exc
 
 
-def _interning_entity_decoder():
+def interning_entity_decoder():
     """``entity_from_json`` that validates each distinct entity object once
     and returns one ``Entity`` for all of its mentions, so lookups of the
-    decoded entities stay on identity."""
+    decoded entities stay on identity. Pass one decoder to ``load_corpus``
+    and ``load_scenarios`` to share the objects between their results."""
     seen: dict[tuple[str, str], Entity] = {}
 
     def decode(obj) -> Entity:
@@ -213,7 +214,7 @@ def _step_from_json(obj, entity) -> RawStep:
 
 def trajectory_from_json(obj, entity) -> RawTrajectory:
     """The trajectory of a corpus record; ``entity`` decodes each entity
-    object (``entity_from_json``, or ``load_corpus``'s interning decoder)."""
+    object (``entity_from_json``, or an ``interning_entity_decoder``)."""
     if not isinstance(obj, dict):
         raise MalformedRecord("trajectory must be an object")
     _check_keys(obj, _TRAJ_KEYS, "trajectory")
@@ -347,23 +348,32 @@ def write_jsonl(path: str | Path, objs, what: str) -> None:
             fh.write("\n")
 
 
-@contextmanager
-def reading(path: str | Path, what: str, line: int | None = None):
+class reading:
     """Reads of the ``what`` at ``path``: an OSError becomes IoFailure, and
     invalid JSON or a missing or mistyped field becomes MalformedRecord; both
     name the file. With ``line``, a MalformedRecord or other CorpusError
-    also carries that 1-based line of the file."""
-    try:
-        yield
-    except OSError as exc:
-        raise IoFailure(f"cannot read {what} {path}: {exc}") from exc
-    except CorpusError as exc:
-        if line is None or exc.line is not None:
-            raise
-        raise type(exc)(str(exc), line=line) from exc
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise MalformedRecord(f"malformed {what} {path}: {type(exc).__name__}: {exc}",
-                              line=line) from exc
+    also carries that 1-based line of the file.
+
+    A class, not a generator context manager: JSON-lines readers enter one
+    per line, and this costs a fraction of a generator's set-up."""
+
+    def __init__(self, path: str | Path, what: str, line: int | None = None):
+        self.path, self.what, self.line = path, what, line
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, kind, exc, tb) -> bool:
+        if isinstance(exc, OSError):
+            raise IoFailure(f"cannot read {self.what} {self.path}: {exc}") from exc
+        if isinstance(exc, CorpusError):
+            if self.line is None or exc.line is not None:
+                return False
+            raise type(exc)(str(exc), line=self.line) from exc
+        if isinstance(exc, (AttributeError, KeyError, TypeError, ValueError)):
+            raise MalformedRecord(f"malformed {self.what} {self.path}: "
+                                  f"{type(exc).__name__}: {exc}", line=self.line) from exc
+        return False
 
 
 def read_json(path: str | Path, what: str, decode=lambda obj: obj, version=None):
@@ -390,19 +400,20 @@ def read_jsonl(path: str | Path, what: str, decode) -> list:
     return decoded
 
 
-def load_corpus(path: str | Path) -> list[RawTrajectory]:
+def load_corpus(path: str | Path, entity=None) -> list[RawTrajectory]:
     """Load and validate a line-delimited trajectory corpus.
 
     Raises the first validation error encountered, annotated with the
     1-based line number. Duplicate trajectory_ids only warn: ids are labels,
-    not keys.
+    not keys. ``entity`` decodes each entity object; by default a new
+    ``interning_entity_decoder``.
     """
     path = Path(path)
     trajectories: list[RawTrajectory] = []
     seen_ids: set[str] = set()
     with reading(path, "corpus"):
         lines = path.read_text().splitlines()
-    entity = _interning_entity_decoder()
+    entity = entity or interning_entity_decoder()
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue

@@ -52,6 +52,34 @@ def corpus_line_via_dicts(traj) -> str:
     }, sort_keys=True)
 
 
+def abstract_line_via_dicts(traj) -> str:
+    """An abstract corpus line as the writer built it before it wrote text: one
+    dict per record, step and action, then ``json.dumps(sort_keys=True)``."""
+    def action(a):
+        if isinstance(a, (int, np.integer)):
+            return {"index": int(a)}
+        return {"features": np.asarray(a, dtype=float).tolist()}
+
+    return json.dumps({
+        "trajectory_id": traj.trajectory_id,
+        "scenario_id": traj.scenario_id,
+        "scheme": traj.scheme,
+        "scores": {
+            "fpc_accuracy": traj.scores.fpc_accuracy,
+            "rce_identification": traj.scores.rce_identification,
+        },
+        "steps": [
+            {
+                "state": s.state.tolist(),
+                "action": action(s.action),
+                "reward": s.reward,
+                "candidates": [action(c) for c in s.candidates],
+            }
+            for s in traj.steps
+        ],
+    }, sort_keys=True)
+
+
 def floyd_warshall(n: int, edges: list[tuple[int, int]]) -> np.ndarray:
     """All-pairs directed distances; inf when unreachable."""
     dist = np.full((n, n), np.inf)

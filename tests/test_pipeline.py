@@ -29,14 +29,18 @@ from twinmdp.pipeline import (
     split_scenarios,
     stage_abstract,
     stage_collect,
+    stage_rank,
     stage_relabel,
     stage_reproduce,
     stage_simulate,
+    stage_train_policy,
     stage_train_reward,
     validate_config,
 )
-from twinmdp.reward_learning import RewardTrainConfig, build_pairs, encode_step_rows
+from twinmdp.reward_learning import (RewardTrainConfig, build_pairs, encode_step_rows,
+                                     load_reward_net)
 from twinmdp.simulator import EpisodeConfig, ScenarioConfig, load_scenarios
+from twinmdp.trajectories import Entity
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -247,13 +251,14 @@ class TestStages:
         out, summary = finished_run
         for name in (
             "train_corpus.jsonl", "train_scenarios.jsonl", "abstract_corpus.jsonl",
-            "scheme_runtime.json", "reward_net.json", "relabeled_irl.jsonl",
-            "relabeled_sparse.jsonl", "policy_rl_irl.json", "policy_bc.json",
+            "scheme_runtime.json", "reward_net.json", "rewards_irl.jsonl",
+            "rewards_sparse.jsonl", "policy_rl_irl.json", "policy_bc.json",
             "ranking.json", "ranking.csv", "test_scenarios.jsonl", "results.csv",
             "compare_corpus.jsonl", "report.json", "summary.csv", "summary.json",
             "cd_diagram.txt",
         ):
             assert (out / name).exists(), name
+        assert not list(out.glob("relabeled_*"))
         assert "baseline" in summary["methods"]
         assert "rl_irl+prioritize" in summary["methods"]
 
@@ -364,6 +369,106 @@ class TestStages:
         text = (out / "results.csv").read_text()
         for method in ("baseline", "rl_irl+prioritize", "bc+prioritize"):
             assert method in text
+
+
+class TestRewardColumns:
+    """Each reward mode is a reward file over the one abstract corpus."""
+
+    def test_a_reward_file_holds_each_trajectory_s_relabeled_rewards(self, finished_run):
+        out, _ = finished_run
+        corpus = load_abstract_corpus(out / "abstract_corpus.jsonl")
+        net = load_reward_net(out / "reward_net.json")
+        for mode in ("irl", "sparse"):
+            lines = (out / f"rewards_{mode}.jsonl").read_text().splitlines()
+            want = [pipeline.relabel_mode(t, mode, net, 1.0) for t in corpus]
+            assert lines == [json.dumps({"rewards": [s.reward for s in t.steps],
+                                         "trajectory_id": t.trajectory_id}, sort_keys=True)
+                             for t in want]
+
+    def test_the_modes_share_one_parse_of_the_corpus(self, finished_run, tmp_path,
+                                                     monkeypatch):
+        out, _ = finished_run
+        clone = tmp_path / "clone"
+        shutil.copytree(out, clone)
+        raw = json.loads(json.dumps(SMALL_CONFIG))
+        raw["rl"]["grid"].append({"id": "rl_sparse", "learner": "cql", "reward_mode": "sparse"})
+        cfg = validate_config(raw)
+        calls = []
+        for name in ("load_abstract_corpus", "save_abstract_corpus"):
+            def counting(*args, _name=name, _fn=getattr(pipeline, name)):
+                calls.append(_name)
+                return _fn(*args)
+            monkeypatch.setattr(pipeline, name, counting)
+        stage_relabel(cfg, clone)
+        assert calls == ["load_abstract_corpus"]
+        calls.clear()
+        train, _ = pipeline.read_split(cfg, clone, train=["none", "irl", "sparse"])
+        assert calls == ["load_abstract_corpus"]
+        steps = [[s for t in trajs for s in t.steps] for trajs in train.values()]
+        for other in steps[1:]:
+            assert all(a.state is b.state and a.candidates is b.candidates
+                       for a, b in zip(steps[0], other))
+        calls.clear()
+        stage_train_policy(cfg, clone)
+        assert calls == ["load_abstract_corpus"]
+        for pid in ("rl_irl", "bc"):
+            name = f"policy_{pid}.json"
+            assert (clone / name).read_bytes() == (out / name).read_bytes()
+
+    @pytest.mark.parametrize("stage,name", [("train_policy", "rewards_irl.jsonl"),
+                                            ("rank", "rewards_sparse.jsonl")])
+    @pytest.mark.parametrize("damage", ["truncated", "swapped_id", "short_list", "extra_line",
+                                        "not_a_number"])
+    def test_a_reward_file_that_does_not_match_the_corpus_is_reported(
+            self, finished_run, tmp_path, capsys, stage, name, damage):
+        out, _ = finished_run
+        clone = tmp_path / "clone"
+        shutil.copytree(out, clone)
+        lines = (clone / name).read_text().splitlines()
+        if damage == "truncated":
+            bad, lines = len(lines), lines[:-1]
+        elif damage == "swapped_id":
+            bad, lines[0], lines[1] = 1, lines[1], lines[0]
+        elif damage == "short_list":
+            obj = json.loads(lines[2])
+            obj["rewards"] = obj["rewards"][:-1]
+            bad, lines[2] = 3, json.dumps(obj, sort_keys=True)
+        elif damage == "extra_line":
+            bad, lines = len(lines) + 1, lines + lines[-1:]
+        else:  # every line is checked, not only those of the split a stage reads
+            bad, lines[3] = 4, lines[3].replace('"rewards": [', '"rewards": ["x", ', 1)
+        (clone / name).write_text("\n".join(lines) + "\n")
+        with pytest.raises(MalformedRecord, match=name) as exc:
+            {"train_policy": stage_train_policy, "rank": stage_rank}[stage](small_config(),
+                                                                           clone)
+        assert exc.value.line == bad
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(SMALL_CONFIG))
+        assert cli_main([stage, "--config", str(cfg_path), "--out", str(clone)]) == 1
+        err = capsys.readouterr().err
+        assert f"line {bad}: " in err and name in err and "Traceback" not in err
+
+
+def test_abstract_compares_no_two_equal_entity_objects(finished_run, tmp_path, monkeypatch):
+    # the corpus's entities are the graphs' node objects, so every set and
+    # dict lookup of the featurizers stops at identity
+    out, _ = finished_run
+    clone = tmp_path / "clone"
+    shutil.copytree(out, clone)
+    equal_but_distinct = []
+    eq = Entity.__eq__
+
+    def recording(self, other):
+        if self is not other and eq(self, other):
+            equal_but_distinct.append(self)
+        return eq(self, other)
+
+    monkeypatch.setattr(Entity, "__eq__", recording)
+    stage_abstract(small_config(), clone)
+    monkeypatch.undo()
+    assert equal_but_distinct == []
+    name = "abstract_corpus.jsonl"
+    assert (clone / name).read_bytes() == (out / name).read_bytes()
 
 
 def run_fresh_interpreter(args: list[str]) -> subprocess.CompletedProcess:

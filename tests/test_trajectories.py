@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import corpus_line_via_dicts
+from oracles import abstract_line_via_dicts, corpus_line_via_dicts
 
 from twinmdp.abstraction import (AbstractStep, AbstractTrajectory, load_abstract_corpus,
                                  save_abstract_corpus)
@@ -441,6 +441,104 @@ class TestCorpusWriter:
         line = (tmp_path / "corpus.jsonl").read_text()
         assert line == corpus_line_via_dicts(traj) + "\n"
         assert '"turn_index": true' in line and "-Infinity" in line
+
+
+# float values of states, features and rewards, with -0.0, NaN and infinities
+VALUES = st.one_of(st.sampled_from([0.0, -0.0, 1.0, 2.5, float("nan"), float("inf"),
+                                    float("-inf")]),
+                   st.floats(allow_nan=True, allow_infinity=True))
+
+
+@st.composite
+def abstract_trajectories(draw, index=0):
+    """An abstract trajectory of the topology scheme (feature actions) or of
+    the nametype scheme (index actions, plain or numpy ints). Its rows come
+    from a small pool, as distinct equal arrays, so writers that share equal
+    rows are exercised; with ``hmm`` each state ends in a one-hot."""
+    features = draw(st.booleans())
+    width = draw(st.integers(1, 4))
+    hmm = draw(st.integers(0, 3))
+    dtype = draw(st.sampled_from([float, float, int]))  # int states: zero bytes as 0.0's
+    row = st.lists(VALUES, min_size=width, max_size=width)
+    states = draw(st.lists(row if dtype is float else st.lists(
+        st.integers(-3, 3), min_size=width, max_size=width), min_size=1, max_size=3))
+    if features:
+        pool = draw(st.lists(row, min_size=1, max_size=4))
+        action = st.sampled_from(pool).map(lambda r: np.array(r, dtype=float))
+    else:
+        action = st.tuples(st.integers(0, 9), st.sampled_from([int, np.int64, np.int32])
+                           ).map(lambda t: t[1](t[0]))
+    steps = []
+    for _ in range(draw(st.integers(0, 4))):
+        state = np.array(draw(st.sampled_from(states)), dtype=dtype)
+        if hmm:
+            state = np.concatenate([state, np.eye(hmm)[draw(st.integers(0, hmm - 1))]])
+        reward = draw(st.one_of(VALUES, VALUES.map(np.float64)))
+        steps.append(AbstractStep(state=state, action=draw(action), reward=reward,
+                                  candidates=draw(st.lists(action, max_size=4))))
+    return AbstractTrajectory(
+        trajectory_id=f"t{index}-{draw(TEXT)}", scenario_id=draw(TEXT),
+        scheme="topology" if features else "nametype", steps=steps,
+        scores=JudgeScores(draw(st.floats(0.0, 100.0)),
+                           draw(st.sampled_from([0.0, 100.0, 0, 100]))))
+
+
+@st.composite
+def abstract_corpora(draw):
+    return [draw(abstract_trajectories(i)) for i in range(draw(st.integers(0, 3)))]
+
+
+def same_values(a, b) -> bool:
+    """Equal as float64 numbers, zeros of the same sign, NaN where ``b`` has NaN."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    real = ~np.isnan(b)
+    return (a.shape == b.shape and np.array_equal(np.isnan(a), ~real)
+            and np.array_equal(a[real], b[real])
+            and np.array_equal(np.signbit(a[real]), np.signbit(b[real])))
+
+
+class TestAbstractCorpusWriter:
+    @settings(max_examples=150, deadline=None)
+    @given(trajs=abstract_corpora())
+    def test_each_line_is_the_sorted_key_json_of_the_record(self, trajs, tmp_path_factory):
+        path = tmp_path_factory.mktemp("abstract") / "abstract.jsonl"
+        save_abstract_corpus(trajs, path)
+        expected = "".join(abstract_line_via_dicts(t) + "\n" for t in trajs)
+        assert path.read_bytes() == expected.encode("ascii")
+
+    @settings(max_examples=100, deadline=None)
+    @given(trajs=abstract_corpora())
+    def test_load_inverts_save(self, trajs, tmp_path_factory):
+        p1 = tmp_path_factory.mktemp("abstract") / "abstract.jsonl"
+        p2, p3 = p1.with_name("again.jsonl"), p1.with_name("third.jsonl")
+        save_abstract_corpus(trajs, p1)
+        loaded = load_abstract_corpus(p1)
+        assert len(loaded) == len(trajs)
+        for got, want in zip(loaded, trajs):
+            assert (got.trajectory_id, got.scenario_id, got.scheme, got.scores) == (
+                want.trajectory_id, want.scenario_id, want.scheme, want.scores)
+            assert len(got.steps) == len(want.steps)
+            for a, b in zip(got.steps, want.steps):
+                assert same_values(a.state, b.state) and same_values(a.reward, b.reward)
+                for x, y in zip([a.action, *a.candidates], [b.action, *b.candidates]):
+                    if isinstance(y, (int, np.integer)):
+                        assert type(x) is int and x == y
+                    else:
+                        assert same_values(x, y)
+        # loading makes the states floats; from there on a save is a fixed point
+        save_abstract_corpus(loaded, p2)
+        save_abstract_corpus(load_abstract_corpus(p2), p3)
+        assert p3.read_bytes() == p2.read_bytes()
+
+    def test_rows_of_equal_bytes_but_other_dtype_or_shape_keep_their_encoding(self, tmp_path):
+        steps = [AbstractStep(np.zeros(2, dtype=int), np.zeros(2), 0.0, [np.zeros((1, 2))]),
+                 AbstractStep(np.zeros(2), np.zeros((2, 1)), -0.0, [np.array([-0.0, 0.0])])]
+        traj = AbstractTrajectory("t", "s", "topology", steps, JudgeScores(0.0, 0.0))
+        save_abstract_corpus([traj], tmp_path / "abstract.jsonl")
+        line = (tmp_path / "abstract.jsonl").read_text()
+        assert line == abstract_line_via_dicts(traj) + "\n"
+        assert '"state": [0, 0]' in line and '"state": [0.0, 0.0]' in line
+        assert '[[0.0, 0.0]]' in line and '[-0.0, 0.0]' in line and '"reward": -0.0' in line
 
 
 class TestJsonLinesErrors:
