@@ -11,6 +11,7 @@ from . import errors
 from .abstraction import (
     AbstractStep,
     AbstractTrajectory,
+    MdpTables,
     SchemeSpec,
     TopologyFeaturizer,
     abstract,
@@ -18,6 +19,7 @@ from .abstraction import (
     build_vocabulary,
     hmm_observations,
     load_abstract_corpus,
+    pack_corpus,
     save_abstract_corpus,
 )
 from .context import (
@@ -77,9 +79,7 @@ from .stats import (
 from .topology import (
     TopologyGraph,
     hubs_scores,
-    load_graph,
     make_graph,
-    save_graph,
     shortest_distance,
 )
 from .trajectories import (

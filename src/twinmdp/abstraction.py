@@ -13,14 +13,18 @@ Three representation schemes:
 
 The state at turn t reflects the agent's knowledge *before* acting, i.e. the
 cumulative assessments recorded at turn t-1 (empty at t = 0).
+
+``pack_corpus`` packs abstract trajectories into the finite tables of their
+DT-MDP (``MdpTables``): each distinct state and action row once, and per
+step the ids that name them. ``save_abstract_corpus`` writes the tables.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 from pathlib import Path
-from typing import TypeAlias, Union
+from typing import NamedTuple, TypeAlias, Union
 
 import numpy as np
 
@@ -29,13 +33,13 @@ from .errors import (
     EntityNotInGraph,
     EntityNotInVocabulary,
     MalformedRecord,
+    MissingCandidateSets,
     SchemeMismatch,
     UnknownEntity,
 )
 from .hmm import Hmm, viterbi_decode
 from .topology import TopologyGraph, all_distances_from, hubs_scores
-from .trajectories import (Entity, JudgeScores, RawTrajectory, _dumps, _json, atomic_open,
-                           read_jsonl)
+from .trajectories import Entity, JudgeScores, RawTrajectory, read_json, write_json
 
 ASSESSMENT_CODE = {"primary": 2.0, "cascading": 1.0, "normal": 0.0}
 
@@ -303,90 +307,222 @@ def augment_with_hmm(traj: AbstractTrajectory, hmm: Hmm) -> AbstractTrajectory:
     )
 
 
-# --- serialization --------------------------------------------------------------
+# --- the DT-MDP as finite tables --------------------------------------------------
 
-def _action_from_json(obj):
-    if "index" in obj:
-        return int(obj["index"])
-    return np.asarray(obj["features"], dtype=float)
+TABLES_FORMAT_VERSION = 1
 
 
-class _AbstractEncoder:
-    """The abstract-corpus line of a trajectory, as text: ``json.dumps(record,
-    sort_keys=True)`` of the record that ``load_abstract_corpus`` decodes,
-    byte for byte. An index action is ``{"index": i}``; a feature action is
-    ``{"features": [...]}`` of its float64 values. Each distinct state and
-    feature row is encoded once per encoder, keyed by its array's bytes (so
-    -0.0 and 0.0 stay apart)."""
+class ScoreColumns(NamedTuple):
+    """The judge scores of a packed corpus's trajectories, one array per score."""
 
-    def __init__(self):
-        self.states: dict[tuple, str] = {}
-        self.features: dict[tuple, str] = {}
-
-    def state(self, state: np.ndarray) -> str:
-        key = (state.dtype.str, state.shape, state.tobytes())
-        text = self.states.get(key)
-        if text is None:
-            text = self.states[key] = _dumps(state.tolist())
-        return text
-
-    def action(self, action) -> str:
-        if isinstance(action, (int, np.integer)):
-            return f'{{"index": {int(action)}}}'
-        row = np.asarray(action, dtype=float)
-        key = (row.shape, row.tobytes())
-        text = self.features.get(key)
-        if text is None:
-            text = self.features[key] = f'{{"features": {_dumps(row.tolist())}}}'
-        return text
-
-    def step(self, s: AbstractStep) -> str:
-        return "".join((
-            '{"action": ', self.action(s.action),
-            ', "candidates": [', ", ".join(map(self.action, s.candidates)),
-            '], "reward": ', _json(s.reward), ', "state": ', self.state(s.state), "}",
-        ))
-
-    def line(self, t: AbstractTrajectory) -> str:
-        return "".join((
-            '{"scenario_id": ', _json(t.scenario_id), ', "scheme": ', _json(t.scheme),
-            ', "scores": {"fpc_accuracy": ', _json(t.scores.fpc_accuracy),
-            ', "rce_identification": ', _json(t.scores.rce_identification),
-            '}, "steps": [', ", ".join(map(self.step, t.steps)),
-            '], "trajectory_id": ', _json(t.trajectory_id), "}\n",
-        ))
+    fpc_accuracy: np.ndarray
+    rce_identification: np.ndarray
 
 
-def abstract_from_json(obj) -> AbstractTrajectory:
-    steps = [
-        AbstractStep(
-            state=np.asarray(s["state"], dtype=float),
-            action=_action_from_json(s["action"]),
-            reward=float(s["reward"]),
-            candidates=[_action_from_json(c) for c in s["candidates"]],
-        )
-        for s in obj["steps"]
-    ]
-    return AbstractTrajectory(
-        trajectory_id=obj["trajectory_id"],
-        scenario_id=obj["scenario_id"],
-        scheme=obj["scheme"],
-        steps=steps,
-        scores=JudgeScores(
-            fpc_accuracy=obj["scores"]["fpc_accuracy"],
-            rce_identification=obj["scores"]["rce_identification"],
-        ),
-    )
+@dataclass(frozen=True, eq=False)
+class MdpTables:
+    """An abstract corpus packed into the finite tables of its DT-MDP.
+
+    ``states`` holds each distinct state row once, ``actions`` each distinct
+    action once: feature rows, or vocabulary ids (1-D, ascending). Rows are
+    in byte order, the order ``np.unique`` gives their float64 bytes, so -0.0
+    and 0.0 stay apart. Step i is in state ``state_id[i]``, is offered the
+    actions ``cand_id[cand_offsets[i]:cand_offsets[i + 1]]``, takes the one at
+    position ``taken[i]`` among them and earns ``rewards[i]``; trajectory j
+    owns the steps ``step_offsets[j]:step_offsets[j + 1]``. A selection
+    (``select``) keeps the row tables, so its distinct rows are its ids in
+    ascending order. Item j is trajectory j as an AbstractTrajectory; tables
+    that differ only in rewards (``with_rewards``) share its step objects.
+    Every array is read-only.
+    """
+
+    scheme: str
+    states: np.ndarray
+    actions: np.ndarray
+    state_id: np.ndarray
+    cand_offsets: np.ndarray
+    cand_id: np.ndarray
+    taken: np.ndarray
+    rewards: np.ndarray
+    step_offsets: np.ndarray
+    trajectory_ids: tuple
+    scenario_ids: tuple
+    scores: ScoreColumns
+    _decoded: dict = field(default_factory=dict, repr=False)
+
+    def __post_init__(self):
+        for value in (*vars(self).values(), *self.scores):
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+
+    @property
+    def index_actions(self) -> bool:
+        return self.actions.ndim == 1
+
+    def __len__(self) -> int:
+        return len(self.trajectory_ids)
+
+    def steps_of(self, trajs: np.ndarray) -> np.ndarray:
+        """The steps of the trajectories ``trajs``, in their order."""
+        return _ranges(self.step_offsets[trajs], np.diff(self.step_offsets)[trajs])
+
+    def select(self, trajs: np.ndarray) -> "MdpTables":
+        """The trajectories ``trajs``, in their order, over the same row tables."""
+        steps = self.steps_of(trajs)
+        counts = np.diff(self.cand_offsets)[steps]
+        return MdpTables(
+            self.scheme, self.states, self.actions, self.state_id[steps], _offsets(counts),
+            self.cand_id[_ranges(self.cand_offsets[steps], counts)], self.taken[steps],
+            self.rewards[steps], _offsets(np.diff(self.step_offsets)[trajs]),
+            tuple(map(self.trajectory_ids.__getitem__, trajs)),
+            tuple(map(self.scenario_ids.__getitem__, trajs)),
+            ScoreColumns(*(column[trajs] for column in self.scores)))
+
+    def with_rewards(self, rewards: np.ndarray) -> "MdpTables":
+        return replace(self, rewards=np.asarray(rewards, dtype=float))
+
+    def __getitem__(self, j: int) -> AbstractTrajectory:
+        """Trajectory j; its steps' objects are made once, on the first call."""
+        if "steps" not in self._decoded:  # each step's state, action and candidates
+            states = list(self.states)
+            actions = self.actions.tolist() if self.index_actions else list(self.actions)
+            cands = [actions[k] for k in self.cand_id.tolist()]
+            off = self.cand_offsets.tolist()
+            self._decoded["steps"] = [(states[s], cands[lo + t], cands[lo:hi]) for s, t, lo, hi
+                                      in zip(self.state_id.tolist(), self.taken.tolist(), off,
+                                             off[1:])]
+        j = range(len(self))[j]
+        lo, hi = self.step_offsets[j:j + 2].tolist()
+        return AbstractTrajectory(
+            self.trajectory_ids[j], self.scenario_ids[j], self.scheme,
+            [AbstractStep(state, action, reward, cands) for (state, action, cands), reward
+             in zip(self._decoded["steps"][lo:hi], self.rewards[lo:hi].tolist())],
+            JudgeScores(*(float(column[j]) for column in self.scores)))
+
+    def to_json(self) -> dict:
+        """Every field as a JSON column, each score column in place of ``scores``."""
+        columns = {f.name: getattr(self, f.name) for f in fields(self)
+                   if f.name not in ("scores", "_decoded")}
+        columns.update(self.scores._asdict(), format_version=TABLES_FORMAT_VERSION)
+        return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in columns.items()}
+
+
+def _offsets(counts) -> np.ndarray:
+    return np.concatenate([[0], np.cumsum(counts, dtype=np.intp)])
+
+
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """start, start + 1, ..., start + count - 1 of each (start, count), back to back."""
+    heads = _offsets(counts)
+    return np.arange(heads[-1]) + np.repeat(starts - heads[:-1], counts)
+
+
+def _rows(values) -> np.ndarray:
+    """A list of equal-length rows as a 2-D float array, also when empty."""
+    rows = np.array(values, dtype=float)
+    if rows.ndim == 2:
+        return rows
+    if rows.size:
+        raise ValueError("rows must be lists of one length")
+    return rows.reshape(0, 0)
+
+
+def _ids(values) -> np.ndarray:
+    ids = np.array(values)
+    if ids.ndim != 1 or (ids.size and ids.dtype.kind != "i"):
+        raise ValueError("ids must be a list of integers")
+    return ids.astype(np.intp)
+
+
+def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of a 2-D array in byte order, compared by their bytes,
+    and each row's index among them: ``distinct[row_id]`` is ``rows`` bit for bit."""
+    if not rows.size:  # no rows, or rows of no columns: all equal
+        return rows[:1], np.zeros(len(rows), dtype=np.intp)
+    rows = np.ascontiguousarray(rows)
+    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1])))[:, 0]
+    _, first, row_id = np.unique(keys, return_index=True, return_inverse=True)
+    return rows[first], row_id
+
+
+def pack_corpus(trajs) -> MdpTables:
+    """Abstract trajectories as the tables of their DT-MDP; tables are returned
+    as they are. A step takes the first of its candidates that has its
+    action's bytes. A step without candidates raises MissingCandidateSets,
+    an action none of them has MalformedRecord."""
+    if isinstance(trajs, MdpTables):
+        return trajs
+    trajs = list(trajs)
+    if len({t.scheme for t in trajs}) > 1:
+        raise SchemeMismatch("an abstract corpus has one scheme")
+    for traj in trajs:
+        for turn, step in enumerate(traj.steps):
+            if not len(step.candidates):
+                raise MissingCandidateSets(
+                    f"trajectory {traj.trajectory_id} turn {turn} has no candidates")
+    steps = [s for t in trajs for s in t.steps]
+    n, index = len(steps), bool(steps) and isinstance(steps[0].action, (int, np.integer))
+    acts = [s.action for s in steps] + [c for s in steps for c in s.candidates]
+    try:
+        states, state_id = _distinct_rows(_rows([s.state for s in steps]))
+        actions, action_id = (np.unique(np.array(acts, dtype=int), return_inverse=True)
+                              if index else _distinct_rows(_rows(acts)))
+    except ValueError as exc:
+        raise MalformedRecord(f"abstract steps of unequal shapes: {exc}") from exc
+    cand_offsets = _offsets([len(s.candidates) for s in steps])
+    ids, off = action_id[n:].tolist(), cand_offsets.tolist()
+    try:
+        taken = [ids[lo:hi].index(a) for a, lo, hi in zip(action_id[:n].tolist(), off, off[1:])]
+    except ValueError:
+        raise MalformedRecord("taken action missing from its candidate set") from None
+    return MdpTables(
+        trajs[0].scheme if trajs else "", states, actions, state_id, cand_offsets,
+        action_id[n:], np.array(taken, dtype=np.intp),
+        np.array([s.reward for s in steps], dtype=float), _offsets([len(t.steps) for t in trajs]),
+        tuple(t.trajectory_id for t in trajs), tuple(t.scenario_id for t in trajs),
+        ScoreColumns(*(np.array([getattr(t.scores, name) for t in trajs], dtype=float)
+                       for name in ScoreColumns._fields)))
 
 
 def save_abstract_corpus(trajs, path: str | Path) -> None:
-    """Write abstract trajectories as line-delimited JSON; load_abstract_corpus
-    inverts it."""
-    encode = _AbstractEncoder().line
-    with atomic_open(path, "abstract corpus") as fh:
-        for traj in trajs:
-            fh.write(encode(traj))
+    """Write abstract trajectories, or their tables, as one sorted-key JSON
+    document of the tables; load_abstract_corpus inverts it."""
+    write_json(path, pack_corpus(trajs).to_json(), "abstract corpus")
 
 
-def load_abstract_corpus(path: str | Path) -> list[AbstractTrajectory]:
-    return read_jsonl(path, "abstract corpus", abstract_from_json)
+def load_abstract_corpus(path: str | Path) -> MdpTables:
+    """The tables of the abstract corpus at ``path``; tables that do not fit
+    together raise MalformedRecord naming the file."""
+    return read_json(path, "abstract corpus", _tables_from_json, version=TABLES_FORMAT_VERSION)
+
+
+def _tables_from_json(obj: dict) -> MdpTables:
+    """The tables of a decoded file; ValueError where they do not fit together."""
+    actions = np.array(obj["actions"])
+    t = MdpTables(obj["scheme"], _rows(obj["states"]),
+                  _ids(actions) if actions.ndim == 1 else _rows(actions),
+                  *(_ids(obj[key]) for key in ("state_id", "cand_offsets", "cand_id", "taken")),
+                  np.array(obj["rewards"], dtype=float), _ids(obj["step_offsets"]),
+                  tuple(obj["trajectory_ids"]), tuple(obj["scenario_ids"]),
+                  ScoreColumns(*(np.array(obj[name], dtype=float)
+                                 for name in ScoreColumns._fields)))
+    counts, n = np.diff(t.cand_offsets), len(t.state_id)
+    if not all(((0 <= ids) & (ids < bound)).all() for ids, bound in (
+            (t.state_id, len(t.states)), (t.cand_id, len(t.actions)))):
+        raise ValueError("an id out of range of its table")
+    if (t.cand_offsets[:1].tolist() != [0] or t.cand_offsets[-1] != len(t.cand_id)
+            or (counts <= 0).any()):
+        raise ValueError("candidate offsets must ascend from 0 to the candidates")
+    if not len(counts) == n == len(t.taken) == len(t.rewards):
+        raise ValueError("step columns of unequal lengths")
+    if ((t.taken < 0) | (t.taken >= counts)).any():
+        raise ValueError("a taken position at or past its step's candidates")
+    if (t.step_offsets[:1].tolist() != [0] or t.step_offsets[-1] != n
+            or (np.diff(t.step_offsets) < 0).any()):
+        raise ValueError(f"trajectory step ranges disagree with the {n} steps")
+    if len({len(t), len(t.scenario_ids), len(t.step_offsets) - 1, *map(len, t.scores)}) > 1:
+        raise ValueError("trajectory columns of unequal lengths")
+    fpc, rce = t.scores
+    if not (((0 <= fpc) & (fpc <= 100)).all() and np.isin(rce, (0.0, 100.0)).all()):
+        raise ValueError("judge scores outside their ranges")
+    return t

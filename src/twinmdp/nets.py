@@ -11,10 +11,10 @@ it, ``backward`` returns a gradient in its layout, and ``Adam`` updates it.
 A pass makes no spare temporaries: a hidden layer adds its bias and applies
 the ReLU in place, and ``backward`` masks its upstream gradient in place.
 
-The distinct-row rule: training tables store each network row once
-(``distinct_rows``) and address their entries by row id. A pass forwards
-the distinct rows a batch's ids name, hands each entry its row's output, and
-backprops each row's summed entry gradients (``row_sums``). As
+The distinct-row rule: training tables store each network row once and
+address their entries by row id. A pass forwards the distinct rows a
+batch's ids name, hands each entry its row's output, and backprops each
+row's summed entry gradients (``row_sums``). As
 sum(dout * output) is linear in dout, this is the gradient of the full-row
 pass up to the order of the sums. The training loops plan their batches
 ahead: ``plan_rows`` finds every batch's distinct rows, and each entry's
@@ -139,16 +139,6 @@ class Adam:
         self.v *= self.beta2
         self.v += (1 - self.beta2) * grad * grad
         self.params -= lr * self.m / (np.sqrt(self.v) + self.eps)
-
-
-def distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct rows of a 2-D array in byte order, compared by their bytes
-    (so a -0.0 row and a 0.0 row stay apart), and each row's index among
-    them: ``distinct[row_id]`` equals ``rows`` bit for bit."""
-    rows = np.ascontiguousarray(rows)
-    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1])))[:, 0]
-    _, first, row_id = np.unique(keys, return_index=True, return_inverse=True)
-    return rows[first], row_id
 
 
 def plan_rows(ids: np.ndarray, batch, n_batches: int,

@@ -11,11 +11,12 @@ action space says so), mirroring how the deployed policy only ever scores
 the current turn's candidates.
 
 ``build_transitions`` is the one place that lays steps out for learning.
-It packs a corpus once into a TransitionTable: per-step arrays, candidate
-offsets in CSR form, the candidates as one dense array (the action space
-applied there), and the taken entry of every step. The table stores its
-network rows once per distinct (state, action) row, with a row id per
-candidate entry; FQE keeps one Q cell per such row. Network CQL and BC
+It lays a packed corpus (``MdpTables``) out as a TransitionTable: per-step
+arrays, candidate offsets in CSR form, the candidates as one dense array
+(the action space applied there), and the taken entry of every step. The
+table stores its network rows once per distinct (state, action) row, with a
+row id per candidate entry, read off the corpus's row tables
+(``distinct_pairs``); FQE keeps one Q cell per such row. Network CQL and BC
 train in one loop, ``minibatch_train``, which forwards and backprops each
 distinct row of a batch once (``nets``' distinct-row rule).
 ``TransitionTable.backup`` is the one Bellman backup, for CQL and FQE alike.
@@ -37,7 +38,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .abstraction import AbstractTrajectory
+from .abstraction import MdpTables, pack_corpus
 from .errors import (
     DimensionMismatch,
     EmptyData,
@@ -50,7 +51,6 @@ from .nets import (
     Adam,
     Mlp,
     PLAN_BATCHES,
-    distinct_rows,
     grouped_max,
     grouped_softmax,
     plan_rows,
@@ -81,17 +81,18 @@ class CandidateSet:
 class TransitionTable:
     """Every logged step, packed once for all learners.
 
-    Step i owns the candidate entries cand_offsets[i]:cand_offsets[i + 1],
-    in the order of its recorded candidates (or 0..size-1 under
-    FullVocabulary). Index actions are stored as ``cand_ids``, feature
-    actions as the rows of ``cand_feats``; ``taken[i]`` is the entry of the
-    action step i took. What is derived from these arrays (``cand_step``,
-    ``state_ids``, ``cand_cell``, ``cand_rows`` and ``row_id``) is computed
-    once per table and is read-only, so every learner and every policy scored
-    on the table shares it.
+    Step i is step i of ``corpus``, the packed corpus the table lays out. It
+    owns the candidate entries cand_offsets[i]:cand_offsets[i + 1], in the
+    order of its recorded candidates (or 0..size-1 under FullVocabulary).
+    Index actions are stored as ``cand_ids``, feature actions are read off the
+    corpus; ``taken[i]`` is the entry of the action step i took. What
+    is derived from these arrays (``states``, ``cand_step``, ``state_ids``,
+    ``cand_cell``, ``cand_rows`` and ``row_id``) is computed once per table
+    and is read-only, so every learner and every policy scored on the table
+    shares it.
     """
 
-    states: np.ndarray            # (N, S)
+    corpus: MdpTables
     rewards: np.ndarray           # (N,)
     terminal: np.ndarray          # (N,) bool
     next_step: np.ndarray         # (N,) index of the following step, -1 at the end
@@ -99,7 +100,6 @@ class TransitionTable:
     cand_offsets: np.ndarray      # (N+1,)
     taken: np.ndarray             # (N,) candidate entry of the taken action
     cand_ids: np.ndarray | None = None    # (M,) index actions
-    cand_feats: np.ndarray | None = None  # (M, A) feature actions
 
     @property
     def n(self) -> int:
@@ -113,9 +113,15 @@ class TransitionTable:
     def n_actions(self) -> int:
         return int(self.cand_ids.max()) + 1
 
+    @cached_property
+    def states(self) -> np.ndarray:
+        """(N, S) each step's state."""
+        return _read_only(self.corpus.states[self.corpus.state_id])
+
     @property
     def candidates(self) -> np.ndarray:
-        return self.cand_ids if self.index_actions else self.cand_feats
+        """(M,) index actions, or (M, A) feature actions."""
+        return self.cand_ids if self.index_actions else self.corpus.actions[self.corpus.cand_id]
 
     @cached_property
     def cand_step(self) -> np.ndarray:
@@ -125,9 +131,12 @@ class TransitionTable:
     @cached_property
     def state_ids(self) -> tuple[dict, np.ndarray]:
         """State vectors numbered by first appearance, and each step's number."""
+        rows, sid = self.corpus.states.tolist(), self.corpus.state_id
         index: dict = {}
-        ids = [index.setdefault(tuple(s), len(index)) for s in self.states.tolist()]
-        return index, _read_only(np.array(ids, dtype=int))
+        number = np.zeros(len(rows), dtype=int)
+        for s in dict.fromkeys(sid.tolist()):  # the state rows, by first appearance
+            number[s] = index.setdefault(tuple(rows[s]), len(index))
+        return index, _read_only(number[sid])
 
     @cached_property
     def cand_cell(self) -> np.ndarray:
@@ -140,7 +149,7 @@ class TransitionTable:
         """Q-network action encoding: one-hot over the ids seen, or the features."""
         if self.index_actions:
             return {"kind": "onehot", "size": self.n_actions}
-        return {"kind": "features", "dim": int(self.cand_feats.shape[1])}
+        return {"kind": "features", "dim": int(self.corpus.actions.shape[1])}
 
     def rows(self, encoding: dict) -> np.ndarray:
         """(M, S + A) network rows [state | encoded candidate], one per entry."""
@@ -148,7 +157,9 @@ class TransitionTable:
 
     @cached_property
     def _distinct(self) -> tuple[np.ndarray, np.ndarray]:
-        rows, row_id = distinct_rows(self.rows(self.encoding))
+        actions = self.cand_ids if self.index_actions else self.corpus.cand_id
+        rows, row_id = distinct_pairs(self.corpus, self.corpus.state_id[self.cand_step],
+                                      actions, self.encoding)
         return _read_only(rows), _read_only(row_id)
 
     @property
@@ -256,68 +267,61 @@ def encode_action(actions: np.ndarray, encoding: dict) -> np.ndarray:
     return acts
 
 
-def build_transitions(trajs: list[AbstractTrajectory],
-                      action_space=CandidateSet()) -> TransitionTable:
-    if not trajs:
+def distinct_pairs(corpus: MdpTables, state_id: np.ndarray, actions: np.ndarray,
+                   encoding: dict) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct [state | encoded action] rows of (state, action) pairs, in
+    the byte order of the rows, and each pair's row among them.
+
+    ``state_id`` names rows of ``corpus.states``; ``actions`` are vocabulary
+    ids under a one-hot encoding, rows of ``corpus.actions`` otherwise. The
+    row tables are in byte order, so the rows' byte order is that of (state
+    row, action rank) pairs; a one-hot row ranks by descending id, as 1.0's
+    high byte, 0x3F, sorts after 0.0's 0x00. One mark over every pair, no sort.
+    """
+    onehot = encoding["kind"] == "onehot"
+    size = encoding["size"] if onehot else len(corpus.actions)
+    if onehot and len(actions) and not 0 <= actions.min() <= actions.max() < size:
+        raise DimensionMismatch(f"action ids outside a one-hot encoding of {size}")
+    key = state_id * size + (size - 1 - actions if onehot else actions)
+    mark = np.zeros(len(corpus.states) * size, dtype=bool)
+    mark[key] = True
+    present = np.flatnonzero(mark)
+    state, rank = np.divmod(present, size)
+    acts = size - 1 - rank if onehot else corpus.actions[rank]
+    return encode_rows(corpus.states[state], acts, encoding), np.searchsorted(present, key)
+
+
+def build_transitions(trajs, action_space=CandidateSet()) -> TransitionTable:
+    """The steps of ``trajs``, a packed corpus or abstract trajectories, as
+    one TransitionTable under ``action_space``."""
+    corpus = pack_corpus(trajs)
+    n = len(corpus.state_id)
+    if not n:
         raise EmptyData("no trajectories")
-    index_actions = isinstance(trajs[0].steps[0].action, (int, np.integer))
-    full = isinstance(action_space, FullVocabulary)
-    if full and not index_actions:
+    if isinstance(action_space, FullVocabulary) and not corpus.index_actions:
         raise MissingCandidateSets("a full vocabulary needs index actions")
-    dtype = int if index_actions else float
-    states, rewards, next_step, starts, cands, actions = [], [], [], [], [], []
-    for traj in trajs:
-        starts.append(len(states))
-        for t, step in enumerate(traj.steps):
-            if not step.candidates:
-                raise MissingCandidateSets(
-                    f"trajectory {traj.trajectory_id} turn {t} has no candidates"
-                )
-            recorded = np.asarray(step.candidates, dtype=dtype)
-            action = np.asarray(step.action, dtype=dtype)
-            if recorded.shape[1:] != action.shape:
-                raise MalformedRecord("taken action missing from its candidate set")
-            next_step.append(-1 if t == len(traj.steps) - 1 else len(states) + 1)
-            states.append(np.asarray(step.state, dtype=float))
-            rewards.append(step.reward)
-            actions.append(action)
-            cands.append(recorded)
-    offsets = np.concatenate([[0], np.cumsum([len(c) for c in cands])])
-    flat = np.concatenate(cands)
-    actions = np.stack(actions)
-    taken = _first_matches(flat, offsets, actions)
-    if full:
+    offsets, taken = corpus.cand_offsets, corpus.cand_offsets[:-1] + corpus.taken
+    cand_ids = corpus.actions[corpus.cand_id] if corpus.index_actions else None
+    if isinstance(action_space, FullVocabulary):
+        actions = cand_ids[taken]
         outside = (actions < 0) | (actions >= action_space.size)
         if outside.any():
             raise MalformedRecord(f"action {actions[outside][0]} outside the vocabulary "
                                   f"of {action_space.size}")
-        offsets = np.arange(len(actions) + 1) * action_space.size
-        flat, taken = np.tile(np.arange(action_space.size), len(actions)), actions
-    next_step = np.asarray(next_step)
+        offsets = np.arange(n + 1) * action_space.size
+        cand_ids, taken = np.tile(np.arange(action_space.size), n), offsets[:-1] + actions
+    next_step = np.arange(1, n + 1)
+    next_step[corpus.step_offsets[1:] - 1] = -1
     return TransitionTable(
-        states=np.stack(states),
-        rewards=np.asarray(rewards, dtype=float),
+        corpus=corpus,
+        rewards=corpus.rewards,
         terminal=next_step < 0,
         next_step=next_step,
-        episode_starts=np.asarray(starts),
+        episode_starts=corpus.step_offsets[:-1],
         cand_offsets=offsets,
-        taken=offsets[:-1] + taken,
-        cand_ids=flat if index_actions else None,
-        cand_feats=None if index_actions else flat,
+        taken=taken,
+        cand_ids=cand_ids,
     )
-
-
-def _first_matches(flat: np.ndarray, offsets: np.ndarray, actions: np.ndarray) -> np.ndarray:
-    """Each step's first recorded candidate equal to its action, as a position
-    in the step's candidates, for every step in one pass."""
-    step = np.repeat(np.arange(len(actions)), np.diff(offsets))
-    hits = np.flatnonzero((flat == actions[step]).reshape(len(flat), -1).all(axis=1))
-    first = np.ones(len(hits), dtype=bool)
-    first[1:] = step[hits[1:]] != step[hits[:-1]]
-    hits = hits[first]
-    if len(hits) < len(actions):
-        raise MalformedRecord("taken action missing from its candidate set")
-    return hits - offsets[:-1]
 
 
 # --- Q functions -------------------------------------------------------------------
@@ -429,7 +433,7 @@ def cql_train(trajs, cfg: TrainConfig, action_space=CandidateSet()):
     action). alpha = 0 recovers plain fitted Q-learning. Terminal steps
     bootstrap with zero. Deterministic given cfg.seed.
     """
-    table = build_transitions(list(trajs), action_space)
+    table = build_transitions(trajs, action_space)
     if table.index_actions:
         return _cql_tabular(table, cfg)
     return _cql_network(table, cfg)
@@ -525,7 +529,7 @@ def bc_train(trajs, cfg: TrainConfig, action_space=CandidateSet()) -> QPolicy:
     reproduces the empirical conditional frequencies. Network: maximizes the
     log-likelihood of taken actions by minibatch gradient ascent.
     """
-    table = build_transitions(list(trajs), action_space)
+    table = build_transitions(trajs, action_space)
     if table.index_actions:
         index, sid = table.state_ids
         counts = np.zeros((len(index), table.n_actions))

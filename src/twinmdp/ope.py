@@ -42,8 +42,9 @@ def fqe(policy: QPolicy, eval_trajs, cfg: TrainConfig, action_space=CandidateSet
         policy_id: str = "", tol: float = 1e-5, max_sweeps: int = 500) -> FqeEstimate:
     """Fitted Q-evaluation of ``policy`` on logged trajectories.
 
-    ``eval_trajs`` is a trajectory list or its TransitionTable, built under
-    ``action_space``; a table is only read, so one can score many policies.
+    ``eval_trajs`` is a packed corpus, a trajectory list, or their
+    TransitionTable built under ``action_space``; a table is only read, so
+    one can score many policies.
     The evaluation set should be disjoint from the policy's training data;
     that split is the caller's responsibility. Of ``cfg`` only the discount,
     ``cfg.gamma``, is read. The sweep stops after ``max_sweeps``, or once the
@@ -60,7 +61,7 @@ def fqe_many(policies, eval_trajs, cfg: TrainConfig, action_space=CandidateSet()
              policy_ids=None, tol: float = 1e-5, max_sweeps: int = 500) -> list[FqeEstimate]:
     """``fqe`` of every policy on one table, each estimate equal to its own call."""
     table = (eval_trajs if isinstance(eval_trajs, TransitionTable)
-             else build_transitions(list(eval_trajs), action_space))
+             else build_transitions(eval_trajs, action_space))
     return [FqeEstimate(target_policy_id=pid,
                         initial_value=_fqe_rows(table, policy, cfg, tol, max_sweeps))
             for policy, pid in zip(policies, policy_ids or [""] * len(policies))]

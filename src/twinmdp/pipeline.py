@@ -23,8 +23,8 @@ import yaml
 
 from .abstraction import (
     SCHEME_KINDS,
-    AbstractStep,
     AbstractTrajectory,
+    MdpTables,
     SchemeSpec,
     abstract,
     augment_with_hmm,
@@ -547,59 +547,56 @@ def split_scenarios(cfg: PipelineConfig, scenario_ids) -> tuple[set[str], set[st
 
 
 def read_split(cfg: PipelineConfig, out: Path, train=(),
-               held_out=()) -> tuple[dict[str, list], dict[str, list]]:
-    """The abstract corpus as each ``train`` mode's training-split trajectories
-    and each ``held_out`` mode's eval-split trajectories, in file order.
+               held_out=()) -> tuple[dict[str, MdpTables], dict[str, MdpTables]]:
+    """The abstract corpus's training-split tables under each ``train`` mode's
+    rewards, and its eval-split tables under each ``held_out`` mode's, the
+    trajectories in file order.
 
     The corpus is parsed once. Mode "none" keeps its zero rewards; any other
-    mode takes the rewards of its reward file, and the modes share each
-    step's state, action and candidates.
+    mode takes the reward column of its reward file. The modes of a split
+    share its tables but for the rewards.
     """
-    trajs = load_abstract_corpus(out / F_ABSTRACT)
-    _, eval_ids = split_scenarios(cfg, [t.scenario_id for t in trajs])
+    corpus = load_abstract_corpus(out / F_ABSTRACT)
+    _, eval_ids = split_scenarios(cfg, corpus.scenario_ids)
+    held = np.array([s in eval_ids for s in corpus.scenario_ids], dtype=bool)
     split = ({}, {})
-    for part, modes, held in ((split[0], train, False), (split[1], held_out, True)):
-        kept = [i for i, t in enumerate(trajs) if (t.scenario_id in eval_ids) == held]
+    for part, modes, side in ((split[0], train, False), (split[1], held_out, True)):
+        kept = np.flatnonzero(held == side)
+        tables, steps = corpus.select(kept), corpus.steps_of(kept)
         for mode in modes:
-            if mode == "none":
-                part[mode] = [trajs[i] for i in kept]
-            else:
-                rewards = read_rewards(out / rewards_file(mode), trajs)
-                part[mode] = [_with_rewards(trajs[i], rewards[i]) for i in kept]
+            part[mode] = tables if mode == "none" else tables.with_rewards(
+                read_rewards(out / rewards_file(mode), corpus)[steps])
     return split
 
 
-def _with_rewards(traj: AbstractTrajectory, rewards: list[float]) -> AbstractTrajectory:
-    """``traj`` with ``rewards`` as its step rewards; the steps share the rest."""
-    return replace(traj, steps=[AbstractStep(s.state, s.action, r, s.candidates)
-                                for s, r in zip(traj.steps, rewards)])
-
-
-def read_rewards(path: Path, trajs) -> list[list[float]]:
-    """Each trajectory's rewards from the reward file at ``path``, whose line
-    i holds trajectory i's id and one reward per step. A file that does not
-    match ``trajs`` line for line raises MalformedRecord naming it and the
+def read_rewards(path: Path, corpus: MdpTables) -> np.ndarray:
+    """The reward column of the reward file at ``path``, whose line i holds
+    trajectory i's id and one reward per step. A file that does not match
+    ``corpus`` line for line raises MalformedRecord naming it and the
     1-based line."""
     with reading(path, "rewards"):
         lines = path.read_text().splitlines()
-    rewards = []
-    for lineno, (line, traj) in enumerate(zip_longest(lines, trajs), start=1):
+    ids = corpus.trajectory_ids
+    rewards: list[float] = []
+    for lineno, (line, tid, n) in enumerate(
+            zip_longest(lines, ids, np.diff(corpus.step_offsets).tolist()), start=1):
         with reading(path, "rewards", lineno):
-            if traj is None:
+            if tid is None:
                 raise MalformedRecord(f"rewards {path}: more lines than the abstract "
-                                      f"corpus's {len(trajs)} trajectories")
+                                      f"corpus's {len(ids)} trajectories")
             if line is None:
                 raise MalformedRecord(f"rewards {path}: no line for trajectory "
-                                      f"{traj.trajectory_id!r} of the abstract corpus")
+                                      f"{tid!r} of the abstract corpus")
             obj = json.loads(line)
-            if obj["trajectory_id"] != traj.trajectory_id:
+            if obj["trajectory_id"] != tid:
                 raise MalformedRecord(f"rewards {path}: trajectory {obj['trajectory_id']!r} "
-                                      f"where the abstract corpus has {traj.trajectory_id!r}")
-            rewards.append(list(map(float, obj["rewards"])))
-            if len(rewards[-1]) != len(traj.steps):
-                raise MalformedRecord(f"rewards {path}: {len(rewards[-1])} rewards for the "
-                                      f"{len(traj.steps)} steps of {traj.trajectory_id!r}")
-    return rewards
+                                      f"where the abstract corpus has {tid!r}")
+            row = list(map(float, obj["rewards"]))
+            if len(row) != n:
+                raise MalformedRecord(f"rewards {path}: {len(row)} rewards for the "
+                                      f"{n} steps of {tid!r}")
+            rewards.extend(row)
+    return np.array(rewards, dtype=float)
 
 
 def stage_train_reward(cfg: PipelineConfig, out: Path) -> dict:
@@ -607,7 +604,7 @@ def stage_train_reward(cfg: PipelineConfig, out: Path) -> dict:
     seed = derive_seed(cfg.master_seed, "train_reward")
     train_trajs = read_split(cfg, out, train=["none"])[0]["none"]
     pairs = build_pairs(
-        [(t, t.scores) for t in train_trajs],
+        train_trajs,
         signal=cfg.irl_signal,
         margin=cfg.irl_margin,
         max_pairs=cfg.irl_max_pairs,
@@ -624,14 +621,8 @@ def _needed_reward_modes(cfg: PipelineConfig) -> list[str]:
     return sorted(modes - {"none"})
 
 
-def relabel_mode(traj: AbstractTrajectory, mode: str, net, blend: float):
-    if mode == "irl":
-        return relabel(traj, net, mode="irl")
-    if mode == "sparse":
-        return relabel(traj, None, mode="sparse",
-                       outcome=traj.scores.rce_identification)
-    return relabel(traj, net, mode="combined",
-                   outcome=traj.scores.rce_identification, blend=blend)
+def relabel_mode(traj: AbstractTrajectory | MdpTables, mode: str, net, blend: float):
+    return relabel(traj, net, mode, traj.scores.rce_identification, blend)
 
 
 def stage_relabel(cfg: PipelineConfig, out: Path) -> dict:
@@ -642,14 +633,16 @@ def stage_relabel(cfg: PipelineConfig, out: Path) -> dict:
         inputs.append(out / F_REWARD)
     _require(inputs, "relabel")
     seed = derive_seed(cfg.master_seed, "relabel")
-    trajs = load_abstract_corpus(out / F_ABSTRACT)
+    corpus = load_abstract_corpus(out / F_ABSTRACT)
     if (out / F_REWARD) in inputs:
         net = load_reward_net(out / F_REWARD)
+    bounds = corpus.step_offsets.tolist()
     outputs = []
     for mode in modes:
+        rewards = relabel_mode(corpus, mode, net, cfg.combined_blend).rewards.tolist()
         write_jsonl(out / rewards_file(mode), (
-            {"rewards": [s.reward for s in relabel_mode(t, mode, net, cfg.combined_blend).steps],
-             "trajectory_id": t.trajectory_id} for t in trajs), "rewards")
+            {"rewards": rewards[lo:hi], "trajectory_id": tid}
+            for tid, lo, hi in zip(corpus.trajectory_ids, bounds, bounds[1:])), "rewards")
         outputs.append(out / rewards_file(mode))
     return _write_manifest(out, "relabel", cfg, seed, inputs, outputs)
 
@@ -694,7 +687,7 @@ def stage_rank(cfg: PipelineConfig, out: Path) -> dict:
     ranking = rank_policies(candidates, eval_trajs, cfg.rl_train, k=cfg.ope_k)
     report = {
         "eval_reward_mode": cfg.eval_reward_mode,
-        "eval_scenarios": sorted({t.scenario_id for t in eval_trajs}),
+        "eval_scenarios": sorted(set(eval_trajs.scenario_ids)),
         "k": cfg.ope_k,
         "ranking": ranking,
     }

@@ -13,10 +13,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .abstraction import AbstractTrajectory
+from .abstraction import AbstractTrajectory, MdpTables, pack_corpus
 from .errors import DimensionMismatch, EmptyPairSet, MalformedRecord, check_ranges, ranged
-from .nets import PLAN_BATCHES, Adam, Mlp, distinct_rows, plan_rows, row_sums
-from .offline_rl import encode_rows
+from .nets import PLAN_BATCHES, Adam, Mlp, plan_rows, row_sums
+from .offline_rl import distinct_pairs
 from .trajectories import JudgeScores, read_json, write_json
 
 RANKING_SIGNALS = ("fpc_only", "mean_fpc_rce")
@@ -54,14 +54,17 @@ def build_pairs(
 ) -> list[PreferencePair]:
     """All ordered preferences whose score gap exceeds the margin.
 
-    ``trajs`` is a sequence of (AbstractTrajectory, JudgeScores). When more
-    pairs exist than max_pairs, a seeded uniform subsample is returned
-    (stable order). An empty result is legitimate: equal scores prefer
-    nothing.
+    ``trajs`` is a sequence of (AbstractTrajectory, JudgeScores), or a packed
+    corpus (MdpTables), whose score columns are read. When more pairs exist
+    than max_pairs, a seeded uniform subsample is returned (stable order). An
+    empty result is legitimate: equal scores prefer nothing.
     """
     if margin < 0:
         raise MalformedRecord("margin must be >= 0")
-    values = np.array([ranking_score(s, signal) for _, s in trajs], dtype=float)
+    if isinstance(trajs, MdpTables):
+        values = np.asarray(ranking_score(trajs.scores, signal), dtype=float)
+    else:
+        values = np.array([ranking_score(s, signal) for _, s in trajs], dtype=float)
     i, j = np.triu_indices(len(values), k=1)  # row-major, as a double loop
     gap = values[j] - values[i]
     up = gap > margin
@@ -76,8 +79,8 @@ def build_pairs(
 
 # --- return prediction ----------------------------------------------------------
 #
-# Training encodes every trajectory once into one packed StepRows table, whose
-# network rows are stored once per distinct (state, action) row. The returns,
+# Training lays a packed corpus out once as a StepRows table, whose network
+# rows are stored once per distinct (state, action) row. The returns,
 # the gradient and the pair accuracy lay out a batch's distinct trajectories
 # by row id (``StepRows.plan``), forward each distinct row they name once, as
 # one 2-D call, and sum the rows per trajectory; the gradient backprops each
@@ -89,18 +92,14 @@ def build_pairs(
 def encode_step_rows(traj: AbstractTrajectory) -> np.ndarray:
     """(T, state_dim + action_dim) rows; index actions become 1-hot over the
     vocabulary, whose size equals the state dimension for those schemes."""
-    states = np.stack([np.asarray(s.state, dtype=float) for s in traj.steps])
-    actions = [s.action for s in traj.steps]
-    if isinstance(actions[0], (int, np.integer)):
-        return encode_rows(states, np.asarray(actions, dtype=int),
-                           {"kind": "onehot", "size": states.shape[1]})
-    return encode_rows(states, np.asarray(actions, dtype=float), {"kind": "features"})
+    packed = StepRows.pack([traj])
+    return packed.rows[packed.row_id]
 
 
 @dataclass(frozen=True)
 class StepRows:
-    """Reward-net rows of a trajectory list, encoded once and stored once per
-    distinct row: step j is rows[row_id[j]], and trajectory i owns steps
+    """Reward-net rows of a corpus, stored once per distinct row, in byte
+    order: step j is rows[row_id[j]], and trajectory i owns steps
     offsets[i]:offsets[i + 1]."""
 
     rows: np.ndarray
@@ -109,11 +108,18 @@ class StepRows:
 
     @classmethod
     def pack(cls, trajs) -> "StepRows":
+        """The rows of ``trajs``, a packed corpus or abstract trajectories,
+        read off the corpus's row tables (``encode_step_rows``' rows)."""
         if isinstance(trajs, StepRows):
             return trajs
-        encoded = [encode_step_rows(t) for t in trajs]
-        rows, row_id = distinct_rows(np.concatenate(encoded))
-        return cls(rows, row_id, np.cumsum([0] + [len(r) for r in encoded]))
+        corpus = pack_corpus(trajs)
+        actions = corpus.cand_id[corpus.cand_offsets[:-1] + corpus.taken]
+        encoding = {"kind": "features"}
+        if corpus.index_actions:
+            actions = corpus.actions[actions]
+            encoding = {"kind": "onehot", "size": corpus.states.shape[1]}
+        return cls(*distinct_pairs(corpus, corpus.state_id, actions, encoding),
+                   corpus.step_offsets)
 
     def plan(self, ends: np.ndarray, size: int, discount: float = 1.0) -> list["TrexBatch"]:
         """Batches of trajectory ids laid out at once: ``ends`` cut into runs of
@@ -296,12 +302,12 @@ RELABEL_MODES = ("irl", "sparse", "combined")
 
 
 def relabel(
-    traj: AbstractTrajectory,
+    traj: AbstractTrajectory | MdpTables,
     net: Mlp | None = None,
     mode: str = "irl",
-    outcome: float | None = None,
+    outcome: float | np.ndarray | None = None,
     blend: float = 1.0,
-) -> AbstractTrajectory:
+) -> AbstractTrajectory | MdpTables:
     """Replace step rewards.
 
     irl       r_t = r(s_t, a_t) for every turn
@@ -309,31 +315,39 @@ def relabel(
     combined  irl rewards plus blend * outcome / 100 added to the final turn
 
     ``outcome`` is on the judges' 0-100 scale and is rescaled to [0, 1].
+    ``traj`` is one AbstractTrajectory, or a packed corpus (MdpTables) whose
+    reward column is replaced, with one ``outcome`` per trajectory. The irl
+    rewards of a trajectory are the forward of its (T, d) rows; the
+    trajectories of one length share one stacked forward, whose slices are
+    those forwards bit for bit.
     """
     if mode not in RELABEL_MODES:
         raise MalformedRecord(f"unknown relabel mode {mode!r}")
-    n = len(traj.steps)
-    if mode == "sparse":
-        if outcome is None:
-            raise MalformedRecord("sparse relabeling needs an outcome score")
-        rewards = np.zeros(n)
-        rewards[-1] = outcome / 100.0
-    else:
+    corpus = traj if isinstance(traj, MdpTables) else pack_corpus([traj])
+    starts, lengths = corpus.step_offsets[:-1], np.diff(corpus.step_offsets)
+    if not lengths.all():
+        raise MalformedRecord("relabeling needs a final turn in every trajectory")
+    rewards = np.zeros(lengths.sum())
+    if mode != "sparse":
         if net is None:
             raise MalformedRecord(f"{mode} relabeling needs a reward net")
-        rows = encode_step_rows(traj)
-        if rows.shape[1] != net.input_dim:
+        packed = StepRows.pack(corpus)
+        if packed.rows.shape[1] != net.input_dim:
             raise DimensionMismatch(
-                f"trajectory rows ({rows.shape[1]}) do not match net input "
+                f"trajectory rows ({packed.rows.shape[1]}) do not match net input "
                 f"({net.input_dim})"
             )
-        rewards = net.forward(rows)
-        if mode == "combined":
-            if outcome is None:
-                raise MalformedRecord("combined relabeling needs an outcome score")
-            rewards = rewards.copy()
-            rewards[-1] += blend * outcome / 100.0
+        for n in np.unique(lengths).tolist():
+            steps = starts[lengths == n, None] + np.arange(n)
+            rewards[steps] = net.forward(packed.rows[packed.row_id[steps]])
+    if mode != "irl":
+        if outcome is None:
+            raise MalformedRecord(f"{mode} relabeling needs an outcome score")
+        scale = blend if mode == "combined" else 1.0
+        rewards[starts + lengths - 1] += scale * np.asarray(outcome, dtype=float) / 100.0
 
+    if corpus is traj:
+        return corpus.with_rewards(rewards)
     steps = [replace(step, reward=float(r)) for step, r in zip(traj.steps, rewards)]
     return AbstractTrajectory(
         trajectory_id=traj.trajectory_id,

@@ -305,7 +305,9 @@ def run_episode(
         candidates = list(queue)
         selection_iv: Intervention | None = None
         state_vec = reprs = None
-        if runtime is not None:
+        # a prune-only plan without an HMM reads no turn features
+        if runtime is not None and (ce.selection_config is not None
+                                    or runtime.hidden is not None):
             state_vec = runtime.state(assessments)
             reprs = runtime.featurizer.action_features(candidates, previous, scn.symptom,
                                                        assessments)
@@ -328,7 +330,7 @@ def run_episode(
             label = "normal"
         assessments[chosen] = label
 
-        if runtime is not None:
+        if reprs is not None:
             runtime.record_turn(state_vec, reprs[pos])
 
         queue = candidates[:pos] + candidates[pos + 1:]  # the queue holds no repeats

@@ -9,12 +9,11 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from pathlib import Path
 
 import numpy as np
 
 from .errors import EmptyGraphNoEdges, MalformedRecord, UnknownEntity
-from .trajectories import Entity, entity_from_json, entity_to_json, read_json, write_json
+from .trajectories import Entity, entity_from_json, entity_to_json
 
 
 @dataclass(frozen=True)
@@ -108,14 +107,6 @@ def hubs_scores(
 
 
 # --- file format --------------------------------------------------------------
-
-def save_graph(g: TopologyGraph, path: str | Path) -> None:
-    write_json(path, graph_to_json(g), "graph")
-
-
-def load_graph(path: str | Path) -> TopologyGraph:
-    return read_json(path, "graph", graph_from_json)
-
 
 def graph_to_json(g: TopologyGraph) -> dict:
     nodes = list(g.nodes)

@@ -472,3 +472,135 @@ def train_reward_per_batch(pairs, packed, config, grad=trex_grad_per_batch,
     if n_hold:
         net.params[:] = best_params
     return net
+
+
+# --- the abstract corpus as it was laid out before it was packed into tables ------------
+
+def abstract_tables_via_dicts(trajs) -> str:
+    """The abstract corpus file of ``trajs`` built naively: each distinct state
+    row and action found by its float64 bytes (or id) in Python sets, sorted
+    by those bytes (ids ascending), every step's taken position the first of
+    its candidates with its action's bytes, then ``json.dumps(sort_keys=True)``."""
+    steps = [s for t in trajs for s in t.steps]
+    index = bool(steps) and isinstance(steps[0].action, (int, np.integer))
+
+    def key(a):
+        return int(a) if index else np.asarray(a, dtype=float).tobytes()
+
+    state_keys = sorted({np.asarray(s.state, dtype=float).tobytes() for s in steps})
+    action_keys = sorted({key(c) for s in steps for c in s.candidates})
+    state_id = {k: i for i, k in enumerate(state_keys)}
+    action_id = {k: i for i, k in enumerate(action_keys)}
+    offsets, lengths = [0], [0]
+    for s in steps:
+        offsets.append(offsets[-1] + len(s.candidates))
+    for t in trajs:
+        lengths.append(lengths[-1] + len(t.steps))
+    actions = (action_keys if index
+               else [np.frombuffer(k, dtype=float).tolist() for k in action_keys])
+    return json.dumps({
+        "format_version": 1,
+        "scheme": trajs[0].scheme if trajs else "",
+        "states": [np.frombuffer(k, dtype=float).tolist() for k in state_keys],
+        "actions": actions,
+        "state_id": [state_id[np.asarray(s.state, dtype=float).tobytes()] for s in steps],
+        "cand_id": [action_id[key(c)] for s in steps for c in s.candidates],
+        "cand_offsets": offsets,
+        "taken": [[key(c) for c in s.candidates].index(key(s.action)) for s in steps],
+        "rewards": [float(s.reward) for s in steps],
+        "trajectory_ids": [t.trajectory_id for t in trajs],
+        "scenario_ids": [t.scenario_id for t in trajs],
+        "step_offsets": lengths,
+        "fpc_accuracy": [float(t.scores.fpc_accuracy) for t in trajs],
+        "rce_identification": [float(t.scores.rce_identification) for t in trajs],
+    }, sort_keys=True)
+
+
+def abstract_from_json(obj):
+    """One line of the abstract corpus as it was written before the tables
+    (``abstract_line_via_dicts``), decoded step by step into arrays."""
+    from twinmdp.abstraction import AbstractStep, AbstractTrajectory
+    from twinmdp.trajectories import JudgeScores
+
+    def action(a):
+        return int(a["index"]) if "index" in a else np.asarray(a["features"], dtype=float)
+
+    steps = [AbstractStep(state=np.asarray(s["state"], dtype=float), action=action(s["action"]),
+                          reward=float(s["reward"]),
+                          candidates=[action(c) for c in s["candidates"]])
+             for s in obj["steps"]]
+    return AbstractTrajectory(obj["trajectory_id"], obj["scenario_id"], obj["scheme"], steps,
+                              JudgeScores(obj["scores"]["fpc_accuracy"],
+                                          obj["scores"]["rce_identification"]))
+
+
+def distinct_rows(rows):
+    """The distinct rows of a 2-D array in byte order, compared by their bytes,
+    and each row's index among them."""
+    rows = np.ascontiguousarray(rows)
+    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1])))[:, 0]
+    _, first, row_id = np.unique(keys, return_index=True, return_inverse=True)
+    return rows[first], row_id.reshape(-1)
+
+
+def first_matches(flat, offsets, actions):
+    """Each step's first recorded candidate equal to its action, as a position
+    in the step's candidates."""
+    step = np.repeat(np.arange(len(actions)), np.diff(offsets))
+    hits = np.flatnonzero((flat == actions[step]).reshape(len(flat), -1).all(axis=1))
+    first = np.ones(len(hits), dtype=bool)
+    first[1:] = step[hits[1:]] != step[hits[:-1]]
+    hits = hits[first]
+    assert len(hits) == len(actions), "taken action missing from its candidate set"
+    return hits - offsets[:-1]
+
+
+def onehot_rows(states, actions, size):
+    """[state | one-hot of the action over ``size``] rows."""
+    acts = np.zeros((len(actions), size))
+    acts[np.arange(len(actions)), actions] = 1.0
+    return np.hstack([states, acts])
+
+
+def transitions_by_search(trajs) -> dict:
+    """A TransitionTable's fields as ``build_transitions`` laid them out
+    before the tables: per-step arrays, each step's taken entry by a search
+    over its candidates' values, the distinct [state | action] rows by their
+    bytes, and the states numbered by first appearance."""
+    index_actions = isinstance(trajs[0].steps[0].action, (int, np.integer))
+    dtype = int if index_actions else float
+    states, actions, cands = [], [], []
+    for traj in trajs:
+        for step in traj.steps:
+            states.append(np.asarray(step.state, dtype=float))
+            actions.append(np.asarray(step.action, dtype=dtype))
+            cands.append(np.asarray(step.candidates, dtype=dtype))
+    offsets = np.concatenate([[0], np.cumsum([len(c) for c in cands])])
+    flat, states = np.concatenate(cands), np.stack(states)
+    owner = np.repeat(np.arange(len(states)), np.diff(offsets))
+    rows = (onehot_rows(states[owner], flat, int(flat.max()) + 1) if index_actions
+            else np.hstack([states[owner], flat]))
+    cand_rows, row_id = distinct_rows(rows)
+    index: dict = {}
+    ids = [index.setdefault(tuple(s), len(index)) for s in states.tolist()]
+    return {"states": states, "cand_offsets": offsets,
+            "taken": offsets[:-1] + first_matches(flat, offsets, np.stack(actions)),
+            "cand_rows": cand_rows, "row_id": row_id,
+            "state_ids": (index, np.array(ids, dtype=int))}
+
+
+def step_rows_by_bytes(trajs) -> dict:
+    """``StepRows.pack`` as it was before the tables: each trajectory's
+    [state | action] rows encoded, one-hot over the state width for index
+    actions, then the distinct rows found by their bytes."""
+    encoded = []
+    for traj in trajs:
+        states = np.stack([np.asarray(s.state, dtype=float) for s in traj.steps])
+        actions = [s.action for s in traj.steps]
+        if isinstance(actions[0], (int, np.integer)):
+            encoded.append(onehot_rows(states, np.asarray(actions), states.shape[1]))
+        else:
+            encoded.append(np.hstack([states, np.asarray(actions, dtype=float)]))
+    rows, row_id = distinct_rows(np.concatenate(encoded))
+    return {"rows": rows, "row_id": row_id,
+            "offsets": np.cumsum([0] + [len(r) for r in encoded])}

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -314,6 +316,36 @@ def test_damaged_abstract_corpus_raises_malformed_record_naming_it(tmp_path, dam
     if damage == "truncated":
         path.write_text(text[: len(text) * 3 // 4])
     else:
-        path.write_text(text.replace('"steps"', '"stpes"', 1))
+        path.write_text(text.replace('"taken"', '"tkaen"', 1))
+    with pytest.raises(MalformedRecord, match="abstract_corpus.jsonl"):
+        load_abstract_corpus(path)
+
+
+@pytest.mark.parametrize("damage", ["state_id_out_of_range", "candidate_id_out_of_range",
+                                    "descending_offsets", "taken_past_its_candidates",
+                                    "steps_disagree_with_trajectories", "short_step_column"])
+def test_tables_that_do_not_fit_together_raise_malformed_record_naming_the_file(tmp_path,
+                                                                                damage):
+    nodes, graph = chain_graph()
+    traj = abstract(chain_trajectory(nodes), TOPOLOGY, graph)
+    path = tmp_path / "abstract_corpus.jsonl"
+    save_abstract_corpus([traj, traj], path)
+    assert len(load_abstract_corpus(path)) == 2
+    obj = json.loads(path.read_text())
+    offsets = obj["cand_offsets"]
+    assert offsets == [0, 1, 2, 4, 5, 6, 8]
+    if damage == "state_id_out_of_range":
+        obj["state_id"][1] = len(obj["states"])
+    elif damage == "candidate_id_out_of_range":
+        obj["cand_id"][0] = -1
+    elif damage == "descending_offsets":
+        offsets[2], offsets[3] = offsets[3], offsets[2]
+    elif damage == "taken_past_its_candidates":
+        obj["taken"][2] = offsets[3] - offsets[2]
+    elif damage == "steps_disagree_with_trajectories":
+        obj["step_offsets"][-1] -= 1
+    else:
+        obj["rewards"].pop()
+    path.write_text(json.dumps(obj, sort_keys=True) + "\n")
     with pytest.raises(MalformedRecord, match="abstract_corpus.jsonl"):
         load_abstract_corpus(path)

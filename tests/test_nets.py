@@ -5,6 +5,7 @@ import pytest
 
 from oracles import grouped_softmax_add_at, mlp_backward_out_of_place, mlp_forward_out_of_place
 from twinmdp import nets
+from twinmdp.abstraction import _distinct_rows
 from twinmdp.errors import DimensionMismatch
 from twinmdp.nets import Adam, Mlp
 from twinmdp.reward_learning import load_reward_net, save_reward_net
@@ -192,7 +193,8 @@ def assert_close(got, want):
 
 class TestDistinctRows:
     def check(self, rows):
-        distinct, row_id = nets.distinct_rows(rows)
+        # the packed corpus's one byte-keyed dedup, of its state and action rows
+        distinct, row_id = _distinct_rows(rows)
         assert distinct[row_id].tobytes() == np.ascontiguousarray(rows).tobytes()
         return distinct, row_id
 

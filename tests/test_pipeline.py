@@ -10,9 +10,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from oracles import (abstract_from_json, abstract_line_via_dicts, step_rows_by_bytes,
+                     transitions_by_search)
 
 from twinmdp import abstraction, pipeline
-from twinmdp.abstraction import load_abstract_corpus
+from twinmdp.abstraction import AbstractStep, AbstractTrajectory, load_abstract_corpus
 from twinmdp.cli import main as cli_main
 from twinmdp.context import CeConfig
 from twinmdp.errors import ConfigInvalid, MalformedRecord, MissingArtifact, MissingCandidateSets
@@ -37,10 +39,10 @@ from twinmdp.pipeline import (
     stage_train_reward,
     validate_config,
 )
-from twinmdp.reward_learning import (RewardTrainConfig, build_pairs, encode_step_rows,
-                                     load_reward_net)
+from twinmdp.reward_learning import (RewardTrainConfig, StepRows, build_pairs, encode_step_rows,
+                                     load_reward_net, pair_accuracy)
 from twinmdp.simulator import EpisodeConfig, ScenarioConfig, load_scenarios
-from twinmdp.trajectories import Entity
+from twinmdp.trajectories import Entity, JudgeScores, load_corpus
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -539,10 +541,9 @@ class TestSchemeVariants:
         scheme = json.loads((out / "scheme_runtime.json").read_text())
         assert scheme["with_hubs"] and scheme["with_hmm"]
         # state = 2 distance features + 2 hidden-state bits; action = 4 + hub
-        line = (out / "abstract_corpus.jsonl").read_text().splitlines()[0]
-        step = json.loads(line)["steps"][0]
-        assert len(step["state"]) == 4
-        assert len(step["action"]["features"]) == 5
+        tables = json.loads((out / "abstract_corpus.jsonl").read_text())
+        assert {len(row) for row in tables["states"]} == {4}
+        assert {len(row) for row in tables["actions"]} == {5}
         assert "baseline" in summary["methods"]
 
     def test_simulate_declares_the_hmm_model(self, enriched_run, tmp_path, capsys):
@@ -633,19 +634,36 @@ class TestRobustnessTopUp:
                 assert all(np.asarray(c).shape == action_width for c in step.candidates)
 
 
-def test_benchmark_trace_targets_exist():
-    """Every function and method the benchmark tracer wraps can be installed."""
+def test_benchmark_trace_targets_exist(tmp_path):
+    """Every function and method the benchmark tracer wraps can be installed,
+    and a traced run of the benchmark's worker passes its own checks: the
+    hooks take their calls' arguments, and the worker's pair accuracy reads
+    the run's abstract corpus."""
     tracer_module = load_perfbench_module("tracer")
+    worker = load_perfbench_module("worker")
     abstract_fn = abstraction.abstract
     init = abstraction.TopologyFeaturizer.__dict__["__init__"]
     tracer = tracer_module.Tracer()
+    cfg, out = small_config(), tmp_path / "run"
     try:
         tracer_module.install(tracer)
         assert abstraction.abstract is not abstract_fn
+        rep = worker.run_once(pipeline, cfg, out, tracer=tracer)
     finally:
         tracer.uninstall()
     assert abstraction.abstract is abstract_fn
     assert abstraction.TopologyFeaturizer.__dict__["__init__"] is init
+    assert rep["problems"] == [] and list(rep["stage_s"]) == list(worker.STAGES)
+    layers = tracer_module.layer_metrics(tracer, worker.STAGES)
+    train = pipeline.read_split(cfg, out, train=["none"])[0]["none"]
+    assert layers["pipeline.abstract.s"] > 0 and layers["abstraction.corpus_io.s"] > 0
+    assert tracer.counts["reward_learning.train_trajs"] == len(train)
+    accuracy = worker.reward_pair_accuracy(pipeline, cfg, out)
+    pairs = build_pairs(train, signal=cfg.irl_signal, margin=cfg.irl_margin,
+                        max_pairs=cfg.irl_max_pairs, seed=derive_seed(cfg.master_seed,
+                                                                      "train_reward"))
+    net = load_reward_net(out / "reward_net.json")
+    assert accuracy == pair_accuracy(net, pairs, train, cfg.irl_train.discount)
 
 
 class TestPackedLayout:
@@ -698,6 +716,88 @@ class TestPackedLayout:
         actions = [step.action for traj in corpus for step in traj.steps]
         assert full.cand_ids[full.taken].tolist() == actions
         assert table.cand_ids[table.taken].tolist() == actions
+
+
+def assert_bits(got, want) -> None:
+    """Equal shapes and equal bytes, int and float alike."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape and got.dtype.kind == want.dtype.kind
+    assert got.astype(want.dtype).tobytes() == want.tobytes()
+
+
+def assert_laid_out_as_by_search(tables, trajs) -> None:
+    """``build_transitions`` and ``StepRows.pack`` of packed ``tables`` equal,
+    bit for bit, what the per-step construction (``oracles``) makes of the
+    same steps as ``trajs``."""
+    table, want = build_transitions(tables), transitions_by_search(trajs)
+    for name in ("states", "cand_rows", "row_id", "taken", "cand_offsets"):
+        assert_bits(getattr(table, name), want[name])
+    index, ids = table.state_ids
+    assert list(index.items()) == list(want["state_ids"][0].items())
+    assert_bits(ids, want["state_ids"][1])
+    rows, want = StepRows.pack(tables), step_rows_by_bytes(trajs)
+    for name in ("rows", "row_id", "offsets"):
+        assert_bits(getattr(rows, name), want[name])
+
+
+class TestTablesAgainstTheSearch:
+    """The packed tables give the learners the rows, ids and taken entries
+    that decoding each step and searching and deduplicating its rows gave."""
+
+    @pytest.fixture(scope="class",
+                    params=[{"kind": "topology"},
+                            {"kind": "topology", "with_hubs": True, "with_hmm": True,
+                             "hmm_states": 2},
+                            {"kind": "name"}, {"kind": "nametype"}],
+                    ids=["topology", "topology_hubs_hmm", "name", "nametype"])
+    def run(self, request, tmp_path_factory):
+        raw = json.loads(json.dumps(SMALL_CONFIG))
+        raw["scheme"] = request.param
+        out = tmp_path_factory.mktemp("tables")
+        cfg = validate_config(raw)
+        stage_collect(cfg, out)
+        stage_abstract(cfg, out)
+        return cfg, out
+
+    @pytest.mark.parametrize("side", [0, 1], ids=["train", "held_out"])
+    def test_a_split_is_laid_out_as_by_search(self, run, side):
+        cfg, out = run
+        tables = pipeline.read_split(cfg, out, train=["none"], held_out=["none"])[side]["none"]
+        # the reference: the raw corpus abstracted again, written as the
+        # per-trajectory lines of old and decoded step by step
+        spec, hmm = pipeline.load_scheme_runtime(out)
+        graphs = {s.scenario_id: s.graph for s in load_scenarios(out / "train_scenarios.jsonl")}
+        views = pipeline.abstract_trajectories(load_corpus(out / "train_corpus.jsonl"), spec,
+                                               graphs, hmm)
+        eval_ids = split_scenarios(cfg, [v.scenario_id for v in views])[1]
+        trajs = [abstract_from_json(json.loads(abstract_line_via_dicts(v))) for v in views
+                 if (v.scenario_id in eval_ids) == bool(side)]
+        assert tables.trajectory_ids == tuple(t.trajectory_id for t in trajs)
+        assert_laid_out_as_by_search(tables, trajs)
+
+    def test_a_negative_zero_state_keeps_its_bits(self, tmp_path):
+        # three wide, as a one-hot of the three index actions is in reward rows
+        states = [np.array([0.0, 1.0, 0.0]), np.array([-0.0, 1.0, 0.0]),
+                  np.array([2.0, -0.0, 0.0])]
+        for actions in ([np.array([1.0, -0.0]), np.array([0.0, 1.0]), np.array([-3.0, 0.5])],
+                        [1, 0, 2]):
+            rng = np.random.default_rng(4)
+            trajs = []
+            for i in range(6):
+                steps = []
+                for _ in range(int(rng.integers(1, 5))):
+                    cands = [actions[k] for k in rng.permutation(3)[:int(rng.integers(1, 4))]]
+                    steps.append(AbstractStep(states[int(rng.integers(3))],
+                                              cands[int(rng.integers(len(cands)))], 0.0, cands))
+                trajs.append(AbstractTrajectory(f"t{i}", "s", "topology", steps,
+                                                JudgeScores(0.0, 0.0)))
+            path = tmp_path / "abstract_corpus.jsonl"
+            abstraction.save_abstract_corpus(trajs, path)
+            tables = load_abstract_corpus(path)
+            assert len(tables.states) == 3
+            assert_laid_out_as_by_search(tables, trajs)
+            # the -0.0 and 0.0 states share a number, as equal tuples do
+            assert len(build_transitions(tables).state_ids[0]) == 2
 
 
 class TestCli:

@@ -1,14 +1,17 @@
+import json
+
 import numpy as np
 import pytest
 
 from oracles import floyd_warshall, hubs_eigen
 from twinmdp.abstraction import TopologyFeaturizer
 from twinmdp.errors import EmptyGraphNoEdges, EntityNotInGraph, MalformedRecord, UnknownEntity
+from twinmdp.simulator import SimScenario, load_scenarios, save_scenarios
 from twinmdp.topology import (
+    graph_from_json,
+    graph_to_json,
     hubs_scores,
-    load_graph,
     make_graph,
-    save_graph,
     shortest_distance,
 )
 from twinmdp.trajectories import Entity
@@ -38,23 +41,24 @@ class TestGraphConstruction:
         with pytest.raises(MalformedRecord):
             make_graph(nodes, [(nodes[0], stranger)])
 
-    def test_round_trip(self, tmp_path):
+    def test_round_trip(self):
         nodes = nodes_named(4)
         g = make_graph(nodes, [(nodes[0], nodes[1]), (nodes[1], nodes[2])])
-        path = tmp_path / "graph.json"
-        save_graph(g, path)
-        g2 = load_graph(path)
+        g2 = graph_from_json(json.loads(json.dumps(graph_to_json(g))))
         assert set(g2.nodes) == set(g.nodes)
         assert g2.edges == g.edges
 
     def test_truncated_file_raises_malformed_record_naming_it(self, tmp_path):
+        # a graph is stored inside its scenario's line of a scenarios file
         nodes = nodes_named(4)
-        path = tmp_path / "graph.json"
-        save_graph(make_graph(nodes, [(nodes[0], nodes[1])]), path)
+        graph = make_graph(nodes, [(nodes[0], nodes[1])])
+        path = tmp_path / "scenarios.jsonl"
+        save_scenarios([SimScenario("s0", graph, nodes[0], (nodes[0], nodes[1]), nodes[1],
+                                    0.1, 3)], path)
         text = path.read_text()
         path.write_text(text[: len(text) // 2])
-        with pytest.raises(MalformedRecord, match="graph.json"):
-            load_graph(path)
+        with pytest.raises(MalformedRecord, match="scenarios.jsonl"):
+            load_scenarios(path)
 
 
 class TestNeighbors:

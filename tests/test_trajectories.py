@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import abstract_line_via_dicts, corpus_line_via_dicts
+from oracles import abstract_tables_via_dicts, corpus_line_via_dicts
 
 from twinmdp.abstraction import (AbstractStep, AbstractTrajectory, load_abstract_corpus,
                                  save_abstract_corpus)
@@ -31,13 +31,15 @@ from twinmdp.trajectories import (
     read_json,
     save_corpus,
     write_json,
+    write_jsonl,
 )
 from twinmdp.nets import Mlp
 from twinmdp.offline_rl import QPolicy, TabularQ, save_policy
 from twinmdp.reward_learning import save_reward_net
 from twinmdp.simulator import (ScenarioConfig, SimScenario, generate_scenario,
                                load_scenarios, save_scenarios)
-from twinmdp.topology import make_graph, save_graph
+from twinmdp.pipeline import read_rewards
+from twinmdp.topology import make_graph
 
 
 def entity(name, etype="Pod"):
@@ -313,7 +315,6 @@ class TestArtifactFormat:
         graph = make_graph([a, b], [(a, b)])
         nodes = ('"nodes": [{"etype": "Pod", "name": "a"}, '
                  '{"etype": "Service", "name": "b"}]')
-        save_graph(graph, tmp_path / "graph.json")
         save_scenarios([SimScenario("s0", graph, a, (a, b), b, 0.25, 3)],
                        tmp_path / "scenarios.jsonl")
         save_reward_net(Mlp.from_params(1, 1, np.array([0.5, -1.0, 2.0, 0.25, 1.5, 0.0])),
@@ -327,7 +328,6 @@ class TestArtifactFormat:
         write_json(tmp_path / "x.manifest.json",
                    {"stage": "x", "outputs": {"b.json": "00"}, "seed": 1}, "manifest", indent=2)
         expected = {
-            "graph.json": '{"edges": [[0, 1]], ' + nodes + '}\n',
             "scenarios.jsonl": (
                 '{"chain": [{"etype": "Pod", "name": "a"}, {"etype": "Service", "name": "b"}], '
                 '"evidence_noise": 0.25, "graph": {"edges": [[0, 1]], ' + nodes + '}, '
@@ -339,10 +339,11 @@ class TestArtifactFormat:
                             '"metadata": {"id": "p"}, "q": [[0.5, -1.5]], '
                             '"states": [[1.0, 0.0]], "temperature": 0.1}\n'),
             "abstract.jsonl": (
-                '{"scenario_id": "s0", "scheme": "nametype", "scores": {"fpc_accuracy": 50.0, '
-                '"rce_identification": 100.0}, "steps": [{"action": {"index": 1}, '
-                '"candidates": [{"index": 0}, {"index": 1}], "reward": 0.5, '
-                '"state": [1.0, 0.0]}], "trajectory_id": "t0"}\n'),
+                '{"actions": [0, 1], "cand_id": [0, 1], "cand_offsets": [0, 2], '
+                '"format_version": 1, "fpc_accuracy": [50.0], "rce_identification": [100.0], '
+                '"rewards": [0.5], "scenario_ids": ["s0"], "scheme": "nametype", '
+                '"state_id": [0], "states": [[1.0, 0.0]], "step_offsets": [0, 1], '
+                '"taken": [1], "trajectory_ids": ["t0"]}\n'),
             "x.manifest.json": ('{\n  "outputs": {\n    "b.json": "00"\n  },\n'
                                 '  "seed": 1,\n  "stage": "x"\n}\n'),
         }
@@ -450,11 +451,12 @@ VALUES = st.one_of(st.sampled_from([0.0, -0.0, 1.0, 2.5, float("nan"), float("in
 
 
 @st.composite
-def abstract_trajectories(draw, index=0):
-    """An abstract trajectory of the topology scheme (feature actions) or of
-    the nametype scheme (index actions, plain or numpy ints). Its rows come
-    from a small pool, as distinct equal arrays, so writers that share equal
-    rows are exercised; with ``hmm`` each state ends in a one-hot."""
+def abstract_corpora(draw):
+    """Abstract trajectories of one scheme and one state width: the topology
+    scheme (feature actions) or the nametype scheme (index actions, plain or
+    numpy ints). Rows come from small pools, as distinct equal arrays, so
+    writers that share equal rows are exercised; with ``hmm`` each state ends
+    in a one-hot. Each step takes one of its candidates."""
     features = draw(st.booleans())
     width = draw(st.integers(1, 4))
     hmm = draw(st.integers(0, 3))
@@ -468,24 +470,23 @@ def abstract_trajectories(draw, index=0):
     else:
         action = st.tuples(st.integers(0, 9), st.sampled_from([int, np.int64, np.int32])
                            ).map(lambda t: t[1](t[0]))
-    steps = []
-    for _ in range(draw(st.integers(0, 4))):
-        state = np.array(draw(st.sampled_from(states)), dtype=dtype)
-        if hmm:
-            state = np.concatenate([state, np.eye(hmm)[draw(st.integers(0, hmm - 1))]])
-        reward = draw(st.one_of(VALUES, VALUES.map(np.float64)))
-        steps.append(AbstractStep(state=state, action=draw(action), reward=reward,
-                                  candidates=draw(st.lists(action, max_size=4))))
-    return AbstractTrajectory(
-        trajectory_id=f"t{index}-{draw(TEXT)}", scenario_id=draw(TEXT),
-        scheme="topology" if features else "nametype", steps=steps,
-        scores=JudgeScores(draw(st.floats(0.0, 100.0)),
-                           draw(st.sampled_from([0.0, 100.0, 0, 100]))))
-
-
-@st.composite
-def abstract_corpora(draw):
-    return [draw(abstract_trajectories(i)) for i in range(draw(st.integers(0, 3)))]
+    trajs = []
+    for index in range(draw(st.integers(0, 3))):
+        steps = []
+        for _ in range(draw(st.integers(0, 4))):
+            state = np.array(draw(st.sampled_from(states)), dtype=dtype)
+            if hmm:
+                state = np.concatenate([state, np.eye(hmm)[draw(st.integers(0, hmm - 1))]])
+            reward = draw(st.one_of(VALUES, VALUES.map(np.float64)))
+            candidates = draw(st.lists(action, min_size=1, max_size=4))
+            steps.append(AbstractStep(state=state, action=draw(st.sampled_from(candidates)),
+                                      reward=reward, candidates=candidates))
+        trajs.append(AbstractTrajectory(
+            trajectory_id=f"t{index}-{draw(TEXT)}", scenario_id=draw(TEXT),
+            scheme="topology" if features else "nametype", steps=steps,
+            scores=JudgeScores(draw(st.floats(0.0, 100.0)),
+                               draw(st.sampled_from([0.0, 100.0, 0, 100])))))
+    return trajs
 
 
 def same_values(a, b) -> bool:
@@ -500,11 +501,10 @@ def same_values(a, b) -> bool:
 class TestAbstractCorpusWriter:
     @settings(max_examples=150, deadline=None)
     @given(trajs=abstract_corpora())
-    def test_each_line_is_the_sorted_key_json_of_the_record(self, trajs, tmp_path_factory):
+    def test_the_file_is_the_sorted_key_json_of_the_tables(self, trajs, tmp_path_factory):
         path = tmp_path_factory.mktemp("abstract") / "abstract.jsonl"
         save_abstract_corpus(trajs, path)
-        expected = "".join(abstract_line_via_dicts(t) + "\n" for t in trajs)
-        assert path.read_bytes() == expected.encode("ascii")
+        assert path.read_bytes() == (abstract_tables_via_dicts(trajs) + "\n").encode("ascii")
 
     @settings(max_examples=100, deadline=None)
     @given(trajs=abstract_corpora())
@@ -530,33 +530,42 @@ class TestAbstractCorpusWriter:
         save_abstract_corpus(load_abstract_corpus(p2), p3)
         assert p3.read_bytes() == p2.read_bytes()
 
-    def test_rows_of_equal_bytes_but_other_dtype_or_shape_keep_their_encoding(self, tmp_path):
-        steps = [AbstractStep(np.zeros(2, dtype=int), np.zeros(2), 0.0, [np.zeros((1, 2))]),
-                 AbstractStep(np.zeros(2), np.zeros((2, 1)), -0.0, [np.array([-0.0, 0.0])])]
+    def test_rows_that_differ_only_in_the_sign_of_a_zero_stay_apart(self, tmp_path):
+        a, b = np.array([-0.0, 0.0]), np.array([0.0, 0.0])
+        steps = [AbstractStep(np.zeros(2, dtype=int), a, 0.0, [b, a]),
+                 AbstractStep(np.array([-0.0, 0.0]), b, -0.0, [b, a])]
         traj = AbstractTrajectory("t", "s", "topology", steps, JudgeScores(0.0, 0.0))
         save_abstract_corpus([traj], tmp_path / "abstract.jsonl")
-        line = (tmp_path / "abstract.jsonl").read_text()
-        assert line == abstract_line_via_dicts(traj) + "\n"
-        assert '"state": [0, 0]' in line and '"state": [0.0, 0.0]' in line
-        assert '[[0.0, 0.0]]' in line and '[-0.0, 0.0]' in line and '"reward": -0.0' in line
+        text = (tmp_path / "abstract.jsonl").read_text()
+        assert text == abstract_tables_via_dicts([traj]) + "\n"
+        assert '"states": [[0.0, 0.0], [-0.0, 0.0]]' in text
+        assert '"actions": [[0.0, 0.0], [-0.0, 0.0]]' in text
+        assert '"rewards": [0.0, -0.0]' in text and '"taken": [1, 0]' in text
+        loaded = load_abstract_corpus(tmp_path / "abstract.jsonl")
+        assert [np.signbit(s.action).tolist() for s in loaded[0].steps] == [[True, False],
+                                                                            [False, False]]
 
 
 class TestJsonLinesErrors:
     """A malformed line of a JSON-lines artifact is reported by its 1-based
     line in the file, as load_corpus reports a corpus line."""
 
-    def test_an_abstract_corpus_cut_inside_a_line_names_that_line(self, tmp_path):
+    def test_a_reward_file_cut_inside_a_line_names_that_line(self, tmp_path):
         step = AbstractStep(np.array([1.0, 0.0]), np.array([0.5, 2.0]), 0.5,
                             [np.array([0.5, 2.0])])
         trajs = [AbstractTrajectory(f"t{i}", "s0", "topology", [step] * 3,
                                     JudgeScores(50.0, 100.0)) for i in range(8)]
-        path = tmp_path / "abstract.jsonl"
-        save_abstract_corpus(trajs, path)
+        save_abstract_corpus(trajs, tmp_path / "abstract.jsonl")
+        corpus = load_abstract_corpus(tmp_path / "abstract.jsonl")
+        path = tmp_path / "rewards_irl.jsonl"
+        write_jsonl(path, ({"rewards": [0.25, 0.5, 1.0], "trajectory_id": f"t{i}"}
+                           for i in range(8)), "rewards")
+        assert read_rewards(path, corpus).tolist() == [0.25, 0.5, 1.0] * 8
         text = path.read_text()
-        cut = sum(len(line) + 1 for line in text.splitlines()[:5]) + 98
+        cut = sum(len(line) + 1 for line in text.splitlines()[:5]) + 20
         path.write_text(text[:cut])
-        with pytest.raises(MalformedRecord, match="^line 6: malformed abstract corpus") as exc:
-            load_abstract_corpus(path)
+        with pytest.raises(MalformedRecord, match="^line 6: malformed rewards") as exc:
+            read_rewards(path, corpus)
         assert exc.value.line == 6
 
     def test_a_scenarios_file_names_the_bad_line(self, tmp_path):
