@@ -276,19 +276,17 @@ def distinct_pairs(corpus: MdpTables, state_id: np.ndarray, actions: np.ndarray,
     ids under a one-hot encoding, rows of ``corpus.actions`` otherwise. The
     row tables are in byte order, so the rows' byte order is that of (state
     row, action rank) pairs; a one-hot row ranks by descending id, as 1.0's
-    high byte, 0x3F, sorts after 0.0's 0x00. One mark over every pair, no sort.
+    high byte, 0x3F, sorts after 0.0's 0x00.
     """
     onehot = encoding["kind"] == "onehot"
     size = encoding["size"] if onehot else len(corpus.actions)
     if onehot and len(actions) and not 0 <= actions.min() <= actions.max() < size:
         raise DimensionMismatch(f"action ids outside a one-hot encoding of {size}")
-    key = state_id * size + (size - 1 - actions if onehot else actions)
-    mark = np.zeros(len(corpus.states) * size, dtype=bool)
-    mark[key] = True
-    present = np.flatnonzero(mark)
+    present, row_id = np.unique(state_id * size + (size - 1 - actions if onehot else actions),
+                               return_inverse=True)
     state, rank = np.divmod(present, size)
     acts = size - 1 - rank if onehot else corpus.actions[rank]
-    return encode_rows(corpus.states[state], acts, encoding), np.searchsorted(present, key)
+    return encode_rows(corpus.states[state], acts, encoding), row_id
 
 
 def build_transitions(trajs, action_space=CandidateSet()) -> TransitionTable:

@@ -31,6 +31,7 @@ from .abstraction import (
     build_vocabulary,
     hmm_observations,
     load_abstract_corpus,
+    pack_corpus,
     save_abstract_corpus,
 )
 from .context import STRATEGIES, CeConfig
@@ -604,7 +605,7 @@ def stage_train_reward(cfg: PipelineConfig, out: Path) -> dict:
     seed = derive_seed(cfg.master_seed, "train_reward")
     train_trajs = read_split(cfg, out, train=["none"])[0]["none"]
     pairs = build_pairs(
-        train_trajs,
+        [(t, t.scores) for t in train_trajs],
         signal=cfg.irl_signal,
         margin=cfg.irl_margin,
         max_pairs=cfg.irl_max_pairs,
@@ -910,11 +911,11 @@ def robustness_sweep(cfg: PipelineConfig, out: Path,
 
     policies = []
     for count in counts:
-        subset = [pool[i] for i in order[:count]]
-        relabeled = [relabel(t, net, mode="irl") for t in subset]
+        subset = pack_corpus([pool[i] for i in order[:count]])
         train_cfg = replace(cfg.rl_train,
                             seed=derive_seed(cfg.master_seed, "robustness_sweep", count))
-        policies += [QPolicy(q=cql_train(relabeled, train_cfg, CandidateSet()),
+        policies += [QPolicy(q=cql_train(relabel(subset, net, mode="irl"), train_cfg,
+                                         CandidateSet()),
                              temperature=train_cfg.temperature),
                      bc_train(subset, train_cfg, CandidateSet())]
     scores = [est.initial_value for est in fqe_many(policies, eval_table, cfg.rl_train)]

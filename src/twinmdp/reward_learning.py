@@ -8,7 +8,7 @@ network then relabels per-turn rewards for offline policy induction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +16,7 @@ import numpy as np
 from .abstraction import AbstractTrajectory, MdpTables, pack_corpus
 from .errors import DimensionMismatch, EmptyPairSet, MalformedRecord, check_ranges, ranged
 from .nets import PLAN_BATCHES, Adam, Mlp, plan_rows, row_sums
-from .offline_rl import distinct_pairs
+from .offline_rl import distinct_pairs, encode_rows
 from .trajectories import JudgeScores, read_json, write_json
 
 RANKING_SIGNALS = ("fpc_only", "mean_fpc_rce")
@@ -54,17 +54,14 @@ def build_pairs(
 ) -> list[PreferencePair]:
     """All ordered preferences whose score gap exceeds the margin.
 
-    ``trajs`` is a sequence of (AbstractTrajectory, JudgeScores), or a packed
-    corpus (MdpTables), whose score columns are read. When more pairs exist
-    than max_pairs, a seeded uniform subsample is returned (stable order). An
-    empty result is legitimate: equal scores prefer nothing.
+    ``trajs`` is a sequence of (AbstractTrajectory, JudgeScores). When more
+    pairs exist than max_pairs, a seeded uniform subsample is returned
+    (stable order). An empty result is legitimate: equal scores prefer
+    nothing.
     """
     if margin < 0:
         raise MalformedRecord("margin must be >= 0")
-    if isinstance(trajs, MdpTables):
-        values = np.asarray(ranking_score(trajs.scores, signal), dtype=float)
-    else:
-        values = np.array([ranking_score(s, signal) for _, s in trajs], dtype=float)
+    values = np.array([ranking_score(s, signal) for _, s in trajs], dtype=float)
     i, j = np.triu_indices(len(values), k=1)  # row-major, as a double loop
     gap = values[j] - values[i]
     up = gap > margin
@@ -92,8 +89,12 @@ def build_pairs(
 def encode_step_rows(traj: AbstractTrajectory) -> np.ndarray:
     """(T, state_dim + action_dim) rows; index actions become 1-hot over the
     vocabulary, whose size equals the state dimension for those schemes."""
-    packed = StepRows.pack([traj])
-    return packed.rows[packed.row_id]
+    states = np.stack([np.asarray(s.state, dtype=float) for s in traj.steps])
+    actions = [s.action for s in traj.steps]
+    if isinstance(actions[0], (int, np.integer)):
+        return encode_rows(states, np.asarray(actions, dtype=int),
+                           {"kind": "onehot", "size": states.shape[1]})
+    return encode_rows(states, np.asarray(actions, dtype=float), {"kind": "features"})
 
 
 @dataclass(frozen=True)
@@ -109,7 +110,8 @@ class StepRows:
     @classmethod
     def pack(cls, trajs) -> "StepRows":
         """The rows of ``trajs``, a packed corpus or abstract trajectories,
-        read off the corpus's row tables (``encode_step_rows``' rows)."""
+        read off the corpus's row tables: trajectory i's steps are
+        ``encode_step_rows`` of trajectory i."""
         if isinstance(trajs, StepRows):
             return trajs
         corpus = pack_corpus(trajs)
@@ -346,16 +348,8 @@ def relabel(
         scale = blend if mode == "combined" else 1.0
         rewards[starts + lengths - 1] += scale * np.asarray(outcome, dtype=float) / 100.0
 
-    if corpus is traj:
-        return corpus.with_rewards(rewards)
-    steps = [replace(step, reward=float(r)) for step, r in zip(traj.steps, rewards)]
-    return AbstractTrajectory(
-        trajectory_id=traj.trajectory_id,
-        scenario_id=traj.scenario_id,
-        scheme=traj.scheme,
-        steps=steps,
-        scores=traj.scores,
-    )
+    relabeled = corpus.with_rewards(rewards)
+    return relabeled if corpus is traj else relabeled[0]
 
 
 # --- persistence ------------------------------------------------------------------

@@ -659,9 +659,9 @@ def test_benchmark_trace_targets_exist(tmp_path):
     assert layers["pipeline.abstract.s"] > 0 and layers["abstraction.corpus_io.s"] > 0
     assert tracer.counts["reward_learning.train_trajs"] == len(train)
     accuracy = worker.reward_pair_accuracy(pipeline, cfg, out)
-    pairs = build_pairs(train, signal=cfg.irl_signal, margin=cfg.irl_margin,
-                        max_pairs=cfg.irl_max_pairs, seed=derive_seed(cfg.master_seed,
-                                                                      "train_reward"))
+    pairs = build_pairs([(t, t.scores) for t in train], signal=cfg.irl_signal,
+                        margin=cfg.irl_margin, max_pairs=cfg.irl_max_pairs,
+                        seed=derive_seed(cfg.master_seed, "train_reward"))
     net = load_reward_net(out / "reward_net.json")
     assert accuracy == pair_accuracy(net, pairs, train, cfg.irl_train.discount)
 

@@ -12,7 +12,7 @@ from oracles import (
 from test_nets import assert_close
 from test_offline_rl import duplicated_corpus
 from twinmdp import reward_learning
-from twinmdp.abstraction import AbstractStep, AbstractTrajectory
+from twinmdp.abstraction import AbstractStep, AbstractTrajectory, pack_corpus
 from twinmdp.errors import EmptyPairSet, MalformedRecord
 from twinmdp.nets import PLAN_BATCHES
 from twinmdp.reward_learning import (
@@ -406,6 +406,44 @@ class TestDistinctRowTrex:
         want = reference_pair_accuracy(net, pairs, packed, discount)
         assert pair_accuracy(net, pairs, packed, discount) == want
         assert pair_accuracy(net, ends, packed, discount) == want
+
+
+def index_corpus(rng, n_episodes=40, vocab=5):
+    """Index-action episodes of 1 to 5 steps over 3 assessment-coded states,
+    one of them holding a -0.0: rows repeat within and across trajectories."""
+    states = rng.choice([0.0, 1.0, 2.0], size=(3, vocab))
+    states[0, 0] = -0.0
+    trajs = []
+    for i in range(n_episodes):
+        steps = []
+        for _ in range(int(rng.integers(1, 6))):
+            cands = rng.choice(vocab, size=int(rng.integers(1, 4)), replace=False).tolist()
+            steps.append(AbstractStep(state=states[rng.integers(3)],
+                                      action=cands[int(rng.integers(len(cands)))],
+                                      reward=0.0, candidates=cands))
+        trajs.append(AbstractTrajectory(trajectory_id=f"t{i}", scenario_id="s", scheme="name",
+                                        steps=steps, scores=JudgeScores(50.0, 0.0)))
+    return trajs
+
+
+class TestOneHotRows:
+    """Index actions: the packed rows rebuild every trajectory's
+    ``encode_step_rows`` bit for bit, and relabeling the packed corpus gives
+    each trajectory the forward of those rows."""
+
+    def test_packed_rows_rebuild_every_step(self):
+        trajs = index_corpus(np.random.default_rng(0))
+        packed = StepRows.pack(trajs)
+        full = np.concatenate([encode_step_rows(t) for t in trajs])
+        assert len(packed.rows) < len(full)
+        assert packed.rows[packed.row_id].tobytes() == full.tobytes()
+
+    def test_relabel_matches_forward_pass(self):
+        trajs = index_corpus(np.random.default_rng(1))
+        net = new_reward_net(encode_step_rows(trajs[0]).shape[1], 8, seed=0)
+        got = relabel(pack_corpus(trajs), net, mode="irl").rewards
+        want = np.concatenate([net.forward(encode_step_rows(t)) for t in trajs])
+        assert got.tobytes() == want.tobytes()
 
 
 def _min_preactivation(net, rows):
