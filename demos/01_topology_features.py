@@ -2,21 +2,29 @@
 
 Builds a small service topology, queries distances and hub scores, then
 abstracts a scripted three-turn exploration into the feature vectors a
-policy would consume.
+policy would consume. Last, a hand-set name-scheme policy intervenes on the
+walk's two-candidate turn, through the adapters a prompt-driven agent uses.
 """
 
 import numpy as np
 
 from twinmdp import (
+    CeConfig,
     Entity,
     JudgeScores,
+    QPolicy,
     RawStep,
     RawTrajectory,
     SchemeSpec,
+    TabularQ,
     abstract,
     hubs_scores,
+    intervene,
     make_graph,
+    render_suggestion_text,
+    select_top_action,
     shortest_distance,
+    should_skip_action,
 )
 
 # A tiny incident: a database fault cascades through a cache into the
@@ -75,3 +83,18 @@ name_view = abstract(
 print("\n== name-scheme abstraction (2 primary / 1 cascading / 0 unknown) ==")
 for t, step in enumerate(name_view.steps):
     print(f"turn {t}: state={step.state.tolist()} action index={step.action}")
+
+# A hand-set policy over that vocabulary: at turn 1's state it prefers the
+# cache to the logs. Suggest and prune keep only the top candidate of two.
+turn = name_view.steps[1]
+q = np.zeros((1, 5))
+q[0, turn.candidates] = [2.0, -1.0]  # cache, logs
+policy = QPolicy(q=TabularQ(state_index={tuple(turn.state.tolist()): 0}, q=q, gamma=0.9))
+iv = intervene(policy, turn.state, list(zip(steps[1].candidate_entities, turn.candidates)),
+               CeConfig())
+print("\n== a policy's intervention on turn 1 (candidates cache, logs) ==")
+print("probabilities:", {e.name: round(p, 4) for e, p in iv.probs.items()})
+print("prompt hint  :", render_suggestion_text(iv.suggestions))
+print("top action   :", select_top_action(iv).name)
+for entity in steps[1].candidate_entities:
+    print(f"skip {entity.name:5s}   :", should_skip_action(iv, entity))

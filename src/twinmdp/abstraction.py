@@ -448,14 +448,17 @@ def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def pack_corpus(trajs) -> MdpTables:
     """Abstract trajectories as the tables of their DT-MDP; tables are returned
     as they are. A step takes the first of its candidates that has its
-    action's bytes. A step without candidates raises MissingCandidateSets,
-    an action none of them has MalformedRecord."""
+    action's bytes. A step without candidates raises MissingCandidateSets;
+    a trajectory without steps, a negative vocabulary id and an action none
+    of its candidates has raise MalformedRecord."""
     if isinstance(trajs, MdpTables):
         return trajs
     trajs = list(trajs)
     if len({t.scheme for t in trajs}) > 1:
         raise SchemeMismatch("an abstract corpus has one scheme")
     for traj in trajs:
+        if not traj.steps:
+            raise MalformedRecord(f"trajectory {traj.trajectory_id} has no steps")
         for turn, step in enumerate(traj.steps):
             if not len(step.candidates):
                 raise MissingCandidateSets(
@@ -469,6 +472,8 @@ def pack_corpus(trajs) -> MdpTables:
                               if index else _distinct_rows(_rows(acts)))
     except ValueError as exc:
         raise MalformedRecord(f"abstract steps of unequal shapes: {exc}") from exc
+    if index and actions[0] < 0:  # the ids ascend
+        raise MalformedRecord(f"negative vocabulary id {actions[0]}")
     cand_offsets = _offsets([len(s.candidates) for s in steps])
     ids, off = action_id[n:].tolist(), cand_offsets.tolist()
     try:
@@ -510,6 +515,8 @@ def _tables_from_json(obj: dict) -> MdpTables:
     if not all(((0 <= ids) & (ids < bound)).all() for ids, bound in (
             (t.state_id, len(t.states)), (t.cand_id, len(t.actions)))):
         raise ValueError("an id out of range of its table")
+    if t.index_actions and (t.actions < 0).any():
+        raise ValueError("a negative vocabulary id")
     if (t.cand_offsets[:1].tolist() != [0] or t.cand_offsets[-1] != len(t.cand_id)
             or (counts <= 0).any()):
         raise ValueError("candidate offsets must ascend from 0 to the candidates")
@@ -520,6 +527,8 @@ def _tables_from_json(obj: dict) -> MdpTables:
     if (t.step_offsets[:1].tolist() != [0] or t.step_offsets[-1] != n
             or (np.diff(t.step_offsets) < 0).any()):
         raise ValueError(f"trajectory step ranges disagree with the {n} steps")
+    if (np.diff(t.step_offsets) == 0).any():
+        raise ValueError("a trajectory with no steps")
     if len({len(t), len(t.scenario_ids), len(t.step_offsets) - 1, *map(len, t.scores)}) > 1:
         raise ValueError("trajectory columns of unequal lengths")
     fpc, rce = t.scores

@@ -177,6 +177,17 @@ def grouped_softmax(scores: np.ndarray, group_ids: np.ndarray, n_groups: int) ->
     return expd / np.bincount(group_ids, expd, n_groups)[group_ids]
 
 
+def softmax_rows(logits: np.ndarray) -> np.ndarray:
+    """Softmax of each row of a (B, k) array, uniform where a row's max is not
+    finite (an untrained region). A row sums as the 1-D array would."""
+    peak = logits.max(axis=1, keepdims=True)
+    finite = np.isfinite(peak)
+    if not finite.all():  # such a row becomes zeros: exp(0) / k is 1 / k exactly
+        logits, peak = np.where(finite, logits, 0.0), np.where(finite, peak, 0.0)
+    expd = np.exp(logits - peak)
+    return expd / expd.sum(axis=1, keepdims=True)
+
+
 def _relu_layer(x: np.ndarray, W: np.ndarray, b: np.ndarray) -> np.ndarray:
     """max(x @ W + b, 0), the bias and the ReLU applied in place."""
     h = x @ W

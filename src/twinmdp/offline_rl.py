@@ -7,8 +7,8 @@ form, which scores (state, action-representation) rows with a small MLP.
 
 The conservative penalty and the Bellman backup both range over the
 candidate actions recorded at each turn (or the full vocabulary, when the
-action space says so), mirroring how the deployed policy only ever scores
-the current turn's candidates.
+action space is a FullVocabulary), mirroring how the deployed policy only
+ever scores the current turn's candidates.
 
 ``build_transitions`` is the one place that lays steps out for learning.
 It lays a packed corpus (``MdpTables``) out as a TransitionTable: per-step
@@ -16,10 +16,13 @@ arrays, candidate offsets in CSR form, the candidates as one dense array
 (the action space applied there), and the taken entry of every step. The
 table stores its network rows once per distinct (state, action) row, with a
 row id per candidate entry, read off the corpus's row tables
-(``distinct_pairs``); FQE keeps one Q cell per such row. Network CQL and BC
-train in one loop, ``minibatch_train``, which forwards and backprops each
-distinct row of a batch once (``nets``' distinct-row rule).
-``TransitionTable.backup`` is the one Bellman backup, for CQL and FQE alike.
+(``distinct_pairs``). Tabular CQL and BC, and FQE, keep one value cell per
+such row; ``TransitionTable.matrix`` writes a TabularQ's dense matrix from
+them. Network CQL and BC train in one loop, ``minibatch_train``, which
+forwards and backprops each distinct row of a batch once (``nets``'
+distinct-row rule). ``TransitionTable.backup`` is the one Bellman backup and
+``TransitionTable.taken_means`` the one exact cell update, for CQL and FQE
+alike.
 
 The loop plans its batches ahead, up to PLAN_BATCHES at a time within a
 target-refresh block: it draws them, and ``TransitionTable.plan`` lays them
@@ -55,6 +58,7 @@ from .nets import (
     grouped_softmax,
     plan_rows,
     row_sums,
+    softmax_rows,
 )
 from .trajectories import read_json, write_json
 
@@ -65,14 +69,10 @@ POLICY_FORMAT_VERSION = 1
 
 @dataclass(frozen=True)
 class FullVocabulary:
-    """Every vocabulary index is available at every state."""
+    """Every vocabulary index is available at every state; an action space of
+    None offers each step its recorded candidates."""
 
     size: int
-
-
-@dataclass(frozen=True)
-class CandidateSet:
-    """Only the candidates recorded at each turn are available."""
 
 
 # --- transition table -------------------------------------------------------------
@@ -87,7 +87,7 @@ class TransitionTable:
     Index actions are stored as ``cand_ids``, feature actions are read off the
     corpus; ``taken[i]`` is the entry of the action step i took. What
     is derived from these arrays (``states``, ``cand_step``, ``state_ids``,
-    ``cand_cell``, ``cand_rows`` and ``row_id``) is computed once per table
+    ``cand_rows``, ``row_id`` and ``taken_counts``) is computed once per table
     and is read-only, so every learner and every policy scored on the table
     shares it.
     """
@@ -138,11 +138,14 @@ class TransitionTable:
             number[s] = index.setdefault(tuple(rows[s]), len(index))
         return index, _read_only(number[sid])
 
-    @cached_property
-    def cand_cell(self) -> np.ndarray:
-        """(M,) each index-action entry's cell in a flat (states, n_actions)
-        Q table: state number * n_actions + action id."""
-        return _read_only(self.state_ids[1][self.cand_step] * self.n_actions + self.cand_ids)
+    def matrix(self, cells: np.ndarray) -> np.ndarray:
+        """(states, n_actions) of index actions: the value of each entry's row
+        cell at (its state's ``state_ids`` number, its action id), 0 where no
+        entry is. States that differ only in a zero's sign (no featurizer
+        makes them) have one number, so their cells share a slot."""
+        out = np.zeros((len(self.state_ids[0]), self.n_actions))
+        out[self.state_ids[1][self.cand_step], self.cand_ids] = cells[self.row_id]
+        return out
 
     @property
     def encoding(self) -> dict:
@@ -173,6 +176,11 @@ class TransitionTable:
         ``rows(encoding)`` bit for bit."""
         return self._distinct[1]
 
+    @cached_property
+    def taken_counts(self) -> np.ndarray:
+        """(rows,) the number of steps that take each row of ``cand_rows``."""
+        return _read_only(np.bincount(self.row_id[self.taken], minlength=len(self.cand_rows)))
+
     def backup(self, next_values: np.ndarray, gamma: float) -> np.ndarray:
         """Bellman targets, a new (n,) array: r + gamma * next_values[next_step],
         and r at terminal steps."""
@@ -180,6 +188,15 @@ class TransitionTable:
         targets = self.rewards.copy()
         targets[live] += gamma * next_values[self.next_step[live]]
         return targets
+
+    def taken_means(self, cells: np.ndarray, targets: np.ndarray) -> np.ndarray:
+        """A copy of the row cells with each taken cell set to the mean of the
+        per-step ``targets`` over the steps that take it."""
+        seen = self.taken_counts > 0
+        sums = np.bincount(self.row_id[self.taken], weights=targets, minlength=len(cells))
+        new = cells.copy()
+        new[seen] = sums[seen] / self.taken_counts[seen]
+        return new
 
     def gather(self, steps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Candidate entries of ``steps`` in order, and the position in
@@ -203,13 +220,11 @@ class TransitionTable:
         first = np.cumsum(counts) - counts
         entry_bounds = np.append(first[::size], len(idx))
         base = np.repeat(entry_bounds[:-1], size)  # each step's batch's first entry
-        starts = first - base
-        taken = starts + self.taken[steps] - self.cand_offsets[steps]
+        taken = first - base + self.taken[steps] - self.cand_offsets[steps]
         group -= owner * size
         target = [None] * n_batches if targets is None else targets[batches]
         return [Batch(present=present[row_bounds[k]:row_bounds[k + 1]],
                       entry_row=entry_row[e0:e1], group=group[e0:e1],
-                      starts=starts[k * size:(k + 1) * size],
                       taken=taken[k * size:(k + 1) * size], target=target[k])
                 for k, (e0, e1) in enumerate(zip(entry_bounds[:-1], entry_bounds[1:]))]
 
@@ -220,27 +235,20 @@ class Batch:
 
     The batch's candidate entries run step by step; ``present`` are the ids of
     the distinct rows they name, ascending, and ``entry_row`` is each entry's
-    position among them. ``group`` is each entry's step, ``starts``
-    and ``taken`` each step's first and taken entry, and ``target`` each
-    step's Bellman target (None for a learner that does not bootstrap).
+    position among them. ``group`` is each entry's step, ``taken`` each
+    step's taken entry, and ``target`` each step's Bellman target (None for a
+    learner that does not bootstrap).
     """
 
     present: np.ndarray
     entry_row: np.ndarray
     group: np.ndarray
-    starts: np.ndarray
     taken: np.ndarray
     target: np.ndarray | None
 
     @property
     def size(self) -> int:
-        return len(self.starts)
-
-    def softmax(self, out: np.ndarray) -> np.ndarray:
-        """Each step's softmax over its entries' outputs (``grouped_softmax``,
-        with the group max as one reduceat over the steps' entry runs)."""
-        expd = np.exp(out - np.maximum.reduceat(out, self.starts)[self.group])
-        return expd / np.bincount(self.group, expd, self.size)[self.group]
+        return len(self.taken)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -289,9 +297,9 @@ def distinct_pairs(corpus: MdpTables, state_id: np.ndarray, actions: np.ndarray,
     return encode_rows(corpus.states[state], acts, encoding), row_id
 
 
-def build_transitions(trajs, action_space=CandidateSet()) -> TransitionTable:
+def build_transitions(trajs, action_space=None) -> TransitionTable:
     """The steps of ``trajs``, a packed corpus or abstract trajectories, as
-    one TransitionTable under ``action_space``."""
+    one TransitionTable under ``action_space`` (None: the recorded candidates)."""
     corpus = pack_corpus(trajs)
     n = len(corpus.state_id)
     if not n:
@@ -395,12 +403,7 @@ def policy_probs(policy: QPolicy, state: np.ndarray, candidates) -> np.ndarray:
     if len(candidates) == 0:
         raise EmptyData("policy_probs needs at least one candidate")
     values = np.asarray(policy.q.values(state, candidates), dtype=float)
-    logits = values / policy.temperature
-    peak = logits.max()
-    if not np.isfinite(peak):  # untrained region: fall back to uniform
-        return np.full(len(candidates), 1.0 / len(candidates))
-    expd = np.exp(logits - peak)
-    return expd / expd.sum()
+    return softmax_rows(values[None] / policy.temperature)[0]
 
 
 # --- training configuration ----------------------------------------------------------
@@ -423,7 +426,7 @@ class TrainConfig:
 
 # --- conservative Q-learning -----------------------------------------------------------
 
-def cql_train(trajs, cfg: TrainConfig, action_space=CandidateSet()):
+def cql_train(trajs, cfg: TrainConfig, action_space=None):
     """Fit a Q function by conservative Q-learning.
 
     Minimizes the squared Bellman residual against targets rebuilt every
@@ -438,30 +441,25 @@ def cql_train(trajs, cfg: TrainConfig, action_space=CandidateSet()):
 
 
 def _cql_tabular(table: TransitionTable, cfg: TrainConfig) -> TabularQ:
-    """Q is kept flat, a cell per (state, action); ``cand_cell`` reads it."""
-    index = table.state_ids[0]
-    cand_cell, group = table.cand_cell, table.cand_step
-    cell = cand_cell[table.taken]
-    q = np.zeros(len(index) * table.n_actions)
-    counts = np.bincount(cell, minlength=q.size).astype(float)
-    seen = counts > 0
+    """Q keeps a cell per distinct (state, action) row, ``row_id`` reads it."""
+    row_id, group = table.row_id, table.cand_step
+    cell = row_id[table.taken]
+    q = np.zeros(len(table.cand_rows))
 
     rounds = max(1, cfg.iterations // cfg.target_refresh)
     for _ in range(rounds):
-        targets = table.backup(grouped_max(q[cand_cell], group, table.n), cfg.gamma)
+        targets = table.backup(grouped_max(q[row_id], group, table.n), cfg.gamma)
         if cfg.alpha == 0.0:
-            sums = np.bincount(cell, weights=targets, minlength=q.size)
-            q[seen] = sums[seen] / counts[seen]
+            q = table.taken_means(q, targets)
         else:
             for _ in range(cfg.target_refresh):
                 grad = np.zeros_like(q)
                 np.add.at(grad, cell, 2.0 * (q[cell] - targets) / table.n)
-                probs = grouped_softmax(q[cand_cell], group, table.n)
-                np.add.at(grad, cand_cell, cfg.alpha * probs / table.n)
+                probs = grouped_softmax(q[row_id], group, table.n)
+                np.add.at(grad, row_id, cfg.alpha * probs / table.n)
                 np.add.at(grad, cell, -cfg.alpha / table.n)
                 q = q - cfg.step_size * grad
-    return TabularQ(state_index=index, q=q.reshape(len(index), table.n_actions),
-                    gamma=cfg.gamma)
+    return TabularQ(state_index=table.state_ids[0], q=table.matrix(q), gamma=cfg.gamma)
 
 
 def network_q(table: TransitionTable, net: Mlp, gamma: float) -> NetworkQ:
@@ -508,7 +506,7 @@ def _cql_network(table: TransitionTable, cfg: TrainConfig) -> NetworkQ:
     def learner(batch, out):
         b = batch.size
         if cfg.alpha > 0:
-            dout = cfg.alpha * batch.softmax(out) / b
+            dout = cfg.alpha * grouped_softmax(out, batch.group, b) / b
         else:
             dout = np.zeros_like(out)
         taken = batch.taken
@@ -520,7 +518,7 @@ def _cql_network(table: TransitionTable, cfg: TrainConfig) -> NetworkQ:
 
 # --- behavior cloning ---------------------------------------------------------------
 
-def bc_train(trajs, cfg: TrainConfig, action_space=CandidateSet()) -> QPolicy:
+def bc_train(trajs, cfg: TrainConfig, action_space=None) -> QPolicy:
     """Clone the logged behavior under the softmax-over-candidates model.
 
     Tabular: logits are log visit counts, so the softmax over candidates
@@ -529,16 +527,13 @@ def bc_train(trajs, cfg: TrainConfig, action_space=CandidateSet()) -> QPolicy:
     """
     table = build_transitions(trajs, action_space)
     if table.index_actions:
-        index, sid = table.state_ids
-        counts = np.zeros((len(index), table.n_actions))
-        np.add.at(counts, (sid, table.cand_ids[table.taken]), 1.0)
         with np.errstate(divide="ignore"):
-            q = np.log(counts)
-        return QPolicy(q=TabularQ(state_index=index, q=q, gamma=cfg.gamma),
+            q = np.log(table.matrix(table.taken_counts))
+        return QPolicy(q=TabularQ(state_index=table.state_ids[0], q=q, gamma=cfg.gamma),
                        temperature=cfg.temperature)
 
     def learner(batch, out):
-        dout = batch.softmax(out) / batch.size
+        dout = grouped_softmax(out, batch.group, batch.size) / batch.size
         dout[batch.taken] -= 1.0 / batch.size
         return dout
 

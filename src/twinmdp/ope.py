@@ -10,8 +10,10 @@ states and ranks candidate policies offline.
 The DT-MDP is finite, so Q keeps one cell per distinct (state, action) row
 of the table (``TransitionTable.row_id``), for index and feature actions
 alike. Each sweep sets every taken cell to the mean Bellman backup of the
-steps that take it, which is exact policy evaluation on the empirical MDP
-(model-based OPE). A cell that no logged step takes stays at 0.
+steps that take it (``TransitionTable.taken_means``), which is exact policy
+evaluation on the empirical MDP (model-based OPE). A cell that no logged
+step takes stays at 0. The policy's probabilities are the served ones,
+``policy_probs``, bit for bit.
 """
 
 from __future__ import annotations
@@ -21,9 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoCandidates
-from .nets import grouped_max
+from .nets import softmax_rows
 from .offline_rl import (
-    CandidateSet,
     QPolicy,
     TabularQ,
     TrainConfig,
@@ -38,13 +39,14 @@ class FqeEstimate:
     initial_value: float
 
 
-def fqe(policy: QPolicy, eval_trajs, cfg: TrainConfig, action_space=CandidateSet(),
+def fqe(policy: QPolicy, eval_trajs, cfg: TrainConfig, action_space=None,
         policy_id: str = "", tol: float = 1e-5, max_sweeps: int = 500) -> FqeEstimate:
     """Fitted Q-evaluation of ``policy`` on logged trajectories.
 
     ``eval_trajs`` is a packed corpus, a trajectory list, or their
-    TransitionTable built under ``action_space``; a table is only read, so
-    one can score many policies.
+    TransitionTable built under ``action_space`` (a FullVocabulary, or None
+    for the recorded candidates); a table is only read, so one can score
+    many policies.
     The evaluation set should be disjoint from the policy's training data;
     that split is the caller's responsibility. Of ``cfg`` only the discount,
     ``cfg.gamma``, is read. The sweep stops after ``max_sweeps``, or once the
@@ -57,7 +59,7 @@ def fqe(policy: QPolicy, eval_trajs, cfg: TrainConfig, action_space=CandidateSet
                     max_sweeps)[0]
 
 
-def fqe_many(policies, eval_trajs, cfg: TrainConfig, action_space=CandidateSet(),
+def fqe_many(policies, eval_trajs, cfg: TrainConfig, action_space=None,
              policy_ids=None, tol: float = 1e-5, max_sweeps: int = 500) -> list[FqeEstimate]:
     """``fqe`` of every policy on one table, each estimate equal to its own call."""
     table = (eval_trajs if isinstance(eval_trajs, TransitionTable)
@@ -70,18 +72,12 @@ def fqe_many(policies, eval_trajs, cfg: TrainConfig, action_space=CandidateSet()
 def _fqe_rows(table, policy, cfg, tol, max_sweeps) -> float:
     """The initial value of ``policy`` under a Q cell per distinct row."""
     row_id, group = table.row_id, table.cand_step
-    cell = row_id[table.taken]
     pi_flat = _flat_policy_probs(table, policy)
     q = np.zeros(len(table.cand_rows))
-    counts = np.bincount(cell, minlength=q.size).astype(float)
-    seen = counts > 0
 
     for _ in range(max_sweeps):
         expectation = np.bincount(group, weights=pi_flat * q[row_id], minlength=table.n)
-        sums = np.bincount(cell, weights=table.backup(expectation, cfg.gamma),
-                           minlength=q.size)
-        new_q = q.copy()
-        new_q[seen] = sums[seen] / counts[seen]
+        new_q = table.taken_means(q, table.backup(expectation, cfg.gamma))
         delta = float(np.max(np.abs(new_q - q)))
         q = new_q
         if delta * cfg.gamma <= tol * (1.0 - cfg.gamma):
@@ -92,48 +88,38 @@ def _fqe_rows(table, policy, cfg, tol, max_sweeps) -> float:
 
 
 def _flat_policy_probs(table: TransitionTable, policy: QPolicy) -> np.ndarray:
-    """pi(a|s) for every candidate entry, equal to the per-step policy_probs;
-    fixed for the whole evaluation."""
-    cand, group = table.candidates, table.cand_step
-    if isinstance(policy.q, TabularQ) and table.index_actions:
-        pq = policy.q
-        index, sid = table.state_ids  # each distinct state looked up once
-        unseen = len(pq.q)  # the extra zero row
-        sid_pol = np.array([pq.state_index.get(s, unseen) for s in index], dtype=int)[sid]
-        padded = np.vstack([pq.q, np.zeros((1, pq.n_actions))])
-        logits = padded[sid_pol[group], cand] / policy.temperature
-        gmax = grouped_max(logits, group, table.n)
-        # states where every candidate is -inf (never-taken actions) -> uniform
-        degenerate = ~np.isfinite(gmax)
-        safe_max = np.where(degenerate, 0.0, gmax)
-        expd = np.where(np.isfinite(logits), np.exp(logits - safe_max[group]), 0.0)
-        expd[degenerate[group]] = 1.0
-        gsum = np.zeros(table.n)
-        np.add.at(gsum, group, expd)
-        return expd / gsum[group]
-    # a network: one (B, k, d) forward per candidate count k, whose slices are
-    # the steps' own forwards, then a row-wise softmax. Forwarding the distinct
-    # rows once would not do: BLAS picks its kernel by call shape, so a row's
-    # output in one (U, d) call can differ in its last bits from its output in
-    # its step's own (k, d) call
+    """pi(a|s) for every candidate entry, equal to the per-step policy_probs
+    bit for bit; fixed for the whole evaluation.
+
+    The steps with k candidates form one (B, k) array of values, and
+    ``softmax_rows`` is policy_probs' softmax on B rows at once. A table
+    looks each distinct state up once. A network forwards each (B, k, d)
+    stack, whose slices are the steps' own forwards. Forwarding the distinct
+    rows once would not do: BLAS picks its kernel by call shape, so a row's
+    output in one (U, d) call can differ in its last bits from its output in
+    its step's own (k, d) call.
+    """
     q, off = policy.q, table.cand_offsets
-    rows = q.encode(table.states[group], cand)
+    tabular = isinstance(q, TabularQ)
+    if tabular:
+        index, sid = table.state_ids
+        unseen = len(q.q)  # the extra zero row
+        q_row = np.array([q.state_index.get(s, unseen) for s in index], dtype=int)[sid]
+        padded = np.vstack([q.q, np.zeros((1, q.n_actions))])
+        values = padded[q_row[table.cand_step], table.candidates]
+    else:
+        rows = q.encode(table.states[table.cand_step], table.candidates)
     counts = np.diff(off)
-    probs = np.empty(len(rows))
+    probs = np.empty(off[-1])
     for k in np.unique(counts):
         entries = off[:-1][counts == k, None] + np.arange(k)
-        logits = q.net.forward(rows[entries]) / policy.temperature
-        peak = logits.max(axis=1, keepdims=True)
-        with np.errstate(invalid="ignore"):
-            expd = np.exp(logits - peak)
-            expd /= expd.sum(axis=1, keepdims=True)
-        expd[~np.isfinite(peak[:, 0])] = 1.0 / k  # untrained region: uniform
-        probs[entries] = expd
+        logits = values[entries] if tabular else q.net.forward(rows[entries])
+        probs[entries] = softmax_rows(logits / policy.temperature)
     return probs
 
 
 def rank_policies(candidates, eval_trajs, cfg: TrainConfig, k: int,
-                  action_space=CandidateSet()) -> list[dict]:
+                  action_space=None) -> list[dict]:
     """FQE-score every candidate policy and return the top-k.
 
     ``candidates`` is a list of (QPolicy, metadata) where metadata carries at

@@ -38,7 +38,6 @@ from .context import STRATEGIES, CeConfig
 from .errors import ConfigInvalid, MalformedRecord, MissingArtifact, StageFailed, in_range
 from .hmm import Hmm, fit_hmm, sequence_log_likelihood
 from .offline_rl import (
-    CandidateSet,
     QPolicy,
     TrainConfig,
     bc_train,
@@ -662,10 +661,10 @@ def stage_train_policy(cfg: PipelineConfig, out: Path) -> dict:
                             seed=derive_seed(cfg.master_seed, "train_policy", pid))
         trajs = corpora[entry["reward_mode"]]
         if entry["learner"] == "cql":
-            qfun = cql_train(trajs, train_cfg, CandidateSet())
+            qfun = cql_train(trajs, train_cfg)
             policy = QPolicy(q=qfun, temperature=train_cfg.temperature)
         else:
-            policy = bc_train(trajs, train_cfg, CandidateSet())
+            policy = bc_train(trajs, train_cfg)
         meta = {
             "id": pid,
             "learner": entry["learner"],
@@ -914,10 +913,9 @@ def robustness_sweep(cfg: PipelineConfig, out: Path,
         subset = pack_corpus([pool[i] for i in order[:count]])
         train_cfg = replace(cfg.rl_train,
                             seed=derive_seed(cfg.master_seed, "robustness_sweep", count))
-        policies += [QPolicy(q=cql_train(relabel(subset, net, mode="irl"), train_cfg,
-                                         CandidateSet()),
+        policies += [QPolicy(q=cql_train(relabel(subset, net, mode="irl"), train_cfg),
                              temperature=train_cfg.temperature),
-                     bc_train(subset, train_cfg, CandidateSet())]
+                     bc_train(subset, train_cfg)]
     scores = [est.initial_value for est in fqe_many(policies, eval_table, cfg.rl_train)]
     values = {"rl_irl": scores[0::2], "bc": scores[1::2]}
 

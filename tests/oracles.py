@@ -342,6 +342,55 @@ def grouped_softmax_add_at(scores, group_ids, n_groups):
     return expd / gsum[group_ids]
 
 
+# --- tabular CQL and BC with a cell per (state, action id), before the row cells ---------
+
+def _state_numbers(table):
+    """Each step's state numbered by first appearance of its values."""
+    index = {}
+    return index, np.array([index.setdefault(tuple(row), len(index))
+                            for row in table.states.tolist()], dtype=int)
+
+
+def cql_tabular_by_state_action(table, cfg):
+    """Tabular CQL's (states, n_actions) Q matrix with a flat cell per (state
+    number, action id): the layout the row cells replaced."""
+    index, sid = _state_numbers(table)
+    n_actions = int(table.cand_ids.max()) + 1
+    group = np.repeat(np.arange(table.n), np.diff(table.cand_offsets))
+    cand_cell = sid[group] * n_actions + table.cand_ids
+    cell = cand_cell[table.taken]
+    q = np.zeros(len(index) * n_actions)
+    counts = np.bincount(cell, minlength=q.size).astype(float)
+    seen = counts > 0
+    live = ~table.terminal
+    for _ in range(max(1, cfg.iterations // cfg.target_refresh)):
+        best = np.full(table.n, -np.inf)
+        np.maximum.at(best, group, q[cand_cell])
+        targets = table.rewards.copy()
+        targets[live] += cfg.gamma * best[table.next_step[live]]
+        if cfg.alpha == 0.0:
+            sums = np.bincount(cell, weights=targets, minlength=q.size)
+            q[seen] = sums[seen] / counts[seen]
+            continue
+        for _ in range(cfg.target_refresh):
+            grad = np.zeros_like(q)
+            np.add.at(grad, cell, 2.0 * (q[cell] - targets) / table.n)
+            probs = grouped_softmax_add_at(q[cand_cell], group, table.n)
+            np.add.at(grad, cand_cell, cfg.alpha * probs / table.n)
+            np.add.at(grad, cell, -cfg.alpha / table.n)
+            q = q - cfg.step_size * grad
+    return q.reshape(len(index), n_actions)
+
+
+def bc_tabular_by_state_action(table):
+    """Tabular BC's log visit counts per (state number, action id)."""
+    index, sid = _state_numbers(table)
+    counts = np.zeros((len(index), int(table.cand_ids.max()) + 1))
+    np.add.at(counts, (sid, table.cand_ids[table.taken]), 1.0)
+    with np.errstate(divide="ignore"):
+        return np.log(counts)
+
+
 # --- the per-step training loops that the planned loops replaced -----------------------
 
 def _entries(offsets, steps):

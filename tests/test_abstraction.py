@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from twinmdp.abstraction import (
     build_vocabulary,
     hmm_observations,
     load_abstract_corpus,
+    pack_corpus,
     save_abstract_corpus,
 )
 from twinmdp.errors import (
@@ -349,3 +351,35 @@ def test_tables_that_do_not_fit_together_raise_malformed_record_naming_the_file(
     path.write_text(json.dumps(obj, sort_keys=True) + "\n")
     with pytest.raises(MalformedRecord, match="abstract_corpus.jsonl"):
         load_abstract_corpus(path)
+
+
+NAME = SchemeSpec(kind="name", vocabulary=("n0", "n1", "n2", "n3", "n4"))
+
+
+@pytest.mark.parametrize("damage", ["empty_trajectory", "negative_vocabulary_id"])
+def test_an_empty_trajectory_or_a_negative_id_in_the_file_is_malformed(tmp_path, damage):
+    nodes, _ = chain_graph()
+    traj = abstract(chain_trajectory(nodes), NAME)
+    path = tmp_path / "abstract_corpus.jsonl"
+    save_abstract_corpus([traj, traj], path)
+    obj = json.loads(path.read_text())
+    assert obj["step_offsets"] == [0, 3, 6] and obj["actions"] == [0, 2, 3, 4]
+    if damage == "empty_trajectory":
+        obj["step_offsets"].insert(1, 0)
+        for key in ("trajectory_ids", "scenario_ids", "fpc_accuracy", "rce_identification"):
+            obj[key].insert(0, obj[key][0])
+    else:
+        obj["actions"][0] = -1
+    path.write_text(json.dumps(obj, sort_keys=True) + "\n")
+    with pytest.raises(MalformedRecord, match="abstract_corpus.jsonl"):
+        load_abstract_corpus(path)
+
+
+def test_packing_an_empty_trajectory_or_a_negative_id_is_malformed():
+    nodes, _ = chain_graph()
+    traj = abstract(chain_trajectory(nodes), NAME)
+    with pytest.raises(MalformedRecord, match="no steps"):
+        pack_corpus([traj, replace(traj, steps=[])])
+    step = replace(traj.steps[2], action=-1, candidates=[-1, 0])
+    with pytest.raises(MalformedRecord, match="negative vocabulary id"):
+        pack_corpus([replace(traj, steps=[*traj.steps[:2], step])])

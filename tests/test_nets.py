@@ -183,6 +183,22 @@ def test_grouped_softmax_equals_the_add_at_sums():
                               grouped_softmax_add_at(scores, groups, n_groups))
 
 
+def test_softmax_rows_equal_each_rows_own_softmax():
+    """Each row is the 1-D softmax of that row bit for bit, and a row whose
+    max is -inf, inf or NaN is exactly uniform."""
+    rng = np.random.default_rng(1)
+    for k in range(1, 14):
+        logits = rng.normal(scale=5.0, size=(8, k))
+        logits[1] = -np.inf
+        logits[2, 0], logits[3, -1], logits[4, :1] = np.inf, np.nan, -np.inf
+        probs = nets.softmax_rows(logits)
+        for row, got in zip(logits, probs):
+            if np.isfinite(row.max()):
+                expd = np.exp(row - row.max())
+                assert np.array_equal(got, expd / expd.sum())
+            else:
+                assert np.array_equal(got, np.full(k, 1.0 / k))
+
 # --- distinct rows -----------------------------------------------------------------------
 
 def assert_close(got, want):

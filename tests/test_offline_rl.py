@@ -3,13 +3,18 @@ import json
 import numpy as np
 import pytest
 
-from oracles import bc_network_per_step, cql_network_per_step, softmax_mp
+from oracles import (
+    bc_network_per_step,
+    bc_tabular_by_state_action,
+    cql_network_per_step,
+    cql_tabular_by_state_action,
+    softmax_mp,
+)
 from test_nets import assert_close
 from twinmdp.abstraction import AbstractStep, AbstractTrajectory
 from twinmdp.errors import DimensionMismatch, EmptyData, MalformedRecord
 from twinmdp.nets import Adam, Mlp, grouped_max, grouped_softmax
 from twinmdp.offline_rl import (
-    CandidateSet,
     FullVocabulary,
     NetworkQ,
     QPolicy,
@@ -151,6 +156,40 @@ class TestCqlTabular:
             cql_train(trajs, TrainConfig(iterations=10), FullVocabulary(2))
 
 
+def index_corpus(rng, n_episodes=30, n_states=4, n_actions=6, n_candidates=None):
+    """Index-action episodes over a few states, each step offered 1 to
+    n_actions of the actions (or ``n_candidates``, a half-open range) in a
+    random order."""
+    low, high = n_candidates or (1, n_actions + 1)
+    trajs = []
+    for i in range(n_episodes):
+        steps = []
+        for _ in range(int(rng.integers(1, 6))):
+            cands = [int(c) for c in rng.choice(n_actions, size=int(rng.integers(low, high)),
+                                                replace=False)]
+            steps.append(AbstractStep(state=np.array([float(rng.integers(n_states))]),
+                                      action=cands[int(rng.integers(len(cands)))],
+                                      reward=float(rng.normal()), candidates=cands))
+        trajs.append(make_traj(steps, f"i{i}"))
+    return trajs
+
+
+@pytest.mark.parametrize("space", [None, FullVocabulary(6)], ids=["candidates", "vocabulary"])
+@pytest.mark.parametrize("alpha", [0.0, 0.5])
+def test_row_cells_give_the_state_action_cells_bit_for_bit(space, alpha):
+    """Tabular CQL and BC on one cell per distinct row equal the matrix of a
+    cell per (state, action id), which the policy file stores."""
+    trajs = index_corpus(np.random.default_rng(13))
+    table = build_transitions(trajs, space)
+    cfg = TrainConfig(alpha=alpha, gamma=0.9, iterations=300, target_refresh=50,
+                      step_size=0.05, seed=0)
+    q = cql_train(trajs, cfg, space)
+    first_seen = list(dict.fromkeys(map(tuple, table.states.tolist())))
+    assert list(q.state_index) == first_seen != list(map(tuple, table.corpus.states.tolist()))
+    assert q.q.tobytes() == cql_tabular_by_state_action(table, cfg).tobytes()
+    assert bc_train(trajs, cfg, space).q.q.tobytes() == bc_tabular_by_state_action(table).tobytes()
+
+
 class TestCqlNetwork:
     def test_learns_immediate_reward_regression(self):
         rng = np.random.default_rng(2)
@@ -164,7 +203,7 @@ class TestCqlNetwork:
             trajs.append(make_traj([step], f"t{i}", scheme="topology"))
         cfg = TrainConfig(alpha=0.0, gamma=0.0, iterations=3000, batch_size=16,
                           hidden_units=32, step_size=3e-3, seed=0)
-        q = cql_train(trajs, cfg, CandidateSet())
+        q = cql_train(trajs, cfg)
         errs = []
         for traj in trajs[:10]:
             step = traj.steps[0]
@@ -181,8 +220,8 @@ class TestCqlNetwork:
                                 reward=float(rng.normal()), candidates=[action])
             trajs.append(make_traj([step], f"t{i}", scheme="topology"))
         cfg = TrainConfig(iterations=200, hidden_units=8, seed=4)
-        q1 = cql_train(trajs, cfg, CandidateSet())
-        q2 = cql_train(trajs, cfg, CandidateSet())
+        q1 = cql_train(trajs, cfg)
+        q2 = cql_train(trajs, cfg)
         assert np.array_equal(q1.net.params, q2.net.params)
 
 
@@ -231,13 +270,15 @@ def reference_bc_network(table, cfg):
     return net
 
 
-def feature_corpus(rng, n_episodes=12, state_dim=3, action_dim=2):
-    """Multi-step feature-action episodes with 1-5 candidates per turn."""
+def feature_corpus(rng, n_episodes=12, state_dim=3, action_dim=2, n_candidates=(1, 6)):
+    """Multi-step feature-action episodes with 1-5 candidates per turn (or
+    ``n_candidates``, a half-open range)."""
     trajs = []
     for i in range(n_episodes):
         steps = []
         for _ in range(int(rng.integers(1, 6))):
-            cands = [rng.normal(size=action_dim) for _ in range(int(rng.integers(1, 6)))]
+            cands = [rng.normal(size=action_dim)
+                     for _ in range(int(rng.integers(*n_candidates)))]
             steps.append(AbstractStep(state=rng.normal(size=state_dim),
                                       action=cands[int(rng.integers(len(cands)))],
                                       reward=float(rng.normal()), candidates=cands))
@@ -478,7 +519,7 @@ class TestBehaviorCloning:
                                 candidates=[np.array([1.0, 0.0]), np.array([0.0, 1.0])])
             trajs.append(make_traj([step], f"t{i}", scheme="topology"))
         cfg = TrainConfig(iterations=2000, hidden_units=16, step_size=3e-3, seed=0)
-        policy = bc_train(trajs, cfg, CandidateSet())
+        policy = bc_train(trajs, cfg)
         got = policy.probs(np.zeros(2), [np.array([1.0, 0.0]), np.array([0.0, 1.0])])
         empirical = np.array([
             sum(np.allclose(t.steps[0].action, [1.0, 0.0]) for t in trajs) / 400,
@@ -570,7 +611,7 @@ class TestPolicyPersistence:
                             candidates=[action])
         trajs = [make_traj([step], "a", scheme="topology")]
         cfg = TrainConfig(iterations=50, hidden_units=8, seed=0)
-        q = cql_train(trajs, cfg, CandidateSet())
+        q = cql_train(trajs, cfg)
         policy = QPolicy(q=q, temperature=0.7)
         path = tmp_path / "policy.json"
         save_policy(policy, path, metadata={"id": "cql"})

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import policy_value_linear
-from test_offline_rl import duplicated_corpus, feature_corpus
+from test_offline_rl import duplicated_corpus, feature_corpus, index_corpus
 from twinmdp.abstraction import AbstractStep, AbstractTrajectory
 from twinmdp.errors import NoCandidates
 from twinmdp.offline_rl import (
@@ -15,7 +15,7 @@ from twinmdp.offline_rl import (
     build_transitions,
     policy_probs,
 )
-from twinmdp.nets import Mlp, grouped_max
+from twinmdp.nets import Mlp
 from twinmdp.ope import _flat_policy_probs, fqe, fqe_many, rank_policies
 from twinmdp.trajectories import JudgeScores
 
@@ -87,25 +87,6 @@ def log_episodic(P_cont, R, rng, n_episodes, cap=500):
             s = int(outcome)
         trajs.append(make_traj(steps, f"e{i}"))
     return trajs
-
-
-def reference_flat_policy_probs(table, policy):
-    """pi(a|s) per candidate entry, looking every step's state up on its own."""
-    cand, group, pq = table.candidates, table.cand_step, policy.q
-    sid_pol = np.empty(table.n, dtype=int)
-    for i in range(table.n):
-        s = pq.state_id(table.states[i])
-        sid_pol[i] = len(pq.q) if s is None else s
-    padded = np.vstack([pq.q, np.zeros((1, pq.n_actions))])
-    logits = padded[sid_pol[group], cand] / policy.temperature
-    gmax = grouped_max(logits, group, table.n)
-    degenerate = ~np.isfinite(gmax)
-    safe_max = np.where(degenerate, 0.0, gmax)
-    expd = np.where(np.isfinite(logits), np.exp(logits - safe_max[group]), 0.0)
-    expd[degenerate[group]] = 1.0
-    gsum = np.zeros(table.n)
-    np.add.at(gsum, group, expd)
-    return expd / gsum[group]
 
 
 class TestFqe:
@@ -500,7 +481,7 @@ class TestRankPolicies:
             with pytest.raises(ValueError):
                 derived[0] = 0
 
-    def test_tabular_probs_equal_the_per_step_lookup(self):
+    def test_tabular_probs_equal_the_per_step_policy_probs(self):
         rng = np.random.default_rng(6)
         table = build_transitions(log_episodes(*random_mdp(rng, 4, 3), rng, 30, 5))
         pi = rng.dirichlet(np.ones(3), size=3)  # no row for state 3: unseen
@@ -508,7 +489,30 @@ class TestRankPolicies:
         policy = tabular_policy(pi, temperature=0.7)
         assert 3.0 in table.states[:, 0]
         assert np.array_equal(_flat_policy_probs(table, policy),
-                              reference_flat_policy_probs(table, policy))
+                              per_step_policy_probs(table, policy))
+
+    def test_probs_on_six_to_twelve_candidates_equal_the_served_probs(self):
+        """Steps of 8 or more candidates are where a sequential sum and the
+        served pairwise sum part ways in the last bits."""
+        rng = np.random.default_rng(10)
+        table = build_transitions(index_corpus(rng, 20, n_states=5, n_actions=12,
+                                               n_candidates=(6, 13)))
+        counts = np.diff(table.cand_offsets)
+        assert counts.min() == 6 and counts.max() == 12
+        pi = rng.dirichlet(np.ones(12), size=4)  # no row for state 4: unseen
+        pi[0, :6] = 0.0  # -inf logits
+        pi[1] = 0.0  # every logit -inf: uniform
+        q = NetworkQ(net=Mlp(13, 8, seed=2), state_dim=1,
+                     action_encoding={"kind": "onehot", "size": 12}, gamma=0.9)
+        for policy in (tabular_policy(pi, temperature=0.7), QPolicy(q=q, temperature=0.3)):
+            assert np.array_equal(_flat_policy_probs(table, policy),
+                                  per_step_policy_probs(table, policy))
+        rng = np.random.default_rng(11)
+        table = build_transitions(feature_corpus(rng, n_episodes=30, n_candidates=(6, 13)))
+        assert set(np.diff(table.cand_offsets)) == set(range(6, 13))
+        policy = network_policy(12, 0.7)
+        assert np.array_equal(_flat_policy_probs(table, policy),
+                              per_step_policy_probs(table, policy))
 
     def test_network_probs_equal_the_per_step_policy_probs(self):
         rng = np.random.default_rng(8)

@@ -456,7 +456,8 @@ def abstract_corpora(draw):
     scheme (feature actions) or the nametype scheme (index actions, plain or
     numpy ints). Rows come from small pools, as distinct equal arrays, so
     writers that share equal rows are exercised; with ``hmm`` each state ends
-    in a one-hot. Each step takes one of its candidates."""
+    in a one-hot. Each trajectory has a step, and each step takes one of its
+    candidates."""
     features = draw(st.booleans())
     width = draw(st.integers(1, 4))
     hmm = draw(st.integers(0, 3))
@@ -473,7 +474,7 @@ def abstract_corpora(draw):
     trajs = []
     for index in range(draw(st.integers(0, 3))):
         steps = []
-        for _ in range(draw(st.integers(0, 4))):
+        for _ in range(draw(st.integers(1, 4))):  # a trajectory without steps is malformed
             state = np.array(draw(st.sampled_from(states)), dtype=dtype)
             if hmm:
                 state = np.concatenate([state, np.eye(hmm)[draw(st.integers(0, hmm - 1))]])
