@@ -75,8 +75,9 @@ from .stats import (
     ranks_from_scores,
     render_cd_diagram,
 )
-from .trajectories import (atomic_open, atomic_write_text, interning_entity_decoder,
-                           load_corpus, read_json, reading, save_corpus, write_json, write_jsonl)
+from .trajectories import (atomic_open, atomic_write_text, corpus_writer,
+                           interning_entity_decoder, load_corpus, read_json, reading, write_json,
+                           write_jsonl)
 
 # evaluate ranks the arms plus the baseline; the Nemenyi table covers up to 10 methods
 MAX_ARMS = max(NEMENYI_Q[0.05]) - 1
@@ -416,11 +417,10 @@ def stage_collect(cfg: PipelineConfig, out: Path) -> dict:
         )
         for i in range(cfg.collect_scenarios)
     ]
-    rows = run_batch(scenarios, None, cfg.collect_episode_cfg,
-                     cfg.collect_episodes, seed, method_id="collect")
-    trajectories = [row["result"].trajectory for row in rows]
+    with corpus_writer(out / F_TRAIN_CORPUS) as write:
+        run_batch(scenarios, None, cfg.collect_episode_cfg,
+                  cfg.collect_episodes, seed, method_id="collect", record=write)
     save_scenarios(scenarios, out / F_TRAIN_SCENARIOS)
-    save_corpus(trajectories, out / F_TRAIN_CORPUS)
     return _write_manifest(out, "collect", cfg, seed, [],
                            [out / F_TRAIN_SCENARIOS, out / F_TRAIN_CORPUS])
 
@@ -718,6 +718,9 @@ def stage_simulate(cfg: PipelineConfig, out: Path) -> dict:
     _require(inputs, "simulate")
     seed = derive_seed(cfg.master_seed, "simulate")
     scheme, hmm_model = load_scheme_runtime(out)
+    # before the first episode, so that a malformed policy file stops the stage at once
+    policies = {pid: load_policy(out / policy_file(pid))[0]
+                for pid in {arm.policy_id for arm in cfg.arms}}
     scenarios = [
         generate_scenario(
             cfg.compare_scenario_cfg,
@@ -728,21 +731,15 @@ def stage_simulate(cfg: PipelineConfig, out: Path) -> dict:
     ]
     save_scenarios(scenarios, out / F_TEST_SCENARIOS)
 
-    all_rows = run_batch(scenarios, None, cfg.compare_episode_cfg,
-                         cfg.compare_trials, seed, method_id="baseline")
-    policies = {pid: load_policy(out / policy_file(pid))[0]
-                for pid in {arm.policy_id for arm in cfg.arms}}
-    for arm in cfg.arms:
-        plan = CePlan(policy=policies[arm.policy_id],
-                      config=replace(cfg.ce, strategies=arm.strategies),
-                      scheme=scheme, hmm=hmm_model)
-        all_rows.extend(
-            run_batch(scenarios, plan, cfg.compare_episode_cfg,
-                      cfg.compare_trials, seed, method_id=arm.arm_id)
-        )
-
-    trajectories = [row["result"].trajectory for row in all_rows]
-    save_corpus(trajectories, out / F_COMPARE_CORPUS)
+    with corpus_writer(out / F_COMPARE_CORPUS) as write:
+        all_rows = run_batch(scenarios, None, cfg.compare_episode_cfg,
+                             cfg.compare_trials, seed, method_id="baseline", record=write)
+        for arm in cfg.arms:
+            plan = CePlan(policy=policies[arm.policy_id],
+                          config=replace(cfg.ce, strategies=arm.strategies),
+                          scheme=scheme, hmm=hmm_model)
+            all_rows += run_batch(scenarios, plan, cfg.compare_episode_cfg, cfg.compare_trials,
+                                  seed, method_id=arm.arm_id, record=write)
     with atomic_open(out / F_RESULTS, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["scenario_id", "method_id", "trial", "rce_identification",
@@ -936,17 +933,20 @@ def _collect_extra_successes(cfg: PipelineConfig, out: Path, shortfall: int) -> 
     train_scns = [s for s in scenarios if s.scenario_id in train_ids]
     spec, hmm_model = load_scheme_runtime(out)
     successes: list = []
+
+    def keep_success(traj) -> None:
+        if traj.scores.rce_identification >= 100.0:
+            successes.append(traj)
+
     for round_no in range(8):
         if len(successes) >= shortfall:
             break
-        rows = run_batch(
+        run_batch(
             train_scns, None, cfg.collect_episode_cfg, trials=10,
             master_seed=derive_seed(cfg.master_seed, "robustness_sweep",
                                     "extra", round_no),
-            method_id=f"sweep-extra-{round_no}",
+            method_id=f"sweep-extra-{round_no}", record=keep_success,
         )
-        successes.extend(row["result"].trajectory for row in rows
-                         if row["result"].scores.rce_identification >= 100.0)
     graphs = {s.scenario_id: s.graph for s in train_scns}
     return abstract_trajectories(successes, spec, graphs, hmm_model)
 

@@ -477,12 +477,14 @@ def _select(candidates, assessments, scn, rng, cfg: EpisodeConfig,
 # --- batches and persistence -------------------------------------------------------
 
 def run_batch(scenarios, ce: CePlan | None, cfg: EpisodeConfig, trials: int,
-              master_seed: int, method_id: str = "baseline") -> list[dict]:
+              master_seed: int, method_id: str = "baseline", *, record) -> list[dict]:
     """Run ``trials`` episodes per scenario; returns result-table rows.
 
-    Episode seeds derive from (master_seed, scenario index, trial), so two
-    batches over the same scenarios pair up seed-for-seed regardless of the
-    intervention attached.
+    Each episode's trajectory goes to ``record`` as the episode ends, and its
+    row keeps only the scalar result fields, so the batch holds no finished
+    episode. Episode seeds derive from (master_seed, scenario index, trial),
+    so two batches over the same scenarios pair up seed-for-seed regardless
+    of the intervention attached.
     """
     rows = []
     for s_idx, scn in enumerate(scenarios):
@@ -494,6 +496,7 @@ def run_batch(scenarios, ce: CePlan | None, cfg: EpisodeConfig, trials: int,
                 scn, ce, cfg, seed,
                 trajectory_id=f"{scn.scenario_id}-{method_id}-t{trial}",
             )
+            record(res.trajectory)
             rows.append(
                 {
                     "scenario_id": scn.scenario_id,
@@ -503,7 +506,6 @@ def run_batch(scenarios, ce: CePlan | None, cfg: EpisodeConfig, trials: int,
                     "fpc_accuracy": res.scores.fpc_accuracy,
                     "turns_used": res.turns_used,
                     "entities_explored": res.entities_explored,
-                    "result": res,
                 }
             )
     return rows

@@ -436,9 +436,18 @@ def load_corpus(path: str | Path, entity=None) -> list[RawTrajectory]:
     return trajectories
 
 
-def save_corpus(trajs, path: str | Path) -> None:
-    """Write trajectories as line-delimited JSON; load_corpus inverts it."""
+@contextmanager
+def corpus_writer(path: str | Path):
+    """Write a corpus one trajectory at a time: the block gets a function that
+    writes a trajectory's line as it is called, and the file appears at
+    ``path`` once the block completes (``atomic_open``); load_corpus inverts it."""
     encode = _CorpusEncoder().line
     with atomic_open(path, "corpus") as fh:
+        yield lambda traj: fh.write(encode(traj))
+
+
+def save_corpus(trajs, path: str | Path) -> None:
+    """Write trajectories as line-delimited JSON; load_corpus inverts it."""
+    with corpus_writer(path) as write:
         for traj in trajs:
-            fh.write(encode(traj))
+            write(traj)

@@ -5,18 +5,26 @@ enumeration, quadratic loops, high-precision arithmetic) and never shares
 code with the implementations under test. The training-loop references at
 the end drive the package's own network and optimizer, but do every step's
 index bookkeeping inside the step, as the loops did before they planned
-their batches ahead.
+their batches ahead. The held closed loop at the end drives the package's
+own simulator and corpus writer, and holds every episode until it writes
+them, as ``collect`` and ``simulate`` did before they streamed.
 """
 
 from __future__ import annotations
 
+import csv
 import itertools
 import json
+from dataclasses import replace
+from pathlib import Path
 
 import mpmath
 import numpy as np
 
+from twinmdp import pipeline, simulator
 from twinmdp.nets import Adam, Mlp
+from twinmdp.offline_rl import load_policy
+from twinmdp.trajectories import save_corpus
 
 
 def corpus_line_via_dicts(traj) -> str:
@@ -653,3 +661,59 @@ def step_rows_by_bytes(trajs) -> dict:
     rows, row_id = distinct_rows(np.concatenate(encoded))
     return {"rows": rows, "row_id": row_id,
             "offsets": np.cumsum([0] + [len(r) for r in encoded])}
+
+
+# --- the closed loop as it ran before it streamed its corpus ------------------------------
+
+def _held_batch(scenarios, plan, episode_cfg, trials, master_seed, method_id) -> list:
+    """Every episode of a batch, in run order, each as (row, result): the
+    trajectories are all held until the caller writes them."""
+    held = []
+    for s_idx, scn in enumerate(scenarios):
+        for trial in range(trials):
+            seed = int(np.random.SeedSequence([master_seed, s_idx, trial]).generate_state(1)[0])
+            res = simulator.run_episode(scn, plan, episode_cfg, seed,
+                                        trajectory_id=f"{scn.scenario_id}-{method_id}-t{trial}")
+            held.append(([scn.scenario_id, method_id, trial,
+                          f"{res.scores.rce_identification:.1f}",
+                          f"{res.scores.fpc_accuracy:.4f}",
+                          res.turns_used, res.entities_explored], res))
+    return held
+
+
+def held_closed_loop(cfg, out: Path, dest: Path) -> None:
+    """``collect``'s and ``simulate``'s corpus files and ``simulate``'s results
+    table, built as the stages built them before they streamed: each stage
+    holds every episode's result, then one ``save_corpus`` writes them all.
+    ``out`` holds the run's scheme runtime, HMM and policies; the three files
+    go into ``dest`` under their pipeline names."""
+    def scenarios(stage, scn_cfg, ids):
+        return [simulator.generate_scenario(
+            scn_cfg, pipeline.derive_seed(cfg.master_seed, stage, "scenario", i),
+            scenario_id=sid) for i, sid in enumerate(ids)]
+
+    train = scenarios("collect", cfg.collect_scenario_cfg,
+                      [f"train-{i:03d}" for i in range(cfg.collect_scenarios)])
+    held = _held_batch(train, None, cfg.collect_episode_cfg, cfg.collect_episodes,
+                       pipeline.derive_seed(cfg.master_seed, "collect"), "collect")
+    save_corpus([res.trajectory for _, res in held], dest / pipeline.F_TRAIN_CORPUS)
+
+    test = scenarios("simulate", cfg.compare_scenario_cfg,
+                     [f"test-{i:03d}" for i in range(cfg.compare_scenarios)])
+    seed = pipeline.derive_seed(cfg.master_seed, "simulate")
+    scheme, hmm_model = pipeline.load_scheme_runtime(out)
+    held = _held_batch(test, None, cfg.compare_episode_cfg, cfg.compare_trials, seed,
+                       "baseline")
+    for arm in cfg.arms:
+        policy = load_policy(out / pipeline.policy_file(arm.policy_id))[0]
+        plan = simulator.CePlan(policy=policy,
+                                config=replace(cfg.ce, strategies=arm.strategies),
+                                scheme=scheme, hmm=hmm_model)
+        held += _held_batch(test, plan, cfg.compare_episode_cfg, cfg.compare_trials, seed,
+                            arm.arm_id)
+    save_corpus([res.trajectory for _, res in held], dest / pipeline.F_COMPARE_CORPUS)
+    with (dest / pipeline.F_RESULTS).open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["scenario_id", "method_id", "trial", "rce_identification",
+                         "fpc_accuracy", "turns_used", "entities_explored"])
+        writer.writerows(row for row, _ in held)

@@ -5,15 +5,16 @@ import os
 import shutil
 import subprocess
 import sys
+import weakref
 from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
-from oracles import (abstract_from_json, abstract_line_via_dicts, step_rows_by_bytes,
-                     transitions_by_search)
+from oracles import (abstract_from_json, abstract_line_via_dicts, held_closed_loop,
+                     step_rows_by_bytes, transitions_by_search)
 
-from twinmdp import abstraction, pipeline
+from twinmdp import abstraction, pipeline, simulator
 from twinmdp.abstraction import AbstractStep, AbstractTrajectory, load_abstract_corpus
 from twinmdp.cli import main as cli_main
 from twinmdp.context import CeConfig
@@ -112,6 +113,16 @@ def enriched_run(tmp_path_factory):
     raw["scheme"] = {"kind": "topology", "with_hubs": True, "with_hmm": True,
                      "hmm_states": 2}
     out = tmp_path_factory.mktemp("enriched")
+    summary = stage_reproduce(validate_config(raw), out)
+    return raw, out, summary
+
+
+@pytest.fixture(scope="module")
+def nametype_run(tmp_path_factory):
+    """``SMALL_CONFIG`` under the nametype scheme, reproduced."""
+    raw = json.loads(json.dumps(SMALL_CONFIG))
+    raw["scheme"] = {"kind": "nametype"}
+    out = tmp_path_factory.mktemp("nametype")
     summary = stage_reproduce(validate_config(raw), out)
     return raw, out, summary
 
@@ -371,6 +382,86 @@ class TestStages:
         text = (out / "results.csv").read_text()
         for method in ("baseline", "rl_irl+prioritize", "bc+prioritize"):
             assert method in text
+
+
+def recording_episodes(monkeypatch) -> list:
+    """The number of finished episodes' trajectories alive as each later
+    ``run_episode`` call starts, one entry per call from here on. The
+    trajectories are held weakly, keyed by call (they are unhashable)."""
+    live, alive_at_start = weakref.WeakValueDictionary(), []
+    run_episode = simulator.run_episode
+
+    def tracking(*args, **kwargs):
+        alive_at_start.append(len(live))
+        res = run_episode(*args, **kwargs)
+        live[len(alive_at_start)] = res.trajectory
+        return res
+
+    monkeypatch.setattr(simulator, "run_episode", tracking)
+    return alive_at_start
+
+
+class TestStreamedClosedLoop:
+    """``collect`` and ``simulate`` write each episode's corpus line as the
+    episode ends, and the files equal those of holding every episode."""
+
+    @pytest.mark.parametrize("run", ["enriched_run", "nametype_run"])
+    def test_streamed_files_equal_the_held_construction(self, run, request, tmp_path):
+        raw, out, _ = request.getfixturevalue(run)
+        cfg = validate_config(raw)
+        held_closed_loop(cfg, out, tmp_path)
+        for name in ("train_corpus.jsonl", "compare_corpus.jsonl", "results.csv"):
+            assert (out / name).read_bytes() == (tmp_path / name).read_bytes(), name
+        lines = (out / "compare_corpus.jsonl").read_bytes().splitlines()
+        assert len(lines) == cfg.compare_scenarios * cfg.compare_trials * (1 + len(cfg.arms))
+
+    def test_a_stage_holds_at_most_one_finished_episode(self, finished_run, tmp_path,
+                                                        monkeypatch):
+        out, _ = finished_run
+        clone = tmp_path / "clone"
+        shutil.copytree(out, clone)
+        alive_at_start = recording_episodes(monkeypatch)
+        cfg = small_config()
+        for stage, episodes in ((stage_collect, 6 * 8), (stage_simulate, 3 * 4 * 3)):
+            alive_at_start.clear()
+            stage(cfg, clone)
+            assert len(alive_at_start) == episodes
+            assert max(alive_at_start) <= 1, stage.__name__
+        for name in ("train_corpus.jsonl", "compare_corpus.jsonl", "results.csv"):
+            assert (clone / name).read_bytes() == (out / name).read_bytes(), name
+
+    def test_an_episode_that_raises_leaves_the_previous_files(self, finished_run, tmp_path,
+                                                              monkeypatch):
+        out, _ = finished_run
+        clone = tmp_path / "clone"
+        shutil.copytree(out, clone)
+        calls = recording_episodes(monkeypatch)
+        run_episode = simulator.run_episode
+
+        def failing(*args, **kwargs):
+            if len(calls) == 20:  # an arm's episode, after the baseline's 12
+                raise RuntimeError("episode failed")
+            return run_episode(*args, **kwargs)
+
+        monkeypatch.setattr(simulator, "run_episode", failing)
+        with pytest.raises(RuntimeError, match="episode failed"):
+            stage_simulate(small_config(), clone)
+        assert len(calls) == 20
+        for name in ("compare_corpus.jsonl", "results.csv"):
+            assert (clone / name).read_bytes() == (out / name).read_bytes(), name
+        assert not list(clone.glob(".*.tmp"))
+
+    def test_a_truncated_policy_fails_before_the_first_episode(self, finished_run, tmp_path,
+                                                                monkeypatch):
+        out, _ = finished_run
+        clone = tmp_path / "clone"
+        shutil.copytree(out, clone)
+        text = (clone / "policy_bc.json").read_text()
+        (clone / "policy_bc.json").write_text(text[: len(text) // 2])
+        calls = recording_episodes(monkeypatch)
+        with pytest.raises(MalformedRecord, match="policy_bc.json"):
+            stage_simulate(small_config(), clone)
+        assert calls == []
 
 
 class TestRewardColumns:

@@ -276,12 +276,30 @@ class TestRunBatch:
         scns = [generate_scenario(ScenarioConfig(), seed=s, scenario_id=f"s{s}")
                 for s in range(3)]
         cfg = EpisodeConfig(max_turns=8, epsilon=0.3)
-        rows_a = run_batch(scns, None, cfg, trials=4, master_seed=77)
-        rows_b = run_batch(scns, None, cfg, trials=4, master_seed=77)
+        trajs_a, trajs_b = [], []
+        rows_a = run_batch(scns, None, cfg, trials=4, master_seed=77, record=trajs_a.append)
+        rows_b = run_batch(scns, None, cfg, trials=4, master_seed=77, record=trajs_b.append)
         for a, b in zip(rows_a, rows_b):
             assert a["rce_identification"] == b["rce_identification"]
             assert a["entities_explored"] == b["entities_explored"]
         assert len(rows_a) == 12
+        assert trajs_a == trajs_b
+
+    def test_each_episode_is_recorded_as_it_ends_and_its_row_keeps_the_scalars(self):
+        scns = [generate_scenario(ScenarioConfig(), seed=s, scenario_id=f"s{s}")
+                for s in range(2)]
+        recorded = []
+        rows = run_batch(scns, None, EpisodeConfig(max_turns=8), trials=3, master_seed=5,
+                         method_id="m", record=recorded.append)
+        assert [t.trajectory_id for t in recorded] == [
+            f"{r['scenario_id']}-m-t{r['trial']}" for r in rows]
+        for row, traj in zip(rows, recorded):
+            assert row == {"scenario_id": traj.scenario_id, "method_id": "m",
+                           "trial": row["trial"],
+                           "rce_identification": traj.scores.rce_identification,
+                           "fpc_accuracy": traj.scores.fpc_accuracy,
+                           "turns_used": len(traj.steps),
+                           "entities_explored": row["entities_explored"]}
 
 
 class RecordingQ:
@@ -358,8 +376,9 @@ class TestTrainServeParity:
         builds = count_featurizer_builds(monkeypatch)
         scns = parity_scenarios()
         plan = topo_plan(("prune", "prioritize"))
-        run_batch(scns, plan, EpisodeConfig(max_turns=6), trials=4, master_seed=5)
-        run_batch(scns, plan, EpisodeConfig(max_turns=6), trials=2, master_seed=6)
+        cfg = EpisodeConfig(max_turns=6)
+        run_batch(scns, plan, cfg, trials=4, master_seed=5, record=[].append)
+        run_batch(scns, plan, cfg, trials=2, master_seed=6, record=[].append)
         assert builds == [scn.graph for scn in scns]
 
     def test_plans_sharing_a_scheme_build_one_featurizer_per_graph(self, monkeypatch):
@@ -368,8 +387,9 @@ class TestTrainServeParity:
         plan = topo_plan(("prune", "prioritize"))
         second = replace(plan, config=CeConfig(strategies=("suggest",)))
         assert second.scheme is plan.scheme
-        run_batch(scns, plan, EpisodeConfig(max_turns=6), trials=4, master_seed=5)
-        run_batch(scns, second, EpisodeConfig(max_turns=6), trials=2, master_seed=6)
+        cfg = EpisodeConfig(max_turns=6)
+        run_batch(scns, plan, cfg, trials=4, master_seed=5, record=[].append)
+        run_batch(scns, second, cfg, trials=2, master_seed=6, record=[].append)
         assert builds == [scn.graph for scn in scns]
 
     @pytest.mark.parametrize("with_hmm", [True, False])
@@ -432,7 +452,7 @@ class TestInterventionMemo:
 
         monkeypatch.setattr(CePlan, "intervene", recording)
         cfg = EpisodeConfig(max_turns=8, epsilon=0.3)
-        run_batch(scns, plan, cfg, trials=6, master_seed=3)
+        run_batch(scns, plan, cfg, trials=6, master_seed=3, record=[].append)
         scored = len(q.calls)
 
         distinct = set()
@@ -451,7 +471,7 @@ class TestInterventionMemo:
         fresh_q = RecordingQ()
         fresh_plan = parity_plan(kind, scns, CeConfig(), fresh_q)
         assert fresh_plan._interventions == {}
-        run_batch(scns, fresh_plan, cfg, trials=6, master_seed=3)
+        run_batch(scns, fresh_plan, cfg, trials=6, master_seed=3, record=[].append)
         assert len(fresh_q.calls) == scored
 
     def test_with_hmm_batch_scores_the_prefix_decode_states(self):
@@ -467,11 +487,11 @@ class TestInterventionMemo:
                       config=CeConfig(strategies=("prioritize",)),
                       scheme=SchemeSpec(kind="topology", with_hmm=True,
                                         unreachable_sentinel=12.0), hmm=hmm)
-        rows = run_batch(scns, plan, EpisodeConfig(max_turns=8, epsilon=0.3), trials=5,
-                         master_seed=9)
+        trajs = []
+        run_batch(scns, plan, EpisodeConfig(max_turns=8, epsilon=0.3), trials=5,
+                  master_seed=9, record=trajs.append)
         want, seen = [], set()
-        for row in rows:
-            traj = row["result"].trajectory
+        for traj in trajs:
             scn = next(s for s in scns if s.scenario_id == traj.scenario_id)
             view = abstract(traj, plan.scheme, scn.graph)
             hidden = prefix_decode_hidden_states(hmm.initial, hmm.transition, hmm.means,
