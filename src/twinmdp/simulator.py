@@ -28,7 +28,7 @@ from .offline_rl import QPolicy
 from .topology import (TopologyGraph, all_distances_from, graph_from_json, graph_to_json,
                        make_graph)
 from .trajectories import (Entity, JudgeScores, RawStep, RawTrajectory, entity_from_json,
-                           read_jsonl, write_jsonl)
+                           entity_to_json, read_jsonl, write_jsonl)
 
 NODE_TYPES = ("Pod", "Service", "Deployment", "Node", "ConfigMap")
 
@@ -121,11 +121,12 @@ class CePlan:
 
 @dataclass
 class EpisodeResult:
+    """An episode's trajectory, whose ``final_root_cause`` is the agent's
+    answer and whose ``scores`` are the judge's, and the episode's counts."""
+
     trajectory: RawTrajectory
-    identified_root: Entity | None
     turns_used: int
     entities_explored: int
-    scores: JudgeScores
     audit: list[dict] = field(default_factory=list)
 
 
@@ -218,7 +219,7 @@ class _SchemeRuntime:
     """Builds the policy's state during a run.
 
     The features come from the scheme's featurizer for the scenario's graph,
-    the same one that abstracts logged episodes; each turn's candidates take
+    the same one that abstracts logged episodes; each candidate set takes
     one ``action_features`` call on it. The runtime adds only the
     online hidden-state bits of ``with_hmm`` schemes. For those it carries
     the Viterbi log-score vector of the observed prefix forward by one
@@ -231,20 +232,20 @@ class _SchemeRuntime:
         self.featurizer = plan.scheme.featurizer(scn.graph)
         self.symptom = scn.symptom
         self.delta: np.ndarray | None = None  # Viterbi log-scores of the prefix
-        self.hidden: np.ndarray | None = None
+        self.hidden: np.ndarray | None = None  # one-hot of the predicted hidden state
         if plan.scheme.with_hmm:
-            self.hidden = self._onehot(int(np.argmax(plan.hmm.initial)))
+            self.onehots = np.eye(plan.hmm.n_states)  # row z: hidden state z's one-hot
+            self.hidden = self.onehots[np.argmax(plan.hmm.initial)]
 
-    def _onehot(self, z: int) -> np.ndarray:
-        onehot = np.zeros(self.plan.hmm.n_states)
-        onehot[z] = 1.0
-        return onehot
-
-    def state(self, assessments) -> np.ndarray:
-        base = self.featurizer.state_features(self.symptom, assessments)
-        if self.hidden is None:
-            return base
-        return np.concatenate([base, self.hidden])
+    def features(self, candidates, previous, assessments) -> tuple[np.ndarray, list]:
+        """The policy's state now, and ``candidates`` paired with their
+        representations: the input ``CePlan.intervene`` takes."""
+        state = self.featurizer.state_features(self.symptom, assessments)
+        if self.hidden is not None:
+            state = np.concatenate([state, self.hidden])
+        reprs = self.featurizer.action_features(candidates, previous, self.symptom,
+                                                assessments)
+        return state, list(zip(candidates, reprs))
 
     def record_turn(self, pre_state: np.ndarray, chosen_repr) -> None:
         """Take in the (pre-action state, action) observation the HMM was fit on.
@@ -263,7 +264,7 @@ class _SchemeRuntime:
         else:
             self.delta, _ = viterbi_step(self.delta, hmm.log_transition, log_emis)
         z_prev = int(np.argmax(self.delta))
-        self.hidden = self._onehot(int(np.argmax(hmm.transition[z_prev])))
+        self.hidden = self.onehots[np.argmax(hmm.transition[z_prev])]
 
 
 # --- episode loop ---------------------------------------------------------------------
@@ -277,10 +278,11 @@ def run_episode(
 ) -> EpisodeResult:
     """Simulate one diagnosis episode; fully determined by (scn, ce, cfg, seed).
 
-    The agent asserts a root cause once some entity has been labeled primary
-    at the end of two consecutive turns, or immediately when its queue runs
-    dry while a primary is on record. On budget exhaustion it answers with
-    its strongest primary finding, if any.
+    After each turn the agent's strongest primary finding is the entity
+    labeled primary at the end of the most consecutive turns up to now
+    (ties to the lowest (name, etype)). The agent stops once that run
+    reaches two turns, or once its queue runs dry while a primary is on
+    record, and answers with its strongest primary, if any.
     """
     rng = np.random.default_rng(seed)
     runtime = _SchemeRuntime(ce, scn) if ce is not None else None
@@ -290,11 +292,11 @@ def run_episode(
     queued: set[Entity] = {scn.symptom}
     queue: list[Entity] = [scn.symptom]
     assessments: dict[Entity, str] = {}
-    streak: dict[Entity, int] = {}
+    runs: dict[Entity, int] = {}  # each current primary's run of primary turn ends
+    strongest: Entity | None = None
     steps: list[RawStep] = []
     audit: list[dict] = []
     previous: Entity | None = None
-    identified: Entity | None = None
 
     for turn in range(cfg.max_turns):
         if not queue:
@@ -304,16 +306,13 @@ def run_episode(
 
         candidates = list(queue)
         selection_iv: Intervention | None = None
-        state_vec = reprs = None
+        state_vec = offered = None
         # a prune-only plan without an HMM reads no turn features
         if runtime is not None and (ce.selection_config is not None
                                     or runtime.hidden is not None):
-            state_vec = runtime.state(assessments)
-            reprs = runtime.featurizer.action_features(candidates, previous, scn.symptom,
-                                                       assessments)
+            state_vec, offered = runtime.features(candidates, previous, assessments)
             if ce.selection_config is not None:
-                selection_iv = ce.intervene(
-                    state_vec, list(zip(candidates, reprs)), ce.selection_config)
+                selection_iv = ce.intervene(state_vec, offered, ce.selection_config)
 
         pos = _position(candidates,
                         _select(candidates, assessments, scn, rng, cfg, ce, selection_iv))
@@ -330,8 +329,8 @@ def run_episode(
             label = "normal"
         assessments[chosen] = label
 
-        if reprs is not None:
-            runtime.record_turn(state_vec, reprs[pos])
+        if offered is not None:
+            runtime.record_turn(state_vec, offered[pos][1])
 
         queue = candidates[:pos] + candidates[pos + 1:]  # the queue holds no repeats
 
@@ -342,10 +341,7 @@ def run_episode(
         ]
         pruned: list[Entity] = []
         if runtime is not None and ce.prune_config is not None and push:
-            push_state = runtime.state(assessments)
-            push_reprs = runtime.featurizer.action_features(push, chosen, scn.symptom,
-                                                            assessments)
-            push_iv = ce.intervene(push_state, list(zip(push, push_reprs)),
+            push_iv = ce.intervene(*runtime.features(push, chosen, assessments),
                                    ce.prune_config)
             retained = set(push_iv.retained)
             pruned = [e for e in push if e not in retained]
@@ -373,48 +369,24 @@ def run_episode(
                 }
             )
 
-        # streak bookkeeping over end-of-turn snapshots
-        for e in list(streak):
-            if assessments.get(e) != "primary":
-                streak[e] = 0
-        for e, lab in assessments.items():
-            if lab == "primary":
-                streak[e] = streak.get(e, 0) + 1
-        asserted = [e for e, s in streak.items() if s >= 2]
-        if asserted:
-            identified = min(asserted, key=lambda e: (-streak[e], e.name, e.etype))
+        runs = {e: runs.get(e, 0) + 1 for e, lab in assessments.items() if lab == "primary"}
+        strongest = min(runs, key=lambda e: (-runs[e], e.name, e.etype), default=None)
+        if strongest is not None and (runs[strongest] >= 2 or not queue):
             break
-        if not queue:
-            primaries = [e for e, lab in assessments.items() if lab == "primary"]
-            if primaries:
-                identified = min(
-                    primaries, key=lambda e: (-streak.get(e, 0), e.name, e.etype)
-                )
-                break
         previous = chosen
 
-    if identified is None:
-        primaries = [e for e, lab in assessments.items() if lab == "primary"]
-        if primaries:
-            identified = min(
-                primaries, key=lambda e: (-streak.get(e, 0), e.name, e.etype)
-            )
-
-    scores = judge(identified, assessments, scn)
     trajectory = RawTrajectory(
         trajectory_id=trajectory_id or f"{scn.scenario_id}-ep{seed}",
         scenario_id=scn.scenario_id,
         symptom_entity=scn.symptom,
         steps=tuple(steps),
-        scores=scores,
-        final_root_cause=identified,
+        scores=judge(strongest, assessments, scn),
+        final_root_cause=strongest,
     )
     return EpisodeResult(
         trajectory=trajectory,
-        identified_root=identified,
         turns_used=len(steps),
         entities_explored=len(explored),
-        scores=scores,
         audit=audit,
     )
 
@@ -502,8 +474,8 @@ def run_batch(scenarios, ce: CePlan | None, cfg: EpisodeConfig, trials: int,
                     "scenario_id": scn.scenario_id,
                     "method_id": method_id,
                     "trial": trial,
-                    "rce_identification": res.scores.rce_identification,
-                    "fpc_accuracy": res.scores.fpc_accuracy,
+                    "rce_identification": res.trajectory.scores.rce_identification,
+                    "fpc_accuracy": res.trajectory.scores.fpc_accuracy,
                     "turns_used": res.turns_used,
                     "entities_explored": res.entities_explored,
                 }
@@ -515,9 +487,9 @@ def scenario_to_json(scn: SimScenario) -> dict:
     return {
         "scenario_id": scn.scenario_id,
         "graph": graph_to_json(scn.graph),
-        "root_cause": {"name": scn.root_cause.name, "etype": scn.root_cause.etype},
-        "chain": [{"name": e.name, "etype": e.etype} for e in scn.chain],
-        "symptom": {"name": scn.symptom.name, "etype": scn.symptom.etype},
+        "root_cause": entity_to_json(scn.root_cause),
+        "chain": [entity_to_json(e) for e in scn.chain],
+        "symptom": entity_to_json(scn.symptom),
         "evidence_noise": scn.evidence_noise,
         "seed": scn.seed,
     }

@@ -94,6 +94,8 @@ class RawStep:
     assessments: dict[Entity, str] = field(default_factory=dict)
     intermediate_reward: float | None = None
 
+    __hash__ = None  # the assessments dict is unhashable
+
     def __post_init__(self):
         if self.turn_index < 0:
             raise MalformedRecord(f"turn_index {self.turn_index} is negative")
@@ -118,7 +120,11 @@ class RawTrajectory:
     scores: JudgeScores
     final_root_cause: Entity | None = None
 
+    __hash__ = None  # its steps are unhashable
+
     def __post_init__(self):
+        if not (isinstance(self.trajectory_id, str) and isinstance(self.scenario_id, str)):
+            raise MalformedRecord("trajectory_id and scenario_id must be strings")
         if not self.steps:
             raise MalformedRecord("trajectory has no steps")
         for t, step in enumerate(self.steps):
@@ -401,38 +407,21 @@ def read_jsonl(path: str | Path, what: str, decode) -> list:
 
 
 def load_corpus(path: str | Path, entity=None) -> list[RawTrajectory]:
-    """Load and validate a line-delimited trajectory corpus.
+    """Load and validate a line-delimited trajectory corpus (``read_jsonl``).
 
     Raises the first validation error encountered, annotated with the
     1-based line number. Duplicate trajectory_ids only warn: ids are labels,
     not keys. ``entity`` decodes each entity object; by default a new
     ``interning_entity_decoder``.
     """
-    path = Path(path)
-    trajectories: list[RawTrajectory] = []
-    seen_ids: set[str] = set()
-    with reading(path, "corpus"):
-        lines = path.read_text().splitlines()
     entity = entity or interning_entity_decoder()
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise MalformedRecord(f"invalid JSON: {exc}", line=lineno) from exc
-        try:
-            traj = trajectory_from_json(obj, entity)
-        except (MalformedRecord, ScoreOutOfRange,
-                ChosenEntityNotInCandidates, NonMonotoneTurnIndex) as exc:
-            raise type(exc)(str(exc), line=lineno) from exc
+    trajectories = read_jsonl(path, "corpus", lambda obj: trajectory_from_json(obj, entity))
+    seen_ids: set[str] = set()
+    for traj in trajectories:
         if traj.trajectory_id in seen_ids:
-            warnings.warn(
-                f"duplicate trajectory_id {traj.trajectory_id!r} at line {lineno}",
-                stacklevel=2,
-            )
+            warnings.warn(f"duplicate trajectory_id {traj.trajectory_id!r} in corpus {path}",
+                          stacklevel=2)
         seen_ids.add(traj.trajectory_id)
-        trajectories.append(traj)
     return trajectories
 
 

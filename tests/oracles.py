@@ -675,8 +675,8 @@ def _held_batch(scenarios, plan, episode_cfg, trials, master_seed, method_id) ->
             res = simulator.run_episode(scn, plan, episode_cfg, seed,
                                         trajectory_id=f"{scn.scenario_id}-{method_id}-t{trial}")
             held.append(([scn.scenario_id, method_id, trial,
-                          f"{res.scores.rce_identification:.1f}",
-                          f"{res.scores.fpc_accuracy:.4f}",
+                          f"{res.trajectory.scores.rce_identification:.1f}",
+                          f"{res.trajectory.scores.fpc_accuracy:.4f}",
                           res.turns_used, res.entities_explored], res))
     return held
 

@@ -136,8 +136,8 @@ class TestRunEpisode:
         )
         res = run_episode(scn, None, EpisodeConfig(max_turns=8, epsilon=0.0), seed=0)
         assert res.turns_used <= 2
-        assert res.identified_root == scn.root_cause
-        assert res.scores.rce_identification == 100.0
+        assert res.trajectory.final_root_cause == scn.root_cause
+        assert res.trajectory.scores.rce_identification == 100.0
 
     def test_budget_of_one_turn_cannot_finish(self):
         scn = generate_scenario(
@@ -146,8 +146,8 @@ class TestRunEpisode:
             seed=4,
         )
         res = run_episode(scn, None, EpisodeConfig(max_turns=1, epsilon=0.0), seed=0)
-        assert res.identified_root is None
-        assert res.scores.rce_identification == 0.0
+        assert res.trajectory.final_root_cause is None
+        assert res.trajectory.scores.rce_identification == 0.0
 
     @pytest.mark.parametrize("chain_length", [2, 3, 4, 5, 6])
     def test_noiseless_greedy_solves_path_graphs(self, chain_length):
@@ -160,7 +160,7 @@ class TestRunEpisode:
                 EpisodeConfig(max_turns=chain_length + 2, epsilon=0.0),
                 seed=seed,
             )
-            assert res.scores.rce_identification == 100.0
+            assert res.trajectory.scores.rce_identification == 100.0
 
     def test_deterministic_given_seed(self):
         scn = generate_scenario(ScenarioConfig(evidence_noise=0.2), seed=6)
@@ -168,7 +168,7 @@ class TestRunEpisode:
         a = run_episode(scn, None, cfg, seed=11)
         b = run_episode(scn, None, cfg, seed=11)
         assert a.trajectory == b.trajectory
-        assert a.scores == b.scores
+        assert a.trajectory.scores == b.trajectory.scores
         assert a.entities_explored == b.entities_explored
 
     def test_emitted_trajectories_pass_validation(self, tmp_path):
@@ -193,6 +193,59 @@ class TestRunEpisode:
         assert res.turns_used <= 10
 
 
+def strongest_primary(steps):
+    """The entity labeled primary at the end of the most consecutive turns up
+    to the last of ``steps`` (ties to the lowest (name, etype)) and that run,
+    counted backwards from the last step; (None, 0) without a primary."""
+    def run(e):
+        n = 0
+        for step in reversed(steps):
+            if step.assessments.get(e) != "primary":
+                break
+            n += 1
+        return n
+
+    ranked = sorted((-run(e), e.name, e.etype)
+                    for e, label in steps[-1].assessments.items() if label == "primary")
+    if not ranked:
+        return None, 0
+    longest, name, etype = ranked[0]
+    return Entity(name, etype), -longest
+
+
+class TestStoppingRule:
+    """The answer and the stop, read off each episode's trajectory."""
+
+    @pytest.mark.parametrize("strategies", [None, ("suggest",), ("prune",), ("prioritize",),
+                                            ("suggest", "prune", "prioritize")])
+    def test_answer_is_the_strongest_primary_and_no_earlier_run_reached_two(self,
+                                                                          strategies):
+        # the six-node graphs run the queue dry more often
+        scns = [generate_scenario(ScenarioConfig(n_nodes=n, evidence_noise=0.3), seed=s,
+                                  scenario_id=f"r{n}-{s}") for n in (10, 6) for s in range(40)]
+        plan = None if strategies is None else topo_plan(strategies)
+        trajs = []
+        run_batch(scns, plan, EpisodeConfig(max_turns=9, epsilon=0.5), trials=2,
+                  master_seed=29, record=trajs.append)
+        reverified = 0
+        for traj in trajs:
+            assert traj.final_root_cause == strongest_primary(traj.steps)[0]
+            chosen = [step.chosen_entity for step in traj.steps]
+            for t in range(1, len(traj.steps)):
+                assert strongest_primary(traj.steps[:t])[1] < 2
+                # a turn offering an explored entity re-verifies after the queue
+                # ran dry, which the agent reaches only without a primary
+                if traj.steps[t].candidate_entities[0] in chosen[:t]:
+                    reverified += 1
+                    assert strongest_primary(traj.steps[:t])[0] is None
+        # the episodes include unanswered ones, answers that outrank a newer
+        # primary, and turns after a dry queue
+        assert any(t.final_root_cause is None for t in trajs)
+        assert any(sum(label == "primary" for label in t.steps[-1].assessments.values()) > 1
+                   for t in trajs)
+        assert reverified > 0
+
+
 class TestInterventions:
     def test_prune_reduces_exploration_on_same_seed(self):
         scn = chain_with_leaves()
@@ -200,7 +253,7 @@ class TestInterventions:
         baseline = run_episode(scn, None, cfg, seed=5)
         pruned = run_episode(scn, topo_plan(("prune",), prune_percentile=60.0),
                              cfg, seed=5)
-        assert pruned.scores.rce_identification == 100.0
+        assert pruned.trajectory.scores.rce_identification == 100.0
         assert pruned.entities_explored <= baseline.entities_explored
 
     def test_prioritize_follows_policy_ordering(self):
@@ -210,7 +263,7 @@ class TestInterventions:
         # the distance-to-symptom policy walks straight up the chain
         chosen = [s.chosen_entity.name for s in res.trajectory.steps]
         assert chosen[:4] == ["c3", "c2", "c1", "c0"]
-        assert res.scores.rce_identification == 100.0
+        assert res.trajectory.scores.rce_identification == 100.0
 
     def test_suggestions_bias_choice_with_full_uptake(self):
         scn = chain_with_leaves()

@@ -1,6 +1,9 @@
+import collections.abc
 import copy
+import json
 import os
 import pickle
+import re
 import subprocess
 import sys
 
@@ -172,6 +175,14 @@ class TestValidation:
                 assessments={a: "broken"},
             )
 
+    def test_steps_and_trajectories_are_not_hashable(self):
+        # their assessments dicts cannot be hashed, so they must not claim a hash
+        traj = make_trajectory()
+        for obj in (traj, traj.steps[0]):
+            assert not isinstance(obj, collections.abc.Hashable)
+            with pytest.raises(TypeError, match="unhashable"):
+                hash(obj)
+
 
 class TestCorpusIo:
     def test_empty_file_gives_empty_corpus(self, tmp_path):
@@ -246,15 +257,31 @@ class TestCorpusIo:
     def test_invalid_json_is_malformed(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
         path.write_text("{not json\n")
-        with pytest.raises(MalformedRecord) as exc:
+        bad_line = "^" + re.escape(f"line 1: malformed corpus {path}: JSONDecodeError")
+        with pytest.raises(MalformedRecord, match=bad_line) as exc:
             load_corpus(path)
-        assert "line 1" in str(exc.value)
+        assert exc.value.line == 1
+
+    @pytest.mark.parametrize("field, value", [("scenario_id", 7), ("trajectory_id", ["b"]),
+                                              ("trajectory_id", None)])
+    def test_a_non_string_id_is_rejected_with_its_line(self, tmp_path, field, value):
+        path = tmp_path / "corpus.jsonl"
+        save_corpus([make_trajectory("a"), make_trajectory("b")], path)
+        lines = path.read_text().splitlines()
+        record = json.loads(lines[1])
+        record[field] = value
+        lines[1] = json.dumps(record, sort_keys=True)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(MalformedRecord, match="must be strings") as exc:
+            load_corpus(path)
+        assert exc.value.line == 2
 
     def test_duplicate_ids_warn_but_load(self, tmp_path):
         trajs = [make_trajectory("same"), make_trajectory("same")]
         path = tmp_path / "corpus.jsonl"
         save_corpus(trajs, path)
-        with pytest.warns(UserWarning, match="duplicate trajectory_id"):
+        duplicate = re.escape(f"duplicate trajectory_id 'same' in corpus {path}")
+        with pytest.warns(UserWarning, match=duplicate):
             loaded = load_corpus(path)
         assert len(loaded) == 2
 
