@@ -9,7 +9,6 @@ the environment again.
 import numpy as np
 
 from twinmdp import (
-    FullVocabulary,
     QPolicy,
     TrainConfig,
     bc_train,
@@ -55,7 +54,7 @@ print(f"\nlogged {sum(len(t.steps) for t in trajs)} transitions")
 print("\n== conservative Q-learning (alpha = 0 reduces to fitted Q-iteration) ==")
 cfg = TrainConfig(alpha=0.0, gamma=0.9, iterations=30000, target_refresh=100,
                   seed=0)
-q = cql_train(trajs, cfg, FullVocabulary(N_ACTIONS))
+q = cql_train(trajs, cfg)
 
 q_star = np.zeros((N_STATES, N_ACTIONS))
 for _ in range(300):
@@ -74,7 +73,7 @@ for s in range(N_STATES):
     print(f"state {s}: " + " ".join(f"{p:.3f}" for p in probs))
 
 print("\n== behavior cloning reproduces the logged (uniform) behavior ==")
-cloner = bc_train(trajs, TrainConfig(seed=0), FullVocabulary(N_ACTIONS))
+cloner = bc_train(trajs, TrainConfig(seed=0))
 probs = policy_probs(cloner, np.array([0.0]), [0, 1, 2])
 print("state 0:", " ".join(f"{p:.3f}" for p in probs))
 

@@ -32,7 +32,6 @@ from .context import (
 )
 from .hmm import Hmm, fit_hmm, sequence_log_likelihood, viterbi_decode
 from .offline_rl import (
-    FullVocabulary,
     NetworkQ,
     QPolicy,
     TabularQ,

@@ -6,19 +6,20 @@ exact state vectors; feature actions (the topology scheme) get the network
 form, which scores (state, action-representation) rows with a small MLP.
 
 The conservative penalty and the Bellman backup both range over the
-candidate actions recorded at each turn (or the full vocabulary, when the
-action space is a FullVocabulary), mirroring how the deployed policy only
-ever scores the current turn's candidates.
+candidate actions recorded at each turn, mirroring how the deployed policy
+only ever scores the current turn's candidates.
 
 ``build_transitions`` is the one place that lays steps out for learning.
-It lays a packed corpus (``MdpTables``) out as a TransitionTable: per-step
-arrays, candidate offsets in CSR form, the candidates as one dense array
-(the action space applied there), and the taken entry of every step. The
-table stores its network rows once per distinct (state, action) row, with a
-row id per candidate entry, read off the corpus's row tables
-(``distinct_pairs``). Tabular CQL and BC, and FQE, keep one value cell per
-such row; ``TransitionTable.matrix`` writes a TabularQ's dense matrix from
-them. Network CQL and BC train in one loop, ``minibatch_train``, which
+It lays a packed corpus (``MdpTables``) out as a TransitionTable, which reads
+the rewards, the candidate offsets (CSR form) and the episode starts off the
+corpus and keeps only what it derives: the taken entry and the following
+step of every step, and index candidates as one dense array. The table
+stores its network rows once per distinct (state, action) row, with a row id
+per candidate entry, read off the corpus's row tables (``distinct_pairs``).
+Tabular CQL and BC, and FQE, keep one value cell per such row;
+``TransitionTable.matrix`` writes a TabularQ's dense matrix from them, a
+column per id up to the largest one offered (a TabularQ rejects ids outside
+them). Network CQL and BC train in one loop, ``minibatch_train``, which
 forwards and backprops each distinct row of a batch once (``nets``'
 distinct-row rule). ``TransitionTable.backup`` is the one Bellman backup and
 ``TransitionTable.taken_means`` the one exact cell update, for CQL and FQE
@@ -45,8 +46,6 @@ from .abstraction import MdpTables, pack_corpus
 from .errors import (
     DimensionMismatch,
     EmptyData,
-    MalformedRecord,
-    MissingCandidateSets,
     check_ranges,
     ranged,
 )
@@ -65,45 +64,32 @@ from .trajectories import read_json, write_json
 POLICY_FORMAT_VERSION = 1
 
 
-# --- action spaces ---------------------------------------------------------------
-
-@dataclass(frozen=True)
-class FullVocabulary:
-    """Every vocabulary index is available at every state; an action space of
-    None offers each step its recorded candidates."""
-
-    size: int
-
-
 # --- transition table -------------------------------------------------------------
 
 @dataclass
 class TransitionTable:
     """Every logged step, packed once for all learners.
 
-    Step i is step i of ``corpus``, the packed corpus the table lays out. It
-    owns the candidate entries cand_offsets[i]:cand_offsets[i + 1], in the
-    order of its recorded candidates (or 0..size-1 under FullVocabulary).
-    Index actions are stored as ``cand_ids``, feature actions are read off the
-    corpus; ``taken[i]`` is the entry of the action step i took. What
-    is derived from these arrays (``states``, ``cand_step``, ``state_ids``,
-    ``cand_rows``, ``row_id`` and ``taken_counts``) is computed once per table
-    and is read-only, so every learner and every policy scored on the table
-    shares it.
+    Step i is step i of ``corpus``, the packed corpus the table lays out, and
+    owns its candidate entries corpus.cand_offsets[i]:cand_offsets[i + 1], in
+    the order of its recorded candidates; its reward is corpus.rewards[i]. The
+    table stores only what it derives: index actions as ``cand_ids`` (feature
+    actions are read off the corpus), ``taken[i]``, the entry of the action
+    step i took, and ``next_step``. What is derived from these arrays
+    (``states``, ``cand_step``, ``state_ids``, ``cand_rows``, ``row_id`` and
+    ``taken_counts``) is computed once per table and is read-only, so every
+    learner and every policy scored on the table shares it.
     """
 
     corpus: MdpTables
-    rewards: np.ndarray           # (N,)
-    terminal: np.ndarray          # (N,) bool
-    next_step: np.ndarray         # (N,) index of the following step, -1 at the end
-    episode_starts: np.ndarray    # (n_episodes,) index of each episode's first step
-    cand_offsets: np.ndarray      # (N+1,)
     taken: np.ndarray             # (N,) candidate entry of the taken action
+    next_step: np.ndarray         # (N,) index of the following step, -1 at the end
+    terminal: np.ndarray          # (N,) bool, next_step < 0
     cand_ids: np.ndarray | None = None    # (M,) index actions
 
     @property
     def n(self) -> int:
-        return len(self.rewards)
+        return len(self.taken)
 
     @property
     def index_actions(self) -> bool:
@@ -126,7 +112,7 @@ class TransitionTable:
     @cached_property
     def cand_step(self) -> np.ndarray:
         """(M,) the step that owns each candidate entry."""
-        return _read_only(np.repeat(np.arange(self.n), np.diff(self.cand_offsets)))
+        return _read_only(np.repeat(np.arange(self.n), np.diff(self.corpus.cand_offsets)))
 
     @cached_property
     def state_ids(self) -> tuple[dict, np.ndarray]:
@@ -185,7 +171,7 @@ class TransitionTable:
         """Bellman targets, a new (n,) array: r + gamma * next_values[next_step],
         and r at terminal steps."""
         live = ~self.terminal
-        targets = self.rewards.copy()
+        targets = self.corpus.rewards.copy()
         targets[live] += gamma * next_values[self.next_step[live]]
         return targets
 
@@ -201,8 +187,8 @@ class TransitionTable:
     def gather(self, steps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Candidate entries of ``steps`` in order, and the position in
         ``steps`` each entry belongs to."""
-        starts = self.cand_offsets[steps]
-        counts = self.cand_offsets[steps + 1] - starts
+        starts = self.corpus.cand_offsets[steps]
+        counts = self.corpus.cand_offsets[steps + 1] - starts
         group = np.repeat(np.arange(len(steps)), counts)
         first = np.cumsum(counts) - counts
         return np.arange(len(group)) + (starts - first)[group], group
@@ -211,16 +197,16 @@ class TransitionTable:
         """Each row of the (K, b) step array ``batches`` as one planned Batch,
         laid out for all K at once; ``targets`` are per-step Bellman targets."""
         n_batches, size = batches.shape
-        steps = batches.ravel()
+        steps, off = batches.ravel(), self.corpus.cand_offsets
         idx, group = self.gather(steps)
         owner = group // size
         present, row_bounds, entry_row = plan_rows(self.row_id[idx], owner, n_batches,
                                                    len(self.cand_rows))
-        counts = self.cand_offsets[steps + 1] - self.cand_offsets[steps]
+        counts = off[steps + 1] - off[steps]
         first = np.cumsum(counts) - counts
         entry_bounds = np.append(first[::size], len(idx))
         base = np.repeat(entry_bounds[:-1], size)  # each step's batch's first entry
-        taken = first - base + self.taken[steps] - self.cand_offsets[steps]
+        taken = first - base + self.taken[steps] - off[steps]
         group -= owner * size
         target = [None] * n_batches if targets is None else targets[batches]
         return [Batch(present=present[row_bounds[k]:row_bounds[k + 1]],
@@ -297,37 +283,18 @@ def distinct_pairs(corpus: MdpTables, state_id: np.ndarray, actions: np.ndarray,
     return encode_rows(corpus.states[state], acts, encoding), row_id
 
 
-def build_transitions(trajs, action_space=None) -> TransitionTable:
+def build_transitions(trajs) -> TransitionTable:
     """The steps of ``trajs``, a packed corpus or abstract trajectories, as
-    one TransitionTable under ``action_space`` (None: the recorded candidates)."""
+    one TransitionTable over their recorded candidates."""
     corpus = pack_corpus(trajs)
     n = len(corpus.state_id)
     if not n:
         raise EmptyData("no trajectories")
-    if isinstance(action_space, FullVocabulary) and not corpus.index_actions:
-        raise MissingCandidateSets("a full vocabulary needs index actions")
-    offsets, taken = corpus.cand_offsets, corpus.cand_offsets[:-1] + corpus.taken
-    cand_ids = corpus.actions[corpus.cand_id] if corpus.index_actions else None
-    if isinstance(action_space, FullVocabulary):
-        actions = cand_ids[taken]
-        outside = (actions < 0) | (actions >= action_space.size)
-        if outside.any():
-            raise MalformedRecord(f"action {actions[outside][0]} outside the vocabulary "
-                                  f"of {action_space.size}")
-        offsets = np.arange(n + 1) * action_space.size
-        cand_ids, taken = np.tile(np.arange(action_space.size), n), offsets[:-1] + actions
     next_step = np.arange(1, n + 1)
     next_step[corpus.step_offsets[1:] - 1] = -1
-    return TransitionTable(
-        corpus=corpus,
-        rewards=corpus.rewards,
-        terminal=next_step < 0,
-        next_step=next_step,
-        episode_starts=corpus.step_offsets[:-1],
-        cand_offsets=offsets,
-        taken=taken,
-        cand_ids=cand_ids,
-    )
+    cand_ids = corpus.actions[corpus.cand_id] if corpus.index_actions else None
+    return TransitionTable(corpus, corpus.cand_offsets[:-1] + corpus.taken, next_step,
+                           next_step < 0, cand_ids)
 
 
 # --- Q functions -------------------------------------------------------------------
@@ -347,11 +314,20 @@ class TabularQ:
     def state_id(self, state: np.ndarray) -> int | None:
         return self.state_index.get(tuple(np.asarray(state, dtype=float).tolist()))
 
+    def columns(self, candidates) -> np.ndarray:
+        """The candidates' ids as column indices, each one in range."""
+        ids = np.asarray(candidates, dtype=int)
+        outside = (ids < 0) | (ids >= self.n_actions)
+        if outside.any():
+            raise DimensionMismatch(f"action id {ids[outside][0]} outside the "
+                                    f"{self.n_actions} actions of a tabular Q")
+        return ids
+
     def values(self, state: np.ndarray, candidates) -> np.ndarray:
         sid = self.state_id(state)
         if sid is None:
             return np.zeros(len(candidates))
-        return self.q[sid, np.asarray(candidates, dtype=int)]
+        return self.q[sid, self.columns(candidates)]
 
 
 class NetworkQ:
@@ -426,7 +402,7 @@ class TrainConfig:
 
 # --- conservative Q-learning -----------------------------------------------------------
 
-def cql_train(trajs, cfg: TrainConfig, action_space=None):
+def cql_train(trajs, cfg: TrainConfig):
     """Fit a Q function by conservative Q-learning.
 
     Minimizes the squared Bellman residual against targets rebuilt every
@@ -434,7 +410,7 @@ def cql_train(trajs, cfg: TrainConfig, action_space=None):
     action). alpha = 0 recovers plain fitted Q-learning. Terminal steps
     bootstrap with zero. Deterministic given cfg.seed.
     """
-    table = build_transitions(trajs, action_space)
+    table = build_transitions(trajs)
     if table.index_actions:
         return _cql_tabular(table, cfg)
     return _cql_network(table, cfg)
@@ -518,14 +494,14 @@ def _cql_network(table: TransitionTable, cfg: TrainConfig) -> NetworkQ:
 
 # --- behavior cloning ---------------------------------------------------------------
 
-def bc_train(trajs, cfg: TrainConfig, action_space=None) -> QPolicy:
+def bc_train(trajs, cfg: TrainConfig) -> QPolicy:
     """Clone the logged behavior under the softmax-over-candidates model.
 
     Tabular: logits are log visit counts, so the softmax over candidates
     reproduces the empirical conditional frequencies. Network: maximizes the
     log-likelihood of taken actions by minibatch gradient ascent.
     """
-    table = build_transitions(trajs, action_space)
+    table = build_transitions(trajs)
     if table.index_actions:
         with np.errstate(divide="ignore"):
             q = np.log(table.matrix(table.taken_counts))
@@ -569,6 +545,8 @@ def _policy_from_json(obj) -> tuple[QPolicy, dict]:
         index = {tuple(s): i for i, s in enumerate(obj["states"])}
         q = TabularQ(state_index=index, q=np.asarray(obj["q"], dtype=float),
                      gamma=obj["gamma"])
+        if q.q.ndim != 2 or len(q.q) != len(obj["states"]):
+            raise DimensionMismatch(f"q of shape {q.q.shape} for {len(obj['states'])} states")
     else:
         q = NetworkQ(
             net=Mlp.from_json(obj["net"]),
@@ -576,6 +554,13 @@ def _policy_from_json(obj) -> tuple[QPolicy, dict]:
             action_encoding=obj["action_encoding"],
             gamma=obj["gamma"],
         )
+        enc = q.action_encoding
+        width = enc["size"] if enc["kind"] == "onehot" else enc["dim"]
+        if q.net.input_dim != q.state_dim + width:
+            raise DimensionMismatch(f"network input width {q.net.input_dim} != state dim "
+                                    f"{q.state_dim} + action width {width}")
+    if not obj["temperature"] > 0:
+        raise ValueError(f"temperature {obj['temperature']} is not positive")
     return QPolicy(q=q, temperature=obj["temperature"]), obj.get("metadata", {})
 
 

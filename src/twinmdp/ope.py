@@ -8,12 +8,13 @@ The initial value averages the policy-weighted Q over the logged initial
 states and ranks candidate policies offline.
 
 The DT-MDP is finite, so Q keeps one cell per distinct (state, action) row
-of the table (``TransitionTable.row_id``), for index and feature actions
-alike. Each sweep sets every taken cell to the mean Bellman backup of the
-steps that take it (``TransitionTable.taken_means``), which is exact policy
-evaluation on the empirical MDP (model-based OPE). A cell that no logged
-step takes stays at 0. The policy's probabilities are the served ones,
-``policy_probs``, bit for bit.
+of the table (``TransitionTable.row_id``), over each step's recorded
+candidates, for index and feature actions alike. Each sweep sets every
+taken cell to the mean Bellman backup of the steps that take it
+(``TransitionTable.taken_means``), which is exact policy evaluation on the
+empirical MDP (model-based OPE). A cell that no logged step takes stays at
+0. The policy's probabilities are the served ones, ``policy_probs``, bit for
+bit, so a tabular policy rejects an id outside its columns here as well.
 """
 
 from __future__ import annotations
@@ -39,14 +40,12 @@ class FqeEstimate:
     initial_value: float
 
 
-def fqe(policy: QPolicy, eval_trajs, cfg: TrainConfig, action_space=None,
-        policy_id: str = "", tol: float = 1e-5, max_sweeps: int = 500) -> FqeEstimate:
+def fqe(policy: QPolicy, eval_trajs, cfg: TrainConfig, policy_id: str = "",
+        tol: float = 1e-5, max_sweeps: int = 500) -> FqeEstimate:
     """Fitted Q-evaluation of ``policy`` on logged trajectories.
 
     ``eval_trajs`` is a packed corpus, a trajectory list, or their
-    TransitionTable built under ``action_space`` (a FullVocabulary, or None
-    for the recorded candidates); a table is only read, so one can score
-    many policies.
+    TransitionTable; a table is only read, so one can score many policies.
     The evaluation set should be disjoint from the policy's training data;
     that split is the caller's responsibility. Of ``cfg`` only the discount,
     ``cfg.gamma``, is read. The sweep stops after ``max_sweeps``, or once the
@@ -55,15 +54,14 @@ def fqe(policy: QPolicy, eval_trajs, cfg: TrainConfig, action_space=None,
     and with them the initial value, is then within ``tol`` of the fixed
     point; at gamma = 0 the first sweep is exact.
     """
-    return fqe_many([policy], eval_trajs, cfg, action_space, [policy_id], tol,
-                    max_sweeps)[0]
+    return fqe_many([policy], eval_trajs, cfg, [policy_id], tol, max_sweeps)[0]
 
 
-def fqe_many(policies, eval_trajs, cfg: TrainConfig, action_space=None,
-             policy_ids=None, tol: float = 1e-5, max_sweeps: int = 500) -> list[FqeEstimate]:
+def fqe_many(policies, eval_trajs, cfg: TrainConfig, policy_ids=None,
+             tol: float = 1e-5, max_sweeps: int = 500) -> list[FqeEstimate]:
     """``fqe`` of every policy on one table, each estimate equal to its own call."""
     table = (eval_trajs if isinstance(eval_trajs, TransitionTable)
-             else build_transitions(eval_trajs, action_space))
+             else build_transitions(eval_trajs))
     return [FqeEstimate(target_policy_id=pid,
                         initial_value=_fqe_rows(table, policy, cfg, tol, max_sweeps))
             for policy, pid in zip(policies, policy_ids or [""] * len(policies))]
@@ -84,7 +82,7 @@ def _fqe_rows(table, policy, cfg, tol, max_sweeps) -> float:
             break
 
     expectation = np.bincount(group, weights=pi_flat * q[row_id], minlength=table.n)
-    return float(np.mean(expectation[table.episode_starts]))
+    return float(np.mean(expectation[table.corpus.step_offsets[:-1]]))
 
 
 def _flat_policy_probs(table: TransitionTable, policy: QPolicy) -> np.ndarray:
@@ -99,14 +97,14 @@ def _flat_policy_probs(table: TransitionTable, policy: QPolicy) -> np.ndarray:
     output in one (U, d) call can differ in its last bits from its output in
     its step's own (k, d) call.
     """
-    q, off = policy.q, table.cand_offsets
+    q, off = policy.q, table.corpus.cand_offsets
     tabular = isinstance(q, TabularQ)
     if tabular:
         index, sid = table.state_ids
         unseen = len(q.q)  # the extra zero row
         q_row = np.array([q.state_index.get(s, unseen) for s in index], dtype=int)[sid]
         padded = np.vstack([q.q, np.zeros((1, q.n_actions))])
-        values = padded[q_row[table.cand_step], table.candidates]
+        values = padded[q_row[table.cand_step], q.columns(table.candidates)]
     else:
         rows = q.encode(table.states[table.cand_step], table.candidates)
     counts = np.diff(off)
@@ -118,8 +116,7 @@ def _flat_policy_probs(table: TransitionTable, policy: QPolicy) -> np.ndarray:
     return probs
 
 
-def rank_policies(candidates, eval_trajs, cfg: TrainConfig, k: int,
-                  action_space=None) -> list[dict]:
+def rank_policies(candidates, eval_trajs, cfg: TrainConfig, k: int) -> list[dict]:
     """FQE-score every candidate policy and return the top-k.
 
     ``candidates`` is a list of (QPolicy, metadata) where metadata carries at
@@ -130,7 +127,7 @@ def rank_policies(candidates, eval_trajs, cfg: TrainConfig, k: int,
         raise NoCandidates("no candidate policies to rank")
     if k < 1:
         raise NoCandidates("k must be >= 1")
-    estimates = fqe_many([policy for policy, _ in candidates], eval_trajs, cfg, action_space)
+    estimates = fqe_many([policy for policy, _ in candidates], eval_trajs, cfg)
     entries = [{"id": str(meta.get("id", "")), "initial_value": est.initial_value,
                 "metadata": dict(meta)} for est, (_, meta) in zip(estimates, candidates)]
     entries.sort(key=lambda e: (-e["initial_value"], e["id"]))

@@ -21,6 +21,7 @@ from pathlib import Path
 from .errors import (
     ChosenEntityNotInCandidates,
     CorpusError,
+    DimensionMismatch,
     IoFailure,
     MalformedRecord,
     NonMonotoneTurnIndex,
@@ -356,9 +357,10 @@ def write_jsonl(path: str | Path, objs, what: str) -> None:
 
 class reading:
     """Reads of the ``what`` at ``path``: an OSError becomes IoFailure, and
-    invalid JSON or a missing or mistyped field becomes MalformedRecord; both
-    name the file. With ``line``, a MalformedRecord or other CorpusError
-    also carries that 1-based line of the file.
+    invalid JSON, a missing or mistyped field, or parts whose sizes disagree
+    (DimensionMismatch) become MalformedRecord; both name the file. With
+    ``line``, a MalformedRecord or other CorpusError also carries that
+    1-based line of the file.
 
     A class, not a generator context manager: JSON-lines readers enter one
     per line, and this costs a fraction of a generator's set-up."""
@@ -376,7 +378,8 @@ class reading:
             if self.line is None or exc.line is not None:
                 return False
             raise type(exc)(str(exc), line=self.line) from exc
-        if isinstance(exc, (AttributeError, KeyError, TypeError, ValueError)):
+        if isinstance(exc, (AttributeError, DimensionMismatch, KeyError, TypeError,
+                            ValueError)):
             raise MalformedRecord(f"malformed {self.what} {self.path}: "
                                   f"{type(exc).__name__}: {exc}", line=self.line) from exc
         return False

@@ -364,7 +364,7 @@ def cql_tabular_by_state_action(table, cfg):
     number, action id): the layout the row cells replaced."""
     index, sid = _state_numbers(table)
     n_actions = int(table.cand_ids.max()) + 1
-    group = np.repeat(np.arange(table.n), np.diff(table.cand_offsets))
+    group = np.repeat(np.arange(table.n), np.diff(table.corpus.cand_offsets))
     cand_cell = sid[group] * n_actions + table.cand_ids
     cell = cand_cell[table.taken]
     q = np.zeros(len(index) * n_actions)
@@ -374,7 +374,7 @@ def cql_tabular_by_state_action(table, cfg):
     for _ in range(max(1, cfg.iterations // cfg.target_refresh)):
         best = np.full(table.n, -np.inf)
         np.maximum.at(best, group, q[cand_cell])
-        targets = table.rewards.copy()
+        targets = table.corpus.rewards.copy()
         targets[live] += cfg.gamma * best[table.next_step[live]]
         if cfg.alpha == 0.0:
             sums = np.bincount(cell, weights=targets, minlength=q.size)
@@ -438,12 +438,12 @@ def cql_network_per_step(table, cfg):
         best = np.full(table.n, -np.inf)
         np.maximum.at(best, table.cand_step, out)
         live = ~table.terminal
-        boot = table.rewards.copy()
+        boot = table.corpus.rewards.copy()
         boot[live] += cfg.gamma * best[table.next_step[live]]
 
     def learner(batch):
         b = len(batch)
-        idx, group = _entries(table.cand_offsets, batch)
+        idx, group = _entries(table.corpus.cand_offsets, batch)
         out = yield table.row_id[idx]
         taken = np.flatnonzero(idx == table.taken[batch][group])
         if cfg.alpha > 0:
@@ -460,7 +460,7 @@ def bc_network_per_step(table, cfg):
     """Network BC's parameters from ``minibatch_train_per_step``."""
     def learner(batch):
         b = len(batch)
-        idx, group = _entries(table.cand_offsets, batch)
+        idx, group = _entries(table.corpus.cand_offsets, batch)
         out = yield table.row_id[idx]
         dout = grouped_softmax_add_at(out, group, b) / b
         dout[idx == table.taken[batch][group]] -= 1.0 / b

@@ -24,7 +24,7 @@ from oracles import (
 from test_pipeline import SMALL_CONFIG
 from twinmdp.abstraction import AbstractStep, AbstractTrajectory
 from twinmdp.hmm import fit_hmm, viterbi_decode
-from twinmdp.offline_rl import FullVocabulary, TrainConfig, cql_train
+from twinmdp.offline_rl import TrainConfig, cql_train
 from twinmdp.ope import fqe
 from twinmdp.pipeline import (
     load_config,
@@ -224,7 +224,7 @@ def test_c03_cql_matches_value_iteration():
         trajs = rollout_corpus(nxt, rewards, rng)
         cfg = TrainConfig(alpha=0.0, gamma=0.9, iterations=40000,
                           target_refresh=100, seed=trial)
-        q = cql_train(trajs, cfg, FullVocabulary(n_actions))
+        q = cql_train(trajs, cfg)
         want = value_iteration_terminal(nxt, rewards, 0.9)
         got = np.stack([
             q.values(np.array([float(s)]), list(range(n_actions)))

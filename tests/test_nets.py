@@ -6,7 +6,7 @@ import pytest
 from oracles import grouped_softmax_add_at, mlp_backward_out_of_place, mlp_forward_out_of_place
 from twinmdp import nets
 from twinmdp.abstraction import _distinct_rows
-from twinmdp.errors import DimensionMismatch
+from twinmdp.errors import DimensionMismatch, MalformedRecord
 from twinmdp.nets import Adam, Mlp
 from twinmdp.reward_learning import load_reward_net, save_reward_net
 
@@ -279,8 +279,9 @@ def test_reward_net_with_wrong_length_params_rejected(tmp_path, resize):
     obj = json.loads(path.read_text())
     obj["params"] = resize(obj["params"])
     path.write_text(json.dumps(obj))
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(MalformedRecord, match="reward_net.json") as err:
         load_reward_net(path)
+    assert isinstance(err.value.__cause__, DimensionMismatch)
 
 
 def test_grouped_softmax_sums_to_one_per_group():

@@ -15,7 +15,6 @@ from twinmdp.abstraction import AbstractStep, AbstractTrajectory
 from twinmdp.errors import DimensionMismatch, EmptyData, MalformedRecord
 from twinmdp.nets import Adam, Mlp, grouped_max, grouped_softmax
 from twinmdp.offline_rl import (
-    FullVocabulary,
     NetworkQ,
     QPolicy,
     TabularQ,
@@ -100,7 +99,7 @@ class TestCqlTabular:
         trajs = [make_traj(steps_a, "a"), make_traj(steps_b, "b")]
         cfg = TrainConfig(alpha=0.0, gamma=0.0, iterations=400, target_refresh=100,
                           seed=0)
-        q = cql_train(trajs, cfg, FullVocabulary(2))
+        q = cql_train(trajs, cfg)
         sid = q.state_id(np.array([0.0]))
         assert q.q[sid, 0] == pytest.approx(2.0)
 
@@ -114,7 +113,7 @@ class TestCqlTabular:
             gamma = 0.9
             cfg = TrainConfig(alpha=0.0, gamma=gamma, iterations=40000,
                               target_refresh=100, seed=trial)
-            q = cql_train(trajs, cfg, FullVocabulary(n_actions))
+            q = cql_train(trajs, cfg)
             want = value_iteration_terminal(nxt, rewards, gamma)
             got = np.stack([
                 q.values(np.array([float(s)]), list(range(n_actions)))
@@ -137,10 +136,8 @@ class TestCqlTabular:
                 filtered.append(make_traj(steps, traj.trajectory_id))
         base_cfg = dict(gamma=0.9, iterations=2000, target_refresh=100,
                         step_size=0.05, seed=0)
-        q0 = cql_train(filtered, TrainConfig(alpha=0.0, **base_cfg),
-                       FullVocabulary(2))
-        q5 = cql_train(filtered, TrainConfig(alpha=5.0, **base_cfg),
-                       FullVocabulary(2))
+        q0 = cql_train(filtered, TrainConfig(alpha=0.0, **base_cfg))
+        q5 = cql_train(filtered, TrainConfig(alpha=5.0, **base_cfg))
         s0 = np.array([0.0])
         unseen0 = q0.values(s0, [1])[0]
         unseen5 = q5.values(s0, [1])[0]
@@ -148,12 +145,7 @@ class TestCqlTabular:
 
     def test_empty_data_rejected(self):
         with pytest.raises(EmptyData):
-            cql_train([], TrainConfig(), FullVocabulary(2))
-
-    def test_action_outside_full_vocabulary_rejected(self):
-        trajs = [make_traj([index_step(0, 3, 0.0, 4)])]
-        with pytest.raises(MalformedRecord):
-            cql_train(trajs, TrainConfig(iterations=10), FullVocabulary(2))
+            cql_train([], TrainConfig())
 
 
 def index_corpus(rng, n_episodes=30, n_states=4, n_actions=6, n_candidates=None):
@@ -174,20 +166,19 @@ def index_corpus(rng, n_episodes=30, n_states=4, n_actions=6, n_candidates=None)
     return trajs
 
 
-@pytest.mark.parametrize("space", [None, FullVocabulary(6)], ids=["candidates", "vocabulary"])
 @pytest.mark.parametrize("alpha", [0.0, 0.5])
-def test_row_cells_give_the_state_action_cells_bit_for_bit(space, alpha):
+def test_row_cells_give_the_state_action_cells_bit_for_bit(alpha):
     """Tabular CQL and BC on one cell per distinct row equal the matrix of a
     cell per (state, action id), which the policy file stores."""
     trajs = index_corpus(np.random.default_rng(13))
-    table = build_transitions(trajs, space)
+    table = build_transitions(trajs)
     cfg = TrainConfig(alpha=alpha, gamma=0.9, iterations=300, target_refresh=50,
                       step_size=0.05, seed=0)
-    q = cql_train(trajs, cfg, space)
+    q = cql_train(trajs, cfg)
     first_seen = list(dict.fromkeys(map(tuple, table.states.tolist())))
     assert list(q.state_index) == first_seen != list(map(tuple, table.corpus.states.tolist()))
     assert q.q.tobytes() == cql_tabular_by_state_action(table, cfg).tobytes()
-    assert bc_train(trajs, cfg, space).q.q.tobytes() == bc_tabular_by_state_action(table).tobytes()
+    assert bc_train(trajs, cfg).q.q.tobytes() == bc_tabular_by_state_action(table).tobytes()
 
 
 class TestCqlNetwork:
@@ -237,7 +228,7 @@ def reference_cql_network(table, cfg):
             target = net.copy()
         batch = rng.choice(table.n, size=min(cfg.batch_size, table.n), replace=False)
         b = len(batch)
-        targets = table.rewards[batch].copy()
+        targets = table.corpus.rewards[batch].copy()
         live = np.flatnonzero(~table.terminal[batch])
         if len(live):
             idx, group = table.gather(table.next_step[batch[live]])
@@ -342,7 +333,7 @@ def test_backup_equals_a_per_step_loop():
             i += 1
     assert np.array_equal(table.backup(values, 0.9), want)
     assert table.terminal.sum() == 10 and table.n > 10
-    assert not np.shares_memory(table.backup(values, 0.9), table.rewards)
+    assert not np.shares_memory(table.backup(values, 0.9), table.corpus.rewards)
 
 
 @pytest.mark.parametrize("iterations,refresh", [(60, 20), (50, 20), (7, 20), (30, 1)],
@@ -383,7 +374,7 @@ def test_network_cql_target_cache_matches_the_target_forward(hidden, batch_size,
                            action_dim=dims[1])
     table = build_transitions(trajs)
     live = table.next_step[~table.terminal]
-    assert (np.diff(table.cand_offsets)[live] == 1).any()
+    assert (np.diff(table.corpus.cand_offsets)[live] == 1).any()
     cfg = TrainConfig(alpha=alpha, gamma=0.7, iterations=200, batch_size=batch_size,
                       hidden_units=hidden, target_refresh=20, step_size=1e-2, seed=5)
     got = cql_train(trajs, cfg)
@@ -457,7 +448,7 @@ def test_taken_entry_is_the_first_match_of_each_step():
             want.append(next(j for j, c in enumerate(step.candidates)
                              if np.array_equal(c, step.action)))
     table = build_transitions(trajs)
-    assert (table.taken - table.cand_offsets[:-1]).tolist() == want
+    assert (table.taken - table.corpus.cand_offsets[:-1]).tolist() == want
     index = [make_traj([index_step(0, 1, 0.0, 3), AbstractStep(
         state=np.array([1.0]), action=2, reward=0.0, candidates=[2, 0, 2])])]
     assert build_transitions(index).taken.tolist() == [1, 3]
@@ -479,7 +470,7 @@ def test_taken_action_missing_from_its_candidates_rejected(kind):
 class TestBehaviorCloning:
     def test_deterministic_behavior_cloned(self):
         trajs = [make_traj([index_step(0, 1, 0.0, 3)], f"t{i}") for i in range(20)]
-        policy = bc_train(trajs, TrainConfig(seed=0), FullVocabulary(3))
+        policy = bc_train(trajs, TrainConfig(seed=0))
         probs = policy.probs(np.array([0.0]), [0, 1, 2])
         assert probs[1] >= 0.99
 
@@ -487,7 +478,7 @@ class TestBehaviorCloning:
         steps = [index_step(0, 0, 0.0, 2) for _ in range(3)]
         steps += [index_step(0, 1, 0.0, 2)]
         trajs = [make_traj([s]) for s in steps]
-        policy = bc_train(trajs, TrainConfig(seed=0), FullVocabulary(2))
+        policy = bc_train(trajs, TrainConfig(seed=0))
         probs = policy.probs(np.array([0.0]), [0, 1])
         assert probs[0] == pytest.approx(0.75)
         assert probs[1] == pytest.approx(0.25)
@@ -502,7 +493,7 @@ class TestBehaviorCloning:
             a = int(rng.choice(3, p=target[s]))
             counts[s][a] += 1
             trajs.append(make_traj([index_step(s, a, 0.0, 3)], f"t{i}"))
-        policy = bc_train(trajs, TrainConfig(seed=0), FullVocabulary(3))
+        policy = bc_train(trajs, TrainConfig(seed=0))
         for s in target:
             empirical = counts[s] / counts[s].sum()
             got = policy.probs(np.array([float(s)]), [0, 1, 2])
@@ -576,6 +567,13 @@ class TestPolicyProbs:
         direct = policy_probs(policy, np.array([0.0]), [0, 1])
         assert np.allclose(direct, policy.probs(np.array([0.0]), [0, 1]))
 
+    def test_id_outside_the_columns_raises_dimension_mismatch(self):
+        # ids past the largest one trained on, or negative, have no column
+        policy = bc_train([make_traj([index_step(0, 1, 0.0, 2)])], TrainConfig(seed=0))
+        for candidates, bad in (([0, 2], 2), ([-1, 1], -1)):
+            with pytest.raises(DimensionMismatch, match=f"action id {bad} outside the 2 "):
+                policy.probs(np.array([0.0]), candidates)
+
 
 class TestNetworkQEncode:
     def test_rows_and_width_checks(self):
@@ -596,7 +594,7 @@ class TestNetworkQEncode:
 class TestPolicyPersistence:
     def test_tabular_round_trip(self, tmp_path):
         trajs = [make_traj([index_step(0, 1, 1.0, 2)], "a")]
-        policy = bc_train(trajs, TrainConfig(seed=0), FullVocabulary(2))
+        policy = bc_train(trajs, TrainConfig(seed=0))
         path = tmp_path / "policy.json"
         save_policy(policy, path, metadata={"id": "bc"})
         loaded, meta = load_policy(path)
@@ -621,19 +619,29 @@ class TestPolicyPersistence:
         assert np.allclose(loaded.probs(state, cands), policy.probs(state, cands))
         assert loaded.temperature == 0.7
 
-    @pytest.mark.parametrize("damage", ["truncated", "no_form", "not_an_object"])
+    @pytest.mark.parametrize("damage", ["truncated", "no_form", "not_an_object", "q_rows",
+                                        "network_width", "net_params", "zero_temperature",
+                                        "negative_temperature"])
     def test_damaged_file_raises_malformed_record_naming_it(self, tmp_path, damage):
         trajs = [make_traj([index_step(0, 1, 1.0, 2)], "a")]
         path = tmp_path / "policy_bc.json"
-        save_policy(bc_train(trajs, TrainConfig(seed=0), FullVocabulary(2)), path)
+        save_policy(bc_train(trajs, TrainConfig(seed=0)), path)
         text = path.read_text()
-        if damage == "truncated":
-            path.write_text(text[: len(text) // 2])
-        elif damage == "no_form":
-            obj = json.loads(text)
-            del obj["form"]
-            path.write_text(json.dumps(obj))
-        else:
-            path.write_text("[1, 2]")
+        obj, net = json.loads(text), Mlp(3, 4).to_json()
+        network = {**obj, "form": "network", "state_dim": 1, "net": net,
+                   "action_encoding": {"kind": "onehot", "size": 2}}  # 3 = 1 + 2 inputs
+        path.write_text(json.dumps(network))
+        assert load_policy(path)[0].q.net.input_dim == 3  # the undamaged network loads
+        damaged = {
+            "truncated": text[: len(text) // 2],
+            "not_an_object": "[1, 2]",
+            "no_form": {k: v for k, v in obj.items() if k != "form"},
+            "q_rows": {**obj, "states": obj["states"] + [[1.0]]},  # 2 states, 1 q row
+            "network_width": {**network, "state_dim": 2},
+            "net_params": {**network, "net": {**net, "params": net["params"][1:]}},
+            "zero_temperature": {**obj, "temperature": 0.0},
+            "negative_temperature": {**obj, "temperature": -1.0},
+        }[damage]
+        path.write_text(damaged if isinstance(damaged, str) else json.dumps(damaged))
         with pytest.raises(MalformedRecord, match="policy_bc.json"):
             load_policy(path)

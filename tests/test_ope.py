@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from oracles import policy_value_linear
 from test_offline_rl import duplicated_corpus, feature_corpus, index_corpus
 from twinmdp.abstraction import AbstractStep, AbstractTrajectory
-from twinmdp.errors import NoCandidates
+from twinmdp.errors import DimensionMismatch, NoCandidates
 from twinmdp.offline_rl import (
     NetworkQ,
     QPolicy,
@@ -179,7 +179,7 @@ class TestFqe:
 
 def per_step_policy_probs(table, policy):
     """pi(a|s) per candidate entry from one policy_probs call per step."""
-    off = table.cand_offsets
+    off = table.corpus.cand_offsets
     return np.concatenate([policy_probs(policy, table.states[i],
                                         table.candidates[off[i] : off[i + 1]])
                            for i in range(table.n)])
@@ -197,7 +197,7 @@ def reference_fqe_rows(table, policy, gamma, tol, max_sweeps):
     bytes; each sweep sets every taken cell to the mean Bellman target of the
     steps that take it and stops once the largest cell change delta has
     delta * gamma <= tol * (1 - gamma)."""
-    off, full = table.cand_offsets, table.rows(table.encoding)
+    off, full = table.corpus.cand_offsets, table.rows(table.encoding)
     pi = per_step_policy_probs(table, policy)
     cells = {}
     entry_cell = [cells.setdefault(row.tobytes(), len(cells)) for row in full]
@@ -210,7 +210,7 @@ def reference_fqe_rows(table, policy, gamma, tol, max_sweeps):
         sums, counts = [0.0] * len(cells), [0] * len(cells)
         for i in range(table.n):
             u = entry_cell[table.taken[i]]
-            target = table.rewards[i]
+            target = table.corpus.rewards[i]
             if not table.terminal[i]:
                 target += gamma * step_value(q, table.next_step[i])
             sums[u] += target
@@ -220,7 +220,7 @@ def reference_fqe_rows(table, policy, gamma, tol, max_sweeps):
         q = new_q
         if delta * gamma <= tol * (1 - gamma):
             break
-    return float(np.mean([step_value(q, i) for i in table.episode_starts])), sweeps
+    return float(np.mean([step_value(q, i) for i in table.corpus.step_offsets[:-1]])), sweeps
 
 
 class TestLockstepNetworkFqe:
@@ -422,6 +422,12 @@ class TestRankPolicies:
             trajs.append(make_traj(steps, f"e{i}"))
         return trajs
 
+    def test_tabular_policy_rejects_an_id_outside_its_columns(self):
+        trajs = self.two_action_world(np.random.default_rng(0), n_episodes=5)
+        policy = tabular_policy(np.array([[1.0]]))  # one column: id 1 has none
+        with pytest.raises(DimensionMismatch, match="action id 1 outside the 1 "):
+            fqe(policy, trajs, TrainConfig(gamma=0.9))
+
     def test_single_candidate_returned(self):
         rng = np.random.default_rng(0)
         trajs = self.two_action_world(rng)
@@ -497,7 +503,7 @@ class TestRankPolicies:
         rng = np.random.default_rng(10)
         table = build_transitions(index_corpus(rng, 20, n_states=5, n_actions=12,
                                                n_candidates=(6, 13)))
-        counts = np.diff(table.cand_offsets)
+        counts = np.diff(table.corpus.cand_offsets)
         assert counts.min() == 6 and counts.max() == 12
         pi = rng.dirichlet(np.ones(12), size=4)  # no row for state 4: unseen
         pi[0, :6] = 0.0  # -inf logits
@@ -509,7 +515,7 @@ class TestRankPolicies:
                                   per_step_policy_probs(table, policy))
         rng = np.random.default_rng(11)
         table = build_transitions(feature_corpus(rng, n_episodes=30, n_candidates=(6, 13)))
-        assert set(np.diff(table.cand_offsets)) == set(range(6, 13))
+        assert set(np.diff(table.corpus.cand_offsets)) == set(range(6, 13))
         policy = network_policy(12, 0.7)
         assert np.array_equal(_flat_policy_probs(table, policy),
                               per_step_policy_probs(table, policy))
@@ -517,7 +523,7 @@ class TestRankPolicies:
     def test_network_probs_equal_the_per_step_policy_probs(self):
         rng = np.random.default_rng(8)
         table = build_transitions(feature_corpus(rng, n_episodes=40))
-        assert len(np.unique(np.diff(table.cand_offsets))) == 5  # 1 to 5 candidates
+        assert len(np.unique(np.diff(table.corpus.cand_offsets))) == 5  # 1 to 5 candidates
         for policy in (network_policy(4, 0.7), network_policy(5, 1.0, hidden=256)):
             assert np.array_equal(_flat_policy_probs(table, policy),
                                   per_step_policy_probs(table, policy))
@@ -526,7 +532,7 @@ class TestRankPolicies:
         degenerate.q.net.biases[-1][...] = np.inf
         probs = _flat_policy_probs(table, degenerate)
         assert np.array_equal(probs, per_step_policy_probs(table, degenerate))
-        assert np.array_equal(probs, 1.0 / np.diff(table.cand_offsets)[table.cand_step])
+        assert np.array_equal(probs, 1.0 / np.diff(table.corpus.cand_offsets)[table.cand_step])
 
     def test_onehot_network_probs_equal_the_per_step_policy_probs(self):
         rng = np.random.default_rng(9)

@@ -18,9 +18,9 @@ from twinmdp import abstraction, pipeline, simulator
 from twinmdp.abstraction import AbstractStep, AbstractTrajectory, load_abstract_corpus
 from twinmdp.cli import main as cli_main
 from twinmdp.context import CeConfig
-from twinmdp.errors import ConfigInvalid, MalformedRecord, MissingArtifact, MissingCandidateSets
+from twinmdp.errors import ConfigInvalid, MalformedRecord, MissingArtifact
 from twinmdp.nets import Mlp
-from twinmdp.offline_rl import FullVocabulary, NetworkQ, TrainConfig, build_transitions
+from twinmdp.offline_rl import NetworkQ, TrainConfig, build_transitions
 from twinmdp.ope import fqe
 from twinmdp.pipeline import (
     MAX_ARMS,
@@ -780,7 +780,7 @@ class TestPackedLayout:
         steps = [step for traj in corpus for step in traj.steps]
         assert table.n == len(steps)
         for i, step in enumerate(steps):
-            lo, hi = table.cand_offsets[i], table.cand_offsets[i + 1]
+            lo, hi = table.corpus.cand_offsets[i], table.corpus.cand_offsets[i + 1]
             assert np.array_equal(rows[lo:hi], serving.encode(step.state, step.candidates))
             assert np.array_equal(rows[table.taken[i]],
                                   serving.encode(step.state, [step.action])[0])
@@ -792,21 +792,6 @@ class TestPackedLayout:
             encoding = {"kind": "onehot", "size": table.states.shape[1]}
         want = np.concatenate([encode_step_rows(t) for t in corpus])
         assert np.array_equal(table.rows(encoding)[table.taken], want)
-
-    def test_full_vocabulary_offers_every_id_at_every_step(self, corpus):
-        table = build_transitions(corpus)
-        size = table.states.shape[1]
-        if not table.index_actions:
-            with pytest.raises(MissingCandidateSets):
-                build_transitions(corpus, FullVocabulary(size))
-            return
-        full = build_transitions(corpus, FullVocabulary(size))
-        assert full.n == table.n
-        assert np.array_equal(full.cand_ids.reshape(full.n, size),
-                              np.tile(np.arange(size), (full.n, 1)))
-        actions = [step.action for traj in corpus for step in traj.steps]
-        assert full.cand_ids[full.taken].tolist() == actions
-        assert table.cand_ids[table.taken].tolist() == actions
 
 
 def assert_bits(got, want) -> None:
@@ -821,8 +806,9 @@ def assert_laid_out_as_by_search(tables, trajs) -> None:
     bit for bit, what the per-step construction (``oracles``) makes of the
     same steps as ``trajs``."""
     table, want = build_transitions(tables), transitions_by_search(trajs)
-    for name in ("states", "cand_rows", "row_id", "taken", "cand_offsets"):
+    for name in ("states", "cand_rows", "row_id", "taken"):
         assert_bits(getattr(table, name), want[name])
+    assert_bits(table.corpus.cand_offsets, want["cand_offsets"])
     index, ids = table.state_ids
     assert list(index.items()) == list(want["state_ids"][0].items())
     assert_bits(ids, want["state_ids"][1])
