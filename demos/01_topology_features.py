@@ -2,7 +2,7 @@
 
 Builds a small service topology, queries distances and hub scores, then
 abstracts a scripted three-turn exploration into the feature vectors a
-policy would consume. Last, a hand-set name-scheme policy intervenes on the
+policy would consume: the DT-MDP's tables. Last, a hand-set name-scheme policy intervenes on the
 walk's two-candidate turn, through the adapters a prompt-driven agent uses.
 """
 
@@ -63,35 +63,34 @@ walk = RawTrajectory(
     steps=steps, scores=JudgeScores(fpc_accuracy=100.0, rce_identification=100.0),
 )
 
-topo = SchemeSpec(kind="topology")
-view = abstract(walk, topo, graph)
+# The walk's DT-MDP tables: each distinct state and action row once, and
+# per turn the ids of its state and of the action it took.
+topo = abstract([walk], SchemeSpec(kind="topology"), {walk.scenario_id: graph})
 print("\n== topology-scheme abstraction ==")
 print("state features: [min dist symptom->flagged-primary, ...->flagged-cascading]")
 print("action features: [d(target,prev), d(target,symptom),")
 print("                  min d(target,primary), min d(target,cascading)]")
-for t, step in enumerate(view.steps):
-    print(f"turn {t}: state={step.state.tolist()} "
-          f"action={np.asarray(step.action).tolist()}")
+for t, (s, a) in enumerate(zip(topo.state_id, topo.taken_id)):
+    print(f"turn {t}: state={topo.states[s].tolist()} action={topo.actions[a].tolist()}")
+print(f"{len(topo.states)} distinct states, {len(topo.actions)} distinct candidate rows")
 print("\nunreachable pairs use the sentinel (graph diameter + 1 ="
-      f" {view.steps[0].state[0]:.0f})")
+      f" {topo.states[topo.state_id[0]][0]:.0f})")
 
 # The name scheme instead keys everything by entity identity.
-name_view = abstract(
-    walk, SchemeSpec(kind="name", vocabulary=("cache", "db", "frontend",
-                                              "jobs", "logs")),
-)
+names = abstract([walk], SchemeSpec(kind="name", vocabulary=("cache", "db", "frontend",
+                                                             "jobs", "logs")), {})
 print("\n== name-scheme abstraction (2 primary / 1 cascading / 0 unknown) ==")
-for t, step in enumerate(name_view.steps):
-    print(f"turn {t}: state={step.state.tolist()} action index={step.action}")
+for t, (s, a) in enumerate(zip(names.state_id, names.taken_id)):
+    print(f"turn {t}: state={names.states[s].tolist()} action index={names.actions[a]}")
 
 # A hand-set policy over that vocabulary: at turn 1's state it prefers the
 # cache to the logs. Suggest and prune keep only the top candidate of two.
-turn = name_view.steps[1]
+state = names.states[names.state_id[1]]
+candidates = names.actions[names.cand_id[names.cand_offsets[1]:names.cand_offsets[2]]].tolist()
 q = np.zeros((1, 5))
-q[0, turn.candidates] = [2.0, -1.0]  # cache, logs
-policy = QPolicy(q=TabularQ(state_index={tuple(turn.state.tolist()): 0}, q=q, gamma=0.9))
-iv = intervene(policy, turn.state, list(zip(steps[1].candidate_entities, turn.candidates)),
-               CeConfig())
+q[0, candidates] = [2.0, -1.0]  # cache, logs
+policy = QPolicy(q=TabularQ(state_index={tuple(state.tolist()): 0}, q=q, gamma=0.9))
+iv = intervene(policy, state, list(zip(steps[1].candidate_entities, candidates)), CeConfig())
 print("\n== a policy's intervention on turn 1 (candidates cache, logs) ==")
 print("probabilities:", {e.name: round(p, 4) for e, p in iv.probs.items()})
 print("prompt hint  :", render_suggestion_text(iv.suggestions))

@@ -58,7 +58,7 @@ corr = np.corrcoef(predicted, returns)[0, 1]
 print(f"corr(predicted return, true return) = {corr:.3f}")
 
 print("\n== relabeling a trajectory with the learned per-turn reward ==")
-dense = relabel(trajs[0], net, mode="irl")
-sparse = relabel(trajs[0], mode="sparse", outcome=scores[0])
-print("irl   :", [f"{s.reward:+.2f}" for s in dense.steps])
-print("sparse:", [f"{s.reward:+.2f}" for s in sparse.steps])
+dense = relabel([trajs[0]], net, mode="irl")
+sparse = relabel([trajs[0]], mode="sparse", outcome=scores[0])
+print("irl   :", [f"{r:+.2f}" for r in dense.rewards])
+print("sparse:", [f"{r:+.2f}" for r in sparse.rewards])

@@ -12,10 +12,8 @@ from twinmdp import (
     ScenarioConfig,
     SchemeSpec,
     abstract,
-    augment_with_hmm,
     fit_hmm,
     generate_scenario,
-    hmm_observations,
     run_episode,
     viterbi_decode,
 )
@@ -26,14 +24,14 @@ scn_cfg = ScenarioConfig(n_nodes=12, edge_density=0.08, chain_length=4,
 ep_cfg = EpisodeConfig(max_turns=10, epsilon=0.4)
 
 print("== simulating 40 episodes and abstracting their feature sequences ==")
-trajectories = []
+episodes, graphs = [], {}
 for seed in rng_seeds:
     scn = generate_scenario(scn_cfg, seed=seed, scenario_id=f"s{seed}")
-    res = run_episode(scn, None, ep_cfg, seed=seed)
-    spec = SchemeSpec(kind="topology", unreachable_sentinel=12.0)
-    trajectories.append(abstract(res.trajectory, spec, scn.graph))
+    episodes.append(run_episode(scn, None, ep_cfg, seed=seed).trajectory)
+    graphs[scn.scenario_id] = scn.graph
+tables = abstract(episodes, SchemeSpec(kind="topology", unreachable_sentinel=12.0), graphs)
 
-sequences = [hmm_observations(t) for t in trajectories]
+sequences = tables.observations()
 dims = sequences[0].shape[1]
 print(f"{len(sequences)} sequences, {dims}-dimensional observations "
       "(state features ++ action features)")
@@ -51,7 +49,11 @@ print("\n== decoding one walk ==")
 path = viterbi_decode(model, sequences[0])
 print("hidden phase per turn:", path)
 
-augmented = augment_with_hmm(trajectories[0], model)
-print("\nstate vector before:", trajectories[0].steps[0].state.tolist())
-print("state vector after :", augmented.steps[0].state.tolist(),
-      "(1-hot decoded phase appended)")
+print("\n== the decoded phase as columns of the DT-MDP's state table ==")
+augmented = tables.with_hidden_states(model)
+first = slice(*tables.step_offsets[:2])
+print("state rows before:", tables.states[tables.state_id[first]].tolist())
+print("state rows after :", augmented.states[augmented.state_id[first]].tolist())
+print("appended 1-hot columns, per turn:", np.argmax(
+    augmented.states[augmented.state_id[first], -model.n_states:], axis=1).tolist())
+print(f"distinct states: {len(tables.states)} -> {len(augmented.states)}")

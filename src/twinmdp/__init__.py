@@ -15,9 +15,7 @@ from .abstraction import (
     SchemeSpec,
     TopologyFeaturizer,
     abstract,
-    augment_with_hmm,
     build_vocabulary,
-    hmm_observations,
     load_abstract_corpus,
     pack_corpus,
     save_abstract_corpus,

@@ -1,4 +1,4 @@
-"""Deterministic abstraction of raw trajectories into finite MDP views.
+"""Deterministic abstraction of raw trajectories into the DT-MDP's finite tables.
 
 Three representation schemes:
 
@@ -14,15 +14,18 @@ Three representation schemes:
 The state at turn t reflects the agent's knowledge *before* acting, i.e. the
 cumulative assessments recorded at turn t-1 (empty at t = 0).
 
-``pack_corpus`` packs abstract trajectories into the finite tables of their
-DT-MDP (``MdpTables``): each distinct state and action row once, and per
-step the ids that name them. ``save_abstract_corpus`` writes the tables.
+``abstract`` reads raw trajectories one at a time into the finite tables of
+their DT-MDP (``MdpTables``): each distinct state and action row once, and
+per step the ids that name them. ``pack_corpus`` packs hand-built
+``AbstractTrajectory`` lists into the same tables, and
+``save_abstract_corpus`` writes them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
+from itertools import chain
 from pathlib import Path
 from typing import NamedTuple, TypeAlias, Union
 
@@ -39,7 +42,7 @@ from .errors import (
 )
 from .hmm import Hmm, viterbi_decode
 from .topology import TopologyGraph, all_distances_from, hubs_scores
-from .trajectories import Entity, JudgeScores, RawTrajectory, read_json, write_json
+from .trajectories import Entity, JudgeScores, read_json, write_json
 
 ASSESSMENT_CODE = {"primary": 2.0, "cascading": 1.0, "normal": 0.0}
 
@@ -90,27 +93,13 @@ class SchemeSpec:
         return {}
 
 
-def build_vocabulary(trajs, kind: str, graphs=()) -> tuple:
-    """Collect the sorted entity vocabulary for the name/nametype schemes."""
+def build_vocabulary(graphs, kind: str) -> tuple:
+    """The sorted entity vocabulary of the name/nametype schemes: the names,
+    or (name, etype) pairs, of the graphs' nodes."""
     if kind not in ("name", "nametype"):
         raise SchemeMismatch("vocabularies apply to name/nametype schemes")
-    keys = set()
-
-    def add(e: Entity):
-        keys.add(e.name if kind == "name" else (e.name, e.etype))
-
-    for traj in trajs:
-        add(traj.symptom_entity)
-        for step in traj.steps:
-            add(step.chosen_entity)
-            for c in step.candidate_entities:
-                add(c)
-            for e in step.assessments:
-                add(e)
-    for g in graphs:
-        for e in g.nodes:
-            add(e)
-    return tuple(sorted(keys))
+    return tuple(sorted({e.name if kind == "name" else (e.name, e.etype)
+                         for g in graphs for e in g.nodes}))
 
 
 @dataclass
@@ -237,74 +226,35 @@ class VocabularyFeaturizer:
 Featurizer: TypeAlias = Union[TopologyFeaturizer, VocabularyFeaturizer]
 
 
-def abstract(raw: RawTrajectory, spec: SchemeSpec,
-             graph: TopologyGraph | None = None) -> AbstractTrajectory:
-    """Map a raw trajectory into its abstract (state, action, reward) view.
-
-    ``graph`` is the trajectory's graph; the name schemes need none. The
-    features come from ``spec.featurizer(graph)``. Rewards initialize to 0;
-    reward learning relabels them later. Pure and deterministic: identical
-    inputs produce identical outputs.
-    """
-    featurizer = spec.featurizer(graph)
-    symptom = raw.symptom_entity
-    steps = []
-    previous = None
-    assessments: dict[Entity, str] = {}
-    for step in raw.steps:
-        state = featurizer.state_features(symptom, assessments)
-        cands = list(featurizer.action_features(step.candidate_entities, previous,
-                                                symptom, assessments))
-        action = cands[step.candidate_entities.index(step.chosen_entity)]
-        steps.append(AbstractStep(state=state, action=action, reward=0.0,
-                                  candidates=cands))
-        previous = step.chosen_entity
-        assessments = dict(step.assessments)
-    return AbstractTrajectory(
-        trajectory_id=raw.trajectory_id,
-        scenario_id=raw.scenario_id,
-        scheme=spec.kind,
-        steps=steps,
-        scores=raw.scores,
-    )
-
-
-# --- HMM hidden-state feature -------------------------------------------------
-
-def hmm_observations(traj: AbstractTrajectory) -> np.ndarray:
-    """Per-step observation for HMM fitting: state ++ action features.
-
-    Only meaningful for the topology scheme, whose actions are real vectors.
-    """
-    if traj.scheme != "topology":
-        raise SchemeMismatch("HMM observations require the topology scheme")
-    return np.stack(
-        [np.concatenate([s.state, np.asarray(s.action, dtype=float)])
-         for s in traj.steps]
-    )
-
-
-def augment_with_hmm(traj: AbstractTrajectory, hmm: Hmm) -> AbstractTrajectory:
-    """Append a 1-hot of the decoded hidden state to each step's state."""
-    obs = hmm_observations(traj)
-    if obs.shape[1] != hmm.n_features:
-        raise DimensionMismatch(
-            f"trajectory features ({obs.shape[1]}) do not match HMM emissions "
-            f"({hmm.n_features})"
-        )
-    path = viterbi_decode(hmm, obs)
-    steps = []
-    for step, z in zip(traj.steps, path):
-        onehot = np.zeros(hmm.n_states)
-        onehot[z] = 1.0
-        steps.append(replace(step, state=np.concatenate([step.state, onehot])))
-    return AbstractTrajectory(
-        trajectory_id=traj.trajectory_id,
-        scenario_id=traj.scenario_id,
-        scheme=traj.scheme,
-        steps=steps,
-        scores=traj.scores,
-    )
+def abstract(raws, spec: SchemeSpec, graphs, hmm: Hmm | None = None) -> MdpTables:
+    """The DT-MDP tables of the raw trajectories ``raws``, read one at a time,
+    under ``spec``: ``spec.featurizer(graph)``'s rows, ``graphs`` mapping
+    scenario ids to graphs (the name schemes need none), and rewards 0 until
+    reward learning relabels them. With ``hmm``, each state also gets its
+    decoded hidden state (``MdpTables.with_hidden_states``). Deterministic."""
+    states, cands, taken, counts, lengths, ids, scenario_ids, scores = ([] for _ in range(8))
+    for raw in raws:
+        featurizer = spec.featurizer(graphs.get(raw.scenario_id))
+        symptom, previous, assessments = raw.symptom_entity, None, {}
+        for step in raw.steps:
+            states.append(featurizer.state_features(symptom, assessments))
+            cands.append(featurizer.action_features(step.candidate_entities, previous, symptom,
+                                                    assessments))
+            taken.append(step.candidate_entities.index(step.chosen_entity))
+            counts.append(len(step.candidate_entities))
+            previous, assessments = step.chosen_entity, step.assessments
+        lengths.append(len(raw.steps))
+        ids.append(raw.trajectory_id)
+        scenario_ids.append(raw.scenario_id)
+        scores.append(raw.scores)
+    if spec.kind == "topology":
+        flat = np.concatenate(cands) if cands else _rows([])
+    else:
+        flat = np.fromiter(chain.from_iterable(cands), dtype=int)
+    taken = flat[_offsets(counts)[:-1] + np.array(taken, dtype=np.intp)]
+    tables = _pack(spec.kind, _rows(states), np.concatenate([taken, flat]), counts,
+                   np.zeros(len(states)), lengths, ids, scenario_ids, scores)
+    return tables if hmm is None or not lengths else tables.with_hidden_states(hmm)
 
 
 # --- the DT-MDP as finite tables --------------------------------------------------
@@ -381,6 +331,33 @@ class MdpTables:
     def with_rewards(self, rewards: np.ndarray) -> "MdpTables":
         return replace(self, rewards=np.asarray(rewards, dtype=float))
 
+    @property
+    def taken_id(self) -> np.ndarray:
+        """Each step's taken action, as its id among ``actions``."""
+        return self.cand_id[self.cand_offsets[:-1] + self.taken]
+
+    def observations(self) -> list[np.ndarray]:
+        """Each trajectory's HMM observations: per step its state row ++ its
+        taken action's feature row. Only the topology scheme has them."""
+        if self.scheme != "topology":
+            raise SchemeMismatch("HMM observations require the topology scheme")
+        rows = np.hstack([self.states[self.state_id], self.actions[self.taken_id]])
+        off = self.step_offsets.tolist()
+        return [rows[lo:hi] for lo, hi in zip(off, off[1:])]
+
+    def with_hidden_states(self, hmm: Hmm) -> "MdpTables":
+        """These tables with a 1-hot of each step's hidden state, decoded per
+        trajectory from its ``observations``, appended to its state row."""
+        sequences = self.observations()
+        width = self.states.shape[1] + self.actions.shape[1]
+        if width != hmm.n_features:
+            raise DimensionMismatch(
+                f"trajectory features ({width}) do not match HMM emissions ({hmm.n_features})")
+        path = [z for obs in sequences for z in viterbi_decode(hmm, obs)]
+        states, state_id = _distinct_rows(
+            np.hstack([self.states[self.state_id], np.eye(hmm.n_states)[path]]))
+        return replace(self, states=states, state_id=state_id, _decoded={})
+
     def __getitem__(self, j: int) -> AbstractTrajectory:
         """Trajectory j; its steps' objects are made once, on the first call."""
         if "steps" not in self._decoded:  # each step's state, action and candidates
@@ -446,11 +423,9 @@ def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def pack_corpus(trajs) -> MdpTables:
-    """Abstract trajectories as the tables of their DT-MDP; tables are returned
-    as they are. A step takes the first of its candidates that has its
-    action's bytes. A step without candidates raises MissingCandidateSets;
-    a trajectory without steps, a negative vocabulary id and an action none
-    of its candidates has raise MalformedRecord."""
+    """Abstract trajectories as the tables of their DT-MDP (``_pack``); tables
+    are returned as they are. A step without candidates raises
+    MissingCandidateSets, a trajectory without steps MalformedRecord."""
     if isinstance(trajs, MdpTables):
         return trajs
     trajs = list(trajs)
@@ -464,29 +439,59 @@ def pack_corpus(trajs) -> MdpTables:
                 raise MissingCandidateSets(
                     f"trajectory {traj.trajectory_id} turn {turn} has no candidates")
     steps = [s for t in trajs for s in t.steps]
-    n, index = len(steps), bool(steps) and isinstance(steps[0].action, (int, np.integer))
+    index = bool(steps) and isinstance(steps[0].action, (int, np.integer))
     acts = [s.action for s in steps] + [c for s in steps for c in s.candidates]
     try:
-        states, state_id = _distinct_rows(_rows([s.state for s in steps]))
-        actions, action_id = (np.unique(np.array(acts, dtype=int), return_inverse=True)
-                              if index else _distinct_rows(_rows(acts)))
+        states, acts = _rows([s.state for s in steps]), (np.array(acts, dtype=int) if index
+                                                          else _rows(acts))
     except ValueError as exc:
         raise MalformedRecord(f"abstract steps of unequal shapes: {exc}") from exc
-    if index and actions[0] < 0:  # the ids ascend
+    return _pack(trajs[0].scheme if trajs else "", states, acts,
+                 [len(s.candidates) for s in steps], [s.reward for s in steps],
+                 [len(t.steps) for t in trajs], [t.trajectory_id for t in trajs],
+                 [t.scenario_id for t in trajs], [t.scores for t in trajs])
+
+
+def concat_tables(parts) -> MdpTables:
+    """The trajectories of the tables ``parts``, one after another, as one."""
+    parts = [p for p in parts if len(p)] or [pack_corpus([])]
+
+    def cat(column) -> np.ndarray:
+        return np.concatenate([column(p) for p in parts])
+
+    return _pack(parts[0].scheme, cat(lambda p: p.states[p.state_id]),
+                 np.concatenate([cat(lambda p: p.actions[p.taken_id]),
+                                 cat(lambda p: p.actions[p.cand_id])]),
+                 cat(lambda p: np.diff(p.cand_offsets)), cat(lambda p: p.rewards),
+                 cat(lambda p: np.diff(p.step_offsets)), sum((p.trajectory_ids for p in parts), ()),
+                 sum((p.scenario_ids for p in parts), ()),
+                 list(map(JudgeScores, *(cat(lambda p, k=k: p.scores[k]) for k in range(2)))))
+
+
+def _pack(scheme: str, states: np.ndarray, acts: np.ndarray, cand_counts, rewards, lengths,
+          trajectory_ids, scenario_ids, scores) -> MdpTables:
+    """The tables of n steps given row by row: ``states``, each step's state
+    row; ``acts``, each step's taken action, then every step's candidates
+    (vocabulary ids, or feature rows); ``scores``, each trajectory's
+    JudgeScores. A step takes the first of its candidates with its action's
+    bytes; a negative id or an action none of them has is MalformedRecord."""
+    n, index = len(states), acts.ndim == 1
+    states, state_id = _distinct_rows(states)
+    actions, action_id = (np.unique(acts, return_inverse=True) if index
+                          else _distinct_rows(acts))
+    if index and len(actions) and actions[0] < 0:  # the ids ascend
         raise MalformedRecord(f"negative vocabulary id {actions[0]}")
-    cand_offsets = _offsets([len(s.candidates) for s in steps])
+    cand_offsets = _offsets(cand_counts)
     ids, off = action_id[n:].tolist(), cand_offsets.tolist()
     try:
         taken = [ids[lo:hi].index(a) for a, lo, hi in zip(action_id[:n].tolist(), off, off[1:])]
     except ValueError:
         raise MalformedRecord("taken action missing from its candidate set") from None
-    return MdpTables(
-        trajs[0].scheme if trajs else "", states, actions, state_id, cand_offsets,
-        action_id[n:], np.array(taken, dtype=np.intp),
-        np.array([s.reward for s in steps], dtype=float), _offsets([len(t.steps) for t in trajs]),
-        tuple(t.trajectory_id for t in trajs), tuple(t.scenario_id for t in trajs),
-        ScoreColumns(*(np.array([getattr(t.scores, name) for t in trajs], dtype=float)
-                       for name in ScoreColumns._fields)))
+    return MdpTables(scheme, states, actions, state_id, cand_offsets, action_id[n:],
+                     np.array(taken, dtype=np.intp), np.array(rewards, dtype=float),
+                     _offsets(lengths), tuple(trajectory_ids), tuple(scenario_ids),
+                     ScoreColumns(*(np.array([getattr(s, name) for s in scores], dtype=float)
+                                    for name in ScoreColumns._fields)))
 
 
 def save_abstract_corpus(trajs, path: str | Path) -> None:

@@ -257,8 +257,16 @@ def encode_action(actions: np.ndarray, encoding: dict) -> np.ndarray:
     if encoding["kind"] != "onehot":
         return actions
     acts = np.zeros((len(actions), encoding["size"]))
-    acts[np.arange(len(actions)), actions] = 1.0
+    acts[np.arange(len(actions)), _onehot_ids(actions, encoding["size"])] = 1.0
     return acts
+
+
+def _onehot_ids(ids: np.ndarray, size: int) -> np.ndarray:
+    """``ids``, each a column of a one-hot of ``size``, or DimensionMismatch."""
+    outside = ids[(ids < 0) | (ids >= size)]
+    if len(outside):
+        raise DimensionMismatch(f"action id {outside[0]} outside a one-hot encoding of size {size}")
+    return ids
 
 
 def distinct_pairs(corpus: MdpTables, state_id: np.ndarray, actions: np.ndarray,
@@ -274,8 +282,8 @@ def distinct_pairs(corpus: MdpTables, state_id: np.ndarray, actions: np.ndarray,
     """
     onehot = encoding["kind"] == "onehot"
     size = encoding["size"] if onehot else len(corpus.actions)
-    if onehot and len(actions) and not 0 <= actions.min() <= actions.max() < size:
-        raise DimensionMismatch(f"action ids outside a one-hot encoding of {size}")
+    if onehot:
+        _onehot_ids(actions, size)
     present, row_id = np.unique(state_id * size + (size - 1 - actions if onehot else actions),
                                return_inverse=True)
     state, rank = np.divmod(present, size)
@@ -300,7 +308,9 @@ def build_transitions(trajs) -> TransitionTable:
 # --- Q functions -------------------------------------------------------------------
 
 class TabularQ:
-    """Exact state-vector table over a fixed index action space."""
+    """Exact state-vector table over a fixed index action space. A state
+    outside ``state_index`` (row ``len(q)`` of ``cells``) and an id past the
+    columns, which training never saw, have the value 0; a negative id raises."""
 
     def __init__(self, state_index: dict, q: np.ndarray, gamma: float):
         self.state_index = state_index
@@ -314,20 +324,22 @@ class TabularQ:
     def state_id(self, state: np.ndarray) -> int | None:
         return self.state_index.get(tuple(np.asarray(state, dtype=float).tolist()))
 
-    def columns(self, candidates) -> np.ndarray:
-        """The candidates' ids as column indices, each one in range."""
+    @cached_property
+    def _padded(self) -> np.ndarray:
+        """``q`` with a zero row and a zero column appended."""
+        return np.pad(self.q, ((0, 1), (0, 1)))
+
+    def cells(self, rows, candidates) -> np.ndarray:
+        """The value of each (q row, candidate id); one row, or one per id."""
         ids = np.asarray(candidates, dtype=int)
-        outside = (ids < 0) | (ids >= self.n_actions)
-        if outside.any():
-            raise DimensionMismatch(f"action id {ids[outside][0]} outside the "
-                                    f"{self.n_actions} actions of a tabular Q")
-        return ids
+        if len(ids) and ids.min() < 0:
+            raise DimensionMismatch(f"action id {ids.min()} is negative: a tabular Q has no "
+                                    f"column for it")
+        return self._padded[rows, np.minimum(ids, self.n_actions)]
 
     def values(self, state: np.ndarray, candidates) -> np.ndarray:
         sid = self.state_id(state)
-        if sid is None:
-            return np.zeros(len(candidates))
-        return self.q[sid, self.columns(candidates)]
+        return self.cells(len(self.q) if sid is None else sid, candidates)
 
 
 class NetworkQ:

@@ -14,7 +14,7 @@ taken cell to the mean Bellman backup of the steps that take it
 (``TransitionTable.taken_means``), which is exact policy evaluation on the
 empirical MDP (model-based OPE). A cell that no logged step takes stays at
 0. The policy's probabilities are the served ones, ``policy_probs``, bit for
-bit, so a tabular policy rejects an id outside its columns here as well.
+bit: a tabular policy values a state or an id it never saw at 0 here as well.
 """
 
 from __future__ import annotations
@@ -101,10 +101,8 @@ def _flat_policy_probs(table: TransitionTable, policy: QPolicy) -> np.ndarray:
     tabular = isinstance(q, TabularQ)
     if tabular:
         index, sid = table.state_ids
-        unseen = len(q.q)  # the extra zero row
-        q_row = np.array([q.state_index.get(s, unseen) for s in index], dtype=int)[sid]
-        padded = np.vstack([q.q, np.zeros((1, q.n_actions))])
-        values = padded[q_row[table.cand_step], q.columns(table.candidates)]
+        q_row = np.array([q.state_index.get(s, len(q.q)) for s in index], dtype=int)[sid]
+        values = q.cells(q_row[table.cand_step], table.candidates)
     else:
         rows = q.encode(table.states[table.cand_step], table.candidates)
     counts = np.diff(off)

@@ -23,15 +23,12 @@ import yaml
 
 from .abstraction import (
     SCHEME_KINDS,
-    AbstractTrajectory,
     MdpTables,
     SchemeSpec,
     abstract,
-    augment_with_hmm,
     build_vocabulary,
-    hmm_observations,
+    concat_tables,
     load_abstract_corpus,
-    pack_corpus,
     save_abstract_corpus,
 )
 from .context import STRATEGIES, CeConfig
@@ -75,9 +72,9 @@ from .stats import (
     ranks_from_scores,
     render_cd_diagram,
 )
-from .trajectories import (atomic_open, atomic_write_text, corpus_writer,
-                           interning_entity_decoder, load_corpus, read_json, reading, write_json,
-                           write_jsonl)
+from .trajectories import (JudgeScores, atomic_open, atomic_write_text, corpus_writer,
+                           interning_entity_decoder, iter_corpus, node_decoder, read_json,
+                           reading, write_json, write_jsonl)
 
 # evaluate ranks the arms plus the baseline; the Nemenyi table covers up to 10 methods
 MAX_ARMS = max(NEMENYI_Q[0.05]) - 1
@@ -440,30 +437,26 @@ def resolve_sentinel(cfg: PipelineConfig) -> float:
 
 
 def stage_abstract(cfg: PipelineConfig, out: Path) -> dict:
-    """Abstract the raw corpus under the configured scheme."""
+    """Abstract the raw corpus under the configured scheme, one line at a time."""
     corpus_path, scenarios_path = _input_paths(cfg, out)
     _require([corpus_path, scenarios_path], "abstract")
     seed = derive_seed(cfg.master_seed, "abstract")
-    # one decoder: the corpus's entities are the graphs' node objects, so the
-    # featurizers' lookups stop at identity
     entity = interning_entity_decoder()
-    corpus = load_corpus(corpus_path, entity)
     graphs = {s.scenario_id: s.graph for s in load_scenarios(scenarios_path, entity)}
     sentinel = resolve_sentinel(cfg)
-    vocabulary: tuple = ()
-    if cfg.scheme_kind != "topology":
-        vocabulary = build_vocabulary(corpus, cfg.scheme_kind, graphs=graphs.values())
+    vocabulary = (() if cfg.scheme_kind == "topology"
+                  else build_vocabulary(graphs.values(), cfg.scheme_kind))
     spec = SchemeSpec(kind=cfg.scheme_kind, vocabulary=vocabulary,
                       with_hubs=cfg.with_hubs, unreachable_sentinel=sentinel)
-    abstracted = abstract_trajectories(corpus, spec, graphs)
+    # corpus entities are the graphs' node objects (lookups stop at identity), or errors
+    nodes = node_decoder(e for g in graphs.values() for e in g.nodes)
+    tables = abstract(iter_corpus(corpus_path, nodes), spec, graphs)
 
     outputs = []
-    hmm_model: Hmm | None = None
     chosen_states = cfg.hmm_states
     if cfg.with_hmm:
-        sequences = [hmm_observations(t) for t in abstracted]
-        hmm_model, chosen_states = _fit_or_select_hmm(cfg, sequences, seed)
-        abstracted = [augment_with_hmm(t, hmm_model) for t in abstracted]
+        hmm_model, chosen_states = _fit_or_select_hmm(cfg, tables.observations(), seed)
+        tables = tables.with_hidden_states(hmm_model)
         write_json(out / F_HMM, {
             "n_states": chosen_states,
             "initial": hmm_model.initial.tolist(),
@@ -473,7 +466,7 @@ def stage_abstract(cfg: PipelineConfig, out: Path) -> dict:
         }, "hmm model")
         outputs.append(out / F_HMM)
 
-    save_abstract_corpus(abstracted, out / F_ABSTRACT)
+    save_abstract_corpus(tables, out / F_ABSTRACT)
     write_json(out / F_SCHEME, {
         "kind": cfg.scheme_kind,
         "with_hubs": cfg.with_hubs,
@@ -485,17 +478,6 @@ def stage_abstract(cfg: PipelineConfig, out: Path) -> dict:
     outputs.extend([out / F_ABSTRACT, out / F_SCHEME])
     return _write_manifest(out, "abstract", cfg, seed,
                            [corpus_path, scenarios_path], outputs)
-
-
-def abstract_trajectories(trajs, spec: SchemeSpec, graphs,
-                          hmm: Hmm | None = None) -> list[AbstractTrajectory]:
-    """Abstract raw trajectories under ``spec``.
-
-    ``graphs`` maps scenario ids to their graphs; with ``hmm`` each view also
-    gets its decoded hidden state.
-    """
-    views = [abstract(traj, spec, graphs.get(traj.scenario_id)) for traj in trajs]
-    return views if hmm is None else [augment_with_hmm(v, hmm) for v in views]
 
 
 def _fit_or_select_hmm(cfg: PipelineConfig, sequences, seed: int) -> tuple[Hmm, int]:
@@ -603,8 +585,9 @@ def stage_train_reward(cfg: PipelineConfig, out: Path) -> dict:
     _require([out / F_ABSTRACT], "train_reward")
     seed = derive_seed(cfg.master_seed, "train_reward")
     train_trajs = read_split(cfg, out, train=["none"])[0]["none"]
+    scores = map(JudgeScores, *(column.tolist() for column in train_trajs.scores))
     pairs = build_pairs(
-        [(t, t.scores) for t in train_trajs],
+        list(zip(train_trajs.trajectory_ids, scores)),
         signal=cfg.irl_signal,
         margin=cfg.irl_margin,
         max_pairs=cfg.irl_max_pairs,
@@ -621,10 +604,6 @@ def _needed_reward_modes(cfg: PipelineConfig) -> list[str]:
     return sorted(modes - {"none"})
 
 
-def relabel_mode(traj: AbstractTrajectory | MdpTables, mode: str, net, blend: float):
-    return relabel(traj, net, mode, traj.scores.rce_identification, blend)
-
-
 def stage_relabel(cfg: PipelineConfig, out: Path) -> dict:
     modes = _needed_reward_modes(cfg)
     inputs = [out / F_ABSTRACT]
@@ -639,7 +618,8 @@ def stage_relabel(cfg: PipelineConfig, out: Path) -> dict:
     bounds = corpus.step_offsets.tolist()
     outputs = []
     for mode in modes:
-        rewards = relabel_mode(corpus, mode, net, cfg.combined_blend).rewards.tolist()
+        rewards = relabel(corpus, net, mode, corpus.scores.rce_identification,
+                          cfg.combined_blend).rewards.tolist()
         write_jsonl(out / rewards_file(mode), (
             {"rewards": rewards[lo:hi], "trajectory_id": tid}
             for tid, lo, hi in zip(corpus.trajectory_ids, bounds, bounds[1:])), "rewards")
@@ -891,11 +871,12 @@ def robustness_sweep(cfg: PipelineConfig, out: Path,
               out / F_SCHEME] + ([out / F_HMM] if cfg.with_hmm else []), "robustness_sweep")
     net = load_reward_net(out / F_REWARD)
     train, held_out = read_split(cfg, out, train=["none"], held_out=[mode])
-    pool = [t for t in train["none"] if t.scores.rce_identification >= 100.0]
+    train = train["none"]
+    pool = train.select(np.flatnonzero(train.scores.rce_identification >= 100.0))
 
     needed = max(counts)
     if len(pool) < needed:
-        pool = pool + _collect_extra_successes(cfg, out, needed - len(pool))
+        pool = concat_tables([pool, _collect_extra_successes(cfg, out, needed - len(pool))])
     if len(pool) < needed:
         raise StageFailed("robustness_sweep",
                           RuntimeError(f"only {len(pool)} successful trajectories"))
@@ -907,7 +888,7 @@ def robustness_sweep(cfg: PipelineConfig, out: Path,
 
     policies = []
     for count in counts:
-        subset = pack_corpus([pool[i] for i in order[:count]])
+        subset = pool.select(order[:count])
         train_cfg = replace(cfg.rl_train,
                             seed=derive_seed(cfg.master_seed, "robustness_sweep", count))
         policies += [QPolicy(q=cql_train(relabel(subset, net, mode="irl"), train_cfg),
@@ -925,7 +906,7 @@ def robustness_sweep(cfg: PipelineConfig, out: Path,
     return report
 
 
-def _collect_extra_successes(cfg: PipelineConfig, out: Path, shortfall: int) -> list:
+def _collect_extra_successes(cfg: PipelineConfig, out: Path, shortfall: int) -> MdpTables:
     """Top up the successful-trajectory pool from the training scenarios."""
     _, scenarios_path = _input_paths(cfg, out)
     scenarios = load_scenarios(scenarios_path)
@@ -948,7 +929,7 @@ def _collect_extra_successes(cfg: PipelineConfig, out: Path, shortfall: int) -> 
             method_id=f"sweep-extra-{round_no}", record=keep_success,
         )
     graphs = {s.scenario_id: s.graph for s in train_scns}
-    return abstract_trajectories(successes, spec, graphs, hmm_model)
+    return abstract(successes, spec, graphs, hmm_model)
 
 
 # the stages in run order

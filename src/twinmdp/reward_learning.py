@@ -54,7 +54,7 @@ def build_pairs(
 ) -> list[PreferencePair]:
     """All ordered preferences whose score gap exceeds the margin.
 
-    ``trajs`` is a sequence of (AbstractTrajectory, JudgeScores). When more
+    ``trajs`` is a sequence of (item, JudgeScores), read for the scores. When more
     pairs exist than max_pairs, a seeded uniform subsample is returned
     (stable order). An empty result is legitimate: equal scores prefer
     nothing.
@@ -115,8 +115,7 @@ class StepRows:
         if isinstance(trajs, StepRows):
             return trajs
         corpus = pack_corpus(trajs)
-        actions = corpus.cand_id[corpus.cand_offsets[:-1] + corpus.taken]
-        encoding = {"kind": "features"}
+        actions, encoding = corpus.taken_id, {"kind": "features"}
         if corpus.index_actions:
             actions = corpus.actions[actions]
             encoding = {"kind": "onehot", "size": corpus.states.shape[1]}
@@ -303,29 +302,23 @@ def train_reward(pairs, trajs, config: RewardTrainConfig = RewardTrainConfig()) 
 RELABEL_MODES = ("irl", "sparse", "combined")
 
 
-def relabel(
-    traj: AbstractTrajectory | MdpTables,
-    net: Mlp | None = None,
-    mode: str = "irl",
-    outcome: float | np.ndarray | None = None,
-    blend: float = 1.0,
-) -> AbstractTrajectory | MdpTables:
-    """Replace step rewards.
+def relabel(trajs, net: Mlp | None = None, mode: str = "irl",
+            outcome: float | np.ndarray | None = None, blend: float = 1.0) -> MdpTables:
+    """The packed corpus ``trajs`` (MdpTables, or abstract trajectories to
+    pack) with its reward column replaced.
 
     irl       r_t = r(s_t, a_t) for every turn
     sparse    r_t = 0 except the final turn, which gets outcome / 100
     combined  irl rewards plus blend * outcome / 100 added to the final turn
 
-    ``outcome`` is on the judges' 0-100 scale and is rescaled to [0, 1].
-    ``traj`` is one AbstractTrajectory, or a packed corpus (MdpTables) whose
-    reward column is replaced, with one ``outcome`` per trajectory. The irl
-    rewards of a trajectory are the forward of its (T, d) rows; the
-    trajectories of one length share one stacked forward, whose slices are
-    those forwards bit for bit.
+    ``outcome`` is on the judges' 0-100 scale and is rescaled to [0, 1], one
+    per trajectory. The irl rewards of a trajectory are the forward of its
+    (T, d) rows; the trajectories of one length share one stacked forward,
+    whose slices are those forwards bit for bit.
     """
     if mode not in RELABEL_MODES:
         raise MalformedRecord(f"unknown relabel mode {mode!r}")
-    corpus = traj if isinstance(traj, MdpTables) else pack_corpus([traj])
+    corpus = pack_corpus(trajs)
     starts, lengths = corpus.step_offsets[:-1], np.diff(corpus.step_offsets)
     if not lengths.all():
         raise MalformedRecord("relabeling needs a final turn in every trajectory")
@@ -347,9 +340,7 @@ def relabel(
             raise MalformedRecord(f"{mode} relabeling needs an outcome score")
         scale = blend if mode == "combined" else 1.0
         rewards[starts + lengths - 1] += scale * np.asarray(outcome, dtype=float) / 100.0
-
-    relabeled = corpus.with_rewards(rewards)
-    return relabeled if corpus is traj else relabeled[0]
+    return corpus.with_rewards(rewards)
 
 
 # --- persistence ------------------------------------------------------------------

@@ -522,4 +522,4 @@ def load_scenarios(path: str | Path, entity=entity_from_json) -> list[SimScenari
     """The scenarios at ``path``; ``entity`` decodes each graph node (an
     ``interning_entity_decoder`` shared with ``load_corpus`` makes the
     corpus's entities the graphs' node objects)."""
-    return read_jsonl(path, "scenarios", lambda obj: scenario_from_json(obj, entity))
+    return list(read_jsonl(path, "scenarios", lambda obj: scenario_from_json(obj, entity)))

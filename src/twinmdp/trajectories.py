@@ -182,7 +182,21 @@ def interning_entity_decoder():
     decoded entities stay on identity. Pass one decoder to ``load_corpus``
     and ``load_scenarios`` to share the objects between their results."""
     seen: dict[tuple[str, str], Entity] = {}
+    return _entity_decoder(seen, lambda e: seen.setdefault(tuple(e), e))
 
+
+def node_decoder(nodes):
+    """``entity_from_json`` onto the graph nodes ``nodes``: each entity object
+    decodes to the node equal to it, and an entity that is no node raises
+    MalformedRecord."""
+    def unknown(e: Entity):
+        raise MalformedRecord(f"entity ({e.name}, {e.etype}) is a node of no scenario graph")
+
+    return _entity_decoder({tuple(e): e for e in nodes}, unknown)
+
+
+def _entity_decoder(seen: dict, new):
+    """Entities in ``seen`` by (name, etype), others validated and passed to ``new``."""
     def decode(obj) -> Entity:
         if type(obj) is dict and len(obj) == 2:
             try:  # a hit has exactly the fields of an entity validated before
@@ -191,9 +205,7 @@ def interning_entity_decoder():
                 hit = None
             if hit is not None:
                 return hit
-        e = entity_from_json(obj)
-        seen[tuple(e)] = e
-        return e
+        return new(entity_from_json(obj))
 
     return decode
 
@@ -359,8 +371,8 @@ class reading:
     """Reads of the ``what`` at ``path``: an OSError becomes IoFailure, and
     invalid JSON, a missing or mistyped field, or parts whose sizes disagree
     (DimensionMismatch) become MalformedRecord; both name the file. With
-    ``line``, a MalformedRecord or other CorpusError also carries that
-    1-based line of the file.
+    ``line``, a MalformedRecord or other CorpusError also names the file and
+    carries that 1-based line of it.
 
     A class, not a generator context manager: JSON-lines readers enter one
     per line, and this costs a fraction of a generator's set-up."""
@@ -377,7 +389,7 @@ class reading:
         if isinstance(exc, CorpusError):
             if self.line is None or exc.line is not None:
                 return False
-            raise type(exc)(str(exc), line=self.line) from exc
+            raise type(exc)(f"{self.what} {self.path}: {exc}", line=self.line) from exc
         if isinstance(exc, (AttributeError, DimensionMismatch, KeyError, TypeError,
                             ValueError)):
             raise MalformedRecord(f"malformed {self.what} {self.path}: "
@@ -396,36 +408,36 @@ def read_json(path: str | Path, what: str, decode=lambda obj: obj, version=None)
         return decode(obj)
 
 
-def read_jsonl(path: str | Path, what: str, decode) -> list:
-    """``decode`` of each non-blank line of the JSON-lines file at ``path``;
-    the error of a malformed line names its 1-based line."""
-    with reading(path, what):
-        lines = Path(path).read_text().splitlines()
-    decoded = []
-    for lineno, line in enumerate(lines, start=1):
-        if line.strip():
-            with reading(path, what, lineno):
-                decoded.append(decode(json.loads(line)))
-    return decoded
+def read_jsonl(path: str | Path, what: str, decode):
+    """``decode`` of each non-blank line of the JSON-lines file at ``path``,
+    one line read at a time; the error of a malformed line names its
+    1-based line."""
+    with reading(path, what), Path(path).open() as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if line.strip():
+                with reading(path, what, lineno):
+                    record = decode(json.loads(line))
+                yield record
 
 
-def load_corpus(path: str | Path, entity=None) -> list[RawTrajectory]:
-    """Load and validate a line-delimited trajectory corpus (``read_jsonl``).
-
-    Raises the first validation error encountered, annotated with the
-    1-based line number. Duplicate trajectory_ids only warn: ids are labels,
-    not keys. ``entity`` decodes each entity object; by default a new
-    ``interning_entity_decoder``.
-    """
-    entity = entity or interning_entity_decoder()
-    trajectories = read_jsonl(path, "corpus", lambda obj: trajectory_from_json(obj, entity))
+def iter_corpus(path: str | Path, entity):
+    """The trajectories of a line-delimited corpus, each validated as its line
+    is read (``read_jsonl``); duplicate trajectory_ids only warn, as ids are
+    labels, not keys. ``entity`` decodes each entity object (an
+    ``interning_entity_decoder``, or a ``node_decoder``)."""
     seen_ids: set[str] = set()
-    for traj in trajectories:
+    for traj in read_jsonl(path, "corpus", lambda obj: trajectory_from_json(obj, entity)):
         if traj.trajectory_id in seen_ids:
             warnings.warn(f"duplicate trajectory_id {traj.trajectory_id!r} in corpus {path}",
                           stacklevel=2)
         seen_ids.add(traj.trajectory_id)
-    return trajectories
+        yield traj
+
+
+def load_corpus(path: str | Path, entity=None) -> list[RawTrajectory]:
+    """Every trajectory of a line-delimited corpus (``iter_corpus``), as a
+    list; ``entity`` is by default a new ``interning_entity_decoder``."""
+    return list(iter_corpus(path, entity or interning_entity_decoder()))
 
 
 @contextmanager

@@ -663,6 +663,43 @@ def step_rows_by_bytes(trajs) -> dict:
             "offsets": np.cumsum([0] + [len(r) for r in encoded])}
 
 
+# --- abstraction one trajectory at a time, before the table builder ----------------------
+
+def abstract_per_trajectory(raws, spec, graphs, hmm=None) -> list:
+    """Each raw trajectory as an AbstractTrajectory, built as ``abstract``
+    built it before it streamed into tables: per step the featurizer's state
+    and candidate rows, the chosen entity's row as the action and reward 0;
+    with ``hmm``, a 1-hot of each step's Viterbi state on the trajectory's
+    (state ++ action) observations appended to its state. ``pack_corpus`` of
+    the result is the tables that the per-trajectory construction gave."""
+    from twinmdp.abstraction import AbstractStep, AbstractTrajectory
+    from twinmdp.hmm import viterbi_decode
+
+    views = []
+    for raw in raws:
+        featurizer = spec.featurizer(graphs.get(raw.scenario_id))
+        steps, previous, assessments = [], None, {}
+        for step in raw.steps:
+            state = featurizer.state_features(raw.symptom_entity, assessments)
+            cands = list(featurizer.action_features(step.candidate_entities, previous,
+                                                    raw.symptom_entity, assessments))
+            action = cands[step.candidate_entities.index(step.chosen_entity)]
+            steps.append(AbstractStep(state=state, action=action, reward=0.0, candidates=cands))
+            previous, assessments = step.chosen_entity, dict(step.assessments)
+        if hmm is not None:
+            obs = np.stack([np.concatenate([s.state, np.asarray(s.action, dtype=float)])
+                            for s in steps])
+            augmented = []
+            for s, z in zip(steps, viterbi_decode(hmm, obs)):
+                onehot = np.zeros(hmm.n_states)
+                onehot[z] = 1.0
+                augmented.append(replace(s, state=np.concatenate([s.state, onehot])))
+            steps = augmented
+        views.append(AbstractTrajectory(raw.trajectory_id, raw.scenario_id, spec.kind, steps,
+                                        raw.scores))
+    return views
+
+
 # --- the closed loop as it ran before it streamed its corpus ------------------------------
 
 def _held_batch(scenarios, plan, episode_cfg, trials, master_seed, method_id) -> list:

@@ -1,17 +1,18 @@
 import json
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
-from oracles import floyd_warshall, min_dist_to_label_loop
+from oracles import (abstract_per_trajectory, abstract_tables_via_dicts, floyd_warshall,
+                     min_dist_to_label_loop)
 from twinmdp.abstraction import (
+    MdpTables,
     SchemeSpec,
     TopologyFeaturizer,
     abstract,
-    augment_with_hmm,
     build_vocabulary,
-    hmm_observations,
+    concat_tables,
     load_abstract_corpus,
     pack_corpus,
     save_abstract_corpus,
@@ -23,11 +24,17 @@ from twinmdp.errors import (
     SchemeMismatch,
     UnknownEntity,
 )
-from twinmdp.hmm import Hmm, viterbi_decode
+from twinmdp.hmm import Hmm, fit_hmm, viterbi_decode
+from twinmdp.simulator import EpisodeConfig, ScenarioConfig, generate_scenario, run_batch
 from twinmdp.topology import make_graph
 from twinmdp.trajectories import Entity, JudgeScores, RawStep, RawTrajectory
 
 TOPOLOGY = SchemeSpec(kind="topology")
+
+
+def view(raw, spec, graph=None):
+    """The one trajectory ``raw`` on ``graph``, abstracted, as an AbstractTrajectory."""
+    return abstract([raw], spec, {raw.scenario_id: graph})[0]
 
 
 def chain_graph(n=5):
@@ -78,7 +85,7 @@ class TestNameSchemes:
                              symptom_entity=a, steps=steps,
                              scores=JudgeScores(0.0, 0.0))
         spec = SchemeSpec(kind="name", vocabulary=("a", "b"))
-        out = abstract(traj, spec)
+        out = view(traj, spec)
         assert out.steps[0].state.tolist() == [0.0, 0.0]  # nothing known yet
         assert out.steps[1].state.tolist() == [2.0, 0.0]
         assert out.steps[0].action == 0
@@ -96,12 +103,13 @@ class TestNameSchemes:
         )
         traj = RawTrajectory(trajectory_id="t", scenario_id="s", symptom_entity=pod,
                              steps=steps, scores=JudgeScores(0.0, 0.0))
-        vocab = build_vocabulary([traj], "nametype")
+        graph = make_graph([svc, pod], [(svc, pod)])
+        vocab = build_vocabulary([graph], "nametype")
         assert vocab == (("x", "Pod"), ("x", "Service"))
-        out = abstract(traj, SchemeSpec(kind="nametype", vocabulary=vocab))
+        out = view(traj, SchemeSpec(kind="nametype", vocabulary=vocab))
         assert out.steps[1].state.tolist() == [2.0, 0.0]
         # the name scheme collapses both under one entry
-        name_vocab = build_vocabulary([traj], "name")
+        name_vocab = build_vocabulary([graph], "name")
         assert name_vocab == ("x",)
 
     def test_unknown_entity_rejected(self):
@@ -110,7 +118,7 @@ class TestNameSchemes:
         traj = RawTrajectory(trajectory_id="t", scenario_id="s", symptom_entity=a,
                              steps=steps, scores=JudgeScores(0.0, 0.0))
         with pytest.raises(EntityNotInVocabulary):
-            abstract(traj, SchemeSpec(kind="name", vocabulary=("b",)))
+            view(traj, SchemeSpec(kind="name", vocabulary=("b",)))
 
 
 class TestTopologyScheme:
@@ -118,7 +126,7 @@ class TestTopologyScheme:
         # chain n0 -> n1 -> n2 -> n3 -> n4, diameter 4, sentinel 5
         nodes, graph = chain_graph()
         traj = chain_trajectory(nodes)
-        out = abstract(traj, TOPOLOGY, graph)
+        out = view(traj, TOPOLOGY, graph)
 
         # turn 0: nothing assessed, no previous entity
         assert out.steps[0].state.tolist() == [5.0, 5.0]
@@ -134,7 +142,7 @@ class TestTopologyScheme:
     def test_turn_zero_unlabeled_gives_sentinels_except_symptom_distance(self):
         nodes, graph = chain_graph()
         traj = chain_trajectory(nodes)
-        out = abstract(traj, TOPOLOGY, graph)
+        out = view(traj, TOPOLOGY, graph)
         feats = np.asarray(out.steps[0].action)
         assert feats[1] == 0.0  # the chosen entity IS the symptom here
         assert feats[0] == feats[2] == feats[3] == 5.0
@@ -143,7 +151,7 @@ class TestTopologyScheme:
         nodes, graph = chain_graph()
         traj = chain_trajectory(nodes)
         spec = SchemeSpec(kind="topology", with_hubs=True)
-        out = abstract(traj, spec, graph)
+        out = view(traj, spec, graph)
         # chain hubs: 0.5 for the four sources, 0 for the sink n4
         assert np.asarray(out.steps[0].action)[-1] == pytest.approx(0.0, abs=1e-9)
         assert np.asarray(out.steps[1].action)[-1] == pytest.approx(0.5, abs=1e-9)
@@ -151,8 +159,8 @@ class TestTopologyScheme:
     def test_determinism(self):
         nodes, graph = chain_graph()
         traj = chain_trajectory(nodes)
-        a = abstract(traj, TOPOLOGY, graph)
-        b = abstract(traj, TOPOLOGY, graph)
+        a = view(traj, TOPOLOGY, graph)
+        b = view(traj, TOPOLOGY, graph)
         for sa, sb in zip(a.steps, b.steps):
             assert np.array_equal(sa.state, sb.state)
             assert np.array_equal(np.asarray(sa.action), np.asarray(sb.action))
@@ -195,7 +203,7 @@ class TestTopologyScheme:
                              symptom_entity=nodes[4], steps=steps,
                              scores=JudgeScores(0.0, 0.0))
         with pytest.raises(EntityNotInGraph):
-            abstract(traj, TOPOLOGY, graph)
+            view(traj, TOPOLOGY, graph)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_min_dist_to_label_equals_the_dense_loop(self, seed):
@@ -235,14 +243,14 @@ class TestTopologyScheme:
     def test_featurizer_needs_the_graph(self):
         nodes, _ = chain_graph()
         with pytest.raises(MalformedRecord):
-            abstract(chain_trajectory(nodes), TOPOLOGY)
+            abstract([chain_trajectory(nodes)], TOPOLOGY, {})
 
     def test_features_nonnegative_and_sentinel_exceeds_diameter(self):
         nodes, graph = chain_graph()
         traj = chain_trajectory(nodes)
         feat = TopologyFeaturizer(graph)
         assert feat.sentinel == 5.0
-        out = abstract(traj, TOPOLOGY, graph)
+        out = view(traj, TOPOLOGY, graph)
         for step in out.steps:
             assert np.all(step.state >= 0)
             assert np.all(np.asarray(step.action) >= 0)
@@ -251,22 +259,23 @@ class TestTopologyScheme:
 class TestHmmAugmentation:
     def test_single_state_appends_constant(self):
         nodes, graph = chain_graph()
-        traj = abstract(chain_trajectory(nodes), TOPOLOGY, graph)
-        obs = hmm_observations(traj)
+        tables = abstract([chain_trajectory(nodes)], TOPOLOGY, {"scn": graph})
+        (obs,) = tables.observations()
         model = Hmm(
             initial=np.array([1.0]), transition=np.array([[1.0]]),
             means=obs.mean(axis=0, keepdims=True),
             variances=np.ones((1, obs.shape[1])),
         )
-        out = augment_with_hmm(traj, model)
-        for step in out.steps:
+        out = tables.with_hidden_states(model)
+        assert out.states.shape == (len(tables.states), tables.states.shape[1] + 1)
+        for step, before in zip(out[0].steps, tables[0].steps):
             assert step.state[-1] == 1.0
-            assert step.state.shape[0] == traj.steps[0].state.shape[0] + 1
+            assert step.state[:-1].tolist() == before.state.tolist()
 
     def test_onehot_matches_decoder_output(self):
         nodes, graph = chain_graph()
-        traj = abstract(chain_trajectory(nodes), TOPOLOGY, graph)
-        obs = hmm_observations(traj)
+        tables = abstract([chain_trajectory(nodes)], TOPOLOGY, {"scn": graph})
+        (obs,) = tables.observations()
         rng = np.random.default_rng(0)
         model = Hmm(
             initial=np.array([0.5, 0.5]),
@@ -275,24 +284,30 @@ class TestHmmAugmentation:
             variances=np.ones((2, obs.shape[1])),
         )
         path = viterbi_decode(model, obs)
-        out = augment_with_hmm(traj, model)
-        for step, z in zip(out.steps, path):
+        out = tables.with_hidden_states(model)
+        for step, z in zip(out[0].steps, path):
             onehot = step.state[-2:]
             assert onehot[z] == 1.0 and onehot.sum() == 1.0
+
+    def test_the_observations_are_the_state_and_taken_action_rows(self):
+        nodes, graph = chain_graph()
+        tables = abstract([chain_trajectory(nodes)] * 2, TOPOLOGY, {"scn": graph})
+        for obs, traj in zip(tables.observations(), tables):
+            assert obs.tolist() == [[*s.state.tolist(), *s.action.tolist()] for s in traj.steps]
 
     def test_requires_topology_scheme(self):
         a = Entity(name="a", etype="Pod")
         steps = (RawStep(turn_index=0, chosen_entity=a, candidate_entities=(a,)),)
         traj = RawTrajectory(trajectory_id="t", scenario_id="s", symptom_entity=a,
                              steps=steps, scores=JudgeScores(0.0, 0.0))
-        out = abstract(traj, SchemeSpec(kind="name", vocabulary=("a",)))
+        out = abstract([traj], SchemeSpec(kind="name", vocabulary=("a",)), {})
         with pytest.raises(SchemeMismatch):
-            hmm_observations(out)
+            out.observations()
 
 
 def test_abstract_corpus_round_trip(tmp_path):
     nodes, graph = chain_graph()
-    traj = abstract(chain_trajectory(nodes), TOPOLOGY, graph)
+    traj = view(chain_trajectory(nodes), TOPOLOGY, graph)
     path = tmp_path / "abstract.jsonl"
     save_abstract_corpus([traj], path)
     loaded = load_abstract_corpus(path)
@@ -311,7 +326,7 @@ def test_abstract_corpus_round_trip(tmp_path):
 @pytest.mark.parametrize("damage", ["truncated", "missing_field"])
 def test_damaged_abstract_corpus_raises_malformed_record_naming_it(tmp_path, damage):
     nodes, graph = chain_graph()
-    traj = abstract(chain_trajectory(nodes), TOPOLOGY, graph)
+    traj = view(chain_trajectory(nodes), TOPOLOGY, graph)
     path = tmp_path / "abstract_corpus.jsonl"
     save_abstract_corpus([traj, traj], path)
     text = path.read_text()
@@ -329,7 +344,7 @@ def test_damaged_abstract_corpus_raises_malformed_record_naming_it(tmp_path, dam
 def test_tables_that_do_not_fit_together_raise_malformed_record_naming_the_file(tmp_path,
                                                                                 damage):
     nodes, graph = chain_graph()
-    traj = abstract(chain_trajectory(nodes), TOPOLOGY, graph)
+    traj = view(chain_trajectory(nodes), TOPOLOGY, graph)
     path = tmp_path / "abstract_corpus.jsonl"
     save_abstract_corpus([traj, traj], path)
     assert len(load_abstract_corpus(path)) == 2
@@ -359,7 +374,7 @@ NAME = SchemeSpec(kind="name", vocabulary=("n0", "n1", "n2", "n3", "n4"))
 @pytest.mark.parametrize("damage", ["empty_trajectory", "negative_vocabulary_id"])
 def test_an_empty_trajectory_or_a_negative_id_in_the_file_is_malformed(tmp_path, damage):
     nodes, _ = chain_graph()
-    traj = abstract(chain_trajectory(nodes), NAME)
+    traj = view(chain_trajectory(nodes), NAME)
     path = tmp_path / "abstract_corpus.jsonl"
     save_abstract_corpus([traj, traj], path)
     obj = json.loads(path.read_text())
@@ -377,9 +392,64 @@ def test_an_empty_trajectory_or_a_negative_id_in_the_file_is_malformed(tmp_path,
 
 def test_packing_an_empty_trajectory_or_a_negative_id_is_malformed():
     nodes, _ = chain_graph()
-    traj = abstract(chain_trajectory(nodes), NAME)
+    traj = view(chain_trajectory(nodes), NAME)
     with pytest.raises(MalformedRecord, match="no steps"):
         pack_corpus([traj, replace(traj, steps=[])])
     step = replace(traj.steps[2], action=-1, candidates=[-1, 0])
     with pytest.raises(MalformedRecord, match="negative vocabulary id"):
         pack_corpus([replace(traj, steps=[*traj.steps[:2], step])])
+
+
+@pytest.fixture(scope="module")
+def episodes():
+    """Logged episodes of four simulated scenarios, and the scenarios' graphs."""
+    scns = [generate_scenario(ScenarioConfig(n_nodes=10, edge_density=0.1, chain_length=3,
+                                             evidence_noise=0.05), seed=s, scenario_id=f"s{s}")
+            for s in range(4)]
+    raws = []
+    run_batch(scns, None, EpisodeConfig(max_turns=6, epsilon=0.5), trials=6, master_seed=3,
+              record=raws.append)
+    return raws, {scn.scenario_id: scn.graph for scn in scns}
+
+
+@pytest.mark.parametrize("scheme", ["name", "nametype", "topology", "topology_hubs_hmm"])
+def test_the_builder_gives_the_tables_of_the_per_trajectory_views(episodes, scheme):
+    raws, graphs = episodes
+    hmm = None
+    if scheme in ("name", "nametype"):
+        spec = SchemeSpec(kind=scheme, vocabulary=build_vocabulary(graphs.values(), scheme))
+    else:
+        enriched = scheme == "topology_hubs_hmm"
+        spec = SchemeSpec(kind="topology", with_hubs=enriched, with_hmm=enriched,
+                          unreachable_sentinel=11.0)
+        if enriched:
+            hmm, _ = fit_hmm([np.stack([np.concatenate([s.state, s.action]) for s in v.steps])
+                              for v in abstract_per_trajectory(raws, spec, graphs)], 3, seed=0)
+    got = abstract(iter(raws), spec, graphs, hmm)
+    views = abstract_per_trajectory(raws, spec, graphs, hmm)
+    assert json.dumps(got.to_json(), sort_keys=True) == abstract_tables_via_dicts(views)
+    want = pack_corpus(views)
+    for f in fields(MdpTables):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if isinstance(a, np.ndarray):
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+        elif f.name == "scores":
+            assert all(x.tobytes() == y.tobytes() for x, y in zip(a, b))
+        elif f.name != "_decoded":
+            assert a == b, f.name
+    if hmm is not None:  # the hidden states split some states apart
+        assert got.states.shape[1] == 2 + hmm.n_states
+        assert len(got.states) > len(abstract(raws, spec, graphs).states)
+
+
+@pytest.mark.parametrize("kind", ["nametype", "topology"])
+def test_concatenated_tables_are_the_tables_of_the_joined_corpus(episodes, kind):
+    raws, graphs = episodes
+    spec = SchemeSpec(kind=kind, vocabulary=build_vocabulary(graphs.values(), kind)
+                      if kind != "topology" else ())
+    whole = abstract(raws, spec, graphs)
+    empty = abstract([], spec, graphs)
+    assert len(empty) == 0
+    parts = [abstract(raws[:7], spec, graphs), empty, abstract(raws[7:], spec, graphs)]
+    assert concat_tables(parts).to_json() == whole.to_json()
+    assert concat_tables([empty, whole]).to_json() == whole.to_json()

@@ -567,15 +567,30 @@ class TestPolicyProbs:
         direct = policy_probs(policy, np.array([0.0]), [0, 1])
         assert np.allclose(direct, policy.probs(np.array([0.0]), [0, 1]))
 
-    def test_id_outside_the_columns_raises_dimension_mismatch(self):
-        # ids past the largest one trained on, or negative, have no column
+    def test_an_id_past_the_columns_is_worth_zero_and_a_negative_id_raises(self):
+        # ids past the largest one trained on have no column: they get the
+        # value 0 that a state training never saw gets
         policy = bc_train([make_traj([index_step(0, 1, 0.0, 2)])], TrainConfig(seed=0))
-        for candidates, bad in (([0, 2], 2), ([-1, 1], -1)):
-            with pytest.raises(DimensionMismatch, match=f"action id {bad} outside the 2 "):
-                policy.probs(np.array([0.0]), candidates)
+        q = policy.q.q[0]
+        for state, row in ((np.array([0.0]), [q[0], q[1], 0.0, 0.0]),
+                           (np.array([5.0]), [0.0, 0.0, 0.0, 0.0])):
+            assert policy.probs(state, [0, 1, 2, 7]).tobytes() == policy_probs(
+                QPolicy(TabularQ({(float(state[0]),): 0}, np.array([row]), 0.9)), state,
+                [0, 1, 2, 3]).tobytes()
+        for state in (np.array([0.0]), np.array([5.0])):
+            with pytest.raises(DimensionMismatch, match="action id -1 is negative"):
+                policy.probs(state, [-1, 1])
 
 
 class TestNetworkQEncode:
+    @pytest.mark.parametrize("bad", [-1, 3])
+    def test_a_one_hot_id_outside_the_encoding_raises(self, bad):
+        # -1 once set the last column, and an id equal to the size raised a bare IndexError
+        onehot = NetworkQ(Mlp(6, 4), 3, {"kind": "onehot", "size": 3}, gamma=0.9)
+        with pytest.raises(DimensionMismatch,
+                           match=f"action id {bad} outside a one-hot encoding of size 3"):
+            onehot.encode(np.zeros(3), [bad])
+
     def test_rows_and_width_checks(self):
         state = np.array([1.0, 2.0, 3.0])
         feats = NetworkQ(Mlp(5, 4), 3, {"kind": "features", "dim": 2}, gamma=0.9)

@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 
 from oracles import policy_value_linear
 from test_offline_rl import duplicated_corpus, feature_corpus, index_corpus
-from twinmdp.abstraction import AbstractStep, AbstractTrajectory
-from twinmdp.errors import DimensionMismatch, NoCandidates
+from twinmdp.abstraction import AbstractStep, AbstractTrajectory, pack_corpus
+from twinmdp.errors import NoCandidates
 from twinmdp.offline_rl import (
     NetworkQ,
     QPolicy,
@@ -422,11 +422,12 @@ class TestRankPolicies:
             trajs.append(make_traj(steps, f"e{i}"))
         return trajs
 
-    def test_tabular_policy_rejects_an_id_outside_its_columns(self):
+    def test_tabular_policy_values_an_id_past_its_columns_at_zero(self):
         trajs = self.two_action_world(np.random.default_rng(0), n_episodes=5)
-        policy = tabular_policy(np.array([[1.0]]))  # one column: id 1 has none
-        with pytest.raises(DimensionMismatch, match="action id 1 outside the 1 "):
-            fqe(policy, trajs, TrainConfig(gamma=0.9))
+        policy = tabular_policy(np.array([[0.25]]))  # one column: id 1 has none
+        padded = QPolicy(TabularQ({(0.0,): 0}, np.array([[np.log(0.25), 0.0]]), 0.9))
+        cfg = TrainConfig(gamma=0.9)
+        assert fqe(policy, trajs, cfg).initial_value == fqe(padded, trajs, cfg).initial_value
 
     def test_single_candidate_returned(self):
         rng = np.random.default_rng(0)
@@ -554,3 +555,22 @@ class TestRankPolicies:
     def test_no_candidates_rejected(self):
         with pytest.raises(NoCandidates):
             rank_policies([], [], TrainConfig(), k=1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_states=st.integers(1, 4), n_actions=st.integers(1, 4),
+       ids=st.lists(st.integers(0, 7), min_size=1, max_size=6), seen=st.booleans(),
+       temperature=st.floats(0.1, 5.0))
+def test_a_tabular_policy_serves_the_fqe_pi_row_bit_for_bit(seed, n_states, n_actions, ids,
+                                                            seen, temperature):
+    """For any tabular policy, state (seen by training or not) and id list,
+    including ids past the Q columns, ``policy_probs`` is FQE's pi row."""
+    rng = np.random.default_rng(seed)
+    q = rng.normal(size=(n_states, n_actions)) * rng.choice([1.0, 30.0])
+    policy = QPolicy(TabularQ({(float(s), 1.0): s for s in range(n_states)}, q, 0.9),
+                     temperature)
+    state = np.array([float(rng.integers(n_states)) if seen else -1.0, 1.0])
+    step = AbstractStep(state, ids[0], 0.0, ids)
+    table = build_transitions(pack_corpus([make_traj([step])]))
+    assert (_flat_policy_probs(table, policy).tobytes()
+            == policy_probs(policy, state, ids).tobytes())

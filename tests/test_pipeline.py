@@ -11,16 +11,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from oracles import (abstract_from_json, abstract_line_via_dicts, held_closed_loop,
-                     step_rows_by_bytes, transitions_by_search)
+from oracles import (abstract_from_json, abstract_line_via_dicts, abstract_per_trajectory,
+                     held_closed_loop, step_rows_by_bytes, transitions_by_search)
 
-from twinmdp import abstraction, pipeline, simulator
+from twinmdp import abstraction, pipeline, simulator, trajectories
 from twinmdp.abstraction import AbstractStep, AbstractTrajectory, load_abstract_corpus
 from twinmdp.cli import main as cli_main
 from twinmdp.context import CeConfig
 from twinmdp.errors import ConfigInvalid, MalformedRecord, MissingArtifact
 from twinmdp.nets import Mlp
-from twinmdp.offline_rl import NetworkQ, TrainConfig, build_transitions
+from twinmdp.offline_rl import NetworkQ, TrainConfig, build_transitions, load_policy
 from twinmdp.ope import fqe
 from twinmdp.pipeline import (
     MAX_ARMS,
@@ -41,7 +41,7 @@ from twinmdp.pipeline import (
     validate_config,
 )
 from twinmdp.reward_learning import (RewardTrainConfig, StepRows, build_pairs, encode_step_rows,
-                                     load_reward_net, pair_accuracy)
+                                     load_reward_net, pair_accuracy, relabel)
 from twinmdp.simulator import EpisodeConfig, ScenarioConfig, load_scenarios
 from twinmdp.trajectories import Entity, JudgeScores, load_corpus
 
@@ -473,7 +473,8 @@ class TestRewardColumns:
         net = load_reward_net(out / "reward_net.json")
         for mode in ("irl", "sparse"):
             lines = (out / f"rewards_{mode}.jsonl").read_text().splitlines()
-            want = [pipeline.relabel_mode(t, mode, net, 1.0) for t in corpus]
+            want = [relabel([t], net, mode, t.scores.rce_identification, 1.0)[0]
+                    for t in corpus]
             assert lines == [json.dumps({"rewards": [s.reward for s in t.steps],
                                          "trajectory_id": t.trajectory_id}, sort_keys=True)
                              for t in want]
@@ -562,6 +563,86 @@ def test_abstract_compares_no_two_equal_entity_objects(finished_run, tmp_path, m
     assert equal_but_distinct == []
     name = "abstract_corpus.jsonl"
     assert (clone / name).read_bytes() == (out / name).read_bytes()
+
+
+class TestStreamedAbstraction:
+    """``abstract`` reads the raw corpus into the tables one trajectory at a
+    time, and no stage builds per-trajectory views."""
+
+    def test_the_stage_holds_at_most_one_finished_raw_trajectory(self, finished_run, tmp_path,
+                                                                 monkeypatch):
+        out, _ = finished_run
+        clone = tmp_path / "clone"
+        shutil.copytree(out, clone)
+        live, alive_at_start = weakref.WeakValueDictionary(), []
+        decode = trajectories.trajectory_from_json
+
+        def tracking(*args):
+            alive_at_start.append(len(live))
+            traj = decode(*args)
+            live[len(alive_at_start)] = traj
+            return traj
+
+        monkeypatch.setattr(trajectories, "trajectory_from_json", tracking)
+        stage_abstract(small_config(), clone)
+        assert len(alive_at_start) == 6 * 8
+        assert max(alive_at_start) <= 1
+        name = "abstract_corpus.jsonl"
+        assert (clone / name).read_bytes() == (out / name).read_bytes()
+
+    def test_no_stage_builds_an_abstract_trajectory(self, tmp_path, monkeypatch):
+        built = []
+        init = AbstractTrajectory.__init__
+
+        def recording(self, *args, **kwargs):
+            built.append(args[0] if args else kwargs["trajectory_id"])
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(AbstractTrajectory, "__init__", recording)
+        stage_reproduce(small_config(), tmp_path)
+        assert (tmp_path / "summary.json").exists()
+        assert built == []
+
+    @pytest.mark.parametrize("kind", ["name", "nametype", "topology"])
+    def test_a_corpus_entity_of_no_graph_names_the_file_and_line(self, finished_run, tmp_path,
+                                                                 kind):
+        # the name scheme alone would take a known name of another type
+        out, _ = finished_run
+        for name in ("train_corpus.jsonl", "train_scenarios.jsonl"):
+            shutil.copy(out / name, tmp_path / name)
+        lines = (tmp_path / "train_corpus.jsonl").read_text().splitlines()
+        obj = json.loads(lines[4])
+        obj["symptom_entity"]["etype"] = "Stranger"
+        lines[4] = json.dumps(obj, sort_keys=True)
+        (tmp_path / "train_corpus.jsonl").write_text("\n".join(lines) + "\n")
+        raw = json.loads(json.dumps(SMALL_CONFIG))
+        raw["scheme"] = {"kind": kind}
+        with pytest.raises(MalformedRecord, match="train_corpus.jsonl: entity .* is a node of "
+                                                  "no scenario graph") as exc:
+            stage_abstract(validate_config(raw), tmp_path)
+        assert exc.value.line == 5 and str(exc.value).startswith("line 5: ")
+
+
+def test_a_small_nametype_collect_serves_ids_that_training_never_saw(tmp_path):
+    """``configs/demo.yaml`` at master seed 1 under ``nametype`` with a small
+    collect: a tabular policy meets candidate ids past its Q columns in
+    ``simulate``, values them at 0, and the pipeline writes its summary."""
+    raw = load_config(ROOT / "configs" / "demo.yaml").raw
+    raw = json.loads(json.dumps(raw))
+    raw["master_seed"] = 1
+    raw["scheme"]["kind"] = "nametype"
+    raw["collect"].update(n_scenarios=3, episodes_per_scenario=4)
+    raw["collect"]["episode"]["max_turns"] = 2
+    raw["irl"]["epochs"] = 2
+    raw["rl"]["iterations"] = 50
+    raw["compare"].update(n_scenarios=4, trials=3)
+    cfg = validate_config(raw)
+    stage_reproduce(cfg, tmp_path)
+    assert (tmp_path / "summary.json").exists()
+    served = max(len(load_policy(tmp_path / f"policy_{e['id']}.json")[0].q.q[0])
+                 for e in cfg.rl_grid)
+    vocabulary = json.loads((tmp_path / "scheme_runtime.json").read_text())["vocabulary"]
+    assert served < len(vocabulary)
 
 
 def run_fresh_interpreter(args: list[str]) -> subprocess.CompletedProcess:
@@ -844,8 +925,8 @@ class TestTablesAgainstTheSearch:
         # per-trajectory lines of old and decoded step by step
         spec, hmm = pipeline.load_scheme_runtime(out)
         graphs = {s.scenario_id: s.graph for s in load_scenarios(out / "train_scenarios.jsonl")}
-        views = pipeline.abstract_trajectories(load_corpus(out / "train_corpus.jsonl"), spec,
-                                               graphs, hmm)
+        views = abstract_per_trajectory(load_corpus(out / "train_corpus.jsonl"), spec, graphs,
+                                        hmm)
         eval_ids = split_scenarios(cfg, [v.scenario_id for v in views])[1]
         trajs = [abstract_from_json(json.loads(abstract_line_via_dicts(v))) for v in views
                  if (v.scenario_id in eval_ids) == bool(side)]

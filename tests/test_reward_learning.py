@@ -523,34 +523,32 @@ class TestRelabel:
     def test_sparse_final(self):
         rng = np.random.default_rng(0)
         traj = feature_trajectory(rng, n_steps=4)
-        out = relabel(traj, mode="sparse", outcome=100.0)
-        assert [s.reward for s in out.steps] == [0.0, 0.0, 0.0, 1.0]
+        out = relabel([traj], mode="sparse", outcome=100.0)
+        assert out.rewards.tolist() == [0.0, 0.0, 0.0, 1.0]
 
     def test_combined_with_zero_blend_equals_irl(self):
         rng = np.random.default_rng(1)
         traj = feature_trajectory(rng, n_steps=4)
         net = new_reward_net(encode_step_rows(traj).shape[1], 8, seed=0)
-        irl = relabel(traj, net, mode="irl")
-        combined = relabel(traj, net, mode="combined", outcome=80.0, blend=0.0)
-        assert [s.reward for s in irl.steps] == [s.reward for s in combined.steps]
+        irl = relabel([traj], net, mode="irl")
+        combined = relabel([traj], net, mode="combined", outcome=80.0, blend=0.0)
+        assert irl.rewards.tolist() == combined.rewards.tolist()
 
     def test_irl_matches_forward_pass(self):
         rng = np.random.default_rng(2)
         traj = feature_trajectory(rng, n_steps=5)
         net = new_reward_net(encode_step_rows(traj).shape[1], 8, seed=1)
-        out = relabel(traj, net, mode="irl")
+        out = relabel([traj], net, mode="irl")
         want = net.forward(encode_step_rows(traj))
-        assert np.allclose([s.reward for s in out.steps], want)
+        assert np.allclose(out.rewards.tolist(), want)
 
     def test_combined_adds_outcome_at_terminal(self):
         rng = np.random.default_rng(3)
         traj = feature_trajectory(rng, n_steps=2)
         net = new_reward_net(encode_step_rows(traj).shape[1], 8, seed=0)
-        irl = relabel(traj, net, mode="irl")
-        combined = relabel(traj, net, mode="combined", outcome=50.0, blend=2.0)
-        assert combined.steps[-1].reward == pytest.approx(
-            irl.steps[-1].reward + 2.0 * 0.5
-        )
+        irl = relabel([traj], net, mode="irl")
+        combined = relabel([traj], net, mode="combined", outcome=50.0, blend=2.0)
+        assert combined.rewards[-1] == pytest.approx(irl.rewards[-1] + 2.0 * 0.5)
 
 
 def test_reward_net_round_trip(tmp_path):

@@ -5,7 +5,7 @@ import pytest
 
 from oracles import prefix_decode_hidden_states, set_f1
 from twinmdp import abstraction
-from twinmdp.abstraction import SchemeSpec, abstract, build_vocabulary, hmm_observations
+from twinmdp.abstraction import SchemeSpec, abstract, build_vocabulary
 from twinmdp.context import CeConfig, intervene
 from twinmdp.errors import InfeasibleConfig, MalformedRecord
 from twinmdp.hmm import Hmm
@@ -397,7 +397,7 @@ class TestTrainServeParity:
             scheme = SchemeSpec(kind="topology", with_hubs=True, unreachable_sentinel=12.0)
         elif kind == "nametype":
             scheme = SchemeSpec(kind="nametype", vocabulary=build_vocabulary(
-                [], "nametype", graphs=[scn.graph for scn in scns]))
+                [scn.graph for scn in scns], "nametype"))
         else:
             scheme = SchemeSpec(kind="topology", with_hmm=True, unreachable_sentinel=12.0)
             hmm = parity_hmm(6)
@@ -410,7 +410,7 @@ class TestTrainServeParity:
                               config=CeConfig(strategies=("prioritize",)),
                               scheme=scheme, hmm=hmm)
                 res = run_episode(scn, plan, cfg, seed=seed)
-                view = abstract(res.trajectory, scheme, scn.graph)
+                view = abstract([res.trajectory], scheme, {scn.scenario_id: scn.graph})[0]
                 assert len(q.calls) == len(view.steps)
                 for (state, cands), step in zip(q.calls, view.steps):
                     if hmm is None:
@@ -474,7 +474,7 @@ def parity_plan(kind, scns, config, q):
         scheme = SchemeSpec(kind="topology", with_hubs=True, unreachable_sentinel=12.0)
     elif kind == "nametype":
         scheme = SchemeSpec(kind="nametype", vocabulary=build_vocabulary(
-            [], "nametype", graphs=[scn.graph for scn in scns]))
+            [scn.graph for scn in scns], "nametype"))
     else:
         scheme = SchemeSpec(kind="topology", with_hmm=True, unreachable_sentinel=12.0)
         hmm = parity_hmm(6)
@@ -546,9 +546,10 @@ class TestInterventionMemo:
         want, seen = [], set()
         for traj in trajs:
             scn = next(s for s in scns if s.scenario_id == traj.scenario_id)
-            view = abstract(traj, plan.scheme, scn.graph)
+            tables = abstract([traj], plan.scheme, {scn.scenario_id: scn.graph})
+            view = tables[0]
             hidden = prefix_decode_hidden_states(hmm.initial, hmm.transition, hmm.means,
-                                                 hmm.variances, hmm_observations(view))
+                                                 hmm.variances, tables.observations()[0])
             for t, (raw, step) in enumerate(zip(traj.steps, view.steps)):
                 state = np.concatenate([step.state, np.eye(hmm.n_states)[hidden[t]]])
                 key = input_key(state, list(zip(raw.candidate_entities, step.candidates)),
