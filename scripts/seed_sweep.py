@@ -9,8 +9,9 @@ per seed and as means, how well the offline order in ``ranking.json``
 predicts each policy's closed-loop recall under ``prioritize``: Spearman rho,
 Kendall tau and regret@1. Two trees (a parent, then a change) add each arm's
 paired per-seed change in gain, with its interval, the seeds whose
-``report.json`` bytes match, and each artifact whose bytes differ between the
-trees, with the seeds where they do.
+``report.json`` bytes match, each artifact whose bytes differ between the
+trees, with the seeds where they do, and for each kept report field the
+seeds where some arm's value differs and the largest relative change.
 
     python scripts/seed_sweep.py --workloads demo --out sweep.json TREE
     python scripts/seed_sweep.py --workloads demo closed_loop tabular \\
@@ -29,6 +30,7 @@ import argparse
 import hashlib
 import importlib.util
 import json
+import math
 import os
 import subprocess
 import sys
@@ -42,8 +44,8 @@ import numpy as np
 from scipy import stats
 
 ROOT = Path(__file__).resolve().parents[1]
-KEPT = ("pass3_recall_mean", "significant", "p_adjusted", "avg_rank",
-        "mean_entities_explored")
+KEPT = ("pass3_recall_mean", "significant", "t_stat", "p_raw", "p_adjusted",
+        "avg_rank", "mean_entities_explored")
 
 
 def load_module(name: str, path: Path):
@@ -177,18 +179,61 @@ def changed_artifacts(both: list[tuple[dict, dict]]) -> dict:
     return dict(sorted(changed.items()))
 
 
+def relative_change(before, after) -> float | None:
+    """|after - before| / |before| of two numbers: 0 when they are equal (a
+    NaN equals a NaN here), inf when they differ and ``before`` is 0 or
+    either is infinite, and None when either is not a number (a flag, or a
+    field the arm lacks)."""
+    numbers = [isinstance(v, (int, float)) and not isinstance(v, bool)
+               for v in (before, after)]
+    if not all(numbers):
+        return None
+    if before == after or (math.isnan(before) and math.isnan(after)):
+        return 0.0
+    if before == 0 or not (math.isfinite(before) and math.isfinite(after)):
+        return math.inf
+    return abs(after - before) / abs(before)
+
+
+def field_changes(both: list[tuple[dict, dict]]) -> dict:
+    """Per kept report field, the seeds where some arm's value differs
+    between the trees, and the largest relative change over the arms and
+    seeds (None for a field without numbers)."""
+    out = {}
+    for field in KEPT:
+        seeds, changes = [], []
+        for p, c in both:
+            differs = False
+            for arm in sorted(p["methods"].keys() | c["methods"].keys()):
+                before = p["methods"].get(arm, {}).get(field)
+                after = c["methods"].get(arm, {}).get(field)
+                rel = relative_change(before, after)
+                if rel is None:
+                    differs |= before != after
+                else:
+                    differs |= rel != 0.0
+                    changes.append(rel)
+            if differs:
+                seeds.append(c["seed"])
+        out[field] = {"seeds_differ": seeds, "max_rel_change": max(changes, default=None)}
+    return out
+
+
 def paired(parent: list[dict], change: list[dict]) -> dict:
     """Each arm's per-seed change in gain (change minus parent) over the seeds
-    both trees ran, the seeds whose report bytes or arm recall match, and the
-    artifacts that changed."""
+    both trees ran, the seeds whose report bytes or arm recall match, the
+    artifacts that changed, and how each kept report field changed."""
     before = {r["seed"]: r for r in parent if r["ok"]}
     both = [(before[r["seed"]], r) for r in change if r["ok"] and r["seed"] in before]
     arms = sorted({m for p, c in both for m in p["methods"]} - {BASELINE})
+    fields = field_changes(both)
     out = {
         "seeds": [c["seed"] for _, c in both],
         "seeds_report_identical": [c["seed"] for p, c in both
                                    if p["report_sha256"] == c["report_sha256"]],
         "artifacts_changed": changed_artifacts(both),
+        "report_fields": fields,
+        "seeds_significance_changed": fields["significant"]["seeds_differ"],
         "arms": {},
     }
     for arm in arms:

@@ -118,6 +118,57 @@ def sequence_log_likelihood(hmm: Hmm, sequence: np.ndarray) -> float:
     return ll
 
 
+def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(len(a), len(b)) squared Euclidean distances, each summed over the
+    columns in order from 0, as a C loop over one pair at a time adds them."""
+    out = np.zeros((a.shape[0], b.shape[0]))
+    for j in range(a.shape[1]):
+        diff = a[:, j, None] - b[None, :, j]
+        out += diff * diff
+    return out
+
+
+def _kmeans_pp(data: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    """(k, D) centres: k-means++ seeding (Arthur & Vassilvitskii 2007), then
+    10 Lloyd steps (``kmeans2``'s default ``iter``).
+
+    Bit for bit ``scipy.cluster.vq.kmeans2(data, k, minit="++", seed=rng)``
+    (scipy 1.17.1), draw for draw: ``rng.integers(n)`` picks the first centre
+    and one ``rng.uniform()`` each further one, by its squared distance to
+    the nearest centre so far. A point joins the first of its nearest
+    centres. scipy's ``vq`` measures distances with a loop below 5 columns
+    and as ``-2 x.c + |x|^2 + |c|^2`` (a BLAS product) from 5 up, and the
+    two differ in the last bits where points are equidistant, so both are
+    kept. A centre is the sum of its points in data order divided by their
+    count; a centre without points stays where it was.
+    """
+    n, dim = data.shape
+    centres = np.empty((k, dim))
+    centres[0] = data[rng.integers(n)]
+    d2 = _sq_dists(centres[:1], data)[0]
+    for i in range(1, k):
+        # all-zero distances give NaN weights, and index 0, as in scipy
+        with np.errstate(invalid="ignore"):
+            cumprobs = (d2 / d2.sum()).cumsum()
+        centres[i] = data[int(np.searchsorted(cumprobs, rng.uniform()))]
+        d2 = np.minimum(d2, _sq_dists(centres[i:i + 1], data)[0])
+    origin = np.zeros((1, dim))
+    data_sq = _sq_dists(data, origin)[:, 0]
+    for _ in range(10):
+        if dim < 5:
+            dists = _sq_dists(data, centres)
+        else:
+            centre_sq = _sq_dists(centres, origin)[:, 0]
+            dists = (-2.0 * (data @ centres.T) + data_sq[:, None]) + centre_sq
+        labels = dists.argmin(axis=1)
+        counts = np.bincount(labels, minlength=k)
+        sums = np.stack([np.bincount(labels, weights=data[:, j], minlength=k)
+                         for j in range(dim)], axis=1)
+        filled = counts > 0
+        centres[filled] = sums[filled] / counts[filled, None]
+    return centres
+
+
 def fit_hmm(
     sequences: list[np.ndarray],
     n_states: int,
@@ -128,13 +179,17 @@ def fit_hmm(
     """Baum-Welch estimate; returns the model and the per-iteration
     total log-likelihood trace (non-decreasing).
 
-    Initialization: seeded k-means centroids for the means, pooled variance
-    for every state, uniform initial and transition probabilities.
+    Initialization: the means are k-means++ centres of the pooled
+    observations, seeded by ``seed`` (``_kmeans_pp``, scipy's ``kmeans2``
+    bit for bit); every state gets the pooled variance, and the initial and
+    transition probabilities are uniform.
     """
     if n_states < 1:
         raise DimensionMismatch("n_states must be >= 1")
     seqs = _check_sequences(sequences)
     pooled = np.concatenate(seqs, axis=0)
+    if not np.isfinite(pooled).all():
+        raise DegenerateData("observations must be finite")
     pooled_var = np.maximum(pooled.var(axis=0), VAR_FLOOR)
     if n_states > 1 and np.allclose(pooled, pooled[0]):
         raise DegenerateData("all observations identical; cannot fit >1 state")
@@ -143,10 +198,7 @@ def fit_hmm(
     if K == 1:
         means = pooled.mean(axis=0, keepdims=True)
     else:
-        # imported here: scipy.cluster pulls in scipy.spatial, slow to import
-        from scipy.cluster.vq import kmeans2
-
-        means, _ = kmeans2(pooled, K, minit="++", seed=np.random.default_rng(seed))
+        means = _kmeans_pp(pooled, K, np.random.default_rng(seed))
     variances = np.tile(pooled_var, (K, 1))
     initial = np.full(K, 1.0 / K)
     transition = np.full((K, K), 1.0 / K)

@@ -1,12 +1,16 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.cluster.vq import kmeans2
 
 from oracles import viterbi_bruteforce
+from twinmdp import hmm
 from twinmdp.errors import DegenerateData, DimensionMismatch
-from twinmdp.hmm import (Hmm, _log_emissions, fit_hmm, log_emission, sequence_log_likelihood,
-                         viterbi_decode, viterbi_step)
+from twinmdp.hmm import (Hmm, _kmeans_pp, _log_emissions, fit_hmm, log_emission,
+                         sequence_log_likelihood, viterbi_decode, viterbi_step)
 
 
 def random_hmm(k, d, rng):
@@ -91,6 +95,74 @@ class TestFit:
         seqs = [np.concatenate([base, np.full((30, 1), 2.0)], axis=1)]
         model, _ = fit_hmm(seqs, 1, max_iter=5, seed=0)
         assert np.all(model.variances >= 1e-6)
+
+
+def kmeans2_centres(data, k, rng):
+    """scipy's k-means++ centres; its warnings (an empty cluster, all-zero
+    seeding weights) are silenced, the replica raises none."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return kmeans2(data, k, minit="++", seed=rng)[0]
+
+
+def kmeans_case(seed):
+    """n 5-400 points in 1-20 columns and 2-5 centres: real values,
+    integer-rounded values (ties), values rounded to a few levels, or copies
+    of at most k distinct points (often fewer than k, so clusters empty)."""
+    rng = np.random.default_rng(seed)
+    n, dim, k = int(rng.integers(5, 401)), int(rng.integers(1, 21)), int(rng.integers(2, 6))
+    data = rng.normal(size=(n, dim)) * rng.uniform(0.1, 10.0, size=dim)
+    kind = seed % 4
+    if kind == 1:
+        data = np.round(data)
+    elif kind == 2:
+        data = np.round(data * 0.3)
+    elif kind == 3:
+        points = rng.normal(size=(int(rng.integers(1, k + 1)), dim))
+        data = points[rng.integers(0, len(points), n)]
+    return data, k
+
+
+FIXED_SEQS = [np.array([[0, 0], [1, 0], [0, 1], [5, 5], [6, 5], [5, 6]], dtype=float),
+              np.array([[6, 6], [0, 0], [10, 0], [11, 1], [10, 1], [1, 1]], dtype=float)]
+
+
+class TestKmeansPlusPlus:
+    def test_equals_kmeans2_bit_for_bit(self):
+        few_distinct = wide = 0
+        for seed in range(320):
+            data, k = kmeans_case(seed)
+            want = kmeans2_centres(data, k, np.random.default_rng(seed))
+            got = _kmeans_pp(data, k, np.random.default_rng(seed))
+            assert got.tobytes() == want.tobytes(), seed
+            few_distinct += len(np.unique(data, axis=0)) < k
+            wide += data.shape[1] >= 5  # scipy's vq switches to a BLAS product
+        assert few_distinct >= 30 and 100 <= wide <= 300
+
+    def test_pinned_centres_on_integer_points(self):
+        centres = _kmeans_pp(np.concatenate(FIXED_SEQS), 3, np.random.default_rng(3))
+        assert centres.tolist() == [[31 / 3, 2 / 3], [0.4, 0.4], [5.5, 5.5]]
+
+    def test_pinned_fit(self):
+        model, trace = fit_hmm(FIXED_SEQS, 3, seed=3)
+        np.testing.assert_allclose(model.means, [[31 / 3, 2 / 3], [0.4, 0.4], [5.5, 5.5]],
+                                   rtol=1e-12)
+        assert len(trace) == 5
+        assert trace[-1] == pytest.approx(-26.225795838151473, rel=1e-12)
+
+    def test_fit_equals_the_kmeans2_seeded_fit(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        seqs = [np.round(s) for s in sample_sequences(random_hmm(3, 6, rng), 12, 10, rng)]
+        model, trace = fit_hmm(seqs, 3, seed=5)
+        monkeypatch.setattr(hmm, "_kmeans_pp", kmeans2_centres)
+        want, want_trace = fit_hmm(seqs, 3, seed=5)
+        for field in ("initial", "transition", "means", "variances"):
+            assert getattr(model, field).tobytes() == getattr(want, field).tobytes(), field
+        assert trace == want_trace
+
+    def test_non_finite_observations_rejected(self):
+        with pytest.raises(DegenerateData):
+            fit_hmm([np.array([[0.0, 1.0], [np.nan, 2.0], [1.0, 0.0]])], 2)
 
 
 class TestViterbi:

@@ -672,12 +672,28 @@ def assert_a_new_process_reproduces(raw: dict, out1: Path, tmp_path: Path) -> No
 
 
 def test_import_loads_neither_scipy_stats_nor_scipy_cluster():
-    # each CLI stage is a new process that pays for ``import twinmdp``;
-    # scipy.stats and scipy.cluster would more than double that cost
+    # each CLI stage is a new process that pays for ``import twinmdp``, and
+    # no stage needs scipy: not scipy.stats or scipy.cluster, nor any other
     proc = run_fresh_interpreter(["-c", "import sys, twinmdp; print(sorted(m for m in "
-                                  "sys.modules if m.startswith(('scipy.stats', "
-                                  "'scipy.cluster'))))"])
+                                  "sys.modules if m.startswith('scipy')))"])
     assert proc.stdout.strip() == "[]"
+
+
+def test_a_run_with_scipy_blocked_reaches_its_summary(tmp_path):
+    # ``sys.modules["scipy"] = None`` makes every scipy import raise; a
+    # three-state HMM runs the k-means, and evaluate the paired t-tests
+    raw = json.loads(json.dumps(SMALL_CONFIG))
+    raw["scheme"] = {"kind": "topology", "with_hmm": True, "hmm_states": 3}
+    cfg_path, out = tmp_path / "cfg.json", tmp_path / "out"
+    cfg_path.write_text(json.dumps(raw))
+    run_fresh_interpreter(["-c", "import json, sys; sys.modules['scipy'] = None; "
+                           "from pathlib import Path; "
+                           "from twinmdp.pipeline import stage_reproduce, validate_config; "
+                           "cfg, out = map(Path, sys.argv[1:]); "
+                           "stage_reproduce(validate_config(json.loads(cfg.read_text())), out)",
+                           str(cfg_path), str(out)])
+    assert (out / "summary.json").exists()
+    assert len(json.loads((out / "hmm_model.json").read_text())["initial"]) == 3
 
 
 class TestDeterminism:

@@ -14,21 +14,23 @@ _spec.loader.exec_module(seed_sweep)
 ARM, RIVAL, PRUNE = "rl_irl+prioritize", "bc+prioritize", "rl_irl+prune"
 
 
-def run(seed, gain, *, significant=True, p_adjusted=0.01, rank=2.0, rival_rank=3.0,
-        explored=5.0, sha="a", elapsed=10.0, ranking=("rl_irl", "rl_sparse", "bc"),
-        artifacts=None):
+def run(seed, gain, *, significant=True, p_adjusted=0.01, t_stat=4.0, rank=2.0,
+        rival_rank=3.0, explored=5.0, sha="a", elapsed=10.0,
+        ranking=("rl_irl", "rl_sparse", "bc"), artifacts=None):
     """A successful run whose baseline recalls 0.5 and explores 6 entities;
-    ``gain`` is the prioritize arm's, the other arms gain nothing. ``ranking``
-    is the offline order, best first; ``rl_sparse`` has no arm."""
+    ``gain`` is the prioritize arm's, the other arms gain nothing. The arm's
+    ``p_raw`` is a third of ``p_adjusted``. ``ranking`` is the offline
+    order, best first; ``rl_sparse`` has no arm."""
     def method(recall, **extra):
-        return {"pass3_recall_mean": recall, "significant": False, "p_adjusted": 1.0,
-                "avg_rank": 3.5, "mean_entities_explored": 6.0, **extra}
+        return {"pass3_recall_mean": recall, "significant": False, "t_stat": 0.0,
+                "p_raw": 1.0, "p_adjusted": 1.0, "avg_rank": 3.5,
+                "mean_entities_explored": 6.0, **extra}
     return {"seed": seed, "ok": True, "returncode": 0, "elapsed_s": elapsed,
             "report_sha256": sha, "ranking": list(ranking),
             "artifacts_sha256": artifacts or {"report.json": sha}, "methods": {
                 "baseline": method(0.5),
-                ARM: method(0.5 + gain, significant=significant, p_adjusted=p_adjusted,
-                            avg_rank=rank),
+                ARM: method(0.5 + gain, significant=significant, t_stat=t_stat,
+                            p_raw=p_adjusted / 3, p_adjusted=p_adjusted, avg_rank=rank),
                 RIVAL: method(0.5, avg_rank=rival_rank),
                 PRUNE: method(0.5, mean_entities_explored=explored),
             }}
@@ -96,6 +98,34 @@ def test_changed_artifacts_name_each_file_and_its_seeds():
     out = seed_sweep.paired(parent, change)
     assert out["artifacts_changed"] == {"extra.json": [3], "ranking.json": [1, 3]}
     assert out["seeds_report_identical"] == [1, 2, 3]
+
+
+def test_report_fields_name_the_seeds_that_differ_and_the_largest_change():
+    parent = [run(1, 0.2, p_adjusted=0.03), run(2, 0.2, p_adjusted=0.04),
+              run(3, 0.2, t_stat=float("inf"))]
+    change = [run(1, 0.2, p_adjusted=0.03 * (1 + 2e-15)),
+              run(2, 0.2, p_adjusted=0.06, significant=False, t_stat=3.0),
+              run(3, 0.2, t_stat=float("inf"))]
+    out = seed_sweep.paired(parent, change)
+    fields = out["report_fields"]
+    assert list(fields) == list(seed_sweep.KEPT)
+    assert fields["p_adjusted"]["seeds_differ"] == [1, 2]
+    assert fields["p_adjusted"]["max_rel_change"] == pytest.approx(0.5)
+    assert fields["p_raw"]["seeds_differ"] == [1, 2]
+    assert fields["t_stat"] == {"seeds_differ": [2], "max_rel_change": 0.25}
+    assert fields["significant"] == {"seeds_differ": [2], "max_rel_change": None}
+    assert fields["pass3_recall_mean"] == {"seeds_differ": [], "max_rel_change": 0.0}
+    assert out["seeds_significance_changed"] == [2]
+
+
+def test_relative_change_of_edge_values():
+    rel = seed_sweep.relative_change
+    assert rel(float("nan"), float("nan")) == 0.0
+    assert rel(float("inf"), float("inf")) == 0.0
+    assert rel(0.0, 1e-300) == float("inf")
+    assert rel(2.0, float("inf")) == float("inf")
+    assert rel(4.0, 3.0) == 0.25
+    assert rel(True, False) is None and rel(1.0, None) is None
 
 
 def test_ranking_fidelity_per_seed_and_its_means():

@@ -15,7 +15,7 @@ from twinmdp.stats import (
     ranks_from_scores,
     render_cd_diagram,
 )
-from twinmdp.stats import _midranks, _ttest_rel
+from twinmdp.stats import _midranks, _t_two_sided, _ttest_rel
 
 
 def trials(successes, f1s=None):
@@ -196,6 +196,36 @@ class TestPairedT:
             paired_t_bonferroni(np.array([1.0, 2.0]), {"m": np.array([1.0])})
         with pytest.raises(LengthMismatch):
             paired_t_bonferroni(np.array([1.0]), {})
+
+
+class TestTTail:
+    """The closed-form two-sided t tail against the incomplete beta at 50
+    digits."""
+
+    def test_within_1e13_of_mpmath(self):
+        ts = np.concatenate([np.logspace(-3, 3, 31), [1.5, 2.5, 3.5, 5.0, 8.7, 15.0]])
+        worst = 0.0
+        for df in range(1, 201):
+            for t in ts:
+                want = t_sf_mp(float(t), df)
+                if want > 1e-300:
+                    got = _t_two_sided(float(t), df)
+                    worst = max(worst, abs(got - want) / want)
+        assert worst <= 1e-13
+
+    @pytest.mark.parametrize("df", [1, 2, 3, 10, 199])
+    def test_zero_gives_one_and_the_sign_does_not_matter(self, df):
+        assert _t_two_sided(0.0, df) == 1.0
+        assert _t_two_sided(-2.5, df) == _t_two_sided(2.5, df)
+
+    @pytest.mark.parametrize("t", [1e-3, 0.5, 1.0, 7.0, 1e3, 1e200])
+    def test_one_degree_of_freedom_is_the_cauchy_law(self, t):
+        assert _t_two_sided(t, 1) == pytest.approx(2 / np.pi * np.arctan(1 / t), rel=1e-14)
+
+    def test_nan_and_infinity(self):
+        assert np.isnan(_t_two_sided(float("nan"), 5))
+        assert _t_two_sided(float("inf"), 5) == 0.0
+        assert _t_two_sided(1e200, 4) == 0.0  # t * t overflows
 
 
 class TestNemenyi:
