@@ -3,6 +3,13 @@
 Emissions are diagonal Gaussians over real feature vectors. Fitting uses
 the scaled forward-backward recursions, so per-iteration total
 log-likelihood is exact and non-decreasing.
+
+The E-step runs the sequences in lockstep: one forward-backward pass per
+group of equal-length sequences, over their (N, T, K) stack. Every slice
+gets the bits its own one-sequence pass gives, and the statistics and the
+log-likelihood add up in sequence order, so a fit is bit for bit the fit
+that runs the sequences one at a time. Viterbi decodes one sequence at a
+time.
 """
 
 from __future__ import annotations
@@ -68,54 +75,87 @@ def _check_sequences(sequences: list[np.ndarray]) -> list[np.ndarray]:
 
 
 def _log_emissions(hmm_means, hmm_vars, seq: np.ndarray) -> np.ndarray:
-    """(T, K) log density of each observation under each state."""
-    diff = seq[:, None, :] - hmm_means[None, :, :]          # (T, K, D)
+    """(..., T, K) log density of each observation of a (..., T, D) sequence
+    or stack under each state."""
+    diff = seq[..., None, :] - hmm_means                    # (..., T, K, D)
     log_norm = -0.5 * np.sum(np.log(2.0 * np.pi * hmm_vars), axis=1)  # (K,)
-    quad = -0.5 * np.sum(diff * diff / hmm_vars[None, :, :], axis=2)  # (T, K)
-    return quad + log_norm[None, :]
+    quad = -0.5 * np.sum(diff * diff / hmm_vars, axis=-1)  # (..., T, K)
+    return quad + log_norm
 
 
 def _forward_backward(initial, transition, log_emis):
-    """Scaled recursions; returns (gamma, xi_sum, log_likelihood)."""
-    T, K = log_emis.shape
+    """Scaled recursions over an (N, T, K) stack of equal-length sequences;
+    returns (gamma (N, T, K), xi_sum (N, K, K), log_likelihood (N,)).
+
+    Each slice gets the bits of its own one-sequence pass. The recursions
+    multiply one (1, K) row or (K, 1) column per slice (one gemv each, as a
+    (K,) vector does), never an (N, K) block: a gemm, an einsum or a
+    broadcast sum rounds the last bits differently.
+    """
+    N, T, K = log_emis.shape
     # shift emissions per step for stability; scaling absorbs the shift
-    shift = log_emis.max(axis=1, keepdims=True)
-    emis = np.exp(log_emis - shift)
+    shift = log_emis.max(axis=2)
+    emis = np.exp(log_emis - shift[:, :, None])
 
-    alpha = np.zeros((T, K))
-    scale = np.zeros(T)
-    alpha[0] = initial * emis[0]
-    scale[0] = alpha[0].sum()
-    alpha[0] /= scale[0]
+    alpha = np.zeros((N, T, K))
+    scale = np.zeros((N, T))
+    alpha[:, 0] = initial * emis[:, 0]
+    scale[:, 0] = alpha[:, 0].sum(axis=1)
+    alpha[:, 0] /= scale[:, 0, None]
     for t in range(1, T):
-        alpha[t] = (alpha[t - 1] @ transition) * emis[t]
-        scale[t] = alpha[t].sum()
-        alpha[t] /= scale[t]
+        alpha[:, t] = (alpha[:, t - 1, None, :] @ transition)[:, 0] * emis[:, t]
+        scale[:, t] = alpha[:, t].sum(axis=1)
+        alpha[:, t] /= scale[:, t, None]
 
-    beta = np.zeros((T, K))
-    beta[-1] = 1.0
+    beta = np.zeros((N, T, K))
+    beta[:, -1] = 1.0
     for t in range(T - 2, -1, -1):
-        beta[t] = (transition @ (emis[t + 1] * beta[t + 1])) / scale[t + 1]
+        v = emis[:, t + 1] * beta[:, t + 1]
+        beta[:, t] = (transition @ v[:, :, None])[:, :, 0] / scale[:, t + 1, None]
 
     gamma = alpha * beta
-    gamma /= gamma.sum(axis=1, keepdims=True)
+    gamma /= gamma.sum(axis=2, keepdims=True)
 
-    xi_sum = np.zeros((K, K))
+    xi_sum = np.zeros((N, K, K))
     for t in range(T - 1):
-        xi = (alpha[t][:, None] * transition) * (emis[t + 1] * beta[t + 1])[None, :]
-        xi_sum += xi / scale[t + 1]
+        xi = (alpha[:, t, :, None] * transition) * (emis[:, t + 1] * beta[:, t + 1])[:, None, :]
+        xi_sum += xi / scale[:, t + 1, None, None]
 
-    log_likelihood = float(np.sum(np.log(scale)) + np.sum(shift))
+    log_likelihood = np.log(scale).sum(axis=1) + shift.sum(axis=1)
     return gamma, xi_sum, log_likelihood
 
 
-def sequence_log_likelihood(hmm: Hmm, sequence: np.ndarray) -> float:
-    seq = np.asarray(sequence, dtype=float)
-    if seq.ndim != 2 or seq.shape[1] != hmm.n_features:
+def _length_groups(seqs: list[np.ndarray]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Each distinct sequence length's (indices, (N, T, D) stack), the
+    indices ascending."""
+    by_length: dict[int, list[int]] = {}
+    for i, s in enumerate(seqs):
+        by_length.setdefault(s.shape[0], []).append(i)
+    return [(np.array(idx), np.stack([seqs[i] for i in idx])) for idx in by_length.values()]
+
+
+def _sum_in_order(rows: np.ndarray) -> np.ndarray:
+    """rows[0] + rows[1] + ..., added one at a time to zeros in row order:
+    the bits of a loop that accumulates them."""
+    zero = np.zeros((1,) + rows.shape[1:])
+    return np.add.accumulate(np.concatenate([zero, rows]), axis=0)[-1]
+
+
+def log_likelihoods(hmm: Hmm, sequences: list[np.ndarray]) -> np.ndarray:
+    """(S,) log-likelihood of each sequence, in the given order: one
+    forward pass per length group."""
+    seqs = _check_sequences(sequences)
+    if seqs[0].shape[1] != hmm.n_features:
         raise DimensionMismatch("sequence dimension does not match emissions")
-    log_emis = _log_emissions(hmm.means, hmm.variances, seq)
-    _, _, ll = _forward_backward(hmm.initial, hmm.transition, log_emis)
-    return ll
+    out = np.empty(len(seqs))
+    for idx, stack in _length_groups(seqs):
+        log_emis = _log_emissions(hmm.means, hmm.variances, stack)
+        out[idx] = _forward_backward(hmm.initial, hmm.transition, log_emis)[2]
+    return out
+
+
+def sequence_log_likelihood(hmm: Hmm, sequence: np.ndarray) -> float:
+    return float(log_likelihoods(hmm, [sequence])[0])
 
 
 def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -203,24 +243,35 @@ def fit_hmm(
     initial = np.full(K, 1.0 / K)
     transition = np.full((K, K), 1.0 / K)
 
+    # the observations do not change: one stack per length, made once
+    groups = [(idx, stack, stack * stack) for idx, stack in _length_groups(seqs)]
+    S = len(seqs)
+    lls = np.empty(S)
+    init_rows = np.empty((S, K))
+    trans_rows = np.empty((S, K, K))
+    weight_rows = np.empty((S, K))
+    mean_rows = np.empty((S, K, D))
+    sq_rows = np.empty((S, K, D))
     ll_trace: list[float] = []
     for _ in range(max_iter):
-        init_acc = np.zeros(K)
-        trans_acc = np.zeros((K, K))
-        weight_acc = np.zeros(K)
-        mean_acc = np.zeros((K, D))
-        sq_acc = np.zeros((K, D))
-        total_ll = 0.0
-        for seq in seqs:
-            log_emis = _log_emissions(means, variances, seq)
+        # E-step, one pass per length group; each sequence's statistics go
+        # to its own row, and the rows are summed in sequence order
+        for idx, stack, stack_sq in groups:
+            log_emis = _log_emissions(means, variances, stack)
             gamma, xi_sum, ll = _forward_backward(initial, transition, log_emis)
-            total_ll += ll
-            init_acc += gamma[0]
-            trans_acc += xi_sum
-            weight_acc += gamma.sum(axis=0)
-            mean_acc += gamma.T @ seq
-            sq_acc += gamma.T @ (seq * seq)
-        ll_trace.append(total_ll)
+            gamma_t = gamma.transpose(0, 2, 1)
+            lls[idx] = ll
+            init_rows[idx] = gamma[:, 0]
+            trans_rows[idx] = xi_sum
+            weight_rows[idx] = gamma.sum(axis=1)
+            mean_rows[idx] = gamma_t @ stack
+            sq_rows[idx] = gamma_t @ stack_sq
+        ll_trace.append(float(_sum_in_order(lls)))
+        init_acc = _sum_in_order(init_rows)
+        trans_acc = _sum_in_order(trans_rows)
+        weight_acc = _sum_in_order(weight_rows)
+        mean_acc = _sum_in_order(mean_rows)
+        sq_acc = _sum_in_order(sq_rows)
 
         initial = init_acc / init_acc.sum()
         row = trans_acc.sum(axis=1, keepdims=True)

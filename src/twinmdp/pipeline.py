@@ -33,7 +33,7 @@ from .abstraction import (
 )
 from .context import STRATEGIES, CeConfig
 from .errors import ConfigInvalid, MalformedRecord, MissingArtifact, StageFailed, in_range
-from .hmm import Hmm, fit_hmm, sequence_log_likelihood
+from .hmm import Hmm, fit_hmm, log_likelihoods
 from .offline_rl import (
     QPolicy,
     TrainConfig,
@@ -493,7 +493,7 @@ def _fit_or_select_hmm(cfg: PipelineConfig, sequences, seed: int) -> tuple[Hmm, 
     best = None
     for k in candidates:
         model, _ = fit_hmm(train, k, seed=seed)
-        score = sum(sequence_log_likelihood(model, s) for s in val)
+        score = sum(log_likelihoods(model, val).tolist())  # in validation order
         if best is None or score > best[0]:
             best = (score, model, k)
     return best[1], best[2]

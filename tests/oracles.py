@@ -15,11 +15,13 @@ from __future__ import annotations
 import csv
 import itertools
 import json
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
 import mpmath
 import numpy as np
+from scipy.cluster.vq import kmeans2
 
 from twinmdp import pipeline, simulator
 from twinmdp.nets import Adam, Mlp
@@ -144,6 +146,92 @@ def viterbi_bruteforce(initial, transition, means, variances, seq) -> list[int]:
             best_score = score
             best_path = path
     return list(best_path)
+
+
+def _log_emissions_per_sequence(means, variances, seq) -> np.ndarray:
+    diff = seq[:, None, :] - means[None, :, :]
+    log_norm = -0.5 * np.sum(np.log(2.0 * np.pi * variances), axis=1)
+    quad = -0.5 * np.sum(diff * diff / variances[None, :, :], axis=2)
+    return quad + log_norm[None, :]
+
+
+def forward_backward_per_sequence(initial, transition, means, variances, seq):
+    """Scaled forward-backward (Rabiner 1989) over one (T, D) sequence:
+    (gamma, xi_sum, log_likelihood), one (K,) vector product per step."""
+    log_emis = _log_emissions_per_sequence(means, variances, seq)
+    T, K = log_emis.shape
+    shift = log_emis.max(axis=1, keepdims=True)
+    emis = np.exp(log_emis - shift)
+    alpha = np.zeros((T, K))
+    scale = np.zeros(T)
+    alpha[0] = initial * emis[0]
+    scale[0] = alpha[0].sum()
+    alpha[0] /= scale[0]
+    for t in range(1, T):
+        alpha[t] = (alpha[t - 1] @ transition) * emis[t]
+        scale[t] = alpha[t].sum()
+        alpha[t] /= scale[t]
+    beta = np.zeros((T, K))
+    beta[-1] = 1.0
+    for t in range(T - 2, -1, -1):
+        beta[t] = (transition @ (emis[t + 1] * beta[t + 1])) / scale[t + 1]
+    gamma = alpha * beta
+    gamma /= gamma.sum(axis=1, keepdims=True)
+    xi_sum = np.zeros((K, K))
+    for t in range(T - 1):
+        xi = (alpha[t][:, None] * transition) * (emis[t + 1] * beta[t + 1])[None, :]
+        xi_sum += xi / scale[t + 1]
+    log_likelihood = float(np.sum(np.log(scale)) + np.sum(shift))
+    return gamma, xi_sum, log_likelihood
+
+
+def fit_hmm_per_sequence(sequences, n_states, max_iter=100, tol=1e-6, seed=0):
+    """Baum-Welch with one forward-backward pass per sequence per iteration,
+    the statistics accumulated sequence by sequence. The means start at
+    scipy's ``kmeans2(minit="++")`` centres of the pooled observations, the
+    variances at the pooled variance, the probabilities uniform. Returns
+    (initial, transition, means, variances) and the log-likelihood trace."""
+    seqs = [np.asarray(s, dtype=float) for s in sequences]
+    pooled = np.concatenate(seqs, axis=0)
+    var_floor = 1e-6
+    pooled_var = np.maximum(pooled.var(axis=0), var_floor)
+    K, D = n_states, pooled.shape[1]
+    if K == 1:
+        means = pooled.mean(axis=0, keepdims=True)
+    else:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            means = kmeans2(pooled, K, minit="++", seed=np.random.default_rng(seed))[0]
+    variances = np.tile(pooled_var, (K, 1))
+    initial = np.full(K, 1.0 / K)
+    transition = np.full((K, K), 1.0 / K)
+    ll_trace = []
+    for _ in range(max_iter):
+        init_acc = np.zeros(K)
+        trans_acc = np.zeros((K, K))
+        weight_acc = np.zeros(K)
+        mean_acc = np.zeros((K, D))
+        sq_acc = np.zeros((K, D))
+        total_ll = 0.0
+        for seq in seqs:
+            gamma, xi_sum, ll = forward_backward_per_sequence(
+                initial, transition, means, variances, seq)
+            total_ll += ll
+            init_acc += gamma[0]
+            trans_acc += xi_sum
+            weight_acc += gamma.sum(axis=0)
+            mean_acc += gamma.T @ seq
+            sq_acc += gamma.T @ (seq * seq)
+        ll_trace.append(total_ll)
+        initial = init_acc / init_acc.sum()
+        row = trans_acc.sum(axis=1, keepdims=True)
+        transition = np.where(row > 0, trans_acc / np.where(row > 0, row, 1.0), 1.0 / K)
+        w = np.maximum(weight_acc, 1e-12)[:, None]
+        means = mean_acc / w
+        variances = np.maximum(sq_acc / w - means * means, var_floor)
+        if len(ll_trace) >= 2 and ll_trace[-1] - ll_trace[-2] < tol:
+            break
+    return (initial, transition, means, variances), ll_trace
 
 
 def prefix_decode_hidden_states(initial, transition, means, variances, observations):

@@ -6,11 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.cluster.vq import kmeans2
 
-from oracles import viterbi_bruteforce
+from oracles import fit_hmm_per_sequence, forward_backward_per_sequence, viterbi_bruteforce
 from twinmdp import hmm
 from twinmdp.errors import DegenerateData, DimensionMismatch
 from twinmdp.hmm import (Hmm, _kmeans_pp, _log_emissions, fit_hmm, log_emission,
-                         sequence_log_likelihood, viterbi_decode, viterbi_step)
+                         log_likelihoods, sequence_log_likelihood, viterbi_decode,
+                         viterbi_step)
 
 
 def random_hmm(k, d, rng):
@@ -259,3 +260,57 @@ def test_sequence_log_likelihood_matches_trace():
     model2, trace2 = fit_hmm(seqs, 2, max_iter=2, tol=0.0, seed=0)
     total = sum(sequence_log_likelihood(model, s) for s in seqs)
     assert total == pytest.approx(trace2[1], abs=1e-9)
+
+
+@st.composite
+def fit_cases(draw):
+    """1-12 sequences of mixed lengths 1-9 in drawn order, 1-8 columns (from
+    5 columns ``_kmeans_pp`` measures with a BLAS product) and 1-5 states:
+    real values, values rounded to integers or to a few levels, or copies of
+    a few sequences."""
+    k = draw(st.integers(1, 5))
+    d = draw(st.integers(1, 8))
+    lengths = draw(st.lists(st.integers(1, 9), min_size=1, max_size=12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    seqs = [rng.normal(size=(t, d)) * rng.uniform(0.1, 5.0, size=d) for t in lengths]
+    kind = draw(st.sampled_from(["real", "integers", "levels", "copies"]))
+    if kind == "integers":
+        seqs = [np.round(s) for s in seqs]
+    elif kind == "levels":
+        seqs = [np.round(s * 0.3) for s in seqs]
+    elif kind == "copies":
+        few = seqs[:draw(st.integers(1, len(seqs)))]
+        seqs = [few[i] for i in draw(st.lists(st.integers(0, len(few) - 1),
+                                               min_size=1, max_size=12))]
+    return (seqs, k, draw(st.integers(1, 30)), draw(st.sampled_from([0.0, 1e-6])),
+            draw(st.integers(0, 99)))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(fit_cases())
+def test_grouped_fit_equals_the_per_sequence_fit_bit_for_bit(case):
+    seqs, k, max_iter, tol, seed = case
+    pooled = np.concatenate(seqs)
+    if k > 1 and np.allclose(pooled, pooled[0]):
+        with pytest.raises(DegenerateData):
+            fit_hmm(seqs, k, max_iter=max_iter, tol=tol, seed=seed)
+        return
+    model, trace = fit_hmm(seqs, k, max_iter=max_iter, tol=tol, seed=seed)
+    want, want_trace = fit_hmm_per_sequence(seqs, k, max_iter=max_iter, tol=tol, seed=seed)
+    for field, value in zip(("initial", "transition", "means", "variances"), want):
+        assert getattr(model, field).tobytes() == value.tobytes(), field
+    assert trace == want_trace
+    params = (model.initial, model.transition, model.means, model.variances)
+    scores = [forward_backward_per_sequence(*params, s)[2] for s in seqs]
+    assert [sequence_log_likelihood(model, s) for s in seqs] == scores
+    assert log_likelihoods(model, seqs).tolist() == scores
+
+
+def test_empty_sequence_has_no_likelihood():
+    model = random_hmm(2, 3, np.random.default_rng(0))
+    with pytest.raises(DimensionMismatch):
+        sequence_log_likelihood(model, np.zeros((0, 3)))
+    with pytest.raises(DimensionMismatch):
+        log_likelihoods(model, [np.zeros((2, 3)), np.zeros((0, 3))])
+    with pytest.raises(DimensionMismatch):
+        sequence_log_likelihood(model, np.zeros((4, 2)))

@@ -12,7 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 from oracles import (abstract_from_json, abstract_line_via_dicts, abstract_per_trajectory,
-                     held_closed_loop, step_rows_by_bytes, transitions_by_search)
+                     fit_hmm_per_sequence, forward_backward_per_sequence, held_closed_loop,
+                     step_rows_by_bytes, transitions_by_search)
 
 from twinmdp import abstraction, pipeline, simulator, trajectories
 from twinmdp.abstraction import AbstractStep, AbstractTrajectory, load_abstract_corpus
@@ -758,15 +759,40 @@ class TestSchemeVariants:
         with pytest.raises(MissingArtifact, match=missing):
             robustness_sweep(validate_config(raw), clone, counts=(4,))
 
-    def test_hmm_state_count_selected_by_validation_likelihood(self, tmp_path):
+    def test_hmm_state_count_selected_by_validation_likelihood(self, tmp_path, monkeypatch):
         raw = json.loads(json.dumps(SMALL_CONFIG))
         raw["scheme"] = {"kind": "topology", "with_hmm": True, "hmm_states": 2,
                          "hmm_select_from": [1, 2]}
         cfg = validate_config(raw)
         out = tmp_path / "selected"
+        seen = {}
+        select = pipeline._fit_or_select_hmm
+
+        def recording(cfg, sequences, seed):
+            seen.update(sequences=sequences, seed=seed)
+            return select(cfg, sequences, seed)
+
+        monkeypatch.setattr(pipeline, "_fit_or_select_hmm", recording)
         stage_reproduce(cfg, out)
+        # the per-sequence oracle on the same split: a fifth of the
+        # sequences, in a seeded order, validate; the rest train
+        seqs, seed = seen["sequences"], seen["seed"]
+        order = np.random.default_rng(seed).permutation(len(seqs))
+        n_val = max(1, len(seqs) // 5)
+        val = [seqs[i] for i in order[:n_val]]
+        train = [seqs[i] for i in order[n_val:]]
+        fits, scores = [], []
+        for k in (1, 2):
+            params, _ = fit_hmm_per_sequence(train, k, seed=seed)
+            fits.append(params)
+            scores.append(sum(forward_backward_per_sequence(*params, s)[2] for s in val))
+        assert scores[0] != scores[1]
+        best = int(np.argmax(scores))
         scheme = json.loads((out / "scheme_runtime.json").read_text())
-        assert scheme["hmm_states"] in (1, 2)
+        assert scheme["hmm_states"] == best + 1
+        model = json.loads((out / "hmm_model.json").read_text())
+        for field, want in zip(("initial", "transition", "means", "variances"), fits[best]):
+            assert np.array(model[field]).tobytes() == want.tobytes(), field
 
     def test_name_scheme_runs_with_tabular_policies(self, tmp_path):
         raw = json.loads(json.dumps(SMALL_CONFIG))
