@@ -129,8 +129,8 @@ class TopologyFeaturizer:
     node in graph order, with the sentinel where a node is unreachable, plus
     one trailing sentinel column that stands for "no entity": no previous
     action, or a label nothing carries. Every feature is a ``min`` over
-    columns of one row, and a turn's label columns are gathered once for all
-    of its candidates.
+    columns of one row, and a turn's label columns are gathered once
+    (``turn_features``) for its state and all of its candidates.
     """
 
     def __init__(self, graph: TopologyGraph, sentinel: float | None = None,
@@ -170,17 +170,26 @@ class TopologyFeaturizer:
         none = len(self._column)
         return cols["primary"] + [none], cols["cascading"] + [none]
 
+    def turn_features(self, targets, previous: Entity | None, symptom: Entity,
+                      assessments) -> tuple[np.ndarray, np.ndarray]:
+        """The state row and the targets' action rows of one turn, from one
+        pass over its labels."""
+        labels = self._label_columns(assessments)
+        return (self.state_features(symptom, assessments, labels),
+                self.action_features(targets, previous, symptom, assessments, labels))
+
     def action_features(self, targets, previous: Entity | None, symptom: Entity,
-                        assessments) -> np.ndarray:
+                        assessments, labels=None) -> np.ndarray:
         """One row per target: its distance to the previous action, to the
         symptom, to the nearest primary and cascading entity, then its hub
-        score when the scheme has hubs."""
+        score when the scheme has hubs. ``labels`` are the assessments'
+        ``_label_columns``, when the caller has them."""
         for e in (previous, symptom):
             if e is not None and e not in self._column:
                 raise UnknownEntity(f"{e} not in graph")
         prev = len(self._column) if previous is None else self._column[previous]
         sym = self._column[symptom]
-        primary, cascading = self._label_columns(assessments)
+        primary, cascading = labels or self._label_columns(assessments)
         feats = []
         for t in targets:
             row = self._row(t)
@@ -190,9 +199,9 @@ class TopologyFeaturizer:
                 feats[-1].append(self.hubs[t])
         return np.array(feats, dtype=float)
 
-    def state_features(self, symptom: Entity, assessments) -> np.ndarray:
+    def state_features(self, symptom: Entity, assessments, labels=None) -> np.ndarray:
         row = self._row(symptom)
-        primary, cascading = self._label_columns(assessments)
+        primary, cascading = labels or self._label_columns(assessments)
         return np.array([min([row[j] for j in primary]), min([row[j] for j in cascading])])
 
 
@@ -208,6 +217,11 @@ class VocabularyFeaturizer:
         if key not in self.index:
             raise EntityNotInVocabulary(f"{e} not in vocabulary")
         return self.index[key]
+
+    def turn_features(self, targets, previous: Entity | None, symptom: Entity,
+                      assessments) -> tuple[np.ndarray, list[int]]:
+        return (self.state_features(symptom, assessments),
+                self.action_features(targets, previous, symptom, assessments))
 
     def action_features(self, targets, previous: Entity | None, symptom: Entity,
                         assessments) -> list[int]:
@@ -237,9 +251,10 @@ def abstract(raws, spec: SchemeSpec, graphs, hmm: Hmm | None = None) -> MdpTable
         featurizer = spec.featurizer(graphs.get(raw.scenario_id))
         symptom, previous, assessments = raw.symptom_entity, None, {}
         for step in raw.steps:
-            states.append(featurizer.state_features(symptom, assessments))
-            cands.append(featurizer.action_features(step.candidate_entities, previous, symptom,
-                                                    assessments))
+            state, actions = featurizer.turn_features(step.candidate_entities, previous, symptom,
+                                                      assessments)
+            states.append(state)
+            cands.append(actions)
             taken.append(step.candidate_entities.index(step.chosen_entity))
             counts.append(len(step.candidate_entities))
             previous, assessments = step.chosen_entity, step.assessments

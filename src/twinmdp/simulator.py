@@ -82,8 +82,11 @@ class CePlan:
     the state's bytes, the candidate entities and their representations (the
     bytes of the turn's feature matrix, or the vocabulary ids). The same
     input bytes make the same BLAS call and so give the same bits, so a hit
-    returns exactly what recomputing would. The memo lives and dies with the
-    plan; nothing carries over from one plan to the next.
+    returns exactly what recomputing would. With an HMM the plan also keeps
+    what its pure functions give: each distinct observation's
+    ``log_emission``, keyed by the observation's bytes, and each hidden
+    state's likeliest successor as a one-hot row. The memos live and die
+    with the plan; nothing carries over from one plan to the next.
     """
 
     policy: QPolicy
@@ -95,8 +98,15 @@ class CePlan:
                                               compare=False)
     prune_config: CeConfig | None = field(default=None, init=False, repr=False,
                                           compare=False)
+    # with an HMM: the one-hot of the likeliest first hidden state, and row z
+    # the one-hot of hidden state z's likeliest successor
+    first_hidden: np.ndarray | None = field(default=None, init=False, repr=False,
+                                            compare=False)
+    next_hidden: np.ndarray | None = field(default=None, init=False, repr=False,
+                                           compare=False)
     _interventions: dict = field(default_factory=dict, init=False, repr=False,
                                  compare=False)
+    _emissions: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.scheme.with_hmm != (self.hmm is not None):
@@ -105,29 +115,63 @@ class CePlan:
         self.selection_config = replace(self.config, strategies=kept) if kept else None
         self.prune_config = (replace(self.config, strategies=("prune",))
                              if self.config.enabled("prune") else None)
+        if self.hmm is not None:
+            onehots = np.eye(self.hmm.n_states)  # row z: hidden state z's one-hot
+            self.first_hidden = onehots[np.argmax(self.hmm.initial)]
+            self.next_hidden = onehots[np.argmax(self.hmm.transition, axis=1)]
 
-    def intervene(self, state: np.ndarray, candidates, cfg: CeConfig) -> Intervention:
-        """``context.intervene`` of the plan's policy, computed once per
-        distinct input; callers must not mutate the returned intervention."""
-        reprs = tuple(r for _, r in candidates)
-        if reprs and isinstance(reprs[0], np.ndarray):  # rows of the turn's feature matrix
-            reprs = b"".join(map(np.ndarray.tobytes, reprs))  # that matrix's bytes
-        key = (cfg, state.tobytes(), tuple(e for e, _ in candidates), reprs)
+    def intervene(self, state: np.ndarray, candidates, reprs, cfg: CeConfig) -> Intervention:
+        """``context.intervene`` of the plan's policy on ``candidates`` paired
+        with ``reprs`` (the turn's feature matrix, or the vocabulary ids),
+        computed once per distinct input; callers must not mutate the
+        returned intervention."""
+        key = (cfg, state.tobytes(), tuple(candidates),
+               reprs.tobytes() if isinstance(reprs, np.ndarray) else tuple(reprs))
         hit = self._interventions.get(key)
         if hit is None:
-            hit = self._interventions[key] = intervene(self.policy, state, candidates, cfg)
+            hit = self._interventions[key] = intervene(self.policy, state,
+                                                       list(zip(candidates, reprs)), cfg)
+        return hit
+
+    def log_emission(self, observation: np.ndarray) -> np.ndarray:
+        """``hmm.log_emission`` of the plan's HMM, computed once per distinct
+        observation; callers must not mutate the returned row."""
+        key = observation.tobytes()
+        hit = self._emissions.get(key)
+        if hit is None:
+            hit = self._emissions[key] = log_emission(self.hmm, observation)
         return hit
 
 
 @dataclass
 class EpisodeResult:
     """An episode's trajectory, whose ``final_root_cause`` is the agent's
-    answer and whose ``scores`` are the judge's, and the episode's counts."""
+    answer and whose ``scores`` are the judge's, and the episode's counts.
+
+    ``selections`` keeps, per turn that a selection intervention acted on,
+    the references ``(turn, candidates, intervention, pruned)``; ``audit``
+    spells them out when it is read."""
 
     trajectory: RawTrajectory
     turns_used: int
     entities_explored: int
-    audit: list[dict] = field(default_factory=list)
+    selections: list[tuple] = field(default_factory=list, repr=False)
+
+    @property
+    def audit(self) -> list[dict]:
+        """Per selection turn: the candidates, their probabilities, the
+        suggestions, the ordering and the entities pruned from the push."""
+        return [
+            {
+                "turn": turn,
+                "candidates": [(c.name, c.etype) for c in candidates],
+                "probs": {c.name: iv.probs[c] for c in candidates},
+                "suggestions": [e.name for e in iv.suggestions],
+                "ordering": [e.name for e in iv.ordering],
+                "pruned": [e.name for e in pruned],
+            }
+            for turn, candidates, iv, pruned in self.selections
+        ]
 
 
 @cache
@@ -220,11 +264,13 @@ class _SchemeRuntime:
 
     The features come from the scheme's featurizer for the scenario's graph,
     the same one that abstracts logged episodes; each candidate set takes
-    one ``action_features`` call on it. The runtime adds only the
-    online hidden-state bits of ``with_hmm`` schemes. For those it carries
-    the Viterbi log-score vector of the observed prefix forward by one
-    ``viterbi_step`` per turn, which gives the bits that decoding the whole
-    prefix again would.
+    one ``turn_features`` call on it, which gives the state row and the
+    candidates' feature matrix (or vocabulary ids) whole. The runtime adds
+    only the online hidden-state bits of ``with_hmm`` schemes. For those it
+    carries the Viterbi log-score vector of the observed prefix forward by
+    one ``viterbi_step`` per turn, which gives the bits that decoding the
+    whole prefix again would; the emissions and the successor one-hots come
+    from the plan's caches.
     """
 
     def __init__(self, plan: CePlan, scn: SimScenario):
@@ -232,20 +278,18 @@ class _SchemeRuntime:
         self.featurizer = plan.scheme.featurizer(scn.graph)
         self.symptom = scn.symptom
         self.delta: np.ndarray | None = None  # Viterbi log-scores of the prefix
-        self.hidden: np.ndarray | None = None  # one-hot of the predicted hidden state
-        if plan.scheme.with_hmm:
-            self.onehots = np.eye(plan.hmm.n_states)  # row z: hidden state z's one-hot
-            self.hidden = self.onehots[np.argmax(plan.hmm.initial)]
+        self.hidden = plan.first_hidden  # one-hot of the predicted hidden state
 
-    def features(self, candidates, previous, assessments) -> tuple[np.ndarray, list]:
-        """The policy's state now, and ``candidates`` paired with their
-        representations: the input ``CePlan.intervene`` takes."""
-        state = self.featurizer.state_features(self.symptom, assessments)
+    def features(self, candidates, previous,
+                 assessments) -> tuple[np.ndarray, np.ndarray | list[int]]:
+        """The policy's state now, and the representations of ``candidates``
+        (a feature matrix, or vocabulary ids): the input ``CePlan.intervene``
+        takes with them."""
+        state, reprs = self.featurizer.turn_features(candidates, previous, self.symptom,
+                                                     assessments)
         if self.hidden is not None:
             state = np.concatenate([state, self.hidden])
-        reprs = self.featurizer.action_features(candidates, previous, self.symptom,
-                                                assessments)
-        return state, list(zip(candidates, reprs))
+        return state, reprs
 
     def record_turn(self, pre_state: np.ndarray, chosen_repr) -> None:
         """Take in the (pre-action state, action) observation the HMM was fit on.
@@ -256,15 +300,14 @@ class _SchemeRuntime:
         """
         if self.hidden is None:
             return
-        hmm = self.plan.hmm
+        plan = self.plan
         obs = np.concatenate([pre_state[:2], np.asarray(chosen_repr, dtype=float)])
-        log_emis = log_emission(hmm, obs)
+        log_emis = plan.log_emission(obs)
         if self.delta is None:
-            self.delta = hmm.log_initial + log_emis
+            self.delta = plan.hmm.log_initial + log_emis
         else:
-            self.delta, _ = viterbi_step(self.delta, hmm.log_transition, log_emis)
-        z_prev = int(np.argmax(self.delta))
-        self.hidden = self.onehots[np.argmax(hmm.transition[z_prev])]
+            self.delta, _ = viterbi_step(self.delta, plan.hmm.log_transition, log_emis)
+        self.hidden = plan.next_hidden[np.argmax(self.delta)]
 
 
 # --- episode loop ---------------------------------------------------------------------
@@ -295,7 +338,7 @@ def run_episode(
     runs: dict[Entity, int] = {}  # each current primary's run of primary turn ends
     strongest: Entity | None = None
     steps: list[RawStep] = []
-    audit: list[dict] = []
+    selections: list[tuple] = []
     previous: Entity | None = None
 
     for turn in range(cfg.max_turns):
@@ -306,13 +349,13 @@ def run_episode(
 
         candidates = list(queue)
         selection_iv: Intervention | None = None
-        state_vec = offered = None
+        state_vec = reprs = None
         # a prune-only plan without an HMM reads no turn features
         if runtime is not None and (ce.selection_config is not None
                                     or runtime.hidden is not None):
-            state_vec, offered = runtime.features(candidates, previous, assessments)
+            state_vec, reprs = runtime.features(candidates, previous, assessments)
             if ce.selection_config is not None:
-                selection_iv = ce.intervene(state_vec, offered, ce.selection_config)
+                selection_iv = ce.intervene(state_vec, candidates, reprs, ce.selection_config)
 
         pos = _position(candidates,
                         _select(candidates, assessments, scn, rng, cfg, ce, selection_iv))
@@ -329,8 +372,8 @@ def run_episode(
             label = "normal"
         assessments[chosen] = label
 
-        if offered is not None:
-            runtime.record_turn(state_vec, offered[pos][1])
+        if reprs is not None:
+            runtime.record_turn(state_vec, reprs[pos])
 
         queue = candidates[:pos] + candidates[pos + 1:]  # the queue holds no repeats
 
@@ -341,8 +384,8 @@ def run_episode(
         ]
         pruned: list[Entity] = []
         if runtime is not None and ce.prune_config is not None and push:
-            push_iv = ce.intervene(*runtime.features(push, chosen, assessments),
-                                   ce.prune_config)
+            push_state, push_reprs = runtime.features(push, chosen, assessments)
+            push_iv = ce.intervene(push_state, push, push_reprs, ce.prune_config)
             retained = set(push_iv.retained)
             pruned = [e for e in push if e not in retained]
             push = [e for e in push if e in retained]
@@ -358,16 +401,7 @@ def run_episode(
             )
         )
         if selection_iv is not None:
-            audit.append(
-                {
-                    "turn": turn,
-                    "candidates": [(c.name, c.etype) for c in candidates],
-                    "probs": {c.name: selection_iv.probs[c] for c in candidates},
-                    "suggestions": [e.name for e in selection_iv.suggestions],
-                    "ordering": [e.name for e in selection_iv.ordering],
-                    "pruned": [e.name for e in pruned],
-                }
-            )
+            selections.append((turn, candidates, selection_iv, pruned))
 
         runs = {e: runs.get(e, 0) + 1 for e, lab in assessments.items() if lab == "primary"}
         strongest = min(runs, key=lambda e: (-runs[e], e.name, e.etype), default=None)
@@ -387,7 +421,7 @@ def run_episode(
         trajectory=trajectory,
         turns_used=len(steps),
         entities_explored=len(explored),
-        audit=audit,
+        selections=selections,
     )
 
 

@@ -790,8 +790,11 @@ class TestSchemeVariants:
         best = int(np.argmax(scores))
         scheme = json.loads((out / "scheme_runtime.json").read_text())
         assert scheme["hmm_states"] == best + 1
+        # the chosen state count is refit on every sequence, not only the training split
+        shipped, _ = fit_hmm_per_sequence(seqs, best + 1, seed=seed)
+        assert any(a.tobytes() != b.tobytes() for a, b in zip(shipped, fits[best]))
         model = json.loads((out / "hmm_model.json").read_text())
-        for field, want in zip(("initial", "transition", "means", "variances"), fits[best]):
+        for field, want in zip(("initial", "transition", "means", "variances"), shipped):
             assert np.array(model[field]).tobytes() == want.tobytes(), field
 
     def test_name_scheme_runs_with_tabular_policies(self, tmp_path):

@@ -8,13 +8,15 @@ from twinmdp import abstraction
 from twinmdp.abstraction import SchemeSpec, abstract, build_vocabulary
 from twinmdp.context import CeConfig, intervene
 from twinmdp.errors import InfeasibleConfig, MalformedRecord
-from twinmdp.hmm import Hmm
-from twinmdp.offline_rl import QPolicy
+from twinmdp.hmm import Hmm, log_emission, viterbi_step
+from twinmdp.nets import Mlp
+from twinmdp.offline_rl import NetworkQ, QPolicy
 from twinmdp.simulator import (
     CePlan,
     EpisodeConfig,
     ScenarioConfig,
     SimScenario,
+    _SchemeRuntime,
     generate_scenario,
     judge,
     load_scenarios,
@@ -24,7 +26,7 @@ from twinmdp.simulator import (
     scenario_to_json,
 )
 from twinmdp.topology import make_graph, shortest_distance
-from twinmdp.trajectories import Entity, load_corpus, save_corpus
+from twinmdp.trajectories import Entity, corpus_writer, load_corpus, save_corpus
 
 
 class DistanceToSymptomQ:
@@ -498,9 +500,9 @@ class TestInterventionMemo:
         calls = []
         memoised = CePlan.intervene
 
-        def recording(self, state, candidates, cfg):
-            iv = memoised(self, state, candidates, cfg)
-            calls.append((state, candidates, cfg, iv))
+        def recording(self, state, candidates, reprs, cfg):
+            iv = memoised(self, state, candidates, reprs, cfg)
+            calls.append((state, list(zip(candidates, reprs)), cfg, iv))
             return iv
 
         monkeypatch.setattr(CePlan, "intervene", recording)
@@ -563,3 +565,93 @@ class TestInterventionMemo:
             assert state.tobytes() == want_state.tobytes()
             assert [c.tobytes() for c in cands] == [np.asarray(c).tobytes()
                                                    for c in want_cands]
+
+
+def wide_hmm():
+    """Three hidden states with wide emissions, so the prior and the earlier
+    turns have a say, and no state whose likeliest successor is itself."""
+    rng = np.random.default_rng(1)
+    return Hmm(initial=np.array([0.2, 0.5, 0.3]),
+               transition=np.array([[0.1, 0.6, 0.3], [0.2, 0.2, 0.6], [0.5, 0.3, 0.2]]),
+               means=rng.uniform(0.0, 5.0, (3, 6)), variances=np.full((3, 6), 100.0))
+
+
+class Forgetful(dict):
+    """A memo that never keeps an entry: every lookup misses."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
+def network_plan(kind, scns, strategies):
+    """A ``parity_plan`` around a seeded network Q of its scheme's widths."""
+    config = CeConfig(strategies=strategies, prune_percentile=50.0, suggest_percentile=60.0)
+    plan = parity_plan(kind, scns, config, q=None)
+    if plan.scheme.kind == "nametype":
+        state_dim = width = len(plan.scheme.vocabulary)
+        encoding = {"kind": "onehot", "size": width}
+    else:
+        state_dim = 2 + (plan.hmm.n_states if plan.hmm is not None else 0)
+        width = 4 + plan.scheme.with_hubs
+        encoding = {"kind": "features", "dim": width}
+    plan.policy.q = NetworkQ(Mlp(state_dim + width, 8, seed=4), state_dim, encoding, gamma=0.9)
+    plan.policy.temperature = 0.5
+    return plan
+
+
+class TestCacheTransparency:
+    """A plan's memos change no byte of what an episode writes."""
+
+    @pytest.mark.parametrize("kind", ["topology_hubs", "topology_hmm", "nametype"])
+    @pytest.mark.parametrize("strategies", [("suggest",), ("prune",), ("prioritize",),
+                                            ("suggest", "prune", "prioritize")])
+    def test_batch_writes_the_same_with_memos_that_keep_nothing(self, kind, strategies,
+                                                                tmp_path):
+        scns = parity_scenarios()
+        cfg = EpisodeConfig(max_turns=8, epsilon=0.3, suggestion_uptake=0.7)
+        written = []
+        for keep in (True, False):
+            plan = network_plan(kind, scns, strategies)
+            if not keep:
+                plan._interventions, plan._emissions = Forgetful(), Forgetful()
+            path = tmp_path / f"corpus-{keep}.jsonl"
+            with corpus_writer(path) as record:
+                rows = run_batch(scns, plan, cfg, trials=6, master_seed=21,
+                                 method_id="arm", record=record)
+            written.append((path.read_bytes(), rows))
+            if keep:  # the kept memos fill up; the forgetful ones stay empty
+                assert plan._interventions
+                assert bool(plan._emissions) == (kind == "topology_hmm")
+            else:
+                assert plan._interventions == {} and plan._emissions == {}
+        assert written[0] == written[1]
+
+    def test_runtime_hidden_states_equal_the_uncached_recurrence(self):
+        hmm = wide_hmm()
+        plan = CePlan(policy=QPolicy(q=RecordingQ(), temperature=1.0),
+                      config=CeConfig(strategies=("prioritize",)),
+                      scheme=SchemeSpec(kind="topology", with_hmm=True,
+                                        unreachable_sentinel=12.0), hmm=hmm)
+        runtime = _SchemeRuntime(plan, parity_scenarios()[0])
+        # 40 observations drawn from 5 distinct rows, so the emission memo hits
+        rng = np.random.default_rng(8)
+        rows = rng.integers(0, 6, (5, 6)).astype(float)
+        observations = rows[rng.integers(0, 5, 40)]
+        onehots = np.eye(hmm.n_states)
+        want = onehots[np.argmax(hmm.initial)]
+        delta, visited = None, set()
+        for obs in observations:
+            assert runtime.hidden.tobytes() == want.tobytes()
+            pre_state = np.concatenate([obs[:2], runtime.hidden])
+            runtime.record_turn(pre_state, obs[2:])
+            log_emis = log_emission(hmm, obs)
+            if delta is None:
+                delta = hmm.log_initial + log_emis
+            else:
+                delta, _ = viterbi_step(delta, hmm.log_transition, log_emis)
+            assert runtime.delta.tobytes() == delta.tobytes()
+            want = onehots[np.argmax(hmm.transition[int(np.argmax(delta))])]
+            visited.add(int(np.argmax(want)))
+        assert runtime.hidden.tobytes() == want.tobytes()
+        assert len(visited) > 1
+        assert len(plan._emissions) == len(np.unique(observations, axis=0)) < len(observations)
