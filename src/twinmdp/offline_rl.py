@@ -23,7 +23,9 @@ them). Network CQL and BC train in one loop, ``minibatch_train``, which
 forwards and backprops each distinct row of a batch once (``nets``'
 distinct-row rule). ``TransitionTable.backup`` is the one Bellman backup and
 ``TransitionTable.taken_means`` the one exact cell update, for CQL and FQE
-alike.
+alike. Tabular CQL takes each step's softmax once per distinct ordered
+sequence of candidate rows (``TransitionTable.row_sequences``) and adds a
+step's gradient terms in one ordered ``np.bincount``.
 
 The loop plans its batches ahead, up to PLAN_BATCHES at a time within a
 target-refresh block: it draws them, and ``TransitionTable.plan`` lays them
@@ -38,6 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -76,9 +79,11 @@ class TransitionTable:
     table stores only what it derives: index actions as ``cand_ids`` (feature
     actions are read off the corpus), ``taken[i]``, the entry of the action
     step i took, and ``next_step``. What is derived from these arrays
-    (``states``, ``cand_step``, ``state_ids``, ``cand_rows``, ``row_id`` and
-    ``taken_counts``) is computed once per table and is read-only, so every
-    learner and every policy scored on the table shares it.
+    (``states``, ``cand_step``, ``state_ids``, ``cand_rows``, ``row_id``,
+    ``row_sequences`` and ``taken_counts``) is computed once per table and is
+    read-only, so every learner and every policy scored on the table shares
+    it. ``row_sequences`` lays out the distinct ordered row-id sequences that
+    steps offer, so that tabular CQL takes one softmax per sequence.
     """
 
     corpus: MdpTables
@@ -161,6 +166,26 @@ class TransitionTable:
         """(M,) each entry's row in ``cand_rows``: cand_rows[row_id] is
         ``rows(encoding)`` bit for bit."""
         return self._distinct[1]
+
+    @cached_property
+    def row_sequences(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The distinct sequences of row ids that steps offer, numbered by
+        first appearance: their row ids end to end, the (sequences + 1,)
+        offsets of each (CSR form), and each candidate entry's position in
+        the first array, which there holds the entry's ``row_id``.
+
+        A sequence is keyed on its row ids in entry order, not on their set:
+        a softmax over a step's cells sums its normaliser in entry order, so
+        only steps that offer the same rows in the same order share it."""
+        rows, off = self.row_id.tolist(), self.corpus.cand_offsets.tolist()
+        index: dict = {}
+        seq = [index.setdefault(tuple(rows[a:b]), len(index)) for a, b in zip(off[:-1], off[1:])]
+        offsets = np.zeros(len(index) + 1, dtype=int)
+        np.cumsum([len(key) for key in index], out=offsets[1:])
+        step = self.cand_step
+        position = offsets[seq][step] + np.arange(len(step)) - self.corpus.cand_offsets[step]
+        return (_read_only(np.fromiter(chain.from_iterable(index), dtype=int, count=offsets[-1])),
+                _read_only(offsets), _read_only(position))
 
     @cached_property
     def taken_counts(self) -> np.ndarray:
@@ -421,6 +446,13 @@ def cql_train(trajs, cfg: TrainConfig):
     target_refresh steps from the Q function of that moment, plus alpha * (logsumexp over candidate Q - Q of the taken
     action). alpha = 0 recovers plain fitted Q-learning. Terminal steps
     bootstrap with zero. Deterministic given cfg.seed.
+
+    The two forms count steps differently. Tabular CQL (index actions) runs
+    max(1, iterations // target_refresh) whole blocks of target_refresh
+    full-table steps, so iterations=300 with target_refresh=200 runs 200
+    steps and iterations=7 with target_refresh=20 runs 20; at alpha = 0 a
+    block is one exact update. Network CQL runs exactly ``iterations``
+    minibatch steps, its last block cut short (``minibatch_train``).
     """
     table = build_transitions(trajs)
     if table.index_actions:
@@ -429,24 +461,38 @@ def cql_train(trajs, cfg: TrainConfig):
 
 
 def _cql_tabular(table: TransitionTable, cfg: TrainConfig) -> TabularQ:
-    """Q keeps a cell per distinct (state, action) row, ``row_id`` reads it."""
-    row_id, group = table.row_id, table.cand_step
+    """Q keeps a cell per distinct (state, action) row, ``row_id`` reads it.
+
+    A step's softmax term depends only on its candidates' cells in entry
+    order, so it is taken once per ordered row sequence (``row_sequences``)
+    and gathered back to the entries. The three gradient terms (each step's
+    Bellman residual at its taken cell, every entry's softmax term, each
+    step's -alpha at its taken cell) are added by one ``np.bincount`` whose
+    index lists them in that order: it adds each weight to +0.0 in index
+    order, so every cell sums the same terms in the same order as one
+    ``np.add.at`` per term into zeros would.
+    """
+    row_id, group, n = table.row_id, table.cand_step, table.n
     cell = row_id[table.taken]
     q = np.zeros(len(table.cand_rows))
+    seq_rows, offsets, position = table.row_sequences
+    seq = np.repeat(np.arange(len(offsets) - 1), np.diff(offsets))
+    bins = np.concatenate([cell, row_id, cell])
+    weights = np.empty(len(bins))
+    residuals, softmax_terms = weights[:n], weights[n:n + len(row_id)]
+    weights[n + len(row_id):] = -cfg.alpha / n
 
     rounds = max(1, cfg.iterations // cfg.target_refresh)
     for _ in range(rounds):
-        targets = table.backup(grouped_max(q[row_id], group, table.n), cfg.gamma)
+        targets = table.backup(grouped_max(q[row_id], group, n), cfg.gamma)
         if cfg.alpha == 0.0:
             q = table.taken_means(q, targets)
         else:
             for _ in range(cfg.target_refresh):
-                grad = np.zeros_like(q)
-                np.add.at(grad, cell, 2.0 * (q[cell] - targets) / table.n)
-                probs = grouped_softmax(q[row_id], group, table.n)
-                np.add.at(grad, row_id, cfg.alpha * probs / table.n)
-                np.add.at(grad, cell, -cfg.alpha / table.n)
-                q = q - cfg.step_size * grad
+                residuals[:] = 2.0 * (q[cell] - targets) / n
+                probs = grouped_softmax(q[seq_rows], seq, len(offsets) - 1)
+                softmax_terms[:] = (cfg.alpha * probs / n)[position]
+                q = q - cfg.step_size * np.bincount(bins, weights, len(q))
     return TabularQ(state_index=table.state_ids[0], q=table.matrix(q), gamma=cfg.gamma)
 
 

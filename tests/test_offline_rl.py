@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import (
     bc_network_per_step,
@@ -179,6 +181,64 @@ def test_row_cells_give_the_state_action_cells_bit_for_bit(alpha):
     assert list(q.state_index) == first_seen != list(map(tuple, table.corpus.states.tolist()))
     assert q.q.tobytes() == cql_tabular_by_state_action(table, cfg).tobytes()
     assert bc_train(trajs, cfg).q.q.tobytes() == bc_tabular_by_state_action(table).tobytes()
+
+
+@st.composite
+def repeated_candidate_corpora(draw):
+    """Index corpora whose steps draw their candidate lists from a small pool:
+    one list that most steps repeat, the same ids in other orders, the list
+    with its first id offered twice, and single ids; with a CQL config."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_actions = draw(st.integers(1, 6))
+    n_states = draw(st.integers(1, 4))
+    base = [int(c) for c in rng.permutation(n_actions)[:draw(st.integers(1, n_actions))]]
+    pool = [base, base[::-1], [int(c) for c in rng.permutation(base)], base + base[:1],
+            [base[0]], [int(rng.integers(n_actions))]]
+    weights = np.array([6.0, 1, 1, 1, 1, 1]) / 11
+    trajs = []
+    for i in range(draw(st.integers(1, 12))):
+        steps = []
+        for _ in range(int(rng.integers(1, 7))):
+            cands = pool[rng.choice(len(pool), p=weights)]
+            steps.append(AbstractStep(state=np.array([float(rng.integers(n_states))]),
+                                      action=cands[int(rng.integers(len(cands)))],
+                                      reward=float(np.round(rng.normal(), 1)),
+                                      candidates=list(cands)))
+        trajs.append(make_traj(steps, f"r{i}"))
+    iterations, refresh = draw(st.sampled_from([(7, 20), (250, 100), (60, 20), (30, 1)]))
+    cfg = TrainConfig(alpha=draw(st.sampled_from([0.0, 0.5, 2.0])),
+                      gamma=draw(st.sampled_from([0.0, 0.9])), iterations=iterations,
+                      target_refresh=refresh, step_size=0.05, seed=0)
+    return trajs, cfg
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(repeated_candidate_corpora())
+def test_tabular_cql_equals_the_state_action_cells_bit_for_bit(case):
+    """One softmax per ordered row sequence and one ordered scatter per step
+    give the per-entry softmax and three scatters of the cell-per-(state,
+    action id) loop, bit for bit, when many steps repeat one candidate list,
+    offer its ids in other orders or offer a single id."""
+    trajs, cfg = case
+    table = build_transitions(trajs)
+    seq_rows, offsets, position = table.row_sequences
+    assert np.array_equal(seq_rows[position], table.row_id)
+    keys = [tuple(seq_rows[a:b]) for a, b in zip(offsets[:-1], offsets[1:])]
+    assert len(set(keys)) == len(keys)
+    assert cql_train(trajs, cfg).q.tobytes() == cql_tabular_by_state_action(table, cfg).tobytes()
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5])
+@pytest.mark.parametrize("short,whole", [((7, 20), (20, 20)), ((300, 200), (200, 200))],
+                         ids=["one_block_of_20", "one_block_of_200"])
+def test_tabular_cql_runs_whole_target_refresh_blocks(short, whole, alpha):
+    """Tabular CQL runs max(1, iterations // target_refresh) whole blocks:
+    7 iterations with refresh 20 are 20 steps, 300 with refresh 200 are 200."""
+    trajs = index_corpus(np.random.default_rng(5))
+    fit = [cql_train(trajs, TrainConfig(alpha=alpha, gamma=0.9, iterations=i,
+                                        target_refresh=r, step_size=0.05, seed=0)).q
+           for i, r in (short, whole)]
+    assert fit[0].tobytes() == fit[1].tobytes()
 
 
 class TestCqlNetwork:

@@ -717,6 +717,13 @@ class TestDeterminism:
         raw, out1, _ = enriched_run
         assert_a_new_process_reproduces(raw, out1, tmp_path)
 
+    def test_nametype_reproduce_in_a_new_process_gives_identical_hashes(
+            self, tmp_path, nametype_run):
+        # the two runs above train network learners; index actions take
+        # tabular CQL, BC and FQE
+        raw, out1, _ = nametype_run
+        assert_a_new_process_reproduces(raw, out1, tmp_path)
+
     def test_seed_derivation_is_stable_and_labelled(self):
         assert derive_seed(7, "collect") == derive_seed(7, "collect")
         assert derive_seed(7, "collect") != derive_seed(7, "abstract")
