@@ -13,7 +13,7 @@ with inclusive comparison, which is exact on small candidate lists.
 
 ``intervene`` is a pure function of its inputs: the same input bytes make
 the same BLAS call and give the same bits. The simulator relies on this
-when ``simulator.CePlan`` memoises it, once per distinct input and plan.
+when ``simulator.CePlan`` memoises it, once per distinct turn and plan.
 """
 
 from __future__ import annotations

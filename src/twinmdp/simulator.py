@@ -77,16 +77,19 @@ class CePlan:
 
     ``hmm`` is given exactly when the scheme is ``with_hmm``. The features
     come from ``scheme.featurizer``, so plans that share a scheme share its
-    featurizers. A plan memoises its interventions (one per distinct
-    input). An intervention's key is its exact input: the strategy config,
-    the state's bytes, the candidate entities and their representations (the
-    bytes of the turn's feature matrix, or the vocabulary ids). The same
-    input bytes make the same BLAS call and so give the same bits, so a hit
-    returns exactly what recomputing would. With an HMM the plan also keeps
-    what its pure functions give: each distinct observation's
+    featurizers. A plan memoises its turns (``_SchemeRuntime.turn``): each
+    distinct turn is featurized and scored once. A turn's key is its raw
+    input: the featurizer, the symptom (the name schemes share one
+    featurizer across scenarios, and so do graphs that compare equal), the
+    previous action, the candidates in queue order, the assessments, the
+    hidden state under ``with_hmm``, and the strategy config. The value is
+    the turn's state, its candidates' representations and its
+    intervention. The featurizer and ``context.intervene`` are pure, so a
+    hit returns exactly what recomputing would. With an HMM the plan also
+    keeps what its pure functions give: each distinct observation's
     ``log_emission``, keyed by the observation's bytes, and each hidden
-    state's likeliest successor as a one-hot row. The memos live and die
-    with the plan; nothing carries over from one plan to the next.
+    state's likeliest successor. The memos live and die with the plan;
+    nothing carries over from one plan to the next.
     """
 
     policy: QPolicy
@@ -98,14 +101,12 @@ class CePlan:
                                               compare=False)
     prune_config: CeConfig | None = field(default=None, init=False, repr=False,
                                           compare=False)
-    # with an HMM: the one-hot of the likeliest first hidden state, and row z
-    # the one-hot of hidden state z's likeliest successor
-    first_hidden: np.ndarray | None = field(default=None, init=False, repr=False,
-                                            compare=False)
-    next_hidden: np.ndarray | None = field(default=None, init=False, repr=False,
-                                           compare=False)
-    _interventions: dict = field(default_factory=dict, init=False, repr=False,
-                                 compare=False)
+    # with an HMM: the likeliest first hidden state, and entry z hidden state
+    # z's likeliest successor
+    first_hidden: int | None = field(default=None, init=False, repr=False, compare=False)
+    next_hidden: tuple[int, ...] | None = field(default=None, init=False, repr=False,
+                                                compare=False)
+    _turns: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _emissions: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -116,22 +117,8 @@ class CePlan:
         self.prune_config = (replace(self.config, strategies=("prune",))
                              if self.config.enabled("prune") else None)
         if self.hmm is not None:
-            onehots = np.eye(self.hmm.n_states)  # row z: hidden state z's one-hot
-            self.first_hidden = onehots[np.argmax(self.hmm.initial)]
-            self.next_hidden = onehots[np.argmax(self.hmm.transition, axis=1)]
-
-    def intervene(self, state: np.ndarray, candidates, reprs, cfg: CeConfig) -> Intervention:
-        """``context.intervene`` of the plan's policy on ``candidates`` paired
-        with ``reprs`` (the turn's feature matrix, or the vocabulary ids),
-        computed once per distinct input; callers must not mutate the
-        returned intervention."""
-        key = (cfg, state.tobytes(), tuple(candidates),
-               reprs.tobytes() if isinstance(reprs, np.ndarray) else tuple(reprs))
-        hit = self._interventions.get(key)
-        if hit is None:
-            hit = self._interventions[key] = intervene(self.policy, state,
-                                                       list(zip(candidates, reprs)), cfg)
-        return hit
+            self.first_hidden = int(np.argmax(self.hmm.initial))
+            self.next_hidden = tuple(int(z) for z in np.argmax(self.hmm.transition, axis=1))
 
     def log_emission(self, observation: np.ndarray) -> np.ndarray:
         """``hmm.log_emission`` of the plan's HMM, computed once per distinct
@@ -263,14 +250,14 @@ class _SchemeRuntime:
     """Builds the policy's state during a run.
 
     The features come from the scheme's featurizer for the scenario's graph,
-    the same one that abstracts logged episodes; each candidate set takes
-    one ``turn_features`` call on it, which gives the state row and the
-    candidates' feature matrix (or vocabulary ids) whole. The runtime adds
-    only the online hidden-state bits of ``with_hmm`` schemes. For those it
-    carries the Viterbi log-score vector of the observed prefix forward by
-    one ``viterbi_step`` per turn, which gives the bits that decoding the
-    whole prefix again would; the emissions and the successor one-hots come
-    from the plan's caches.
+    the same one that abstracts logged episodes; a turn the plan has not
+    seen takes one ``turn_features`` call on it, which gives the state row
+    and the candidates' feature matrix (or vocabulary ids) whole. The
+    runtime adds only the online hidden-state bits of ``with_hmm`` schemes.
+    For those it carries the Viterbi log-score vector of the observed prefix
+    forward by one ``viterbi_step`` per turn, which gives the bits that
+    decoding the whole prefix again would; the emissions and the successors
+    come from the plan's caches.
     """
 
     def __init__(self, plan: CePlan, scn: SimScenario):
@@ -278,18 +265,32 @@ class _SchemeRuntime:
         self.featurizer = plan.scheme.featurizer(scn.graph)
         self.symptom = scn.symptom
         self.delta: np.ndarray | None = None  # Viterbi log-scores of the prefix
-        self.hidden = plan.first_hidden  # one-hot of the predicted hidden state
+        self.hidden_state = plan.first_hidden  # the predicted hidden state
 
-    def features(self, candidates, previous,
-                 assessments) -> tuple[np.ndarray, np.ndarray | list[int]]:
-        """The policy's state now, and the representations of ``candidates``
-        (a feature matrix, or vocabulary ids): the input ``CePlan.intervene``
-        takes with them."""
-        state, reprs = self.featurizer.turn_features(candidates, previous, self.symptom,
-                                                     assessments)
-        if self.hidden is not None:
-            state = np.concatenate([state, self.hidden])
-        return state, reprs
+    @property
+    def hidden(self) -> np.ndarray | None:
+        """The one-hot of the predicted hidden state, under ``with_hmm``."""
+        return (None if self.hidden_state is None
+                else np.eye(self.plan.hmm.n_states)[self.hidden_state])
+
+    def turn(self, candidates, previous, assessments, cfg: CeConfig | None
+             ) -> tuple[np.ndarray, np.ndarray | list[int], Intervention | None]:
+        """The policy's state now, the representations of ``candidates`` (a
+        feature matrix, or vocabulary ids) and the plan's intervention on
+        them under ``cfg`` (None when ``cfg`` is None), computed once per
+        distinct turn of the plan; callers must not mutate what it returns."""
+        key = (self.featurizer, self.symptom, previous, tuple(candidates),
+               frozenset(assessments.items()), self.hidden_state, cfg)
+        hit = self.plan._turns.get(key)
+        if hit is None:
+            state, reprs = self.featurizer.turn_features(candidates, previous, self.symptom,
+                                                         assessments)
+            if self.hidden_state is not None:
+                state = np.concatenate([state, self.hidden])
+            iv = (None if cfg is None
+                  else intervene(self.plan.policy, state, list(zip(candidates, reprs)), cfg))
+            hit = self.plan._turns[key] = (state, reprs, iv)
+        return hit
 
     def record_turn(self, pre_state: np.ndarray, chosen_repr) -> None:
         """Take in the (pre-action state, action) observation the HMM was fit on.
@@ -298,7 +299,7 @@ class _SchemeRuntime:
         augmentation decodes complete sequences; mid-episode the last state
         of the prefix's Viterbi path steps the most likely transition.
         """
-        if self.hidden is None:
+        if self.hidden_state is None:
             return
         plan = self.plan
         obs = np.concatenate([pre_state[:2], np.asarray(chosen_repr, dtype=float)])
@@ -307,7 +308,7 @@ class _SchemeRuntime:
             self.delta = plan.hmm.log_initial + log_emis
         else:
             self.delta, _ = viterbi_step(self.delta, plan.hmm.log_transition, log_emis)
-        self.hidden = plan.next_hidden[np.argmax(self.delta)]
+        self.hidden_state = plan.next_hidden[int(np.argmax(self.delta))]
 
 
 # --- episode loop ---------------------------------------------------------------------
@@ -352,10 +353,9 @@ def run_episode(
         state_vec = reprs = None
         # a prune-only plan without an HMM reads no turn features
         if runtime is not None and (ce.selection_config is not None
-                                    or runtime.hidden is not None):
-            state_vec, reprs = runtime.features(candidates, previous, assessments)
-            if ce.selection_config is not None:
-                selection_iv = ce.intervene(state_vec, candidates, reprs, ce.selection_config)
+                                    or runtime.hidden_state is not None):
+            state_vec, reprs, selection_iv = runtime.turn(candidates, previous, assessments,
+                                                          ce.selection_config)
 
         pos = _position(candidates,
                         _select(candidates, assessments, scn, rng, cfg, ce, selection_iv))
@@ -384,8 +384,7 @@ def run_episode(
         ]
         pruned: list[Entity] = []
         if runtime is not None and ce.prune_config is not None and push:
-            push_state, push_reprs = runtime.features(push, chosen, assessments)
-            push_iv = ce.intervene(push_state, push, push_reprs, ce.prune_config)
+            _, _, push_iv = runtime.turn(push, chosen, assessments, ce.prune_config)
             retained = set(push_iv.retained)
             pruned = [e for e in push if e not in retained]
             push = [e for e in push if e in retained]

@@ -648,10 +648,16 @@ def test_a_small_nametype_collect_serves_ids_that_training_never_saw(tmp_path):
 
 def run_fresh_interpreter(args: list[str]) -> subprocess.CompletedProcess:
     """``python *args`` in a new process with this checkout's ``src`` first on
-    ``PYTHONPATH``."""
+    ``PYTHONPATH``, under a string-hash seed other than this process's, so a
+    result that leaned on the iteration order of a set or a dict of strings
+    would not reproduce there. A fixed ``PYTHONHASHSEED`` n becomes n + 1;
+    with none, or ``random``, this process's seed is random and the child's
+    is 1."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    seed = env.get("PYTHONHASHSEED", "random")
+    env["PYTHONHASHSEED"] = str((int(seed) + 1) % 2**32) if seed.isdigit() else "1"
     return subprocess.run([sys.executable, *args], check=True, env=env,
                           capture_output=True, text=True)
 
@@ -670,6 +676,11 @@ def assert_a_new_process_reproduces(raw: dict, out1: Path, tmp_path: Path) -> No
     for name in manifests:
         want = json.loads((out1 / name).read_text())["outputs"]
         assert json.loads((out2 / name).read_text())["outputs"] == want, name
+
+
+def test_a_new_process_hashes_strings_under_another_seed():
+    proc = run_fresh_interpreter(["-c", "print(hash('twinmdp'))"])
+    assert int(proc.stdout) != hash("twinmdp")
 
 
 def test_import_loads_neither_scipy_stats_nor_scipy_cluster():

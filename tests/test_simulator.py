@@ -1,4 +1,5 @@
 from dataclasses import replace
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -484,48 +485,104 @@ def parity_plan(kind, scns, config, q):
                   hmm=hmm)
 
 
-def input_key(state, candidates, cfg):
-    return (cfg, np.asarray(state).tobytes(), tuple(e for e, _ in candidates),
-            tuple(np.asarray(r).tobytes() for _, r in candidates))
+class TurnInput(NamedTuple):
+    """The raw input of one ``_SchemeRuntime.turn`` call."""
+
+    featurizer: object
+    symptom: Entity
+    previous: Entity | None
+    candidates: tuple
+    assessments: dict
+    hidden_state: int | None
+    cfg: CeConfig | None
+
+    def key(self):
+        return (self.featurizer, self.symptom, self.previous, self.candidates,
+                frozenset(self.assessments.items()), self.hidden_state, self.cfg)
+
+
+def record_turns(monkeypatch):
+    """Every ``_SchemeRuntime.turn`` call from here on: its input and what it
+    returned."""
+    calls = []
+    memoised = _SchemeRuntime.turn
+
+    def recording(self, candidates, previous, assessments, cfg):
+        got = memoised(self, candidates, previous, assessments, cfg)
+        calls.append((TurnInput(self.featurizer, self.symptom, previous, tuple(candidates),
+                                dict(assessments), self.hidden_state, cfg), got))
+        return got
+
+    monkeypatch.setattr(_SchemeRuntime, "turn", recording)
+    return calls
+
+
+def count_featurizations(monkeypatch):
+    """The ``turn_features`` calls of either featurizer from here on."""
+    calls = []
+    for cls in (abstraction.TopologyFeaturizer, abstraction.VocabularyFeaturizer):
+        original = cls.turn_features
+
+        def counting(self, *args, original=original):
+            calls.append(args)
+            return original(self, *args)
+
+        monkeypatch.setattr(cls, "turn_features", counting)
+    return calls
+
+
+def fresh_turn(plan, turn: TurnInput):
+    """What ``turn`` gives with no memo: its featurizer's rows, the hidden
+    state's one-hot under ``with_hmm``, and ``context.intervene`` under its
+    config."""
+    state, reprs = turn.featurizer.turn_features(turn.candidates, turn.previous, turn.symptom,
+                                                 turn.assessments)
+    if turn.hidden_state is not None:
+        state = np.concatenate([state, np.eye(plan.hmm.n_states)[turn.hidden_state]])
+    iv = (None if turn.cfg is None
+          else intervene(plan.policy, state, list(zip(turn.candidates, reprs)), turn.cfg))
+    return state, reprs, iv
+
+
+def assert_same_turn(got, want):
+    (state, reprs, iv), (want_state, want_reprs, want_iv) = got, want
+    assert state.tobytes() == want_state.tobytes()
+    assert np.asarray(reprs).tobytes() == np.asarray(want_reprs).tobytes()
+    assert (iv is None) == (want_iv is None)
+    if iv is not None:
+        assert list(iv.probs) == list(want_iv.probs)
+        assert (np.array(list(iv.probs.values())).tobytes()
+                == np.array(list(want_iv.probs.values())).tobytes())
+        assert iv.suggestions == want_iv.suggestions
+        assert iv.retained == want_iv.retained
+        assert iv.ordering == want_iv.ordering
 
 
 class TestInterventionMemo:
-    """A plan scores each distinct (config, state, candidates) input once."""
+    """A plan featurizes and scores each distinct raw turn input once."""
 
     @pytest.mark.parametrize("kind", ["topology_hubs", "nametype", "topology_hmm"])
     def test_every_hit_equals_a_fresh_intervention(self, kind, monkeypatch):
         scns = parity_scenarios()
         q = RecordingQ()
         plan = parity_plan(kind, scns, CeConfig(), q)
-        calls = []
-        memoised = CePlan.intervene
-
-        def recording(self, state, candidates, reprs, cfg):
-            iv = memoised(self, state, candidates, reprs, cfg)
-            calls.append((state, list(zip(candidates, reprs)), cfg, iv))
-            return iv
-
-        monkeypatch.setattr(CePlan, "intervene", recording)
+        calls = record_turns(monkeypatch)
+        featurizations = count_featurizations(monkeypatch)
         cfg = EpisodeConfig(max_turns=8, epsilon=0.3)
         run_batch(scns, plan, cfg, trials=6, master_seed=3, record=[].append)
-        scored = len(q.calls)
+        scored, featurized = len(q.calls), len(featurizations)
 
         distinct = set()
-        for state, candidates, ce_cfg, iv in calls:
-            fresh = intervene(plan.policy, state, candidates, ce_cfg)
-            assert list(iv.probs) == list(fresh.probs)
-            assert (np.array(list(iv.probs.values())).tobytes()
-                    == np.array(list(fresh.probs.values())).tobytes())
-            assert iv.suggestions == fresh.suggestions
-            assert iv.retained == fresh.retained
-            assert iv.ordering == fresh.ordering
-            distinct.add(input_key(state, candidates, ce_cfg))
-        assert len(calls) > len(distinct), "the batch should repeat some inputs"
-        assert len(plan._interventions) == len(distinct) == scored
+        for turn, got in calls:
+            assert_same_turn(got, fresh_turn(plan, turn))
+            distinct.add(turn.key())
+        assert len(calls) > len(distinct), "the batch should repeat some turns"
+        # a hit neither featurizes nor scores
+        assert len(plan._turns) == len(distinct) == scored == featurized
 
         fresh_q = RecordingQ()
         fresh_plan = parity_plan(kind, scns, CeConfig(), fresh_q)
-        assert fresh_plan._interventions == {}
+        assert fresh_plan._turns == {}
         run_batch(scns, fresh_plan, cfg, trials=6, master_seed=3, record=[].append)
         assert len(fresh_q.calls) == scored
 
@@ -552,19 +609,106 @@ class TestInterventionMemo:
             view = tables[0]
             hidden = prefix_decode_hidden_states(hmm.initial, hmm.transition, hmm.means,
                                                  hmm.variances, tables.observations()[0])
+            previous, assessments = None, {}
             for t, (raw, step) in enumerate(zip(traj.steps, view.steps)):
-                state = np.concatenate([step.state, np.eye(hmm.n_states)[hidden[t]]])
-                key = input_key(state, list(zip(raw.candidate_entities, step.candidates)),
-                                None)
-                if key not in seen:  # the memo scores a repeated input once
-                    seen.add(key)
-                    want.append((state, step.candidates))
+                turn = TurnInput(plan.scheme.featurizer(scn.graph), traj.symptom_entity,
+                                 previous, raw.candidate_entities, assessments,
+                                 int(hidden[t]), plan.selection_config)
+                if turn.key() not in seen:  # the memo scores a repeated turn once
+                    seen.add(turn.key())
+                    want.append((np.concatenate([step.state, np.eye(hmm.n_states)[hidden[t]]]),
+                                 step.candidates))
+                previous, assessments = raw.chosen_entity, raw.assessments
         assert len(q.calls) == len(want) > 20
         assert len({int(np.argmax(state[2:])) for state, _ in want}) >= 2
         for (state, cands), (want_state, want_cands) in zip(q.calls, want):
             assert state.tobytes() == want_state.tobytes()
             assert [c.tobytes() for c in cands] == [np.asarray(c).tobytes()
                                                    for c in want_cands]
+
+
+def shared_featurizer_scenarios():
+    """Two scenarios on one graph object, with different chains and symptoms."""
+    scn = generate_scenario(ScenarioConfig(n_nodes=8, edge_density=0.2, chain_length=3,
+                                           evidence_noise=0.2), seed=4, scenario_id="a")
+    root, symptom = next((u, v) for u, v in sorted(scn.graph.edges)
+                         if scn.symptom not in (u, v))
+    other = SimScenario(scenario_id="b", graph=scn.graph, root_cause=root,
+                        chain=(root, symptom), symptom=symptom, evidence_noise=0.2, seed=5)
+    return [scn, other]
+
+
+def turn_summary(turn):
+    state, reprs, iv = turn
+    return (state.tobytes(), np.asarray(reprs).tobytes(), iv.suggestions, iv.retained,
+            iv.ordering)
+
+
+class TestTurnKey:
+    """The memo's key holds every input a turn's features and intervention
+    read, so no two turns that differ in one share an entry."""
+
+    @pytest.mark.parametrize("kind", ["topology_hubs", "nametype"])
+    def test_scenarios_sharing_a_featurizer_write_what_no_memo_writes(self, kind,
+                                                                      tmp_path):
+        scns = shared_featurizer_scenarios()
+        assert scns[0].graph is scns[1].graph and scns[0].symptom != scns[1].symptom
+        cfg = EpisodeConfig(max_turns=8, epsilon=0.3, suggestion_uptake=0.7)
+        written = []
+        for keep in (True, False):
+            plan = network_plan(kind, scns, ("suggest", "prune", "prioritize"))
+            assert plan.scheme.featurizer(scns[0].graph) is plan.scheme.featurizer(
+                scns[1].graph)
+            if not keep:
+                plan._turns = Forgetful()
+            path = tmp_path / f"corpus-{keep}.jsonl"
+            with corpus_writer(path) as record:
+                rows = run_batch(scns, plan, cfg, trials=20, master_seed=13,
+                                 method_id="arm", record=record)
+            written.append((path.read_bytes(), rows))
+        assert written[0] == written[1]
+
+    @pytest.mark.parametrize("differs", ["featurizer", "symptom", "previous", "candidates",
+                                         "assessments", "hidden_state", "cfg"])
+    def test_turns_that_differ_in_one_input_do_not_share_an_entry(self, differs):
+        scn, other = shared_featurizer_scenarios()
+        plan = CePlan(policy=QPolicy(q=RecordingQ(), temperature=1.0), config=CeConfig(),
+                      scheme=SchemeSpec(kind="topology", with_hmm=True,
+                                        unreachable_sentinel=12.0), hmm=wide_hmm())
+        nodes = scn.graph.nodes
+        base = dict(candidates=(nodes[2], nodes[4], nodes[7]), previous=nodes[0],
+                    assessments={scn.symptom: "cascading", nodes[5]: "primary"},
+                    cfg=plan.selection_config)
+        runtime = _SchemeRuntime(plan, scn)
+        first = runtime.turn(**base)
+        assert runtime.turn(**base) is first and len(plan._turns) == 1
+
+        changed = dict(base)
+        if differs == "featurizer":  # the same scenario on a graph with one more edge
+            edge = (nodes[4], nodes[0])
+            assert edge not in scn.graph.edges
+            scn = replace(scn, graph=make_graph(nodes, scn.graph.edges | {edge}))
+        elif differs == "symptom":
+            scn = other
+        elif differs == "previous":
+            changed["previous"] = nodes[1]
+        elif differs == "candidates":
+            changed["candidates"] = changed["candidates"][::-1]
+        elif differs == "assessments":
+            changed["assessments"] = {scn.symptom: "primary", nodes[5]: "primary"}
+        elif differs == "cfg":
+            changed["cfg"] = plan.prune_config
+        runtime = _SchemeRuntime(plan, scn)
+        if differs == "hidden_state":
+            runtime.hidden_state = (plan.first_hidden + 1) % plan.hmm.n_states
+        got = runtime.turn(**changed)
+        assert len(plan._turns) == 2
+        turn = TurnInput(runtime.featurizer, runtime.symptom, changed["previous"],
+                         tuple(changed["candidates"]), changed["assessments"],
+                         runtime.hidden_state, changed["cfg"])
+        assert_same_turn(got, fresh_turn(plan, turn))
+        # so an entry shared with the first turn would have been wrong
+        assert turn_summary(got) != turn_summary(first)
 
 
 def wide_hmm():
@@ -613,17 +757,17 @@ class TestCacheTransparency:
         for keep in (True, False):
             plan = network_plan(kind, scns, strategies)
             if not keep:
-                plan._interventions, plan._emissions = Forgetful(), Forgetful()
+                plan._turns, plan._emissions = Forgetful(), Forgetful()
             path = tmp_path / f"corpus-{keep}.jsonl"
             with corpus_writer(path) as record:
                 rows = run_batch(scns, plan, cfg, trials=6, master_seed=21,
                                  method_id="arm", record=record)
             written.append((path.read_bytes(), rows))
             if keep:  # the kept memos fill up; the forgetful ones stay empty
-                assert plan._interventions
+                assert plan._turns
                 assert bool(plan._emissions) == (kind == "topology_hmm")
             else:
-                assert plan._interventions == {} and plan._emissions == {}
+                assert plan._turns == {} and plan._emissions == {}
         assert written[0] == written[1]
 
     def test_runtime_hidden_states_equal_the_uncached_recurrence(self):
