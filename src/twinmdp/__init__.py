@@ -28,7 +28,7 @@ from .context import (
     select_top_action,
     should_skip_action,
 )
-from .hmm import Hmm, fit_hmm, sequence_log_likelihood, viterbi_decode
+from .hmm import Hmm, fit_hmm, viterbi_decode
 from .offline_rl import (
     NetworkQ,
     QPolicy,

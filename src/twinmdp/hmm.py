@@ -49,12 +49,14 @@ class Hmm:
         with np.errstate(divide="ignore"):
             return np.log(self.transition)
 
-    @cached_property
-    def log_norm(self) -> np.ndarray:
-        """(K,) log normaliser of each state's diagonal Gaussian."""
-        return -0.5 * np.sum(np.log(2.0 * np.pi * self.variances), axis=1)
-
     def __post_init__(self):
+        K, D = self.means.shape if self.means.ndim == 2 else (0, 0)
+        if (min(K, D) < 1 or self.initial.shape != (K,) or self.transition.shape != (K, K)
+                or self.variances.shape != (K, D)):
+            raise DimensionMismatch(
+                f"HMM shapes: initial {self.initial.shape}, transition "
+                f"{self.transition.shape}, means {self.means.shape}, variances "
+                f"{self.variances.shape}; want (K,), (K, K), (K, D) and (K, D), D >= 1")
         if abs(self.initial.sum() - 1.0) > 1e-9:
             raise DimensionMismatch("initial distribution does not sum to 1")
         if np.max(np.abs(self.transition.sum(axis=1) - 1.0)) > 1e-9:
@@ -74,13 +76,14 @@ def _check_sequences(sequences: list[np.ndarray]) -> list[np.ndarray]:
     return seqs
 
 
-def _log_emissions(hmm_means, hmm_vars, seq: np.ndarray) -> np.ndarray:
-    """(..., T, K) log density of each observation of a (..., T, D) sequence
-    or stack under each state."""
-    diff = seq[..., None, :] - hmm_means                    # (..., T, K, D)
-    log_norm = -0.5 * np.sum(np.log(2.0 * np.pi * hmm_vars), axis=1)  # (K,)
-    quad = -0.5 * np.sum(diff * diff / hmm_vars, axis=-1)  # (..., T, K)
-    return quad + log_norm
+def log_emissions(means: np.ndarray, variances: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """(..., K) log density of each row of a (..., D) array under each
+    state's diagonal Gaussian. A row gets the same bits alone as in any
+    stack of rows."""
+    diff = x[..., None, :] - means                                 # (..., K, D)
+    norm = -0.5 * np.log(2.0 * np.pi * variances).sum(axis=1)      # (K,)
+    quad = -0.5 * (diff * diff / variances).sum(axis=-1)           # (..., K)
+    return quad + norm
 
 
 def _forward_backward(initial, transition, log_emis):
@@ -149,13 +152,9 @@ def log_likelihoods(hmm: Hmm, sequences: list[np.ndarray]) -> np.ndarray:
         raise DimensionMismatch("sequence dimension does not match emissions")
     out = np.empty(len(seqs))
     for idx, stack in _length_groups(seqs):
-        log_emis = _log_emissions(hmm.means, hmm.variances, stack)
+        log_emis = log_emissions(hmm.means, hmm.variances, stack)
         out[idx] = _forward_backward(hmm.initial, hmm.transition, log_emis)[2]
     return out
-
-
-def sequence_log_likelihood(hmm: Hmm, sequence: np.ndarray) -> float:
-    return float(log_likelihoods(hmm, [sequence])[0])
 
 
 def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -257,7 +256,7 @@ def fit_hmm(
         # E-step, one pass per length group; each sequence's statistics go
         # to its own row, and the rows are summed in sequence order
         for idx, stack, stack_sq in groups:
-            log_emis = _log_emissions(means, variances, stack)
+            log_emis = log_emissions(means, variances, stack)
             gamma, xi_sum, ll = _forward_backward(initial, transition, log_emis)
             gamma_t = gamma.transpose(0, 2, 1)
             lls[idx] = ll
@@ -288,13 +287,6 @@ def fit_hmm(
                variances=variances), ll_trace
 
 
-def log_emission(hmm: Hmm, observation: np.ndarray) -> np.ndarray:
-    """(K,) log density of one observation under each state; bit for bit the
-    row that a whole-sequence evaluation gives it."""
-    diff = observation - hmm.means
-    return -0.5 * np.sum(diff * diff / hmm.variances, axis=1) + hmm.log_norm
-
-
 def viterbi_step(delta: np.ndarray, log_trans: np.ndarray,
                  log_emis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One Viterbi recursion step (Rabiner 1989): the log-score vector of
@@ -311,7 +303,7 @@ def viterbi_decode(hmm: Hmm, sequence: np.ndarray) -> list[int]:
     if seq.ndim != 2 or seq.shape[0] == 0 or seq.shape[1] != hmm.n_features:
         raise DimensionMismatch("sequence dimension does not match emissions")
     T, K = seq.shape[0], hmm.n_states
-    log_emis = _log_emissions(hmm.means, hmm.variances, seq)
+    log_emis = log_emissions(hmm.means, hmm.variances, seq)
 
     back = np.zeros((T, K), dtype=int)
     delta = hmm.log_initial + log_emis[0]

@@ -33,7 +33,7 @@ from .abstraction import (
 )
 from .context import STRATEGIES, CeConfig
 from .errors import ConfigInvalid, MalformedRecord, MissingArtifact, StageFailed, in_range
-from .hmm import Hmm, fit_hmm, log_likelihoods
+from .hmm import Hmm, fit_hmm
 from .offline_rl import (
     QPolicy,
     TrainConfig,
@@ -173,7 +173,6 @@ class PipelineConfig:
     with_hubs: bool = _key("scheme.with_hubs", False)
     with_hmm: bool = _key("scheme.with_hmm", False)
     hmm_states: int = _key("scheme.hmm_states", 4)
-    hmm_select_from: list[int] | None = _key("scheme.hmm_select_from", None)
     sentinel: float | None = _key("scheme.unreachable_sentinel", None)
     collect_scenarios: int = _key("collect.n_scenarios", 24)
     collect_episodes: int = _key("collect.episodes_per_scenario", 30)
@@ -228,7 +227,7 @@ RANGES = {
     **_FIELD_RANGES,
     "master_seed": "[0, inf)",
     "scheme.kind": SCHEME_KINDS,
-    "scheme.hmm_states": "[1, inf)", "scheme.hmm_select_from": "[1, inf)",
+    "scheme.hmm_states": "[1, inf)",
     "collect.n_scenarios": "[2, inf)", "collect.episodes_per_scenario": "[1, inf)",
     "irl.signal": RANKING_SIGNALS, "irl.margin": "[0, inf)", "irl.max_pairs": "[1, inf)",
     "rl.combined_blend": "[0, inf)", "ope.holdout_fraction": "(0, 1)",
@@ -453,12 +452,11 @@ def stage_abstract(cfg: PipelineConfig, out: Path) -> dict:
     tables = abstract(iter_corpus(corpus_path, nodes), spec, graphs)
 
     outputs = []
-    chosen_states = cfg.hmm_states
     if cfg.with_hmm:
-        hmm_model, chosen_states = _fit_or_select_hmm(cfg, tables.observations(), seed)
+        hmm_model, _ = fit_hmm(tables.observations(), cfg.hmm_states, seed=seed)
         tables = tables.with_hidden_states(hmm_model)
         write_json(out / F_HMM, {
-            "n_states": chosen_states,
+            "n_states": cfg.hmm_states,
             "initial": hmm_model.initial.tolist(),
             "transition": hmm_model.transition.tolist(),
             "means": hmm_model.means.tolist(),
@@ -471,35 +469,13 @@ def stage_abstract(cfg: PipelineConfig, out: Path) -> dict:
         "kind": cfg.scheme_kind,
         "with_hubs": cfg.with_hubs,
         "with_hmm": cfg.with_hmm,
-        "hmm_states": chosen_states,
+        "hmm_states": cfg.hmm_states,
         "sentinel": sentinel,
         "vocabulary": [list(v) if isinstance(v, tuple) else v for v in vocabulary],
     }, "scheme runtime")
     outputs.extend([out / F_ABSTRACT, out / F_SCHEME])
     return _write_manifest(out, "abstract", cfg, seed,
                            [corpus_path, scenarios_path], outputs)
-
-
-def _fit_or_select_hmm(cfg: PipelineConfig, sequences, seed: int) -> tuple[Hmm, int]:
-    """The HMM fitted on all ``sequences`` and its state count: the one
-    configured, or of several the one whose fit on a seeded four fifths of
-    the sequences scores the other fifth highest."""
-    candidates = cfg.hmm_select_from or (cfg.hmm_states,)
-    chosen = candidates[0]
-    if len(candidates) > 1:
-        rng = np.random.default_rng(seed)
-        order = rng.permutation(len(sequences))
-        n_val = max(1, len(sequences) // 5)
-        val = [sequences[i] for i in order[:n_val]]
-        train = [sequences[i] for i in order[n_val:]]
-        best = None
-        for k in candidates:
-            model, _ = fit_hmm(train, k, seed=seed)
-            score = sum(log_likelihoods(model, val).tolist())  # in validation order
-            if best is None or score > best:
-                best, chosen = score, k
-    model, _ = fit_hmm(sequences, chosen, seed=seed)
-    return model, chosen
 
 
 def load_scheme_runtime(out: Path) -> tuple[SchemeSpec, Hmm | None]:

@@ -23,7 +23,7 @@ import numpy as np
 from .abstraction import SchemeSpec
 from .context import CeConfig, Intervention, intervene
 from .errors import InfeasibleConfig, MalformedRecord, ranged
-from .hmm import Hmm, log_emission, viterbi_step
+from .hmm import Hmm, log_emissions, viterbi_step
 from .offline_rl import QPolicy
 from .topology import (TopologyGraph, all_distances_from, graph_from_json, graph_to_json,
                        make_graph)
@@ -83,13 +83,13 @@ class CePlan:
     featurizer across scenarios, and so do graphs that compare equal), the
     previous action, the candidates in queue order, the assessments, the
     hidden state under ``with_hmm``, and the strategy config. The value is
-    the turn's state, its candidates' representations and its
-    intervention. The featurizer and ``context.intervene`` are pure, so a
-    hit returns exactly what recomputing would. With an HMM the plan also
-    keeps what its pure functions give: each distinct observation's
-    ``log_emission``, keyed by the observation's bytes, and each hidden
-    state's likeliest successor. The memos live and die with the plan;
-    nothing carries over from one plan to the next.
+    the turn's state, its candidates' representations, its intervention
+    and, under ``with_hmm``, each candidate's HMM log-emission row (None
+    without). The featurizer, ``context.intervene`` and ``log_emissions``
+    are pure, so a hit returns exactly what recomputing would. With an HMM
+    the plan also keeps each hidden state's likeliest successor. The memo
+    lives and dies with the plan; nothing carries over from one plan to
+    the next.
     """
 
     policy: QPolicy
@@ -107,7 +107,6 @@ class CePlan:
     next_hidden: tuple[int, ...] | None = field(default=None, init=False, repr=False,
                                                 compare=False)
     _turns: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _emissions: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.scheme.with_hmm != (self.hmm is not None):
@@ -119,15 +118,6 @@ class CePlan:
         if self.hmm is not None:
             self.first_hidden = int(np.argmax(self.hmm.initial))
             self.next_hidden = tuple(int(z) for z in np.argmax(self.hmm.transition, axis=1))
-
-    def log_emission(self, observation: np.ndarray) -> np.ndarray:
-        """``hmm.log_emission`` of the plan's HMM, computed once per distinct
-        observation; callers must not mutate the returned row."""
-        key = observation.tobytes()
-        hit = self._emissions.get(key)
-        if hit is None:
-            hit = self._emissions[key] = log_emission(self.hmm, observation)
-        return hit
 
 
 @dataclass
@@ -256,8 +246,8 @@ class _SchemeRuntime:
     runtime adds only the online hidden-state bits of ``with_hmm`` schemes.
     For those it carries the Viterbi log-score vector of the observed prefix
     forward by one ``viterbi_step`` per turn, which gives the bits that
-    decoding the whole prefix again would; the emissions and the successors
-    come from the plan's caches.
+    decoding the whole prefix again would; the emission rows come from the
+    plan's turn memo and the successors from the plan.
     """
 
     def __init__(self, plan: CePlan, scn: SimScenario):
@@ -274,36 +264,41 @@ class _SchemeRuntime:
                 else np.eye(self.plan.hmm.n_states)[self.hidden_state])
 
     def turn(self, candidates, previous, assessments, cfg: CeConfig | None
-             ) -> tuple[np.ndarray, np.ndarray | list[int], Intervention | None]:
+             ) -> tuple[np.ndarray, np.ndarray | list[int], Intervention | None,
+                        np.ndarray | None]:
         """The policy's state now, the representations of ``candidates`` (a
-        feature matrix, or vocabulary ids) and the plan's intervention on
-        them under ``cfg`` (None when ``cfg`` is None), computed once per
-        distinct turn of the plan; callers must not mutate what it returns."""
+        feature matrix, or vocabulary ids), the plan's intervention on them
+        under ``cfg`` (None when ``cfg`` is None) and, under ``with_hmm``,
+        the (n, K) log-emissions of each candidate's HMM observation
+        ``[state[:2] | repr]`` (else None), computed once per distinct turn
+        of the plan; callers must not mutate what it returns."""
         key = (self.featurizer, self.symptom, previous, tuple(candidates),
                frozenset(assessments.items()), self.hidden_state, cfg)
         hit = self.plan._turns.get(key)
         if hit is None:
             state, reprs = self.featurizer.turn_features(candidates, previous, self.symptom,
                                                          assessments)
+            rows = None
             if self.hidden_state is not None:
+                hmm = self.plan.hmm
+                obs = np.empty((len(candidates), hmm.n_features))
+                obs[:, :2], obs[:, 2:] = state[:2], reprs
+                rows = log_emissions(hmm.means, hmm.variances, obs)
                 state = np.concatenate([state, self.hidden])
             iv = (None if cfg is None
                   else intervene(self.plan.policy, state, list(zip(candidates, reprs)), cfg))
-            hit = self.plan._turns[key] = (state, reprs, iv)
+            hit = self.plan._turns[key] = (state, reprs, iv, rows)
         return hit
 
-    def record_turn(self, pre_state: np.ndarray, chosen_repr) -> None:
-        """Take in the (pre-action state, action) observation the HMM was fit on.
+    def record_turn(self, log_emis: np.ndarray) -> None:
+        """Take in the log-emissions of the (pre-action state, action)
+        observation the HMM was fit on (a row of ``turn``'s last value).
 
         Online stand-in for the decoded hidden state: training-time
         augmentation decodes complete sequences; mid-episode the last state
         of the prefix's Viterbi path steps the most likely transition.
         """
-        if self.hidden_state is None:
-            return
         plan = self.plan
-        obs = np.concatenate([pre_state[:2], np.asarray(chosen_repr, dtype=float)])
-        log_emis = plan.log_emission(obs)
         if self.delta is None:
             self.delta = plan.hmm.log_initial + log_emis
         else:
@@ -350,12 +345,12 @@ def run_episode(
 
         candidates = list(queue)
         selection_iv: Intervention | None = None
-        state_vec = reprs = None
+        emission_rows = None
         # a prune-only plan without an HMM reads no turn features
         if runtime is not None and (ce.selection_config is not None
                                     or runtime.hidden_state is not None):
-            state_vec, reprs, selection_iv = runtime.turn(candidates, previous, assessments,
-                                                          ce.selection_config)
+            _, _, selection_iv, emission_rows = runtime.turn(candidates, previous, assessments,
+                                                             ce.selection_config)
 
         pos = _position(candidates,
                         _select(candidates, assessments, scn, rng, cfg, ce, selection_iv))
@@ -372,8 +367,8 @@ def run_episode(
             label = "normal"
         assessments[chosen] = label
 
-        if reprs is not None:
-            runtime.record_turn(state_vec, reprs[pos])
+        if emission_rows is not None:
+            runtime.record_turn(emission_rows[pos])
 
         queue = candidates[:pos] + candidates[pos + 1:]  # the queue holds no repeats
 
@@ -384,7 +379,7 @@ def run_episode(
         ]
         pruned: list[Entity] = []
         if runtime is not None and ce.prune_config is not None and push:
-            _, _, push_iv = runtime.turn(push, chosen, assessments, ce.prune_config)
+            push_iv = runtime.turn(push, chosen, assessments, ce.prune_config)[2]
             retained = set(push_iv.retained)
             pruned = [e for e in push if e not in retained]
             push = [e for e in push if e in retained]

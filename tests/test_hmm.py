@@ -9,9 +9,8 @@ from scipy.cluster.vq import kmeans2
 from oracles import fit_hmm_per_sequence, forward_backward_per_sequence, viterbi_bruteforce
 from twinmdp import hmm
 from twinmdp.errors import DegenerateData, DimensionMismatch
-from twinmdp.hmm import (Hmm, _kmeans_pp, _log_emissions, fit_hmm, log_emission,
-                         log_likelihoods, sequence_log_likelihood, viterbi_decode,
-                         viterbi_step)
+from twinmdp.hmm import (Hmm, _kmeans_pp, fit_hmm, log_emissions, log_likelihoods,
+                         viterbi_decode, viterbi_step)
 
 
 def random_hmm(k, d, rng):
@@ -81,6 +80,19 @@ class TestFit:
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(DimensionMismatch):
             fit_hmm([np.ones((3, 2)), np.ones((3, 3))], 1)
+
+    @pytest.mark.parametrize("field, shape", [
+        ("initial", (3, 1)), ("transition", (3, 2)), ("means", (3,)), ("means", (2, 4)),
+        ("means", (3, 0)), ("variances", (1, 4)), ("variances", (3, 3)),
+    ])
+    def test_model_shapes_checked(self, field, shape):
+        k, d = 3, 4
+        parts = {"initial": np.full(k, 1.0 / k), "transition": np.full((k, k), 1.0 / k),
+                 "means": np.zeros((k, d)), "variances": np.ones((k, d))}
+        Hmm(**parts)
+        parts[field] = np.full(shape, 1.0 / shape[-1] if shape[-1] else 0.0)
+        with pytest.raises(DimensionMismatch, match="HMM shapes"):
+            Hmm(**parts)
 
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(5)
@@ -241,16 +253,20 @@ def hmms_and_sequences(draw):
 @given(hmms_and_sequences())
 def test_carried_viterbi_state_matches_decoding_every_prefix(case):
     hmm, obs = case
-    delta = hmm.log_initial + log_emission(hmm, obs[0])
+    def log_emis(o):
+        return log_emissions(hmm.means, hmm.variances, o)
+
+    delta = hmm.log_initial + log_emis(obs[0])
     for t in range(len(obs)):
         if t:
-            delta, _ = viterbi_step(delta, hmm.log_transition, log_emission(hmm, obs[t]))
+            delta, _ = viterbi_step(delta, hmm.log_transition, log_emis(obs[t]))
         assert int(np.argmax(delta)) == viterbi_decode(hmm, obs[: t + 1])[-1]
-    rows = _log_emissions(hmm.means, hmm.variances, obs)
-    assert all(log_emission(hmm, o).tobytes() == row.tobytes() for o, row in zip(obs, rows))
+    # one observation's row is its row of the whole-sequence call, bit for bit
+    rows = log_emis(obs)
+    assert all(log_emis(o).tobytes() == row.tobytes() for o, row in zip(obs, rows))
 
 
-def test_sequence_log_likelihood_matches_trace():
+def test_log_likelihoods_match_trace():
     rng = np.random.default_rng(8)
     true = random_hmm(2, 2, rng)
     seqs = sample_sequences(true, 6, 10, rng)
@@ -258,7 +274,7 @@ def test_sequence_log_likelihood_matches_trace():
     # trace[0] is the likelihood under the k-means initialization, evaluated
     # before the first M-step; recompute it against the initial parameters
     model2, trace2 = fit_hmm(seqs, 2, max_iter=2, tol=0.0, seed=0)
-    total = sum(sequence_log_likelihood(model, s) for s in seqs)
+    total = sum(log_likelihoods(model, seqs).tolist())
     assert total == pytest.approx(trace2[1], abs=1e-9)
 
 
@@ -302,15 +318,14 @@ def test_grouped_fit_equals_the_per_sequence_fit_bit_for_bit(case):
     assert trace == want_trace
     params = (model.initial, model.transition, model.means, model.variances)
     scores = [forward_backward_per_sequence(*params, s)[2] for s in seqs]
-    assert [sequence_log_likelihood(model, s) for s in seqs] == scores
     assert log_likelihoods(model, seqs).tolist() == scores
 
 
 def test_empty_sequence_has_no_likelihood():
     model = random_hmm(2, 3, np.random.default_rng(0))
     with pytest.raises(DimensionMismatch):
-        sequence_log_likelihood(model, np.zeros((0, 3)))
+        log_likelihoods(model, [np.zeros((0, 3))])
     with pytest.raises(DimensionMismatch):
         log_likelihoods(model, [np.zeros((2, 3)), np.zeros((0, 3))])
     with pytest.raises(DimensionMismatch):
-        sequence_log_likelihood(model, np.zeros((4, 2)))
+        log_likelihoods(model, [np.zeros((4, 2))])

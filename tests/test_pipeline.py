@@ -12,8 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from oracles import (abstract_from_json, abstract_line_via_dicts, abstract_per_trajectory,
-                     fit_hmm_per_sequence, forward_backward_per_sequence, held_closed_loop,
-                     step_rows_by_bytes, transitions_by_search)
+                     held_closed_loop, step_rows_by_bytes, transitions_by_search)
 
 from twinmdp import abstraction, pipeline, simulator, trajectories
 from twinmdp.abstraction import AbstractStep, AbstractTrajectory, load_abstract_corpus
@@ -205,13 +204,13 @@ class TestConfigValidation:
         (lambda raw: raw["rl"]["grid"][1].pop("reward_mode"), "rl.grid[1].reward_mode"),
         (lambda raw: raw["compare"]["arms"][0].update(strategy=["prune"]),
          "compare.arms[0].strategy"),
-        (lambda raw: raw["scheme"].update(with_hmm=True, hmm_select_from=[0, 2]),
+        (lambda raw: raw["scheme"].update(with_hmm=True, hmm_select_from=[2, 3]),
          "scheme.hmm_select_from"),
         (lambda raw: raw["collect"].update(n_scenarios=1), "collect.n_scenarios"),
         (lambda raw: raw["eval"].update(n_boot=200), "eval.n_boot"),
     ], ids=["typo_key", "unknown_section", "section_not_a_mapping", "bool_for_int",
             "bool_for_master_seed", "compare_nodes_below_chain", "grid_entry_not_a_mapping",
-            "bc_without_reward_mode", "arm_unknown_key", "hmm_select_from_zero",
+            "bc_without_reward_mode", "arm_unknown_key", "retired_scheme_hmm_select_from",
             "one_collect_scenario", "retired_eval_n_boot"])
     def test_malformed_config_rejected_with_its_path(self, edit, path):
         raw = json.loads(json.dumps(SMALL_CONFIG))
@@ -777,43 +776,19 @@ class TestSchemeVariants:
         with pytest.raises(MissingArtifact, match=missing):
             robustness_sweep(validate_config(raw), clone, counts=(4,))
 
-    def test_hmm_state_count_selected_by_validation_likelihood(self, tmp_path, monkeypatch):
-        raw = json.loads(json.dumps(SMALL_CONFIG))
-        raw["scheme"] = {"kind": "topology", "with_hmm": True, "hmm_states": 2,
-                         "hmm_select_from": [1, 2]}
-        cfg = validate_config(raw)
-        out = tmp_path / "selected"
-        seen = {}
-        select = pipeline._fit_or_select_hmm
-
-        def recording(cfg, sequences, seed):
-            seen.update(sequences=sequences, seed=seed)
-            return select(cfg, sequences, seed)
-
-        monkeypatch.setattr(pipeline, "_fit_or_select_hmm", recording)
-        stage_reproduce(cfg, out)
-        # the per-sequence oracle on the same split: a fifth of the
-        # sequences, in a seeded order, validate; the rest train
-        seqs, seed = seen["sequences"], seen["seed"]
-        order = np.random.default_rng(seed).permutation(len(seqs))
-        n_val = max(1, len(seqs) // 5)
-        val = [seqs[i] for i in order[:n_val]]
-        train = [seqs[i] for i in order[n_val:]]
-        fits, scores = [], []
-        for k in (1, 2):
-            params, _ = fit_hmm_per_sequence(train, k, seed=seed)
-            fits.append(params)
-            scores.append(sum(forward_backward_per_sequence(*params, s)[2] for s in val))
-        assert scores[0] != scores[1]
-        best = int(np.argmax(scores))
-        scheme = json.loads((out / "scheme_runtime.json").read_text())
-        assert scheme["hmm_states"] == best + 1
-        # the chosen state count is refit on every sequence, not only the training split
-        shipped, _ = fit_hmm_per_sequence(seqs, best + 1, seed=seed)
-        assert any(a.tobytes() != b.tobytes() for a, b in zip(shipped, fits[best]))
-        model = json.loads((out / "hmm_model.json").read_text())
-        for field, want in zip(("initial", "transition", "means", "variances"), shipped):
-            assert np.array(model[field]).tobytes() == want.tobytes(), field
+    def test_an_hmm_model_of_mismatched_shapes_fails_before_the_first_episode(
+            self, enriched_run, tmp_path, monkeypatch):
+        # two states, one variances row: serving would broadcast it silently
+        raw, out, _ = enriched_run
+        clone = tmp_path / "clone"
+        shutil.copytree(out, clone)
+        model = json.loads((clone / "hmm_model.json").read_text())
+        model["variances"] = model["variances"][:1]
+        (clone / "hmm_model.json").write_text(json.dumps(model))
+        calls = recording_episodes(monkeypatch)
+        with pytest.raises(MalformedRecord, match="hmm_model.json"):
+            stage_simulate(validate_config(raw), clone)
+        assert calls == []
 
     def test_name_scheme_runs_with_tabular_policies(self, tmp_path):
         raw = json.loads(json.dumps(SMALL_CONFIG))

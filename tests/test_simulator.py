@@ -9,7 +9,7 @@ from twinmdp import abstraction
 from twinmdp.abstraction import SchemeSpec, abstract, build_vocabulary
 from twinmdp.context import CeConfig, intervene
 from twinmdp.errors import InfeasibleConfig, MalformedRecord
-from twinmdp.hmm import Hmm, log_emission, viterbi_step
+from twinmdp.hmm import Hmm, log_emissions, viterbi_step
 from twinmdp.nets import Mlp
 from twinmdp.offline_rl import NetworkQ, QPolicy
 from twinmdp.simulator import (
@@ -533,21 +533,30 @@ def count_featurizations(monkeypatch):
 
 def fresh_turn(plan, turn: TurnInput):
     """What ``turn`` gives with no memo: its featurizer's rows, the hidden
-    state's one-hot under ``with_hmm``, and ``context.intervene`` under its
-    config."""
+    state's one-hot and each candidate's observation's log-emissions, one
+    observation at a time, under ``with_hmm``, and ``context.intervene``
+    under its config."""
     state, reprs = turn.featurizer.turn_features(turn.candidates, turn.previous, turn.symptom,
                                                  turn.assessments)
+    rows = None
     if turn.hidden_state is not None:
-        state = np.concatenate([state, np.eye(plan.hmm.n_states)[turn.hidden_state]])
+        hmm = plan.hmm
+        rows = np.stack([log_emissions(hmm.means, hmm.variances, np.concatenate([state[:2], r]))
+                         for r in reprs])
+        state = np.concatenate([state, np.eye(hmm.n_states)[turn.hidden_state]])
     iv = (None if turn.cfg is None
           else intervene(plan.policy, state, list(zip(turn.candidates, reprs)), turn.cfg))
-    return state, reprs, iv
+    return state, reprs, iv, rows
 
 
 def assert_same_turn(got, want):
-    (state, reprs, iv), (want_state, want_reprs, want_iv) = got, want
+    (state, reprs, iv, rows), (want_state, want_reprs, want_iv, want_rows) = got, want
     assert state.tobytes() == want_state.tobytes()
     assert np.asarray(reprs).tobytes() == np.asarray(want_reprs).tobytes()
+    # under with_hmm, the memoised emission rows are each observation's own, bit for bit
+    assert (rows is None) == (want_rows is None)
+    if rows is not None:
+        assert rows.tobytes() == want_rows.tobytes()
     assert (iv is None) == (want_iv is None)
     if iv is not None:
         assert list(iv.probs) == list(want_iv.probs)
@@ -639,7 +648,7 @@ def shared_featurizer_scenarios():
 
 
 def turn_summary(turn):
-    state, reprs, iv = turn
+    state, reprs, iv, _ = turn
     return (state.tobytes(), np.asarray(reprs).tobytes(), iv.suggestions, iv.retained,
             iv.ordering)
 
@@ -757,7 +766,7 @@ class TestCacheTransparency:
         for keep in (True, False):
             plan = network_plan(kind, scns, strategies)
             if not keep:
-                plan._turns, plan._emissions = Forgetful(), Forgetful()
+                plan._turns = Forgetful()
             path = tmp_path / f"corpus-{keep}.jsonl"
             with corpus_writer(path) as record:
                 rows = run_batch(scns, plan, cfg, trials=6, master_seed=21,
@@ -765,9 +774,8 @@ class TestCacheTransparency:
             written.append((path.read_bytes(), rows))
             if keep:  # the kept memos fill up; the forgetful ones stay empty
                 assert plan._turns
-                assert bool(plan._emissions) == (kind == "topology_hmm")
             else:
-                assert plan._turns == {} and plan._emissions == {}
+                assert plan._turns == {}
         assert written[0] == written[1]
 
     def test_runtime_hidden_states_equal_the_uncached_recurrence(self):
@@ -777,18 +785,19 @@ class TestCacheTransparency:
                       scheme=SchemeSpec(kind="topology", with_hmm=True,
                                         unreachable_sentinel=12.0), hmm=hmm)
         runtime = _SchemeRuntime(plan, parity_scenarios()[0])
-        # 40 observations drawn from 5 distinct rows, so the emission memo hits
+        # 40 observations drawn from 5 distinct rows; the runtime takes the rows
+        # of one call on all of them, the recurrence each observation's own
         rng = np.random.default_rng(8)
-        rows = rng.integers(0, 6, (5, 6)).astype(float)
-        observations = rows[rng.integers(0, 5, 40)]
+        distinct = rng.integers(0, 6, (5, 6)).astype(float)
+        observations = distinct[rng.integers(0, 5, 40)]
+        rows = log_emissions(hmm.means, hmm.variances, observations)
         onehots = np.eye(hmm.n_states)
         want = onehots[np.argmax(hmm.initial)]
         delta, visited = None, set()
-        for obs in observations:
+        for obs, row in zip(observations, rows):
             assert runtime.hidden.tobytes() == want.tobytes()
-            pre_state = np.concatenate([obs[:2], runtime.hidden])
-            runtime.record_turn(pre_state, obs[2:])
-            log_emis = log_emission(hmm, obs)
+            runtime.record_turn(row)
+            log_emis = log_emissions(hmm.means, hmm.variances, obs)
             if delta is None:
                 delta = hmm.log_initial + log_emis
             else:
@@ -798,4 +807,3 @@ class TestCacheTransparency:
             visited.add(int(np.argmax(want)))
         assert runtime.hidden.tobytes() == want.tobytes()
         assert len(visited) > 1
-        assert len(plan._emissions) == len(np.unique(observations, axis=0)) < len(observations)
