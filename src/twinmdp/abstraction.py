@@ -329,7 +329,7 @@ class MdpTables:
 
     def steps_of(self, trajs: np.ndarray) -> np.ndarray:
         """The steps of the trajectories ``trajs``, in their order."""
-        return _ranges(self.step_offsets[trajs], np.diff(self.step_offsets)[trajs])
+        return ranges(self.step_offsets[trajs], np.diff(self.step_offsets)[trajs])
 
     def select(self, trajs: np.ndarray) -> "MdpTables":
         """The trajectories ``trajs``, in their order, over the same row tables."""
@@ -337,7 +337,7 @@ class MdpTables:
         counts = np.diff(self.cand_offsets)[steps]
         return MdpTables(
             self.scheme, self.states, self.actions, self.state_id[steps], _offsets(counts),
-            self.cand_id[_ranges(self.cand_offsets[steps], counts)], self.taken[steps],
+            self.cand_id[ranges(self.cand_offsets[steps], counts)], self.taken[steps],
             self.rewards[steps], _offsets(np.diff(self.step_offsets)[trajs]),
             tuple(map(self.trajectory_ids.__getitem__, trajs)),
             tuple(map(self.scenario_ids.__getitem__, trajs)),
@@ -403,7 +403,7 @@ def _offsets(counts) -> np.ndarray:
     return np.concatenate([[0], np.cumsum(counts, dtype=np.intp)])
 
 
-def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+def ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """start, start + 1, ..., start + count - 1 of each (start, count), back to back."""
     heads = _offsets(counts)
     return np.arange(heads[-1]) + np.repeat(starts - heads[:-1], counts)

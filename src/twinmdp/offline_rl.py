@@ -45,7 +45,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .abstraction import MdpTables, pack_corpus
+from .abstraction import MdpTables, pack_corpus, ranges
 from .errors import (
     DimensionMismatch,
     EmptyData,
@@ -209,25 +209,17 @@ class TransitionTable:
         new[seen] = sums[seen] / self.taken_counts[seen]
         return new
 
-    def gather(self, steps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Candidate entries of ``steps`` in order, and the position in
-        ``steps`` each entry belongs to."""
-        starts = self.corpus.cand_offsets[steps]
-        counts = self.corpus.cand_offsets[steps + 1] - starts
-        group = np.repeat(np.arange(len(steps)), counts)
-        first = np.cumsum(counts) - counts
-        return np.arange(len(group)) + (starts - first)[group], group
-
     def plan(self, batches: np.ndarray, targets: np.ndarray | None = None) -> list["Batch"]:
         """Each row of the (K, b) step array ``batches`` as one planned Batch,
         laid out for all K at once; ``targets`` are per-step Bellman targets."""
         n_batches, size = batches.shape
         steps, off = batches.ravel(), self.corpus.cand_offsets
-        idx, group = self.gather(steps)
+        counts = off[steps + 1] - off[steps]
+        idx = ranges(off[steps], counts)
+        group = np.repeat(np.arange(len(steps)), counts)
         owner = group // size
         present, row_bounds, entry_row = plan_rows(self.row_id[idx], owner, n_batches,
                                                    len(self.cand_rows))
-        counts = off[steps + 1] - off[steps]
         first = np.cumsum(counts) - counts
         entry_bounds = np.append(first[::size], len(idx))
         base = np.repeat(entry_bounds[:-1], size)  # each step's batch's first entry
@@ -443,16 +435,15 @@ def cql_train(trajs, cfg: TrainConfig):
     """Fit a Q function by conservative Q-learning.
 
     Minimizes the squared Bellman residual against targets rebuilt every
-    target_refresh steps from the Q function of that moment, plus alpha * (logsumexp over candidate Q - Q of the taken
-    action). alpha = 0 recovers plain fitted Q-learning. Terminal steps
-    bootstrap with zero. Deterministic given cfg.seed.
+    target_refresh steps from the Q function of that moment, plus alpha *
+    (logsumexp over candidate Q - Q of the taken action). alpha = 0 recovers
+    plain fitted Q-learning. Terminal steps bootstrap with zero.
+    Deterministic given cfg.seed.
 
-    The two forms count steps differently. Tabular CQL (index actions) runs
-    max(1, iterations // target_refresh) whole blocks of target_refresh
-    full-table steps, so iterations=300 with target_refresh=200 runs 200
-    steps and iterations=7 with target_refresh=20 runs 20; at alpha = 0 a
-    block is one exact update. Network CQL runs exactly ``iterations``
-    minibatch steps, its last block cut short (``minibatch_train``).
+    Both forms take exactly ``iterations`` steps, full-table steps for
+    tabular CQL (index actions) and minibatch steps for network CQL, in the
+    blocks of ``step_blocks``; at alpha = 0 a tabular block is one exact
+    update.
     """
     table = build_transitions(trajs)
     if table.index_actions:
@@ -482,18 +473,24 @@ def _cql_tabular(table: TransitionTable, cfg: TrainConfig) -> TabularQ:
     residuals, softmax_terms = weights[:n], weights[n:n + len(row_id)]
     weights[n + len(row_id):] = -cfg.alpha / n
 
-    rounds = max(1, cfg.iterations // cfg.target_refresh)
-    for _ in range(rounds):
+    for steps in step_blocks(cfg):
         targets = table.backup(grouped_max(q[row_id], group, n), cfg.gamma)
         if cfg.alpha == 0.0:
             q = table.taken_means(q, targets)
         else:
-            for _ in range(cfg.target_refresh):
+            for _ in range(steps):
                 residuals[:] = 2.0 * (q[cell] - targets) / n
                 probs = grouped_softmax(q[seq_rows], seq, len(offsets) - 1)
                 softmax_terms[:] = (cfg.alpha * probs / n)[position]
                 q = q - cfg.step_size * np.bincount(bins, weights, len(q))
     return TabularQ(state_index=table.state_ids[0], q=table.matrix(q), gamma=cfg.gamma)
+
+
+def step_blocks(cfg: TrainConfig) -> list[int]:
+    """The step count of each target block: cfg.iterations steps in blocks of
+    cfg.target_refresh, the last block cut short."""
+    return [min(cfg.target_refresh, cfg.iterations - start)
+            for start in range(0, cfg.iterations, cfg.target_refresh)]
 
 
 def network_q(table: TransitionTable, net: Mlp, gamma: float) -> NetworkQ:
@@ -505,7 +502,7 @@ def minibatch_train(table: TransitionTable, cfg: TrainConfig, learner, targets=N
     """The one minibatch loop of network CQL and BC: cfg.iterations Adam steps
     on a cfg.seed network, each on a batch drawn by a cfg.seed rng.
 
-    The steps run in blocks of cfg.target_refresh. At the start of a block
+    The steps run in the blocks of ``step_blocks``. At the start of a block
     ``targets(net)``, when given, returns every step's Bellman target under
     the live network. The block's batches are drawn and planned up to
     PLAN_BATCHES at a time (``TransitionTable.plan``). Each step forwards its
@@ -517,12 +514,11 @@ def minibatch_train(table: TransitionTable, cfg: TrainConfig, learner, targets=N
     optimizer = Adam(net.params, step_size=cfg.step_size)
     rng = np.random.default_rng(cfg.seed)
     size = min(cfg.batch_size, table.n)
-    for block in range(0, cfg.iterations, cfg.target_refresh):
+    for steps in step_blocks(cfg):
         boot = None if targets is None else targets(net)
-        block_end = min(block + cfg.target_refresh, cfg.iterations)
-        for start in range(block, block_end, PLAN_BATCHES):
+        for start in range(0, steps, PLAN_BATCHES):
             batches = np.stack([rng.choice(table.n, size=size, replace=False) for _ in
-                                range(min(PLAN_BATCHES, block_end - start))])
+                                range(min(PLAN_BATCHES, steps - start))])
             for batch in table.plan(batches, boot):
                 out, acts = net.forward_cached(table.cand_rows[batch.present])
                 dout = learner(batch, out[batch.entry_row])

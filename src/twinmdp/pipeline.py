@@ -154,87 +154,75 @@ class ArmSpec:
     strategies: tuple[str, ...]
 
 
-def _key(path: str, default=MISSING, skip: tuple[str, ...] = ()):
-    """A field read from config key ``path``. A field typed by a dataclass is a
-    section: each field of that dataclass but ``skip`` is the key
-    ``path.<name>``, with the dataclass's type and default."""
-    return field(default=default, metadata={"key": path, "skip": skip})
+def _key(path: str, default=MISSING, spec=None, skip: tuple[str, ...] = ()):
+    """A field read from config key ``path``, whose values must lie in
+    ``spec``: a tuple of the allowed values, or an interval (``in_range``).
+    A field typed by a dataclass is a section: each field of that dataclass
+    but ``skip`` is the key ``path.<name>``, with the dataclass's type,
+    default and ``ranged`` interval."""
+    return field(default=default, metadata={"key": path, "range": spec, "skip": skip})
 
 
 @dataclass(kw_only=True)
 class PipelineConfig:
-    """The config schema: each field names its key; its type and default are the key's."""
+    """The config schema: each field names its key; its type, default and
+    allowed values are the key's."""
 
     raw: dict
-    master_seed: int = _key("master_seed", 0)
+    master_seed: int = _key("master_seed", 0, "[0, inf)")
     corpus_path: str | None = _key("paths.corpus", None)
     scenarios_path: str | None = _key("paths.scenarios", None)
-    scheme_kind: str = _key("scheme.kind", "topology")
+    scheme_kind: str = _key("scheme.kind", "topology", SCHEME_KINDS)
     with_hubs: bool = _key("scheme.with_hubs", False)
     with_hmm: bool = _key("scheme.with_hmm", False)
-    hmm_states: int = _key("scheme.hmm_states", 4)
+    hmm_states: int = _key("scheme.hmm_states", 4, "[1, inf)")
     sentinel: float | None = _key("scheme.unreachable_sentinel", None)
-    collect_scenarios: int = _key("collect.n_scenarios", 24)
-    collect_episodes: int = _key("collect.episodes_per_scenario", 30)
+    collect_scenarios: int = _key("collect.n_scenarios", 24, "[2, inf)")
+    collect_episodes: int = _key("collect.episodes_per_scenario", 30, "[1, inf)")
     collect_scenario_cfg: ScenarioConfig = _key("collect.scenario")
     collect_episode_cfg: EpisodeConfig = _key("collect.episode")
-    irl_signal: str = _key("irl.signal", _PAIRS["signal"].default)
-    irl_margin: float = _key("irl.margin", _PAIRS["margin"].default)
-    irl_max_pairs: int = _key("irl.max_pairs", _PAIRS["max_pairs"].default)
+    irl_signal: str = _key("irl.signal", _PAIRS["signal"].default, RANKING_SIGNALS)
+    irl_margin: float = _key("irl.margin", _PAIRS["margin"].default, "[0, inf)")
+    irl_max_pairs: int = _key("irl.max_pairs", _PAIRS["max_pairs"].default, "[1, inf)")
     irl_train: RewardTrainConfig = _key("irl", skip=("seed", "holdout_fraction"))
     rl_train: TrainConfig = _key("rl", skip=("seed",))
     rl_grid: list[dict] = _key("rl.grid")
-    combined_blend: float = _key("rl.combined_blend", 1.0)
-    ope_holdout: float = _key("ope.holdout_fraction", 0.25)
-    ope_k: int = _key("ope.k", 3)
-    eval_reward_mode: str = _key("ope.eval_reward_mode", "sparse")
+    combined_blend: float = _key("rl.combined_blend", 1.0, "[0, inf)")
+    ope_holdout: float = _key("ope.holdout_fraction", 0.25, "(0, 1)")
+    ope_k: int = _key("ope.k", 3, "[1, inf)")
+    eval_reward_mode: str = _key("ope.eval_reward_mode", "sparse", RELABEL_MODES)
     ce: CeConfig = _key("ce", skip=("strategies",))
-    compare_scenarios: int = _key("compare.n_scenarios", 20)
-    compare_trials: int = _key("compare.trials", 15)
+    compare_scenarios: int = _key("compare.n_scenarios", 20, "[2, inf)")
+    compare_trials: int = _key("compare.trials", 15, "[3, inf)")
     compare_scenario_cfg: ScenarioConfig = _key("compare.scenario")
     compare_episode_cfg: EpisodeConfig = _key("compare.episode")
     arms: list[ArmSpec] = _key("compare.arms")
-    eval_alpha: float = _key("eval.alpha", 0.05)
+    eval_alpha: float = _key("eval.alpha", 0.05, "(0, 1)")
 
 
 _FIELD_TYPES = get_type_hints(PipelineConfig)
 
 
-def _schema() -> tuple[dict[str, tuple], dict[str, str]]:
-    """Config key -> (type, default, PipelineConfig field, section field or None),
-    and the interval of each section key whose field is ``ranged``."""
-    schema, ranges = {}, {}
+def _schema() -> dict[str, tuple]:
+    """Config key -> (type, default, allowed values or interval or None,
+    PipelineConfig field, section field or None)."""
+    schema = {}
     for f in fields(PipelineConfig):
         key, typ = f.metadata.get("key"), _FIELD_TYPES[f.name]
         if key and is_dataclass(typ):
             hints = get_type_hints(typ)
             for g in fields(typ):
                 if g.name not in f.metadata["skip"]:
-                    schema[f"{key}.{g.name}"] = (hints[g.name], g.default, f.name, g.name)
-                    if "range" in g.metadata:
-                        ranges[f"{key}.{g.name}"] = g.metadata["range"]
+                    schema[f"{key}.{g.name}"] = (hints[g.name], g.default,
+                                                 g.metadata.get("range"), f.name, g.name)
         elif key:
-            schema[key] = (typ, f.default, f.name, None)
-    return schema, ranges
+            schema[key] = (typ, f.default, f.metadata["range"], f.name, None)
+    return schema
 
 
-SCHEMA, _FIELD_RANGES = _schema()
+SCHEMA = _schema()
 # every proper prefix of a key
 _SECTIONS = {path.rsplit(".", i)[0] for path in SCHEMA for i in range(1, path.count(".") + 1)}
-
-# the allowed values, or an interval (a section key's interval is its field's)
-RANGES = {
-    **_FIELD_RANGES,
-    "master_seed": "[0, inf)",
-    "scheme.kind": SCHEME_KINDS,
-    "scheme.hmm_states": "[1, inf)",
-    "collect.n_scenarios": "[2, inf)", "collect.episodes_per_scenario": "[1, inf)",
-    "irl.signal": RANKING_SIGNALS, "irl.margin": "[0, inf)", "irl.max_pairs": "[1, inf)",
-    "rl.combined_blend": "[0, inf)", "ope.holdout_fraction": "(0, 1)",
-    "ope.k": "[1, inf)", "ope.eval_reward_mode": RELABEL_MODES,
-    "compare.n_scenarios": "[2, inf)", "compare.trials": "[3, inf)",
-    "eval.alpha": "(0, 1)",
-}
 
 
 def _get(cfg: dict, path: str, default=None):
@@ -301,7 +289,7 @@ def validate_config(raw: dict) -> PipelineConfig:
     _unknown_keys(raw, "", problems)
     values: dict = {}
     sections: dict[str, dict] = {}
-    for path, (typ, default, name, sub) in SCHEMA.items():
+    for path, (typ, default, spec, name, sub) in SCHEMA.items():
         if get_origin(typ) is list:
             continue  # rl.grid and compare.arms: their entries are checked below
         value = _get(raw, path, default)
@@ -311,7 +299,6 @@ def validate_config(raw: dict) -> PipelineConfig:
             expected = typ.__name__ if isinstance(typ, type) else typ
             problems.append(f"{path}: expected {expected}, got {type(value).__name__}")
             value = default
-        spec = RANGES.get(path)
         if spec and value is not None and not in_range(value, spec):
             allowed = ", ".join(spec) if isinstance(spec, tuple) else spec
             problems.append(f"{path}: must be in {allowed}")

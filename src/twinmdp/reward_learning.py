@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .abstraction import AbstractTrajectory, MdpTables, pack_corpus
+from .abstraction import AbstractTrajectory, MdpTables, pack_corpus, ranges
 from .errors import DimensionMismatch, EmptyPairSet, MalformedRecord, check_ranges, ranged
 from .nets import PLAN_BATCHES, Adam, Mlp, plan_rows, row_sums
 from .offline_rl import distinct_pairs, encode_rows
@@ -135,10 +135,10 @@ class StepRows:
         starts = self.offsets[ids]
         lengths = self.offsets[ids + 1] - starts
         heads = np.cumsum(lengths) - lengths
-        pos = np.arange(lengths.sum()) - np.repeat(heads, lengths)
-        present, row_bounds, row_of = plan_rows(
-            self.row_id[np.repeat(starts, lengths) + pos], np.repeat(id_batch, lengths),
-            n_batches, len(self.rows))
+        steps = ranges(starts, lengths)
+        pos = steps - np.repeat(starts, lengths)
+        present, row_bounds, row_of = plan_rows(self.row_id[steps], np.repeat(id_batch, lengths),
+                                                n_batches, len(self.rows))
         weight = discount ** pos
         step_bounds = np.append(heads, len(pos))[id_bounds]
         heads -= step_bounds[id_batch]

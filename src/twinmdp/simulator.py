@@ -84,12 +84,12 @@ class CePlan:
     previous action, the candidates in queue order, the assessments, the
     hidden state under ``with_hmm``, and the strategy config. The value is
     the turn's state, its candidates' representations, its intervention
-    and, under ``with_hmm``, each candidate's HMM log-emission row (None
-    without). The featurizer, ``context.intervene`` and ``log_emissions``
-    are pure, so a hit returns exactly what recomputing would. With an HMM
-    the plan also keeps each hidden state's likeliest successor. The memo
-    lives and dies with the plan; nothing carries over from one plan to
-    the next.
+    and, on a selection turn under ``with_hmm``, each candidate's HMM
+    log-emission row (None otherwise: nothing reads a pruned push's rows).
+    The featurizer, ``context.intervene`` and ``log_emissions`` are pure,
+    so a hit returns exactly what recomputing would. With an HMM the plan
+    also keeps each hidden state's likeliest successor. The memo lives and
+    dies with the plan; nothing carries over from one plan to the next.
     """
 
     policy: QPolicy
@@ -268,8 +268,9 @@ class _SchemeRuntime:
                         np.ndarray | None]:
         """The policy's state now, the representations of ``candidates`` (a
         feature matrix, or vocabulary ids), the plan's intervention on them
-        under ``cfg`` (None when ``cfg`` is None) and, under ``with_hmm``,
-        the (n, K) log-emissions of each candidate's HMM observation
+        under ``cfg`` (None when ``cfg`` is None) and, under ``with_hmm`` on a
+        turn that selects (``cfg`` is not the plan's ``prune_config``), the
+        (n, K) log-emissions of each candidate's HMM observation
         ``[state[:2] | repr]`` (else None), computed once per distinct turn
         of the plan; callers must not mutate what it returns."""
         key = (self.featurizer, self.symptom, previous, tuple(candidates),
@@ -281,9 +282,10 @@ class _SchemeRuntime:
             rows = None
             if self.hidden_state is not None:
                 hmm = self.plan.hmm
-                obs = np.empty((len(candidates), hmm.n_features))
-                obs[:, :2], obs[:, 2:] = state[:2], reprs
-                rows = log_emissions(hmm.means, hmm.variances, obs)
+                if cfg is None or cfg is not self.plan.prune_config:
+                    obs = np.empty((len(candidates), hmm.n_features))
+                    obs[:, :2], obs[:, 2:] = state[:2], reprs
+                    rows = log_emissions(hmm.means, hmm.variances, obs)
                 state = np.concatenate([state, self.hidden])
             iv = (None if cfg is None
                   else intervene(self.plan.policy, state, list(zip(candidates, reprs)), cfg))

@@ -459,7 +459,7 @@ def cql_tabular_by_state_action(table, cfg):
     counts = np.bincount(cell, minlength=q.size).astype(float)
     seen = counts > 0
     live = ~table.terminal
-    for _ in range(max(1, cfg.iterations // cfg.target_refresh)):
+    for start in range(0, cfg.iterations, cfg.target_refresh):
         best = np.full(table.n, -np.inf)
         np.maximum.at(best, group, q[cand_cell])
         targets = table.corpus.rewards.copy()
@@ -468,7 +468,7 @@ def cql_tabular_by_state_action(table, cfg):
             sums = np.bincount(cell, weights=targets, minlength=q.size)
             q[seen] = sums[seen] / counts[seen]
             continue
-        for _ in range(cfg.target_refresh):
+        for _ in range(min(cfg.target_refresh, cfg.iterations - start)):
             grad = np.zeros_like(q)
             np.add.at(grad, cell, 2.0 * (q[cell] - targets) / table.n)
             probs = grouped_softmax_add_at(q[cand_cell], group, table.n)

@@ -13,7 +13,8 @@ from oracles import (
     softmax_mp,
 )
 from test_nets import assert_close
-from twinmdp.abstraction import AbstractStep, AbstractTrajectory
+from twinmdp import offline_rl
+from twinmdp.abstraction import AbstractStep, AbstractTrajectory, ranges
 from twinmdp.errors import DimensionMismatch, EmptyData, MalformedRecord
 from twinmdp.nets import Adam, Mlp, grouped_max, grouped_softmax
 from twinmdp.offline_rl import (
@@ -228,17 +229,49 @@ def test_tabular_cql_equals_the_state_action_cells_bit_for_bit(case):
     assert cql_train(trajs, cfg).q.tobytes() == cql_tabular_by_state_action(table, cfg).tobytes()
 
 
-@pytest.mark.parametrize("alpha", [0.0, 0.5])
-@pytest.mark.parametrize("short,whole", [((7, 20), (20, 20)), ((300, 200), (200, 200))],
-                         ids=["one_block_of_20", "one_block_of_200"])
-def test_tabular_cql_runs_whole_target_refresh_blocks(short, whole, alpha):
-    """Tabular CQL runs max(1, iterations // target_refresh) whole blocks:
-    7 iterations with refresh 20 are 20 steps, 300 with refresh 200 are 200."""
+@pytest.mark.parametrize("alpha,run,same", [
+    (0.0, (7, 20), (1, 1)), (0.0, (250, 100), (3, 1)), (0.5, (7, 20), (7, 7))],
+    ids=["one_exact_update", "three_exact_updates", "one_block_of_7"])
+def test_tabular_cql_cuts_its_last_target_refresh_block_short(alpha, run, same):
+    """Tabular CQL takes ``iterations`` steps in blocks of target_refresh, the
+    last one cut short: 7 iterations with refresh 20 are one block of 7
+    steps; at alpha 0 a block is one exact update, so 250 iterations with
+    refresh 100 are three updates."""
     trajs = index_corpus(np.random.default_rng(5))
     fit = [cql_train(trajs, TrainConfig(alpha=alpha, gamma=0.9, iterations=i,
                                         target_refresh=r, step_size=0.05, seed=0)).q
-           for i, r in (short, whole)]
+           for i, r in (run, same)]
     assert fit[0].tobytes() == fit[1].tobytes()
+
+
+@pytest.mark.parametrize("iterations,refresh", [(7, 20), (250, 100)])
+@pytest.mark.parametrize("fit", ["cql_tabular", "cql_network", "bc_network"])
+def test_every_learner_takes_exactly_iterations_steps(fit, iterations, refresh, monkeypatch):
+    """Tabular CQL, network CQL and BC each take ``iterations`` gradient steps
+    (one softmax term each), and CQL rebuilds its targets (one grouped max)
+    once per block of target_refresh steps, the last block cut short."""
+    calls = {"grouped_softmax": 0, "grouped_max": 0, "adam": 0}
+
+    def counting(module, name, key):
+        original = getattr(module, name)
+
+        def wrapper(*args):
+            calls[key] += 1
+            return original(*args)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counting(offline_rl, "grouped_softmax", "grouped_softmax")
+    counting(offline_rl, "grouped_max", "grouped_max")
+    counting(Adam, "step", "adam")
+    cfg = TrainConfig(alpha=0.5, iterations=iterations, target_refresh=refresh, batch_size=8,
+                      hidden_units=8, step_size=0.05, seed=2)
+    rng = np.random.default_rng(9)
+    trajs = index_corpus(rng) if fit == "cql_tabular" else feature_corpus(rng)
+    (bc_train if fit == "bc_network" else cql_train)(trajs, cfg)
+    blocks = -(-iterations // refresh)
+    assert calls == {"grouped_softmax": iterations,
+                     "grouped_max": 0 if fit == "bc_network" else blocks,
+                     "adam": 0 if fit == "cql_tabular" else iterations}
 
 
 class TestCqlNetwork:
@@ -278,6 +311,14 @@ class TestCqlNetwork:
 
 # --- the per-learner loops the one minibatch trainer replaced -------------------------
 
+def entries(table, steps):
+    """Candidate entries of ``steps`` in order, and the position in ``steps``
+    each entry belongs to."""
+    counts = np.diff(table.corpus.cand_offsets)[steps]
+    return (ranges(table.corpus.cand_offsets[steps], counts),
+            np.repeat(np.arange(len(steps)), counts))
+
+
 def reference_cql_network(table, cfg):
     rows = table.rows(table.encoding)  # one row per entry, repeats included
     net = Mlp(rows.shape[1], cfg.hidden_units, seed=cfg.seed)
@@ -291,10 +332,10 @@ def reference_cql_network(table, cfg):
         targets = table.corpus.rewards[batch].copy()
         live = np.flatnonzero(~table.terminal[batch])
         if len(live):
-            idx, group = table.gather(table.next_step[batch[live]])
+            idx, group = entries(table, table.next_step[batch[live]])
             best = grouped_max(target.forward(rows[idx]), group, len(live))
             targets[live] += cfg.gamma * best
-        idx, cand_group = table.gather(batch)
+        idx, cand_group = entries(table, batch)
         out, acts = net.forward_cached(rows[np.concatenate([table.taken[batch], idx])])
         dout = np.zeros_like(out)
         dout[:b] = 2.0 * (out[:b] - targets) / b
@@ -313,7 +354,7 @@ def reference_bc_network(table, cfg):
     for _ in range(cfg.iterations):
         batch = rng.choice(table.n, size=min(cfg.batch_size, table.n), replace=False)
         b = len(batch)
-        idx, group = table.gather(batch)
+        idx, group = entries(table, batch)
         out, acts = net.forward_cached(rows[idx])
         dout = grouped_softmax(out, group, b) / b
         dout[idx == table.taken[batch][group]] -= 1.0 / b

@@ -24,7 +24,6 @@ from twinmdp.offline_rl import NetworkQ, TrainConfig, build_transitions, load_po
 from twinmdp.ope import fqe
 from twinmdp.pipeline import (
     MAX_ARMS,
-    RANGES,
     SCHEMA,
     derive_seed,
     load_config,
@@ -191,7 +190,44 @@ class TestConfigValidation:
         assert cfg.irl_signal == pairs["signal"].default
         assert cfg.irl_margin == pairs["margin"].default
         assert cfg.irl_max_pairs == pairs["max_pairs"].default
-        assert set(RANGES) <= set(SCHEMA)
+
+    # each top-level key that has allowed values or an interval, a value
+    # outside them, and its problem, word for word
+    OUT_OF_RANGE = {
+        "master_seed": (-1, "[0, inf)"),
+        "scheme.kind": ("graph", "name, nametype, topology"),
+        "scheme.hmm_states": (0, "[1, inf)"),
+        "collect.n_scenarios": (1, "[2, inf)"),
+        "collect.episodes_per_scenario": (0, "[1, inf)"),
+        "irl.signal": ("fpc", "fpc_only, mean_fpc_rce"),
+        "irl.margin": (-0.5, "[0, inf)"),
+        "irl.max_pairs": (0, "[1, inf)"),
+        "rl.combined_blend": (-1.0, "[0, inf)"),
+        "ope.holdout_fraction": (1.0, "(0, 1)"),
+        "ope.k": (0, "[1, inf)"),
+        "ope.eval_reward_mode": ("dense", "irl, sparse, combined"),
+        "compare.n_scenarios": (1, "[2, inf)"),
+        "compare.trials": (2, "[3, inf)"),
+        "eval.alpha": (0.0, "(0, 1)"),
+    }
+
+    def test_out_of_range_cases_cover_every_top_level_key_with_allowed_values(self):
+        ranged_keys = {path for path, (_, _, spec, _, sub) in SCHEMA.items()
+                       if spec is not None and sub is None}
+        assert ranged_keys == set(self.OUT_OF_RANGE)
+
+    @pytest.mark.parametrize("path", sorted(OUT_OF_RANGE))
+    def test_out_of_range_top_level_key_rejected_with_its_allowed_values(self, path):
+        bad, spec = self.OUT_OF_RANGE[path]
+        raw = json.loads(json.dumps(SMALL_CONFIG))
+        *sections, name = path.split(".")
+        node = raw
+        for section in sections:
+            node = node.setdefault(section, {})
+        node[name] = bad
+        with pytest.raises(ConfigInvalid) as exc:
+            validate_config(raw)
+        assert exc.value.problems == [f"{path}: must be in {spec}"]
 
     @pytest.mark.parametrize("edit, path", [
         (lambda raw: raw["irl"].update(hiden_units=8), "irl.hiden_units"),
@@ -234,7 +270,7 @@ class TestConfigValidation:
             cls(**{field_name: bad})
         path = f"{key}.{field_name}"
         if path in SCHEMA:  # a config-file key: the same interval, the same message
-            assert RANGES[path] == spec
+            assert SCHEMA[path][2] == spec  # the key's interval is its field's
             raw = json.loads(json.dumps(SMALL_CONFIG))
             raw[key][field_name] = bad
             with pytest.raises(ConfigInvalid) as exc:

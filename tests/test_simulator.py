@@ -533,16 +533,17 @@ def count_featurizations(monkeypatch):
 
 def fresh_turn(plan, turn: TurnInput):
     """What ``turn`` gives with no memo: its featurizer's rows, the hidden
-    state's one-hot and each candidate's observation's log-emissions, one
-    observation at a time, under ``with_hmm``, and ``context.intervene``
-    under its config."""
+    state's one-hot and, but on a prune turn, each candidate's observation's
+    log-emissions, one observation at a time, under ``with_hmm``, and
+    ``context.intervene`` under its config."""
     state, reprs = turn.featurizer.turn_features(turn.candidates, turn.previous, turn.symptom,
                                                  turn.assessments)
     rows = None
     if turn.hidden_state is not None:
         hmm = plan.hmm
-        rows = np.stack([log_emissions(hmm.means, hmm.variances, np.concatenate([state[:2], r]))
-                         for r in reprs])
+        if turn.cfg is None or turn.cfg is not plan.prune_config:
+            rows = np.stack([log_emissions(hmm.means, hmm.variances,
+                                           np.concatenate([state[:2], r])) for r in reprs])
         state = np.concatenate([state, np.eye(hmm.n_states)[turn.hidden_state]])
     iv = (None if turn.cfg is None
           else intervene(plan.policy, state, list(zip(turn.candidates, reprs)), turn.cfg))
